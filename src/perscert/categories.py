@@ -150,13 +150,13 @@ class F2VecCategory:
         if h.nrows != y_dim:
             raise CategoryError("pullback legs must share a codomain")
         stacked = GF2Matrix(
-            [list(f.rows[i]) + list(h.rows[i]) for i in range(y_dim)], y_dim, x_obj + b_obj
+            [f.bits[i] | h.bits[i] << x_obj for i in range(y_dim)], y_dim, x_obj + b_obj
         )
         kernel = stacked.kernel_basis()
         a_obj = len(kernel)
         kmat = GF2Matrix.from_columns(kernel, x_obj + b_obj)
-        proj_x = GF2Matrix([kmat.rows[i] for i in range(x_obj)], x_obj, a_obj)
-        proj_b = GF2Matrix([kmat.rows[x_obj + i] for i in range(b_obj)], b_obj, a_obj)
+        proj_x = GF2Matrix(kmat.bits[:x_obj], x_obj, a_obj)
+        proj_b = GF2Matrix(kmat.bits[x_obj:], b_obj, a_obj)
 
         def pair(u, v, w_obj):
             cols = []

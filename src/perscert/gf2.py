@@ -1,64 +1,162 @@
-"""Small dense linear algebra over GF(2).
+"""Linear algebra over GF(2) on int bitsets.
 
-Rows are stored as tuples of 0/1 ints. Sizes here are tiny (homology of
-desk-scale complexes, module interleaving searches), so simplicity wins
-over bit packing.
+A vector is a Python ``int`` whose bit i is coordinate i, so adding two
+vectors is one ``^``. A ``GF2Matrix`` keeps each row packed this way (bit j
+of row i is entry (i, j)); ``rows`` unpacks them into 0/1 tuples for the wire
+format and for readers.
+
+Every rank, kernel, solve and span question is answered by one incremental
+elimination, ``Echelon``: it keeps one reduced vector per pivot (the
+vector's highest set bit) and reduces each new vector against them. Columns
+are fed in order, so a column that reduces to zero is exactly a free column
+of the reduced row echelon form, and the combination it reduced with is that
+form's kernel vector for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+
+def _pack(entries: Sequence[int]) -> int:
+    """0/1 entries (read mod 2) as a bitset, entry i at bit i."""
+    return sum(1 << i for i, x in enumerate(entries) if int(x) % 2)
+
+
+def _unpack(bits: int, length: int) -> tuple[int, ...]:
+    return tuple((bits >> i) & 1 for i in range(length))
+
+
+def _transpose(vectors: Sequence[int], length: int) -> list[int]:
+    """Bitsets w_0..w_{length-1} with bit j of w_i = bit i of vectors[j]."""
+    out = [0] * length
+    for j, v in enumerate(vectors):
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= 1 << j
+            v ^= low
+    return out
+
+
+class Echelon:
+    """Incremental Gaussian elimination over GF(2).
+
+    Each stored vector is keyed by its pivot, its highest set bit. Vectors
+    are added with an optional int tag; a stored vector carries the XOR of
+    the tags of the added vectors it was built from. With tag ``1 << j`` on
+    the j-th added vector, a tag names the added vectors that sum to a
+    vector (those added with tag 0 aside).
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots: dict[int, tuple[int, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
+        """(remainder, tag): v minus stored vectors, until the remainder is 0
+        or its highest bit is no pivot. A zero remainder means v is in the
+        span, and the XOR of the used vectors' tags is then returned."""
+        pivots = self.pivots
+        while v:
+            entry = pivots.get(v.bit_length() - 1)
+            if entry is None:
+                break
+            v ^= entry[0]
+            tag ^= entry[1]
+        return v, tag
+
+    def add(self, v: int, tag: int = 0) -> bool:
+        """Store v (with its tag); True when v grew the span."""
+        v, tag = self.reduce(v, tag)
+        if v:
+            self.pivots[v.bit_length() - 1] = (v, tag)
+        return bool(v)
+
+
+def kernel_bits(columns: Iterable[int]) -> list[int]:
+    """Right null space of the matrix with these columns (bitsets over the
+    rows), as bitsets over the column indices: one vector per column that
+    depends on the earlier ones, with that column's coefficient 1 and every
+    other non-pivot coefficient 0."""
+    echelon = Echelon()
+    kernel = []
+    for j, col in enumerate(columns):
+        rest, tag = echelon.reduce(col, 1 << j)
+        if rest:
+            echelon.add(rest, tag)
+        else:
+            kernel.append(tag)
+    return kernel
 
 
 @dataclass(frozen=True)
 class GF2Matrix:
-    rows: tuple[tuple[int, ...], ...]
+    bits: tuple[int, ...]  # row i as a bitset: bit j is entry (i, j)
     nrows: int
     ncols: int
 
-    def __init__(self, rows: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None):
-        rows = tuple(tuple(int(x) % 2 for x in row) for row in rows)
-        if nrows is None:
-            nrows = len(rows)
+    def __init__(self, rows: Sequence[Sequence[int] | int], nrows: int | None = None,
+                 ncols: int | None = None):
+        """Each row is a sequence of 0/1 entries (read mod 2) or an int
+        bitset; ncols is required when the first row is an int."""
+        rows = tuple(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        if nrows is None:
+            nrows = len(rows)
+        bits = []
+        for r in rows:
+            if type(r) is not int:
+                if len(r) != ncols:
+                    raise ValueError("inconsistent matrix shape")
+                r = _pack(r)
+            elif r < 0 or r >> ncols:
+                raise ValueError("inconsistent matrix shape")
+            bits.append(r)
+        if len(bits) != nrows:
             raise ValueError("inconsistent matrix shape")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "bits", tuple(bits))
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_unpack(r, self.ncols) for r in self.bits)
+
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "GF2Matrix":
-        return GF2Matrix([[0] * ncols for _ in range(nrows)], nrows, ncols)
+        return GF2Matrix([0] * nrows, nrows, ncols)
 
     @staticmethod
     def identity(n: int) -> "GF2Matrix":
-        return GF2Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        return GF2Matrix([1 << i for i in range(n)], n, n)
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]], nrows: int) -> "GF2Matrix":
-        return GF2Matrix(
-            [[col[i] % 2 for col in cols] for i in range(nrows)], nrows, len(cols)
-        )
+    def from_columns(cols: Sequence[Sequence[int] | int], nrows: int) -> "GF2Matrix":
+        """Columns given as 0/1 sequences (read mod 2) or int bitsets."""
+        cols = [c if type(c) is int else _pack(c[:nrows]) for c in cols]
+        return GF2Matrix(_transpose(cols, nrows), nrows, len(cols))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        return tuple((r >> j) & 1 for r in self.bits)
 
     def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
+        right = other.bits
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                row.append(sum(self.rows[i][k] & other.rows[k][j] for k in range(self.ncols)) % 2)
-            out.append(row)
+        for r in self.bits:
+            acc = 0
+            while r:
+                low = r & -r
+                acc ^= right[low.bit_length() - 1]
+                r ^= low
+            out.append(acc)
         return GF2Matrix(out, self.nrows, other.ncols)
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
@@ -67,96 +165,63 @@ class GF2Matrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r[k] & vec[k] for k in range(self.ncols)) % 2 for r in self.rows)
+        v = _pack(vec)
+        return tuple((r & v).bit_count() & 1 for r in self.bits)
 
     def rank(self) -> int:
-        return len(_row_echelon([list(r) for r in self.rows])[0])
+        echelon = Echelon()
+        for r in self.bits:
+            echelon.add(r)
+        return len(echelon)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Basis of the right null space, as column vectors of length ncols."""
-        pivots, echelon = _row_echelon([list(r) for r in self.rows])
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [0] * self.ncols
-            vec[f] = 1
-            # back-substitute pivot coordinates
-            for row, p in zip(reversed(echelon), reversed(pivots)):
-                s = sum(row[j] & vec[j] for j in range(p + 1, self.ncols)) % 2
-                vec[p] = s
-            basis.append(tuple(vec))
-        return basis
+        """Basis of the right null space, as column vectors of length ncols:
+        one per free column of the reduced row echelon form, read off it
+        with that free variable 1 and the others 0."""
+        return [_unpack(x, self.ncols) for x in kernel_bits(_transpose(self.bits, self.ncols))]
 
     def solve(self, target: Sequence[int]) -> tuple[int, ...] | None:
-        """One solution x of self @ x = target, or None when inconsistent."""
-        aug = [list(r) + [int(t) % 2] for r, t in zip(self.rows, target)]
-        pivots, echelon = _row_echelon(aug, ncols=self.ncols)
-        # reconstruct a candidate and verify; inconsistent systems fail the check
-        x = [0] * self.ncols
-        for row, p in zip(reversed(echelon), reversed(pivots)):
-            s = (row[self.ncols] + sum(row[j] & x[j] for j in range(p + 1, self.ncols))) % 2
-            x[p] = s
+        """One solution x of self @ x = target (free variables 0), or None
+        when inconsistent."""
+        echelon = Echelon()
+        for j, col in enumerate(_transpose(self.bits, self.ncols)):
+            echelon.add(col, 1 << j)
+        _, x = echelon.reduce(_pack(target))
+        x = _unpack(x, self.ncols)
+        # an inconsistent system leaves a remainder, and x then fails the check
         if self.apply(x) != tuple(int(t) % 2 for t in target):
             return None
-        return tuple(x)
-
-
-def _row_echelon(rows: list[list[int]], ncols: int | None = None):
-    """In-place style row echelon form; returns (pivot columns, pivot rows)."""
-    rows = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    echelon: list[list[int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [(a ^ b) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        echelon.append(rows[r])
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, echelon
+        return x
 
 
 def span_rank(vectors: Sequence[Sequence[int]]) -> int:
-    if not vectors:
-        return 0
-    return GF2Matrix([list(v) for v in vectors]).rank()
+    echelon = Echelon()
+    for v in vectors:
+        echelon.add(_pack(v))
+    return len(echelon)
 
 
 def extend_to_basis(base: list[tuple[int, ...]], candidates: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Greedily pick candidates that grow the span of ``base``; returns the
     picked vectors (not the base)."""
-    chosen: list[tuple[int, ...]] = []
-    current = list(base)
-    r = span_rank(current)
-    for cand in candidates:
-        trial = current + [tuple(cand)]
-        tr = span_rank(trial)
-        if tr > r:
-            chosen.append(tuple(cand))
-            current = trial
-            r = tr
-    return chosen
+    echelon = Echelon()
+    for v in base:
+        echelon.add(_pack(v))
+    return [tuple(c) for c in candidates if echelon.add(_pack(c))]
 
 
 def all_matrices(nrows: int, ncols: int) -> Iterator[GF2Matrix]:
-    """Every GF(2) matrix of the given shape. 2^(nrows*ncols) of them."""
-    if nrows == 0 or ncols == 0:
-        yield GF2Matrix([], nrows, ncols) if nrows == 0 else GF2Matrix([[] for _ in range(nrows)], nrows, ncols)
+    """Every GF(2) matrix of the given shape, 2^(nrows*ncols) of them, in the
+    order of ``itertools.product((0, 1), repeat=nrows * ncols)`` over the
+    row-major entries."""
+    size = nrows * ncols
+    if size == 0:
+        yield GF2Matrix([0] * nrows, nrows, ncols)
         return
-    for bits in product((0, 1), repeat=nrows * ncols):
-        rows = [bits[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-        yield GF2Matrix(rows, nrows, ncols)
+    for n in range(1 << size):
+        # the binary digits of n, most significant first, are the entries
+        entries = format(n, f"0{size}b")
+        yield GF2Matrix(
+            [int(entries[i * ncols:(i + 1) * ncols][::-1], 2) for i in range(nrows)],
+            nrows, ncols,
+        )

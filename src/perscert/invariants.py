@@ -4,7 +4,9 @@ homology over GF(2) with induced maps, barcodes, and the component-level
 
 Homology bases are chosen deterministically from the sorted simplex list, so
 recomputing the basis of the same complex always agrees; induced maps between
-any two complexes can therefore be produced on demand.
+any two complexes can therefore be produced on demand. Within one call each
+distinct complex's basis is computed once and reused for every map into or
+out of it; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .categories import COMPLEX, FINSET, complex_vertices
 from .errors import CategoryError, DimensionError, ValidationError
-from .gf2 import GF2Matrix, extend_to_basis
+from .gf2 import Echelon, GF2Matrix, kernel_bits
 from .grades import Grade
 from .persist import (
     DeltaMorphism,
@@ -145,87 +147,103 @@ def _simplices_of_dim(k: frozenset, n: int) -> list[tuple]:
     return sorted(s for s in k if len(s) == n + 1)
 
 
-def boundary_matrix(k: frozenset, n: int) -> GF2Matrix:
-    """Boundary from n-chains to (n-1)-chains, columns indexed by the sorted
-    n-simplices."""
-    rows_idx = {s: i for i, s in enumerate(_simplices_of_dim(k, n - 1))}
-    cols = _simplices_of_dim(k, n)
-    mat = [[0] * len(cols) for _ in rows_idx]
-    for j, sigma in enumerate(cols):
+def _boundary_columns(faces: list[tuple], simplices: list[tuple]) -> list[int]:
+    """The boundary of each simplex as a bitset over the faces (bit i is
+    faces[i])."""
+    index = {s: i for i, s in enumerate(faces)}
+    cols = []
+    for sigma in simplices:
+        col = 0
         for i in range(len(sigma)):
             face = sigma[:i] + sigma[i + 1:]
-            if face in rows_idx:
-                mat[rows_idx[face]][j] ^= 1
-    return GF2Matrix(mat, len(rows_idx), len(cols))
+            if face in index:
+                col ^= 1 << index[face]
+        cols.append(col)
+    return cols
 
 
-def homology_basis(k: frozenset, n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(representative cycles, boundary basis) for H_n(k; GF(2)), as vectors
-    over the sorted n-simplices. Deterministic in the complex."""
-    n_simplices = _simplices_of_dim(k, n)
-    dim_cn = len(n_simplices)
-    if n == 0:
-        cycles = [tuple(1 if i == j else 0 for i in range(dim_cn)) for j in range(dim_cn)]
-    else:
-        cycles = boundary_matrix(k, n).kernel_basis()
-    bdry = boundary_matrix(k, n + 1)
-    boundary_vecs = []
-    for col in bdry.columns():
-        trial = boundary_vecs + [col]
-        if GF2Matrix([list(v) for v in trial]).rank() > len(boundary_vecs):
-            boundary_vecs.append(col)
-    reps = extend_to_basis(boundary_vecs, cycles)
-    return reps, boundary_vecs
+class HomologyBasis(NamedTuple):
+    """A basis of H_n(k; GF(2)). Chains are bitsets over ``simplices``, the
+    sorted n-simplices. ``reps`` are the representative cycles, and
+    ``classes`` reduces any cycle to 0 with, as its tag, the bitset of the
+    representatives whose sum it is modulo boundaries."""
+
+    simplices: list[tuple]
+    reps: list[int]
+    classes: Echelon
 
 
-def chain_map_matrix(k: frozenset, l: frozenset, vmap: dict, n: int) -> GF2Matrix:
-    """Induced map on n-chains: degenerate images (collapsed simplices) map
-    to zero."""
-    src = _simplices_of_dim(k, n)
-    tgt_idx = {s: i for i, s in enumerate(_simplices_of_dim(l, n))}
-    cols = []
-    for sigma in src:
+def homology_basis(k: frozenset, n: int) -> HomologyBasis:
+    """Deterministic in the complex: boundaries of the sorted (n+1)-simplices
+    go into one elimination first, then the kernel basis of the boundary
+    map on the sorted n-simplices, and every cycle that grows the span
+    becomes a representative."""
+    simplices = _simplices_of_dim(k, n)
+    classes = Echelon()
+    for col in _boundary_columns(simplices, _simplices_of_dim(k, n + 1)):
+        classes.add(col)
+    reps = []
+    for z in kernel_bits(_boundary_columns(_simplices_of_dim(k, n - 1), simplices)):
+        if classes.add(z, 1 << len(reps)):
+            reps.append(z)
+    return HomologyBasis(simplices, reps, classes)
+
+
+def _induced(src: HomologyBasis, tgt: HomologyBasis, vmap: dict) -> GF2Matrix:
+    """H_n(k) -> H_n(l) of a simplicial map, in the two bases. Degenerate
+    images (collapsed simplices) map to zero."""
+    index = {s: i for i, s in enumerate(tgt.simplices)}
+    images = []
+    for sigma in src.simplices:
         image = COMPLEX.apply_simplex(vmap, sigma)
-        vec = [0] * len(tgt_idx)
-        if len(image) == len(sigma):
-            vec[tgt_idx[image]] = 1
-        cols.append(vec)
-    return GF2Matrix.from_columns(cols, len(tgt_idx))
+        images.append(1 << index[image] if len(image) == len(sigma) else 0)
+    cols = []
+    for rep in src.reps:
+        z = 0
+        while rep:
+            low = rep & -rep
+            z ^= images[low.bit_length() - 1]
+            rep ^= low
+        rest, coords = tgt.classes.reduce(z)
+        if rest:
+            raise ValidationError("image of a cycle is not a cycle: not a chain map")
+        cols.append(coords)
+    return GF2Matrix.from_columns(cols, len(tgt.reps))
 
 
 def induced_h_map(k: frozenset, l: frozenset, vmap: dict, n: int) -> GF2Matrix:
     """H_n(k) -> H_n(l) in the deterministic bases."""
-    reps_k, _ = homology_basis(k, n)
-    reps_l, bdry_l = homology_basis(l, n)
-    chain = chain_map_matrix(k, l, vmap, n)
-    solver = GF2Matrix.from_columns(
-        list(reps_l) + list(bdry_l), chain.nrows
-    )
-    cols = []
-    for rep in reps_k:
-        z = chain.apply(rep)
-        sol = solver.solve(z)
-        if sol is None:
-            raise ValidationError("image of a cycle is not a cycle: not a chain map")
-        cols.append(sol[: len(reps_l)])
-    return GF2Matrix.from_columns(cols, len(reps_l))
+    return _induced(homology_basis(k, n), homology_basis(l, n), vmap)
+
+
+def _basis(bases: dict, k: frozenset, n: int) -> HomologyBasis:
+    basis = bases.get(k)
+    if basis is None:
+        basis = bases[k] = homology_basis(k, n)
+    return basis
 
 
 def homology(x: PersistentObject, n: int) -> PersistentObject:
     """Persistent GF(2) homology in degree n of a 1-parameter persistent
     complex."""
+    return _homology(x, n, {})
+
+
+def _homology(x: PersistentObject, n: int, bases: dict) -> PersistentObject:
+    """``homology``, reading and filling ``bases`` (complex -> basis)."""
     if x.category_name != "Complex":
         raise CategoryError("homology expects a persistent complex")
     if x.m != 1:
         raise DimensionError("homology is restricted to m = 1; slice first")
-    objects = {}
-    for idx in x.grid.indices():
-        reps, _ = homology_basis(x.objects[idx], n)
-        objects[idx] = len(reps)
+    objects = {
+        idx: len(_basis(bases, x.objects[idx], n).reps) for idx in x.grid.indices()
+    }
     edges = {}
     for (idx, a), vmap in x.edge_maps.items():
         tgt_idx = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
-        edges[(idx, a)] = induced_h_map(x.objects[idx], x.objects[tgt_idx], vmap, n)
+        edges[(idx, a)] = _induced(
+            bases[x.objects[idx]], bases[x.objects[tgt_idx]], vmap
+        )
     return PersistentObject(
         x.grid, "F2Vec", objects, edges, integer_indexed=x.integer_indexed
     )
@@ -261,19 +279,27 @@ def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
 
 def homology_induced(f: DeltaMorphism, n: int) -> DeltaMorphism:
     """Apply the degree-n homology functor to a delta-morphism of complexes."""
-    hx = homology(f.source, n)
-    hy = homology(f.target, n)
+    return _homology_induced(f, n, {})
+
+
+def _homology_induced(f: DeltaMorphism, n: int, bases: dict) -> DeltaMorphism:
+    hx = _homology(f.source, n, bases)
+    hy = _homology(f.target, n, bases)
 
     def component(r: Grade):
-        return induced_h_map(
-            f.source.evaluate(r), f.target.evaluate(r + f.shift), f.component_at(r), n
+        return _induced(
+            _basis(bases, f.source.evaluate(r), n),
+            _basis(bases, f.target.evaluate(r + f.shift), n),
+            f.component_at(r),
         )
 
     return DeltaMorphism.from_fn(hx, hy, f.shift, component, validate=False)
 
 
 def homology_cert(cert: InterleavingCert, n: int) -> InterleavingCert:
-    return InterleavingCert(homology_induced(cert.f, n), homology_induced(cert.g, n))
+    bases: dict = {}
+    return InterleavingCert(_homology_induced(cert.f, n, bases),
+                            _homology_induced(cert.g, n, bases))
 
 
 # -- barcodes ---------------------------------------------------------------

@@ -30,6 +30,10 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # -- scalars and grades -------------------------------------------------------
 
 
@@ -109,8 +113,17 @@ def decode_cat_map(category: str, data):
     if category == "F2Vec":
         _require(isinstance(data, dict) and "rows" in data and "shape" in data,
                  f"bad matrix {data!r}")
-        nr, nc = data["shape"]
-        return GF2Matrix(data["rows"], nr, nc)
+        shape, rows = data["shape"], data["rows"]
+        _require(isinstance(shape, list) and len(shape) == 2
+                 and all(_is_int(n) and n >= 0 for n in shape),
+                 f"bad matrix shape {shape!r}: expected two non-negative ints")
+        nr, nc = shape
+        _require(isinstance(rows, list) and len(rows) == nr
+                 and all(isinstance(r, list) and len(r) == nc for r in rows),
+                 f"matrix rows do not match shape {shape!r}")
+        _require(all(_is_int(x) and x in (0, 1) for r in rows for x in r),
+                 "matrix entries must be 0 or 1")
+        return GF2Matrix(rows, nr, nc)
     _require(isinstance(data, list), f"bad map {data!r}")
     out = {}
     for entry in data:
@@ -298,11 +311,11 @@ def decode_barcode(data: dict) -> Barcode:
     for entry in data.get("intervals", []):
         _require(isinstance(entry, dict) and "birth" in entry and "death" in entry,
                  f"bad interval {entry!r}")
-        death = entry["death"]
-        bars.append(Bar(
-            decode_rational(entry["birth"]),
-            None if death == "inf" else decode_rational(death),
-        ))
+        birth = decode_rational(entry["birth"])
+        death = None if entry["death"] == "inf" else decode_rational(entry["death"])
+        _require(death is None or birth < death,
+                 f"bad interval {entry!r}: birth must be below death")
+        bars.append(Bar(birth, death))
     return Barcode(bars)
 
 

@@ -199,3 +199,56 @@ def test_sq_gadget_command(runner, tmp_path):
     r = invoke(runner, ["sq-gadget", p])
     assert r.exit_code == 0
     assert json.loads(r.output)["m"] == 2
+
+
+def f2vec_object(edge_map):
+    """A two-grade F2Vec object whose one edge map is the given wire matrix."""
+    return {
+        "format": ser.FORMAT_OBJECT,
+        "m": 1,
+        "category": "F2Vec",
+        "axes": [["0", "1"]],
+        "objects": {"0": 2, "1": 2},
+        "edge_maps": {"0|0": edge_map},
+    }
+
+
+def test_valid_matrix_document_is_accepted(runner, tmp_path):
+    p = write(tmp_path, "x.json", f2vec_object({"rows": [[1, 0], [1, 1]], "shape": [2, 2]}))
+    r = invoke(runner, ["barcode", p])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["intervals"] == [
+        {"birth": "0", "death": "inf"}, {"birth": "0", "death": "inf"},
+    ]
+
+
+@pytest.mark.parametrize("edge_map", [
+    {"rows": [[1, 0], [0, 1]], "shape": [2]},
+    {"rows": [[1, 0, 1], [0, 1]], "shape": [2, 2]},
+    {"rows": [[1, 0], [0, 1]], "shape": ["2", "2"]},
+    {"rows": 5, "shape": [2, 2]},
+    {"rows": [[1, "a"], [0, 1]], "shape": [2, 2]},
+    {"rows": [[1, None], [0, 1]], "shape": [2, 2]},
+    {"rows": [[1, 3], [0, 1]], "shape": [2, 2]},
+], ids=["short-shape", "long-row", "string-shape", "rows-not-a-list",
+        "string-entry", "null-entry", "entry-3"])
+def test_malformed_matrix_is_a_schema_error(runner, tmp_path, edge_map):
+    p = write(tmp_path, "x.json", f2vec_object(edge_map))
+    r = invoke(runner, ["barcode", p])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "schema"
+
+
+def test_inverted_bar_is_a_schema_error(runner, tmp_path):
+    good = write(tmp_path, "good.json", {
+        "format": ser.FORMAT_BARCODE,
+        "intervals": [{"birth": "0", "death": "2"}],
+    })
+    bad = write(tmp_path, "bad.json", {
+        "format": ser.FORMAT_BARCODE,
+        "intervals": [{"birth": "2", "death": "1"}],
+    })
+    r = invoke(runner, ["bottleneck", good, bad])
+    assert r.exit_code == 2
+    assert json.loads(r.output)["error"] == "schema"

@@ -1,6 +1,11 @@
-"""GF(2) linear algebra kernel."""
+"""GF(2) linear algebra kernel, checked against a dense list-of-lists
+reference written here."""
 
+import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perscert.gf2 import GF2Matrix, all_matrices, extend_to_basis, span_rank
 
@@ -71,3 +76,156 @@ def test_all_matrices_enumerates_exactly_2_to_the_rc():
     ms = list(all_matrices(2, 3))
     assert len(ms) == 2 ** 6
     assert len({m.rows for m in ms}) == 2 ** 6
+
+
+# -- dense reference ----------------------------------------------------------
+
+
+def ref_rref(rows, ncols):
+    """Reduced row echelon form: (pivot columns, reduced nonzero rows)."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r]
+
+
+def ref_matmul(a, b, inner, ncols):
+    return [[sum(row[k] & b[k][j] for k in range(inner)) % 2 for j in range(ncols)]
+            for row in a]
+
+
+def ref_apply(rows, vec):
+    return tuple(sum(x & y for x, y in zip(row, vec)) % 2 for row in rows)
+
+
+def ref_kernel(rows, ncols):
+    """One vector per free column: that variable 1, the other free ones 0."""
+    pivots, reduced = ref_rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        for p, row in zip(pivots, reduced):
+            vec[p] = row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_solve(rows, ncols, target):
+    """The solution with every free variable 0, or None."""
+    pivots, reduced = ref_rref([list(r) + [t] for r, t in zip(rows, target)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for p, row in zip(pivots, reduced):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+@st.composite
+def dense(draw, max_rows=6, max_cols=6, nrows=None, ncols=None):
+    nrows = draw(st.integers(0, max_rows)) if nrows is None else nrows
+    ncols = draw(st.integers(0, max_cols)) if ncols is None else ncols
+    bit = st.integers(0, 1)
+    rows = draw(st.lists(st.lists(bit, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, nrows, ncols
+
+
+# -- oracle tests -------------------------------------------------------------
+
+
+@given(dense())
+def test_rank_matches_reference(m):
+    rows, nrows, ncols = m
+    assert GF2Matrix(rows, nrows, ncols).rank() == len(ref_rref(rows, ncols)[0])
+
+
+@given(st.data())
+def test_matmul_and_apply_match_reference(data):
+    a, nrows, inner = data.draw(dense())
+    b, _, ncols = data.draw(dense(nrows=inner))
+    product = GF2Matrix(a, nrows, inner) @ GF2Matrix(b, inner, ncols)
+    assert (product.nrows, product.ncols) == (nrows, ncols)
+    assert product.rows == tuple(map(tuple, ref_matmul(a, b, inner, ncols)))
+    vec = data.draw(st.lists(st.integers(0, 1), min_size=inner, max_size=inner))
+    assert GF2Matrix(a, nrows, inner).apply(vec) == ref_apply(a, vec)
+
+
+@given(dense())
+def test_kernel_basis_is_the_reference_basis(m):
+    rows, nrows, ncols = m
+    assert GF2Matrix(rows, nrows, ncols).kernel_basis() == ref_kernel(rows, ncols)
+
+
+@given(st.data())
+def test_solve_is_the_reference_solution(data):
+    rows, nrows, ncols = data.draw(dense())
+    a = GF2Matrix(rows, nrows, ncols)
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        x = data.draw(st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols))
+        target = a.apply(x)
+    else:
+        target = tuple(data.draw(st.lists(st.integers(0, 1), min_size=nrows, max_size=nrows)))
+    expected = ref_solve(rows, ncols, target)
+    assert a.solve(target) == expected
+    if expected is not None:
+        assert ref_apply(rows, expected) == target
+
+
+def test_solve_returns_none_when_inconsistent():
+    a = GF2Matrix([[1, 1], [1, 1]], 2, 2)
+    assert a.solve([1, 0]) is None
+    assert a.solve([1, 1]) == (1, 0)
+
+
+@given(dense())
+def test_equality_and_hash_agree_across_constructions(m):
+    rows, nrows, ncols = m
+    a = GF2Matrix(rows, nrows, ncols)
+    b = GF2Matrix.from_columns([[row[j] for row in rows] for j in range(ncols)], nrows)
+    assert a == b and hash(a) == hash(b)
+    assert a.rows == tuple(map(tuple, rows))
+    assert a @ GF2Matrix.identity(ncols) == a == GF2Matrix.identity(nrows) @ a
+    if any(map(any, rows)):
+        assert a != GF2Matrix.zeros(nrows, ncols)
+
+
+def test_identity_equals_its_row_and_column_constructions():
+    rows = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    mats = [GF2Matrix.identity(3), GF2Matrix(rows), GF2Matrix.from_columns(rows, 3)]
+    assert len(set(mats)) == 1
+    assert GF2Matrix.zeros(2, 3) != GF2Matrix.zeros(3, 2)
+
+
+def test_empty_shapes():
+    for nrows, ncols in [(0, 0), (0, 3), (3, 0)]:
+        a = GF2Matrix.zeros(nrows, ncols)
+        assert (a.nrows, a.ncols, a.rank()) == (nrows, ncols, 0)
+        assert a.rows == tuple(() for _ in range(nrows))
+        assert a.kernel_basis() == ref_kernel(a.rows, ncols)
+        assert a.solve([0] * nrows) == (0,) * ncols
+        assert a.apply([0] * ncols) == (0,) * nrows
+        assert a @ GF2Matrix.zeros(ncols, 2) == GF2Matrix.zeros(nrows, 2)
+        assert GF2Matrix.zeros(2, nrows) @ a == GF2Matrix.zeros(2, ncols)
+        assert list(all_matrices(nrows, ncols)) == [a]
+    assert GF2Matrix.zeros(3, 0) == GF2Matrix([[], [], []], 3, 0)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 3), st.integers(0, 3))
+def test_all_matrices_follows_itertools_product_order(nrows, ncols):
+    expected = [
+        GF2Matrix([bits[i * ncols:(i + 1) * ncols] for i in range(nrows)], nrows, ncols)
+        for bits in itertools.product((0, 1), repeat=nrows * ncols)
+    ]
+    assert list(all_matrices(nrows, ncols)) == expected

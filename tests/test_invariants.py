@@ -18,10 +18,12 @@ from perscert import (
     to_persistent,
     vietoris_rips,
 )
-from perscert.invariants import bfs_component_count, pi0_induced
+from perscert import invariants
+from perscert.invariants import bfs_component_count, induced_h_map, pi0_induced
 from perscert.persist import check_interleaving, compose
 from perscert.randgen import (
     interleaved_pair,
+    rand_metric,
     rand_persistent_complex,
 )
 
@@ -136,3 +138,37 @@ def test_slice_axis_restricts_a_bifiltration_to_one_parameter():
     h0 = homology(line, 0)
     assert barcode(h0).rank_at(0) == 2
     assert barcode(h0).rank_at(2) == 1
+
+
+def seeded_rips(seed):
+    rng = random.Random(seed)
+    return to_persistent(vietoris_rips(rand_metric(rng, rng.randint(6, 8), max_dist=12), 2))
+
+
+def test_homology_edges_equal_induced_h_map_on_each_edge():
+    for seed in range(8):
+        x = seeded_rips(seed)
+        for n in (0, 1):
+            module = homology(x, n)
+            for (idx, a), vmap in x.edge_maps.items():
+                tgt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+                expected = induced_h_map(x.objects[idx], x.objects[tgt], vmap, n)
+                assert module.edge_maps[(idx, a)] == expected
+
+
+def test_homology_computes_one_basis_per_grid_point(monkeypatch):
+    calls = []
+    real = invariants.homology_basis
+
+    def counting(k, n):
+        calls.append(k)
+        return real(k, n)
+
+    monkeypatch.setattr(invariants, "homology_basis", counting)
+    for seed in range(8):
+        x = seeded_rips(seed)
+        for n in (0, 1):
+            calls.clear()
+            homology(x, n)
+            assert len(calls) == len(list(x.grid.indices()))
+            assert set(calls) == set(x.objects.values())
