@@ -16,7 +16,6 @@ from .errors import (
 )
 from .grades import (
     Grade,
-    Rational,
     even_reindex,
     floor_int,
     grade,
@@ -57,7 +56,6 @@ from .complexes import (
     FilteredComplex,
     MetricInput,
     SquareDiagram,
-    cofibrant_dimension,
     degree_rips,
     dimension,
     function_rips,

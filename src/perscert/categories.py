@@ -19,15 +19,18 @@ from .errors import CategoryError
 from .gf2 import GF2Matrix, all_matrices
 
 
-def _sort_vertices(vs):
+def total_order(items) -> list:
+    """The items of a collection, sorted; when they do not compare (vertex
+    names of mixed types, or simplices over them), sorted by type name and
+    repr instead."""
     try:
-        return tuple(sorted(vs))
+        return sorted(items)
     except TypeError:
-        return tuple(sorted(vs, key=lambda v: (str(type(v)), repr(v))))
+        return sorted(items, key=lambda v: (str(type(v)), repr(v)))
 
 
 def simplex(vertices) -> tuple:
-    s = _sort_vertices(set(vertices))
+    s = tuple(total_order(set(vertices)))
     if not s:
         raise CategoryError("simplices must be nonempty")
     return s
@@ -67,13 +70,13 @@ class FinSetCategory:
         return f == g
 
     def enumerate_maps(self, src, tgt):
-        src = _sort_vertices(src)
+        src = total_order(src)
         if not src:
             yield {}
             return
         if not tgt:
             return  # no maps into the empty set from a nonempty one
-        tgt = _sort_vertices(tgt)
+        tgt = total_order(tgt)
         for values in product(tgt, repeat=len(src)):
             yield dict(zip(src, values))
 
@@ -180,7 +183,7 @@ class ComplexCategory:
         for sigma in obj:
             if not isinstance(sigma, tuple) or not sigma:
                 raise CategoryError(f"bad simplex {sigma!r}")
-            if sigma != _sort_vertices(set(sigma)):
+            if sigma != tuple(total_order(set(sigma))):
                 raise CategoryError(f"simplex {sigma!r} is not sorted and duplicate-free")
             for i in range(len(sigma)):
                 face = sigma[:i] + sigma[i + 1:]
@@ -197,7 +200,7 @@ class ComplexCategory:
         return {}
 
     def apply_simplex(self, f, sigma):
-        return _sort_vertices({f[v] for v in sigma})
+        return tuple(total_order({f[v] for v in sigma}))
 
     def is_map(self, f, src, tgt) -> bool:
         verts = complex_vertices(src)
@@ -215,11 +218,11 @@ class ComplexCategory:
         return f == g
 
     def enumerate_maps(self, src, tgt):
-        src_verts = _sort_vertices(complex_vertices(src))
+        src_verts = total_order(complex_vertices(src))
         if not src_verts:
             yield {}
             return
-        tgt_verts = _sort_vertices(complex_vertices(tgt))
+        tgt_verts = total_order(complex_vertices(tgt))
         if not tgt_verts:
             return
         for values in product(tgt_verts, repeat=len(src_verts)):

@@ -360,15 +360,14 @@ def sq_gadget_cmd(square_path, output):
         data = _load(square_path)
         if not isinstance(data, dict) or "corners" not in data or "maps" not in data:
             raise SchemaError("square document needs 'corners' and 'maps'")
-        corners = {}
-        for key, simplices in data["corners"].items():
-            i, j = (int(p) for p in key.split(","))
-            corners[(i, j)] = ser.decode_cat_object("Complex", simplices)
-        maps = {}
-        for key, table in data["maps"].items():
-            idx_part, axis = key.rsplit("|", 1)
-            i, j = (int(p) for p in idx_part.split(","))
-            maps[((i, j), int(axis))] = ser.decode_cat_map("Complex", table)
+        corners = {
+            ser.decode_index(key): ser.decode_cat_object("Complex", simplices)
+            for key, simplices in data["corners"].items()
+        }
+        maps = {
+            ser.decode_edge_key(key): ser.decode_cat_map("Complex", table)
+            for key, table in data["maps"].items()
+        }
         _emit(ser.encode_object(sq_gadget(SquareDiagram(corners, maps))), output)
     _run(go)
 

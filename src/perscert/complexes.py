@@ -10,14 +10,14 @@ extra grade data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .categories import COMPLEX, complex_vertices, simplex
-from .errors import CategoryError, DimensionError, SchemaError, ValidationError
+from .categories import COMPLEX, complex_vertices, simplex, total_order
+from .errors import CategoryError, SchemaError, ValidationError
 from .grades import Grade, rat
-from .persist import Grid, PersistentObject, _unit
+from .persist import Grid, PersistentObject
 
 
 @dataclass
@@ -57,7 +57,7 @@ class FilteredComplex:
 
 def validate(f: FilteredComplex) -> ValidationReport:
     """Face closure plus monotonicity of the entrance grades."""
-    for sigma in sorted(f.simplices):
+    for sigma in total_order(f.simplices):
         for v in sigma:
             if v not in f.vertices:
                 return ValidationReport(False, f"unknown vertex {v!r}", sigma)
@@ -86,8 +86,7 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
     if not report.valid:
         raise ValidationError(report.reason)
     if not f.simplices:
-        grid = Grid([[0]] )
-        return PersistentObject(grid, "Complex", {(0,): frozenset()}, {})
+        return _inclusions(Grid([[0]]), {(0,): frozenset()})
     m = f.m
     axes = [sorted({g.coords[a] for g in f.grade.values()}) for a in range(m)]
     grid = Grid(axes)
@@ -95,12 +94,16 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
     for idx in grid.indices():
         r = grid.grade_at(idx)
         objects[idx] = frozenset(s for s in f.simplices if f.grade[s].leq(r))
-    edges = {}
-    shape = grid.shape()
-    for idx in grid.indices():
-        for a in range(m):
-            if idx[a] + 1 < shape[a]:
-                edges[(idx, a)] = {v: v for v in complex_vertices(objects[idx])}
+    return _inclusions(grid, objects)
+
+
+def _inclusions(grid: Grid, objects: dict) -> PersistentObject:
+    """The persistent complex with these subcomplexes at the grid points,
+    whose structure maps are the inclusions."""
+    edges = {
+        (idx, a): {v: v for v in complex_vertices(objects[idx])}
+        for idx, a, _ in grid.edges()
+    }
     return PersistentObject(grid, "Complex", objects, edges)
 
 
@@ -122,21 +125,17 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
     if p.category_name != "Complex":
         raise CategoryError("is_filtered expects a persistent complex")
     cat = COMPLEX
-    shape = p.grid.shape()
     # condition 1: injectivity of every edge map on simplices
-    for idx in p.grid.indices():
-        for a in range(p.m):
-            if idx[a] + 1 >= shape[a]:
-                continue
-            f = p.edge_maps[(idx, a)]
-            if not cat.is_injective(f, p.objects[idx]):
-                return FilteredCheck(
-                    False, condition=1, offender=idx,
-                    reason=f"structure map at {idx} along axis {a} is not a monomorphism",
-                )
+    for idx, a, _ in p.grid.edges():
+        f = p.edge_maps[(idx, a)]
+        if not cat.is_injective(f, p.objects[idx]):
+            return FilteredCheck(
+                False, condition=1, offender=idx,
+                reason=f"structure map at {idx} along axis {a} is not a monomorphism",
+            )
     # condition 2: identify each simplex with its image at the top corner and
     # ask whether its appearance set has a coordinatewise minimum grid point
-    top = tuple(s - 1 for s in shape)
+    top = tuple(s - 1 for s in p.grid.shape())
     appearance: dict[tuple, set] = {}
     for idx in p.grid.indices():
         to_top = p._map_between_indices(idx, top)
@@ -163,15 +162,6 @@ def dimension(f: FilteredComplex) -> int:
 
 def is_n_skeletal(f: FilteredComplex, n: int) -> bool:
     return f.dimension() <= n
-
-
-def cofibrant_dimension(f: FilteredComplex) -> int:
-    """Length of the dimension-ordered cell decomposition: a valid filtered
-    complex attaches its cells in order of dimension."""
-    report = validate(f)
-    if not report.valid:
-        raise ValidationError(report.reason)
-    return f.dimension()
 
 
 def skeleton(f: FilteredComplex, n: int) -> FilteredComplex:
@@ -288,13 +278,7 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
             s for s in base.simplices
             if base.grade[s].coords[0] <= r and all(v in keep_vertices for v in s)
         )
-    edges = {}
-    shape = grid.shape()
-    for idx in grid.indices():
-        for a in range(2):
-            if idx[a] + 1 < shape[a]:
-                edges[(idx, a)] = {v: v for v in complex_vertices(objects[idx])}
-    return PersistentObject(grid, "Complex", objects, edges)
+    return _inclusions(grid, objects)
 
 
 # -- the two-parameter square gadget ----------------------------------------
@@ -364,10 +348,7 @@ def sq_gadget(diagram: SquareDiagram) -> PersistentObject:
         return diagram.maps[((int(r), int(s)), axis)]
 
     edges = {}
-    shape = grid.shape()
-    for idx in grid.indices():
+    for idx, a, _ in grid.edges():
         r, s = grid.grade_at(idx).coords
-        for a in range(2):
-            if idx[a] + 1 < shape[a]:
-                edges[(idx, a)] = edge(r, s, a)
+        edges[(idx, a)] = edge(r, s, a)
     return PersistentObject(grid, "Complex", objects, edges)

@@ -14,8 +14,6 @@ from typing import Iterable
 
 from .errors import DimensionError, InvalidScaleError
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce ints, strings like "3/2", and Fractions to a Fraction."""
@@ -67,19 +65,13 @@ class Grade:
     def __ge__(self, other: "Grade") -> bool:
         return other.leq(self)
 
-    def add(self, other: "Grade") -> "Grade":
+    def __add__(self, other: "Grade") -> "Grade":
         self._check_arity(other)
         return Grade(a + b for a, b in zip(self.coords, other.coords))
 
-    def sub(self, other: "Grade") -> "Grade":
+    def __sub__(self, other: "Grade") -> "Grade":
         self._check_arity(other)
         return Grade(a - b for a, b in zip(self.coords, other.coords))
-
-    def __add__(self, other: "Grade") -> "Grade":
-        return self.add(other)
-
-    def __sub__(self, other: "Grade") -> "Grade":
-        return self.sub(other)
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -94,18 +86,6 @@ def grade(*coords) -> Grade:
 
 def zero_grade(m: int) -> Grade:
     return Grade([Fraction(0)] * m)
-
-
-def leq(a: Grade, b: Grade) -> bool:
-    return a.leq(b)
-
-
-def add(a: Grade, b: Grade) -> Grade:
-    return a.add(b)
-
-
-def sub(a: Grade, b: Grade) -> Grade:
-    return a.sub(b)
 
 
 def scale(r: Grade, c) -> Grade:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .categories import COMPLEX, FINSET, complex_vertices
+from .categories import COMPLEX, complex_vertices, total_order
 from .errors import CategoryError, DimensionError, ValidationError
 from .gf2 import Echelon, GF2Matrix, kernel_bits
 from .grades import Grade
@@ -33,9 +33,6 @@ class UnionFind:
 
     def __init__(self, items=()):
         self.parent = {x: x for x in items}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
 
     def find(self, x):
         root = x
@@ -102,10 +99,9 @@ def pi0(x: PersistentObject) -> PersistentObject:
     comp_maps = {idx: components_of_complex(x.objects[idx]) for idx in x.grid.indices()}
     objects = {idx: frozenset(cm.values()) for idx, cm in comp_maps.items()}
     edges = {}
-    for (idx, a), f in x.edge_maps.items():
-        src_cm = comp_maps[idx]
-        tgt_idx = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
-        tgt_cm = comp_maps[tgt_idx]
+    for idx, a, nxt in x.grid.edges():
+        f = x.edge_maps[(idx, a)]
+        tgt_cm = comp_maps[nxt]
         edge = {}
         for comp in objects[idx]:
             v = next(iter(comp))
@@ -144,7 +140,7 @@ def pi0_induced(f: DeltaMorphism) -> DeltaMorphism:
 
 
 def _simplices_of_dim(k: frozenset, n: int) -> list[tuple]:
-    return sorted(s for s in k if len(s) == n + 1)
+    return total_order([s for s in k if len(s) == n + 1])
 
 
 def _boundary_columns(faces: list[tuple], simplices: list[tuple]) -> list[int]:
@@ -239,10 +235,9 @@ def _homology(x: PersistentObject, n: int, bases: dict) -> PersistentObject:
         idx: len(_basis(bases, x.objects[idx], n).reps) for idx in x.grid.indices()
     }
     edges = {}
-    for (idx, a), vmap in x.edge_maps.items():
-        tgt_idx = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+    for idx, a, nxt in x.grid.edges():
         edges[(idx, a)] = _induced(
-            bases[x.objects[idx]], bases[x.objects[tgt_idx]], vmap
+            bases[x.objects[idx]], bases[x.objects[nxt]], x.edge_maps[(idx, a)]
         )
     return PersistentObject(
         x.grid, "F2Vec", objects, edges, integer_indexed=x.integer_indexed

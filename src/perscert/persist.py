@@ -62,6 +62,15 @@ class Grid:
         for idx in self.indices():
             yield self.grade_at(idx)
 
+    def edges(self):
+        """(idx, axis, next_idx) for each unit step inside the grid, by index
+        and then by axis."""
+        shape = self.shape()
+        for idx in self.indices():
+            for a, size in enumerate(shape):
+                if idx[a] + 1 < size:
+                    yield idx, a, idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+
     def eval_index(self, r: Grade) -> Optional[tuple[int, ...]]:
         """Index of the largest grid point <= r (coordinatewise, clamped
         above); None when some coordinate falls below its axis minimum."""
@@ -88,10 +97,6 @@ class Grid:
         return Grid(
             tuple(v + d for v in axis) for axis, d in zip(self.axes, delta.coords)
         )
-
-
-def _unit(idx: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
 
 
 class PersistentObject:
@@ -124,38 +129,30 @@ class PersistentObject:
             if idx not in self.objects:
                 raise ValidationError(f"missing object at grid index {idx}")
             cat.check_object(self.objects[idx])
-        shape = self.grid.shape()
-        for idx in self.grid.indices():
-            for a in range(self.grid.m):
-                if idx[a] + 1 >= shape[a]:
-                    continue
-                key = (idx, a)
-                if key not in self.edge_maps:
-                    raise ValidationError(f"missing edge map at {key}")
-                f = self.edge_maps[key]
-                if not cat.is_map(f, self.objects[idx], self.objects[_unit(idx, a)]):
-                    raise ValidationError(f"edge map at {key} is not a valid map")
+        for idx, a, nxt in self.grid.edges():
+            key = (idx, a)
+            if key not in self.edge_maps:
+                raise ValidationError(f"missing edge map at {key}")
+            f = self.edge_maps[key]
+            if not cat.is_map(f, self.objects[idx], self.objects[nxt]):
+                raise ValidationError(f"edge map at {key} is not a valid map")
         if self.grid.m >= 2:
             self._audit_squares()
 
     def _audit_squares(self) -> None:
         cat = self.category
-        shape = self.grid.shape()
-        for idx in self.grid.indices():
-            for a in range(self.grid.m):
-                for b in range(a + 1, self.grid.m):
-                    if idx[a] + 1 >= shape[a] or idx[b] + 1 >= shape[b]:
-                        continue
-                    via_a = cat.compose(
-                        self.edge_maps[(_unit(idx, a), b)], self.edge_maps[(idx, a)]
+        for idx, steps in itertools.groupby(self.grid.edges(), key=lambda e: e[0]):
+            for (_, a, idx_a), (_, b, idx_b) in itertools.combinations(steps, 2):
+                via_a = cat.compose(
+                    self.edge_maps[(idx_a, b)], self.edge_maps[(idx, a)]
+                )
+                via_b = cat.compose(
+                    self.edge_maps[(idx_b, a)], self.edge_maps[(idx, b)]
+                )
+                if not cat.map_equal(via_a, via_b):
+                    raise ValidationError(
+                        f"non-commuting square at {idx}, axes ({a},{b})"
                     )
-                    via_b = cat.compose(
-                        self.edge_maps[(_unit(idx, b), a)], self.edge_maps[(idx, b)]
-                    )
-                    if not cat.map_equal(via_a, via_b):
-                        raise ValidationError(
-                            f"non-commuting square at {idx}, axes ({a},{b})"
-                        )
 
     # -- evaluation -------------------------------------------------------
 
@@ -224,12 +221,7 @@ class PersistentObject:
 def constant_object(category: str, value, grid: Grid) -> PersistentObject:
     cat = get_category(category)
     objects = {idx: value for idx in grid.indices()}
-    edges = {}
-    shape = grid.shape()
-    for idx in grid.indices():
-        for a in range(grid.m):
-            if idx[a] + 1 < shape[a]:
-                edges[(idx, a)] = cat.identity(value)
+    edges = {(idx, a): cat.identity(value) for idx, a, _ in grid.edges()}
     return PersistentObject(grid, category, objects, edges)
 
 
@@ -298,20 +290,15 @@ class DeltaMorphism:
     def check_natural(self) -> Optional[tuple[Grade, int]]:
         """None when natural; otherwise (grade, axis) of the first violation."""
         cat = self.category
-        shape = self.grid.shape()
-        for idx in self.grid.indices():
-            p = self.grid.grade_at(idx)
-            for a in range(self.grid.m):
-                if idx[a] + 1 >= shape[a]:
-                    continue
-                q = self.grid.grade_at(_unit(idx, a))
-                upper = cat.compose(
-                    self.target.structure_map(p + self.shift, q + self.shift),
-                    self.components[p],
-                )
-                lower = cat.compose(self.components[q], self.source.structure_map(p, q))
-                if not cat.map_equal(upper, lower):
-                    return (p, a)
+        for idx, a, nxt in self.grid.edges():
+            p, q = self.grid.grade_at(idx), self.grid.grade_at(nxt)
+            upper = cat.compose(
+                self.target.structure_map(p + self.shift, q + self.shift),
+                self.components[p],
+            )
+            lower = cat.compose(self.components[q], self.source.structure_map(p, q))
+            if not cat.map_equal(upper, lower):
+                return (p, a)
         return None
 
     def is_natural(self) -> bool:
@@ -410,22 +397,14 @@ def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
                 False, f"{name} is not natural at {p} along axis {axis}", p, f"naturality({name})"
             )
     total = cert.epsilon + cert.delta
-    x = cert.f.source
-    y = cert.f.target
-    left = compose(cert.f, cert.g)
-    want = identity_shift(x, total)
-    p = left.first_difference(want)
-    if p is not None:
-        return InterleavingReport(
-            False, f"g^eps . f differs from the structure-map shift of X at {p}", p, "triangle(X)"
-        )
-    right = compose(cert.g, cert.f)
-    want = identity_shift(y, total)
-    p = right.first_difference(want)
-    if p is not None:
-        return InterleavingReport(
-            False, f"f^delta . g differs from the structure-map shift of Y at {p}", p, "triangle(Y)"
-        )
+    for name, path, first, second in (("X", "g^eps . f", cert.f, cert.g),
+                                      ("Y", "f^delta . g", cert.g, cert.f)):
+        p = compose(first, second).first_difference(identity_shift(first.source, total))
+        if p is not None:
+            return InterleavingReport(
+                False, f"{path} differs from the structure-map shift of {name} at {p}", p,
+                f"triangle({name})"
+            )
     return InterleavingReport(True, "valid interleaving")
 
 
@@ -483,17 +462,12 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
         proj_b_maps[p] = pb
         pairs[p] = pair
 
-    shape = a_grid.shape()
     edges = {}
-    for idx in a_grid.indices():
-        p = a_grid.grade_at(idx)
-        for ax in range(a_grid.m):
-            if idx[ax] + 1 >= shape[ax]:
-                continue
-            q = a_grid.grade_at(_unit(idx, ax))
-            u = cat.compose(x.structure_map(p, q), proj_x_maps[p])
-            v = cat.compose(b.structure_map(p + eps, q + eps), proj_b_maps[p])
-            edges[(idx, ax)] = pairs[q](u, v, objects[idx])
+    for idx, ax, nxt in a_grid.edges():
+        p, q = a_grid.grade_at(idx), a_grid.grade_at(nxt)
+        u = cat.compose(x.structure_map(p, q), proj_x_maps[p])
+        v = cat.compose(b.structure_map(p + eps, q + eps), proj_b_maps[p])
+        edges[(idx, ax)] = pairs[q](u, v, objects[idx])
 
     a = PersistentObject(a_grid, x.category_name, objects, edges)
 
@@ -503,16 +477,11 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
             return cat.initial_map(cat.initial())
         return pairs[a_grid.grade_at(idx)](u, v, w_obj)
 
-    # k : A ->_eps B is the second projection
-    k = DeltaMorphism.from_fn(a, b, eps, lambda r: proj_b_maps[r], validate=False)
-    # projection A ->_0 X
-    def proj_component(r: Grade):
-        idx = a_grid.eval_index(r)
-        if idx is None:
-            return cat.initial_map(x.evaluate(r))
-        return proj_x_maps[a_grid.grade_at(idx)]
-
-    proj = DeltaMorphism.from_fn(a, x, zero_grade(x.m), proj_component, validate=False)
+    # k : A ->_eps B is the second projection and A ->_0 X the first; the
+    # canonical grids of both are A's grid, so the projections are their
+    # components as they stand
+    k = DeltaMorphism(a, b, eps, proj_b_maps, validate=False)
+    proj = DeltaMorphism(a, x, zero_grade(x.m), proj_x_maps, validate=False)
 
     # l : B ->_delta A from the universal property, built out of g . h and
     # the structure-map shift of B
@@ -529,17 +498,21 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
 # -- discretization and rescaling -------------------------------------------
 
 
+def _sample(x: PersistentObject, fn, lo: int, hi: int) -> PersistentObject:
+    """The Z-indexed object n -> X(fn(n)) on the window [lo, hi], for a
+    monotone fn: Z -> Z, with the structure maps of X between samples."""
+    values = [x.evaluate(Grade([fn(n)])) for n in range(lo, hi + 1)]
+    maps = [x.structure_map(Grade([fn(n)]), Grade([fn(n + 1)])) for n in range(lo, hi)]
+    return integer_object(x.category_name, values, maps, lo)
+
+
 def restrict_to_Z(x: PersistentObject) -> PersistentObject:
     """Sample a 1-parameter object at the integers of a window covering its
     grid."""
     if x.m != 1:
         raise DimensionError("restrict_to_Z needs m = 1")
     axis = x.grid.axes[0]
-    lo = floor_int(axis[0])
-    hi = floor_int(axis[-1]) + 1
-    values = [x.evaluate(Grade([n])) for n in range(lo, hi + 1)]
-    maps = [x.structure_map(Grade([n]), Grade([n + 1])) for n in range(lo, hi)]
-    return integer_object(x.category_name, values, maps, lo)
+    return _sample(x, lambda n: n, floor_int(axis[0]), floor_int(axis[-1]) + 1)
 
 
 def extend_floor(a: PersistentObject) -> PersistentObject:
@@ -563,9 +536,7 @@ def floor_roundtrip_cert(x: PersistentObject) -> InterleavingCert:
         return x.structure_map(r, t)
 
     def g_comp(r: Grade):
-        s = Grade([floor_int(r.coords[0])])
-        return x.structure_map(s, r + Grade([1])) if x.grid.eval_index(s) is not None \
-            else x.category.initial_map(x.evaluate(r + Grade([1])))
+        return x.structure_map(Grade([floor_int(r.coords[0])]), r + Grade([1]))
 
     one = Grade([1])
     f = DeltaMorphism.from_fn(x, a, one, f_comp, validate=False)
@@ -645,13 +616,8 @@ def _enumerate_natural(x: PersistentObject, y: PersistentObject, shift: Grade,
     yield from backtrack(0, {})
 
 
-def find_partner(f: DeltaMorphism, delta: Grade, budget_limit: int = 200_000
-                 ) -> Optional[InterleavingCert]:
-    """Exhaustively search a partner g making (f, g) a valid
-    (f.shift, delta)-interleaving. m = 1 only."""
-    if f.source.m != 1:
-        raise DimensionError("partner search supports m = 1 only")
-    budget = _Budget(budget_limit)
+def _partner(f: DeltaMorphism, delta: Grade, budget: _Budget
+             ) -> Optional[InterleavingCert]:
     for g_components in _enumerate_natural(f.target, f.source, delta, budget):
         g = DeltaMorphism(f.target, f.source, delta, g_components, validate=False)
         cert = InterleavingCert(f, g)
@@ -660,15 +626,22 @@ def find_partner(f: DeltaMorphism, delta: Grade, budget_limit: int = 200_000
     return None
 
 
+def find_partner(f: DeltaMorphism, delta: Grade, budget_limit: int = 200_000
+                 ) -> Optional[InterleavingCert]:
+    """Exhaustively search a partner g making (f, g) a valid
+    (f.shift, delta)-interleaving. m = 1 only."""
+    if f.source.m != 1:
+        raise DimensionError("partner search supports m = 1 only")
+    return _partner(f, delta, _Budget(budget_limit))
+
+
 def _search_at_delta(x: PersistentObject, y: PersistentObject, delta: Grade,
                      budget: _Budget) -> Optional[InterleavingCert]:
     for f_components in _enumerate_natural(x, y, delta, budget):
         f = DeltaMorphism(x, y, delta, f_components, validate=False)
-        for g_components in _enumerate_natural(y, x, delta, budget):
-            g = DeltaMorphism(y, x, delta, g_components, validate=False)
-            cert = InterleavingCert(f, g)
-            if check_interleaving(cert).valid:
-                return cert
+        cert = _partner(f, delta, budget)
+        if cert is not None:
+            return cert
     return None
 
 

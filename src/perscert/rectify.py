@@ -18,6 +18,7 @@ which is what makes the certificates below literally valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ValidationError
 from .grades import Grade, even_reindex, odd_reindex, rat
@@ -25,6 +26,7 @@ from .persist import (
     DeltaMorphism,
     InterleavingCert,
     PersistentObject,
+    _sample,
     check_interleaving,
     compose_interleavings,
     integer_object,
@@ -42,18 +44,10 @@ def _int_grade(n: int) -> Grade:
     return Grade([n])
 
 
-def _even_end(hi: int, m: int) -> int:
-    """Smallest q*m >= hi with q even."""
+def _block_end(hi: int, m: int, parity: int) -> int:
+    """Smallest q*m >= hi with q % 2 == parity (0: even, 1: odd)."""
     q = -(-hi // m)
-    if q % 2:
-        q += 1
-    return q * m
-
-
-def _odd_end(hi: int, m: int) -> int:
-    """Smallest q*m >= hi with q odd."""
-    q = -(-hi // m)
-    if q % 2 == 0:
+    if q % 2 != parity:
         q += 1
     return q * m
 
@@ -64,39 +58,34 @@ def reindex(x: PersistentObject, fn, lo: int | None = None,
     fn(n) <= n, presented on the window [lo, hi] (default: the window of x),
     evaluated with the boundary semantics."""
     xlo, xhi = _window(x)
-    lo = xlo if lo is None else lo
-    hi = xhi if hi is None else hi
-    values = [x.evaluate(_int_grade(fn(n))) for n in range(lo, hi + 1)]
-    maps = [
-        x.structure_map(_int_grade(fn(n)), _int_grade(fn(n + 1)))
-        for n in range(lo, hi)
-    ]
-    return integer_object(x.category_name, values, maps, lo)
+    return _sample(x, fn, xlo if lo is None else lo, xhi if hi is None else hi)
 
 
 def even_odd_restrict(x: PersistentObject, m: int = 1
                       ) -> tuple[PersistentObject, PersistentObject, InterleavingCert]:
     """(e_m^*(X), o_m^*(X)) together with the m-interleaving between them
     given by structure maps of X."""
-    lo, hi = _window(x)
-    ex = reindex(x, lambda n: even_reindex(n, m), lo, _even_end(hi, m))
-    ox = reindex(x, lambda n: odd_reindex(n, m), lo, _odd_end(hi, m))
+    return _even_odd(x, m, *_window(x))
+
+
+def _even_odd(x: PersistentObject, m: int, lo: int, hi: int
+              ) -> tuple[PersistentObject, PersistentObject, InterleavingCert]:
+    """``even_odd_restrict`` for the window [lo, hi], which may be narrower
+    than the window of x."""
+    even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
+    ex = reindex(x, even, lo, _block_end(hi, m, 0))
+    ox = reindex(x, odd, lo, _block_end(hi, m, 1))
     shift = _int_grade(m)
 
-    def f_comp(r: Grade):
-        n = int(r.coords[0])
-        return x.structure_map(
-            _int_grade(even_reindex(n, m)), _int_grade(odd_reindex(n + m, m))
-        )
+    def leg(start, end):
+        """Components X(start(n)) -> X(end(n + m))."""
+        def comp(r: Grade):
+            n = int(r.coords[0])
+            return x.structure_map(_int_grade(start(n)), _int_grade(end(n + m)))
+        return comp
 
-    def g_comp(r: Grade):
-        n = int(r.coords[0])
-        return x.structure_map(
-            _int_grade(odd_reindex(n, m)), _int_grade(even_reindex(n + m, m))
-        )
-
-    f = DeltaMorphism.from_fn(ex, ox, shift, f_comp, validate=False)
-    g = DeltaMorphism.from_fn(ox, ex, shift, g_comp, validate=False)
+    f = DeltaMorphism.from_fn(ex, ox, shift, leg(even, odd), validate=False)
+    g = DeltaMorphism.from_fn(ox, ex, shift, leg(odd, even), validate=False)
     return ex, ox, InterleavingCert(f, g)
 
 
@@ -148,7 +137,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
         raise ValidationError("objects must share the same window")
 
     f, g = cert.f, cert.g
-    he, ho = _even_end(hi, m), _odd_end(hi, m)
+    he, ho = _block_end(hi, m, 0), _block_end(hi, m, 1)
     hi_c = max(he, ho) + m
 
     def c_value(n: int):
@@ -175,36 +164,17 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     maps = [c_map(n) for n in range(lo, hi_c)]
     c = integer_object(a.category_name, values, maps, lo)
 
-    ec = reindex(c, lambda n: even_reindex(n, m), lo, he)
-    ea = reindex(a, lambda n: even_reindex(n, m), lo, he)
-    oc = reindex(c, lambda n: odd_reindex(n, m), lo, ho)
-    ob = reindex(b, lambda n: odd_reindex(n, m), lo, ho)
+    even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
+    ec, oc, piece_mid = _even_odd(c, m, lo, hi)
+    ea = reindex(a, even, lo, he)
+    ob = reindex(b, odd, lo, ho)
     even_equal = ec == ea
     odd_equal = oc == ob
 
-    piece_a = _outer_cert(a, ea, lambda n: even_reindex(n, m), m)
-
-    shift = _int_grade(m)
-
-    def mid_f(r: Grade):
-        n = int(r.coords[0])
-        return c.structure_map(
-            _int_grade(even_reindex(n, m)), _int_grade(odd_reindex(n + m, m))
-        )
-
-    def mid_g(r: Grade):
-        n = int(r.coords[0])
-        return c.structure_map(
-            _int_grade(odd_reindex(n, m)), _int_grade(even_reindex(n + m, m))
-        )
-
-    piece_mid = InterleavingCert(
-        DeltaMorphism.from_fn(ec, oc, shift, mid_f, validate=False),
-        DeltaMorphism.from_fn(oc, ec, shift, mid_g, validate=False),
-    )
+    piece_a = _outer_cert(a, ea, even, m)
 
     # orient the b-piece as o_m^*(B) ~(0, 2m-1)~ B
-    raw_b = _outer_cert(b, ob, lambda n: odd_reindex(n, m), m)
+    raw_b = _outer_cert(b, ob, odd, m)
     piece_b = InterleavingCert(raw_b.g, raw_b.f)
 
     composite = compose_interleavings(

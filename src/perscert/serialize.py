@@ -95,7 +95,7 @@ def encode_cat_object(category: str, obj):
 
 def decode_cat_object(category: str, data):
     if category == "F2Vec":
-        _require(isinstance(data, int) and data >= 0, f"bad dimension {data!r}")
+        _require(_is_int(data) and data >= 0, f"bad dimension {data!r}")
         return data
     _require(isinstance(data, list), f"bad object {data!r}")
     return frozenset(decode_element(e) for e in data)
@@ -135,6 +135,23 @@ def decode_cat_map(category: str, data):
 # -- persistent objects --------------------------------------------------------
 
 
+_INDEX_RE = re.compile(r"[0-9]+(,[0-9]+)*")
+_EDGE_RE = re.compile(r"([0-9,]*)\|([0-9]+)")
+
+
+def decode_index(key: str) -> tuple[int, ...]:
+    """A grid index written "i,j,..." with non-negative integers."""
+    _require(isinstance(key, str) and _INDEX_RE.fullmatch(key), f"bad index key {key!r}")
+    return tuple(int(p) for p in key.split(","))
+
+
+def decode_edge_key(key: str) -> tuple[tuple[int, ...], int]:
+    """An edge key "i,j,...|axis": the grid index and the axis of the step."""
+    match = _EDGE_RE.fullmatch(key) if isinstance(key, str) else None
+    _require(match is not None, f"bad edge key {key!r}")
+    return decode_index(match.group(1)), int(match.group(2))
+
+
 def encode_object(x: PersistentObject) -> dict:
     return {
         "format": FORMAT_OBJECT,
@@ -164,14 +181,10 @@ def decode_object(data: dict) -> PersistentObject:
     grid = Grid([[decode_rational(v) for v in axis] for axis in axes])
     objects = {}
     for key, obj in data.get("objects", {}).items():
-        idx = tuple(int(p) for p in key.split(","))
-        objects[idx] = decode_cat_object(category, obj)
+        objects[decode_index(key)] = decode_cat_object(category, obj)
     edges = {}
     for key, f in data.get("edge_maps", {}).items():
-        _require("|" in key, f"bad edge key {key!r}")
-        idx_part, axis_part = key.rsplit("|", 1)
-        idx = tuple(int(p) for p in idx_part.split(","))
-        edges[(idx, int(axis_part))] = decode_cat_map(category, f)
+        edges[decode_edge_key(key)] = decode_cat_map(category, f)
     return PersistentObject(
         grid, category, objects, edges,
         integer_indexed=bool(data.get("integer_indexed", False)),

@@ -252,3 +252,54 @@ def test_inverted_bar_is_a_schema_error(runner, tmp_path):
     r = invoke(runner, ["bottleneck", good, bad])
     assert r.exit_code == 2
     assert json.loads(r.output)["error"] == "schema"
+
+
+@pytest.mark.parametrize("patch", [
+    {"objects": {"a": 2, "1": 2}},
+    {"edge_maps": {"0|x": {"rows": [[1, 0], [0, 1]], "shape": [2, 2]}}},
+    {"objects": {"0": True, "1": 1}, "edge_maps": {"0|0": {"rows": [[1]], "shape": [1, 1]}}},
+], ids=["index-key", "edge-key", "true-dimension"])
+def test_malformed_object_is_a_schema_error(runner, tmp_path, patch):
+    doc = {**f2vec_object({"rows": [[1, 0], [0, 1]], "shape": [2, 2]}), **patch}
+    r = invoke(runner, ["barcode", write(tmp_path, "x.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "schema"
+
+
+@pytest.mark.parametrize("corner, map_key", [("0,x", "0,0|0"), ("0,0", "0,0")],
+                         ids=["corner-key", "map-key-without-axis"])
+def test_malformed_square_key_is_a_schema_error(runner, tmp_path, corner, map_key):
+    point = [["*"]]
+    ident = [["*", "*"]]
+    square = {
+        "corners": {corner: point, "1,0": point, "0,1": point, "1,1": point},
+        "maps": {map_key: ident, "0,0|1": ident, "1,0|1": ident, "0,1|0": ident},
+    }
+    r = invoke(runner, ["sq-gadget", write(tmp_path, "square.json", square)])
+    assert r.exit_code == 2
+    assert json.loads(r.output)["error"] == "schema"
+
+
+@pytest.mark.parametrize("args", [["validate"], ["barcode", "--dim", "0"]],
+                         ids=["validate", "barcode"])
+def test_mixed_vertex_names_get_a_report(runner, tmp_path, args):
+    mixed = {
+        "format": ser.FORMAT_COMPLEX,
+        "vertices": [0, "a"],
+        "simplices": [
+            {"v": [0], "grade": ["0"]},
+            {"v": ["a"], "grade": ["0"]},
+            {"v": [0, "a"], "grade": ["1"]},
+        ],
+    }
+    p = write(tmp_path, "mixed.json", mixed)
+    r = invoke(runner, [args[0], p, *args[1:]])
+    assert r.exit_code == 0
+    out = json.loads(r.output)
+    if args[0] == "validate":
+        assert out["ok"] is True
+    else:
+        assert out["intervals"] == [
+            {"birth": "0", "death": "inf"}, {"birth": "0", "death": "1"},
+        ]

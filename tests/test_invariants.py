@@ -13,6 +13,7 @@ from perscert import (
     grade,
     homology,
     homology_cert,
+    induces_interleaving_in_pi0,
     pi0,
     slice_axis,
     to_persistent,
@@ -20,9 +21,10 @@ from perscert import (
 )
 from perscert import invariants
 from perscert.invariants import bfs_component_count, induced_h_map, pi0_induced
-from perscert.persist import check_interleaving, compose
+from perscert.persist import DeltaMorphism, check_interleaving, compose, integer_object
 from perscert.randgen import (
     interleaved_pair,
+    rand_complex_interleaving,
     rand_metric,
     rand_persistent_complex,
 )
@@ -66,6 +68,24 @@ def test_pi0_induced_is_functorial():
         pf, pg = pi0_induced(cert.f), pi0_induced(cert.g)
         assert pf.is_natural() and pg.is_natural()
         assert pi0_induced(compose(cert.f, cert.g)).equals(compose(pf, pg))
+
+
+def test_complex_interleaving_induces_one_in_pi0():
+    for seed in range(10):
+        _, _, cert = rand_complex_interleaving(random.Random(seed))
+        ok, pi0_cert = induces_interleaving_in_pi0(cert.f, cert.delta)
+        assert ok and check_interleaving(pi0_cert).valid
+
+
+def test_no_pi0_interleaving_when_component_counts_differ_beyond_delta():
+    # two points that stay apart, mapped onto two points joined from grade 1 on
+    apart = frozenset({(0,), (1,)})
+    joined = apart | {(0, 1)}
+    ident = {0: 0, 1: 1}
+    x = integer_object("Complex", [apart] * 4, [ident] * 3, 0)
+    y = integer_object("Complex", [apart] + [joined] * 3, [ident] * 3, 0)
+    f = DeltaMorphism.from_fn(x, y, grade(0), lambda r: ident)
+    assert induces_interleaving_in_pi0(f, grade(1)) == (False, None)
 
 
 def test_pi0_cardinality_equals_h0_rank_everywhere():
