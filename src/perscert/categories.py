@@ -59,9 +59,6 @@ class FinSetCategory:
     def is_map(self, f, src, tgt) -> bool:
         return set(f.keys()) == set(src) and all(v in tgt for v in f.values())
 
-    def apply(self, f, x):
-        return f[x]
-
     def compose(self, g, f):
         """g after f."""
         return {x: g[y] for x, y in f.items()}
@@ -84,9 +81,6 @@ class FinSetCategory:
         if not src:
             return 1
         return len(tgt) ** len(src)
-
-    def is_injective(self, f, src) -> bool:
-        return len({f[x] for x in src}) == len(src)
 
     def fiber_product(self, f, h, x_obj, b_obj):
         """Pullback of f: X -> Y along h: B -> Y.
@@ -129,9 +123,6 @@ class F2VecCategory:
     def is_map(self, f, src, tgt) -> bool:
         return isinstance(f, GF2Matrix) and f.ncols == src and f.nrows == tgt
 
-    def apply(self, f, x):
-        return f.apply(x)
-
     def compose(self, g, f):
         return g @ f
 
@@ -143,9 +134,6 @@ class F2VecCategory:
 
     def count_maps(self, src, tgt) -> int:
         return 2 ** (src * tgt)
-
-    def is_injective(self, f, src) -> bool:
-        return f.rank() == src
 
     def fiber_product(self, f, h, x_obj, b_obj):
         """Pullback of linear maps: kernel of [f | h]: X (+) B -> Y."""
@@ -207,9 +195,6 @@ class ComplexCategory:
         if set(f.keys()) != verts:
             return False
         return all(self.apply_simplex(f, sigma) in tgt for sigma in src)
-
-    def apply(self, f, sigma):
-        return self.apply_simplex(f, sigma)
 
     def compose(self, g, f):
         return {v: g[w] for v, w in f.items()}

@@ -138,7 +138,7 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
     top = tuple(s - 1 for s in p.grid.shape())
     appearance: dict[tuple, set] = {}
     for idx in p.grid.indices():
-        to_top = p._map_between_indices(idx, top)
+        to_top = p.map_between(idx, top)
         for sigma in p.objects[idx]:
             appearance.setdefault(cat.apply_simplex(to_top, sigma), set()).add(idx)
     witness = {}

@@ -19,9 +19,10 @@ from typing import NamedTuple, Optional
 from .categories import COMPLEX, complex_vertices, total_order
 from .errors import CategoryError, DimensionError, ValidationError
 from .gf2 import Echelon, GF2Matrix, kernel_bits
-from .grades import Grade
+from .grades import Grade, rat, zero_grade
 from .persist import (
     DeltaMorphism,
+    Grid,
     InterleavingCert,
     PersistentObject,
     find_partner,
@@ -119,21 +120,20 @@ def pi0_induced(f: DeltaMorphism) -> DeltaMorphism:
     violation = f.check_natural()
     if violation is not None:
         raise ValidationError(f"input morphism is not natural at {violation[0]}")
-    px = pi0(f.source)
-    py = pi0(f.target)
-
-    def component(r: Grade):
-        k_src = f.source.evaluate(r)
+    def component(idx):
+        k_src = f.source.at(f.at_source[idx])
         cm_src = components_of_complex(k_src)
-        cm_tgt = components_of_complex(f.target.evaluate(r + f.shift))
-        vmap = f.component_at(r)
+        cm_tgt = components_of_complex(f.target.at(f.at_target[idx]))
+        vmap = f.components[idx]
         out = {}
         for comp in {cm_src[v] for v in complex_vertices(k_src)}:
             v = next(iter(comp))
             out[comp] = cm_tgt[vmap[v]]
         return out
 
-    return DeltaMorphism.from_fn(px, py, f.shift, component)
+    # pi0 keeps the grids, so the merged grid and its indices are f's
+    return DeltaMorphism(pi0(f.source), pi0(f.target), f.shift,
+                         {idx: component(idx) for idx in f.grid.indices()})
 
 
 # -- homology over GF(2) ----------------------------------------------------
@@ -249,27 +249,12 @@ def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
     1-parameter object in the remaining axis (m = 2 only)."""
     if x.m != 2:
         raise DimensionError("slice_axis expects m = 2")
-    keep = 1 - axis
-    fixed = value
-    axis_vals = x.grid.axes[keep]
-    objects = []
-    maps = []
-    prev_grade = None
-    for v in axis_vals:
-        coords = [None, None]
-        coords[axis] = fixed
-        coords[keep] = v
-        g = Grade(coords)
-        objects.append(x.evaluate(g))
-        if prev_grade is not None:
-            maps.append(x.structure_map(prev_grade, g))
-        prev_grade = g
-    from .persist import Grid as _Grid
-
-    grid = _Grid([axis_vals])
-    obj_dict = {(i,): o for i, o in enumerate(objects)}
-    edge_dict = {((i,), 0): f for i, f in enumerate(maps)}
-    return PersistentObject(grid, x.category_name, obj_dict, edge_dict)
+    axes = list(x.grid.axes)
+    axes[axis] = [value]
+    idxs = list(x.grid.locate(Grid(axes), zero_grade(2)).values())  # along the line
+    objects = {(i,): x.at(j) for i, j in enumerate(idxs)}
+    edges = {((i,), 0): x.map_between(j, k) for i, (j, k) in enumerate(zip(idxs, idxs[1:]))}
+    return PersistentObject(Grid([axes[1 - axis]]), x.category_name, objects, edges)
 
 
 def homology_induced(f: DeltaMorphism, n: int) -> DeltaMorphism:
@@ -280,15 +265,16 @@ def homology_induced(f: DeltaMorphism, n: int) -> DeltaMorphism:
 def _homology_induced(f: DeltaMorphism, n: int, bases: dict) -> DeltaMorphism:
     hx = _homology(f.source, n, bases)
     hy = _homology(f.target, n, bases)
-
-    def component(r: Grade):
-        return _induced(
-            _basis(bases, f.source.evaluate(r), n),
-            _basis(bases, f.target.evaluate(r + f.shift), n),
-            f.component_at(r),
+    # homology keeps the grids, so the merged grid and its indices are f's
+    components = {
+        idx: _induced(
+            _basis(bases, f.source.at(f.at_source[idx]), n),
+            _basis(bases, f.target.at(f.at_target[idx]), n),
+            f.components[idx],
         )
-
-    return DeltaMorphism.from_fn(hx, hy, f.shift, component, validate=False)
+        for idx in f.grid.indices()
+    }
+    return DeltaMorphism(hx, hy, f.shift, components, validate=False)
 
 
 def homology_cert(cert: InterleavingCert, n: int) -> InterleavingCert:
@@ -306,8 +292,6 @@ class Bar:
     death: Optional[Fraction]  # None = infinite
 
     def __post_init__(self):
-        from .grades import rat
-
         object.__setattr__(self, "birth", rat(self.birth))
         if self.death is not None:
             object.__setattr__(self, "death", rat(self.death))

@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceededError,
     CategoryError,
     DimensionError,
+    InvalidScaleError,
     OrderError,
     ShiftError,
     ValidationError,
@@ -84,6 +85,20 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
+    def locate(self, other: "Grid", shift: Grade) -> dict:
+        """Index of other -> index in this grid of that point plus shift (None
+        when below the grid, as in ``eval_index``), by one bisect per axis value."""
+        if other.m != self.m or shift.m != self.m:
+            raise DimensionError(f"cannot locate arity {other.m} in arity {self.m}")
+        per_axis = [
+            [bisect.bisect_right(axis, v + d) - 1 for v in other_axis]
+            for axis, other_axis, d in zip(self.axes, other.axes, shift.coords)
+        ]
+        return {
+            idx: None if -1 in pos else pos
+            for idx, pos in zip(other.indices(), itertools.product(*per_axis))
+        }
+
     def merge(self, other: "Grid") -> "Grid":
         if self.m != other.m:
             raise DimensionError("cannot merge grids of different arity")
@@ -125,6 +140,10 @@ class PersistentObject:
 
     def _validate(self) -> None:
         cat = self.category
+        stray = (set(self.objects).difference(self.grid.indices())
+                 | set(self.edge_maps).difference((i, a) for i, a, _ in self.grid.edges()))
+        if stray:
+            raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
         for idx in self.grid.indices():
             if idx not in self.objects:
                 raise ValidationError(f"missing object at grid index {idx}")
@@ -160,14 +179,17 @@ class PersistentObject:
     def m(self) -> int:
         return self.grid.m
 
-    def evaluate(self, r: Grade):
-        idx = self.grid.eval_index(r)
-        if idx is None:
-            return self.category.initial()
-        return self.objects[idx]
+    def at(self, i: Optional[tuple[int, ...]]):
+        """The object at grid index i; the initial object when i is None
+        (below the grid)."""
+        return self.category.initial() if i is None else self.objects[i]
 
-    def _map_between_indices(self, i: tuple[int, ...], j: tuple[int, ...]):
+    def map_between(self, i: Optional[tuple[int, ...]], j: Optional[tuple[int, ...]]):
+        """Composite of edge maps from index i to index j (i <= j); the map
+        out of the initial object when i is None."""
         cat = self.category
+        if i is None:
+            return cat.initial_map(self.at(j))
         f = cat.identity(self.objects[i])
         cur = list(i)
         for a in range(self.grid.m):
@@ -176,15 +198,14 @@ class PersistentObject:
                 cur[a] += 1
         return f
 
+    def evaluate(self, r: Grade):
+        return self.at(self.grid.eval_index(r))
+
     def structure_map(self, r: Grade, s: Grade):
         """Composite of edge maps from X(r) to X(s); requires r <= s."""
         if not r.leq(s):
             raise OrderError(f"structure map needs r <= s, got {r} and {s}")
-        i = self.grid.eval_index(r)
-        j = self.grid.eval_index(s)
-        if i is None:
-            return self.category.initial_map(self.evaluate(s))
-        return self._map_between_indices(i, j)
+        return self.map_between(self.grid.eval_index(r), self.grid.eval_index(s))
 
     # -- reindexings ------------------------------------------------------
 
@@ -237,26 +258,32 @@ def integer_object(category: str, values: list, maps: list, lo: int) -> Persiste
 
 
 def canonical_grid(source: PersistentObject, target: PersistentObject, shift: Grade) -> Grid:
+    """The merged grid of a morphism source -> target^shift: the source grid
+    together with the target grid moved down by shift."""
+    if source.category_name != target.category_name:
+        raise CategoryError("source and target live in different categories")
+    if shift.m != source.m or shift.m != target.m:
+        raise DimensionError("shift arity mismatch")
+    if not shift.is_nonnegative():
+        raise ShiftError(f"morphism shift must be nonnegative, got {shift}")
     neg = Grade(-c for c in shift.coords)
     return source.grid.merge(target.grid.translate(neg))
 
 
 class DeltaMorphism:
     """A natural transformation X -> Y^shift, stored as one concrete map per
-    point of the canonical merged grid of (source, target, shift)."""
+    index of the canonical merged grid of (source, target, shift).
+    ``at_source`` and ``at_target`` map each merged index to the source-grid
+    index of its point and the target-grid index of its point plus shift."""
 
     def __init__(self, source: PersistentObject, target: PersistentObject,
                  shift: Grade, components: dict, validate: bool = True):
-        if source.category_name != target.category_name:
-            raise CategoryError("source and target live in different categories")
-        if shift.m != source.m or shift.m != target.m:
-            raise DimensionError("shift arity mismatch")
-        if not shift.is_nonnegative():
-            raise ShiftError(f"morphism shift must be nonnegative, got {shift}")
+        self.grid = canonical_grid(source, target, shift)
         self.source = source
         self.target = target
         self.shift = shift
-        self.grid = canonical_grid(source, target, shift)
+        self.at_source = source.grid.locate(self.grid, zero_grade(shift.m))
+        self.at_target = target.grid.locate(self.grid, shift)
         self.components = dict(components)
         self.category = source.category
         if validate:
@@ -266,39 +293,44 @@ class DeltaMorphism:
     def from_fn(cls, source, target, shift, fn: Callable[[Grade], object],
                 validate: bool = True) -> "DeltaMorphism":
         grid = canonical_grid(source, target, shift)
-        components = {p: fn(p) for p in grid.points()}
+        components = {idx: fn(grid.grade_at(idx)) for idx in grid.indices()}
         return cls(source, target, shift, components, validate=validate)
 
     def _validate_components(self) -> None:
         cat = self.category
-        for p in self.grid.points():
-            if p not in self.components:
-                raise ValidationError(f"missing component at {p}")
-            f = self.components[p]
-            src = self.source.evaluate(p)
-            tgt = self.target.evaluate(p + self.shift)
-            if not cat.is_map(f, src, tgt):
-                raise ValidationError(f"component at {p} is not a map {src!r} -> {tgt!r}")
+        for idx in self.grid.indices():
+            if idx not in self.components:
+                raise ValidationError(f"missing component at {self.grid.grade_at(idx)}")
+            src = self.source.at(self.at_source[idx])
+            tgt = self.target.at(self.at_target[idx])
+            if not cat.is_map(self.components[idx], src, tgt):
+                raise ValidationError(
+                    f"component at {self.grid.grade_at(idx)} is not a map {src!r} -> {tgt!r}"
+                )
+
+    def at(self, i: Optional[tuple[int, ...]]):
+        """The component at merged index i. When i is None (below the merged
+        grid) source and target are both initial."""
+        if i is None:
+            return self.category.initial_map(self.category.initial())
+        return self.components[i]
 
     def component_at(self, r: Grade):
-        idx = self.grid.eval_index(r)
-        if idx is None:
-            # below the merged grid the source is the initial object
-            return self.category.initial_map(self.target.evaluate(r + self.shift))
-        return self.components[self.grid.grade_at(idx)]
+        return self.at(self.grid.eval_index(r))
 
     def check_natural(self) -> Optional[tuple[Grade, int]]:
         """None when natural; otherwise (grade, axis) of the first violation."""
         cat = self.category
+        at_s, at_t = self.at_source, self.at_target
         for idx, a, nxt in self.grid.edges():
-            p, q = self.grid.grade_at(idx), self.grid.grade_at(nxt)
             upper = cat.compose(
-                self.target.structure_map(p + self.shift, q + self.shift),
-                self.components[p],
+                self.target.map_between(at_t[idx], at_t[nxt]), self.components[idx]
             )
-            lower = cat.compose(self.components[q], self.source.structure_map(p, q))
+            lower = cat.compose(
+                self.components[nxt], self.source.map_between(at_s[idx], at_s[nxt])
+            )
             if not cat.map_equal(upper, lower):
-                return (p, a)
+                return (self.grid.grade_at(idx), a)
         return None
 
     def is_natural(self) -> bool:
@@ -311,50 +343,51 @@ class DeltaMorphism:
             return False
         cat = self.category
         return all(
-            cat.map_equal(self.components[p], other.components[p])
-            for p in self.grid.points()
+            cat.map_equal(self.components[i], other.components[i])
+            for i in self.grid.indices()
         )
 
-    def first_difference(self, other: "DeltaMorphism") -> Optional[Grade]:
-        cat = self.category
-        for p in sorted(self.grid.points(), key=lambda g: g.coords):
-            if not cat.map_equal(self.components[p], other.components[p]):
-                return p
-        return None
+
+def _composites(f: DeltaMorphism, g: DeltaMorphism, grid: Grid):
+    """(index, g after f) at each point p of grid: f at p, then g at
+    p + f.shift."""
+    cat = f.category
+    at_f = f.grid.locate(grid, zero_grade(grid.m))
+    at_g = g.grid.locate(grid, f.shift)
+    for idx in grid.indices():
+        yield idx, cat.compose(g.at(at_g[idx]), f.at(at_f[idx]))
+
+
+def _shift_maps(x: PersistentObject, grid: Grid, delta: Grade):
+    """(index, structure map of x from p to p + delta) at each point p of
+    grid."""
+    at_p = x.grid.locate(grid, zero_grade(grid.m))
+    at_q = x.grid.locate(grid, delta)
+    for idx in grid.indices():
+        yield idx, x.map_between(at_p[idx], at_q[idx])
 
 
 def identity_shift(x: PersistentObject, delta: Grade) -> DeltaMorphism:
     """S_{0,delta}(id_X): components are the structure maps phi_{r, r+delta}."""
-    return DeltaMorphism.from_fn(
-        x, x, delta, lambda r: x.structure_map(r, r + delta), validate=False
-    )
+    components = dict(_shift_maps(x, canonical_grid(x, x, delta), delta))
+    return DeltaMorphism(x, x, delta, components, validate=False)
 
 
 def shift_morphism(f: DeltaMorphism, delta: Grade) -> DeltaMorphism:
     """S_{eps,delta}(f), post-composing with target structure maps."""
     if not f.shift.leq(delta):
         raise OrderError(f"cannot shift from {f.shift} to smaller {delta}")
-    cat = f.category
-
-    def comp(r: Grade):
-        return cat.compose(
-            f.target.structure_map(r + f.shift, r + delta), f.component_at(r)
-        )
-
-    return DeltaMorphism.from_fn(f.source, f.target, delta, comp, validate=False)
+    return compose(f, identity_shift(f.target, delta - f.shift))
 
 
 def compose(f: DeltaMorphism, g: DeltaMorphism) -> DeltaMorphism:
     """g after f, an (eps + delta)-morphism."""
     if f.target != g.source:
         raise CategoryError("composition mismatch: target of f is not source of g")
-    cat = f.category
     shift = f.shift + g.shift
-
-    def comp(r: Grade):
-        return cat.compose(g.component_at(r + f.shift), f.component_at(r))
-
-    return DeltaMorphism.from_fn(f.source, g.target, shift, comp, validate=False)
+    grid = canonical_grid(f.source, g.target, shift)
+    return DeltaMorphism(f.source, g.target, shift, dict(_composites(f, g, grid)),
+                         validate=False)
 
 
 # -- interleaving certificates ---------------------------------------------
@@ -399,12 +432,16 @@ def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
     total = cert.epsilon + cert.delta
     for name, path, first, second in (("X", "g^eps . f", cert.f, cert.g),
                                       ("Y", "f^delta . g", cert.g, cert.f)):
-        p = compose(first, second).first_difference(identity_shift(first.source, total))
-        if p is not None:
-            return InterleavingReport(
-                False, f"{path} differs from the structure-map shift of {name} at {p}", p,
-                f"triangle({name})"
-            )
+        x = first.source
+        grid = canonical_grid(x, x, total)
+        for (idx, via), (_, direct) in zip(_composites(first, second, grid),
+                                           _shift_maps(x, grid, total)):
+            if not x.category.map_equal(via, direct):
+                p = grid.grade_at(idx)
+                return InterleavingReport(
+                    False, f"{path} differs from the structure-map shift of {name} at {p}",
+                    p, f"triangle({name})"
+                )
     return InterleavingReport(True, "valid interleaving")
 
 
@@ -445,53 +482,48 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
         raise CategoryError(f"{cat.name} does not support pullbacks")
     b = h.source
 
-    neg_eps = Grade(-c for c in eps.coords)
-    a_grid = x.grid.merge(b.grid.translate(neg_eps))
+    zero = zero_grade(x.m)
+    a_grid = canonical_grid(x, b, eps)
+    at_f, at_h = cert.f.grid.locate(a_grid, zero), h.grid.locate(a_grid, eps)
+    at_x, at_b = x.grid.locate(a_grid, zero), b.grid.locate(a_grid, eps)
 
     objects = {}
     proj_x_maps = {}
     proj_b_maps = {}
     pairs = {}
     for idx in a_grid.indices():
-        p = a_grid.grade_at(idx)
-        f_p = cert.f.component_at(p)
-        h_pe = h.component_at(p + eps)
-        a_obj, px, pb, pair = cat.fiber_product(f_p, h_pe, x.evaluate(p), b.evaluate(p + eps))
-        objects[idx] = a_obj
-        proj_x_maps[p] = px
-        proj_b_maps[p] = pb
-        pairs[p] = pair
+        objects[idx], proj_x_maps[idx], proj_b_maps[idx], pairs[idx] = cat.fiber_product(
+            cert.f.at(at_f[idx]), h.at(at_h[idx]), x.at(at_x[idx]), b.at(at_b[idx])
+        )
 
     edges = {}
     for idx, ax, nxt in a_grid.edges():
-        p, q = a_grid.grade_at(idx), a_grid.grade_at(nxt)
-        u = cat.compose(x.structure_map(p, q), proj_x_maps[p])
-        v = cat.compose(b.structure_map(p + eps, q + eps), proj_b_maps[p])
-        edges[(idx, ax)] = pairs[q](u, v, objects[idx])
+        u = cat.compose(x.map_between(at_x[idx], at_x[nxt]), proj_x_maps[idx])
+        v = cat.compose(b.map_between(at_b[idx], at_b[nxt]), proj_b_maps[idx])
+        edges[(idx, ax)] = pairs[nxt](u, v, objects[idx])
 
     a = PersistentObject(a_grid, x.category_name, objects, edges)
-
-    def pair_at(r: Grade, u, v, w_obj):
-        idx = a_grid.eval_index(r)
-        if idx is None:
-            return cat.initial_map(cat.initial())
-        return pairs[a_grid.grade_at(idx)](u, v, w_obj)
 
     # k : A ->_eps B is the second projection and A ->_0 X the first; the
     # canonical grids of both are A's grid, so the projections are their
     # components as they stand
     k = DeltaMorphism(a, b, eps, proj_b_maps, validate=False)
-    proj = DeltaMorphism(a, x, zero_grade(x.m), proj_x_maps, validate=False)
+    proj = DeltaMorphism(a, x, zero, proj_x_maps, validate=False)
 
     # l : B ->_delta A from the universal property, built out of g . h and
     # the structure-map shift of B
-    def l_component(r: Grade):
-        b_r = b.evaluate(r)
-        u = cat.compose(cert.g.component_at(r), h.component_at(r))
-        v = b.structure_map(r, r + eps + delta)
-        return pair_at(r + delta, u, v, b_r)
-
-    l = DeltaMorphism.from_fn(b, a, delta, l_component, validate=False)
+    l_grid = canonical_grid(b, a, delta)
+    at_g, at_hl = cert.g.grid.locate(l_grid, zero), h.grid.locate(l_grid, zero)
+    at_b0, at_b1 = b.grid.locate(l_grid, zero), b.grid.locate(l_grid, eps + delta)
+    at_a = a_grid.locate(l_grid, delta)
+    l_components = {}
+    for idx in l_grid.indices():
+        u = cat.compose(cert.g.at(at_g[idx]), h.at(at_hl[idx]))
+        v = b.map_between(at_b0[idx], at_b1[idx])
+        j = at_a[idx]
+        l_components[idx] = (cat.initial_map(cat.initial()) if j is None
+                             else pairs[j](u, v, b.at(at_b0[idx])))
+    l = DeltaMorphism(b, a, delta, l_components, validate=False)
     return PullbackResult(a, InterleavingCert(k, l), proj)
 
 
@@ -550,20 +582,19 @@ def rescale(x: PersistentObject, c) -> PersistentObject:
     if x.m != 1:
         raise DimensionError("rescale needs m = 1")
     if c <= 0:
-        from .errors import InvalidScaleError
-
         raise InvalidScaleError("rescale factor must be positive")
     grid = Grid([tuple(v / c for v in x.grid.axes[0])])
     return PersistentObject(grid, x.category_name, x.objects, x.edge_maps, validate=False)
 
 
 def rescale_morphism(f: DeltaMorphism, c) -> DeltaMorphism:
+    """The morphism between the rescaled objects; dividing every axis by c
+    keeps the merged grid's indices, so the components carry over."""
     c = rat(c)
     src = rescale(f.source, c)
     tgt = rescale(f.target, c)
     shift = Grade([f.shift.coords[0] / c])
-    components = {Grade([p.coords[0] / c]): m for p, m in f.components.items()}
-    return DeltaMorphism(src, tgt, shift, components, validate=False)
+    return DeltaMorphism(src, tgt, shift, f.components, validate=False)
 
 
 def rescale_cert(cert: InterleavingCert, c) -> InterleavingCert:
@@ -586,10 +617,16 @@ class _Budget:
 
 def _enumerate_natural(x: PersistentObject, y: PersistentObject, shift: Grade,
                        budget: _Budget):
-    """Yield every natural delta-morphism x ->_shift y by backtracking over
-    the canonical grid (m = 1), pruning with the edge naturality condition."""
+    """Yield the components, by merged index, of every natural delta-morphism
+    x ->_shift y by backtracking over the canonical grid (m = 1), pruning
+    with the edge naturality condition."""
     grid = canonical_grid(x, y, shift)
-    points = sorted(grid.points(), key=lambda g: g.coords)
+    at_x = x.grid.locate(grid, zero_grade(x.m))
+    at_y = y.grid.locate(grid, shift)
+    points = list(grid.indices())
+    # structure maps of x and y from the point before each point to it
+    x_steps = [None] + [x.map_between(at_x[p], at_x[q]) for p, q in zip(points, points[1:])]
+    y_steps = [None] + [y.map_between(at_y[p], at_y[q]) for p, q in zip(points, points[1:])]
     cat = x.category
 
     def backtrack(i: int, chosen: dict):
@@ -597,18 +634,11 @@ def _enumerate_natural(x: PersistentObject, y: PersistentObject, shift: Grade,
             yield dict(chosen)
             return
         p = points[i]
-        src = x.evaluate(p)
-        tgt = y.evaluate(p + shift)
-        for cand in cat.enumerate_maps(src, tgt):
+        upper = cat.compose(y_steps[i], chosen[points[i - 1]]) if i > 0 else None
+        for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
             budget.spend()
-            if i > 0:
-                prev = points[i - 1]
-                upper = cat.compose(
-                    y.structure_map(prev + shift, p + shift), chosen[prev]
-                )
-                lower = cat.compose(cand, x.structure_map(prev, p))
-                if not cat.map_equal(upper, lower):
-                    continue
+            if i > 0 and not cat.map_equal(upper, cat.compose(cand, x_steps[i])):
+                continue
             chosen[p] = cand
             yield from backtrack(i + 1, chosen)
             del chosen[p]

@@ -22,8 +22,10 @@ from .persist import (
     Grid,
     InterleavingCert,
     PersistentObject,
+    extend_floor,
     integer_object,
     restrict_to_Z,
+    shift_morphism,
 )
 from .rectify import reindex
 
@@ -56,7 +58,7 @@ def _rand_finset_chain(rng: random.Random, length: int, max_size: int):
     maps = []
     for a, b in zip(values, values[1:]):
         tgt = sorted(b)
-        maps.append({e: rng.choice(tgt) for e in a} if a else {})
+        maps.append({e: rng.choice(tgt) for e in sorted(a)} if a else {})
     return values, maps
 
 
@@ -171,8 +173,6 @@ def lift_cert_to_real(x: PersistentObject, y: PersistentObject,
                       cert: InterleavingCert, r) -> InterleavingCert:
     """View a 1-interleaving of Z-indexed objects as an (r, r)-interleaving
     of their floor-extensions, for rational r >= 1."""
-    from .persist import extend_floor, shift_morphism
-
     r = rat(r)
     ex, ey = extend_floor(x), extend_floor(y)
     one = Grade([1])
@@ -190,11 +190,11 @@ def corrupt_certificate(rng: random.Random, cert: InterleavingCert
     possible; returns a (usually invalid) certificate for negative tests."""
     f = cert.f
     cat = f.category
-    points = sorted(f.grid.points(), key=lambda g: g.coords)
+    points = list(f.grid.indices())
     rng.shuffle(points)
     for p in points:
-        src = f.source.evaluate(p)
-        tgt = f.target.evaluate(p + f.shift)
+        src = f.source.at(f.at_source[p])
+        tgt = f.target.at(f.at_target[p])
         current = f.components[p]
         others = [m for m in cat.enumerate_maps(src, tgt)
                   if not cat.map_equal(m, current)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import ValidationError
-from .grades import Grade, even_reindex, odd_reindex, rat
+from .grades import Grade, even_reindex, floor_int, odd_reindex, rat
 from .persist import (
     DeltaMorphism,
     InterleavingCert,
@@ -197,8 +197,6 @@ def three_halves_check(x: PersistentObject, y: PersistentObject,
     if not report.valid:
         raise ValidationError(f"input certificate invalid: {report.reason}")
     one = _int_grade(1)
-
-    from .grades import floor_int
 
     def f_comp(p: Grade):
         n = p.coords[0]

@@ -13,7 +13,7 @@ from .errors import SchemaError
 from .gf2 import GF2Matrix
 from .grades import Grade, rat, rat_to_str
 from .invariants import Bar, Barcode
-from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject
+from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, canonical_grid
 
 FORMAT_OBJECT = "perscert/persistent-object/1"
 FORMAT_CERT = "perscert/interleaving/1"
@@ -32,6 +32,14 @@ def _require(cond, message):
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field(data: dict, key: str, kind: type, default=None):
+    """data[key] (default when absent), required to be a JSON array or object."""
+    value = data.get(key, default)
+    _require(isinstance(value, kind),
+             f"{key!r} must be a JSON {'array' if kind is list else 'object'}")
+    return value
 
 
 # -- scalars and grades -------------------------------------------------------
@@ -82,7 +90,7 @@ def decode_element(x):
         return tuple(decode_element(v) for v in x)
     if isinstance(x, dict):
         _require(set(x.keys()) == {"frozenset"}, f"bad element {x!r}")
-        return frozenset(decode_element(v) for v in x["frozenset"])
+        return frozenset(decode_element(v) for v in _field(x, "frozenset", list))
     _require(isinstance(x, (str, int)), f"bad element {x!r}")
     return x
 
@@ -178,12 +186,13 @@ def decode_object(data: dict) -> PersistentObject:
     _require(category in ("FinSet", "F2Vec", "Complex"), f"bad category {category!r}")
     axes = data.get("axes")
     _require(isinstance(axes, list) and axes, "missing axes")
+    _require(all(isinstance(axis, list) for axis in axes), "each axis must be a JSON array")
     grid = Grid([[decode_rational(v) for v in axis] for axis in axes])
     objects = {}
-    for key, obj in data.get("objects", {}).items():
+    for key, obj in _field(data, "objects", dict, {}).items():
         objects[decode_index(key)] = decode_cat_object(category, obj)
     edges = {}
-    for key, f in data.get("edge_maps", {}).items():
+    for key, f in _field(data, "edge_maps", dict, {}).items():
         edges[decode_edge_key(key)] = decode_cat_map(category, f)
     return PersistentObject(
         grid, category, objects, edges,
@@ -196,22 +205,27 @@ def decode_object(data: dict) -> PersistentObject:
 
 def encode_components(f: DeltaMorphism) -> list[dict]:
     return [
-        {"at": encode_grade(p), "map": encode_cat_map(f.source.category_name, comp)}
-        for p, comp in sorted(f.components.items(), key=lambda kv: kv[0].coords)
+        {"at": encode_grade(f.grid.grade_at(idx)),
+         "map": encode_cat_map(f.source.category_name, f.components[idx])}
+        for idx in f.grid.indices()
     ]
 
 
 def decode_morphism(source: PersistentObject, target: PersistentObject,
                     shift_data, components_data) -> DeltaMorphism:
+    """Each "at" grade must be a point of the merged grid, given once."""
     shift = decode_grade(shift_data)
-    components = {}
     _require(isinstance(components_data, list), "components must be a list")
+    grid = canonical_grid(source, target, shift)
+    index = {grid.grade_at(idx): idx for idx in grid.indices()}
+    components = {}
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
                  f"bad component entry {entry!r}")
-        components[decode_grade(entry["at"])] = decode_cat_map(
-            source.category_name, entry["map"]
-        )
+        p = decode_grade(entry["at"])
+        _require(p in index, f"component at {p} is not a point of the merged grid")
+        _require(index[p] not in components, f"component at {p} is given twice")
+        components[index[p]] = decode_cat_map(source.category_name, entry["map"])
     return DeltaMorphism(source, target, shift, components)
 
 
@@ -240,6 +254,8 @@ def decode_cert(data: dict, x: PersistentObject | None = None,
     if y is None:
         _require("y" in data, "certificate lacks embedded objects")
         y = decode_object(data["y"])
+    for key in ("epsilon", "delta", "f_components", "g_components"):
+        _require(key in data, f"certificate lacks {key!r}")
     f = decode_morphism(x, y, data["epsilon"], data["f_components"])
     g = decode_morphism(y, x, data["delta"], data["g_components"])
     return InterleavingCert(f, g)
@@ -264,12 +280,12 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
     _require(isinstance(data, dict), "filtered complex must be a JSON object")
     _require(data.get("format") == FORMAT_COMPLEX,
              f"unexpected format {data.get('format')!r}")
-    vertices = [decode_element(v) for v in data.get("vertices", [])]
+    vertices = [decode_element(v) for v in _field(data, "vertices", list, [])]
     simplices = []
     grade = {}
-    for entry in data.get("simplices", []):
-        _require(isinstance(entry, dict) and "v" in entry and "grade" in entry,
-                 f"bad simplex entry {entry!r}")
+    for entry in _field(data, "simplices", list, []):
+        _require(isinstance(entry, dict) and isinstance(entry.get("v"), list)
+                 and "grade" in entry, f"bad simplex entry {entry!r}")
         s = tuple(decode_element(v) for v in entry["v"])
         simplices.append(s)
         grade[s] = decode_grade(entry["grade"])
@@ -291,12 +307,13 @@ def decode_metric(data: dict) -> MetricInput:
     _require(isinstance(data, dict), "metric must be a JSON object")
     _require(data.get("format") == FORMAT_METRIC,
              f"unexpected format {data.get('format')!r}")
-    _require("points" in data and "matrix" in data, "metric needs points and matrix")
-    points = [decode_element(p) for p in data["points"]]
-    matrix = [[decode_rational(x) for x in row] for row in data["matrix"]]
+    points = [decode_element(p) for p in _field(data, "points", list)]
+    matrix = _field(data, "matrix", list)
+    _require(all(isinstance(row, list) for row in matrix), "matrix rows must be JSON arrays")
+    matrix = [[decode_rational(x) for x in row] for row in matrix]
     values = data.get("values")
     if values is not None:
-        values = [decode_rational(v) for v in values]
+        values = [decode_rational(v) for v in _field(data, "values", list)]
     return MetricInput(points, matrix, values)
 
 
@@ -321,7 +338,7 @@ def decode_barcode(data: dict) -> Barcode:
     _require(data.get("format") == FORMAT_BARCODE,
              f"unexpected format {data.get('format')!r}")
     bars = []
-    for entry in data.get("intervals", []):
+    for entry in _field(data, "intervals", list, []):
         _require(isinstance(entry, dict) and "birth" in entry and "death" in entry,
                  f"bad interval {entry!r}")
         birth = decode_rational(entry["birth"])

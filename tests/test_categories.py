@@ -45,7 +45,7 @@ def test_finset_fiber_product_is_the_equalizing_pair_set():
         1 for e in x for d in b if f[e] == h[d]
     )
     for e in w:
-        assert f[FINSET.apply(px, e)] == h[FINSET.apply(pb, e)]
+        assert f[px[e]] == h[pb[e]]
     # universal property on a one-point test object
     t = frozenset({"*"})
     u = {"*": "a"}

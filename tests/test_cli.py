@@ -303,3 +303,70 @@ def test_mixed_vertex_names_get_a_report(runner, tmp_path, args):
         assert out["intervals"] == [
             {"birth": "0", "death": "inf"}, {"birth": "0", "death": "1"},
         ]
+
+
+def self_cert_document():
+    """A valid certificate document: the 1-self-interleaving of a seeded
+    F2Vec object."""
+    from perscert.randgen import rand_f2vec_object
+
+    x = rand_f2vec_object(random.Random(0), lo=0, hi=2, max_dim=1)
+    return ser.encode_cert(self_interleaving(x, grade(1)))
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+IDENTITY_2 = {"rows": [[1, 0], [0, 1]], "shape": [2, 2]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("barcode", {**f2vec_object(IDENTITY_2), "objects": []}),
+    ("barcode", {**f2vec_object(IDENTITY_2), "edge_maps": []}),
+    ("barcode", {**f2vec_object(IDENTITY_2), "axes": ["01"]}),
+    ("interleave-check", without(self_cert_document(), "epsilon")),
+    ("interleave-check", without(self_cert_document(), "delta")),
+    ("interleave-check", without(self_cert_document(), "f_components")),
+    ("interleave-check", without(self_cert_document(), "g_components")),
+    ("rips", {**COLLINEAR, "points": 3}),
+    ("rips", {**COLLINEAR, "matrix": 5}),
+    ("validate", {"format": ser.FORMAT_COMPLEX, "vertices": 5, "simplices": []}),
+    ("bottleneck", {"format": ser.FORMAT_BARCODE, "intervals": 5}),
+], ids=["objects-not-an-object", "edge-maps-not-an-object", "axis-a-string",
+        "cert-without-epsilon", "cert-without-delta", "cert-without-f", "cert-without-g",
+        "points-not-a-list", "matrix-not-a-list", "vertices-not-a-list",
+        "intervals-not-a-list"])
+def test_hostile_document_is_a_schema_error(runner, tmp_path, command, doc):
+    p = write(tmp_path, "doc.json", doc)
+    args = [command, p, p] if command == "bottleneck" else [command, p]
+    r = invoke(runner, args)
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "schema"
+
+
+@pytest.mark.parametrize("change", ["off-grid", "repeated"])
+def test_certificate_component_must_be_a_merged_grid_point_given_once(
+        runner, tmp_path, change):
+    doc = self_cert_document()
+    entry = doc["f_components"][0]
+    if change == "off-grid":
+        entry = {**entry, "at": ["1/2"]}
+    doc["f_components"].append(entry)
+    r = invoke(runner, ["interleave-check", write(tmp_path, "cert.json", doc)])
+    assert r.exit_code == 2
+    assert json.loads(r.output)["error"] == "schema"
+
+
+@pytest.mark.parametrize("patch", [
+    {"edge_maps": {"0|0": IDENTITY_2, "1|0": IDENTITY_2}},
+    {"objects": {"0": 2, "1": 2, "2": 2}},
+], ids=["edge-off-grid", "object-off-grid"])
+def test_keys_outside_the_grid_are_rejected(runner, tmp_path, patch):
+    doc = {**f2vec_object(IDENTITY_2), **patch}
+    r = invoke(runner, ["barcode", write(tmp_path, "x.json", doc)])
+    assert r.exit_code == 1
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "property"
+    assert "outside the grid" in report["message"]

@@ -105,3 +105,26 @@ def test_decoders_reject_wrong_formats_and_shapes():
         ser.decode_metric({"format": ser.FORMAT_METRIC})
     with pytest.raises(SchemaError):
         ser.decode_grade([])
+
+
+def test_seeded_finset_objects_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import json, random\n"
+        "from perscert import serialize as ser\n"
+        "from perscert.randgen import rand_finset_object\n"
+        "print(json.dumps([ser.encode_object(rand_finset_object(random.Random(s)))"
+        " for s in range(5)], sort_keys=True))\n"
+    )
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
