@@ -56,7 +56,16 @@ class FilteredComplex:
 
 
 def validate(f: FilteredComplex) -> ValidationReport:
-    """Face closure plus monotonicity of the entrance grades."""
+    """Grades of one arity, face closure, and monotonicity of the entrance
+    grades. Arity comes first, since grades of different arity do not
+    compare."""
+    graded = total_order(f.grade)
+    for sigma in graded:
+        if f.grade[sigma].m != f.grade[graded[0]].m:
+            return ValidationReport(
+                False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
+                f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
+            )
     for sigma in total_order(f.simplices):
         for v in sigma:
             if v not in f.vertices:
@@ -73,9 +82,6 @@ def validate(f: FilteredComplex) -> ValidationReport:
                 return ValidationReport(
                     False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
                 )
-    ms = {g.m for g in f.grade.values()}
-    if len(ms) > 1:
-        return ValidationReport(False, "grades of mixed arity", None)
     return ValidationReport(True, "valid filtered complex")
 
 

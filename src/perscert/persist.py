@@ -11,7 +11,9 @@ maximum.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -45,6 +47,23 @@ class Grid:
             if any(a >= b for a, b in zip(axis, axis[1:])):
                 raise ValidationError("grid axes must be strictly increasing")
         object.__setattr__(self, "axes", axes)
+
+    @classmethod
+    def _trusted(cls, axes: tuple[tuple[Fraction, ...], ...]) -> "Grid":
+        """A grid of axes already known to be nonempty, strictly increasing
+        tuples of Fractions (the result of merging or translating grids)."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "axes", axes)
+        return grid
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[tuple[int, list[int]], ...]:
+        """Per axis, its lcm denominator d and the integers v * d."""
+        out = []
+        for axis in self.axes:
+            d = math.lcm(*(v.denominator for v in axis))
+            out.append((d, [v.numerator * (d // v.denominator) for v in axis]))
+        return tuple(out)
 
     @property
     def m(self) -> int:
@@ -87,13 +106,17 @@ class Grid:
 
     def locate(self, other: "Grid", shift: Grade) -> dict:
         """Index of other -> index in this grid of that point plus shift (None
-        when below the grid, as in ``eval_index``), by one bisect per axis value."""
+        when below the grid, as in ``eval_index``), by one bisect per axis
+        value on integers scaled to one common denominator per axis."""
         if other.m != self.m or shift.m != self.m:
             raise DimensionError(f"cannot locate arity {other.m} in arity {self.m}")
-        per_axis = [
-            [bisect.bisect_right(axis, v + d) - 1 for v in other_axis]
-            for axis, other_axis, d in zip(self.axes, other.axes, shift.coords)
-        ]
+        per_axis = []
+        for (d, ints), (e, other_ints), s in zip(self._scaled, other._scaled, shift.coords):
+            common = math.lcm(d, e, s.denominator)
+            if common != d:
+                ints = [v * (common // d) for v in ints]
+            k, t = common // e, s.numerator * (common // s.denominator)
+            per_axis.append([bisect.bisect_right(ints, v * k + t) - 1 for v in other_ints])
         return {
             idx: None if -1 in pos else pos
             for idx, pos in zip(other.indices(), itertools.product(*per_axis))
@@ -102,16 +125,34 @@ class Grid:
     def merge(self, other: "Grid") -> "Grid":
         if self.m != other.m:
             raise DimensionError("cannot merge grids of different arity")
-        return Grid(
-            tuple(sorted(set(a) | set(b))) for a, b in zip(self.axes, other.axes)
-        )
+        return Grid._trusted(tuple(_merge_axes(a, b) for a, b in zip(self.axes, other.axes)))
 
     def translate(self, delta: Grade) -> "Grid":
         if delta.m != self.m:
             raise DimensionError("translation arity mismatch")
-        return Grid(
-            tuple(v + d for v in axis) for axis, d in zip(self.axes, delta.coords)
+        return Grid._trusted(
+            tuple(tuple(v + d for v in axis) for axis, d in zip(self.axes, delta.coords))
         )
+
+
+def _merge_axes(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two strictly increasing axes, by one linear merge."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        elif b[j] < a[i]:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append(a[i])
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class PersistentObject:
@@ -278,16 +319,31 @@ class DeltaMorphism:
 
     def __init__(self, source: PersistentObject, target: PersistentObject,
                  shift: Grade, components: dict, validate: bool = True):
-        self.grid = canonical_grid(source, target, shift)
+        grid = canonical_grid(source, target, shift)
+        self._place(source, target, shift, grid,
+                    source.grid.locate(grid, zero_grade(shift.m)),
+                    target.grid.locate(grid, shift), components)
+        if validate:
+            self._validate_components()
+
+    @classmethod
+    def _on(cls, leg: "_Leg", components: dict) -> "DeltaMorphism":
+        """A morphism on the merged grid and locate tables of a search leg,
+        which it shares; unchecked."""
+        f = cls.__new__(cls)
+        f._place(leg.source, leg.target, leg.shift, leg.grid, leg.at_source,
+                 leg.at_target, components)
+        return f
+
+    def _place(self, source, target, shift, grid, at_source, at_target, components):
+        self.grid = grid
         self.source = source
         self.target = target
         self.shift = shift
-        self.at_source = source.grid.locate(self.grid, zero_grade(shift.m))
-        self.at_target = target.grid.locate(self.grid, shift)
+        self.at_source = at_source
+        self.at_target = at_target
         self.components = dict(components)
         self.category = source.category
-        if validate:
-            self._validate_components()
 
     @classmethod
     def from_fn(cls, source, target, shift, fn: Callable[[Grade], object],
@@ -615,18 +671,90 @@ class _Budget:
             raise BudgetExceededError(f"search budget of {self.limit} exhausted")
 
 
-def _enumerate_natural(x: PersistentObject, y: PersistentObject, shift: Grade,
-                       budget: _Budget):
+class _Leg:
+    """What every delta-morphism source ->_shift target of a search shares
+    (m = 1): the merged grid, its locate tables, and the structure maps of
+    source and target from each point to the next."""
+
+    def __init__(self, source: PersistentObject, target: PersistentObject, shift: Grade):
+        self.source, self.target, self.shift = source, target, shift
+        self.grid = canonical_grid(source, target, shift)
+        self.at_source = at_s = source.grid.locate(self.grid, zero_grade(shift.m))
+        self.at_target = at_t = target.grid.locate(self.grid, shift)
+        self.points = points = list(self.grid.indices())
+        self.source_steps = [None] + [source.map_between(at_s[p], at_s[q])
+                                      for p, q in zip(points, points[1:])]
+        self.target_steps = [None] + [target.map_between(at_t[p], at_t[q])
+                                      for p, q in zip(points, points[1:])]
+
+
+class _Frame:
+    """The geometry of an (eps, delta) partner search between x and y, built
+    once: the legs f: x ->_eps y and g: y ->_delta x, and the two triangle
+    identities of ``check_interleaving`` on their grids, located in the legs'
+    grids. Given f, the triangles constrain g one merged-grid component at a
+    time (``triangle_filter``). g's leg and the triangles are built
+    when the first f looks for a partner, since most candidate deltas admit
+    no natural f."""
+
+    def __init__(self, x: PersistentObject, y: PersistentObject, eps: Grade, delta: Grade):
+        self.x, self.y, self.eps, self.delta = x, y, eps, delta
+        self.f = _Leg(x, y, eps)
+
+    @functools.cached_property
+    def g(self) -> _Leg:
+        return _Leg(self.y, self.x, self.delta)
+
+    @functools.cached_property
+    def triangles(self) -> list:
+        """(side, g index, f index, structure-map shift) at each point of the
+        two triangle grids: side 0 is X's triangle, g(p + eps) . f(p) =
+        x(p -> p + eps + delta), side 1 is Y's, f(q + delta) . g(q) =
+        y(q -> q + eps + delta)."""
+        total = self.eps + self.delta
+        zero = zero_grade(total.m)
+        out = []
+        for side, z, g_shift, f_shift in ((0, self.x, self.eps, zero),
+                                          (1, self.y, zero, self.delta)):
+            grid = canonical_grid(z, z, total)
+            out += [(side, gj, fi, direct) for gj, fi, (_, direct) in zip(
+                self.g.grid.locate(grid, g_shift).values(),
+                self.f.grid.locate(grid, f_shift).values(),
+                _shift_maps(z, grid, total))]
+        return out
+
+    def triangle_filter(self, f: DeltaMorphism) -> Optional[Callable[[tuple, object], bool]]:
+        """accept(j, cand): whether cand, as g's component at merged index j,
+        meets every triangle identity at the points whose g component is
+        the one at j, given f. The points below g's grid involve f alone and
+        are checked here, once; None when one of them fails, so no g will
+        do."""
+        cat = f.category
+        below = cat.initial_map(cat.initial())
+        before = {j: [] for j in self.g.points}  # (a, b) with g . a = b
+        after = {j: [] for j in self.g.points}   # (a, b) with a . g = b
+        for side, gj, fi, direct in self.triangles:
+            fm = f.at(fi)
+            if gj is not None:
+                (before, after)[side][gj].append((fm, direct))
+            elif not cat.map_equal(cat.compose(below, fm) if side == 0
+                                   else cat.compose(fm, below), direct):
+                return None
+
+        def accept(j, cand) -> bool:
+            return (all(cat.map_equal(cat.compose(cand, a), b) for a, b in before[j])
+                    and all(cat.map_equal(cat.compose(a, cand), b) for a, b in after[j]))
+
+        return accept
+
+
+def _enumerate_natural(leg: _Leg, budget: _Budget,
+                       accept: Optional[Callable[[tuple, object], bool]] = None):
     """Yield the components, by merged index, of every natural delta-morphism
-    x ->_shift y by backtracking over the canonical grid (m = 1), pruning
-    with the edge naturality condition."""
-    grid = canonical_grid(x, y, shift)
-    at_x = x.grid.locate(grid, zero_grade(x.m))
-    at_y = y.grid.locate(grid, shift)
-    points = list(grid.indices())
-    # structure maps of x and y from the point before each point to it
-    x_steps = [None] + [x.map_between(at_x[p], at_x[q]) for p, q in zip(points, points[1:])]
-    y_steps = [None] + [y.map_between(at_y[p], at_y[q]) for p, q in zip(points, points[1:])]
+    along leg by backtracking over its merged grid (m = 1), pruning with the
+    edge naturality condition and then with accept(index, candidate)."""
+    x, y, at_x, at_y = leg.source, leg.target, leg.at_source, leg.at_target
+    points, x_steps, y_steps = leg.points, leg.source_steps, leg.target_steps
     cat = x.category
 
     def backtrack(i: int, chosen: dict):
@@ -639,6 +767,8 @@ def _enumerate_natural(x: PersistentObject, y: PersistentObject, shift: Grade,
             budget.spend()
             if i > 0 and not cat.map_equal(upper, cat.compose(cand, x_steps[i])):
                 continue
+            if accept is not None and not accept(p, cand):
+                continue
             chosen[p] = cand
             yield from backtrack(i + 1, chosen)
             del chosen[p]
@@ -646,11 +776,16 @@ def _enumerate_natural(x: PersistentObject, y: PersistentObject, shift: Grade,
     yield from backtrack(0, {})
 
 
-def _partner(f: DeltaMorphism, delta: Grade, budget: _Budget
+def _partner(f: DeltaMorphism, frame: _Frame, budget: _Budget
              ) -> Optional[InterleavingCert]:
-    for g_components in _enumerate_natural(f.target, f.source, delta, budget):
-        g = DeltaMorphism(f.target, f.source, delta, g_components, validate=False)
-        cert = InterleavingCert(f, g)
+    """The first natural g, in enumeration order, making (f, g) an
+    interleaving: candidates the triangles rule out are dropped inside the
+    backtracking, and a g that survives is re-checked by check_interleaving."""
+    accept = frame.triangle_filter(f)
+    if accept is None:
+        return None
+    for g_components in _enumerate_natural(frame.g, budget, accept):
+        cert = InterleavingCert(f, DeltaMorphism._on(frame.g, g_components))
         if check_interleaving(cert).valid:
             return cert
     return None
@@ -662,14 +797,15 @@ def find_partner(f: DeltaMorphism, delta: Grade, budget_limit: int = 200_000
     (f.shift, delta)-interleaving. m = 1 only."""
     if f.source.m != 1:
         raise DimensionError("partner search supports m = 1 only")
-    return _partner(f, delta, _Budget(budget_limit))
+    frame = _Frame(f.source, f.target, f.shift, delta)
+    return _partner(f, frame, _Budget(budget_limit))
 
 
 def _search_at_delta(x: PersistentObject, y: PersistentObject, delta: Grade,
                      budget: _Budget) -> Optional[InterleavingCert]:
-    for f_components in _enumerate_natural(x, y, delta, budget):
-        f = DeltaMorphism(x, y, delta, f_components, validate=False)
-        cert = _partner(f, delta, budget)
+    frame = _Frame(x, y, delta, delta)
+    for f_components in _enumerate_natural(frame.f, budget):
+        cert = _partner(DeltaMorphism._on(frame.f, f_components), frame, budget)
         if cert is not None:
             return cert
     return None
@@ -699,6 +835,13 @@ def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
                                  budget: int = 200_000) -> SearchResult:
     """Least candidate delta admitting a valid delta-interleaving, found by
     exhaustive enumeration of component maps (m = 1, FinSet or F2Vec).
+
+    For each natural f, candidates for g are pruned inside the backtracking
+    by naturality and by the two triangle identities, which given f
+    constrain g one component at a time. The budget counts every candidate
+    component visited, for f and g alike, so pruned branches cost nothing
+    further. A g that survives is re-checked by ``check_interleaving``
+    before its certificate is returned.
 
     The answer is a certified upper bound on the interleaving distance; it
     equals the distance whenever the candidate set is complete.

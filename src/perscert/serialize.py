@@ -194,10 +194,9 @@ def decode_object(data: dict) -> PersistentObject:
     edges = {}
     for key, f in _field(data, "edge_maps", dict, {}).items():
         edges[decode_edge_key(key)] = decode_cat_map(category, f)
-    return PersistentObject(
-        grid, category, objects, edges,
-        integer_indexed=bool(data.get("integer_indexed", False)),
-    )
+    integer_indexed = data.get("integer_indexed", False)
+    _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
+    return PersistentObject(grid, category, objects, edges, integer_indexed=integer_indexed)
 
 
 # -- morphisms and certificates -------------------------------------------------

@@ -370,3 +370,29 @@ def test_keys_outside_the_grid_are_rejected(runner, tmp_path, patch):
     report = json.loads(r.output)
     assert report["ok"] is False and report["error"] == "property"
     assert "outside the grid" in report["message"]
+
+
+def test_integer_indexed_must_be_a_json_boolean(runner, tmp_path):
+    doc = {**f2vec_object(IDENTITY_2), "axes": [["0", "1/2"]], "integer_indexed": "no"}
+    r = invoke(runner, ["barcode", write(tmp_path, "x.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and "integer_indexed" in report["message"]
+
+
+def test_validate_names_the_simplex_whose_grade_arity_differs(runner, tmp_path):
+    doc = {
+        "format": ser.FORMAT_COMPLEX,
+        "vertices": ["a", "b"],
+        "simplices": [
+            {"v": ["a"], "grade": ["0"]},
+            {"v": ["b"], "grade": ["0"]},
+            {"v": ["a", "b"], "grade": ["0", "1"]},
+        ],
+    }
+    r = invoke(runner, ["validate", write(tmp_path, "c.json", doc)])
+    assert r.exit_code == 1
+    report = json.loads(r.output)
+    assert report["ok"] is False
+    assert report["reason"].startswith("grades of mixed arity")
+    assert report["offender"] == ["a", "b"]

@@ -2,16 +2,23 @@
 operators, interleaving certificates, pullbacks, discretization, rescaling,
 and the brute-force searches."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perscert import (
+    DeltaMorphism,
     Grade,
     Grid,
+    InterleavingCert,
     OrderError,
     PersistentObject,
+    canonical_grid,
     check_interleaving,
     compose,
     compose_interleavings,
@@ -29,6 +36,7 @@ from perscert import (
     self_interleaving,
     shift_morphism,
 )
+from perscert.persist import _Frame, interleaving_candidates
 from perscert.randgen import (
     corrupt_certificate,
     interleaved_pair,
@@ -37,6 +45,7 @@ from perscert.randgen import (
     rand_finset_object,
     rand_real_object,
 )
+from perscert.serialize import encode_cert
 
 
 # -- evaluation semantics -----------------------------------------------------
@@ -226,3 +235,128 @@ def test_distance_search_empty_vs_persistent_point_is_infinite():
     empty = constant_object("FinSet", frozenset(), Grid([axis]))
     result = interleaving_distance_search(x, empty)
     assert result.distance is None  # no shift ever maps the point anywhere
+
+
+# -- the search against a plain reference ------------------------------------------
+
+
+def reference_natural(x, y, shift):
+    """Every natural x ->_shift y, in the search's order: all component
+    choices over the merged grid, first point slowest, then filtered."""
+    grid = canonical_grid(x, y, shift)
+    points = list(grid.indices())
+    homs = [list(x.category.enumerate_maps(x.evaluate(grid.grade_at(p)),
+                                           y.evaluate(grid.grade_at(p) + shift)))
+            for p in points]
+    for choice in itertools.product(*homs):
+        f = DeltaMorphism(x, y, shift, dict(zip(points, choice)), validate=False)
+        if f.is_natural():
+            yield f
+
+
+def reference_search(x, y):
+    """Least candidate delta with a valid certificate: natural f, then
+    natural g, then the full check."""
+    for delta in interleaving_candidates(x, y):
+        d = Grade([delta])
+        gs = list(reference_natural(y, x, d))
+        for f in reference_natural(x, y, d):
+            for g in gs:
+                cert = InterleavingCert(f, g)
+                if check_interleaving(cert).valid:
+                    return delta, cert
+    return None, None
+
+
+def small_pairs(n):
+    """Seeded m = 1 FinSet and F2Vec pairs: on three integer grades, with a
+    genuinely 1-interleaved or a random partner, and on random rational
+    axes."""
+    for seed in range(n):
+        rng = random.Random(seed)
+        category = ("FinSet", "F2Vec")[seed % 2]
+        kind = seed // 2 % 3
+        if kind == 2:
+            size = 2 if category == "FinSet" else 1
+            yield (rand_real_object(rng, category, n_grades=3, max_size=size),
+                   rand_real_object(rng, category, n_grades=3, max_size=size))
+            continue
+        if category == "FinSet":
+            x = rand_finset_object(rng, lo=0, hi=2, max_size=2)
+        else:
+            x = rand_f2vec_object(rng, lo=0, hi=2, max_dim=1)
+        if kind == 0:
+            y, _ = interleaved_pair(rng, x, 1)
+        elif category == "FinSet":
+            y = rand_finset_object(rng, lo=0, hi=2, max_size=2)
+        else:
+            y = rand_f2vec_object(rng, lo=0, hi=2, max_dim=1)
+        yield x, y
+
+
+def test_distance_search_matches_the_reference_search():
+    certified = 0
+    for x, y in small_pairs(60):
+        expected, expected_cert = reference_search(x, y)
+        result = interleaving_distance_search(x, y)
+        assert result.distance == expected
+        if expected_cert is None:
+            assert result.certificate is None
+        else:
+            certified += 1
+            assert (json.dumps(encode_cert(result.certificate))
+                    == json.dumps(encode_cert(expected_cert)))
+    assert certified >= 30
+
+
+def test_triangle_filter_rejects_exactly_the_partners_that_fail():
+    checked = rejected = 0
+    for x, y in small_pairs(12):
+        for delta in interleaving_candidates(x, y)[:4]:
+            d = Grade([delta])
+            frame = _Frame(x, y, d, d)
+            gs = list(reference_natural(y, x, d))
+            for f in reference_natural(x, y, d):
+                accept = frame.triangle_filter(f)
+                for g in gs:
+                    admitted = accept is not None and all(
+                        accept(j, g.components[j]) for j in frame.g.points)
+                    assert admitted == check_interleaving(InterleavingCert(f, g)).valid
+                    checked += 1
+                    rejected += not admitted
+    assert rejected > 0 and checked > rejected
+
+
+# -- grid geometry -------------------------------------------------------------------
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+shifts = st.fractions(min_value=-4, max_value=4, max_denominator=35)
+
+
+@st.composite
+def grids(draw, m):
+    return Grid([sorted(draw(st.sets(rationals, min_size=1, max_size=5)))
+                 for _ in range(m)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_locate_merge_and_translate_agree_with_plain_grids(data):
+    m = data.draw(st.integers(1, 2))
+    a, b = data.draw(grids(m)), data.draw(grids(m))
+    # let the axes share some values
+    b = Grid([sorted(set(v) | set(data.draw(st.lists(st.sampled_from(u), max_size=3))))
+              for u, v in zip(a.axes, b.axes)])
+    shift = Grade(data.draw(st.lists(shifts, min_size=m, max_size=m)))
+    located = a.locate(b, shift)
+    assert list(located) == list(b.indices())
+    for idx in b.indices():
+        assert located[idx] == a.eval_index(b.grade_at(idx) + shift)
+    merged = a.merge(b)
+    plain = Grid([sorted(set(u) | set(v)) for u, v in zip(a.axes, b.axes)])
+    assert merged == plain and hash(merged) == hash(plain)
+    moved = a.translate(shift)
+    plain = Grid([[v + d for v in axis] for axis, d in zip(a.axes, shift.coords)])
+    assert moved == plain and hash(moved) == hash(plain)
+    assert moved.locate(a, shift) == {idx: idx for idx in a.indices()}
