@@ -32,7 +32,6 @@ from .persist import (
     InterleavingReport,
     PersistentObject,
     PullbackResult,
-    SearchResult,
     canonical_grid,
     check_interleaving,
     compose,
@@ -43,7 +42,6 @@ from .persist import (
     floor_roundtrip_cert,
     identity_shift,
     integer_object,
-    interleaving_distance_search,
     pullback_interleaving,
     rescale,
     rescale_cert,
@@ -89,7 +87,9 @@ from .rectify import (
 )
 from .distances import (
     Matching,
+    SearchResult,
     bottleneck,
+    interleaving_distance_search,
     module_distance_crosscheck,
     stability_audit,
 )

@@ -26,15 +26,11 @@ from .complexes import (
     validate,
     vietoris_rips,
 )
-from .distances import bottleneck, stability_audit
+from .distances import bottleneck, interleaving_distance_search, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
 from .grades import rat_to_str
 from .invariants import barcode, homology, pi0
-from .persist import (
-    check_interleaving,
-    floor_roundtrip_cert,
-    interleaving_distance_search,
-)
+from .persist import check_interleaving, floor_roundtrip_cert
 from .rectify import zigzag
 
 EXIT_OK = 0

@@ -320,6 +320,27 @@ class Barcode:
         )
 
 
+def linearize(x: PersistentObject) -> PersistentObject:
+    """F2[X], the free GF(2) module of a persistent set: X(p) in
+    ``total_order`` is the basis at each grid point, and each structure map
+    sends a basis element to the basis element of its image. A persistent
+    module is returned unchanged."""
+    if x.category_name == "F2Vec":
+        return x
+    if x.category_name != "FinSet":
+        raise CategoryError("linearize expects a persistent set or module")
+    bases = {idx: {e: i for i, e in enumerate(total_order(x.objects[idx]))}
+             for idx in x.grid.indices()}
+    edges = {}
+    for idx, a, nxt in x.grid.edges():
+        f, tgt = x.edge_maps[(idx, a)], bases[nxt]
+        edges[(idx, a)] = GF2Matrix.from_columns([1 << tgt[f[e]] for e in bases[idx]],
+                                                 len(tgt))
+    # the image of a valid object under a functor is valid
+    return PersistentObject(x.grid, "F2Vec", {idx: len(b) for idx, b in bases.items()},
+                            edges, integer_indexed=x.integer_indexed, validate=False)
+
+
 def barcode(f: PersistentObject) -> Barcode:
     """Interval decomposition of a 1-parameter GF(2) persistence module, by
     the rank inclusion-exclusion over the grid presentation."""

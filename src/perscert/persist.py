@@ -14,7 +14,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -231,13 +231,14 @@ class PersistentObject:
         cat = self.category
         if i is None:
             return cat.initial_map(self.at(j))
-        f = cat.identity(self.objects[i])
+        f = None
         cur = list(i)
         for a in range(self.grid.m):
             while cur[a] < j[a]:
-                f = cat.compose(self.edge_maps[(tuple(cur), a)], f)
+                edge = self.edge_maps[(tuple(cur), a)]
+                f = edge if f is None else cat.compose(edge, f)
                 cur[a] += 1
-        return f
+        return cat.identity(self.objects[i]) if f is None else f
 
     def evaluate(self, r: Grade):
         return self.at(self.grid.eval_index(r))
@@ -811,60 +812,13 @@ def _search_at_delta(x: PersistentObject, y: PersistentObject, delta: Grade,
     return None
 
 
-@dataclass
-class SearchResult:
-    distance: Optional[Fraction]  # None means +infinity
-    certificate: Optional[InterleavingCert]
-    candidates: list = field(default_factory=list)
-    reason: str = ""
-
-
 def interleaving_candidates(x: PersistentObject, y: PersistentObject) -> list[Fraction]:
-    """D = {0} union {b - a, (b - a)/2 : a <= b critical grades}."""
-    crit = sorted(set(x.grid.axes[0]) | set(y.grid.axes[0]))
-    deltas = {Fraction(0)}
-    for a in crit:
-        for b in crit:
-            if a <= b:
-                deltas.add(b - a)
-                deltas.add((b - a) / 2)
-    return sorted(deltas)
-
-
-def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
-                                 budget: int = 200_000) -> SearchResult:
-    """Least candidate delta admitting a valid delta-interleaving, found by
-    exhaustive enumeration of component maps (m = 1, FinSet or F2Vec).
-
-    For each natural f, candidates for g are pruned inside the backtracking
-    by naturality and by the two triangle identities, which given f
-    constrain g one component at a time. The budget counts every candidate
-    component visited, for f and g alike, so pruned branches cost nothing
-    further. A g that survives is re-checked by ``check_interleaving``
-    before its certificate is returned.
-
-    The answer is a certified upper bound on the interleaving distance; it
-    equals the distance whenever the candidate set is complete.
-    """
-    if x.m != 1 or y.m != 1:
-        raise DimensionError("distance search supports m = 1 only")
-    if x.category_name not in ("FinSet", "F2Vec"):
-        raise CategoryError("distance search supports FinSet and F2Vec only")
-    candidates = interleaving_candidates(x, y)
-    shared = _Budget(budget)
-    incomplete = False
-    for delta in candidates:
-        try:
-            cert = _search_at_delta(x, y, Grade([delta]), shared)
-        except BudgetExceededError:
-            incomplete = True
-            break
-        if cert is not None:
-            return SearchResult(delta, cert, candidates, "least valid candidate")
-    if incomplete:
-        raise BudgetExceededError(
-            f"search budget of {budget} exhausted before settling all candidates",
-            upper_bound=None,
-        )
-    return SearchResult(None, None, candidates,
-                        "no candidate delta admits a certificate")
+    """D = {0} union {b - a, (b - a)/2 : a <= b critical grades}, sorted. The
+    critical grades are scaled to integers over one common denominator d, so
+    every candidate is a whole number of 1/(2d) steps."""
+    crit = set(x.grid.axes[0]) | set(y.grid.axes[0])
+    d = math.lcm(*(v.denominator for v in crit))
+    ints = sorted(v.numerator * (d // v.denominator) for v in crit)
+    diffs = {b - a for i, a in enumerate(ints) for b in ints[i:]}
+    steps = diffs | {2 * k for k in diffs}
+    return [Fraction(k, 2 * d) for k in sorted(steps)]

@@ -10,8 +10,9 @@ from click.testing import CliRunner
 from perscert import serialize as ser
 from perscert.cli import main
 from perscert.complexes import MetricInput
+from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
-from perscert.persist import self_interleaving
+from perscert.persist import integer_object, self_interleaving
 from perscert.randgen import interleaved_pair, rand_finset_object, rand_persistent_complex
 
 COLLINEAR = {
@@ -116,6 +117,28 @@ def test_interleave_dist_budget_exceeded_exits_3(runner, tmp_path):
     py = write(tmp_path, "y.json", ser.encode_object(y))
     r = invoke(runner, ["interleave-dist", px, py, "--max-enum", "1"])
     assert r.exit_code == 3
+
+
+def test_interleave_dist_rejects_a_set_against_a_module(runner, tmp_path):
+    # the zero module is infinitely far from the point in barcodes, but the
+    # two objects live in different categories
+    x = integer_object("FinSet", [frozenset({"*"})] * 2, [{"*": "*"}], 0)
+    y = integer_object("F2Vec", [0, 0], [GF2Matrix.zeros(0, 0)], 0)
+    px = write(tmp_path, "x.json", ser.encode_object(x))
+    py = write(tmp_path, "y.json", ser.encode_object(y))
+    r = invoke(runner, ["interleave-dist", px, py])
+    assert r.exit_code == 1
+    assert json.loads(r.output)["message"] == "source and target live in different categories"
+
+
+def test_interleave_dist_infinite_bottleneck_needs_no_budget(runner, tmp_path):
+    x = integer_object("F2Vec", [1, 1], [GF2Matrix.identity(1)], 0)
+    y = integer_object("F2Vec", [1, 0], [GF2Matrix.zeros(0, 1)], 0)
+    px = write(tmp_path, "x.json", ser.encode_object(x))
+    py = write(tmp_path, "y.json", ser.encode_object(y))
+    r = invoke(runner, ["interleave-dist", px, py, "--max-enum", "1"])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["distance"] == "inf"
 
 
 def test_rectify_emits_the_composite_with_shifts_2_2(runner, tmp_path):

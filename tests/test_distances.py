@@ -2,6 +2,7 @@
 cross-checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,10 +16,17 @@ from perscert import (
     self_interleaving,
     stability_audit,
 )
-from perscert.distances import bottleneck_bruteforce
+from perscert.distances import _least_certified, bottleneck_bruteforce
 from perscert.gf2 import GF2Matrix
 from perscert.persist import Grid, PersistentObject, check_interleaving
-from perscert.randgen import rand_barcode, rand_complex_interleaving, rand_persistent_complex
+from perscert.invariants import barcode
+from perscert.randgen import (
+    interleaved_pair,
+    rand_barcode,
+    rand_complex_interleaving,
+    rand_f2vec_object,
+    rand_persistent_complex,
+)
 
 
 def interval_module(birth, death, axis):
@@ -121,3 +129,17 @@ def test_module_crosscheck_identical_modules():
     f = interval_module(1, 3, list(range(0, 4)))
     rep = module_distance_crosscheck(f, f)
     assert rep.holds and rep.bottleneck_distance == 0 and rep.certified_delta == 0
+
+
+def test_least_certified_delta_of_modules_is_their_bottleneck_distance():
+    # the isometry theorem, on the module pairs of criterion 11, with the
+    # search started from 0 rather than from d_B
+    for seed in range(50):
+        rng = random.Random(seed)
+        f = rand_f2vec_object(rng, lo=0, hi=2, max_dim=2)
+        if seed % 2 == 0:
+            g, _ = interleaved_pair(rng, f, 1)
+        else:
+            g = rand_f2vec_object(rng, lo=0, hi=2, max_dim=2)
+        d, _ = bottleneck(barcode(f), barcode(g))
+        assert _least_certified(f, g, Fraction(0), 2_000_000).distance == d

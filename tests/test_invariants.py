@@ -20,7 +20,7 @@ from perscert import (
     vietoris_rips,
 )
 from perscert import invariants
-from perscert.invariants import bfs_component_count, induced_h_map, pi0_induced
+from perscert.invariants import bfs_component_count, induced_h_map, linearize, pi0_induced
 from perscert.persist import DeltaMorphism, check_interleaving, compose, integer_object
 from perscert.randgen import (
     interleaved_pair,
@@ -95,6 +95,14 @@ def test_pi0_cardinality_equals_h0_rank_everywhere():
         h0 = homology(x, 0)
         for p in x.grid.points():
             assert len(comps.evaluate(p)) == h0.evaluate(p)
+
+
+def test_linearized_components_have_the_barcode_of_h0():
+    for seed in range(30):
+        x = rand_persistent_complex(random.Random(seed))
+        h0 = homology(x, 0)
+        assert barcode(linearize(pi0(x))) == barcode(h0)
+    assert linearize(h0) is h0
 
 
 def test_h0_of_a_point_is_rank_one_from_its_grade_on():

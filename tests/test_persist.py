@@ -36,6 +36,8 @@ from perscert import (
     self_interleaving,
     shift_morphism,
 )
+from perscert.distances import _least_certified, bottleneck
+from perscert.invariants import barcode, linearize
 from perscert.persist import _Frame, interleaving_candidates
 from perscert.randgen import (
     corrupt_certificate,
@@ -294,19 +296,35 @@ def small_pairs(n):
         yield x, y
 
 
+def finset_pairs_beyond_every_bound(n):
+    """Seeded FinSet pairs whose linearized barcodes are infinitely apart."""
+    for seed in range(n):
+        rng = random.Random(seed)
+        x = rand_finset_object(rng, lo=0, hi=2, max_size=2)
+        y = rand_finset_object(rng, lo=0, hi=2, max_size=2)
+        if bottleneck(barcode(linearize(x)), barcode(linearize(y)))[0] is None:
+            yield x, y
+
+
 def test_distance_search_matches_the_reference_search():
-    certified = 0
-    for x, y in small_pairs(60):
+    # the search from the d_B floor against the plain reference and against
+    # the same search from 0: distance, candidates, reason and certificate
+    certified = unbounded = 0
+    for x, y in itertools.chain(small_pairs(60), finset_pairs_beyond_every_bound(40)):
         expected, expected_cert = reference_search(x, y)
         result = interleaving_distance_search(x, y)
-        assert result.distance == expected
+        plain = _least_certified(x, y, Fraction(0), 200_000)
+        assert result.distance == plain.distance == expected
+        assert (result.candidates, result.reason) == (plain.candidates, plain.reason)
         if expected_cert is None:
-            assert result.certificate is None
+            assert result.certificate is None and plain.certificate is None
+            unbounded += 1
         else:
             certified += 1
             assert (json.dumps(encode_cert(result.certificate))
+                    == json.dumps(encode_cert(plain.certificate))
                     == json.dumps(encode_cert(expected_cert)))
-    assert certified >= 30
+    assert certified >= 30 and unbounded >= 20
 
 
 def test_triangle_filter_rejects_exactly_the_partners_that_fail():
@@ -338,6 +356,30 @@ shifts = st.fractions(min_value=-4, max_value=4, max_denominator=35)
 def grids(draw, m):
     return Grid([sorted(draw(st.sets(rationals, min_size=1, max_size=5)))
                  for _ in range(m)])
+
+
+def reference_candidates(x, y):
+    """The candidate set by its definition, in Fractions."""
+    crit = sorted(set(x.grid.axes[0]) | set(y.grid.axes[0]))
+    deltas = {Fraction(0)}
+    for a in crit:
+        for b in crit:
+            if a <= b:
+                deltas.add(b - a)
+                deltas.add((b - a) / 2)
+    return sorted(deltas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(1), grids(1), st.data())
+def test_integer_candidates_match_the_fraction_definition(a, b, data):
+    # mixed denominators and negative values come from the strategy; also
+    # let the axes share some values
+    b = Grid([sorted(set(b.axes[0]) | set(data.draw(st.lists(st.sampled_from(a.axes[0]),
+                                                               max_size=3))))])
+    x = constant_object("FinSet", frozenset(), a)
+    y = constant_object("FinSet", frozenset(), b)
+    assert interleaving_candidates(x, y) == reference_candidates(x, y)
 
 
 @settings(max_examples=100, deadline=None)
