@@ -193,6 +193,8 @@ class MetricInput:
         points = tuple(points)
         dist = tuple(tuple(rat(x) for x in row) for row in dist)
         n = len(points)
+        if len(set(points)) != n:
+            raise SchemaError("metric points must be distinct")
         if len(dist) != n or any(len(row) != n for row in dist):
             raise SchemaError("dissimilarity matrix shape does not match points")
         for i in range(n):

@@ -194,22 +194,6 @@ class GF2Matrix:
         return x
 
 
-def span_rank(vectors: Sequence[Sequence[int]]) -> int:
-    echelon = Echelon()
-    for v in vectors:
-        echelon.add(_pack(v))
-    return len(echelon)
-
-
-def extend_to_basis(base: list[tuple[int, ...]], candidates: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Greedily pick candidates that grow the span of ``base``; returns the
-    picked vectors (not the base)."""
-    echelon = Echelon()
-    for v in base:
-        echelon.add(_pack(v))
-    return [tuple(c) for c in candidates if echelon.add(_pack(c))]
-
-
 def all_matrices(nrows: int, ncols: int) -> Iterator[GF2Matrix]:
     """Every GF(2) matrix of the given shape, 2^(nrows*ncols) of them, in the
     order of ``itertools.product((0, 1), repeat=nrows * ncols)`` over the

@@ -587,12 +587,42 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
 # -- discretization and rescaling -------------------------------------------
 
 
+def _positions(grid: Grid, values: list) -> dict:
+    """value -> index in grid (m = 1) of the largest point <= value (None
+    when below the grid, as in ``eval_index``), by one ``locate`` over the
+    distinct values."""
+    distinct = sorted(set(values))
+    table = grid.locate(Grid._trusted((tuple(distinct),)), zero_grade(1))
+    return {v: table[(k,)] for k, v in enumerate(distinct)}
+
+
 def _sample(x: PersistentObject, fn, lo: int, hi: int) -> PersistentObject:
     """The Z-indexed object n -> X(fn(n)) on the window [lo, hi], for a
     monotone fn: Z -> Z, with the structure maps of X between samples."""
-    values = [x.evaluate(Grade([fn(n)])) for n in range(lo, hi + 1)]
-    maps = [x.structure_map(Grade([fn(n)]), Grade([fn(n + 1)])) for n in range(lo, hi)]
+    samples = [fn(n) for n in range(lo, hi + 1)]
+    if any(a > b for a, b in zip(samples, samples[1:])):
+        raise OrderError("sampling needs a monotone reindexing")
+    at = _positions(x.grid, samples)
+    values = [x.at(at[v]) for v in samples]
+    maps = [x.map_between(at[v], at[w]) for v, w in zip(samples, samples[1:])]
     return integer_object(x.category_name, values, maps, lo)
+
+
+def _structure_morphism(x: PersistentObject, source: PersistentObject,
+                        target: PersistentObject, shift: Grade, start, end
+                        ) -> DeltaMorphism:
+    """The morphism source ->_shift target (m = 1) whose component at each
+    value v of its merged grid is the structure map of x from start(v) to
+    end(v); the map out of the initial object when start(v) is below x's
+    grid."""
+    values = canonical_grid(source, target, shift).axes[0]
+    starts, ends = [start(v) for v in values], [end(v) for v in values]
+    if any(a > b for a, b in zip(starts, ends)):
+        raise OrderError("structure map needs start <= end at every value")
+    at = _positions(x.grid, starts + ends)
+    components = {(k,): x.map_between(at[a], at[b])
+                  for k, (a, b) in enumerate(zip(starts, ends))}
+    return DeltaMorphism(source, target, shift, components, validate=False)
 
 
 def restrict_to_Z(x: PersistentObject) -> PersistentObject:
@@ -619,17 +649,9 @@ def floor_roundtrip_cert(x: PersistentObject) -> InterleavingCert:
     """The 1-interleaving between X and the floor-extension of its integer
     restriction."""
     a = extend_floor(restrict_to_Z(x))
-
-    def f_comp(r: Grade):
-        t = Grade([floor_int(r.coords[0] + 1)])
-        return x.structure_map(r, t)
-
-    def g_comp(r: Grade):
-        return x.structure_map(Grade([floor_int(r.coords[0])]), r + Grade([1]))
-
     one = Grade([1])
-    f = DeltaMorphism.from_fn(x, a, one, f_comp, validate=False)
-    g = DeltaMorphism.from_fn(a, x, one, g_comp, validate=False)
+    f = _structure_morphism(x, x, a, one, lambda v: v, lambda v: floor_int(v + 1))
+    g = _structure_morphism(x, a, x, one, floor_int, lambda v: v + 1)
     return InterleavingCert(f, g)
 
 

@@ -22,6 +22,7 @@ from .persist import (
     Grid,
     InterleavingCert,
     PersistentObject,
+    _structure_morphism,
     extend_floor,
     integer_object,
     restrict_to_Z,
@@ -122,25 +123,11 @@ def interleaved_pair(rng: random.Random, x: PersistentObject, m: int = 1
     tau = monotone_tau(rng, lo, hi, m)
     y = reindex(x, tau)
     shift = Grade([m])
-    cat = x.category
-
-    def clamp(n: int) -> int:
-        return min(max(n, lo), hi)
-
-    def f_comp(p: Grade):
-        n = int(p.coords[0])
-        if n + m < lo:
-            return cat.initial_map(cat.initial())
-        return x.structure_map(p, Grade([tau(clamp(n + m))]))
-
-    def g_comp(p: Grade):
-        n = int(p.coords[0])
-        if n < lo:
-            return cat.initial_map(x.evaluate(p + shift))
-        return x.structure_map(Grade([tau(clamp(n))]), p + shift)
-
-    f = DeltaMorphism.from_fn(x, y, shift, f_comp, validate=False)
-    g = DeltaMorphism.from_fn(y, x, shift, g_comp, validate=False)
+    # the merged grids run over [lo - m, hi]: f ends at or above lo, and g
+    # starts below x's grid exactly when its source y is initial
+    f = _structure_morphism(x, x, y, shift, lambda v: v, lambda v: tau(min(v + m, hi)))
+    g = _structure_morphism(x, y, x, shift, lambda v: v if v < lo else tau(v),
+                            lambda v: v + m)
     return y, InterleavingCert(f, g)
 
 
@@ -157,29 +144,19 @@ def natural_map_into(rng: random.Random, y: PersistentObject
         return min(tau(n), n)
 
     b = reindex(y, tau_id_capped)
-    cat = y.category
-
-    def h_comp(p: Grade):
-        n = int(p.coords[0])
-        if n < lo:
-            return cat.initial_map(y.evaluate(p))
-        return y.structure_map(Grade([tau_id_capped(min(n, hi))]), p)
-
-    h = DeltaMorphism.from_fn(b, y, Grade([0]), h_comp, validate=False)
+    h = _structure_morphism(y, b, y, Grade([0]), tau_id_capped, lambda v: v)
     return b, h
 
 
 def lift_cert_to_real(x: PersistentObject, y: PersistentObject,
                       cert: InterleavingCert, r) -> InterleavingCert:
     """View a 1-interleaving of Z-indexed objects as an (r, r)-interleaving
-    of their floor-extensions, for rational r >= 1."""
+    of their floor-extensions, for rational r >= 1. ``extend_floor`` keeps
+    the grids, so the components carry over."""
     r = rat(r)
     ex, ey = extend_floor(x), extend_floor(y)
-    one = Grade([1])
-    f = DeltaMorphism.from_fn(ex, ey, one,
-                              lambda p: cert.f.component_at(p), validate=False)
-    g = DeltaMorphism.from_fn(ey, ex, one,
-                              lambda p: cert.g.component_at(p), validate=False)
+    f = DeltaMorphism(ex, ey, cert.f.shift, cert.f.components, validate=False)
+    g = DeltaMorphism(ey, ex, cert.g.shift, cert.g.components, validate=False)
     return InterleavingCert(shift_morphism(f, Grade([r])),
                             shift_morphism(g, Grade([r])))
 

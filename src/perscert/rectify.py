@@ -26,7 +26,9 @@ from .persist import (
     DeltaMorphism,
     InterleavingCert,
     PersistentObject,
+    _positions,
     _sample,
+    _structure_morphism,
     check_interleaving,
     compose_interleavings,
     integer_object,
@@ -38,10 +40,6 @@ def _window(x: PersistentObject) -> tuple[int, int]:
         raise ValidationError("expected an integer-indexed object")
     axis = x.grid.axes[0]
     return int(axis[0]), int(axis[-1])
-
-
-def _int_grade(n: int) -> Grade:
-    return Grade([n])
 
 
 def _block_end(hi: int, m: int, parity: int) -> int:
@@ -75,17 +73,9 @@ def _even_odd(x: PersistentObject, m: int, lo: int, hi: int
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
     ex = reindex(x, even, lo, _block_end(hi, m, 0))
     ox = reindex(x, odd, lo, _block_end(hi, m, 1))
-    shift = _int_grade(m)
-
-    def leg(start, end):
-        """Components X(start(n)) -> X(end(n + m))."""
-        def comp(r: Grade):
-            n = int(r.coords[0])
-            return x.structure_map(_int_grade(start(n)), _int_grade(end(n + m)))
-        return comp
-
-    f = DeltaMorphism.from_fn(ex, ox, shift, leg(even, odd), validate=False)
-    g = DeltaMorphism.from_fn(ox, ex, shift, leg(odd, even), validate=False)
+    shift = Grade([m])
+    f = _structure_morphism(x, ex, ox, shift, even, lambda v: odd(v + m))
+    g = _structure_morphism(x, ox, ex, shift, odd, lambda v: even(v + m))
     return ex, ox, InterleavingCert(f, g)
 
 
@@ -94,19 +84,8 @@ def _outer_cert(x: PersistentObject, rx: PersistentObject, fn, m: int
     """X ~(2m-1, 0)~ fn^*(X) via structure maps, where fn is the even or odd
     block reindexing (fn(n) <= n <= fn(n + 2m - 1))."""
     s = 2 * m - 1
-    shift = _int_grade(s)
-    zero = _int_grade(0)
-
-    def f_comp(r: Grade):
-        n = int(r.coords[0])
-        return x.structure_map(_int_grade(n), _int_grade(fn(n + s)))
-
-    def g_comp(r: Grade):
-        n = int(r.coords[0])
-        return x.structure_map(_int_grade(fn(n)), _int_grade(n))
-
-    f = DeltaMorphism.from_fn(x, rx, shift, f_comp, validate=False)
-    g = DeltaMorphism.from_fn(rx, x, zero, g_comp, validate=False)
+    f = _structure_morphism(x, x, rx, Grade([s]), lambda v: v, lambda v: fn(v + s))
+    g = _structure_morphism(x, rx, x, Grade([0]), fn, lambda v: v)
     return InterleavingCert(f, g)
 
 
@@ -130,7 +109,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     report = check_interleaving(cert)
     if not report.valid:
         raise ValidationError(f"input certificate invalid: {report.reason}")
-    if cert.epsilon != _int_grade(m) or cert.delta != _int_grade(m):
+    if cert.epsilon != Grade([m]) or cert.delta != Grade([m]):
         raise ValidationError("certificate shifts must equal the block size m")
     lo, hi = _window(a)
     if _window(b) != (lo, hi):
@@ -140,28 +119,16 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     he, ho = _block_end(hi, m, 0), _block_end(hi, m, 1)
     hi_c = max(he, ho) + m
 
-    def c_value(n: int):
-        if (n // m) % 2 == 0:
-            return a.evaluate(_int_grade(even_reindex(n, m)))
-        return b.evaluate(_int_grade(odd_reindex(n, m)))
-
-    def c_map(n: int):
-        """C(n) -> C(n + 1)."""
-        q, q2 = n // m, (n + 1) // m
-        if q == q2:
-            obj = a if q % 2 == 0 else b
-            re = even_reindex if q % 2 == 0 else odd_reindex
-            return obj.structure_map(
-                _int_grade(re(n, m)), _int_grade(re(n + 1, m))
-            )
-        if q % 2 == 0:
-            # crossing even -> odd: the f-leg at A(q * m)
-            return f.component_at(_int_grade(q * m))
-        # crossing odd -> even: the g-leg at B(q * m)
-        return g.component_at(_int_grade(q * m))
-
-    values = [c_value(n) for n in range(lo, hi_c + 1)]
-    maps = [c_map(n) for n in range(lo, hi_c)]
+    # C(n) is A (block index n // m even) or B (odd) at the start of n's
+    # block; inside a block C's maps are identities, and the step out of a
+    # block is the f leg (even) or the g leg (odd) at the block start
+    starts = [n // m * m for n in range(lo, hi_c + 1)]
+    sides = [(z, leg, _positions(z.grid, starts), _positions(leg.grid, starts))
+             for z, leg in ((a, f), (b, g))]
+    side = [sides[s // m % 2] for s in starts]
+    values = [z.at(at_z[s]) for s, (z, _, at_z, _) in zip(starts, side)]
+    maps = [z.map_between(at_z[s], at_z[s]) if s == s2 else leg.at(at_leg[s])
+            for s, s2, (z, leg, at_z, at_leg) in zip(starts, starts[1:], side)]
     c = integer_object(a.category_name, values, maps, lo)
 
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
@@ -196,7 +163,7 @@ def three_halves_check(x: PersistentObject, y: PersistentObject,
     report = check_interleaving(cert)
     if not report.valid:
         raise ValidationError(f"input certificate invalid: {report.reason}")
-    one = _int_grade(1)
+    one = Grade([1])
 
     def f_comp(p: Grade):
         n = p.coords[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .categories import simplex
 from .complexes import FilteredComplex, MetricInput
 from .errors import SchemaError
 from .gf2 import GF2Matrix
@@ -91,7 +92,8 @@ def decode_element(x):
     if isinstance(x, dict):
         _require(set(x.keys()) == {"frozenset"}, f"bad element {x!r}")
         return frozenset(decode_element(v) for v in _field(x, "frozenset", list))
-    _require(isinstance(x, (str, int)), f"bad element {x!r}")
+    # a JSON boolean would merge with 1 or 0 as a Python set element
+    _require(isinstance(x, str) or _is_int(x), f"bad element {x!r}")
     return x
 
 
@@ -280,12 +282,16 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
     _require(data.get("format") == FORMAT_COMPLEX,
              f"unexpected format {data.get('format')!r}")
     vertices = [decode_element(v) for v in _field(data, "vertices", list, [])]
+    _require(len(set(vertices)) == len(vertices), "vertices must be distinct")
     simplices = []
     grade = {}
     for entry in _field(data, "simplices", list, []):
         _require(isinstance(entry, dict) and isinstance(entry.get("v"), list)
                  and "grade" in entry, f"bad simplex entry {entry!r}")
-        s = tuple(decode_element(v) for v in entry["v"])
+        vs = [decode_element(v) for v in entry["v"]]
+        _require(len(set(vs)) == len(vs), f"simplex {vs!r} repeats a vertex")
+        s = simplex(vs)
+        _require(s not in grade, f"simplex {vs!r} is given twice")
         simplices.append(s)
         grade[s] = decode_grade(entry["grade"])
     return FilteredComplex(vertices, simplices, grade)

@@ -419,3 +419,55 @@ def test_validate_names_the_simplex_whose_grade_arity_differs(runner, tmp_path):
     assert report["ok"] is False
     assert report["reason"].startswith("grades of mixed arity")
     assert report["offender"] == ["a", "b"]
+
+
+def test_boolean_element_is_a_schema_error(runner, tmp_path):
+    # JSON true would merge with 1: the object {1, true} would become {1}
+    doc = {
+        "format": ser.FORMAT_OBJECT,
+        "m": 1,
+        "category": "FinSet",
+        "axes": [["0", "1/2"]],
+        "objects": {"0": [1, True], "1": ["a", "b"]},
+        "edge_maps": {"0|0": [[1, "a"], [True, "b"]]},
+    }
+    r = invoke(runner, ["roundtrip-floor", write(tmp_path, "x.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and "True" in report["message"]
+
+
+REPEATED_SIMPLEX = {
+    "format": ser.FORMAT_COMPLEX,
+    "vertices": [0, 1],
+    "simplices": [
+        {"v": [0], "grade": ["0"]},
+        {"v": [1], "grade": ["0"]},
+        {"v": [0, 1], "grade": ["1"]},
+        {"v": [1, 0], "grade": ["5"]},
+    ],
+}
+REPEATED_VERTEX = {
+    "format": ser.FORMAT_COMPLEX,
+    "vertices": [0, 1],
+    "simplices": [
+        {"v": [0], "grade": ["0"]},
+        {"v": [1], "grade": ["0"]},
+        {"v": [0, 0, 1], "grade": ["1"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["rips"], {**COLLINEAR, "points": [0, 0, 1]}, "distinct"),
+    (["validate"], {**REPEATED_VERTEX, "vertices": [0, 0, 1],
+                    "simplices": REPEATED_VERTEX["simplices"][:2]}, "distinct"),
+    (["validate"], REPEATED_VERTEX, "repeats a vertex"),
+    (["validate"], REPEATED_SIMPLEX, "given twice"),
+    (["barcode", "--dim", "0"], REPEATED_SIMPLEX, "given twice"),
+], ids=["metric-point", "complex-vertex", "simplex-vertex", "simplex-validate", "simplex-barcode"])
+def test_repeated_names_are_a_schema_error(runner, tmp_path, command, doc, message):
+    r = invoke(runner, [command[0], write(tmp_path, "doc.json", doc), *command[1:]])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and message in report["message"]

@@ -1,6 +1,8 @@
 """Golden CLI outputs: the whole stdout and the exit code of the README
 commands and of the certificate-level subcommands, on fixed documents and on
 seeded ``randgen`` inputs, compared byte for byte with ``tests/golden/``.
+The ``scripts/`` programs are compared the same way, each run in a fresh
+interpreter (``script-<name>.txt``).
 
 Each golden file is ``exit: <code>`` on its first line followed by the exact
 stdout. After a deliberate output change, regenerate them with
@@ -8,7 +10,10 @@ stdout. After a deliberate output change, regenerate them with
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +46,8 @@ from perscert.randgen import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+SCRIPTS = ["worked_example", "zigzag_constants"]
 
 COLLINEAR = {
     "format": ser.FORMAT_METRIC,
@@ -180,6 +187,15 @@ def write_inputs(directory: Path) -> None:
     (directory / "rand_dr.json").write_text(text.split("\n", 1)[1])
 
 
+def run_script(name: str) -> str:
+    """Exit code line plus the whole stdout of ``scripts/<name>.py``, run in a
+    fresh interpreter with a fixed string hash seed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{name}.py")],
+                            capture_output=True, text=True, env=env, check=False)
+    return f"exit: {result.returncode}\n{result.stdout}"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden_inputs")
@@ -193,6 +209,12 @@ def test_cli_output_matches_golden(inputs, name):
     assert run_case(inputs, CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_output_matches_golden(name):
+    expected = (GOLDEN / f"script-{name}.txt").read_text()
+    assert run_script(name) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -201,3 +223,5 @@ if __name__ == "__main__":
         write_inputs(Path(tmp))
         for name, args in sorted(CASES.items()):
             (GOLDEN / f"{name}.txt").write_text(run_case(Path(tmp), args))
+    for name in SCRIPTS:
+        (GOLDEN / f"script-{name}.txt").write_text(run_script(name))

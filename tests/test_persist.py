@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,13 @@ from perscert import (
     compose,
     compose_interleavings,
     constant_object,
+    even_odd_restrict,
     extend_floor,
     find_partner,
     floor_roundtrip_cert,
     grade,
     identity_shift,
+    integer_object,
     interleaving_distance_search,
     pullback_interleaving,
     rescale,
@@ -35,13 +38,16 @@ from perscert import (
     restrict_to_Z,
     self_interleaving,
     shift_morphism,
+    zigzag,
 )
 from perscert.distances import _least_certified, bottleneck
 from perscert.invariants import barcode, linearize
-from perscert.persist import _Frame, interleaving_candidates
+from perscert.grades import even_reindex, floor_int, odd_reindex
+from perscert.persist import _Frame, _positions, interleaving_candidates
 from perscert.randgen import (
     corrupt_certificate,
     interleaved_pair,
+    monotone_tau,
     natural_map_into,
     rand_f2vec_object,
     rand_finset_object,
@@ -402,3 +408,105 @@ def test_locate_merge_and_translate_agree_with_plain_grids(data):
     plain = Grid([[v + d for v in axis] for axis, d in zip(a.axes, shift.coords)])
     assert moved == plain and hash(moved) == hash(plain)
     assert moved.locate(a, shift) == {idx: idx for idx in a.indices()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(1), st.data())
+def test_positions_agree_with_eval_index(grid, data):
+    # values below, between, on and above the axis, with repeats and mixed
+    # denominators, in non-decreasing order
+    off_grid = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    values = sorted(data.draw(st.lists(off_grid | st.sampled_from(grid.axes[0]), max_size=12)))
+    values += data.draw(st.lists(st.sampled_from(values), max_size=4)) if values else []
+    values.sort()
+    at = _positions(grid, values)
+    for v in values:
+        assert at[v] == grid.eval_index(Grade([v]))
+
+
+# -- structure-map legs ----------------------------------------------------------
+
+
+def reference_leg(x, source, target, shift, start, end):
+    """A leg built the closure way: at each merged-grid point p, the structure
+    map of x from start(p) to end(p), each located by a bisect."""
+    return DeltaMorphism.from_fn(source, target, shift, lambda p: x.structure_map(
+        Grade([start(p.coords[0])]), Grade([end(p.coords[0])])), validate=False)
+
+
+def reference_diagonal(a, b, cert, m, lo, hi):
+    """The diagonal object C of ``zigzag`` on [lo, hi], one bisect per value
+    and per map: A (even block) or B (odd block) at the block start, its
+    structure maps inside a block and the legs between blocks."""
+    def value(n):
+        if n // m % 2 == 0:
+            return a.evaluate(grade(even_reindex(n, m)))
+        return b.evaluate(grade(odd_reindex(n, m)))
+
+    def step(n):
+        q = n // m
+        if q == (n + 1) // m:
+            z, fn = (a, even_reindex) if q % 2 == 0 else (b, odd_reindex)
+            return z.structure_map(grade(fn(n, m)), grade(fn(n + 1, m)))
+        return (cert.f if q % 2 == 0 else cert.g).component_at(grade(q * m))
+
+    return integer_object(a.category_name, [value(n) for n in range(lo, hi + 1)],
+                          [step(n) for n in range(lo, hi)], lo)
+
+
+def seeded_objects(seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield rand_finset_object(rng, lo=-4, hi=4, max_size=3)
+        yield rand_f2vec_object(rng, lo=-3, hi=4, max_dim=2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_even_odd_and_outer_legs_equal_the_closure_form(m):
+    for seed, x in enumerate(seeded_objects(range(4))):
+        even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
+        ex, ox, cert = even_odd_restrict(x, m)
+        shift = grade(m)
+        assert cert.f.equals(reference_leg(x, ex, ox, shift, even, lambda n: odd(n + m)))
+        assert cert.g.equals(reference_leg(x, ox, ex, shift, odd, lambda n: even(n + m)))
+
+        # the zig-zag of a genuine m-interleaving, whose legs equal the
+        # closure form too
+        lo, hi = int(x.grid.axes[0][0]), int(x.grid.axes[0][-1])
+        y, pair = interleaved_pair(random.Random(seed), x, m)
+        tau = monotone_tau(random.Random(seed), lo, hi, m)
+        assert pair.f.equals(reference_leg(
+            x, x, y, shift, lambda n: n, lambda n: tau(min(max(n + m, lo), hi))))
+        assert pair.g.equals(reference_leg(
+            x, y, x, shift, lambda n: n if n < lo else tau(min(n, hi)), lambda n: n + m))
+
+        result = zigzag(x, y, pair, m)
+        window = result.c.grid.axes[0]
+        assert result.c == reference_diagonal(x, y, pair, m, int(window[0]), int(window[-1]))
+        s = 2 * m - 1
+        a_piece, b_piece = result.piece_a, result.piece_b
+        for z, fn, into, out_of in ((x, even, a_piece.f, a_piece.g),
+                                    (y, odd, b_piece.g, b_piece.f)):
+            rz = into.target
+            assert into.equals(reference_leg(z, z, rz, grade(s), lambda n: n,
+                                             lambda n: fn(n + s)))
+            assert out_of.equals(reference_leg(z, rz, z, grade(0), fn, lambda n: n))
+
+
+def test_natural_map_into_equals_the_closure_form():
+    for seed, y in enumerate(seeded_objects(range(4))):
+        lo, hi = int(y.grid.axes[0][0]), int(y.grid.axes[0][-1])
+        b, h = natural_map_into(random.Random(seed), y)
+        tau = monotone_tau(random.Random(seed), lo, hi, 1)
+        assert h.equals(reference_leg(y, b, y, grade(0),
+                                      lambda n: min(tau(min(n, hi)), n), lambda n: n))
+
+
+def test_floor_roundtrip_legs_equal_the_closure_form():
+    for seed in range(12):
+        x = rand_real_object(random.Random(seed), "FinSet" if seed % 2 else "F2Vec")
+        cert = floor_roundtrip_cert(x)
+        a = cert.f.target
+        assert cert.f.equals(reference_leg(x, x, a, grade(1), lambda v: v,
+                                           lambda v: floor_int(v + 1)))
+        assert cert.g.equals(reference_leg(x, a, x, grade(1), floor_int, lambda v: v + 1))
