@@ -72,7 +72,6 @@ from .invariants import (
     barcode,
     homology,
     homology_cert,
-    homology_induced,
     induces_interleaving_in_pi0,
     pi0,
     pi0_induced,

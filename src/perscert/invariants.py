@@ -1,20 +1,23 @@
 """Persistent invariants: connected components via union-find, simplicial
-homology over GF(2) with induced maps, barcodes, and the component-level
-"induces an interleaving" check.
+homology over GF(2) with induced maps, the free GF(2) module of a persistent
+set, barcodes, and the component-level "induces an interleaving" check.
 
-Homology bases are chosen deterministically from the sorted simplex list, so
-recomputing the basis of the same complex always agrees; induced maps between
-any two complexes can therefore be produced on demand. Within one call each
-distinct complex's basis is computed once and reused for every map into or
-out of it; nothing is kept between calls.
+pi0, H_n and the linearization are pointwise functors, applied to objects and
+delta-morphisms by one ``_apply`` and one ``_apply_morphism``. Each functor
+reads what it needs of a pointwise object (its components, its homology
+basis, its element order) once per distinct object within one call and
+reuses it for every map into or out of that object; nothing is kept between
+calls. Homology bases are chosen deterministically from the sorted simplex
+list, so recomputing the basis of the same complex always agrees.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .categories import COMPLEX, complex_vertices, total_order
 from .errors import CategoryError, DimensionError, ValidationError
@@ -92,25 +95,65 @@ def bfs_component_count(k: frozenset) -> int:
     return count
 
 
+class _Functor(NamedTuple):
+    """A pointwise functor into ``category``: ``read`` takes what the functor
+    needs of one pointwise object, ``obj`` gives the image object from it,
+    and ``arrow(read source, read target, map)`` the image map."""
+
+    category: str
+    read: Callable
+    obj: Callable
+    arrow: Callable
+    validate: bool  # whether images are validated
+
+
+def _read(functor: _Functor, data: dict, k):
+    """functor.read(k), through ``data`` (object -> what it gave)."""
+    if k not in data:
+        data[k] = functor.read(k)
+    return data[k]
+
+
+def _apply(functor: _Functor, x: PersistentObject, data: dict) -> PersistentObject:
+    """functor(x) on x's grid, reading each distinct object of x once
+    through ``data``."""
+    read = functools.partial(_read, functor, data)
+    objects = {idx: functor.obj(read(x.objects[idx])) for idx in x.grid.indices()}
+    edges = {(idx, a): functor.arrow(read(x.objects[idx]), read(x.objects[nxt]),
+                                     x.edge_maps[(idx, a)])
+             for idx, a, nxt in x.grid.edges()}
+    return PersistentObject(x.grid, functor.category, objects, edges,
+                            integer_indexed=x.integer_indexed, validate=functor.validate)
+
+
+def _apply_morphism(functor: _Functor, f: DeltaMorphism, data: dict) -> DeltaMorphism:
+    """functor(f) between functor(source) and functor(target), which keep
+    the grids, so the merged grid and its indices are f's."""
+    read = functools.partial(_read, functor, data)
+    components = {idx: functor.arrow(read(f.source.at(f.at_source[idx])),
+                                     read(f.target.at(f.at_target[idx])), f.components[idx])
+                  for idx in f.grid.indices()}
+    return DeltaMorphism(_apply(functor, f.source, data), _apply(functor, f.target, data),
+                         f.shift, components, validate=functor.validate)
+
+
+def _component_map(src: dict, tgt: dict, vmap: dict) -> dict:
+    """The map of components (vertex -> component tables src and tgt) of a
+    simplicial map."""
+    return {comp: tgt[vmap[next(iter(comp))]] for comp in set(src.values())}
+
+
+# component ids are the vertex sets, and induced maps follow the vertex maps
+_PI0 = _Functor("FinSet", components_of_complex, lambda cm: frozenset(cm.values()),
+                _component_map, True)
+
+
 def pi0(x: PersistentObject) -> PersistentObject:
     """Persistent set of connected components; component ids are the vertex
     sets, and induced maps follow the structure maps."""
     if x.category_name != "Complex":
         raise CategoryError("pi0 expects a persistent complex")
-    comp_maps = {idx: components_of_complex(x.objects[idx]) for idx in x.grid.indices()}
-    objects = {idx: frozenset(cm.values()) for idx, cm in comp_maps.items()}
-    edges = {}
-    for idx, a, nxt in x.grid.edges():
-        f = x.edge_maps[(idx, a)]
-        tgt_cm = comp_maps[nxt]
-        edge = {}
-        for comp in objects[idx]:
-            v = next(iter(comp))
-            edge[comp] = tgt_cm[f[v]]
-        edges[(idx, a)] = edge
-    return PersistentObject(
-        x.grid, "FinSet", objects, edges, integer_indexed=x.integer_indexed
-    )
+    return _apply(_PI0, x, {})
 
 
 def pi0_induced(f: DeltaMorphism) -> DeltaMorphism:
@@ -120,20 +163,7 @@ def pi0_induced(f: DeltaMorphism) -> DeltaMorphism:
     violation = f.check_natural()
     if violation is not None:
         raise ValidationError(f"input morphism is not natural at {violation[0]}")
-    def component(idx):
-        k_src = f.source.at(f.at_source[idx])
-        cm_src = components_of_complex(k_src)
-        cm_tgt = components_of_complex(f.target.at(f.at_target[idx]))
-        vmap = f.components[idx]
-        out = {}
-        for comp in {cm_src[v] for v in complex_vertices(k_src)}:
-            v = next(iter(comp))
-            out[comp] = cm_tgt[vmap[v]]
-        return out
-
-    # pi0 keeps the grids, so the merged grid and its indices are f's
-    return DeltaMorphism(pi0(f.source), pi0(f.target), f.shift,
-                         {idx: component(idx) for idx in f.grid.indices()})
+    return _apply_morphism(_PI0, f, {})
 
 
 # -- homology over GF(2) ----------------------------------------------------
@@ -212,36 +242,21 @@ def induced_h_map(k: frozenset, l: frozenset, vmap: dict, n: int) -> GF2Matrix:
     return _induced(homology_basis(k, n), homology_basis(l, n), vmap)
 
 
-def _basis(bases: dict, k: frozenset, n: int) -> HomologyBasis:
-    basis = bases.get(k)
-    if basis is None:
-        basis = bases[k] = homology_basis(k, n)
-    return basis
+def _homology_functor(x: PersistentObject, n: int) -> _Functor:
+    """H_n over GF(2), once x is known to be a 1-parameter persistent
+    complex."""
+    if x.category_name != "Complex":
+        raise CategoryError("homology expects a persistent complex")
+    if x.m != 1:
+        raise DimensionError("homology is restricted to m = 1; slice first")
+    return _Functor("F2Vec", lambda k: homology_basis(k, n), lambda b: len(b.reps),
+                    _induced, True)
 
 
 def homology(x: PersistentObject, n: int) -> PersistentObject:
     """Persistent GF(2) homology in degree n of a 1-parameter persistent
     complex."""
-    return _homology(x, n, {})
-
-
-def _homology(x: PersistentObject, n: int, bases: dict) -> PersistentObject:
-    """``homology``, reading and filling ``bases`` (complex -> basis)."""
-    if x.category_name != "Complex":
-        raise CategoryError("homology expects a persistent complex")
-    if x.m != 1:
-        raise DimensionError("homology is restricted to m = 1; slice first")
-    objects = {
-        idx: len(_basis(bases, x.objects[idx], n).reps) for idx in x.grid.indices()
-    }
-    edges = {}
-    for idx, a, nxt in x.grid.edges():
-        edges[(idx, a)] = _induced(
-            bases[x.objects[idx]], bases[x.objects[nxt]], x.edge_maps[(idx, a)]
-        )
-    return PersistentObject(
-        x.grid, "F2Vec", objects, edges, integer_indexed=x.integer_indexed
-    )
+    return _apply(_homology_functor(x, n), x, {})
 
 
 def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
@@ -257,30 +272,10 @@ def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
     return PersistentObject(Grid([axes[1 - axis]]), x.category_name, objects, edges)
 
 
-def homology_induced(f: DeltaMorphism, n: int) -> DeltaMorphism:
-    """Apply the degree-n homology functor to a delta-morphism of complexes."""
-    return _homology_induced(f, n, {})
-
-
-def _homology_induced(f: DeltaMorphism, n: int, bases: dict) -> DeltaMorphism:
-    hx = _homology(f.source, n, bases)
-    hy = _homology(f.target, n, bases)
-    # homology keeps the grids, so the merged grid and its indices are f's
-    components = {
-        idx: _induced(
-            _basis(bases, f.source.at(f.at_source[idx]), n),
-            _basis(bases, f.target.at(f.at_target[idx]), n),
-            f.components[idx],
-        )
-        for idx in f.grid.indices()
-    }
-    return DeltaMorphism(hx, hy, f.shift, components, validate=False)
-
-
 def homology_cert(cert: InterleavingCert, n: int) -> InterleavingCert:
-    bases: dict = {}
-    return InterleavingCert(_homology_induced(cert.f, n, bases),
-                            _homology_induced(cert.g, n, bases))
+    functor, data = _homology_functor(cert.f.source, n), {}
+    return InterleavingCert(_apply_morphism(functor, cert.f, data),
+                            _apply_morphism(functor, cert.g, data))
 
 
 # -- barcodes ---------------------------------------------------------------
@@ -320,6 +315,16 @@ class Barcode:
         )
 
 
+def _linear_map(src: dict, tgt: dict, f: dict) -> GF2Matrix:
+    """F2[f] in the bases (element -> basis position) src and tgt."""
+    return GF2Matrix.from_columns([1 << tgt[f[e]] for e in src], len(tgt))
+
+
+# the image of a valid object under a functor is valid
+_LINEARIZE = _Functor("F2Vec", lambda s: {e: i for i, e in enumerate(total_order(s))},
+                      len, _linear_map, False)
+
+
 def linearize(x: PersistentObject) -> PersistentObject:
     """F2[X], the free GF(2) module of a persistent set: X(p) in
     ``total_order`` is the basis at each grid point, and each structure map
@@ -329,16 +334,7 @@ def linearize(x: PersistentObject) -> PersistentObject:
         return x
     if x.category_name != "FinSet":
         raise CategoryError("linearize expects a persistent set or module")
-    bases = {idx: {e: i for i, e in enumerate(total_order(x.objects[idx]))}
-             for idx in x.grid.indices()}
-    edges = {}
-    for idx, a, nxt in x.grid.edges():
-        f, tgt = x.edge_maps[(idx, a)], bases[nxt]
-        edges[(idx, a)] = GF2Matrix.from_columns([1 << tgt[f[e]] for e in bases[idx]],
-                                                 len(tgt))
-    # the image of a valid object under a functor is valid
-    return PersistentObject(x.grid, "F2Vec", {idx: len(b) for idx, b in bases.items()},
-                            edges, integer_indexed=x.integer_indexed, validate=False)
+    return _apply(_LINEARIZE, x, {})
 
 
 def barcode(f: PersistentObject) -> Barcode:

@@ -312,46 +312,67 @@ def canonical_grid(source: PersistentObject, target: PersistentObject, shift: Gr
     return source.grid.merge(target.grid.translate(neg))
 
 
+class _Leg:
+    """The geometry every delta-morphism source ->_shift target shares: the
+    canonical merged grid, its locate tables ``at_source`` and ``at_target``
+    (each merged index to the source-grid index of its point and to the
+    target-grid index of its point plus shift), and, built on first use, the
+    structure maps of source and target along each merged-grid edge."""
+
+    def __init__(self, source: PersistentObject, target: PersistentObject, shift: Grade):
+        self.source, self.target, self.shift = source, target, shift
+        self.grid = canonical_grid(source, target, shift)
+        self.at_source = source.grid.locate(self.grid, zero_grade(shift.m))
+        self.at_target = target.grid.locate(self.grid, shift)
+        self.points = list(self.grid.indices())
+
+    def _steps(self, x: PersistentObject, at: dict) -> dict:
+        return {(idx, a): x.map_between(at[idx], at[nxt]) for idx, a, nxt in self.grid.edges()}
+
+    @functools.cached_property
+    def source_steps(self) -> dict:
+        """(index, axis) -> the structure map of source from the point at
+        index to the next point along axis."""
+        return self._steps(self.source, self.at_source)
+
+    @functools.cached_property
+    def target_steps(self) -> dict:
+        """``source_steps`` for target, at the points plus shift."""
+        return self._steps(self.target, self.at_target)
+
+
 class DeltaMorphism:
     """A natural transformation X -> Y^shift, stored as one concrete map per
-    index of the canonical merged grid of (source, target, shift).
-    ``at_source`` and ``at_target`` map each merged index to the source-grid
-    index of its point and the target-grid index of its point plus shift."""
+    index of the canonical merged grid of (source, target, shift), on the
+    geometry of one ``_Leg``."""
 
     def __init__(self, source: PersistentObject, target: PersistentObject,
                  shift: Grade, components: dict, validate: bool = True):
-        grid = canonical_grid(source, target, shift)
-        self._place(source, target, shift, grid,
-                    source.grid.locate(grid, zero_grade(shift.m)),
-                    target.grid.locate(grid, shift), components)
+        self._place(_Leg(source, target, shift), components, validate)
+
+    @classmethod
+    def _on(cls, leg: _Leg, components: dict, validate: bool = False) -> "DeltaMorphism":
+        """A morphism on leg, which it shares with every other morphism built
+        on it."""
+        f = cls.__new__(cls)
+        f._place(leg, components, validate)
+        return f
+
+    def _place(self, leg: _Leg, components: dict, validate: bool):
+        self._leg = leg
+        self.grid, self.shift = leg.grid, leg.shift
+        self.source, self.target = leg.source, leg.target
+        self.at_source, self.at_target = leg.at_source, leg.at_target
+        self.components = dict(components)
+        self.category = leg.source.category
         if validate:
             self._validate_components()
 
     @classmethod
-    def _on(cls, leg: "_Leg", components: dict) -> "DeltaMorphism":
-        """A morphism on the merged grid and locate tables of a search leg,
-        which it shares; unchecked."""
-        f = cls.__new__(cls)
-        f._place(leg.source, leg.target, leg.shift, leg.grid, leg.at_source,
-                 leg.at_target, components)
-        return f
-
-    def _place(self, source, target, shift, grid, at_source, at_target, components):
-        self.grid = grid
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.at_source = at_source
-        self.at_target = at_target
-        self.components = dict(components)
-        self.category = source.category
-
-    @classmethod
     def from_fn(cls, source, target, shift, fn: Callable[[Grade], object],
                 validate: bool = True) -> "DeltaMorphism":
-        grid = canonical_grid(source, target, shift)
-        components = {idx: fn(grid.grade_at(idx)) for idx in grid.indices()}
-        return cls(source, target, shift, components, validate=validate)
+        leg = _Leg(source, target, shift)
+        return cls._on(leg, {idx: fn(leg.grid.grade_at(idx)) for idx in leg.points}, validate)
 
     def _validate_components(self) -> None:
         cat = self.category
@@ -378,14 +399,10 @@ class DeltaMorphism:
     def check_natural(self) -> Optional[tuple[Grade, int]]:
         """None when natural; otherwise (grade, axis) of the first violation."""
         cat = self.category
-        at_s, at_t = self.at_source, self.at_target
+        source_steps, target_steps = self._leg.source_steps, self._leg.target_steps
         for idx, a, nxt in self.grid.edges():
-            upper = cat.compose(
-                self.target.map_between(at_t[idx], at_t[nxt]), self.components[idx]
-            )
-            lower = cat.compose(
-                self.components[nxt], self.source.map_between(at_s[idx], at_s[nxt])
-            )
+            upper = cat.compose(target_steps[(idx, a)], self.components[idx])
+            lower = cat.compose(self.components[nxt], source_steps[(idx, a)])
             if not cat.map_equal(upper, lower):
                 return (self.grid.grade_at(idx), a)
         return None
@@ -415,19 +432,11 @@ def _composites(f: DeltaMorphism, g: DeltaMorphism, grid: Grid):
         yield idx, cat.compose(g.at(at_g[idx]), f.at(at_f[idx]))
 
 
-def _shift_maps(x: PersistentObject, grid: Grid, delta: Grade):
-    """(index, structure map of x from p to p + delta) at each point p of
-    grid."""
-    at_p = x.grid.locate(grid, zero_grade(grid.m))
-    at_q = x.grid.locate(grid, delta)
-    for idx in grid.indices():
-        yield idx, x.map_between(at_p[idx], at_q[idx])
-
-
 def identity_shift(x: PersistentObject, delta: Grade) -> DeltaMorphism:
     """S_{0,delta}(id_X): components are the structure maps phi_{r, r+delta}."""
-    components = dict(_shift_maps(x, canonical_grid(x, x, delta), delta))
-    return DeltaMorphism(x, x, delta, components, validate=False)
+    leg = _Leg(x, x, delta)
+    return DeltaMorphism._on(leg, {idx: x.map_between(leg.at_source[idx], leg.at_target[idx])
+                                   for idx in leg.points})
 
 
 def shift_morphism(f: DeltaMorphism, delta: Grade) -> DeltaMorphism:
@@ -441,10 +450,8 @@ def compose(f: DeltaMorphism, g: DeltaMorphism) -> DeltaMorphism:
     """g after f, an (eps + delta)-morphism."""
     if f.target != g.source:
         raise CategoryError("composition mismatch: target of f is not source of g")
-    shift = f.shift + g.shift
-    grid = canonical_grid(f.source, g.target, shift)
-    return DeltaMorphism(f.source, g.target, shift, dict(_composites(f, g, grid)),
-                         validate=False)
+    leg = _Leg(f.source, g.target, f.shift + g.shift)
+    return DeltaMorphism._on(leg, dict(_composites(f, g, leg.grid)))
 
 
 # -- interleaving certificates ---------------------------------------------
@@ -489,12 +496,10 @@ def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
     total = cert.epsilon + cert.delta
     for name, path, first, second in (("X", "g^eps . f", cert.f, cert.g),
                                       ("Y", "f^delta . g", cert.g, cert.f)):
-        x = first.source
-        grid = canonical_grid(x, x, total)
-        for (idx, via), (_, direct) in zip(_composites(first, second, grid),
-                                           _shift_maps(x, grid, total)):
-            if not x.category.map_equal(via, direct):
-                p = grid.grade_at(idx)
+        direct = identity_shift(first.source, total)
+        for idx, via in _composites(first, second, direct.grid):
+            if not direct.category.map_equal(via, direct.components[idx]):
+                p = direct.grid.grade_at(idx)
                 return InterleavingReport(
                     False, f"{path} differs from the structure-map shift of {name} at {p}",
                     p, f"triangle({name})"
@@ -540,9 +545,9 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
     b = h.source
 
     zero = zero_grade(x.m)
-    a_grid = canonical_grid(x, b, eps)
+    a_leg = _Leg(x, b, eps)
+    a_grid, at_x, at_b = a_leg.grid, a_leg.at_source, a_leg.at_target
     at_f, at_h = cert.f.grid.locate(a_grid, zero), h.grid.locate(a_grid, eps)
-    at_x, at_b = x.grid.locate(a_grid, zero), b.grid.locate(a_grid, eps)
 
     objects = {}
     proj_x_maps = {}
@@ -555,8 +560,8 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
 
     edges = {}
     for idx, ax, nxt in a_grid.edges():
-        u = cat.compose(x.map_between(at_x[idx], at_x[nxt]), proj_x_maps[idx])
-        v = cat.compose(b.map_between(at_b[idx], at_b[nxt]), proj_b_maps[idx])
+        u = cat.compose(a_leg.source_steps[(idx, ax)], proj_x_maps[idx])
+        v = cat.compose(a_leg.target_steps[(idx, ax)], proj_b_maps[idx])
         edges[(idx, ax)] = pairs[nxt](u, v, objects[idx])
 
     a = PersistentObject(a_grid, x.category_name, objects, edges)
@@ -564,23 +569,23 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
     # k : A ->_eps B is the second projection and A ->_0 X the first; the
     # canonical grids of both are A's grid, so the projections are their
     # components as they stand
-    k = DeltaMorphism(a, b, eps, proj_b_maps, validate=False)
-    proj = DeltaMorphism(a, x, zero, proj_x_maps, validate=False)
+    k = DeltaMorphism._on(_Leg(a, b, eps), proj_b_maps)
+    proj = DeltaMorphism._on(_Leg(a, x, zero), proj_x_maps)
 
     # l : B ->_delta A from the universal property, built out of g . h and
     # the structure-map shift of B
-    l_grid = canonical_grid(b, a, delta)
+    l_leg = _Leg(b, a, delta)
+    l_grid, at_b0, at_a = l_leg.grid, l_leg.at_source, l_leg.at_target
     at_g, at_hl = cert.g.grid.locate(l_grid, zero), h.grid.locate(l_grid, zero)
-    at_b0, at_b1 = b.grid.locate(l_grid, zero), b.grid.locate(l_grid, eps + delta)
-    at_a = a_grid.locate(l_grid, delta)
+    at_b1 = b.grid.locate(l_grid, eps + delta)
     l_components = {}
-    for idx in l_grid.indices():
+    for idx in l_leg.points:
         u = cat.compose(cert.g.at(at_g[idx]), h.at(at_hl[idx]))
         v = b.map_between(at_b0[idx], at_b1[idx])
         j = at_a[idx]
         l_components[idx] = (cat.initial_map(cat.initial()) if j is None
                              else pairs[j](u, v, b.at(at_b0[idx])))
-    l = DeltaMorphism(b, a, delta, l_components, validate=False)
+    l = DeltaMorphism._on(l_leg, l_components)
     return PullbackResult(a, InterleavingCert(k, l), proj)
 
 
@@ -609,20 +614,24 @@ def _sample(x: PersistentObject, fn, lo: int, hi: int) -> PersistentObject:
 
 
 def _structure_morphism(x: PersistentObject, source: PersistentObject,
-                        target: PersistentObject, shift: Grade, start, end
-                        ) -> DeltaMorphism:
+                        target: PersistentObject, shift: Grade, start, end,
+                        first: Optional[DeltaMorphism] = None) -> DeltaMorphism:
     """The morphism source ->_shift target (m = 1) whose component at each
     value v of its merged grid is the structure map of x from start(v) to
-    end(v); the map out of the initial object when start(v) is below x's
-    grid."""
-    values = canonical_grid(source, target, shift).axes[0]
+    end(v), the map out of the initial object when start(v) is below x's
+    grid; after first's component at v when first is given."""
+    leg = _Leg(source, target, shift)
+    values = leg.grid.axes[0]
     starts, ends = [start(v) for v in values], [end(v) for v in values]
     if any(a > b for a, b in zip(starts, ends)):
         raise OrderError("structure map needs start <= end at every value")
     at = _positions(x.grid, starts + ends)
-    components = {(k,): x.map_between(at[a], at[b])
-                  for k, (a, b) in enumerate(zip(starts, ends))}
-    return DeltaMorphism(source, target, shift, components, validate=False)
+    maps = [x.map_between(at[a], at[b]) for a, b in zip(starts, ends)]
+    if first is not None:
+        at_first = _positions(first.grid, values)
+        maps = [x.category.compose(push, first.at(at_first[v]))
+                for push, v in zip(maps, values)]
+    return DeltaMorphism._on(leg, {(k,): f for k, f in enumerate(maps)})
 
 
 def restrict_to_Z(x: PersistentObject) -> PersistentObject:
@@ -694,23 +703,6 @@ class _Budget:
             raise BudgetExceededError(f"search budget of {self.limit} exhausted")
 
 
-class _Leg:
-    """What every delta-morphism source ->_shift target of a search shares
-    (m = 1): the merged grid, its locate tables, and the structure maps of
-    source and target from each point to the next."""
-
-    def __init__(self, source: PersistentObject, target: PersistentObject, shift: Grade):
-        self.source, self.target, self.shift = source, target, shift
-        self.grid = canonical_grid(source, target, shift)
-        self.at_source = at_s = source.grid.locate(self.grid, zero_grade(shift.m))
-        self.at_target = at_t = target.grid.locate(self.grid, shift)
-        self.points = points = list(self.grid.indices())
-        self.source_steps = [None] + [source.map_between(at_s[p], at_s[q])
-                                      for p, q in zip(points, points[1:])]
-        self.target_steps = [None] + [target.map_between(at_t[p], at_t[q])
-                                      for p, q in zip(points, points[1:])]
-
-
 class _Frame:
     """The geometry of an (eps, delta) partner search between x and y, built
     once: the legs f: x ->_eps y and g: y ->_delta x, and the two triangle
@@ -739,11 +731,11 @@ class _Frame:
         out = []
         for side, z, g_shift, f_shift in ((0, self.x, self.eps, zero),
                                           (1, self.y, zero, self.delta)):
-            grid = canonical_grid(z, z, total)
-            out += [(side, gj, fi, direct) for gj, fi, (_, direct) in zip(
-                self.g.grid.locate(grid, g_shift).values(),
-                self.f.grid.locate(grid, f_shift).values(),
-                _shift_maps(z, grid, total))]
+            direct = identity_shift(z, total)
+            out += [(side, gj, fi, d) for gj, fi, d in zip(
+                self.g.grid.locate(direct.grid, g_shift).values(),
+                self.f.grid.locate(direct.grid, f_shift).values(),
+                direct.components.values())]
         return out
 
     def triangle_filter(self, f: DeltaMorphism) -> Optional[Callable[[tuple, object], bool]]:
@@ -785,10 +777,12 @@ def _enumerate_natural(leg: _Leg, budget: _Budget,
             yield dict(chosen)
             return
         p = points[i]
-        upper = cat.compose(y_steps[i], chosen[points[i - 1]]) if i > 0 else None
+        if i > 0:
+            step = (points[i - 1], 0)
+            upper = cat.compose(y_steps[step], chosen[points[i - 1]])
         for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
             budget.spend()
-            if i > 0 and not cat.map_equal(upper, cat.compose(cand, x_steps[i])):
+            if i > 0 and not cat.map_equal(upper, cat.compose(cand, x_steps[step])):
                 continue
             if accept is not None and not accept(p, cand):
                 continue

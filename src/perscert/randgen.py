@@ -1,6 +1,6 @@
-"""Seeded random instance generators used by the test suite and the CLI's
-randomized commands. Everything is driven by a ``random.Random`` so identical
-seeds give identical instances.
+"""Seeded random instance generators used by the test suite and
+``scripts/zigzag_constants.py``. Everything is driven by a ``random.Random``
+so identical seeds give identical instances.
 
 The interleaved-pair generators produce *genuine* certificates: the partner
 object is the source precomposed with a monotone reindexing that moves each
@@ -178,9 +178,7 @@ def corrupt_certificate(rng: random.Random, cert: InterleavingCert
         if others:
             components = dict(f.components)
             components[p] = rng.choice(others)
-            bad_f = DeltaMorphism(f.source, f.target, f.shift, components,
-                                  validate=False)
-            return InterleavingCert(bad_f, cert.g)
+            return InterleavingCert(DeltaMorphism._on(f._leg, components), cert.g)
     return cert  # nothing corruptible (e.g. everything empty)
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import ValidationError
+from .errors import InvalidScaleError, ValidationError
 from .grades import Grade, even_reindex, floor_int, odd_reindex, rat
 from .persist import (
-    DeltaMorphism,
     InterleavingCert,
     PersistentObject,
     _positions,
@@ -106,6 +105,8 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     """Diagonal object of an m-interleaving (f, g): C alternates between the
     even blocks of A and the odd blocks of B, connected by structure maps and
     the interleaving legs."""
+    if m < 1:
+        raise InvalidScaleError("block size must be >= 1")
     report = check_interleaving(cert)
     if not report.valid:
         raise ValidationError(f"input certificate invalid: {report.reason}")
@@ -163,22 +164,10 @@ def three_halves_check(x: PersistentObject, y: PersistentObject,
     report = check_interleaving(cert)
     if not report.valid:
         raise ValidationError(f"input certificate invalid: {report.reason}")
+    # cert's legs at an integer n land at floor(n + r), which is <= n + 1
+    # because r < 3/2; a structure map of the target carries them on to n + 1
     one = Grade([1])
-
-    def f_comp(p: Grade):
-        n = p.coords[0]
-        # sample the R-certificate at the integer; its target Y(n + r) is the
-        # object at floor(n + r), which is <= n + 1 because r < 3/2
-        raw = cert.f.component_at(p)
-        push = y.structure_map(Grade([floor_int(n + r)]), p + one)
-        return y.category.compose(push, raw)
-
-    def g_comp(p: Grade):
-        n = p.coords[0]
-        raw = cert.g.component_at(p)
-        push = x.structure_map(Grade([floor_int(n + r)]), p + one)
-        return x.category.compose(push, raw)
-
-    f = DeltaMorphism.from_fn(x, y, one, f_comp, validate=False)
-    g = DeltaMorphism.from_fn(y, x, one, g_comp, validate=False)
+    lands, up = (lambda n: floor_int(n + r)), (lambda n: n + 1)
+    f = _structure_morphism(y, x, y, one, lands, up, first=cert.f)
+    g = _structure_morphism(x, y, x, one, lands, up, first=cert.g)
     return InterleavingCert(f, g)

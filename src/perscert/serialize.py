@@ -14,7 +14,7 @@ from .errors import SchemaError
 from .gf2 import GF2Matrix
 from .grades import Grade, rat, rat_to_str
 from .invariants import Bar, Barcode
-from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, canonical_grid
+from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
 
 FORMAT_OBJECT = "perscert/persistent-object/1"
 FORMAT_CERT = "perscert/interleaving/1"
@@ -108,7 +108,10 @@ def decode_cat_object(category: str, data):
         _require(_is_int(data) and data >= 0, f"bad dimension {data!r}")
         return data
     _require(isinstance(data, list), f"bad object {data!r}")
-    return frozenset(decode_element(e) for e in data)
+    elements = frozenset(decode_element(e) for e in data)
+    if len(elements) != len(data):  # the message is built only on failure
+        raise SchemaError(f"object {data!r} lists an element twice")
+    return elements
 
 
 def encode_cat_map(category: str, f):
@@ -138,7 +141,10 @@ def decode_cat_map(category: str, data):
     out = {}
     for entry in data:
         _require(isinstance(entry, list) and len(entry) == 2, f"bad map entry {entry!r}")
-        out[decode_element(entry[0])] = decode_element(entry[1])
+        key = decode_element(entry[0])
+        if key in out:
+            raise SchemaError(f"map lists {entry[0]!r} twice")
+        out[key] = decode_element(entry[1])
     return out
 
 
@@ -217,8 +223,8 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     """Each "at" grade must be a point of the merged grid, given once."""
     shift = decode_grade(shift_data)
     _require(isinstance(components_data, list), "components must be a list")
-    grid = canonical_grid(source, target, shift)
-    index = {grid.grade_at(idx): idx for idx in grid.indices()}
+    leg = _Leg(source, target, shift)
+    index = {leg.grid.grade_at(idx): idx for idx in leg.points}
     components = {}
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
@@ -227,7 +233,7 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
         _require(p in index, f"component at {p} is not a point of the merged grid")
         _require(index[p] not in components, f"component at {p} is given twice")
         components[index[p]] = decode_cat_map(source.category_name, entry["map"])
-    return DeltaMorphism(source, target, shift, components)
+    return DeltaMorphism._on(leg, components, validate=True)
 
 
 def encode_cert(cert: InterleavingCert, include_objects: bool = True) -> dict:

@@ -471,3 +471,32 @@ def test_repeated_names_are_a_schema_error(runner, tmp_path, command, doc, messa
     assert r.exit_code == 2
     report = json.loads(r.output)
     assert report["error"] == "schema" and message in report["message"]
+
+
+def _repeats(category, obj0, obj1, edge):
+    return {"format": ser.FORMAT_OBJECT, "m": 1, "category": category,
+            "axes": [["0", "1/2"]], "objects": {"0": obj0, "1": obj1},
+            "edge_maps": {"0|0": edge}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("roundtrip-floor", _repeats("FinSet", [1, 1, 2], ["a", "b"], [[1, "a"], [2, "a"]])),
+    ("roundtrip-floor", _repeats("FinSet", [1, 2], ["a", "b"],
+                                 [[1, "a"], [2, "a"], [1, "b"]])),
+    ("pi0", _repeats("Complex", [[0], [0]], [[0], [1]], [[0, 0]])),
+    ("pi0", _repeats("Complex", [[0]], [[0], [1]], [[0, 0], [0, 1]])),
+], ids=["finset-object", "finset-map", "complex-object", "complex-map"])
+def test_repeated_entries_are_a_schema_error(runner, tmp_path, command, doc):
+    r = invoke(runner, [command, write(tmp_path, "x.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and "twice" in report["message"]
+
+
+def test_rectify_rejects_block_size_0(runner, tmp_path):
+    x = integer_object("FinSet", [frozenset({"a"})] * 2, [{"a": "a"}], 0)
+    p = write(tmp_path, "cert.json", ser.encode_cert(self_interleaving(x, grade(0))))
+    r = invoke(runner, ["rectify", p, "--block", "0"])
+    assert r.exit_code == 1
+    report = json.loads(r.output)
+    assert report["error"] == "property" and report["message"] == "block size must be >= 1"

@@ -20,13 +20,29 @@ from perscert import (
     vietoris_rips,
 )
 from perscert import invariants
-from perscert.invariants import bfs_component_count, induced_h_map, linearize, pi0_induced
-from perscert.persist import DeltaMorphism, check_interleaving, compose, integer_object
+from perscert.categories import COMPLEX, complex_vertices, total_order
+from perscert.gf2 import GF2Matrix
+from perscert.invariants import (
+    bfs_component_count,
+    components_of_complex,
+    induced_h_map,
+    linearize,
+    pi0_induced,
+)
+from perscert.persist import (
+    DeltaMorphism,
+    PersistentObject,
+    check_interleaving,
+    compose,
+    integer_object,
+)
 from perscert.randgen import (
     interleaved_pair,
     rand_complex_interleaving,
+    rand_finset_object,
     rand_metric,
     rand_persistent_complex,
+    rand_real_object,
 )
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -200,3 +216,72 @@ def test_homology_computes_one_basis_per_grid_point(monkeypatch):
             homology(x, n)
             assert len(calls) == len(list(x.grid.indices()))
             assert set(calls) == set(x.objects.values())
+
+
+def complex_legs(seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        x = rand_persistent_complex(rng)
+        y, cert = interleaved_pair(rng, x, 1)
+        yield cert
+
+
+def pointwise(f):
+    """(index, source complex, target complex, vertex map) of a morphism."""
+    for idx, vmap in f.components.items():
+        yield idx, f.source.at(f.at_source[idx]), f.target.at(f.at_target[idx]), vmap
+
+
+def collapse(x):
+    """The 0-morphism from a persistent complex (with vertex-identity edge
+    maps) onto its image under the vertex map v -> v // 2 + 10."""
+    rename = {v: v // 2 + 10 for k in x.objects.values() for v in complex_vertices(k)}
+    objects = {idx: frozenset(COMPLEX.apply_simplex(rename, s) for s in k)
+               for idx, k in x.objects.items()}
+    edges = {key: {rename[v]: rename[w] for v, w in vmap.items()}
+             for key, vmap in x.edge_maps.items()}
+    y = PersistentObject(x.grid, "Complex", objects, edges, integer_indexed=True)
+    return DeltaMorphism(x, y, grade(0), {idx: {v: rename[v] for v in complex_vertices(k)}
+                                          for idx, k in x.objects.items()})
+
+
+def test_pi0_induced_maps_each_vertex_component_to_its_image_component():
+    for cert in complex_legs(range(10)):
+        for f in (cert.f, cert.g, collapse(cert.f.source)):
+            pf = pi0_induced(f)
+            assert pf.source == pi0(f.source) and pf.target == pi0(f.target)
+            for idx, k, l, vmap in pointwise(f):
+                src, tgt = components_of_complex(k), components_of_complex(l)
+                assert pf.components[idx] == {src[v]: tgt[vmap[v]] for v in src}
+
+
+def test_homology_cert_components_are_induced_h_maps():
+    for cert in complex_legs(range(8)):
+        for n in (0, 1):
+            hcert = homology_cert(cert, n)
+            for f, hf in ((cert.f, hcert.f), (cert.g, hcert.g)):
+                assert hf.source == homology(f.source, n)
+                assert hf.target == homology(f.target, n)
+                for idx, k, l, vmap in pointwise(f):
+                    assert hf.components[idx] == induced_h_map(k, l, vmap, n)
+
+
+def linearize_per_point(x):
+    """F2[X] built point by point: the basis at each grid index is X there in
+    total_order, and each edge map sends basis element e to f(e)."""
+    bases = {idx: total_order(x.objects[idx]) for idx in x.grid.indices()}
+    edges = {}
+    for idx, a, nxt in x.grid.edges():
+        f, tgt = x.edge_maps[(idx, a)], bases[nxt]
+        edges[(idx, a)] = GF2Matrix.from_columns(
+            [1 << tgt.index(f[e]) for e in bases[idx]], len(tgt))
+    return PersistentObject(x.grid, "F2Vec", {idx: len(b) for idx, b in bases.items()},
+                            edges, integer_indexed=x.integer_indexed)
+
+
+def test_linearize_equals_the_per_point_construction():
+    for seed in range(30):
+        rng = random.Random(seed)
+        x = (rand_finset_object(rng, lo=-3, hi=3) if seed % 2
+             else rand_real_object(rng, "FinSet", n_grades=5))
+        assert linearize(x) == linearize_per_point(x)

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 from perscert import (
+    DeltaMorphism,
+    Grade,
     ValidationError,
     check_interleaving,
     even_odd_restrict,
+    floor_int,
     grade,
     reindex,
     self_interleaving,
@@ -136,3 +139,28 @@ def test_three_halves_rejects_r_at_or_above_the_threshold():
         three_halves_check(x, y, Fraction(3, 2), lifted)
     with pytest.raises(ValidationError):
         three_halves_check(x, y, Fraction(2), lifted)
+
+
+def closure_leg(source, target, z, raw, r):
+    """A leg of three_halves_check in its Grade form: raw's component at p,
+    then z's structure map from floor(p + r) to p + 1."""
+    one = grade(1)
+
+    def component(p):
+        push = z.structure_map(Grade([floor_int(p.coords[0] + r)]), p + one)
+        return z.category.compose(push, raw.component_at(p))
+
+    return DeltaMorphism.from_fn(source, target, one, component, validate=False)
+
+
+@pytest.mark.parametrize("r", [1, Fraction(5, 4), Fraction(4, 3), Fraction(7, 5)])
+def test_three_halves_legs_equal_the_closure_form(r):
+    for seed in range(10):
+        rng = random.Random(seed)
+        x = (rand_finset_object(rng, lo=-3, hi=3, max_size=4) if seed % 2
+             else rand_f2vec_object(rng, lo=-3, hi=3, max_dim=2))
+        y, cert = interleaved_pair(rng, x, 1)
+        lifted = lift_cert_to_real(x, y, cert, r)
+        out = three_halves_check(x, y, r, lifted)
+        assert out.f.equals(closure_leg(x, y, y, lifted.f, r))
+        assert out.g.equals(closure_leg(y, x, x, lifted.g, r))
