@@ -40,6 +40,12 @@ def complex_vertices(obj: frozenset) -> set:
     return {v for sigma in obj for v in sigma}
 
 
+def _is_inclusion(f: dict) -> bool:
+    """Whether a vertex map is the identity on its vertices: an inclusion of
+    complexes, which sends every simplex to itself."""
+    return all(v == w for v, w in f.items())
+
+
 class FinSetCategory:
     name = "FinSet"
 
@@ -194,6 +200,8 @@ class ComplexCategory:
         verts = complex_vertices(src)
         if set(f.keys()) != verts:
             return False
+        if _is_inclusion(f):
+            return src <= tgt
         return all(self.apply_simplex(f, sigma) in tgt for sigma in src)
 
     def compose(self, g, f):
@@ -222,6 +230,8 @@ class ComplexCategory:
         return len(complex_vertices(tgt)) ** nv
 
     def is_injective(self, f, src) -> bool:
+        if _is_inclusion(f):
+            return True
         return len({self.apply_simplex(f, sigma) for sigma in src}) == len(src)
 
     def fiber_product(self, f, h, x_obj, b_obj):

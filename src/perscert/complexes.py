@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .categories import COMPLEX, complex_vertices, simplex, total_order
+from .categories import COMPLEX, _is_inclusion, complex_vertices, simplex, total_order
 from .errors import CategoryError, SchemaError, ValidationError
 from .grades import Grade, rat
 from .persist import Grid, PersistentObject
@@ -96,20 +96,38 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
     m = f.m
     axes = [sorted({g.coords[a] for g in f.grade.values()}) for a in range(m)]
     grid = Grid(axes)
+    born: dict[tuple, list] = {}
+    for s in f.simplices:
+        born.setdefault(grid.eval_index(f.grade[s]), []).append(s)
+    return _inclusions(grid, _grow(grid, born))
+
+
+def _grow(grid: Grid, born: dict) -> dict:
+    """The subcomplexes of a filtration on its grid: at each index, the
+    simplices born there and everything present one step below on some
+    axis. Indices run in lexicographic order, so those steps come first."""
     objects = {}
     for idx in grid.indices():
-        r = grid.grade_at(idx)
-        objects[idx] = frozenset(s for s in f.simplices if f.grade[s].leq(r))
-    return _inclusions(grid, objects)
+        below = [objects[idx[:a] + (i - 1,) + idx[a + 1:]] for a, i in enumerate(idx) if i]
+        new = born.get(idx, ())
+        if len(below) == 1 and not new:
+            objects[idx] = below[0]
+        else:
+            objects[idx] = frozenset(new).union(*below)
+    return objects
 
 
 def _inclusions(grid: Grid, objects: dict) -> PersistentObject:
     """The persistent complex with these subcomplexes at the grid points,
-    whose structure maps are the inclusions."""
-    edges = {
-        (idx, a): {v: v for v in complex_vertices(objects[idx])}
-        for idx, a, _ in grid.edges()
-    }
+    whose structure maps are the inclusions (one identity map per distinct
+    subcomplex)."""
+    identities: dict[frozenset, dict] = {}
+    edges = {}
+    for idx, a, _ in grid.edges():
+        obj = objects[idx]
+        if obj not in identities:
+            identities[obj] = {v: v for v in complex_vertices(obj)}
+        edges[(idx, a)] = identities[obj]
     return PersistentObject(grid, "Complex", objects, edges)
 
 
@@ -141,21 +159,37 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
             )
     # condition 2: identify each simplex with its image at the top corner and
     # ask whether its appearance set has a coordinatewise minimum grid point
-    top = tuple(s - 1 for s in p.grid.shape())
-    appearance: dict[tuple, set] = {}
+    if all(_is_inclusion(f) for f in p.edge_maps.values()):
+        images = p.objects  # every map to the top corner fixes its vertices
+    else:
+        top = tuple(s - 1 for s in p.grid.shape())
+        images = {}
+        for idx in p.grid.indices():
+            # in the order first met, which decides the offender reported
+            to_top = p.map_between(idx, top)
+            images[idx] = tuple(dict.fromkeys(
+                cat.apply_simplex(to_top, s) for s in p.objects[idx]
+            ))
+    # the least corner of the indices holding each distinct image, in grid order
+    corners: dict = {}
     for idx in p.grid.indices():
-        to_top = p.map_between(idx, top)
-        for sigma in p.objects[idx]:
-            appearance.setdefault(cat.apply_simplex(to_top, sigma), set()).add(idx)
+        low = corners.get(images[idx])
+        corners[images[idx]] = idx if low is None else tuple(map(min, low, idx))
+    # the least corner of each appearance set, which is its minimum if it
+    # belongs to the set
+    lows: dict[tuple, tuple] = {}
+    for image, corner in corners.items():
+        for tau in image:
+            low = lows.get(tau)
+            lows[tau] = corner if low is None else tuple(map(min, low, corner))
     witness = {}
-    for tau, idxs in appearance.items():
-        mins = tuple(min(i[a] for i in idxs) for a in range(p.m))
-        if mins not in idxs:
+    for tau, low in lows.items():
+        if tau not in images[low]:
             return FilteredCheck(
                 False, condition=2, offender=tau,
                 reason=f"appearance set of {tau!r} has no minimum",
             )
-        witness[tau] = p.grid.grade_at(mins)
+        witness[tau] = p.grid.grade_at(low)
     return FilteredCheck(True, witness=witness)
 
 
@@ -266,27 +300,33 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
     Rips complex restricted to vertices of r-neighborhood degree >= k. The
     second axis is negated so both axes increase; the output is generally
     monic but not filtered."""
-    n = metric.n
-    scales = sorted({metric.dist[i][j] for i in range(n) for j in range(n)})
-    degrees_axis = [Fraction(-k) for k in range(n - 1, -1, -1)] or [Fraction(0)]
-    grid = Grid([scales, degrees_axis])
     base = vietoris_rips(metric, d_max)
-    objects = {}
-    for idx in grid.indices():
-        r, t = grid.grade_at(idx).coords
-        k = -t
-        keep_vertices = set()
-        for i, v in enumerate(metric.points):
-            deg = sum(
-                1 for j in range(n) if j != i and metric.dist[i][j] <= r
-            )
-            if deg >= k:
-                keep_vertices.add(v)
-        objects[idx] = frozenset(
-            s for s in base.simplices
-            if base.grade[s].coords[0] <= r and all(v in keep_vertices for v in s)
-        )
-    return _inclusions(grid, objects)
+    n = metric.n
+    if n == 0:
+        return _inclusions(Grid([[0], [0]]), {(0, 0): frozenset()})
+    dist = metric.dist
+    scales = sorted({d for row in dist for d in row})
+    grid = Grid([scales, [-k for k in range(n - 1, -1, -1)]])
+    # degree[r][i]: the number of other points within scales[r] of point i
+    degree = [
+        [sum(1 for j in range(n) if j != i and dist[i][j] <= r) for i in range(n)]
+        for r in scales
+    ]
+    scale_index = {r: i for i, r in enumerate(scales)}
+    position = {v: i for i, v in enumerate(metric.points)}
+    # a simplex is present at (r, t) from its diameter's scale on, once t
+    # reaches n - 1 minus its least vertex degree; it is born at each scale
+    # where that threshold drops
+    born: dict[tuple, list] = {}
+    for s in base.simplices:
+        ids = [position[v] for v in s]
+        least = n
+        for r in range(scale_index[base.grade[s].coords[0]], len(scales)):
+            t = n - 1 - min(degree[r][i] for i in ids)
+            if t < least:
+                born.setdefault((r, t), []).append(s)
+                least = t
+    return _inclusions(grid, _grow(grid, born))
 
 
 # -- the two-parameter square gadget ----------------------------------------

@@ -185,10 +185,18 @@ class PersistentObject:
                  | set(self.edge_maps).difference((i, a) for i, a, _ in self.grid.edges()))
         if stray:
             raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
+        checked = set()  # each distinct object value is checked once
         for idx in self.grid.indices():
             if idx not in self.objects:
                 raise ValidationError(f"missing object at grid index {idx}")
-            cat.check_object(self.objects[idx])
+            obj = self.objects[idx]
+            try:
+                fresh = obj not in checked
+            except TypeError:  # unhashable, so no valid object: check_object says why
+                fresh = True
+            if fresh:
+                cat.check_object(obj)
+                checked.add(obj)
         for idx, a, nxt in self.grid.edges():
             key = (idx, a)
             if key not in self.edge_maps:

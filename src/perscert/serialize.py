@@ -26,9 +26,11 @@ FORMAT_ZIGZAG = "perscert/zigzag/1"
 FORMAT_REPORT = "perscert/report/1"
 
 
-def _require(cond, message):
+def _require(cond, message, *args):
+    """Raise a SchemaError unless cond holds. The message is formatted with
+    args (``str.format``) only then, so passing checks build no text."""
     if not cond:
-        raise SchemaError(message)
+        raise SchemaError(message.format(*args) if args else message)
 
 
 def _is_int(x) -> bool:
@@ -38,8 +40,8 @@ def _is_int(x) -> bool:
 def _field(data: dict, key: str, kind: type, default=None):
     """data[key] (default when absent), required to be a JSON array or object."""
     value = data.get(key, default)
-    _require(isinstance(value, kind),
-             f"{key!r} must be a JSON {'array' if kind is list else 'object'}")
+    _require(isinstance(value, kind), "{!r} must be a JSON {}", key,
+             "array" if kind is list else "object")
     return value
 
 
@@ -69,7 +71,7 @@ def encode_grade(g: Grade) -> list[str]:
 
 
 def decode_grade(data) -> Grade:
-    _require(isinstance(data, list) and data, f"bad grade {data!r}")
+    _require(isinstance(data, list) and data, "bad grade {!r}", data)
     return Grade(decode_rational(c) for c in data)
 
 
@@ -87,14 +89,14 @@ def encode_element(x):
 
 
 def decode_element(x):
+    # scalars first, with _is_int inlined: this runs once per vertex of every
+    # simplex. A JSON boolean would merge with 1 or 0 as a Python set element.
+    if isinstance(x, str) or isinstance(x, int) and not isinstance(x, bool):
+        return x
     if isinstance(x, list):
-        return tuple(decode_element(v) for v in x)
-    if isinstance(x, dict):
-        _require(set(x.keys()) == {"frozenset"}, f"bad element {x!r}")
-        return frozenset(decode_element(v) for v in _field(x, "frozenset", list))
-    # a JSON boolean would merge with 1 or 0 as a Python set element
-    _require(isinstance(x, str) or _is_int(x), f"bad element {x!r}")
-    return x
+        return tuple(map(decode_element, x))
+    _require(isinstance(x, dict) and set(x.keys()) == {"frozenset"}, "bad element {!r}", x)
+    return frozenset(decode_element(v) for v in _field(x, "frozenset", list))
 
 
 def encode_cat_object(category: str, obj):
@@ -105,10 +107,10 @@ def encode_cat_object(category: str, obj):
 
 def decode_cat_object(category: str, data):
     if category == "F2Vec":
-        _require(_is_int(data) and data >= 0, f"bad dimension {data!r}")
+        _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
-    _require(isinstance(data, list), f"bad object {data!r}")
-    elements = frozenset(decode_element(e) for e in data)
+    _require(isinstance(data, list), "bad object {!r}", data)
+    elements = frozenset(map(decode_element, data))
     if len(elements) != len(data):  # the message is built only on failure
         raise SchemaError(f"object {data!r} lists an element twice")
     return elements
@@ -125,22 +127,22 @@ def encode_cat_map(category: str, f):
 def decode_cat_map(category: str, data):
     if category == "F2Vec":
         _require(isinstance(data, dict) and "rows" in data and "shape" in data,
-                 f"bad matrix {data!r}")
+                 "bad matrix {!r}", data)
         shape, rows = data["shape"], data["rows"]
         _require(isinstance(shape, list) and len(shape) == 2
                  and all(_is_int(n) and n >= 0 for n in shape),
-                 f"bad matrix shape {shape!r}: expected two non-negative ints")
+                 "bad matrix shape {!r}: expected two non-negative ints", shape)
         nr, nc = shape
         _require(isinstance(rows, list) and len(rows) == nr
                  and all(isinstance(r, list) and len(r) == nc for r in rows),
-                 f"matrix rows do not match shape {shape!r}")
+                 "matrix rows do not match shape {!r}", shape)
         _require(all(_is_int(x) and x in (0, 1) for r in rows for x in r),
                  "matrix entries must be 0 or 1")
         return GF2Matrix(rows, nr, nc)
-    _require(isinstance(data, list), f"bad map {data!r}")
+    _require(isinstance(data, list), "bad map {!r}", data)
     out = {}
     for entry in data:
-        _require(isinstance(entry, list) and len(entry) == 2, f"bad map entry {entry!r}")
+        _require(isinstance(entry, list) and len(entry) == 2, "bad map entry {!r}", entry)
         key = decode_element(entry[0])
         if key in out:
             raise SchemaError(f"map lists {entry[0]!r} twice")
@@ -157,18 +159,22 @@ _EDGE_RE = re.compile(r"([0-9,]*)\|([0-9]+)")
 
 def decode_index(key: str) -> tuple[int, ...]:
     """A grid index written "i,j,..." with non-negative integers."""
-    _require(isinstance(key, str) and _INDEX_RE.fullmatch(key), f"bad index key {key!r}")
+    _require(isinstance(key, str) and _INDEX_RE.fullmatch(key), "bad index key {!r}", key)
     return tuple(int(p) for p in key.split(","))
 
 
 def decode_edge_key(key: str) -> tuple[tuple[int, ...], int]:
     """An edge key "i,j,...|axis": the grid index and the axis of the step."""
     match = _EDGE_RE.fullmatch(key) if isinstance(key, str) else None
-    _require(match is not None, f"bad edge key {key!r}")
+    _require(match is not None, "bad edge key {!r}", key)
     return decode_index(match.group(1)), int(match.group(2))
 
 
 def encode_object(x: PersistentObject) -> dict:
+    encoded = {}  # each distinct object value is encoded once
+    for obj in x.objects.values():
+        if obj not in encoded:
+            encoded[obj] = encode_cat_object(x.category_name, obj)
     return {
         "format": FORMAT_OBJECT,
         "m": x.m,
@@ -176,8 +182,7 @@ def encode_object(x: PersistentObject) -> dict:
         "integer_indexed": x.integer_indexed,
         "axes": [[encode_rational(v) for v in axis] for axis in x.grid.axes],
         "objects": {
-            ",".join(map(str, idx)): encode_cat_object(x.category_name, obj)
-            for idx, obj in x.objects.items()
+            ",".join(map(str, idx)): encoded[obj] for idx, obj in x.objects.items()
         },
         "edge_maps": {
             ",".join(map(str, idx)) + "|" + str(a): encode_cat_map(x.category_name, f)
@@ -189,9 +194,9 @@ def encode_object(x: PersistentObject) -> dict:
 def decode_object(data: dict) -> PersistentObject:
     _require(isinstance(data, dict), "persistent object must be a JSON object")
     _require(data.get("format") == FORMAT_OBJECT,
-             f"unexpected format {data.get('format')!r}")
+             "unexpected format {!r}", data.get("format"))
     category = data.get("category")
-    _require(category in ("FinSet", "F2Vec", "Complex"), f"bad category {category!r}")
+    _require(category in ("FinSet", "F2Vec", "Complex"), "bad category {!r}", category)
     axes = data.get("axes")
     _require(isinstance(axes, list) and axes, "missing axes")
     _require(all(isinstance(axis, list) for axis in axes), "each axis must be a JSON array")
@@ -228,10 +233,10 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     components = {}
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
-                 f"bad component entry {entry!r}")
+                 "bad component entry {!r}", entry)
         p = decode_grade(entry["at"])
-        _require(p in index, f"component at {p} is not a point of the merged grid")
-        _require(index[p] not in components, f"component at {p} is given twice")
+        _require(p in index, "component at {} is not a point of the merged grid", p)
+        _require(index[p] not in components, "component at {} is given twice", p)
         components[index[p]] = decode_cat_map(source.category_name, entry["map"])
     return DeltaMorphism._on(leg, components, validate=True)
 
@@ -254,7 +259,7 @@ def decode_cert(data: dict, x: PersistentObject | None = None,
                 y: PersistentObject | None = None) -> InterleavingCert:
     _require(isinstance(data, dict), "certificate must be a JSON object")
     _require(data.get("format") == FORMAT_CERT,
-             f"unexpected format {data.get('format')!r}")
+             "unexpected format {!r}", data.get("format"))
     if x is None:
         _require("x" in data, "certificate lacks embedded objects")
         x = decode_object(data["x"])
@@ -262,7 +267,7 @@ def decode_cert(data: dict, x: PersistentObject | None = None,
         _require("y" in data, "certificate lacks embedded objects")
         y = decode_object(data["y"])
     for key in ("epsilon", "delta", "f_components", "g_components"):
-        _require(key in data, f"certificate lacks {key!r}")
+        _require(key in data, "certificate lacks {!r}", key)
     f = decode_morphism(x, y, data["epsilon"], data["f_components"])
     g = decode_morphism(y, x, data["delta"], data["g_components"])
     return InterleavingCert(f, g)
@@ -286,18 +291,18 @@ def encode_filtered_complex(f: FilteredComplex) -> dict:
 def decode_filtered_complex(data: dict) -> FilteredComplex:
     _require(isinstance(data, dict), "filtered complex must be a JSON object")
     _require(data.get("format") == FORMAT_COMPLEX,
-             f"unexpected format {data.get('format')!r}")
+             "unexpected format {!r}", data.get("format"))
     vertices = [decode_element(v) for v in _field(data, "vertices", list, [])]
     _require(len(set(vertices)) == len(vertices), "vertices must be distinct")
     simplices = []
     grade = {}
     for entry in _field(data, "simplices", list, []):
         _require(isinstance(entry, dict) and isinstance(entry.get("v"), list)
-                 and "grade" in entry, f"bad simplex entry {entry!r}")
+                 and "grade" in entry, "bad simplex entry {!r}", entry)
         vs = [decode_element(v) for v in entry["v"]]
-        _require(len(set(vs)) == len(vs), f"simplex {vs!r} repeats a vertex")
+        _require(len(set(vs)) == len(vs), "simplex {!r} repeats a vertex", vs)
         s = simplex(vs)
-        _require(s not in grade, f"simplex {vs!r} is given twice")
+        _require(s not in grade, "simplex {!r} is given twice", vs)
         simplices.append(s)
         grade[s] = decode_grade(entry["grade"])
     return FilteredComplex(vertices, simplices, grade)
@@ -317,7 +322,7 @@ def encode_metric(mi: MetricInput) -> dict:
 def decode_metric(data: dict) -> MetricInput:
     _require(isinstance(data, dict), "metric must be a JSON object")
     _require(data.get("format") == FORMAT_METRIC,
-             f"unexpected format {data.get('format')!r}")
+             "unexpected format {!r}", data.get("format"))
     points = [decode_element(p) for p in _field(data, "points", list)]
     matrix = _field(data, "matrix", list)
     _require(all(isinstance(row, list) for row in matrix), "matrix rows must be JSON arrays")
@@ -347,15 +352,15 @@ def encode_barcode(b: Barcode) -> dict:
 def decode_barcode(data: dict) -> Barcode:
     _require(isinstance(data, dict), "barcode must be a JSON object")
     _require(data.get("format") == FORMAT_BARCODE,
-             f"unexpected format {data.get('format')!r}")
+             "unexpected format {!r}", data.get("format"))
     bars = []
     for entry in _field(data, "intervals", list, []):
         _require(isinstance(entry, dict) and "birth" in entry and "death" in entry,
-                 f"bad interval {entry!r}")
+                 "bad interval {!r}", entry)
         birth = decode_rational(entry["birth"])
         death = None if entry["death"] == "inf" else decode_rational(entry["death"])
         _require(death is None or birth < death,
-                 f"bad interval {entry!r}: birth must be below death")
+                 "bad interval {!r}: birth must be below death", entry)
         bars.append(Bar(birth, death))
     return Barcode(bars)
 

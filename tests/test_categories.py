@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from perscert.categories import COMPLEX, F2VEC, FINSET, get_category, simplex
+from perscert.categories import (
+    COMPLEX,
+    F2VEC,
+    FINSET,
+    complex_vertices,
+    get_category,
+    simplex,
+)
 from perscert.errors import CategoryError
 from perscert.gf2 import GF2Matrix
 
@@ -106,3 +113,40 @@ def test_complex_enumerate_maps_matches_count():
     maps = list(COMPLEX.enumerate_maps(k, l))
     # two source vertices, two target vertices, every assignment simplicial
     assert len(maps) == COMPLEX.count_maps(k, l) == 4
+
+
+EDGE = frozenset({("a",), ("b",), ("a", "b")})
+
+
+def simplexwise_is_map(f, src, tgt):
+    return set(f) == complex_vertices(src) and all(
+        COMPLEX.apply_simplex(f, s) in tgt for s in src
+    )
+
+
+def simplexwise_is_injective(f, src):
+    return len({COMPLEX.apply_simplex(f, s) for s in src}) == len(src)
+
+
+@pytest.mark.parametrize("f, tgt, is_map, injective", [
+    # an inclusion into a larger complex
+    ({"a": "a", "b": "b"}, EDGE | {("c",), ("a", "c")}, True, True),
+    # an inclusion whose source is not a subcomplex of the target
+    ({"a": "a", "b": "b"}, frozenset({("a",), ("b",)}), False, True),
+    # maps that fix only some vertices: a renaming and a collapse
+    ({"a": "a", "b": "c"}, frozenset({("a",), ("c",), ("a", "c")}), True, True),
+    ({"a": "a", "b": "c"}, frozenset({("a",), ("c",)}), False, True),
+    ({"a": "a", "b": "a"}, frozenset({("a",)}), True, False),
+])
+def test_complex_maps_agree_with_the_simplexwise_checks(f, tgt, is_map, injective):
+    assert simplexwise_is_map(f, EDGE, tgt) is is_map
+    assert simplexwise_is_injective(f, EDGE) is injective
+    assert COMPLEX.is_map(f, EDGE, tgt) is is_map
+    assert COMPLEX.is_injective(f, EDGE) is injective
+
+
+def test_a_vertex_map_missing_a_vertex_is_no_map():
+    # the identity on its one key, so the key check must come first
+    assert not COMPLEX.is_map({"a": "a"}, EDGE, EDGE)
+    assert not COMPLEX.is_map({"a": "a", "b": "b", "c": "c"}, EDGE, EDGE)
+    assert not COMPLEX.is_map({"a": "b"}, EDGE, EDGE)

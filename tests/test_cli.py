@@ -1,11 +1,14 @@
 """CLI: pipeline composition, deterministic output, and exit codes
 (0 ok, 1 property violated, 2 schema error, 3 budget exceeded)."""
 
+import copy
 import json
 import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perscert import serialize as ser
 from perscert.cli import main
@@ -13,7 +16,12 @@ from perscert.complexes import MetricInput
 from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
 from perscert.persist import integer_object, self_interleaving
-from perscert.randgen import interleaved_pair, rand_finset_object, rand_persistent_complex
+from perscert.randgen import (
+    interleaved_pair,
+    rand_finset_object,
+    rand_f2vec_object,
+    rand_persistent_complex,
+)
 
 COLLINEAR = {
     "format": ser.FORMAT_METRIC,
@@ -500,3 +508,112 @@ def test_rectify_rejects_block_size_0(runner, tmp_path):
     assert r.exit_code == 1
     report = json.loads(r.output)
     assert report["error"] == "property" and report["message"] == "block size must be >= 1"
+
+
+def test_degree_rips_of_an_empty_metric_is_the_empty_complex(runner, tmp_path):
+    empty = write(tmp_path, "empty.json", {**COLLINEAR, "points": [], "matrix": []})
+    r = invoke(runner, ["degree-rips", empty])
+    assert r.exit_code == 0
+    out = json.loads(r.output)
+    assert out["m"] == 2 and out["category"] == "Complex"
+    assert out["axes"] == [["0"], ["0"]]
+    assert out["objects"] == {"0,0": []} and out["edge_maps"] == {}
+    r2 = invoke(runner, ["is-filtered", write(tmp_path, "dr.json", out)])
+    assert r2.exit_code == 0 and json.loads(r2.output)["witness"] == []
+
+
+# -- hostile input: one field of a valid document replaced, dropped or retyped --
+
+
+def _valid_documents():
+    """A valid input document for each command whose decoders the mutations
+    reach, with the command's arguments around its path."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("metric.json", "w") as fh:
+            json.dump(COLLINEAR, fh)
+        rips = json.loads(runner.invoke(main, ["rips", "metric.json"]).output)
+        degree = json.loads(runner.invoke(main, ["degree-rips", "metric.json"]).output)
+    x = rand_finset_object(random.Random(3), lo=-1, hi=1, max_size=2)
+    _, cert = interleaved_pair(random.Random(4), x, 1)
+    return [
+        (["is-filtered"], degree),
+        (["is-filtered"], rips),
+        (["barcode", "--dim", "0"], rips),
+        (["barcode"], ser.encode_object(rand_f2vec_object(random.Random(1), lo=0, hi=2))),
+        (["degree-rips"], COLLINEAR),
+        (["interleave-check"], self_cert_document()),
+        (["rectify"], ser.encode_cert(cert)),
+    ]
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+def _fields(doc, prefix=()):
+    """The path to every member and array entry of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _fields(value, prefix + (key,))
+
+
+def _retyped(value):
+    """The same content as a JSON value of another type."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return {str(i): v for i, v in enumerate(value)}
+    if isinstance(value, dict):
+        return list(value.values())
+    return 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.sampled_from(["0", "1/2", "-1", "inf", "0,0", "0|0", "frozenset"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    args, doc = draw(st.sampled_from(VALID_DOCUMENTS))
+    *parents, last = draw(st.sampled_from(list(_fields(doc))))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["replace", "drop", "retype"]))
+    if kind == "drop":
+        del parent[last]
+    elif kind == "retype":
+        parent[last] = _retyped(parent[last])
+    else:
+        parent[last] = draw(JSON_VALUES)
+    return args, doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_mutated_documents_get_a_report_and_no_traceback(tmp_path_factory, case):
+    args, doc = case
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    r = CliRunner().invoke(main, [args[0], str(path), *args[1:]])
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exc_info
+    assert r.exit_code in (0, 1, 2, 3)
+    out = json.loads(r.stdout)
+    if r.exit_code in (2, 3):
+        assert out["format"] == ser.FORMAT_REPORT and out["ok"] is False

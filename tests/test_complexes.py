@@ -25,8 +25,10 @@ from perscert import (
     validate,
     vietoris_rips,
 )
-from perscert.persist import Grid, PersistentObject
-from perscert.randgen import rand_filtered_complex, rand_metric
+from perscert.categories import COMPLEX, complex_vertices
+from perscert.complexes import FilteredCheck
+from perscert.persist import Grid, PersistentObject, restrict_to_Z
+from perscert.randgen import rand_filtered_complex, rand_metric, rand_persistent_complex
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -171,3 +173,150 @@ def test_sq_gadget_rejects_non_commuting_squares():
 def test_metric_input_requires_symmetry_and_zero_diagonal():
     with pytest.raises(Exception):
         MetricInput([0, 1], [[0, 1], [2, 0]])
+
+
+# -- the builders against their per-point constructions ----------------------
+
+
+def reference_inclusions(grid, objects):
+    edges = {
+        (idx, a): {v: v for v in complex_vertices(objects[idx])}
+        for idx, a, _ in grid.edges()
+    }
+    return PersistentObject(grid, "Complex", objects, edges)
+
+
+def reference_to_persistent(f):
+    """At each grid point, the simplices whose grade lies below it."""
+    if not f.simplices:
+        return reference_inclusions(Grid([[0]]), {(0,): frozenset()})
+    axes = [sorted({g.coords[a] for g in f.grade.values()}) for a in range(f.m)]
+    grid = Grid(axes)
+    objects = {
+        idx: frozenset(s for s in f.simplices if f.grade[s].leq(grid.grade_at(idx)))
+        for idx in grid.indices()
+    }
+    return reference_inclusions(grid, objects)
+
+
+def reference_degree_rips(metric, d_max):
+    """At each (r, -k), the scale-r Rips simplices on the vertices of
+    r-neighborhood degree >= k, with every degree counted at that point."""
+    n = metric.n
+    scales = sorted({metric.dist[i][j] for i in range(n) for j in range(n)})
+    grid = Grid([scales, [Fraction(-k) for k in range(n - 1, -1, -1)]])
+    base = vietoris_rips(metric, d_max)
+    objects = {}
+    for idx in grid.indices():
+        r, t = grid.grade_at(idx).coords
+        keep = {
+            v for i, v in enumerate(metric.points)
+            if sum(1 for j in range(n) if j != i and metric.dist[i][j] <= r) >= -t
+        }
+        objects[idx] = frozenset(
+            s for s in base.simplices
+            if base.grade[s].coords[0] <= r and all(v in keep for v in s)
+        )
+    return reference_inclusions(grid, objects)
+
+
+def reference_is_filtered(p):
+    """Every simplex mapped to the top corner at every grid point."""
+    for idx, a, _ in p.grid.edges():
+        f = p.edge_maps[(idx, a)]
+        if len({COMPLEX.apply_simplex(f, s) for s in p.objects[idx]}) != len(p.objects[idx]):
+            return FilteredCheck(
+                False, condition=1, offender=idx,
+                reason=f"structure map at {idx} along axis {a} is not a monomorphism",
+            )
+    top = tuple(s - 1 for s in p.grid.shape())
+    appearance = {}
+    for idx in p.grid.indices():
+        to_top = p.map_between(idx, top)
+        for sigma in p.objects[idx]:
+            appearance.setdefault(COMPLEX.apply_simplex(to_top, sigma), set()).add(idx)
+    witness = {}
+    for tau, idxs in appearance.items():
+        mins = tuple(min(i[a] for i in idxs) for a in range(p.m))
+        if mins not in idxs:
+            return FilteredCheck(False, condition=2, offender=tau,
+                                 reason=f"appearance set of {tau!r} has no minimum")
+        witness[tau] = p.grid.grade_at(mins)
+    return FilteredCheck(True, witness=witness)
+
+
+def tied_metrics():
+    """Seeded metrics whose distances tie often, one point, and vertex names
+    of mixed types."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        yield rand_metric(rng, rng.randint(1, 6), max_dist=2, integer=True)
+    yield MetricInput(["p"], [[0]])
+    yield MetricInput([0, "a"], [[0, 1], [1, 0]])
+    yield MetricInput([0, "a", 2], [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    yield COLLINEAR
+
+
+def test_degree_rips_equals_the_per_point_construction():
+    for metric in tied_metrics():
+        for d_max in (0, 1, 2):
+            dr = degree_rips(metric, d_max)
+            assert dr == reference_degree_rips(metric, d_max)
+            assert is_filtered(dr) == reference_is_filtered(dr)
+
+
+def test_to_persistent_equals_the_per_point_construction():
+    for seed in range(20):
+        rng = random.Random(seed)
+        fc = rand_filtered_complex(rng, rng.randint(0, 5))
+        p = to_persistent(fc)
+        assert p == reference_to_persistent(fc)
+        assert is_filtered(p) == reference_is_filtered(p)
+        assert rand_persistent_complex(random.Random(seed)) == restrict_to_Z(
+            reference_to_persistent(rand_filtered_complex(random.Random(seed)))
+        )
+    for metric in tied_metrics():
+        values = [(7 * i) % 3 for i in range(metric.n)]
+        fr = function_rips(MetricInput(metric.points, metric.dist, values), 2)
+        p = to_persistent(fr)
+        assert p.m == 2 and p == reference_to_persistent(fr)
+        assert is_filtered(p) == reference_is_filtered(p)
+
+
+def relabeled_chain():
+    """m = 1 monic persistent complex whose maps rename every vertex."""
+    grid = Grid([[0, 1, 2]])
+    objects = {
+        (0,): frozenset({("a",)}),
+        (1,): frozenset({("b",), ("c",), ("b", "c")}),
+        (2,): frozenset({("x",), ("y",), ("x", "y")}),
+    }
+    edges = {((0,), 0): {"a": "b"}, ((1,), 0): {"b": "y", "c": "x"}}
+    return PersistentObject(grid, "Complex", objects, edges)
+
+
+def relabeled_gadget():
+    """The vertex appearance gadget with a differently named vertex at each
+    point, so the vertex meets itself only at the top corner."""
+    grid = Grid([[0, 1], [0, 1]])
+    objects = {(0, 0): frozenset(), (1, 0): frozenset({("u",)}),
+               (0, 1): frozenset({("w",)}), (1, 1): frozenset({("v",)})}
+    edges = {((0, 0), 0): {}, ((0, 0), 1): {}, ((1, 0), 1): {"u": "v"},
+             ((0, 1), 0): {"w": "v"}}
+    return PersistentObject(grid, "Complex", objects, edges)
+
+
+def test_is_filtered_reads_relabeling_maps_at_the_top_corner():
+    chk = is_filtered(relabeled_chain())
+    assert chk.filtered
+    assert chk.witness == {("y",): grade(0), ("x",): grade(1), ("x", "y"): grade(1)}
+    gadget = is_filtered(relabeled_gadget())
+    assert not gadget.filtered and gadget.condition == 2 and gadget.offender == ("v",)
+    collapse = PersistentObject(
+        Grid([[0, 1]]), "Complex",
+        {(0,): frozenset({("a",), ("b",)}), (1,): frozenset({("z",)})},
+        {((0,), 0): {"a": "z", "b": "z"}},
+    )
+    assert is_filtered(collapse).condition == 1
+    for p in (relabeled_chain(), relabeled_gadget(), collapse, vertex_appearance_gadget()):
+        assert is_filtered(p) == reference_is_filtered(p)

@@ -41,6 +41,7 @@ from perscert import (
     zigzag,
 )
 from perscert.distances import _least_certified, bottleneck
+from perscert.errors import CategoryError
 from perscert.invariants import barcode, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
 from perscert.persist import _Frame, _positions, interleaving_candidates
@@ -64,6 +65,20 @@ def test_evaluation_is_initial_below_and_constant_above():
     assert x.evaluate(grade(-5)) == frozenset()
     assert x.evaluate(grade(100)) == x.evaluate(grade(2))
     assert x.evaluate(grade("3/2")) == x.evaluate(grade(1))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (frozenset({("a", "b")}), "face ('b',) of ('a', 'b') missing: not closed"),
+    (["a"], "Complex object must be a frozenset of simplices"),
+])
+def test_every_distinct_object_is_checked(bad, message):
+    """The first object is valid and repeated; a later one is not."""
+    point = frozenset({("a",)})
+    objects = {(0,): point, (1,): point, (2,): bad}
+    edges = {((0,), 0): {"a": "a"}, ((1,), 0): {"a": "a"}}
+    with pytest.raises(CategoryError) as exc:
+        PersistentObject(Grid([[0, 1, 2]]), "Complex", objects, edges)
+    assert str(exc.value) == message
 
 
 def test_structure_maps_are_functorial():
