@@ -216,8 +216,8 @@ def skeleton(f: FilteredComplex, n: int) -> FilteredComplex:
 
 @dataclass(frozen=True)
 class MetricInput:
-    """A finite symmetric rational dissimilarity matrix; the triangle
-    inequality is deliberately not required."""
+    """A finite symmetric nonnegative rational dissimilarity matrix; the
+    triangle inequality is deliberately not required."""
 
     points: tuple
     dist: tuple  # tuple of tuples of Fractions
@@ -237,6 +237,8 @@ class MetricInput:
             for j in range(n):
                 if dist[i][j] != dist[j][i]:
                     raise SchemaError("dissimilarity matrix must be symmetric")
+                if dist[i][j] < 0:
+                    raise SchemaError("dissimilarities must be nonnegative")
         if values is not None:
             values = tuple(rat(v) for v in values)
             if len(values) != n:

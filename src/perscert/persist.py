@@ -31,11 +31,18 @@ from .errors import (
 from .grades import Grade, floor_int, rat, zero_grade
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Product of m finite, strictly increasing rational axes."""
+def _scale(axis) -> tuple[int, tuple[int, ...]]:
+    """A sorted axis of ints or Fractions as (d, ints): its least common
+    denominator d and the integers v * d."""
+    d = math.lcm(*(v.denominator for v in axis))
+    return d, tuple(v.numerator * (d // v.denominator) for v in axis)
 
-    axes: tuple[tuple[Fraction, ...], ...]
+
+class Grid:
+    """Product of m finite, strictly increasing rational axes. Each axis is
+    held as (d, ints), its least common denominator d and the integers
+    v * d; merging, translating, locating and comparing grids work on those
+    integers, and ``axes`` gives the values as Fractions."""
 
     def __init__(self, axes):
         axes = tuple(tuple(rat(v) for v in axis) for axis in axes)
@@ -46,34 +53,42 @@ class Grid:
                 raise ValidationError("grid axes must be nonempty")
             if any(a >= b for a, b in zip(axis, axis[1:])):
                 raise ValidationError("grid axes must be strictly increasing")
-        object.__setattr__(self, "axes", axes)
+        self._scaled = tuple(_scale(axis) for axis in axes)
+        self.axes = axes  # the Fraction view, at hand here
 
     @classmethod
-    def _trusted(cls, axes: tuple[tuple[Fraction, ...], ...]) -> "Grid":
-        """A grid of axes already known to be nonempty, strictly increasing
-        tuples of Fractions (the result of merging or translating grids)."""
+    def _of(cls, scaled: tuple[tuple[int, tuple[int, ...]], ...]) -> "Grid":
+        """The grid of per-axis (d, ints) already known to be nonempty,
+        strictly increasing integer tuples over their least common
+        denominator d."""
         grid = object.__new__(cls)
-        object.__setattr__(grid, "axes", axes)
+        grid._scaled = scaled
         return grid
 
     @functools.cached_property
-    def _scaled(self) -> tuple[tuple[int, list[int]], ...]:
-        """Per axis, its lcm denominator d and the integers v * d."""
-        out = []
-        for axis in self.axes:
-            d = math.lcm(*(v.denominator for v in axis))
-            out.append((d, [v.numerator * (d // v.denominator) for v in axis]))
-        return tuple(out)
+    def axes(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, d) for v in ints) for d, ints in self._scaled)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self):
+        return hash(self._scaled)
+
+    def __repr__(self) -> str:
+        return f"Grid(axes={self.axes!r})"
 
     @property
     def m(self) -> int:
-        return len(self.axes)
+        return len(self._scaled)
 
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(axis) for axis in self.axes)
+        return tuple(len(ints) for _, ints in self._scaled)
 
     def indices(self):
-        return itertools.product(*[range(len(axis)) for axis in self.axes])
+        return itertools.product(*[range(len(ints)) for _, ints in self._scaled])
 
     def grade_at(self, idx: tuple[int, ...]) -> Grade:
         return Grade(axis[i] for axis, i in zip(self.axes, idx))
@@ -97,8 +112,9 @@ class Grid:
         if r.m != self.m:
             raise DimensionError(f"grade arity {r.m} vs grid arity {self.m}")
         idx = []
-        for axis, c in zip(self.axes, r.coords):
-            i = bisect.bisect_right(axis, c) - 1
+        for (d, ints), c in zip(self._scaled, r.coords):
+            # v / d <= c exactly when the integer v <= floor(c * d)
+            i = bisect.bisect_right(ints, c.numerator * d // c.denominator) - 1
             if i < 0:
                 return None
             idx.append(i)
@@ -123,36 +139,35 @@ class Grid:
         }
 
     def merge(self, other: "Grid") -> "Grid":
+        """The grid of the union of each pair of axes, over the lcm of their
+        denominators (the least one of the union)."""
         if self.m != other.m:
             raise DimensionError("cannot merge grids of different arity")
-        return Grid._trusted(tuple(_merge_axes(a, b) for a, b in zip(self.axes, other.axes)))
+        out = []
+        for (d, a), (e, b) in zip(self._scaled, other._scaled):
+            common = math.lcm(d, e)
+            if common != d:
+                a = [v * (common // d) for v in a]
+            if common != e:
+                b = [v * (common // e) for v in b]
+            out.append((common, tuple(sorted(set(a).union(b)))))
+        return Grid._of(tuple(out))
 
     def translate(self, delta: Grade) -> "Grid":
+        """The grid moved by delta; each axis is divided by the gcd of its new
+        denominator and integers, so that the denominator stays least."""
         if delta.m != self.m:
             raise DimensionError("translation arity mismatch")
-        return Grid._trusted(
-            tuple(tuple(v + d for v in axis) for axis, d in zip(self.axes, delta.coords))
-        )
-
-
-def _merge_axes(a: tuple, b: tuple) -> tuple:
-    """The sorted union of two strictly increasing axes, by one linear merge."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif b[j] < a[i]:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+        out = []
+        for (d, ints), s in zip(self._scaled, delta.coords):
+            common = math.lcm(d, s.denominator)
+            k, t = common // d, s.numerator * (common // s.denominator)
+            moved = tuple(v * k + t for v in ints)
+            g = math.gcd(common, *moved)
+            if g != 1:
+                common, moved = common // g, tuple(v // g for v in moved)
+            out.append((common, moved))
+        return Grid._of(tuple(out))
 
 
 class PersistentObject:
@@ -170,9 +185,9 @@ class PersistentObject:
         if integer_indexed:
             if grid.m != 1:
                 raise DimensionError("integer-indexed objects must have m = 1")
-            if any(v.denominator != 1 for v in grid.axes[0]) or any(
-                b - a != 1 for a, b in zip(grid.axes[0], grid.axes[0][1:])
-            ):
+            d, ints = grid._scaled[0]
+            # ints increase strictly, so they are consecutive when they span len - 1
+            if d != 1 or ints[-1] - ints[0] != len(ints) - 1:
                 raise ValidationError("integer-indexed axis must be consecutive integers")
         if validate:
             self._validate()
@@ -276,6 +291,8 @@ class PersistentObject:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PersistentObject):
             return NotImplemented
+        if self is other:
+            return True
         if self.category_name != other.category_name or self.grid != other.grid:
             return False
         cat = self.category
@@ -298,7 +315,9 @@ def constant_object(category: str, value, grid: Grid) -> PersistentObject:
 
 def integer_object(category: str, values: list, maps: list, lo: int) -> PersistentObject:
     """Z-indexed object on the window [lo, lo + len(values) - 1]."""
-    grid = Grid([[lo + k for k in range(len(values))]])
+    if not values:
+        raise ValidationError("grid axes must be nonempty")
+    grid = Grid._of(((1, tuple(range(lo, lo + len(values)))),))
     objects = {(k,): v for k, v in enumerate(values)}
     edges = {((k,), 0): f for k, f in enumerate(maps)}
     return PersistentObject(grid, category, objects, edges, integer_indexed=True)
@@ -605,7 +624,7 @@ def _positions(grid: Grid, values: list) -> dict:
     when below the grid, as in ``eval_index``), by one ``locate`` over the
     distinct values."""
     distinct = sorted(set(values))
-    table = grid.locate(Grid._trusted((tuple(distinct),)), zero_grade(1))
+    table = grid.locate(Grid._of((_scale(distinct),)), zero_grade(1))
     return {v: table[(k,)] for k, v in enumerate(distinct)}
 
 
@@ -629,7 +648,8 @@ def _structure_morphism(x: PersistentObject, source: PersistentObject,
     end(v), the map out of the initial object when start(v) is below x's
     grid; after first's component at v when first is given."""
     leg = _Leg(source, target, shift)
-    values = leg.grid.axes[0]
+    d, ints = leg.grid._scaled[0]
+    values = ints if d == 1 else leg.grid.axes[0]  # an integral axis as plain ints
     starts, ends = [start(v) for v in values], [end(v) for v in values]
     if any(a > b for a, b in zip(starts, ends)):
         raise OrderError("structure map needs start <= end at every value")
@@ -840,9 +860,7 @@ def interleaving_candidates(x: PersistentObject, y: PersistentObject) -> list[Fr
     """D = {0} union {b - a, (b - a)/2 : a <= b critical grades}, sorted. The
     critical grades are scaled to integers over one common denominator d, so
     every candidate is a whole number of 1/(2d) steps."""
-    crit = set(x.grid.axes[0]) | set(y.grid.axes[0])
-    d = math.lcm(*(v.denominator for v in crit))
-    ints = sorted(v.numerator * (d // v.denominator) for v in crit)
+    d, ints = x.grid.merge(y.grid)._scaled[0]
     diffs = {b - a for i, a in enumerate(ints) for b in ints[i:]}
     steps = diffs | {2 * k for k in diffs}
     return [Fraction(k, 2 * d) for k in sorted(steps)]

@@ -52,17 +52,22 @@ def encode_rational(x) -> str:
     return rat_to_str(rat(x))
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def decode_rational(s) -> Fraction:
+    """A JSON integer, or a string of ASCII digits "p" or "p/q" (q > 0)."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise SchemaError(f"bad rational {s!r}")
-    if isinstance(s, str) and not _RATIONAL_RE.match(s):
+    if isinstance(s, int):
+        return Fraction(s)
+    match = _RATIONAL_RE.fullmatch(s)
+    if match is None:
         raise SchemaError(f"bad rational {s!r}: expected an integer or 'p/q'")
-    try:
-        return rat(s)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    p, q = match.groups()
+    try:  # int() refuses strings of more digits than sys.get_int_max_str_digits()
+        return Fraction(int(p), 1 if q is None else int(q))
+    except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}") from exc
 
 
@@ -216,8 +221,10 @@ def decode_object(data: dict) -> PersistentObject:
 
 
 def encode_components(f: DeltaMorphism) -> list[dict]:
+    """One entry per merged-grid point, each axis value encoded once."""
+    axes = [[encode_rational(v) for v in axis] for axis in f.grid.axes]
     return [
-        {"at": encode_grade(f.grid.grade_at(idx)),
+        {"at": [axis[i] for axis, i in zip(axes, idx)],
          "map": encode_cat_map(f.source.category_name, f.components[idx])}
         for idx in f.grid.indices()
     ]
@@ -225,19 +232,25 @@ def encode_components(f: DeltaMorphism) -> list[dict]:
 
 def decode_morphism(source: PersistentObject, target: PersistentObject,
                     shift_data, components_data) -> DeltaMorphism:
-    """Each "at" grade must be a point of the merged grid, given once."""
+    """Each "at" grade must be a point of the merged grid, given once; it is
+    placed by one value -> position table per axis."""
     shift = decode_grade(shift_data)
     _require(isinstance(components_data, list), "components must be a list")
     leg = _Leg(source, target, shift)
-    index = {leg.grid.grade_at(idx): idx for idx in leg.points}
+    positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
     components = {}
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
                  "bad component entry {!r}", entry)
-        p = decode_grade(entry["at"])
-        _require(p in index, "component at {} is not a point of the merged grid", p)
-        _require(index[p] not in components, "component at {} is given twice", p)
-        components[index[p]] = decode_cat_map(source.category_name, entry["map"])
+        at = entry["at"]
+        _require(isinstance(at, list) and at, "bad grade {!r}", at)
+        coords = [decode_rational(c) for c in at]
+        idx = tuple(table.get(c) for table, c in zip(positions, coords))
+        if len(coords) != len(positions) or None in idx:
+            raise SchemaError(f"component at {Grade(coords)} is not a point of the merged grid")
+        if idx in components:
+            raise SchemaError(f"component at {Grade(coords)} is given twice")
+        components[idx] = decode_cat_map(source.category_name, entry["map"])
     return DeltaMorphism._on(leg, components, validate=True)
 
 

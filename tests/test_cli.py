@@ -377,17 +377,44 @@ def test_hostile_document_is_a_schema_error(runner, tmp_path, command, doc):
     assert report["ok"] is False and report["error"] == "schema"
 
 
-@pytest.mark.parametrize("change", ["off-grid", "repeated"])
+@pytest.mark.parametrize("value", ["1\n", "\u0663", "\uff11/\uff12"],
+                         ids=["trailing-newline", "arabic-indic-digit", "fullwidth-digits"])
+def test_rational_must_be_ascii_digits(runner, tmp_path, value):
+    doc = {**f2vec_object(IDENTITY_2), "axes": [["0", value]]}
+    r = invoke(runner, ["barcode", write(tmp_path, "x.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and "bad rational" in report["message"]
+
+
+@pytest.mark.parametrize("command", ["rips", "frips", "degree-rips"])
+def test_negative_dissimilarity_is_a_schema_error(runner, tmp_path, command):
+    doc = {"format": ser.FORMAT_METRIC, "points": [0, 1],
+           "matrix": [["0", "-1"], ["-1", "0"]], "values": ["0", "0"]}
+    r = invoke(runner, [command, write(tmp_path, "metric.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and "nonnegative" in report["message"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ("off-grid", "component at Grade(1/2) is not a point of the merged grid"),
+    ("repeated", "component at Grade(-1) is given twice"),
+    ("repeated-spelled-apart", "component at Grade(-1) is given twice"),
+    ("wrong-arity", "component at Grade(0, 1) is not a point of the merged grid"),
+], ids=["off-grid", "repeated", "repeated-spelled-apart", "wrong-arity"])
 def test_certificate_component_must_be_a_merged_grid_point_given_once(
-        runner, tmp_path, change):
+        runner, tmp_path, change, message):
     doc = self_cert_document()
     entry = doc["f_components"][0]
-    if change == "off-grid":
-        entry = {**entry, "at": ["1/2"]}
-    doc["f_components"].append(entry)
+    assert entry["at"] == ["-1"]
+    at = {"off-grid": ["1/2"], "repeated": ["-1"], "repeated-spelled-apart": ["-2/2"],
+          "wrong-arity": ["0", "1"]}[change]
+    doc["f_components"].append({**entry, "at": at})
     r = invoke(runner, ["interleave-check", write(tmp_path, "cert.json", doc)])
     assert r.exit_code == 2
-    assert json.loads(r.output)["error"] == "schema"
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and report["message"] == message
 
 
 @pytest.mark.parametrize("patch", [

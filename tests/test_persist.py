@@ -2,6 +2,7 @@
 operators, interleaving certificates, pullbacks, discretization, rescaling,
 and the brute-force searches."""
 
+import bisect
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perscert import (
@@ -41,7 +42,7 @@ from perscert import (
     zigzag,
 )
 from perscert.distances import _least_certified, bottleneck
-from perscert.errors import CategoryError
+from perscert.errors import CategoryError, ValidationError
 from perscert.invariants import barcode, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
 from perscert.persist import _Frame, _positions, interleaving_candidates
@@ -65,6 +66,22 @@ def test_evaluation_is_initial_below_and_constant_above():
     assert x.evaluate(grade(-5)) == frozenset()
     assert x.evaluate(grade(100)) == x.evaluate(grade(2))
     assert x.evaluate(grade("3/2")) == x.evaluate(grade(1))
+
+
+@pytest.mark.parametrize("axis", [[0, 2], [0, "1/2"], ["1/2", "3/2"]],
+                         ids=["gap", "half-step", "half-integers"])
+def test_integer_indexed_axis_must_be_consecutive_integers(axis):
+    x = constant_object("FinSet", frozenset({"*"}), Grid([axis]))
+    with pytest.raises(ValidationError, match="consecutive integers"):
+        PersistentObject(x.grid, "FinSet", x.objects, x.edge_maps, integer_indexed=True)
+
+
+def test_integer_object_is_on_its_window_and_nonempty():
+    one = frozenset({"*"})
+    x = integer_object("FinSet", [one, one, one], [{"*": "*"}] * 2, -3)
+    assert x.grid == Grid([[-3, -2, -1]]) and x.grid.axes == Grid([[-3, -2, -1]]).axes
+    with pytest.raises(ValidationError, match="nonempty"):
+        integer_object("FinSet", [], [], 0)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -403,25 +420,42 @@ def test_integer_candidates_match_the_fraction_definition(a, b, data):
     assert interleaving_candidates(x, y) == reference_candidates(x, y)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_locate_merge_and_translate_agree_with_plain_grids(data):
-    m = data.draw(st.integers(1, 2))
-    a, b = data.draw(grids(m)), data.draw(grids(m))
+@st.composite
+def grid_pairs(draw):
+    """Two grids of one arity m and a shift of arity m."""
+    m = draw(st.integers(1, 2))
+    a, b = draw(grids(m)), draw(grids(m))
     # let the axes share some values
-    b = Grid([sorted(set(v) | set(data.draw(st.lists(st.sampled_from(u), max_size=3))))
+    b = Grid([sorted(set(v) | set(draw(st.lists(st.sampled_from(u), max_size=3))))
               for u, v in zip(a.axes, b.axes)])
-    shift = Grade(data.draw(st.lists(shifts, min_size=m, max_size=m)))
+    return a, b, Grade(draw(st.lists(shifts, min_size=m, max_size=m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_pairs())
+# translating {1/2, 3/2} by 1/2 cancels the denominator
+@example((Grid([["1/2", "3/2"]]), Grid([[0, 1]]), Grade(["1/2"])))
+# merging joins an integer axis and a half-integer one
+@example((Grid([[0, 1, 2]]), Grid([["1/2", "3/2"]]), Grade([0])))
+@example((Grid([["1/2", "3/2"], [0, "1/3"]]), Grid([[-1, "1/2"], ["2/3"]]),
+          Grade(["1/2", "2/3"])))
+def test_locate_merge_and_translate_agree_with_plain_grids(case):
+    a, b, shift = case
     located = a.locate(b, shift)
     assert list(located) == list(b.indices())
     for idx in b.indices():
-        assert located[idx] == a.eval_index(b.grade_at(idx) + shift)
+        p = b.grade_at(idx) + shift
+        # the largest point <= p by a bisect over the Fraction axes
+        below = tuple(bisect.bisect_right(axis, c) - 1 for axis, c in zip(a.axes, p.coords))
+        assert located[idx] == a.eval_index(p) == (None if -1 in below else below)
     merged = a.merge(b)
     plain = Grid([sorted(set(u) | set(v)) for u, v in zip(a.axes, b.axes)])
     assert merged == plain and hash(merged) == hash(plain)
+    assert merged.axes == plain.axes and merged.shape() == plain.shape()
     moved = a.translate(shift)
     plain = Grid([[v + d for v in axis] for axis, d in zip(a.axes, shift.coords)])
     assert moved == plain and hash(moved) == hash(plain)
+    assert moved.axes == plain.axes and moved.shape() == plain.shape()
     assert moved.locate(a, shift) == {idx: idx for idx in a.indices()}
 
 
