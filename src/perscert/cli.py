@@ -40,12 +40,16 @@ EXIT_BUDGET = 3
 
 
 def _load(path: str) -> dict:
+    """The JSON document at path ("-" for stdin). Text that is not UTF-8
+    (UnicodeDecodeError), is not JSON (JSONDecodeError), holds an integer of
+    more digits than the interpreter converts (ValueError, all three) or
+    nests deeper than it parses (RecursionError) is a schema error."""
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
 
 

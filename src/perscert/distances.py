@@ -3,13 +3,13 @@ search bounded below by it, and the stability cross-checks tying barcodes to
 interleaving certificates.
 
 Every candidate optimum lies in the finite set of pairwise endpoint
-differences and half-lengths, so the threshold scan below is exact; no
-floating point is involved anywhere.
+differences and half-lengths, so a bisection over those thresholds is exact;
+no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -62,53 +62,71 @@ class Matching:
 def match_cost(a: Bar, b: Bar) -> Optional[Fraction]:
     """L-infinity endpoint distance; infinite-death bars only match each
     other, at the birth difference."""
-    if (a.death is None) != (b.death is None):
+    return _cost(a.birth, a.death, b.birth, b.death)
+
+
+def _cost(birth1, death1, birth2, death2):
+    """``match_cost`` on the endpoints, exact numbers of any one type (None
+    is an infinite death)."""
+    if (death1 is None) != (death2 is None):
         return INFINITY
-    if a.death is None:
-        return abs(a.birth - b.birth)
-    return max(abs(a.birth - b.birth), abs(a.death - b.death))
+    if death1 is None:
+        return abs(birth1 - birth2)
+    return max(abs(birth1 - birth2), abs(death1 - death2))
 
 
 def _max_bipartite_matching(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]:
-    """Simple augmenting-path matching; returns match_right (-1 when free)."""
+    """Augmenting-path matching, each left node in turn trying its adjacency
+    in order (Kuhn's depth-first search, with an explicit stack so that a
+    path may be longer than the interpreter's recursion limit); returns
+    match_left (-1 when free)."""
     match_right = [-1] * n_right
     match_left = [-1] * n_left
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
-        return False
-
-    for u in range(n_left):
-        augment(u, [False] * n_right)
+    for root in range(n_left):
+        seen = [False] * n_right
+        # the path so far: each left node on it with an iterator over the
+        # rest of its adjacency, and the right nodes joining them
+        stack, joins = [(root, iter(adj[root]))], []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    seen[v] = True
+                    break
+            else:  # no augmenting path through this left node
+                stack.pop()
+                if joins:
+                    joins.pop()
+                continue
+            joins.append(v)
+            u = match_right[v]
+            if u == -1:  # v is free: flip the path
+                for (u, _), w in zip(stack, joins):
+                    match_right[w] = u
+                    match_left[u] = w
+                break
+            stack.append((u, iter(adj[u])))
     return match_left
 
 
-def _feasible(b1: Barcode, b2: Barcode, t: Fraction) -> Optional[Matching]:
-    """Perfect matching test at threshold t, with one diagonal slot per bar."""
-    n1, n2 = len(b1.bars), len(b2.bars)
+def _feasible(cost: list[list[int]], half1: list[int], half2: list[int],
+              k: int) -> Optional[Matching]:
+    """Perfect matching test at the k-th threshold, with one diagonal slot
+    per bar. ``cost`` holds the pair costs and ``half1``/``half2`` the
+    half-lengths as threshold indices, an infinite one past the last."""
+    n1, n2 = len(half1), len(half2)
     # left nodes: bars of b1, then n2 diagonal slots (one per right bar);
     # right nodes: bars of b2, then n1 diagonal slots. Diagonal-to-diagonal
     # is always allowed at zero cost.
+    diagonal = range(n2, n2 + n1)
     adj: list[list[int]] = []
-    for i, bar in enumerate(b1.bars):
-        row = [j for j, other in enumerate(b2.bars)
-               if (c := match_cost(bar, other)) is not INFINITY and c <= t]
-        h = bar.half_length()
-        if h is not None and h <= t:
-            row.extend(range(n2, n2 + n1))
+    for i, row_cost in enumerate(cost):
+        row = [j for j, c in enumerate(row_cost) if c <= k]
+        if half1[i] <= k:
+            row.extend(diagonal)
         adj.append(row)
-    for j, bar in enumerate(b2.bars):
-        h = bar.half_length()
-        row = []
-        if h is not None and h <= t:
-            row.append(j)
-        row.extend(range(n2, n2 + n1))
+    for j, h in enumerate(half2):
+        row = [j] if h <= k else []
+        row.extend(diagonal)
         adj.append(row)
 
     match_left = _max_bipartite_matching(n1 + n2, n2 + n1, adj)
@@ -123,50 +141,49 @@ def _feasible(b1: Barcode, b2: Barcode, t: Fraction) -> Optional[Matching]:
 
 def bottleneck(b1: Barcode, b2: Barcode) -> tuple[Optional[Fraction], Optional[Matching]]:
     """Exact bottleneck distance with an optimal matching; None means
-    infinity (mismatched counts of infinite bars)."""
+    infinity (mismatched counts of infinite bars).
+
+    The answer is the least threshold, among 0, the finite pair costs and the
+    half-lengths, at which a perfect matching exists. Feasibility is
+    monotone in the threshold and holds at the largest one, so the sorted
+    thresholds are bisected; the matching is the one found at the answer."""
     inf1 = sum(1 for b in b1.bars if b.death is None)
     inf2 = sum(1 for b in b2.bars if b.death is None)
     if inf1 != inf2:
         return INFINITY, None
-    thresholds = {Fraction(0)}
-    for a in b1.bars:
-        h = a.half_length()
-        if h is not None:
-            thresholds.add(h)
-        for b in b2.bars:
-            c = match_cost(a, b)
-            if c is not INFINITY:
-                thresholds.add(c)
-    for b in b2.bars:
-        h = b.half_length()
-        if h is not None:
-            thresholds.add(h)
-    for t in sorted(thresholds):
-        matching = _feasible(b1, b2, t)
-        if matching is not None:
-            return t, matching
-    return INFINITY, None
+    # endpoints as integers over twice their least common denominator, so
+    # that every cost and half-length is an integer too
+    scale = 2 * math.lcm(*(v.denominator for bar in b1.bars + b2.bars
+                           for v in (bar.birth, bar.death) if v is not None))
 
+    def scaled(v):
+        return None if v is None else v.numerator * (scale // v.denominator)
 
-def bottleneck_bruteforce(b1: Barcode, b2: Barcode) -> Optional[Fraction]:
-    """Oracle: enumerate every partial bijection. Exponential; tests only."""
-    n1, n2 = len(b1.bars), len(b2.bars)
-    best = INFINITY
-    idx2 = list(range(n2))
-    for k in range(min(n1, n2) + 1):
-        for left in itertools.combinations(range(n1), k):
-            for right in itertools.permutations(idx2, k):
-                matching = Matching(
-                    list(zip(left, right)),
-                    [i for i in range(n1) if i not in left],
-                    [j for j in idx2 if j not in right],
-                )
-                c = matching.cost(b1, b2)
-                if c is INFINITY:
-                    continue
-                if best is INFINITY or c < best:
-                    best = c
-    return best
+    ends1 = [(scaled(bar.birth), scaled(bar.death)) for bar in b1.bars]
+    ends2 = [(scaled(bar.birth), scaled(bar.death)) for bar in b2.bars]
+    costs = [[_cost(*e1, *e2) for e2 in ends2] for e1 in ends1]
+    half1 = [None if death is None else (death - birth) // 2 for birth, death in ends1]
+    half2 = [None if death is None else (death - birth) // 2 for birth, death in ends2]
+    thresholds = sorted({0, *(c for row in costs for c in row if c is not INFINITY),
+                         *(h for h in half1 + half2 if h is not None)})
+    # each value as its position in thresholds, an infinite one past the end
+    index = {t: k for k, t in enumerate(thresholds)}
+    index[INFINITY] = len(thresholds)
+    cost = [[index[c] for c in row] for row in costs]
+    half1 = [index[h] for h in half1]
+    half2 = [index[h] for h in half2]
+
+    lo, hi, matching = 0, len(thresholds) - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = _feasible(cost, half1, half2, mid)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, matching = mid, found
+    if matching is None:  # hi was never tested
+        matching = _feasible(cost, half1, half2, hi)
+    return Fraction(thresholds[hi], scale), matching
 
 
 # -- interleaving-distance search ---------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .categories import COMPLEX, complex_vertices, total_order
 from .errors import CategoryError, DimensionError, ValidationError
-from .gf2 import Echelon, GF2Matrix, kernel_bits
+from .gf2 import Echelon, GF2Matrix, _transpose, kernel_bits
 from .grades import Grade, rat, zero_grade
 from .persist import (
     DeltaMorphism,
@@ -339,39 +339,42 @@ def linearize(x: PersistentObject) -> PersistentObject:
 
 def barcode(f: PersistentObject) -> Barcode:
     """Interval decomposition of a 1-parameter GF(2) persistence module, by
-    the rank inclusion-exclusion over the grid presentation."""
+    one forward pass with the elder rule (Zomorodian & Carlsson, Computing
+    Persistent Homology, 2005).
+
+    The pass keeps a basis of the space at each grade index as bitsets, each
+    vector tagged with the index where its class was born, oldest first.
+    Each edge map pushes the basis forward into one elimination: an image in
+    the span of older images ends its bar there, the others stay alive, and
+    the unit vectors that still grow the span are born at the next index.
+    What is alive at the end gives the infinite bars. The vectors born at or
+    before index i span the image of the space at i, so these are the bars
+    of the rank inclusion-exclusion."""
     if f.category_name != "F2Vec":
         raise CategoryError("barcode expects a persistent module")
     if f.m != 1:
         raise DimensionError("barcode expects m = 1")
     axis = f.grid.axes[0]
-    n = len(axis)
-    dims = [f.objects[(i,)] for i in range(n)]
-    maps = [f.edge_maps[((i,), 0)] for i in range(n - 1)]
-
-    # rank of the composite map from grade index i to grade index j
-    rank = {}
-    for i in range(n):
-        composite = GF2Matrix.identity(dims[i])
-        rank[(i, i)] = dims[i]
-        for j in range(i + 1, n):
-            composite = maps[j - 1] @ composite
-            rank[(i, j)] = composite.rank()
-
-    def r(i, j):
-        if i < 0:
-            return 0
-        return rank[(i, j)]
-
+    live = [(1 << k, 0) for k in range(f.objects[(0,)])]  # (vector, birth index)
     bars = []
-    for i in range(n):
-        # infinite bars born at axis[i]
-        mult = r(i, n - 1) - r(i - 1, n - 1)
-        bars.extend(Bar(axis[i], None) for _ in range(mult))
-        # finite bars born at axis[i], dying at axis[j + 1]
-        for j in range(i, n - 1):
-            mult = r(i, j) - r(i, j + 1) - r(i - 1, j) + r(i - 1, j + 1)
-            bars.extend(Bar(axis[i], axis[j + 1]) for _ in range(mult))
+    for j in range(len(axis) - 1):
+        columns = _transpose(f.edge_maps[((j,), 0)].bits, f.objects[(j,)])
+        span = Echelon()
+        survivors = []
+        for v, birth in live:
+            image = 0
+            while v:
+                low = v & -v
+                image ^= columns[low.bit_length() - 1]
+                v ^= low
+            if span.add(image):
+                survivors.append((image, birth))
+            else:
+                bars.append(Bar(axis[birth], axis[j + 1]))
+        survivors.extend((1 << k, j + 1) for k in range(f.objects[(j + 1,)])
+                         if span.add(1 << k))
+        live = survivors
+    bars.extend(Bar(axis[birth], None) for _, birth in live)
     return Barcode(bars)
 
 

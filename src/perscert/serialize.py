@@ -93,15 +93,22 @@ def encode_element(x):
     raise SchemaError(f"cannot serialize element {x!r}")
 
 
-def decode_element(x):
+# arrays and frozensets one element may nest: every later recursion over an
+# element (encoding, repr, json) then stays far below the interpreter's limit
+_MAX_NESTING = 100
+
+
+def decode_element(x, levels: int = _MAX_NESTING):
     # scalars first, with _is_int inlined: this runs once per vertex of every
     # simplex. A JSON boolean would merge with 1 or 0 as a Python set element.
     if isinstance(x, str) or isinstance(x, int) and not isinstance(x, bool):
         return x
+    if not levels:
+        raise SchemaError(f"element nested deeper than {_MAX_NESTING} levels")
     if isinstance(x, list):
-        return tuple(map(decode_element, x))
+        return tuple([decode_element(v, levels - 1) for v in x])
     _require(isinstance(x, dict) and set(x.keys()) == {"frozenset"}, "bad element {!r}", x)
-    return frozenset(decode_element(v) for v in _field(x, "frozenset", list))
+    return frozenset(decode_element(v, levels - 1) for v in _field(x, "frozenset", list))
 
 
 def encode_cat_object(category: str, obj):
@@ -235,6 +242,8 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     """Each "at" grade must be a point of the merged grid, given once; it is
     placed by one value -> position table per axis."""
     shift = decode_grade(shift_data)
+    _require(shift.m == source.m, "shift {} has arity {}, the objects have m = {}",
+             shift, shift.m, source.m)
     _require(isinstance(components_data, list), "components must be a list")
     leg = _Leg(source, target, shift)
     positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]

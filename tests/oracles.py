@@ -1,0 +1,128 @@
+"""Slow reference implementations that the library's barcode and bottleneck
+distance are tested against. They live here, outside the package, so that an
+oracle shares as little code as possible with what it checks."""
+
+import itertools
+from fractions import Fraction
+
+from perscert.distances import INFINITY, Matching, match_cost
+from perscert.gf2 import GF2Matrix
+from perscert.invariants import Bar, Barcode
+
+
+def barcode_by_ranks(f) -> Barcode:
+    """Bars of a 1-parameter GF(2) module by rank inclusion-exclusion over
+    the ranks of every composite map, from grade index i to j."""
+    axis = f.grid.axes[0]
+    n = len(axis)
+    dims = [f.objects[(i,)] for i in range(n)]
+    maps = [f.edge_maps[((i,), 0)] for i in range(n - 1)]
+
+    rank = {}
+    for i in range(n):
+        composite = GF2Matrix.identity(dims[i])
+        rank[(i, i)] = dims[i]
+        for j in range(i + 1, n):
+            composite = maps[j - 1] @ composite
+            rank[(i, j)] = composite.rank()
+
+    def r(i, j):
+        return 0 if i < 0 else rank[(i, j)]
+
+    bars = []
+    for i in range(n):
+        # infinite bars born at axis[i]
+        bars.extend(Bar(axis[i], None) for _ in range(r(i, n - 1) - r(i - 1, n - 1)))
+        # finite bars born at axis[i], dying at axis[j + 1]
+        for j in range(i, n - 1):
+            mult = r(i, j) - r(i, j + 1) - r(i - 1, j) + r(i - 1, j + 1)
+            bars.extend(Bar(axis[i], axis[j + 1]) for _ in range(mult))
+    return Barcode(bars)
+
+
+def matching_by_recursion(n_left, n_right, adj):
+    """Kuhn's augmenting-path matching as a recursive depth-first search,
+    each left node in turn trying its adjacency in order; returns
+    match_left. Paths are bounded by the interpreter's recursion limit."""
+    match_right = [-1] * n_right
+    match_left = [-1] * n_left
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == -1 or augment(match_right[v], seen):
+                    match_right[v] = u
+                    match_left[u] = v
+                    return True
+        return False
+
+    for u in range(n_left):
+        augment(u, [False] * n_right)
+    return match_left
+
+
+def _feasible_at(b1: Barcode, b2: Barcode, t: Fraction):
+    """Perfect matching at threshold t, with one diagonal slot per bar and
+    the adjacency in the library's order."""
+    n1, n2 = len(b1.bars), len(b2.bars)
+    adj = []
+    for bar in b1.bars:
+        row = [j for j, other in enumerate(b2.bars)
+               if (c := match_cost(bar, other)) is not INFINITY and c <= t]
+        h = bar.half_length()
+        if h is not None and h <= t:
+            row.extend(range(n2, n2 + n1))
+        adj.append(row)
+    for j, bar in enumerate(b2.bars):
+        h = bar.half_length()
+        row = [j] if h is not None and h <= t else []
+        row.extend(range(n2, n2 + n1))
+        adj.append(row)
+    match_left = matching_by_recursion(n1 + n2, n2 + n1, adj)
+    if -1 in match_left:
+        return None
+    pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
+    matched_right = {j for _, j in pairs}
+    return Matching(pairs, [i for i in range(n1) if match_left[i] >= n2],
+                    [j for j in range(n2) if j not in matched_right])
+
+
+def bottleneck_by_scan(b1: Barcode, b2: Barcode):
+    """(d_B, matching) by testing every candidate threshold from 0 upward."""
+    if sum(b.death is None for b in b1.bars) != sum(b.death is None for b in b2.bars):
+        return INFINITY, None
+    thresholds = {Fraction(0)}
+    for a in b1.bars + b2.bars:
+        if a.half_length() is not None:
+            thresholds.add(a.half_length())
+    for a in b1.bars:
+        for b in b2.bars:
+            if (c := match_cost(a, b)) is not INFINITY:
+                thresholds.add(c)
+    for t in sorted(thresholds):
+        matching = _feasible_at(b1, b2, t)
+        if matching is not None:
+            return t, matching
+    return INFINITY, None
+
+
+def bottleneck_bruteforce(b1: Barcode, b2: Barcode):
+    """d_B by enumerating every partial bijection. Exponential."""
+    n1, n2 = len(b1.bars), len(b2.bars)
+    best = INFINITY
+    idx2 = list(range(n2))
+    for k in range(min(n1, n2) + 1):
+        for left in itertools.combinations(range(n1), k):
+            for right in itertools.permutations(idx2, k):
+                matching = Matching(
+                    list(zip(left, right)),
+                    [i for i in range(n1) if i not in left],
+                    [j for j in idx2 if j not in right],
+                )
+                c = matching.cost(b1, b2)
+                if c is INFINITY:
+                    continue
+                if best is INFINITY or c < best:
+                    best = c
+    return best

@@ -37,7 +37,7 @@ from perscert import (
     zigzag,
 )
 from perscert import serialize as ser
-from perscert.distances import bottleneck, bottleneck_bruteforce
+from perscert.distances import bottleneck
 from perscert.invariants import bfs_component_count
 from perscert.persist import Grid, PersistentObject
 from perscert.randgen import (
@@ -53,6 +53,8 @@ from perscert.randgen import (
     rand_persistent_complex,
     rand_real_object,
 )
+
+from oracles import bottleneck_bruteforce
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 

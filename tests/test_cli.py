@@ -438,6 +438,49 @@ def test_integer_indexed_must_be_a_json_boolean(runner, tmp_path):
     assert report["error"] == "schema" and "integer_indexed" in report["message"]
 
 
+def _metric_text(point):
+    return ('{"format": "%s", "points": [%s, 1], "matrix": [["0", "1"], ["1", "0"]]}'
+            % (ser.FORMAT_METRIC, point))
+
+
+@pytest.mark.parametrize("content", [
+    _metric_text("1" * 5000).encode(),
+    _metric_text('"caf\xe9"').encode("latin-1"),
+    b"[" * 100_000,
+    _metric_text("[" * 900 + "0" + "]" * 900).encode(),
+], ids=["integer-of-5000-digits", "not-utf-8", "arrays-nested-100000-deep",
+        "vertex-nested-900-deep"])
+def test_unreadable_document_is_a_schema_error(runner, tmp_path, content):
+    path = tmp_path / "metric.json"
+    path.write_bytes(content)
+    r = invoke(runner, ["rips", str(path)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "schema"
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 2)])
+def test_elements_nest_at_most_100_levels(runner, tmp_path, depth, code):
+    for point in ("[" * depth + "0" + "]" * depth,
+                  '{"frozenset": [' * depth + "0" + "]}" * depth):
+        path = tmp_path / "metric.json"
+        path.write_text(_metric_text(point))
+        r = invoke(runner, ["rips", str(path)])
+        assert r.exit_code == code
+        if code:
+            assert json.loads(r.output)["message"] == "element nested deeper than 100 levels"
+
+
+@pytest.mark.parametrize("key", ["epsilon", "delta"])
+def test_certificate_shift_arity_must_match_the_objects(runner, tmp_path, key):
+    doc = {**self_cert_document(), key: ["1", "1"]}
+    r = invoke(runner, ["interleave-check", write(tmp_path, "cert.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema"
+    assert report["message"] == "shift Grade(1, 1) has arity 2, the objects have m = 1"
+
+
 def test_validate_names_the_simplex_whose_grade_arity_differs(runner, tmp_path):
     doc = {
         "format": ser.FORMAT_COMPLEX,

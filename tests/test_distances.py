@@ -1,7 +1,8 @@
-"""Exact bottleneck distance, the brute-force oracle, and the stability
-cross-checks."""
+"""Exact bottleneck distance against the brute-force and threshold-scan
+oracles, and the stability cross-checks."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from perscert import (
     self_interleaving,
     stability_audit,
 )
-from perscert.distances import _least_certified, bottleneck_bruteforce
+from perscert.distances import _least_certified, _max_bipartite_matching
 from perscert.gf2 import GF2Matrix
 from perscert.persist import Grid, PersistentObject, check_interleaving
 from perscert.invariants import barcode
@@ -27,6 +28,8 @@ from perscert.randgen import (
     rand_f2vec_object,
     rand_persistent_complex,
 )
+
+from oracles import matching_by_recursion, bottleneck_bruteforce, bottleneck_by_scan
 
 
 def interval_module(birth, death, axis):
@@ -63,6 +66,43 @@ def test_bottleneck_agrees_with_bruteforce():
         assert d == bottleneck_bruteforce(b1, b2)
         if matching is not None:
             assert matching.cost(b1, b2) == d
+
+
+def test_bottleneck_matching_is_the_threshold_scan_one():
+    # the least feasible threshold and the matching found there, pair for pair
+    cases = [(Barcode([]), Barcode([])), (Barcode([Bar(0, None)]), Barcode([Bar(1, None)])),
+             (Barcode([Bar(0, None)]), Barcode([]))]
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = rand_barcode(rng, max_bars=rng.choice((2, 5, 9)))
+        b = a if seed % 10 == 0 else rand_barcode(rng, max_bars=rng.choice((2, 5, 9)))
+        cases.append((a, b))
+    for a, b in cases:
+        d, matching = bottleneck(a, b)
+        d_scan, matching_scan = bottleneck_by_scan(a, b)
+        assert d == d_scan and matching == matching_scan
+    assert any(not a.bars and not b.bars for a, b in cases)
+    assert any(a is b and a.bars for a, b in cases)
+    assert any(d is None for d in (bottleneck(a, b)[0] for a, b in cases))
+    assert any(any(bar.death is None for bar in a.bars) and bottleneck(a, b)[0] is not None
+               for a, b in cases)
+
+
+def test_matching_is_the_recursive_search_one():
+    for seed in range(200):
+        rng = random.Random(seed)
+        n_left, n_right = rng.randint(0, 12), rng.randint(0, 12)
+        adj = [rng.sample(range(n_right), rng.randint(0, n_right)) for _ in range(n_left)]
+        assert (_max_bipartite_matching(n_left, n_right, adj)
+                == matching_by_recursion(n_left, n_right, adj))
+
+
+def test_matching_follows_augmenting_paths_past_the_recursion_limit():
+    # left i < n takes right i; left n then needs the path that shifts every
+    # left i to right i + 1, one step per left node
+    n = 3 * sys.getrecursionlimit()
+    adj = [[i, i + 1] for i in range(n)] + [[0]]
+    assert _max_bipartite_matching(n + 1, n + 1, adj) == list(range(1, n + 1)) + [0]
 
 
 def test_bottleneck_is_a_pseudometric():

@@ -39,11 +39,14 @@ from perscert.persist import (
 from perscert.randgen import (
     interleaved_pair,
     rand_complex_interleaving,
+    rand_f2vec_object,
     rand_finset_object,
     rand_metric,
     rand_persistent_complex,
     rand_real_object,
 )
+
+from oracles import barcode_by_ranks
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -156,6 +159,21 @@ def test_barcode_is_rank_exact():
                         if b.birth <= r and (b.death is None or s < b.death)
                     )
                     assert rank == contains
+
+
+def test_barcode_equals_the_rank_inclusion_exclusion():
+    # arbitrary matrices, so zero maps and zero-dimensional spaces occur
+    modules = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        modules.append(rand_real_object(rng, "F2Vec", n_grades=rng.randint(1, 7),
+                                        max_size=rng.randint(0, 4)))
+        modules.append(rand_f2vec_object(rng, lo=-3, hi=rng.randint(-3, 4),
+                                         max_dim=rng.randint(0, 4)))
+    for module in modules:
+        assert barcode(module) == barcode_by_ranks(module)
+    assert any(not module.objects[idx] for module in modules for idx in module.objects)
+    assert any(not any(f.bits) for module in modules for f in module.edge_maps.values())
 
 
 def test_barcode_rank_at_counts_open_intervals():
