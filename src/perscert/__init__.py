@@ -55,7 +55,6 @@ from .complexes import (
     MetricInput,
     SquareDiagram,
     degree_rips,
-    dimension,
     function_rips,
     is_filtered,
     is_n_skeletal,

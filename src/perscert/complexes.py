@@ -193,11 +193,7 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
     return FilteredCheck(True, witness=witness)
 
 
-# -- dimension / skeleta ----------------------------------------------------
-
-
-def dimension(f: FilteredComplex) -> int:
-    return f.dimension()
+# -- skeleta ------------------------------------------------------------------
 
 
 def is_n_skeletal(f: FilteredComplex, n: int) -> bool:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import BudgetExceededError, CategoryError, DimensionError, ValidationError
 from .grades import Grade
-from .invariants import Bar, Barcode, barcode, homology_cert, linearize
+from .invariants import Barcode, barcode, homology_cert, linearize
 from .persist import (
     InterleavingCert,
     PersistentObject,
@@ -39,35 +39,11 @@ class Matching:
     deleted_left: list[int]
     deleted_right: list[int]
 
-    def cost(self, b1: Barcode, b2: Barcode) -> Optional[Fraction]:
-        worst = Fraction(0)
-        for i, j in self.pairs:
-            c = match_cost(b1.bars[i], b2.bars[j])
-            if c is INFINITY:
-                return INFINITY
-            worst = max(worst, c)
-        for i in self.deleted_left:
-            h = b1.bars[i].half_length()
-            if h is None:
-                return INFINITY
-            worst = max(worst, h)
-        for j in self.deleted_right:
-            h = b2.bars[j].half_length()
-            if h is None:
-                return INFINITY
-            worst = max(worst, h)
-        return worst
-
-
-def match_cost(a: Bar, b: Bar) -> Optional[Fraction]:
-    """L-infinity endpoint distance; infinite-death bars only match each
-    other, at the birth difference."""
-    return _cost(a.birth, a.death, b.birth, b.death)
-
 
 def _cost(birth1, death1, birth2, death2):
-    """``match_cost`` on the endpoints, exact numbers of any one type (None
-    is an infinite death)."""
+    """L-infinity distance of two bars' endpoints, exact numbers of any one
+    type (None is an infinite death); infinite-death bars only match each
+    other, at the birth difference."""
     if (death1 is None) != (death2 is None):
         return INFINITY
     if death1 is None:
@@ -237,8 +213,8 @@ def _least_certified(x: PersistentObject, y: PersistentObject,
     """The least candidate delta >= floor with a certificate, searching the
     candidates in increasing order; a floor of INFINITY admits none."""
     candidates = interleaving_candidates(x, y)
+    shared = _Budget(budget)
     if floor is not INFINITY:
-        shared = _Budget(budget)
         for delta in candidates:
             if delta < floor:
                 continue
@@ -246,8 +222,7 @@ def _least_certified(x: PersistentObject, y: PersistentObject,
                 cert = _search_at_delta(x, y, Grade([delta]), shared)
             except BudgetExceededError:
                 raise BudgetExceededError(
-                    f"search budget of {budget} exhausted before settling all candidates",
-                    upper_bound=None,
+                    f"search budget of {budget} exhausted before settling all candidates"
                 ) from None
             if cert is not None:
                 return SearchResult(delta, cert, candidates, "least valid candidate")

@@ -38,13 +38,4 @@ class SchemaError(PerscertError):
 
 
 class BudgetExceededError(PerscertError):
-    """An exhaustive search ran out of budget.
-
-    Carries the best certified upper bound found so far (may be None when the
-    search produced nothing before running out).
-    """
-
-    def __init__(self, message, upper_bound=None, certificate=None):
-        super().__init__(message)
-        self.upper_bound = upper_bound
-        self.certificate = certificate
+    """An exhaustive search ran out of budget."""

@@ -39,6 +39,16 @@ def _transpose(vectors: Sequence[int], length: int) -> list[int]:
     return out
 
 
+def _combination(v: int, vectors: Sequence[int]) -> int:
+    """The sum of vectors[i] over the set bits i of v."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= vectors[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
 class Echelon:
     """Incremental Gaussian elimination over GF(2).
 
@@ -149,15 +159,7 @@ class GF2Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         right = other.bits
-        out = []
-        for r in self.bits:
-            acc = 0
-            while r:
-                low = r & -r
-                acc ^= right[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
-        return GF2Matrix(out, self.nrows, other.ncols)
+        return GF2Matrix([_combination(r, right) for r in self.bits], self.nrows, other.ncols)
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         return self.matmul(other)

@@ -14,14 +14,13 @@ list, so recomputing the basis of the same complex always agrees.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .categories import COMPLEX, complex_vertices, total_order
 from .errors import CategoryError, DimensionError, ValidationError
-from .gf2 import Echelon, GF2Matrix, _transpose, kernel_bits
+from .gf2 import Echelon, GF2Matrix, _combination, _transpose, kernel_bits
 from .grades import Grade, rat, zero_grade
 from .persist import (
     DeltaMorphism,
@@ -66,33 +65,6 @@ def components_of_complex(k: frozenset) -> dict:
         for a, b in zip(sigma, sigma[1:]):
             uf.union(a, b)
     return uf.components()
-
-
-def bfs_component_count(k: frozenset) -> int:
-    """Independent oracle: count components by breadth-first search over the
-    1-skeleton."""
-    verts = complex_vertices(k)
-    adjacency = {v: set() for v in verts}
-    for sigma in k:
-        for a in sigma:
-            for b in sigma:
-                if a != b:
-                    adjacency[a].add(b)
-    seen = set()
-    count = 0
-    for v in verts:
-        if v in seen:
-            continue
-        count += 1
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return count
 
 
 class _Functor(NamedTuple):
@@ -203,7 +175,10 @@ def homology_basis(k: frozenset, n: int) -> HomologyBasis:
     """Deterministic in the complex: boundaries of the sorted (n+1)-simplices
     go into one elimination first, then the kernel basis of the boundary
     map on the sorted n-simplices, and every cycle that grows the span
-    becomes a representative."""
+    becomes a representative. Every H_n of the library is set up here, so
+    this is where a negative degree is rejected."""
+    if n < 0:
+        raise ValidationError(f"homology degree needs n >= 0, got {n}")
     simplices = _simplices_of_dim(k, n)
     classes = Echelon()
     for col in _boundary_columns(simplices, _simplices_of_dim(k, n + 1)):
@@ -225,12 +200,7 @@ def _induced(src: HomologyBasis, tgt: HomologyBasis, vmap: dict) -> GF2Matrix:
         images.append(1 << index[image] if len(image) == len(sigma) else 0)
     cols = []
     for rep in src.reps:
-        z = 0
-        while rep:
-            low = rep & -rep
-            z ^= images[low.bit_length() - 1]
-            rep ^= low
-        rest, coords = tgt.classes.reduce(z)
+        rest, coords = tgt.classes.reduce(_combination(rep, images))
         if rest:
             raise ValidationError("image of a cycle is not a cycle: not a chain map")
         cols.append(coords)
@@ -292,11 +262,6 @@ class Bar:
             object.__setattr__(self, "death", rat(self.death))
             if not self.birth < self.death:
                 raise ValidationError("bars must be nonempty intervals")
-
-    def half_length(self) -> Optional[Fraction]:
-        if self.death is None:
-            return None
-        return (self.death - self.birth) / 2
 
 
 @dataclass(frozen=True)
@@ -362,11 +327,7 @@ def barcode(f: PersistentObject) -> Barcode:
         span = Echelon()
         survivors = []
         for v, birth in live:
-            image = 0
-            while v:
-                low = v & -v
-                image ^= columns[low.bit_length() - 1]
-                v ^= low
+            image = _combination(v, columns)
             if span.add(image):
                 survivors.append((image, birth))
             else:

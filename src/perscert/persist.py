@@ -272,22 +272,6 @@ class PersistentObject:
             raise OrderError(f"structure map needs r <= s, got {r} and {s}")
         return self.map_between(self.grid.eval_index(r), self.grid.eval_index(s))
 
-    # -- reindexings ------------------------------------------------------
-
-    def shift_left(self, delta: Grade) -> "PersistentObject":
-        """X^delta, with X^delta(r) = X(r + delta)."""
-        if delta.m != self.m:
-            raise DimensionError("shift arity mismatch")
-        if not delta.is_nonnegative():
-            raise ShiftError(f"shift must be nonnegative, got {delta}")
-        return PersistentObject(
-            self.grid.translate(Grade(-c for c in delta.coords)),
-            self.category_name,
-            self.objects,
-            self.edge_maps,
-            validate=False,
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PersistentObject):
             return NotImplemented
@@ -567,8 +551,6 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
     if h.target != y:
         raise CategoryError("h must land in the target of the interleaving")
     cat = x.category
-    if not hasattr(cat, "fiber_product"):
-        raise CategoryError(f"{cat.name} does not support pullbacks")
     b = h.source
 
     zero = zero_grade(x.m)
@@ -721,7 +703,12 @@ def rescale_cert(cert: InterleavingCert, c) -> InterleavingCert:
 
 
 class _Budget:
+    """A limit on the candidate components one search may visit; a negative
+    limit is refused before the search starts."""
+
     def __init__(self, limit: int):
+        if limit < 0:
+            raise ValidationError(f"search budget must be >= 0, got {limit}")
         self.limit = limit
         self.used = 0
 
@@ -737,8 +724,8 @@ class _Frame:
     identities of ``check_interleaving`` on their grids, located in the legs'
     grids. Given f, the triangles constrain g one merged-grid component at a
     time (``triangle_filter``). g's leg and the triangles are built
-    when the first f looks for a partner, since most candidate deltas admit
-    no natural f."""
+    when the first f looks for a partner, so a candidate delta that admits
+    no natural f never builds them."""
 
     def __init__(self, x: PersistentObject, y: PersistentObject, eps: Grade, delta: Grade):
         self.x, self.y, self.eps, self.delta = x, y, eps, delta

@@ -212,6 +212,9 @@ def decode_object(data: dict) -> PersistentObject:
     axes = data.get("axes")
     _require(isinstance(axes, list) and axes, "missing axes")
     _require(all(isinstance(axis, list) for axis in axes), "each axis must be a JSON array")
+    m = data.get("m", len(axes))
+    _require(_is_int(m) and m == len(axes), "'m' is {!r}, but the object has {} axes",
+             m, len(axes))
     grid = Grid([[decode_rational(v) for v in axis] for axis in axes])
     objects = {}
     for key, obj in _field(data, "objects", dict, {}).items():
@@ -327,18 +330,11 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
         _require(s not in grade, "simplex {!r} is given twice", vs)
         simplices.append(s)
         grade[s] = decode_grade(entry["grade"])
+    if "m" in data:
+        m = data["m"]
+        _require(_is_int(m) and all(g.m == m for g in grade.values()),
+                 "'m' is {!r}, not the arity of every grade", m)
     return FilteredComplex(vertices, simplices, grade)
-
-
-def encode_metric(mi: MetricInput) -> dict:
-    out = {
-        "format": FORMAT_METRIC,
-        "points": [encode_element(p) for p in mi.points],
-        "matrix": [[encode_rational(x) for x in row] for row in mi.dist],
-    }
-    if mi.values is not None:
-        out["values"] = [encode_rational(v) for v in mi.values]
-    return out
 
 
 def decode_metric(data: dict) -> MetricInput:

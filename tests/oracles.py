@@ -1,13 +1,105 @@
-"""Slow reference implementations that the library's barcode and bottleneck
-distance are tested against. They live here, outside the package, so that an
-oracle shares as little code as possible with what it checks."""
+"""Slow reference implementations that the library is tested against. They
+live here, outside the package, so that an oracle shares as little code as
+possible with what it checks:
+
+- ``bfs_component_count``: components of a complex by breadth-first search,
+  against union-find ``pi0``;
+- ``barcode_by_ranks``: bars by rank inclusion-exclusion, against the
+  elder-rule ``barcode``;
+- ``half_length``, ``match_cost`` and ``matching_cost``: the cost of a
+  bottleneck matching, from the bars' endpoints;
+- ``bottleneck_by_scan`` and ``bottleneck_bruteforce``: d_B by testing every
+  threshold from 0 upward, and by enumerating every partial bijection;
+- ``encode_metric``: the wire form of a metric input, for round trips and
+  documents fed to the CLI.
+"""
 
 import itertools
+from collections import deque
 from fractions import Fraction
+from typing import Optional
 
-from perscert.distances import INFINITY, Matching, match_cost
+from perscert.distances import INFINITY, Matching
 from perscert.gf2 import GF2Matrix
 from perscert.invariants import Bar, Barcode
+from perscert.serialize import FORMAT_METRIC, encode_element, encode_rational
+
+
+def bfs_component_count(k: frozenset) -> int:
+    """Components of a complex by breadth-first search over its 1-skeleton."""
+    verts = {v for sigma in k for v in sigma}
+    adjacency = {v: set() for v in verts}
+    for sigma in k:
+        for a in sigma:
+            for b in sigma:
+                if a != b:
+                    adjacency[a].add(b)
+    seen = set()
+    count = 0
+    for v in verts:
+        if v in seen:
+            continue
+        count += 1
+        queue = deque([v])
+        seen.add(v)
+        while queue:
+            u = queue.popleft()
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
+
+
+def encode_metric(mi) -> dict:
+    """A ``MetricInput`` as a ``perscert/metric/1`` document."""
+    out = {
+        "format": FORMAT_METRIC,
+        "points": [encode_element(p) for p in mi.points],
+        "matrix": [[encode_rational(x) for x in row] for row in mi.dist],
+    }
+    if mi.values is not None:
+        out["values"] = [encode_rational(v) for v in mi.values]
+    return out
+
+
+def half_length(bar: Bar) -> Optional[Fraction]:
+    """The cost of deleting a bar to the diagonal; None for an infinite bar,
+    which is never deleted."""
+    if bar.death is None:
+        return None
+    return (bar.death - bar.birth) / 2
+
+
+def match_cost(a: Bar, b: Bar) -> Optional[Fraction]:
+    """L-infinity endpoint distance; infinite-death bars only match each
+    other, at the birth difference."""
+    if (a.death is None) != (b.death is None):
+        return INFINITY
+    if a.death is None:
+        return abs(a.birth - b.birth)
+    return max(abs(a.birth - b.birth), abs(a.death - b.death))
+
+
+def matching_cost(matching: Matching, b1: Barcode, b2: Barcode) -> Optional[Fraction]:
+    """The largest cost over the matched pairs and the deleted bars."""
+    worst = Fraction(0)
+    for i, j in matching.pairs:
+        c = match_cost(b1.bars[i], b2.bars[j])
+        if c is INFINITY:
+            return INFINITY
+        worst = max(worst, c)
+    for i in matching.deleted_left:
+        h = half_length(b1.bars[i])
+        if h is None:
+            return INFINITY
+        worst = max(worst, h)
+    for j in matching.deleted_right:
+        h = half_length(b2.bars[j])
+        if h is None:
+            return INFINITY
+        worst = max(worst, h)
+    return worst
 
 
 def barcode_by_ranks(f) -> Barcode:
@@ -70,12 +162,12 @@ def _feasible_at(b1: Barcode, b2: Barcode, t: Fraction):
     for bar in b1.bars:
         row = [j for j, other in enumerate(b2.bars)
                if (c := match_cost(bar, other)) is not INFINITY and c <= t]
-        h = bar.half_length()
+        h = half_length(bar)
         if h is not None and h <= t:
             row.extend(range(n2, n2 + n1))
         adj.append(row)
     for j, bar in enumerate(b2.bars):
-        h = bar.half_length()
+        h = half_length(bar)
         row = [j] if h is not None and h <= t else []
         row.extend(range(n2, n2 + n1))
         adj.append(row)
@@ -94,8 +186,8 @@ def bottleneck_by_scan(b1: Barcode, b2: Barcode):
         return INFINITY, None
     thresholds = {Fraction(0)}
     for a in b1.bars + b2.bars:
-        if a.half_length() is not None:
-            thresholds.add(a.half_length())
+        if half_length(a) is not None:
+            thresholds.add(half_length(a))
     for a in b1.bars:
         for b in b2.bars:
             if (c := match_cost(a, b)) is not INFINITY:
@@ -120,7 +212,7 @@ def bottleneck_bruteforce(b1: Barcode, b2: Barcode):
                     [i for i in range(n1) if i not in left],
                     [j for j in idx2 if j not in right],
                 )
-                c = matching.cost(b1, b2)
+                c = matching_cost(matching, b1, b2)
                 if c is INFINITY:
                     continue
                 if best is INFINITY or c < best:

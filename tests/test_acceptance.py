@@ -19,7 +19,6 @@ from perscert import (
     MetricInput,
     ValidationError,
     check_interleaving,
-    dimension,
     degree_rips,
     floor_roundtrip_cert,
     grade,
@@ -38,7 +37,6 @@ from perscert import (
 )
 from perscert import serialize as ser
 from perscert.distances import bottleneck
-from perscert.invariants import bfs_component_count
 from perscert.persist import Grid, PersistentObject
 from perscert.randgen import (
     corrupt_certificate,
@@ -54,7 +52,7 @@ from perscert.randgen import (
     rand_real_object,
 )
 
-from oracles import bottleneck_bruteforce
+from oracles import bfs_component_count, bottleneck_bruteforce, matching_cost
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -196,11 +194,11 @@ def test_criterion_07_skeletality(record_criterion):
     for n in range(1, 5):
         mi = rand_metric(rng, n + 1)
         vr = vietoris_rips(mi, n + 2)
-        ok = ok and dimension(vr) <= n
-        for k in range(dimension(vr) + 1):
+        ok = ok and vr.dimension() <= n
+        for k in range(vr.dimension() + 1):
             sk = skeleton(vr, k)
             ok = ok and skeleton(sk, k) == sk
-            ok = ok and dimension(sk) == min(k, dimension(vr))
+            ok = ok and sk.dimension() == min(k, vr.dimension())
     record_criterion(7, "VR of n+1 points is at most n-dimensional; skeleton idempotent", ok)
 
 
@@ -267,7 +265,7 @@ def test_criterion_10_bottleneck_oracle(record_criterion):
         d, matching = bottleneck(b1, b2)
         ok = ok and d == bottleneck_bruteforce(b1, b2)
         if matching is not None:
-            ok = ok and matching.cost(b1, b2) == d
+            ok = ok and matching_cost(matching, b1, b2) == d
     for seed in range(20):
         rng = random.Random(1000 + seed)
         a, b, c = (rand_barcode(rng) for _ in range(3))

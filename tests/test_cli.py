@@ -592,6 +592,73 @@ def test_degree_rips_of_an_empty_metric_is_the_empty_complex(runner, tmp_path):
     assert r2.exit_code == 0 and json.loads(r2.output)["witness"] == []
 
 
+ONE_PARAMETER_COMPLEX = {
+    "format": ser.FORMAT_COMPLEX,
+    "vertices": [0, 1],
+    "simplices": [
+        {"v": [0], "grade": ["0"]},
+        {"v": [1], "grade": ["0"]},
+        {"v": [0, 1], "grade": ["1"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("barcode", {**f2vec_object(IDENTITY_2), "m": 2}),
+    ("barcode", {**f2vec_object(IDENTITY_2), "m": "x"}),
+    ("barcode", {**f2vec_object(IDENTITY_2), "m": True}),
+    ("validate", {**ONE_PARAMETER_COMPLEX, "m": 3}),
+    ("validate", {**ONE_PARAMETER_COMPLEX, "m": "1"}),
+    ("barcode", {**ONE_PARAMETER_COMPLEX, "m": 0}),
+], ids=["object-m-2-one-axis", "object-m-a-string", "object-m-a-boolean",
+        "complex-m-3-one-parameter", "complex-m-a-string", "complex-barcode-m-0"])
+def test_m_must_match_the_axes_or_grades(runner, tmp_path, command, doc):
+    r = invoke(runner, [command, write(tmp_path, "doc.json", doc)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["error"] == "schema" and "'m'" in report["message"]
+
+
+def _complex_cert_path(tmp_path):
+    rng = random.Random(5)
+    x = rand_persistent_complex(rng)
+    _, cert = interleaved_pair(rng, x, 1)
+    return write(tmp_path, "cert.json", ser.encode_cert(cert))
+
+
+@pytest.mark.parametrize("command", ["homology", "barcode", "stability-audit"])
+@pytest.mark.parametrize("dim", ["-1", "-3"])
+def test_negative_homology_degree_is_a_property_error(runner, tmp_path, command, dim):
+    if command == "stability-audit":
+        p = _complex_cert_path(tmp_path)
+    else:
+        p = write(tmp_path, "c.json", ONE_PARAMETER_COMPLEX)
+    r = invoke(runner, [command, p, "--dim", dim])
+    assert r.exit_code == 1
+    report = json.loads(r.output)
+    assert report["error"] == "property"
+    assert report["message"] == f"homology degree needs n >= 0, got {dim}"
+
+
+@pytest.mark.parametrize("floor", ["finite", "infinite"])
+def test_negative_search_budget_is_a_property_error(runner, tmp_path, floor):
+    if floor == "finite":
+        x = rand_finset_object(random.Random(1), lo=0, hi=2, max_size=2)
+        y = x
+    else:
+        x = integer_object("F2Vec", [1, 1], [GF2Matrix.identity(1)], 0)
+        y = integer_object("F2Vec", [1, 0], [GF2Matrix.zeros(0, 1)], 0)
+    px = write(tmp_path, "x.json", ser.encode_object(x))
+    py = write(tmp_path, "y.json", ser.encode_object(y))
+    r = invoke(runner, ["interleave-dist", px, py, "--max-enum", "-5"])
+    assert r.exit_code == 1
+    report = json.loads(r.output)
+    assert report["error"] == "property"
+    assert report["message"] == "search budget must be >= 0, got -5"
+    if floor == "finite":
+        assert invoke(runner, ["interleave-dist", px, py, "--max-enum", "0"]).exit_code == 3
+
+
 # -- hostile input: one field of a valid document replaced, dropped or retyped --
 
 

@@ -45,6 +45,8 @@ from perscert.randgen import (
     rand_real_object,
 )
 
+from oracles import encode_metric
+
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
 SCRIPTS = ["worked_example", "zigzag_constants"]
@@ -134,7 +136,7 @@ def build_inputs() -> dict:
         docs[f"complex_cert{seed}.json"] = ser.encode_cert(cert)
 
     docs["fc.json"] = ser.encode_filtered_complex(rand_filtered_complex(random.Random(14), 5))
-    docs["rand_metric.json"] = ser.encode_metric(rand_metric(random.Random(14), 5))
+    docs["rand_metric.json"] = encode_metric(rand_metric(random.Random(14), 5))
     return docs
 
 

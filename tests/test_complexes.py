@@ -13,7 +13,6 @@ from perscert import (
     SquareDiagram,
     ValidationError,
     degree_rips,
-    dimension,
     function_rips,
     grade,
     is_filtered,
@@ -53,7 +52,7 @@ def test_vietoris_rips_of_collinear_points_has_diameter_grades():
     assert vr.grade[(1, 3)] == grade(2)
     assert vr.grade[(0, 3)] == grade(3)
     assert vr.grade[(0, 1, 3)] == grade(3)
-    assert dimension(vr) == 2
+    assert vr.dimension() == 2
 
 
 def test_function_rips_grades_by_diameter_and_max_value():
@@ -75,7 +74,7 @@ def test_skeleton_is_idempotent_and_dimension_correct():
     vr = vietoris_rips(COLLINEAR, 2)
     for n in range(3):
         sk = skeleton(vr, n)
-        assert dimension(sk) == min(n, dimension(vr))
+        assert sk.dimension() == min(n, vr.dimension())
         assert skeleton(sk, n) == sk
         assert is_n_skeletal(sk, n)
 
@@ -85,7 +84,7 @@ def test_vr_of_n_plus_1_points_is_at_most_n_dimensional():
     for n in range(1, 5):
         mi = rand_metric(rng, n + 1)
         vr = vietoris_rips(mi, n + 1)
-        assert dimension(vr) <= n
+        assert vr.dimension() <= n
 
 
 def test_to_persistent_round_trip_is_filtered_with_exact_witness():

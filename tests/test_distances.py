@@ -29,7 +29,12 @@ from perscert.randgen import (
     rand_persistent_complex,
 )
 
-from oracles import matching_by_recursion, bottleneck_bruteforce, bottleneck_by_scan
+from oracles import (
+    bottleneck_bruteforce,
+    bottleneck_by_scan,
+    matching_by_recursion,
+    matching_cost,
+)
 
 
 def interval_module(birth, death, axis):
@@ -65,7 +70,7 @@ def test_bottleneck_agrees_with_bruteforce():
         d, matching = bottleneck(b1, b2)
         assert d == bottleneck_bruteforce(b1, b2)
         if matching is not None:
-            assert matching.cost(b1, b2) == d
+            assert matching_cost(matching, b1, b2) == d
 
 
 def test_bottleneck_matching_is_the_threshold_scan_one():

@@ -3,12 +3,15 @@
 import itertools
 import random
 
+import pytest
+
 from perscert import (
     Bar,
     FilteredComplex,
     Barcode,
     Grade,
     MetricInput,
+    ValidationError,
     barcode,
     grade,
     homology,
@@ -23,7 +26,6 @@ from perscert import invariants
 from perscert.categories import COMPLEX, complex_vertices, total_order
 from perscert.gf2 import GF2Matrix
 from perscert.invariants import (
-    bfs_component_count,
     components_of_complex,
     induced_h_map,
     linearize,
@@ -46,7 +48,7 @@ from perscert.randgen import (
     rand_real_object,
 )
 
-from oracles import barcode_by_ranks
+from oracles import barcode_by_ranks, bfs_component_count
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -216,6 +218,17 @@ def test_homology_edges_equal_induced_h_map_on_each_edge():
                 tgt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
                 expected = induced_h_map(x.objects[idx], x.objects[tgt], vmap, n)
                 assert module.edge_maps[(idx, a)] == expected
+
+
+def test_negative_homology_degree_is_rejected():
+    x = seeded_rips(0)
+    k = x.objects[(0,)]
+    _, _, cert = rand_complex_interleaving(random.Random(0))
+    for build in (lambda: homology(x, -1),
+                  lambda: homology_cert(cert, -1),
+                  lambda: induced_h_map(k, k, {v: v for s in k for v in s}, -1)):
+        with pytest.raises(ValidationError, match=r"homology degree needs n >= 0, got -1"):
+            build()
 
 
 def test_homology_computes_one_basis_per_grid_point(monkeypatch):

@@ -33,6 +33,7 @@ from perscert import (
     identity_shift,
     integer_object,
     interleaving_distance_search,
+    module_distance_crosscheck,
     pullback_interleaving,
     rescale,
     rescale_cert,
@@ -43,7 +44,7 @@ from perscert import (
 )
 from perscert.distances import _least_certified, bottleneck
 from perscert.errors import CategoryError, ValidationError
-from perscert.invariants import barcode, linearize
+from perscert.invariants import barcode, induces_interleaving_in_pi0, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
 from perscert.persist import _Frame, _positions, interleaving_candidates
 from perscert.randgen import (
@@ -51,6 +52,7 @@ from perscert.randgen import (
     interleaved_pair,
     monotone_tau,
     natural_map_into,
+    rand_complex_interleaving,
     rand_f2vec_object,
     rand_finset_object,
     rand_real_object,
@@ -108,13 +110,6 @@ def test_structure_maps_are_functorial():
         assert cat.map_equal(direct, stepped)
     with pytest.raises(OrderError):
         x.structure_map(grade(2), grade(1))
-
-
-def test_shift_left_translates_the_grid():
-    x = rand_finset_object(random.Random(2), lo=0, hi=3)
-    y = x.shift_left(grade(2))
-    assert y.evaluate(grade(0)) == x.evaluate(grade(2))
-    assert y.evaluate(grade(1)) == x.evaluate(grade(3))
 
 
 # -- delta-morphism calculus ---------------------------------------------------
@@ -243,6 +238,23 @@ def test_find_partner_recovers_a_partner_for_a_genuine_leg():
     found = find_partner(cert.f, grade(1))
     assert found is not None
     assert check_interleaving(found).valid
+
+
+def test_every_search_refuses_a_negative_budget_before_searching():
+    rng = random.Random(11)
+    x = rand_finset_object(rng, lo=0, hi=2, max_size=2)
+    _, cert = interleaved_pair(rng, x, 1)
+    module = rand_f2vec_object(random.Random(0), lo=0, hi=2, max_dim=1)
+    _, _, complex_cert = rand_complex_interleaving(random.Random(0))
+    searches = [
+        lambda: find_partner(cert.f, grade(1), budget_limit=-1),
+        lambda: interleaving_distance_search(x, x, budget=-1),
+        lambda: module_distance_crosscheck(module, module, budget=-1),
+        lambda: induces_interleaving_in_pi0(complex_cert.f, complex_cert.delta, budget=-1),
+    ]
+    for search in searches:
+        with pytest.raises(ValidationError, match=r"search budget must be >= 0, got -1"):
+            search()
 
 
 def test_distance_search_on_singletons_appearing_at_0_and_t():

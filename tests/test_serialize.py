@@ -21,6 +21,8 @@ from perscert.randgen import (
     rand_persistent_complex,
 )
 
+from oracles import encode_metric
+
 
 def json_round(data):
     """Force a pass through actual JSON text."""
@@ -79,7 +81,7 @@ def test_filtered_complex_round_trip():
 
 def test_metric_round_trip_including_values():
     mi = rand_metric(random.Random(2), 4)
-    data = json_round(ser.encode_metric(mi))
+    data = json_round(encode_metric(mi))
     back = ser.decode_metric(data)
     assert back.points == mi.points and back.dist == mi.dist
 
