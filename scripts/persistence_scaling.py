@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Time ``barcode`` and ``bottleneck`` as their inputs grow.
+"""Time ``barcode`` and ``bottleneck`` as their inputs grow, and the two
+routes to the barcode of a filtered complex.
 
 For each size n, ``barcode`` runs on a seeded persistence module with n
 grades and random GF(2) structure maps (so zero maps and zero-dimensional
 spaces occur), and ``bottleneck`` on two seeded barcodes of n bars each, two
-of them infinite. Each line gives a deterministic checksum (the number of
+of them infinite. For each number of points n, a seeded Rips complex up to
+dimension 2 gets its H0 and H1 barcodes both by ``filtration_barcode`` and
+by ``barcode(homology(to_persistent(...)))``; the script exits with status 1
+when the two differ. Each line gives a deterministic checksum (the number of
 bars, the distance d_B) and the best time over repeated runs, so the same
 command run on two versions of the code gives their before and after
 numbers. The inputs are seeded from SEED and n, so the checksums are fixed.
@@ -13,14 +17,17 @@ numbers. The inputs are seeded from SEED and n, so the checksums are fixed.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
-from perscert import Bar, Barcode, barcode, bottleneck
+from perscert import (Bar, Barcode, barcode, bottleneck, filtration_barcode, homology,
+                      to_persistent, vietoris_rips)
 from perscert.grades import rat_to_str
-from perscert.randgen import rand_f2vec_object
+from perscert.randgen import rand_f2vec_object, rand_metric
 
 SIZES = (8, 16, 32, 64, 128)
+RIPS_POINTS = (8, 12, 16, 20, 24)
 SEED = 1
 
 
@@ -58,6 +65,21 @@ def main() -> None:
         d = bottleneck(b1, b2)[0]
         ms = best_ms(lambda: bottleneck(b1, b2))
         print(f"bottleneck  n={n:3d}  d_B={rat_to_str(d):>6}  best_ms={ms:10.3f}")
+    disagree = 0
+    for n in RIPS_POINTS:
+        # half-integer distances up to n^2/2, so most of them are distinct
+        f = vietoris_rips(rand_metric(random.Random(SEED * 1000 + n), n, max_dist=n * n // 4), 2)
+        for dim in (0, 1):
+            bars = filtration_barcode(f, dim)
+            if bars != barcode(homology(to_persistent(f), dim)):
+                print(f"rips H{dim} n={n}: the two routes give different barcodes")
+                disagree += 1
+            module_ms = best_ms(lambda: barcode(homology(to_persistent(f), dim)))
+            filtration_ms = best_ms(lambda: filtration_barcode(f, dim))
+            print(f"rips H{dim}     n={n:3d}  bars={len(bars.bars):4d}  "
+                  f"module_ms={module_ms:10.3f}  filtration_ms={filtration_ms:10.3f}")
+    if disagree:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

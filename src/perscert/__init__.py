@@ -69,6 +69,7 @@ from .invariants import (
     Bar,
     Barcode,
     barcode,
+    filtration_barcode,
     homology,
     homology_cert,
     induces_interleaving_in_pi0,

@@ -16,6 +16,7 @@ import click
 
 from . import serialize as ser
 from .complexes import (
+    FilteredComplex,
     SquareDiagram,
     degree_rips,
     function_rips,
@@ -29,7 +30,7 @@ from .complexes import (
 from .distances import bottleneck, interleaving_distance_search, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
 from .grades import rat_to_str
-from .invariants import barcode, homology, pi0
+from .invariants import barcode, filtration_barcode, homology, pi0
 from .persist import check_interleaving, floor_roundtrip_cert
 from .rectify import zigzag
 
@@ -83,15 +84,23 @@ def _reports(command):
     return run
 
 
-def _load_persistent_complex(path: str):
-    """Accept either a filtered-complex document or a persistent object."""
+def _load_complex_or_object(path: str):
+    """A filtered complex or a persistent object, as the document's "format"
+    says."""
     data = _load(path)
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt == ser.FORMAT_COMPLEX:
-        return to_persistent(ser.decode_filtered_complex(data))
+        return ser.decode_filtered_complex(data)
     if fmt == ser.FORMAT_OBJECT:
         return ser.decode_object(data)
     raise SchemaError(f"expected a filtered complex or persistent object, got {fmt!r}")
+
+
+def _load_persistent_complex(path: str):
+    """Accept either a filtered-complex document, taken to its sublevel
+    filtration, or a persistent object."""
+    doc = _load_complex_or_object(path)
+    return to_persistent(doc) if isinstance(doc, FilteredComplex) else doc
 
 
 @click.group()
@@ -213,11 +222,16 @@ def homology_cmd(object_path, dim, output):
 @click.option("-o", "--output", type=str, default=None)
 @_reports
 def barcode_cmd(input_path, dim, output):
-    """Barcode of a persistence module; complexes are run through degree-dim
-    homology first."""
-    obj = _load_persistent_complex(input_path)
-    module = obj if obj.category_name == "F2Vec" else homology(obj, dim)
-    _emit(ser.encode_barcode(barcode(module)), output)
+    """Barcode of a persistence module, or of the degree-dim homology of a
+    complex. A filtered complex is reduced in filtration order, without
+    building its persistent homology; a persistent complex goes through
+    degree-dim homology first."""
+    doc = _load_complex_or_object(input_path)
+    if isinstance(doc, FilteredComplex):
+        bars = filtration_barcode(doc, dim)
+    else:
+        bars = barcode(doc if doc.category_name == "F2Vec" else homology(doc, dim))
+    _emit(ser.encode_barcode(bars), output)
 
 
 @main.command("bottleneck")

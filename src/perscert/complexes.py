@@ -29,24 +29,28 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """Simplices with entrance grades; faces enter no later than cofaces."""
+    """Simplices with entrance grades; faces enter no later than cofaces.
+
+    ``m`` is the arity of the grades. When not given it is read off a grade,
+    and a complex without grades has m = 1; a complex with no simplices
+    keeps the arity it is given."""
 
     vertices: tuple
     simplices: frozenset
     grade: dict  # simplex -> Grade
+    m: int
 
-    def __init__(self, vertices, simplices, grade):
+    def __init__(self, vertices, simplices, grade, m: Optional[int] = None):
         vertices = tuple(vertices)
         simplices = frozenset(simplex(s) for s in simplices)
         grade = {simplex(s): g for s, g in grade.items()}
+        if m is None:
+            some = next(iter(grade.values()), None)
+            m = some.m if some is not None else 1
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "grade", grade)
-
-    @property
-    def m(self) -> int:
-        some = next(iter(self.grade.values()), None)
-        return some.m if some is not None else 1
+        object.__setattr__(self, "m", m)
 
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex by convention."""
@@ -85,15 +89,23 @@ def validate(f: FilteredComplex) -> ValidationReport:
     return ValidationReport(True, "valid filtered complex")
 
 
-def to_persistent(f: FilteredComplex) -> PersistentObject:
-    """Sublevel filtration: at r, the subcomplex of simplices with grade <= r;
-    all structure maps are inclusions."""
+def require_valid(f: FilteredComplex) -> None:
+    """Raise ``validate``'s reason as a ValidationError unless f is valid.
+    Face closure and monotone grades make every sublevel set a closed
+    subcomplex, so this is all a sublevel filtration of f needs."""
     report = validate(f)
     if not report.valid:
         raise ValidationError(report.reason)
-    if not f.simplices:
-        return _inclusions(Grid([[0]]), {(0,): frozenset()})
+
+
+def to_persistent(f: FilteredComplex) -> PersistentObject:
+    """Sublevel filtration: at r, the subcomplex of simplices with grade <= r;
+    all structure maps are inclusions. A complex with no simplices gives the
+    empty complex on a one-point grid of its arity."""
+    require_valid(f)
     m = f.m
+    if not f.simplices:
+        return _inclusions(Grid([[0]] * m), {(0,) * m: frozenset()})
     axes = [sorted({g.coords[a] for g in f.grade.values()}) for a in range(m)]
     grid = Grid(axes)
     born: dict[tuple, list] = {}
@@ -204,7 +216,7 @@ def skeleton(f: FilteredComplex, n: int) -> FilteredComplex:
     if n < 0:
         raise ValidationError("skeleton truncation needs n >= 0")
     keep = {s for s in f.simplices if len(s) <= n + 1}
-    return FilteredComplex(f.vertices, keep, {s: f.grade[s] for s in keep})
+    return FilteredComplex(f.vertices, keep, {s: f.grade[s] for s in keep}, f.m)
 
 
 # -- metric inputs and the example filtrations -------------------------------
@@ -290,7 +302,7 @@ def function_rips(metric: MetricInput, d_max: int) -> FilteredComplex:
         s: Grade([base.grade[s].coords[0], max(vals[v] for v in s)])
         for s in base.simplices
     }
-    return FilteredComplex(metric.points, base.simplices, grade)
+    return FilteredComplex(metric.points, base.simplices, grade, 2)
 
 
 def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:

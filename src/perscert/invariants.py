@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .categories import COMPLEX, complex_vertices, total_order
+from .complexes import FilteredComplex, require_valid
 from .errors import CategoryError, DimensionError, ValidationError
 from .gf2 import Echelon, GF2Matrix, _combination, _transpose, kernel_bits
 from .grades import Grade, rat, zero_grade
@@ -171,14 +172,23 @@ class HomologyBasis(NamedTuple):
     classes: Echelon
 
 
+def _require_degree(n: int) -> None:
+    if n < 0:
+        raise ValidationError(f"homology degree needs n >= 0, got {n}")
+
+
+def _require_one_parameter(m: int) -> None:
+    if m != 1:
+        raise DimensionError("homology is restricted to m = 1; slice first")
+
+
 def homology_basis(k: frozenset, n: int) -> HomologyBasis:
     """Deterministic in the complex: boundaries of the sorted (n+1)-simplices
     go into one elimination first, then the kernel basis of the boundary
     map on the sorted n-simplices, and every cycle that grows the span
-    becomes a representative. Every H_n of the library is set up here, so
-    this is where a negative degree is rejected."""
-    if n < 0:
-        raise ValidationError(f"homology degree needs n >= 0, got {n}")
+    becomes a representative. Every H_n of a persistent complex is set up
+    here, so this is where a negative degree is rejected."""
+    _require_degree(n)
     simplices = _simplices_of_dim(k, n)
     classes = Echelon()
     for col in _boundary_columns(simplices, _simplices_of_dim(k, n + 1)):
@@ -217,8 +227,7 @@ def _homology_functor(x: PersistentObject, n: int) -> _Functor:
     complex."""
     if x.category_name != "Complex":
         raise CategoryError("homology expects a persistent complex")
-    if x.m != 1:
-        raise DimensionError("homology is restricted to m = 1; slice first")
+    _require_one_parameter(x.m)
     return _Functor("F2Vec", lambda k: homology_basis(k, n), lambda b: len(b.reps),
                     _induced, True)
 
@@ -336,6 +345,47 @@ def barcode(f: PersistentObject) -> Barcode:
                          if span.add(1 << k))
         live = survivors
     bars.extend(Bar(axis[birth], None) for _, birth in live)
+    return Barcode(bars)
+
+
+def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
+    """The barcode of H_n of the sublevel filtration of f, equal to
+    ``barcode(homology(to_persistent(f), n))`` with the same errors in the
+    same order, by the standard persistence algorithm (Edelsbrunner,
+    Letscher & Zomorodian 2002): one left-to-right reduction of the boundary
+    matrix in filtration order, with no persistent object built.
+
+    Simplices of each dimension are ordered by grade, then by
+    ``total_order``. An n-simplex whose boundary column reduces to zero is
+    positive: it gives birth to a class. Each (n+1)-simplex tau whose
+    column does not reduce to zero kills the positive n-simplex sigma at
+    its pivot (the youngest face left), which is the bar [g(sigma), g(tau))
+    when the two grades differ. Positive simplices never killed give the
+    infinite bars."""
+    require_valid(f)
+    _require_one_parameter(f.m)
+    _require_degree(n)
+
+    def in_filtration_order(dim: int) -> list[tuple]:
+        # a stable sort keeps total_order among simplices of one grade
+        return sorted(_simplices_of_dim(f.simplices, dim), key=lambda s: f.grade[s].coords[0])
+
+    faces, simplices, cofaces = (in_filtration_order(d) for d in (n - 1, n, n + 1))
+    cycles = Echelon()
+    positive = {i for i, col in enumerate(_boundary_columns(faces, simplices))
+                if not cycles.add(col)}
+    boundaries = Echelon()
+    bars = []
+    for tau, col in zip(cofaces, _boundary_columns(simplices, cofaces)):
+        col, _ = boundaries.reduce(col)
+        if col:
+            boundaries.add(col)
+            i = col.bit_length() - 1
+            positive.discard(i)
+            birth, death = f.grade[simplices[i]].coords[0], f.grade[tau].coords[0]
+            if birth < death:
+                bars.append(Bar(birth, death))
+    bars.extend(Bar(f.grade[simplices[i]].coords[0], None) for i in positive)
     return Barcode(bars)
 
 

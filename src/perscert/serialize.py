@@ -5,6 +5,7 @@ document carries a "format" field.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -117,12 +118,21 @@ def encode_cat_object(category: str, obj):
     return sorted((encode_element(e) for e in obj), key=repr)
 
 
+# the element types of a flat list; a JSON boolean has type bool, not int
+_FLAT_SCALARS = frozenset({str, int})
+
+
 def decode_cat_object(category: str, data):
     if category == "F2Vec":
         _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
     _require(isinstance(data, list), "bad object {!r}", data)
-    elements = frozenset(map(decode_element, data))
+    if (all(type(e) is list for e in data)
+            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
+        # simplices of vertex names: decode_element would give the same tuples
+        elements = frozenset(map(tuple, data))
+    else:
+        elements = frozenset(map(decode_element, data))
     if len(elements) != len(data):  # the message is built only on failure
         raise SchemaError(f"object {data!r} lists an element twice")
     return elements
@@ -330,11 +340,11 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
         _require(s not in grade, "simplex {!r} is given twice", vs)
         simplices.append(s)
         grade[s] = decode_grade(entry["grade"])
+    m = data.get("m")
     if "m" in data:
-        m = data["m"]
-        _require(_is_int(m) and all(g.m == m for g in grade.values()),
-                 "'m' is {!r}, not the arity of every grade", m)
-    return FilteredComplex(vertices, simplices, grade)
+        _require(_is_int(m) and m > 0 and all(g.m == m for g in grade.values()),
+                 "'m' is {!r}, not a positive arity of every grade", m)
+    return FilteredComplex(vertices, simplices, grade, m)
 
 
 def decode_metric(data: dict) -> MetricInput:

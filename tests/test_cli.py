@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from perscert import serialize as ser
 from perscert.cli import main
-from perscert.complexes import MetricInput
+from perscert.complexes import FilteredComplex, MetricInput, function_rips, vietoris_rips
 from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
 from perscert.persist import integer_object, self_interleaving
@@ -20,6 +20,8 @@ from perscert.randgen import (
     interleaved_pair,
     rand_finset_object,
     rand_f2vec_object,
+    rand_filtered_complex,
+    rand_metric,
     rand_persistent_complex,
 )
 
@@ -617,6 +619,63 @@ def test_m_must_match_the_axes_or_grades(runner, tmp_path, command, doc):
     assert r.exit_code == 2
     report = json.loads(r.output)
     assert report["error"] == "schema" and "'m'" in report["message"]
+
+
+EMPTY_TWO_PARAMETER_COMPLEX = {"format": ser.FORMAT_COMPLEX, "m": 2, "vertices": [],
+                               "simplices": []}
+
+
+def test_a_complex_without_simplices_keeps_its_arity(runner, tmp_path):
+    p = write(tmp_path, "c.json", EMPTY_TWO_PARAMETER_COMPLEX)
+    r = invoke(runner, ["skeleton", p, "-n", "1"])
+    assert r.exit_code == 0 and json.loads(r.output) == EMPTY_TWO_PARAMETER_COMPLEX
+    metric = write(tmp_path, "m.json", {"format": ser.FORMAT_METRIC, "points": [],
+                                        "matrix": [], "values": []})
+    r = invoke(runner, ["frips", metric])
+    assert r.exit_code == 0 and json.loads(r.output) == EMPTY_TWO_PARAMETER_COMPLEX
+    r = invoke(runner, ["barcode", p])
+    assert r.exit_code == 1
+    assert json.loads(r.output)["message"] == "homology is restricted to m = 1; slice first"
+
+
+def _route_complexes():
+    """Seeded filtered complexes: Rips complexes on integer distances (tied
+    grades), random filtrations, and the empty complex."""
+    out = [FilteredComplex([], [], {})]
+    for seed in range(4):
+        rng = random.Random(seed)
+        out.append(vietoris_rips(rand_metric(rng, 6, max_dist=2, integer=True), 3))
+        out.append(rand_filtered_complex(rng, 5))
+    return out
+
+
+def test_barcode_of_a_complex_equals_barcode_of_its_homology(runner, tmp_path):
+    """``barcode c.json`` reduces the complex in filtration order; ``homology``
+    and then ``barcode`` go through the persistent module. Degree 4 is above
+    every complex's top dimension."""
+    for i, f in enumerate(_route_complexes()):
+        p = write(tmp_path, f"c{i}.json", ser.encode_filtered_complex(f))
+        for dim in ("0", "1", "2", "4"):
+            direct = invoke(runner, ["barcode", p, "--dim", dim])
+            h = str(tmp_path / "h.json")
+            assert invoke(runner, ["homology", p, "--dim", dim, "-o", h]).exit_code == 0
+            through = invoke(runner, ["barcode", h])
+            assert (direct.exit_code, direct.output) == (0, through.output)
+
+
+@pytest.mark.parametrize("doc, dim", [
+    (ONE_PARAMETER_COMPLEX, "-1"),
+    (ser.encode_filtered_complex(function_rips(
+        MetricInput([0, 1], [[0, 1], [1, 0]], values=[0, 1]), 1)), "0"),
+    (EMPTY_TWO_PARAMETER_COMPLEX, "-1"),
+    ({**ONE_PARAMETER_COMPLEX, "simplices": ONE_PARAMETER_COMPLEX["simplices"][1:]}, "-1"),
+], ids=["negative-degree", "m-2", "empty-m-2", "missing-face"])
+def test_barcode_of_a_complex_reports_as_homology_does(runner, tmp_path, doc, dim):
+    p = write(tmp_path, "c.json", doc)
+    direct = invoke(runner, ["barcode", p, "--dim", dim])
+    through = invoke(runner, ["homology", p, "--dim", dim])
+    assert direct.exit_code == through.exit_code == 1
+    assert direct.output == through.output
 
 
 def _complex_cert_path(tmp_path):

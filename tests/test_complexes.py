@@ -63,6 +63,15 @@ def test_function_rips_grades_by_diameter_and_max_value():
     assert fr.grade[(0, 1)] == grade(2, 7)
 
 
+def test_a_complex_without_simplices_keeps_its_arity():
+    assert FilteredComplex([], [], {}).m == 1
+    empty = FilteredComplex([], [], {}, 2)
+    assert empty.m == 2 and skeleton(empty, 1).m == 2
+    assert function_rips(MetricInput([], [], values=[]), 2).m == 2
+    x = to_persistent(empty)
+    assert x.m == 2 and x.objects == {(0, 0): frozenset()}
+
+
 def test_metric_from_coordinates_norms():
     mi_linf = metric_from_coordinates([(0, 0), (1, 2)], norm="linf")
     mi_l1 = metric_from_coordinates([(0, 0), (1, 2)], norm="l1")

@@ -13,6 +13,7 @@ from perscert import (
     MetricInput,
     ValidationError,
     barcode,
+    function_rips,
     grade,
     homology,
     homology_cert,
@@ -27,6 +28,7 @@ from perscert.categories import COMPLEX, complex_vertices, total_order
 from perscert.gf2 import GF2Matrix
 from perscert.invariants import (
     components_of_complex,
+    filtration_barcode,
     induced_h_map,
     linearize,
     pi0_induced,
@@ -42,6 +44,7 @@ from perscert.randgen import (
     interleaved_pair,
     rand_complex_interleaving,
     rand_f2vec_object,
+    rand_filtered_complex,
     rand_finset_object,
     rand_metric,
     rand_persistent_complex,
@@ -218,6 +221,46 @@ def test_homology_edges_equal_induced_h_map_on_each_edge():
                 tgt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
                 expected = induced_h_map(x.objects[idx], x.objects[tgt], vmap, n)
                 assert module.edge_maps[(idx, a)] == expected
+
+
+def test_filtration_barcode_equals_the_barcode_of_persistent_homology():
+    # integer distances tie the grades of Rips simplices; random filtrations
+    # also give simplices born with their cofaces and complexes with no edges
+    complexes = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        complexes.append(rand_filtered_complex(rng, rng.randint(1, 6)))
+        complexes.append(vietoris_rips(
+            rand_metric(rng, rng.randint(1, 8), max_dist=3, integer=seed % 2 == 0), 3))
+    degrees_with_bars = set()
+    for f in complexes:
+        x = to_persistent(f)
+        for n in (0, 1, 2):
+            bars = filtration_barcode(f, n)
+            assert bars == barcode(homology(x, n))
+            if bars.bars:
+                degrees_with_bars.add(n)
+    assert degrees_with_bars == {0, 1, 2}
+
+
+def _missing_face(m):
+    return FilteredComplex([0, 1], [(0,), (0, 1)], {(0,): Grade([0] * m),
+                                                  (0, 1): Grade([1] * m)})
+
+
+@pytest.mark.parametrize("f, n", [
+    (_missing_face(2), -1),
+    (function_rips(MetricInput([0, 1], [[0, 1], [1, 0]], values=[0, 1]), 1), -1),
+    (FilteredComplex([], [], {}, 2), 0),
+    (FilteredComplex([], [], {}), -1),
+], ids=["invalid-first", "m-before-degree", "empty-m-2", "empty-negative-degree"])
+def test_filtration_barcode_raises_as_persistent_homology_does(f, n):
+    with pytest.raises(Exception) as direct:
+        filtration_barcode(f, n)
+    with pytest.raises(Exception) as module:
+        barcode(homology(to_persistent(f), n))
+    assert type(direct.value) is type(module.value)
+    assert str(direct.value) == str(module.value)
 
 
 def test_negative_homology_degree_is_rejected():

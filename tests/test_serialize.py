@@ -46,6 +46,28 @@ def test_element_round_trip_handles_nesting():
         ser.encode_element(object())
 
 
+@pytest.mark.parametrize("data, expected", [
+    ([[0], [0, "a"], []], frozenset({(0,), (0, "a"), ()})),
+    ([[0], [0, [1]]], frozenset({(0,), (0, (1,))})),
+    (["a", [0]], frozenset({"a", (0,)})),
+], ids=["flat", "nested-list", "scalar-and-list"])
+def test_object_lists_decode_as_their_elements(data, expected):
+    assert ser.decode_cat_object("Complex", data) == expected
+    assert expected == frozenset(map(ser.decode_element, data))
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[0], [0, True]], "bad element True"),
+    ([[0], [0, 1.5]], "bad element 1.5"),
+    ([[0, 1], [0, 1]], "object [[0, 1], [0, 1]] lists an element twice"),
+    ([[0, [1]], [0, [1]]], "object [[0, [1]], [0, [1]]] lists an element twice"),
+], ids=["boolean", "float", "repeated-simplex", "repeated-nested"])
+def test_object_list_errors_name_the_offending_element(data, message):
+    with pytest.raises(SchemaError) as exc:
+        ser.decode_cat_object("Complex", data)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("maker", [rand_finset_object, rand_f2vec_object,
                                    rand_persistent_complex])
 def test_persistent_object_round_trip(maker):
