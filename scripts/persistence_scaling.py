@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time ``barcode`` and ``bottleneck`` as their inputs grow, and the two
-routes to the barcode of a filtered complex.
+"""Time ``barcode`` and ``bottleneck`` as their inputs grow, the two routes
+to the barcode of a filtered complex, and the builders and checks of Rips
+complexes.
 
 For each size n, ``barcode`` runs on a seeded persistence module with n
 grades and random GF(2) structure maps (so zero maps and zero-dimensional
@@ -8,10 +9,14 @@ spaces occur), and ``bottleneck`` on two seeded barcodes of n bars each, two
 of them infinite. For each number of points n, a seeded Rips complex up to
 dimension 2 gets its H0 and H1 barcodes both by ``filtration_barcode`` and
 by ``barcode(homology(to_persistent(...)))``; the script exits with status 1
-when the two differ. Each line gives a deterministic checksum (the number of
-bars, the distance d_B) and the best time over repeated runs, so the same
-command run on two versions of the code gives their before and after
-numbers. The inputs are seeded from SEED and n, so the checksums are fixed.
+when the two differ. ``degree_rips`` is built up to dimension 2 on seeded
+metrics of DEGREE_RIPS_POINTS points, and ``validate`` checks the Rips
+complexes of RIPS_POINTS points. Each line gives a deterministic checksum
+(the number of bars, the distance d_B, the grid points and distinct objects
+of a degree-Rips object, the simplices of a complex) and the best time over
+repeated runs, so the same command run on two versions of the code gives
+their before and after numbers. The inputs are seeded from SEED and n, so
+the checksums are fixed.
 
     PYTHONPATH=src python scripts/persistence_scaling.py
 """
@@ -21,13 +26,14 @@ import sys
 import time
 from fractions import Fraction
 
-from perscert import (Bar, Barcode, barcode, bottleneck, filtration_barcode, homology,
-                      to_persistent, vietoris_rips)
+from perscert import (Bar, Barcode, barcode, bottleneck, degree_rips, filtration_barcode,
+                      homology, to_persistent, validate, vietoris_rips)
 from perscert.grades import rat_to_str
 from perscert.randgen import rand_f2vec_object, rand_metric
 
 SIZES = (8, 16, 32, 64, 128)
 RIPS_POINTS = (8, 12, 16, 20, 24)
+DEGREE_RIPS_POINTS = (6, 7, 8, 9, 12)
 SEED = 1
 
 
@@ -52,6 +58,12 @@ def seeded_bars(rng: random.Random, n: int) -> Barcode:
     return Barcode(bars)
 
 
+def rips_metric(n: int):
+    """A seeded metric on n points with half-integer distances up to n^2/2,
+    so most of them are distinct."""
+    return rand_metric(random.Random(SEED * 1000 + n), n, max_dist=n * n // 4)
+
+
 def main() -> None:
     for n in SIZES:
         module = rand_f2vec_object(random.Random(SEED * 1000 + n), lo=0, hi=n - 1,
@@ -67,8 +79,7 @@ def main() -> None:
         print(f"bottleneck  n={n:3d}  d_B={rat_to_str(d):>6}  best_ms={ms:10.3f}")
     disagree = 0
     for n in RIPS_POINTS:
-        # half-integer distances up to n^2/2, so most of them are distinct
-        f = vietoris_rips(rand_metric(random.Random(SEED * 1000 + n), n, max_dist=n * n // 4), 2)
+        f = vietoris_rips(rips_metric(n), 2)
         for dim in (0, 1):
             bars = filtration_barcode(f, dim)
             if bars != barcode(homology(to_persistent(f), dim)):
@@ -78,6 +89,17 @@ def main() -> None:
             filtration_ms = best_ms(lambda: filtration_barcode(f, dim))
             print(f"rips H{dim}     n={n:3d}  bars={len(bars.bars):4d}  "
                   f"module_ms={module_ms:10.3f}  filtration_ms={filtration_ms:10.3f}")
+    for n in DEGREE_RIPS_POINTS:
+        metric = rips_metric(n)
+        x = degree_rips(metric, 2)
+        points, distinct = len(x.objects), len(set(x.objects.values()))
+        ms = best_ms(lambda: degree_rips(metric, 2))
+        print(f"degree_rips n={n:3d}  grid_points={points:4d}  distinct={distinct:4d}  "
+              f"best_ms={ms:10.3f}")
+    for n in RIPS_POINTS:
+        f = vietoris_rips(rips_metric(n), 2)
+        ms = best_ms(lambda: validate(f))
+        print(f"validate    n={n:3d}  simplices={len(f.simplices):5d}  best_ms={ms:10.3f}")
     if disagree:
         sys.exit(1)
 

@@ -28,11 +28,11 @@ def minimal_uniform_shift(cert):
         try:
             f = DeltaMorphism.from_fn(
                 cert.f.source, cert.f.target, g,
-                lambda p: cert.f.component_at(p), validate=True,
+                lambda p: cert.f.component_at(p),
             )
             gg = DeltaMorphism.from_fn(
                 cert.g.source, cert.g.target, g,
-                lambda p: cert.g.component_at(p), validate=True,
+                lambda p: cert.g.component_at(p),
             )
         except Exception:
             break

@@ -10,6 +10,7 @@ extra grade data.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -70,19 +71,21 @@ def validate(f: FilteredComplex) -> ValidationReport:
                 False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
                 f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
             )
+    # every grade now has one arity, so faces compare coordinate by coordinate
     for sigma in total_order(f.simplices):
         for v in sigma:
             if v not in f.vertices:
                 return ValidationReport(False, f"unknown vertex {v!r}", sigma)
         if sigma not in f.grade:
             return ValidationReport(False, "simplex missing a grade", sigma)
+        coords = f.grade[sigma].coords
         for i in range(len(sigma)):
             face = sigma[:i] + sigma[i + 1:]
             if not face:
                 continue
             if face not in f.simplices:
                 return ValidationReport(False, f"face {face!r} missing", sigma)
-            if not f.grade[face].leq(f.grade[sigma]):
+            if not all(map(operator.le, f.grade[face].coords, coords)):
                 return ValidationReport(
                     False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
                 )
@@ -140,7 +143,7 @@ def _inclusions(grid: Grid, objects: dict) -> PersistentObject:
         if obj not in identities:
             identities[obj] = {v: v for v in complex_vertices(obj)}
         edges[(idx, a)] = identities[obj]
-    return PersistentObject(grid, "Complex", objects, edges)
+    return PersistentObject._of(grid, "Complex", objects, edges)
 
 
 @dataclass
@@ -409,4 +412,4 @@ def sq_gadget(diagram: SquareDiagram) -> PersistentObject:
     for idx, a, _ in grid.edges():
         r, s = grid.grade_at(idx).coords
         edges[(idx, a)] = edge(r, s, a)
-    return PersistentObject(grid, "Complex", objects, edges)
+    return PersistentObject._of(grid, "Complex", objects, edges)

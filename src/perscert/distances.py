@@ -195,8 +195,30 @@ def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
     further. A g that survives is re-checked by ``check_interleaving``
     before its certificate is returned.
 
-    The answer is a certified upper bound on the interleaving distance; it
-    equals the distance whenever the candidate set is complete.
+    The candidate set is complete, so the answer is the interleaving
+    distance itself, attained at a candidate. Whether a delta-interleaving
+    exists is constant on each gap [c_i, c_{i+1}) between consecutive
+    candidates, and on [c_last, inf):
+
+    - Evaluation is constant on the half-open steps [g_k, g_{k+1}) between
+      critical grades. A leg's merged grid changes order type only when
+      delta crosses a difference b - a of critical grades, and the grids of
+      the triangle identities (shift 2 delta) only when delta crosses a half
+      difference (b - a)/2. Both are candidates, so the order type is the
+      same throughout the inside of a gap.
+    - The steps are closed on the left, so an interleaving (f, g) at delta
+      inside the gap gives one at its left end c. Take f at r from the least
+      r' with r' in the step of r, r' + delta in the step of r + c and
+      r' + 2 delta in the step of r + 2c (and g likewise). Such r' exists
+      because no difference or half difference lies in (c, delta], and it
+      grows with r, so naturality and both triangles carry over.
+    - Interleavability is up-closed in delta: composing both legs with
+      structure maps turns a delta-interleaving into a delta'-interleaving
+      for every delta' >= delta (Bubenik & Scott, Categorification of
+      Persistent Homology, 2014).
+
+    ``tests/test_distances.py`` checks constancy on the gaps and
+    monotonicity on seeded FinSet and F2Vec pairs.
     """
     if x.m != 1 or y.m != 1:
         raise DimensionError("distance search supports m = 1 only")

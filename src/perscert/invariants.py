@@ -28,6 +28,7 @@ from .persist import (
     Grid,
     InterleavingCert,
     PersistentObject,
+    _Leg,
     find_partner,
 )
 
@@ -71,13 +72,15 @@ def components_of_complex(k: frozenset) -> dict:
 class _Functor(NamedTuple):
     """A pointwise functor into ``category``: ``read`` takes what the functor
     needs of one pointwise object, ``obj`` gives the image object from it,
-    and ``arrow(read source, read target, map)`` the image map."""
+    and ``arrow(read source, read target, map)`` the image map. A functor
+    sends maps to maps and commuting squares to commuting squares, so the
+    images of valid objects and morphisms are valid and are built
+    unchecked."""
 
     category: str
     read: Callable
     obj: Callable
     arrow: Callable
-    validate: bool  # whether images are validated
 
 
 def _read(functor: _Functor, data: dict, k):
@@ -95,8 +98,7 @@ def _apply(functor: _Functor, x: PersistentObject, data: dict) -> PersistentObje
     edges = {(idx, a): functor.arrow(read(x.objects[idx]), read(x.objects[nxt]),
                                      x.edge_maps[(idx, a)])
              for idx, a, nxt in x.grid.edges()}
-    return PersistentObject(x.grid, functor.category, objects, edges,
-                            integer_indexed=x.integer_indexed, validate=functor.validate)
+    return PersistentObject._of(x.grid, functor.category, objects, edges, x.integer_indexed)
 
 
 def _apply_morphism(functor: _Functor, f: DeltaMorphism, data: dict) -> DeltaMorphism:
@@ -106,8 +108,8 @@ def _apply_morphism(functor: _Functor, f: DeltaMorphism, data: dict) -> DeltaMor
     components = {idx: functor.arrow(read(f.source.at(f.at_source[idx])),
                                      read(f.target.at(f.at_target[idx])), f.components[idx])
                   for idx in f.grid.indices()}
-    return DeltaMorphism(_apply(functor, f.source, data), _apply(functor, f.target, data),
-                         f.shift, components, validate=functor.validate)
+    leg = _Leg(_apply(functor, f.source, data), _apply(functor, f.target, data), f.shift)
+    return DeltaMorphism._on(leg, components)
 
 
 def _component_map(src: dict, tgt: dict, vmap: dict) -> dict:
@@ -118,7 +120,7 @@ def _component_map(src: dict, tgt: dict, vmap: dict) -> dict:
 
 # component ids are the vertex sets, and induced maps follow the vertex maps
 _PI0 = _Functor("FinSet", components_of_complex, lambda cm: frozenset(cm.values()),
-                _component_map, True)
+                _component_map)
 
 
 def pi0(x: PersistentObject) -> PersistentObject:
@@ -228,8 +230,7 @@ def _homology_functor(x: PersistentObject, n: int) -> _Functor:
     if x.category_name != "Complex":
         raise CategoryError("homology expects a persistent complex")
     _require_one_parameter(x.m)
-    return _Functor("F2Vec", lambda k: homology_basis(k, n), lambda b: len(b.reps),
-                    _induced, True)
+    return _Functor("F2Vec", lambda k: homology_basis(k, n), lambda b: len(b.reps), _induced)
 
 
 def homology(x: PersistentObject, n: int) -> PersistentObject:
@@ -248,7 +249,7 @@ def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
     idxs = list(x.grid.locate(Grid(axes), zero_grade(2)).values())  # along the line
     objects = {(i,): x.at(j) for i, j in enumerate(idxs)}
     edges = {((i,), 0): x.map_between(j, k) for i, (j, k) in enumerate(zip(idxs, idxs[1:]))}
-    return PersistentObject(Grid([axes[1 - axis]]), x.category_name, objects, edges)
+    return PersistentObject._of(Grid([axes[1 - axis]]), x.category_name, objects, edges)
 
 
 def homology_cert(cert: InterleavingCert, n: int) -> InterleavingCert:
@@ -294,9 +295,8 @@ def _linear_map(src: dict, tgt: dict, f: dict) -> GF2Matrix:
     return GF2Matrix.from_columns([1 << tgt[f[e]] for e in src], len(tgt))
 
 
-# the image of a valid object under a functor is valid
 _LINEARIZE = _Functor("F2Vec", lambda s: {e: i for i, e in enumerate(total_order(s))},
-                      len, _linear_map, False)
+                      len, _linear_map)
 
 
 def linearize(x: PersistentObject) -> PersistentObject:

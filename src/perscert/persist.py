@@ -6,6 +6,14 @@ Evaluation semantics, fixed once for the whole package: a persistent object is
 piecewise constant on its grid, equals the initial object of its category when
 some coordinate lies below the axis minimum, and is constant above each axis
 maximum.
+
+Validation rule, also fixed once for the whole package: decoders and public
+constructors (``PersistentObject``, ``DeltaMorphism``, ``DeltaMorphism.from_fn``,
+``integer_object``, ``constant_object``) validate what they receive; library
+builders, whose outputs are valid because their inputs are, build them with
+``PersistentObject._of`` and ``DeltaMorphism._on``, which check nothing. A
+builder whose output needs more than valid inputs (a natural h, a valid
+certificate) checks that first.
 """
 
 from __future__ import annotations
@@ -175,26 +183,38 @@ class PersistentObject:
     presented on a finite grid. Immutable after construction."""
 
     def __init__(self, grid: Grid, category: str, objects: dict, edge_maps: dict,
-                 integer_indexed: bool = False, validate: bool = True):
+                 integer_indexed: bool = False):
+        self._place(grid, category, dict(objects), dict(edge_maps), integer_indexed)
+        self._validate()
+
+    @classmethod
+    def _of(cls, grid: Grid, category: str, objects: dict, edge_maps: dict,
+            integer_indexed: bool = False) -> "PersistentObject":
+        """The object of data already known to be valid, which it keeps
+        without copying."""
+        x = cls.__new__(cls)
+        x._place(grid, category, objects, edge_maps, integer_indexed)
+        return x
+
+    def _place(self, grid: Grid, category: str, objects: dict, edge_maps: dict,
+               integer_indexed: bool):
         self.grid = grid
         self.category_name = category
         self.category = get_category(category)
-        self.objects = dict(objects)
-        self.edge_maps = dict(edge_maps)
+        self.objects = objects
+        self.edge_maps = edge_maps
         self.integer_indexed = bool(integer_indexed)
-        if integer_indexed:
-            if grid.m != 1:
-                raise DimensionError("integer-indexed objects must have m = 1")
-            d, ints = grid._scaled[0]
-            # ints increase strictly, so they are consecutive when they span len - 1
-            if d != 1 or ints[-1] - ints[0] != len(ints) - 1:
-                raise ValidationError("integer-indexed axis must be consecutive integers")
-        if validate:
-            self._validate()
 
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
+        if self.integer_indexed:
+            if self.grid.m != 1:
+                raise DimensionError("integer-indexed objects must have m = 1")
+            d, ints = self.grid._scaled[0]
+            # ints increase strictly, so they are consecutive when they span len - 1
+            if d != 1 or ints[-1] - ints[0] != len(ints) - 1:
+                raise ValidationError("integer-indexed axis must be consecutive integers")
         cat = self.category
         stray = (set(self.objects).difference(self.grid.indices())
                  | set(self.edge_maps).difference((i, a) for i, a, _ in self.grid.edges()))
@@ -297,14 +317,22 @@ def constant_object(category: str, value, grid: Grid) -> PersistentObject:
     return PersistentObject(grid, category, objects, edges)
 
 
-def integer_object(category: str, values: list, maps: list, lo: int) -> PersistentObject:
-    """Z-indexed object on the window [lo, lo + len(values) - 1]."""
+def _integer_of(category: str, values: list, maps: list, lo: int) -> PersistentObject:
+    """``integer_object`` without ``_validate``, for a chain of objects and
+    maps already known to be valid."""
     if not values:
         raise ValidationError("grid axes must be nonempty")
     grid = Grid._of(((1, tuple(range(lo, lo + len(values)))),))
     objects = {(k,): v for k, v in enumerate(values)}
     edges = {((k,), 0): f for k, f in enumerate(maps)}
-    return PersistentObject(grid, category, objects, edges, integer_indexed=True)
+    return PersistentObject._of(grid, category, objects, edges, integer_indexed=True)
+
+
+def integer_object(category: str, values: list, maps: list, lo: int) -> PersistentObject:
+    """Z-indexed object on the window [lo, lo + len(values) - 1]."""
+    x = _integer_of(category, values, maps, lo)
+    x._validate()
+    return x
 
 
 # -- delta-morphisms -------------------------------------------------------
@@ -358,35 +386,38 @@ class DeltaMorphism:
     geometry of one ``_Leg``."""
 
     def __init__(self, source: PersistentObject, target: PersistentObject,
-                 shift: Grade, components: dict, validate: bool = True):
-        self._place(_Leg(source, target, shift), components, validate)
+                 shift: Grade, components: dict):
+        self._place(_Leg(source, target, shift), components)
+        self._validate_components()
 
     @classmethod
-    def _on(cls, leg: _Leg, components: dict, validate: bool = False) -> "DeltaMorphism":
+    def _on(cls, leg: _Leg, components: dict) -> "DeltaMorphism":
         """A morphism on leg, which it shares with every other morphism built
-        on it."""
+        on it, of components already known to be maps of the right type."""
         f = cls.__new__(cls)
-        f._place(leg, components, validate)
+        f._place(leg, components)
         return f
 
-    def _place(self, leg: _Leg, components: dict, validate: bool):
+    def _place(self, leg: _Leg, components: dict):
         self._leg = leg
         self.grid, self.shift = leg.grid, leg.shift
         self.source, self.target = leg.source, leg.target
         self.at_source, self.at_target = leg.at_source, leg.at_target
         self.components = dict(components)
         self.category = leg.source.category
-        if validate:
-            self._validate_components()
 
     @classmethod
-    def from_fn(cls, source, target, shift, fn: Callable[[Grade], object],
-                validate: bool = True) -> "DeltaMorphism":
+    def from_fn(cls, source, target, shift, fn: Callable[[Grade], object]) -> "DeltaMorphism":
         leg = _Leg(source, target, shift)
-        return cls._on(leg, {idx: fn(leg.grid.grade_at(idx)) for idx in leg.points}, validate)
+        f = cls._on(leg, {idx: fn(leg.grid.grade_at(idx)) for idx in leg.points})
+        f._validate_components()
+        return f
 
     def _validate_components(self) -> None:
         cat = self.category
+        stray = set(self.components).difference(self.grid.indices())
+        if stray:
+            raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
         for idx in self.grid.indices():
             if idx not in self.components:
                 raise ValidationError(f"missing component at {self.grid.grade_at(idx)}")
@@ -543,13 +574,21 @@ class PullbackResult:
 def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackResult:
     """Pull an (eps,delta)-interleaving (f, g) between X and Y back along a
     plain morphism h: B -> Y, producing an (eps,delta)-interleaving between
-    the pointwise fiber product A and B."""
+    the pointwise fiber product A and B. The certificate is replayed and h
+    checked for naturality first; A and the morphisms out of it are then
+    valid by the universal property."""
     x, y = cert.f.source, cert.f.target
     eps, delta = cert.epsilon, cert.delta
     if h.shift != zero_grade(h.shift.m):
         raise ShiftError("h must be a plain (0-shift) morphism")
     if h.target != y:
         raise CategoryError("h must land in the target of the interleaving")
+    report = check_interleaving(cert)
+    if not report.valid:
+        raise ValidationError(f"input certificate invalid: {report.reason}")
+    violation = h.check_natural()
+    if violation is not None:
+        raise ValidationError(f"h is not natural at {violation[0]} along axis {violation[1]}")
     cat = x.category
     b = h.source
 
@@ -573,7 +612,7 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
         v = cat.compose(a_leg.target_steps[(idx, ax)], proj_b_maps[idx])
         edges[(idx, ax)] = pairs[nxt](u, v, objects[idx])
 
-    a = PersistentObject(a_grid, x.category_name, objects, edges)
+    a = PersistentObject._of(a_grid, x.category_name, objects, edges)
 
     # k : A ->_eps B is the second projection and A ->_0 X the first; the
     # canonical grids of both are A's grid, so the projections are their
@@ -619,7 +658,7 @@ def _sample(x: PersistentObject, fn, lo: int, hi: int) -> PersistentObject:
     at = _positions(x.grid, samples)
     values = [x.at(at[v]) for v in samples]
     maps = [x.map_between(at[v], at[w]) for v, w in zip(samples, samples[1:])]
-    return integer_object(x.category_name, values, maps, lo)
+    return _integer_of(x.category_name, values, maps, lo)
 
 
 def _structure_morphism(x: PersistentObject, source: PersistentObject,
@@ -658,10 +697,7 @@ def extend_floor(a: PersistentObject) -> PersistentObject:
     piecewise-constant semantics this is the same grid data, viewed over R."""
     if not a.integer_indexed:
         raise ValidationError("extend_floor expects an integer-indexed object")
-    return PersistentObject(
-        a.grid, a.category_name, a.objects, a.edge_maps, integer_indexed=False,
-        validate=False,
-    )
+    return PersistentObject._of(a.grid, a.category_name, a.objects, a.edge_maps)
 
 
 def floor_roundtrip_cert(x: PersistentObject) -> InterleavingCert:
@@ -682,7 +718,7 @@ def rescale(x: PersistentObject, c) -> PersistentObject:
     if c <= 0:
         raise InvalidScaleError("rescale factor must be positive")
     grid = Grid([tuple(v / c for v in x.grid.axes[0])])
-    return PersistentObject(grid, x.category_name, x.objects, x.edge_maps, validate=False)
+    return PersistentObject._of(grid, x.category_name, x.objects, x.edge_maps)
 
 
 def rescale_morphism(f: DeltaMorphism, c) -> DeltaMorphism:
@@ -692,7 +728,7 @@ def rescale_morphism(f: DeltaMorphism, c) -> DeltaMorphism:
     src = rescale(f.source, c)
     tgt = rescale(f.target, c)
     shift = Grade([f.shift.coords[0] / c])
-    return DeltaMorphism(src, tgt, shift, f.components, validate=False)
+    return DeltaMorphism._on(_Leg(src, tgt, shift), f.components)
 
 
 def rescale_cert(cert: InterleavingCert, c) -> InterleavingCert:

@@ -22,6 +22,7 @@ from .persist import (
     Grid,
     InterleavingCert,
     PersistentObject,
+    _Leg,
     _structure_morphism,
     extend_floor,
     integer_object,
@@ -155,8 +156,8 @@ def lift_cert_to_real(x: PersistentObject, y: PersistentObject,
     the grids, so the components carry over."""
     r = rat(r)
     ex, ey = extend_floor(x), extend_floor(y)
-    f = DeltaMorphism(ex, ey, cert.f.shift, cert.f.components, validate=False)
-    g = DeltaMorphism(ey, ex, cert.g.shift, cert.g.components, validate=False)
+    f = DeltaMorphism._on(_Leg(ex, ey, cert.f.shift), cert.f.components)
+    g = DeltaMorphism._on(_Leg(ey, ex, cert.g.shift), cert.g.components)
     return InterleavingCert(shift_morphism(f, Grade([r])),
                             shift_morphism(g, Grade([r])))
 

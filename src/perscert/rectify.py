@@ -25,12 +25,12 @@ from .grades import Grade, even_reindex, floor_int, odd_reindex, rat
 from .persist import (
     InterleavingCert,
     PersistentObject,
+    _integer_of,
     _positions,
     _sample,
     _structure_morphism,
     check_interleaving,
     compose_interleavings,
-    integer_object,
 )
 
 
@@ -130,7 +130,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     values = [z.at(at_z[s]) for s, (z, _, at_z, _) in zip(starts, side)]
     maps = [z.map_between(at_z[s], at_z[s]) if s == s2 else leg.at(at_leg[s])
             for s, s2, (z, leg, at_z, at_leg) in zip(starts, starts[1:], side)]
-    c = integer_object(a.category_name, values, maps, lo)
+    c = _integer_of(a.category_name, values, maps, lo)
 
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
     ec, oc, piece_mid = _even_odd(c, m, lo, hi)

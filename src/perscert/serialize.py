@@ -273,7 +273,9 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
         if idx in components:
             raise SchemaError(f"component at {Grade(coords)} is given twice")
         components[idx] = decode_cat_map(source.category_name, entry["map"])
-    return DeltaMorphism._on(leg, components, validate=True)
+    f = DeltaMorphism._on(leg, components)
+    f._validate_components()
+    return f
 
 
 def encode_cert(cert: InterleavingCert, include_objects: bool = True) -> dict:

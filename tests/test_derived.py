@@ -1,0 +1,150 @@
+"""Library builders trust what they derive: they build their outputs with
+``PersistentObject._of`` and ``DeltaMorphism._on``, which check nothing.
+Here every such builder runs on seeded inputs, and each output is rebuilt
+through the validating constructors, which raise unless it is valid. This is
+the oracle that stands in for re-checking derived data at run time."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from perscert import (
+    DeltaMorphism,
+    FilteredComplex,
+    MetricInput,
+    PersistentObject,
+    SquareDiagram,
+    check_interleaving,
+    degree_rips,
+    even_odd_restrict,
+    extend_floor,
+    floor_roundtrip_cert,
+    homology,
+    homology_cert,
+    pi0,
+    pi0_induced,
+    pullback_interleaving,
+    rescale,
+    rescale_cert,
+    restrict_to_Z,
+    slice_axis,
+    sq_gadget,
+    to_persistent,
+    zigzag,
+)
+from perscert.invariants import linearize
+from perscert.randgen import (
+    interleaved_pair,
+    lift_cert_to_real,
+    natural_map_into,
+    rand_complex_interleaving,
+    rand_f2vec_object,
+    rand_filtered_complex,
+    rand_finset_object,
+    rand_metric,
+    rand_real_object,
+)
+
+
+def revalidated(x: PersistentObject) -> PersistentObject:
+    """x rebuilt by the validating constructor, which raises unless x is
+    valid; the rebuilt object equals x."""
+    y = PersistentObject(x.grid, x.category_name, x.objects, x.edge_maps, x.integer_indexed)
+    assert y == x
+    return y
+
+
+def revalidated_morphism(f: DeltaMorphism) -> None:
+    """f rebuilt between its rebuilt source and target by the validating
+    constructor; it equals f and is natural."""
+    g = DeltaMorphism(revalidated(f.source), revalidated(f.target), f.shift, f.components)
+    assert g.equals(f)
+    assert g.is_natural()
+
+
+def revalidated_cert(cert) -> None:
+    revalidated_morphism(cert.f)
+    revalidated_morphism(cert.g)
+    assert check_interleaving(cert).valid
+
+
+def test_filtrations_and_their_invariants_are_valid():
+    """_inclusions (to_persistent, degree_rips), _sample (restrict_to_Z),
+    slice_axis and the pi0, H_n and F2[-] images of persistent complexes."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        x = revalidated(to_persistent(rand_filtered_complex(rng, n_vertices=5)))
+        z = revalidated(restrict_to_Z(x))
+        revalidated(linearize(revalidated(pi0(z))))
+        for n in (0, 1):
+            revalidated(homology(x, n))
+        d = revalidated(degree_rips(rand_metric(rng, rng.randint(1, 6)), 2))
+        revalidated(pi0(d))
+        for axis in (0, 1):
+            values = d.grid.axes[axis]
+            for value in (values[0] - 1, values[len(values) // 2], values[-1] + 1):
+                revalidated(homology(revalidated(slice_axis(d, axis, value)), 0))
+
+
+def test_empty_complexes_are_valid():
+    revalidated(to_persistent(FilteredComplex([], [], {}, 2)))
+    revalidated(degree_rips(MetricInput([], []), 2))
+
+
+def test_sq_gadget_of_a_commuting_square_is_valid():
+    edge = frozenset({("a",), ("b",), ("a", "b")})
+    point = frozenset({("c",)})
+    square = SquareDiagram(
+        {(0, 0): frozenset({("a",), ("b",)}), (1, 0): edge, (0, 1): point, (1, 1): point},
+        {((0, 0), 0): {"a": "a", "b": "b"}, ((0, 0), 1): {"a": "c", "b": "c"},
+         ((1, 0), 1): {"a": "c", "b": "c"}, ((0, 1), 0): {"c": "c"}},
+    )
+    x = revalidated(sq_gadget(square))
+    revalidated(pi0(x))
+
+
+@pytest.mark.parametrize("kind", ["FinSet", "F2Vec", "Complex"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_interleaving_builders_give_valid_outputs(kind, m):
+    """_sample (reindex, the even and odd restrictions), the zig-zag diagonal,
+    extend_floor, rescale, rescale_morphism, lift_cert_to_real, the pullback,
+    and the pi0 and H_n images of morphisms and certificates."""
+    for seed in range(6):
+        rng = random.Random(100 * m + seed)
+        if kind == "Complex":
+            x, y, cert = rand_complex_interleaving(rng, 4, m)
+        else:
+            make = rand_finset_object if kind == "FinSet" else rand_f2vec_object
+            x = make(rng, -3, 3, 3)
+            y, cert = interleaved_pair(rng, x, m)
+        revalidated(y)
+        revalidated_cert(cert)
+        revalidated_cert(even_odd_restrict(x, m)[2])
+        result = zigzag(x, y, cert, m)
+        revalidated(result.c)
+        for piece in (result.piece_a, result.piece_mid, result.piece_b, result.composite):
+            revalidated_cert(piece)
+        revalidated(extend_floor(x))
+        revalidated_cert(rescale_cert(cert, Fraction(3, 2)))
+        if m == 1:
+            revalidated_cert(lift_cert_to_real(x, y, cert, Fraction(5, 4)))
+        if kind == "Complex":  # Complex has no fiber products, so no pullback
+            revalidated(pi0(x))
+            revalidated_morphism(pi0_induced(cert.f))
+            for n in (0, 1):
+                revalidated_cert(homology_cert(cert, n))
+        else:
+            b, h = natural_map_into(rng, y)
+            revalidated(b)
+            pulled = pullback_interleaving(cert, h)
+            revalidated_cert(pulled.cert)
+            revalidated_morphism(pulled.projection)
+
+
+def test_rescaled_and_floor_extended_real_objects_are_valid():
+    for seed in range(10):
+        rng = random.Random(seed)
+        x = rand_real_object(rng, "F2Vec" if seed % 2 else "FinSet")
+        revalidated(rescale(x, Fraction(2, 3)))
+        revalidated_cert(floor_roundtrip_cert(x))

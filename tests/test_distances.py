@@ -10,6 +10,7 @@ import pytest
 from perscert import (
     Bar,
     Barcode,
+    Grade,
     ValidationError,
     bottleneck,
     grade,
@@ -19,7 +20,8 @@ from perscert import (
 )
 from perscert.distances import _least_certified, _max_bipartite_matching
 from perscert.gf2 import GF2Matrix
-from perscert.persist import Grid, PersistentObject, check_interleaving
+from perscert.persist import (Grid, PersistentObject, _Budget, _search_at_delta,
+                              check_interleaving, interleaving_candidates)
 from perscert.invariants import barcode
 from perscert.randgen import (
     interleaved_pair,
@@ -27,6 +29,7 @@ from perscert.randgen import (
     rand_complex_interleaving,
     rand_f2vec_object,
     rand_persistent_complex,
+    rand_real_object,
 )
 
 from oracles import (
@@ -188,3 +191,25 @@ def test_least_certified_delta_of_modules_is_their_bottleneck_distance():
             g = rand_f2vec_object(rng, lo=0, hi=2, max_dim=2)
         d, _ = bottleneck(barcode(f), barcode(g))
         assert _least_certified(f, g, Fraction(0), 2_000_000).distance == d
+
+
+def test_verdicts_are_constant_on_each_gap_between_candidates_and_monotone():
+    # the completeness argument of interleaving_distance_search: at a seeded
+    # point inside each gap [c_i, c_{i+1}) and above the last candidate, the
+    # search agrees with the gap's left candidate, and the verdicts at the
+    # candidates never go from True back to False
+    for seed in range(30):
+        rng = random.Random(seed)
+        category = ("FinSet", "F2Vec")[seed % 2]
+        x = rand_real_object(rng, category, n_grades=3, max_size=2)
+        y = rand_real_object(rng, category, n_grades=3, max_size=2)
+
+        def interleaved(delta) -> bool:
+            return _search_at_delta(x, y, Grade([delta]), _Budget(1_000_000)) is not None
+
+        candidates = interleaving_candidates(x, y)
+        verdicts = [interleaved(c) for c in candidates]
+        for c, end, verdict in zip(candidates, candidates[1:] + [candidates[-1] + 2], verdicts):
+            inside = c + (end - c) * Fraction(rng.randint(1, 99), 100)
+            assert interleaved(inside) == verdict, (seed, c, inside)
+        assert verdicts == sorted(verdicts), seed

@@ -122,6 +122,15 @@ def test_shift_operator_is_additive_on_identities():
     assert lifted.equals(identity_shift(x, two))
 
 
+def test_components_off_the_merged_grid_are_refused():
+    one = frozenset({"*"})
+    x = integer_object("FinSet", [one, one], [{"*": "*"}], 0)
+    components = {(0,): {"*": "*"}, (1,): {"*": "*"}, (7,): "junk", "zz": None}
+    with pytest.raises(ValidationError) as exc:
+        DeltaMorphism(x, x, grade(0), components)
+    assert str(exc.value) == "keys outside the grid: ['zz', (7,)]"
+
+
 def test_composition_adds_shifts_and_matches_pointwise_composites():
     rng = random.Random(4)
     x = rand_finset_object(rng, lo=-2, hi=2)
@@ -194,6 +203,24 @@ def test_pullback_preserves_shifts_and_fiber_cardinalities():
     # the projection to X is a plain natural map
     assert result.projection.shift == grade(0)
     assert result.projection.is_natural()
+
+
+def test_pullback_checks_its_certificate_and_h_first():
+    rng = random.Random(8)
+    x = rand_finset_object(rng, lo=-2, hi=2, max_size=4)
+    y, cert = interleaved_pair(rng, x, 1)
+    b, h = natural_map_into(rng, y)
+    bad = corrupt_certificate(rng, cert)
+    assert not check_interleaving(bad).valid
+    with pytest.raises(ValidationError, match="input certificate invalid"):
+        pullback_interleaving(bad, h)
+    bent = next(k for k in (
+        DeltaMorphism(b, y, h.shift, {**h.components, p: cand})
+        for p in h.grid.indices()
+        for cand in h.category.enumerate_maps(b.at(h.at_source[p]), y.at(h.at_target[p])))
+        if not k.is_natural())
+    with pytest.raises(ValidationError, match="h is not natural"):
+        pullback_interleaving(cert, bent)
 
 
 # -- discretization and rescaling ------------------------------------------------
@@ -301,7 +328,7 @@ def reference_natural(x, y, shift):
                                            y.evaluate(grid.grade_at(p) + shift)))
             for p in points]
     for choice in itertools.product(*homs):
-        f = DeltaMorphism(x, y, shift, dict(zip(points, choice)), validate=False)
+        f = DeltaMorphism(x, y, shift, dict(zip(points, choice)))
         if f.is_natural():
             yield f
 
@@ -492,7 +519,7 @@ def reference_leg(x, source, target, shift, start, end):
     """A leg built the closure way: at each merged-grid point p, the structure
     map of x from start(p) to end(p), each located by a bisect."""
     return DeltaMorphism.from_fn(source, target, shift, lambda p: x.structure_map(
-        Grade([start(p.coords[0])]), Grade([end(p.coords[0])])), validate=False)
+        Grade([start(p.coords[0])]), Grade([end(p.coords[0])])))
 
 
 def reference_diagonal(a, b, cert, m, lo, hi):

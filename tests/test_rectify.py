@@ -150,7 +150,7 @@ def closure_leg(source, target, z, raw, r):
         push = z.structure_map(Grade([floor_int(p.coords[0] + r)]), p + one)
         return z.category.compose(push, raw.component_at(p))
 
-    return DeltaMorphism.from_fn(source, target, one, component, validate=False)
+    return DeltaMorphism.from_fn(source, target, one, component)
 
 
 @pytest.mark.parametrize("r", [1, Fraction(5, 4), Fraction(4, 3), Fraction(7, 5)])
