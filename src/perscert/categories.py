@@ -1,8 +1,10 @@
 """The three concrete categories persistent objects take values in.
 
 Each category exposes the same small surface: objects, maps, identity,
-composition, equality, the initial object, optional fiber products, and
-(for the brute-force searches) enumeration of all maps between two objects.
+composition, the initial object, optional fiber products, and (for the
+brute-force searches) enumeration of all maps between two objects. Maps are
+plain values (dicts and ``GF2Matrix``), so two maps are equal exactly when
+they compare equal with ``==``.
 
 Representations:
   FinSet  -- object: frozenset of hashable element ids; map: dict
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import CategoryError
-from .gf2 import GF2Matrix, all_matrices
+from .gf2 import Echelon, GF2Matrix, _transpose, all_matrices, kernel_bits
 
 
 def total_order(items) -> list:
@@ -68,9 +70,6 @@ class FinSetCategory:
     def compose(self, g, f):
         """g after f."""
         return {x: g[y] for x, y in f.items()}
-
-    def map_equal(self, f, g) -> bool:
-        return f == g
 
     def enumerate_maps(self, src, tgt):
         src = total_order(src)
@@ -124,16 +123,13 @@ class F2VecCategory:
         return GF2Matrix.identity(obj)
 
     def initial_map(self, tgt):
-        return GF2Matrix([[] for _ in range(tgt)], tgt, 0)
+        return GF2Matrix.zeros(tgt, 0)
 
     def is_map(self, f, src, tgt) -> bool:
         return isinstance(f, GF2Matrix) and f.ncols == src and f.nrows == tgt
 
     def compose(self, g, f):
         return g @ f
-
-    def map_equal(self, f, g) -> bool:
-        return f == g
 
     def enumerate_maps(self, src, tgt):
         yield from all_matrices(tgt, src)
@@ -143,24 +139,24 @@ class F2VecCategory:
 
     def fiber_product(self, f, h, x_obj, b_obj):
         """Pullback of linear maps: kernel of [f | h]: X (+) B -> Y."""
-        y_dim = f.nrows
-        if h.nrows != y_dim:
+        if h.nrows != f.nrows:
             raise CategoryError("pullback legs must share a codomain")
-        stacked = GF2Matrix(
-            [f.bits[i] | h.bits[i] << x_obj for i in range(y_dim)], y_dim, x_obj + b_obj
-        )
-        kernel = stacked.kernel_basis()
+        kernel = kernel_bits(_transpose(f.bits, x_obj) + _transpose(h.bits, b_obj))
         a_obj = len(kernel)
         kmat = GF2Matrix.from_columns(kernel, x_obj + b_obj)
         proj_x = GF2Matrix(kmat.bits[:x_obj], x_obj, a_obj)
         proj_b = GF2Matrix(kmat.bits[x_obj:], b_obj, a_obj)
+        # tag 1 << j on kernel vector j: a column in their span reduces to
+        # zero with the coordinates of the one solution in its tag
+        span = Echelon()
+        for j, vec in enumerate(kernel):
+            span.add(vec, 1 << j)
 
         def pair(u, v, w_obj):
             cols = []
-            for j in range(w_obj):
-                stacked_col = list(u.column(j)) + list(v.column(j))
-                sol = kmat.solve(stacked_col)
-                if sol is None:
+            for u_col, v_col in zip(_transpose(u.bits, w_obj), _transpose(v.bits, w_obj)):
+                rest, sol = span.reduce(u_col | v_col << x_obj)
+                if rest:
                     raise CategoryError("pairing does not land in the fiber product")
                 cols.append(sol)
             return GF2Matrix.from_columns(cols, a_obj)
@@ -206,9 +202,6 @@ class ComplexCategory:
 
     def compose(self, g, f):
         return {v: g[w] for v, w in f.items()}
-
-    def map_equal(self, f, g) -> bool:
-        return f == g
 
     def enumerate_maps(self, src, tgt):
         src_verts = total_order(complex_vertices(src))

@@ -72,9 +72,10 @@ def validate(f: FilteredComplex) -> ValidationReport:
                 f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
             )
     # every grade now has one arity, so faces compare coordinate by coordinate
+    vertices = set(f.vertices)
     for sigma in total_order(f.simplices):
         for v in sigma:
-            if v not in f.vertices:
+            if v not in vertices:
                 return ValidationReport(False, f"unknown vertex {v!r}", sigma)
         if sigma not in f.grade:
             return ValidationReport(False, "simplex missing a grade", sigma)
@@ -272,6 +273,8 @@ class MetricInput:
 def metric_from_coordinates(coords, norm: str = "linf") -> MetricInput:
     """L1 or Linf distances from rational coordinates (Euclidean would be
     irrational, so it is excluded)."""
+    if norm not in ("l1", "linf"):
+        raise ValidationError(f"unknown norm {norm!r}: expected 'l1' or 'linf'")
     coords = [tuple(rat(c) for c in pt) for pt in coords]
     n = len(coords)
     dist = [[Fraction(0)] * n for _ in range(n)]
@@ -374,7 +377,7 @@ class SquareDiagram:
                 raise ValidationError(f"square diagram missing or invalid map at {(src, axis)}")
         upper = cat.compose(self.maps[((1, 0), 1)], self.maps[((0, 0), 0)])
         lower = cat.compose(self.maps[((0, 1), 0)], self.maps[((0, 0), 1)])
-        if not cat.map_equal(upper, lower):
+        if upper != lower:
             raise ValidationError("square does not commute")
 
 

@@ -2,8 +2,9 @@
 
 A vector is a Python ``int`` whose bit i is coordinate i, so adding two
 vectors is one ``^``. A ``GF2Matrix`` keeps each row packed this way (bit j
-of row i is entry (i, j)); ``rows`` unpacks them into 0/1 tuples for the wire
-format and for readers.
+of row i is entry (i, j)). GF(2) maps are bitsets everywhere in the package:
+0/1 rows exist only where they enter, ``GF2Matrix(rows)``, and where they
+leave, ``rows``, which unpacks them for the wire format and for readers.
 
 Every rank, kernel, solve and span question is answered by one incremental
 elimination, ``Echelon``: it keeps one reduced vector per pivot (the
@@ -147,13 +148,9 @@ class GF2Matrix:
         return GF2Matrix([1 << i for i in range(n)], n, n)
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence[int] | int], nrows: int) -> "GF2Matrix":
-        """Columns given as 0/1 sequences (read mod 2) or int bitsets."""
-        cols = [c if type(c) is int else _pack(c[:nrows]) for c in cols]
+    def from_columns(cols: Sequence[int], nrows: int) -> "GF2Matrix":
+        """Columns given as int bitsets over the rows."""
         return GF2Matrix(_transpose(cols, nrows), nrows, len(cols))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple((r >> j) & 1 for r in self.bits)
 
     def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.nrows:
@@ -164,36 +161,11 @@ class GF2Matrix:
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         return self.matmul(other)
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        v = _pack(vec)
-        return tuple((r & v).bit_count() & 1 for r in self.bits)
-
     def rank(self) -> int:
         echelon = Echelon()
         for r in self.bits:
             echelon.add(r)
         return len(echelon)
-
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Basis of the right null space, as column vectors of length ncols:
-        one per free column of the reduced row echelon form, read off it
-        with that free variable 1 and the others 0."""
-        return [_unpack(x, self.ncols) for x in kernel_bits(_transpose(self.bits, self.ncols))]
-
-    def solve(self, target: Sequence[int]) -> tuple[int, ...] | None:
-        """One solution x of self @ x = target (free variables 0), or None
-        when inconsistent."""
-        echelon = Echelon()
-        for j, col in enumerate(_transpose(self.bits, self.ncols)):
-            echelon.add(col, 1 << j)
-        _, x = echelon.reduce(_pack(target))
-        x = _unpack(x, self.ncols)
-        # an inconsistent system leaves a remainder, and x then fails the check
-        if self.apply(x) != tuple(int(t) % 2 for t in target):
-            return None
-        return x
 
 
 def all_matrices(nrows: int, ncols: int) -> Iterator[GF2Matrix]:

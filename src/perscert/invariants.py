@@ -244,6 +244,8 @@ def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
     1-parameter object in the remaining axis (m = 2 only)."""
     if x.m != 2:
         raise DimensionError("slice_axis expects m = 2")
+    if axis not in (0, 1):
+        raise DimensionError(f"slice_axis needs axis 0 or 1, got {axis!r}")
     axes = list(x.grid.axes)
     axes[axis] = [value]
     idxs = list(x.grid.locate(Grid(axes), zero_grade(2)).values())  # along the line

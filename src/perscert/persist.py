@@ -252,7 +252,7 @@ class PersistentObject:
                 via_b = cat.compose(
                     self.edge_maps[(idx_b, a)], self.edge_maps[(idx, b)]
                 )
-                if not cat.map_equal(via_a, via_b):
+                if via_a != via_b:
                     raise ValidationError(
                         f"non-commuting square at {idx}, axes ({a},{b})"
                     )
@@ -297,14 +297,8 @@ class PersistentObject:
             return NotImplemented
         if self is other:
             return True
-        if self.category_name != other.category_name or self.grid != other.grid:
-            return False
-        cat = self.category
-        if any(self.objects[i] != other.objects[i] for i in self.grid.indices()):
-            return False
-        return all(
-            cat.map_equal(self.edge_maps[k], other.edge_maps[k]) for k in self.edge_maps
-        )
+        return (self.category_name == other.category_name and self.grid == other.grid
+                and self.objects == other.objects and self.edge_maps == other.edge_maps)
 
     def __hash__(self):
         return hash((self.category_name, self.grid))
@@ -445,7 +439,7 @@ class DeltaMorphism:
         for idx, a, nxt in self.grid.edges():
             upper = cat.compose(target_steps[(idx, a)], self.components[idx])
             lower = cat.compose(self.components[nxt], source_steps[(idx, a)])
-            if not cat.map_equal(upper, lower):
+            if upper != lower:
                 return (self.grid.grade_at(idx), a)
         return None
 
@@ -453,15 +447,8 @@ class DeltaMorphism:
         return self.check_natural() is None
 
     def equals(self, other: "DeltaMorphism") -> bool:
-        if self.shift != other.shift:
-            return False
-        if self.source != other.source or self.target != other.target:
-            return False
-        cat = self.category
-        return all(
-            cat.map_equal(self.components[i], other.components[i])
-            for i in self.grid.indices()
-        )
+        return (self.shift == other.shift and self.source == other.source
+                and self.target == other.target and self.components == other.components)
 
 
 def _composites(f: DeltaMorphism, g: DeltaMorphism, grid: Grid):
@@ -540,7 +527,7 @@ def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
                                       ("Y", "f^delta . g", cert.g, cert.f)):
         direct = identity_shift(first.source, total)
         for idx, via in _composites(first, second, direct.grid):
-            if not direct.category.map_equal(via, direct.components[idx]):
+            if via != direct.components[idx]:
                 p = direct.grid.grade_at(idx)
                 return InterleavingReport(
                     False, f"{path} differs from the structure-map shift of {name} at {p}",
@@ -803,13 +790,12 @@ class _Frame:
             fm = f.at(fi)
             if gj is not None:
                 (before, after)[side][gj].append((fm, direct))
-            elif not cat.map_equal(cat.compose(below, fm) if side == 0
-                                   else cat.compose(fm, below), direct):
+            elif (cat.compose(below, fm) if side == 0 else cat.compose(fm, below)) != direct:
                 return None
 
         def accept(j, cand) -> bool:
-            return (all(cat.map_equal(cat.compose(cand, a), b) for a, b in before[j])
-                    and all(cat.map_equal(cat.compose(a, cand), b) for a, b in after[j]))
+            return (all(cat.compose(cand, a) == b for a, b in before[j])
+                    and all(cat.compose(a, cand) == b for a, b in after[j]))
 
         return accept
 
@@ -833,7 +819,7 @@ def _enumerate_natural(leg: _Leg, budget: _Budget,
             upper = cat.compose(y_steps[step], chosen[points[i - 1]])
         for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
             budget.spend()
-            if i > 0 and not cat.map_equal(upper, cat.compose(cand, x_steps[step])):
+            if i > 0 and upper != cat.compose(cand, x_steps[step]):
                 continue
             if accept is not None and not accept(p, cand):
                 continue

@@ -31,6 +31,7 @@ from .persist import (
     _structure_morphism,
     check_interleaving,
     compose_interleavings,
+    extend_floor,
 )
 
 
@@ -164,6 +165,10 @@ def three_halves_check(x: PersistentObject, y: PersistentObject,
     report = check_interleaving(cert)
     if not report.valid:
         raise ValidationError(f"input certificate invalid: {report.reason}")
+    if cert.epsilon != Grade([r]) or cert.delta != Grade([r]):
+        raise ValidationError("certificate shifts must equal r")
+    if cert.f.source != extend_floor(x) or cert.f.target != extend_floor(y):
+        raise ValidationError("certificate is not between the floor-extensions of x and y")
     # cert's legs at an integer n land at floor(n + r), which is <= n + 1
     # because r < 3/2; a structure map of the target carries them on to n + 1
     one = Grade([1])

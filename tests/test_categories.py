@@ -31,8 +31,8 @@ def test_finset_identity_and_composition_laws():
     b = frozenset({"u", "v", "w"})
     for f in FINSET.enumerate_maps(a, b):
         assert FINSET.is_map(f, a, b)
-        assert FINSET.map_equal(FINSET.compose(f, FINSET.identity(a)), f)
-        assert FINSET.map_equal(FINSET.compose(FINSET.identity(b), f), f)
+        assert FINSET.compose(f, FINSET.identity(a)) == f
+        assert FINSET.compose(FINSET.identity(b), f) == f
     assert FINSET.count_maps(a, b) == 9
     assert FINSET.count_maps(b, a) == 8
     # initial object: exactly one map out, none in from nonempty
@@ -58,8 +58,8 @@ def test_finset_fiber_product_is_the_equalizing_pair_set():
     u = {"*": "a"}
     v = {"*": "p"}
     med = pair(u, v, t)
-    assert FINSET.map_equal(FINSET.compose(px, med), u)
-    assert FINSET.map_equal(FINSET.compose(pb, med), v)
+    assert FINSET.compose(px, med) == u
+    assert FINSET.compose(pb, med) == v
 
 
 def test_f2vec_maps_are_matrices_with_composition_as_matmul():
@@ -69,7 +69,7 @@ def test_f2vec_maps_are_matrices_with_composition_as_matmul():
     assert not F2VEC.is_map(f, 3, 2)
     gf = F2VEC.compose(g, f)
     assert gf.rows == (g @ f).rows
-    assert F2VEC.map_equal(F2VEC.compose(f, F2VEC.identity(2)), f)
+    assert F2VEC.compose(f, F2VEC.identity(2)) == f
     assert F2VEC.count_maps(2, 3) == 2 ** 6
     assert F2VEC.initial() == 0
 
@@ -81,8 +81,47 @@ def test_f2vec_fiber_product_dimension_counts_solutions():
     w, px, pb, pair = F2VEC.fiber_product(f, h, 2, 1)
     assert w == 2  # pairs (x, b) with x1 = b: dimension 2
     assert px.ncols == w and pb.ncols == w
-    assert F2VEC.map_equal(F2VEC.compose(f, px), F2VEC.compose(h, pb))
+    assert F2VEC.compose(f, px) == F2VEC.compose(h, pb)
     del pair
+
+
+def rand_map(rng, cat, src, tgt):
+    """A seeded map src -> tgt in FinSet or F2Vec; tgt is nonempty in FinSet
+    unless src is empty."""
+    if cat is F2VEC:
+        return GF2Matrix([rng.getrandbits(src) for _ in range(tgt)], tgt, src)
+    return {s: rng.choice(sorted(tgt)) for s in src}
+
+
+@pytest.mark.parametrize("cat", [FINSET, F2VEC], ids=lambda c: c.name)
+def test_pairing_is_the_unique_map_into_the_fiber_product(cat):
+    """For f: X -> Y and h: B -> Y, pair(u, v) is the map into the fiber
+    product through which u and v factor when f.u = h.v; it raises
+    otherwise. Pairs of the form (proj_x . med, proj_b . med) give med back."""
+    rng = random.Random(23)
+    obj = (lambda n: n) if cat is F2VEC else (lambda n: frozenset(range(n)))
+    landed = refused = 0
+    for _ in range(300):
+        x, b, y = (obj(rng.randint(1, 3)) for _ in range(3))
+        w = obj(rng.randint(0, 3))
+        f, h = rand_map(rng, cat, x, y), rand_map(rng, cat, b, y)
+        a, px, pb, pair = cat.fiber_product(f, h, x, b)
+        assert cat.is_map(px, a, x) and cat.is_map(pb, a, b)
+        assert cat.compose(f, px) == cat.compose(h, pb)
+        u, v = rand_map(rng, cat, w, x), rand_map(rng, cat, w, b)
+        if cat.compose(f, u) == cat.compose(h, v):
+            med = pair(u, v, w)
+            assert cat.is_map(med, w, a)
+            assert cat.compose(px, med) == u and cat.compose(pb, med) == v
+            landed += 1
+        else:
+            with pytest.raises(CategoryError, match="^pairing does not land in the fiber product$"):
+                pair(u, v, w)
+            refused += 1
+        if a or not w:
+            med = rand_map(rng, cat, w, a)
+            assert pair(cat.compose(px, med), cat.compose(pb, med), w) == med
+    assert landed > 30 and refused > 30
 
 
 def test_simplex_normalizes_vertex_order():

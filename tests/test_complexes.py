@@ -79,6 +79,12 @@ def test_metric_from_coordinates_norms():
     assert mi_l1.dist[0][1] == 3
 
 
+@pytest.mark.parametrize("norm", ["l2", "L1", "max", ""])
+def test_metric_from_coordinates_refuses_an_unknown_norm(norm):
+    with pytest.raises(ValidationError, match="unknown norm"):
+        metric_from_coordinates([(0, 0), (3, 4)], norm=norm)
+
+
 def test_skeleton_is_idempotent_and_dimension_correct():
     vr = vietoris_rips(COLLINEAR, 2)
     for n in range(3):

@@ -9,6 +9,7 @@ from perscert import (
     Bar,
     FilteredComplex,
     Barcode,
+    DimensionError,
     Grade,
     MetricInput,
     ValidationError,
@@ -205,6 +206,13 @@ def test_slice_axis_restricts_a_bifiltration_to_one_parameter():
     h0 = homology(line, 0)
     assert barcode(h0).rank_at(0) == 2
     assert barcode(h0).rank_at(2) == 1
+
+
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_slice_axis_refuses_an_axis_outside_0_and_1(axis):
+    mi = MetricInput([0, 1], [[0, 2], [2, 0]], values=[0, 1])
+    with pytest.raises(DimensionError, match="axis"):
+        slice_axis(to_persistent(function_rips(mi, 1)), axis, 1)
 
 
 def seeded_rips(seed):

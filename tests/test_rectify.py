@@ -141,6 +141,21 @@ def test_three_halves_rejects_r_at_or_above_the_threshold():
         three_halves_check(x, y, Fraction(2), lifted)
 
 
+def test_three_halves_rejects_a_certificate_that_does_not_match_its_arguments():
+    rng = random.Random(7)  # a seed whose x and y differ
+    x = rand_finset_object(rng, lo=-2, hi=2)
+    y, cert = interleaved_pair(rng, x, 1)
+    with pytest.raises(ValidationError, match="shifts must equal r"):
+        three_halves_check(x, y, 0, lift_cert_to_real(x, y, cert, 1))
+    assert x != y
+    with pytest.raises(ValidationError, match="floor-extensions"):
+        three_halves_check(y, x, 1, lift_cert_to_real(x, y, cert, 1))
+    z = rand_finset_object(random.Random(6), lo=-3, hi=3)
+    w, other = interleaved_pair(random.Random(7), z, 1)
+    with pytest.raises(ValidationError, match="floor-extensions"):
+        three_halves_check(x, y, 1, lift_cert_to_real(z, w, other, 1))
+
+
 def closure_leg(source, target, z, raw, r):
     """A leg of three_halves_check in its Grade form: raw's component at p,
     then z's structure map from floor(p + r) to p + 1."""
