@@ -38,7 +38,6 @@ from .persist import (
     compose_interleavings,
     constant_object,
     extend_floor,
-    find_partner,
     floor_roundtrip_cert,
     identity_shift,
     integer_object,
@@ -72,7 +71,6 @@ from .invariants import (
     filtration_barcode,
     homology,
     homology_cert,
-    induces_interleaving_in_pi0,
     pi0,
     pi0_induced,
     slice_axis,
@@ -84,13 +82,13 @@ from .rectify import (
     three_halves_check,
     zigzag,
 )
-from .distances import (
-    Matching,
+from .distances import Matching, bottleneck, stability_audit
+from .search import (
     SearchResult,
-    bottleneck,
+    find_partner,
+    induces_interleaving_in_pi0,
     interleaving_distance_search,
     module_distance_crosscheck,
-    stability_audit,
 )
 
 __version__ = "0.1.0"

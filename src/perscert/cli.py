@@ -27,12 +27,13 @@ from .complexes import (
     validate,
     vietoris_rips,
 )
-from .distances import bottleneck, interleaving_distance_search, stability_audit
+from .distances import bottleneck, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
 from .grades import rat_to_str
 from .invariants import barcode, filtration_barcode, homology, pi0
 from .persist import check_interleaving, floor_roundtrip_cert
 from .rectify import zigzag
+from .search import DEFAULT_BUDGET, interleaving_distance_search
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -170,10 +171,11 @@ def is_filtered_cmd(object_path):
     chk = is_filtered(p)
     out = {"format": ser.FORMAT_REPORT, "ok": chk.filtered}
     if chk.filtered:
-        out["witness"] = sorted(
-            ([list(s), ser.encode_grade(g)] for s, g in chk.witness.items()),
-            key=repr,
-        )
+        # sorted on the decoded simplices, which fixes the order of tuple vertices
+        # as before, then written in wire form, which frozenset vertices need
+        witness = sorted(([list(s), ser.encode_grade(g)] for s, g in chk.witness.items()),
+                         key=repr)
+        out["witness"] = [[[ser.encode_element(v) for v in s], g] for s, g in witness]
     else:
         out["condition"] = chk.condition
         out["reason"] = chk.reason
@@ -266,7 +268,7 @@ def interleave_check_cmd(cert_path):
 @main.command("interleave-dist")
 @click.argument("x_path", type=str)
 @click.argument("y_path", type=str)
-@click.option("--max-enum", type=int, default=200_000, show_default=True,
+@click.option("--max-enum", type=int, default=DEFAULT_BUDGET, show_default=True,
               help="Budget on enumerated component maps.")
 @click.option("-o", "--output", type=str, default=None)
 @_reports

@@ -1,6 +1,5 @@
-"""Exact bottleneck distance between barcodes, the least-delta interleaving
-search bounded below by it, and the stability cross-checks tying barcodes to
-interleaving certificates.
+"""Exact bottleneck distance between barcodes, and the stability audit tying
+barcodes to interleaving certificates.
 
 Every candidate optimum lies in the finite set of pairwise endpoint
 differences and half-lengths, so a bisection over those thresholds is exact;
@@ -10,21 +9,13 @@ no floating point is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BudgetExceededError, CategoryError, DimensionError, ValidationError
-from .grades import Grade
-from .invariants import Barcode, barcode, homology_cert, linearize
-from .persist import (
-    InterleavingCert,
-    PersistentObject,
-    _Budget,
-    _search_at_delta,
-    check_interleaving,
-    interleaving_candidates,
-)
+from .errors import ValidationError
+from .invariants import Barcode, barcode, homology_cert
+from .persist import InterleavingCert, check_interleaving
 
 
 INFINITY = None  # sentinel for infinite distances / deaths
@@ -162,95 +153,6 @@ def bottleneck(b1: Barcode, b2: Barcode) -> tuple[Optional[Fraction], Optional[M
     return Fraction(thresholds[hi], scale), matching
 
 
-# -- interleaving-distance search ---------------------------------------------
-
-
-@dataclass
-class SearchResult:
-    distance: Optional[Fraction]  # None means +infinity
-    certificate: Optional[InterleavingCert]
-    candidates: list = field(default_factory=list)
-    reason: str = ""
-
-
-def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
-                                 budget: int = 200_000) -> SearchResult:
-    """Least candidate delta admitting a valid delta-interleaving, found by
-    exhaustive enumeration of component maps (m = 1, FinSet or F2Vec).
-
-    No candidate below d_B(F2 X, F2 Y), the bottleneck distance between the
-    barcodes of the two linearizations, is searched. Linearization sends a
-    delta-interleaving of persistent sets to one of persistence modules (on
-    modules it is the identity), and by algebraic stability (Chazal et al.,
-    Proximity of Persistence Modules and Their Diagrams, 2009; Bauer &
-    Lesnick, Induced Matchings and the Algebraic Stability of Persistence
-    Barcodes, 2015) delta-interleaved modules have barcodes within d_B <=
-    delta. So every skipped candidate is provably refuted, and when d_B is
-    infinite the answer is infinite without a search.
-
-    For each natural f, candidates for g are pruned inside the backtracking
-    by naturality and by the two triangle identities, which given f
-    constrain g one component at a time. The budget counts every candidate
-    component visited, for f and g alike, so pruned branches cost nothing
-    further. A g that survives is re-checked by ``check_interleaving``
-    before its certificate is returned.
-
-    The candidate set is complete, so the answer is the interleaving
-    distance itself, attained at a candidate. Whether a delta-interleaving
-    exists is constant on each gap [c_i, c_{i+1}) between consecutive
-    candidates, and on [c_last, inf):
-
-    - Evaluation is constant on the half-open steps [g_k, g_{k+1}) between
-      critical grades. A leg's merged grid changes order type only when
-      delta crosses a difference b - a of critical grades, and the grids of
-      the triangle identities (shift 2 delta) only when delta crosses a half
-      difference (b - a)/2. Both are candidates, so the order type is the
-      same throughout the inside of a gap.
-    - The steps are closed on the left, so an interleaving (f, g) at delta
-      inside the gap gives one at its left end c. Take f at r from the least
-      r' with r' in the step of r, r' + delta in the step of r + c and
-      r' + 2 delta in the step of r + 2c (and g likewise). Such r' exists
-      because no difference or half difference lies in (c, delta], and it
-      grows with r, so naturality and both triangles carry over.
-    - Interleavability is up-closed in delta: composing both legs with
-      structure maps turns a delta-interleaving into a delta'-interleaving
-      for every delta' >= delta (Bubenik & Scott, Categorification of
-      Persistent Homology, 2014).
-
-    ``tests/test_distances.py`` checks constancy on the gaps and
-    monotonicity on seeded FinSet and F2Vec pairs.
-    """
-    if x.m != 1 or y.m != 1:
-        raise DimensionError("distance search supports m = 1 only")
-    if x.category_name not in ("FinSet", "F2Vec"):
-        raise CategoryError("distance search supports FinSet and F2Vec only")
-    if x.category_name != y.category_name:
-        raise CategoryError("source and target live in different categories")
-    floor, _ = bottleneck(barcode(linearize(x)), barcode(linearize(y)))
-    return _least_certified(x, y, floor, budget)
-
-
-def _least_certified(x: PersistentObject, y: PersistentObject,
-                     floor: Optional[Fraction], budget: int) -> SearchResult:
-    """The least candidate delta >= floor with a certificate, searching the
-    candidates in increasing order; a floor of INFINITY admits none."""
-    candidates = interleaving_candidates(x, y)
-    shared = _Budget(budget)
-    if floor is not INFINITY:
-        for delta in candidates:
-            if delta < floor:
-                continue
-            try:
-                cert = _search_at_delta(x, y, Grade([delta]), shared)
-            except BudgetExceededError:
-                raise BudgetExceededError(
-                    f"search budget of {budget} exhausted before settling all candidates"
-                ) from None
-            if cert is not None:
-                return SearchResult(delta, cert, candidates, "least valid candidate")
-    return SearchResult(None, None, candidates, "no candidate delta admits a certificate")
-
-
 # -- stability cross-checks ---------------------------------------------------
 
 
@@ -279,28 +181,3 @@ def stability_audit(cert: InterleavingCert, n: int) -> StabilityReport:
     bound = max(cert.epsilon.coords[0], cert.delta.coords[0])
     holds = mod_report.valid and d is not INFINITY and d <= bound
     return StabilityReport(holds, bound, d, bx, by, matching, mod_report.valid)
-
-
-@dataclass
-class CrosscheckReport:
-    holds: bool
-    bottleneck_distance: Optional[Fraction]
-    certified_delta: Optional[Fraction]
-    certificate: Optional[InterleavingCert] = None
-
-
-def module_distance_crosscheck(f, g, budget: int = 200_000) -> CrosscheckReport:
-    """d_B of the barcodes against the least certified interleaving delta of
-    two persistent modules; stability demands d_B <= delta. The search starts
-    from 0, not from d_B, so the two sides are computed independently."""
-    bx = barcode(f)
-    by = barcode(g)
-    d, _ = bottleneck(bx, by)
-    result = _least_certified(f, g, Fraction(0), budget)
-    if result.distance is None:
-        holds = True  # d_B <= infinity always
-    elif d is INFINITY:
-        holds = False
-    else:
-        holds = d <= result.distance
-    return CrosscheckReport(holds, d, result.distance, result.certificate)

@@ -1,6 +1,6 @@
 """Persistent invariants: connected components via union-find, simplicial
 homology over GF(2) with induced maps, the free GF(2) module of a persistent
-set, barcodes, and the component-level "induces an interleaving" check.
+set, and barcodes.
 
 pi0, H_n and the linearization are pointwise functors, applied to objects and
 delta-morphisms by one ``_apply`` and one ``_apply_morphism``. Each functor
@@ -22,15 +22,8 @@ from .categories import COMPLEX, complex_vertices, total_order
 from .complexes import FilteredComplex, require_valid
 from .errors import CategoryError, DimensionError, ValidationError
 from .gf2 import Echelon, GF2Matrix, _combination, _transpose, kernel_bits
-from .grades import Grade, rat, zero_grade
-from .persist import (
-    DeltaMorphism,
-    Grid,
-    InterleavingCert,
-    PersistentObject,
-    _Leg,
-    find_partner,
-)
+from .grades import rat, zero_grade
+from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
 
 
 class UnionFind:
@@ -389,17 +382,3 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
                 bars.append(Bar(birth, death))
     bars.extend(Bar(f.grade[simplices[i]].coords[0], None) for i in positive)
     return Barcode(bars)
-
-
-# -- interleavings in components ---------------------------------------------
-
-
-def induces_interleaving_in_pi0(f: DeltaMorphism, delta: Grade,
-                                budget: int = 200_000
-                                ) -> tuple[bool, Optional[InterleavingCert]]:
-    """Whether pi0(f), with its own shift as epsilon, is one leg of an
-    (epsilon, delta)-interleaving of persistent sets; found by exhausting
-    partner maps."""
-    pf = pi0_induced(f)
-    cert = find_partner(pf, delta, budget_limit=budget)
-    return (cert is not None), cert

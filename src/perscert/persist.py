@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from .categories import get_category
 from .errors import (
-    BudgetExceededError,
     CategoryError,
     DimensionError,
     InvalidScaleError,
@@ -720,156 +719,3 @@ def rescale_morphism(f: DeltaMorphism, c) -> DeltaMorphism:
 
 def rescale_cert(cert: InterleavingCert, c) -> InterleavingCert:
     return InterleavingCert(rescale_morphism(cert.f, c), rescale_morphism(cert.g, c))
-
-
-# -- brute-force searches ---------------------------------------------------
-
-
-class _Budget:
-    """A limit on the candidate components one search may visit; a negative
-    limit is refused before the search starts."""
-
-    def __init__(self, limit: int):
-        if limit < 0:
-            raise ValidationError(f"search budget must be >= 0, got {limit}")
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, amount: int = 1):
-        self.used += amount
-        if self.used > self.limit:
-            raise BudgetExceededError(f"search budget of {self.limit} exhausted")
-
-
-class _Frame:
-    """The geometry of an (eps, delta) partner search between x and y, built
-    once: the legs f: x ->_eps y and g: y ->_delta x, and the two triangle
-    identities of ``check_interleaving`` on their grids, located in the legs'
-    grids. Given f, the triangles constrain g one merged-grid component at a
-    time (``triangle_filter``). g's leg and the triangles are built
-    when the first f looks for a partner, so a candidate delta that admits
-    no natural f never builds them."""
-
-    def __init__(self, x: PersistentObject, y: PersistentObject, eps: Grade, delta: Grade):
-        self.x, self.y, self.eps, self.delta = x, y, eps, delta
-        self.f = _Leg(x, y, eps)
-
-    @functools.cached_property
-    def g(self) -> _Leg:
-        return _Leg(self.y, self.x, self.delta)
-
-    @functools.cached_property
-    def triangles(self) -> list:
-        """(side, g index, f index, structure-map shift) at each point of the
-        two triangle grids: side 0 is X's triangle, g(p + eps) . f(p) =
-        x(p -> p + eps + delta), side 1 is Y's, f(q + delta) . g(q) =
-        y(q -> q + eps + delta)."""
-        total = self.eps + self.delta
-        zero = zero_grade(total.m)
-        out = []
-        for side, z, g_shift, f_shift in ((0, self.x, self.eps, zero),
-                                          (1, self.y, zero, self.delta)):
-            direct = identity_shift(z, total)
-            out += [(side, gj, fi, d) for gj, fi, d in zip(
-                self.g.grid.locate(direct.grid, g_shift).values(),
-                self.f.grid.locate(direct.grid, f_shift).values(),
-                direct.components.values())]
-        return out
-
-    def triangle_filter(self, f: DeltaMorphism) -> Optional[Callable[[tuple, object], bool]]:
-        """accept(j, cand): whether cand, as g's component at merged index j,
-        meets every triangle identity at the points whose g component is
-        the one at j, given f. The points below g's grid involve f alone and
-        are checked here, once; None when one of them fails, so no g will
-        do."""
-        cat = f.category
-        below = cat.initial_map(cat.initial())
-        before = {j: [] for j in self.g.points}  # (a, b) with g . a = b
-        after = {j: [] for j in self.g.points}   # (a, b) with a . g = b
-        for side, gj, fi, direct in self.triangles:
-            fm = f.at(fi)
-            if gj is not None:
-                (before, after)[side][gj].append((fm, direct))
-            elif (cat.compose(below, fm) if side == 0 else cat.compose(fm, below)) != direct:
-                return None
-
-        def accept(j, cand) -> bool:
-            return (all(cat.compose(cand, a) == b for a, b in before[j])
-                    and all(cat.compose(a, cand) == b for a, b in after[j]))
-
-        return accept
-
-
-def _enumerate_natural(leg: _Leg, budget: _Budget,
-                       accept: Optional[Callable[[tuple, object], bool]] = None):
-    """Yield the components, by merged index, of every natural delta-morphism
-    along leg by backtracking over its merged grid (m = 1), pruning with the
-    edge naturality condition and then with accept(index, candidate)."""
-    x, y, at_x, at_y = leg.source, leg.target, leg.at_source, leg.at_target
-    points, x_steps, y_steps = leg.points, leg.source_steps, leg.target_steps
-    cat = x.category
-
-    def backtrack(i: int, chosen: dict):
-        if i == len(points):
-            yield dict(chosen)
-            return
-        p = points[i]
-        if i > 0:
-            step = (points[i - 1], 0)
-            upper = cat.compose(y_steps[step], chosen[points[i - 1]])
-        for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
-            budget.spend()
-            if i > 0 and upper != cat.compose(cand, x_steps[step]):
-                continue
-            if accept is not None and not accept(p, cand):
-                continue
-            chosen[p] = cand
-            yield from backtrack(i + 1, chosen)
-            del chosen[p]
-
-    yield from backtrack(0, {})
-
-
-def _partner(f: DeltaMorphism, frame: _Frame, budget: _Budget
-             ) -> Optional[InterleavingCert]:
-    """The first natural g, in enumeration order, making (f, g) an
-    interleaving: candidates the triangles rule out are dropped inside the
-    backtracking, and a g that survives is re-checked by check_interleaving."""
-    accept = frame.triangle_filter(f)
-    if accept is None:
-        return None
-    for g_components in _enumerate_natural(frame.g, budget, accept):
-        cert = InterleavingCert(f, DeltaMorphism._on(frame.g, g_components))
-        if check_interleaving(cert).valid:
-            return cert
-    return None
-
-
-def find_partner(f: DeltaMorphism, delta: Grade, budget_limit: int = 200_000
-                 ) -> Optional[InterleavingCert]:
-    """Exhaustively search a partner g making (f, g) a valid
-    (f.shift, delta)-interleaving. m = 1 only."""
-    if f.source.m != 1:
-        raise DimensionError("partner search supports m = 1 only")
-    frame = _Frame(f.source, f.target, f.shift, delta)
-    return _partner(f, frame, _Budget(budget_limit))
-
-
-def _search_at_delta(x: PersistentObject, y: PersistentObject, delta: Grade,
-                     budget: _Budget) -> Optional[InterleavingCert]:
-    frame = _Frame(x, y, delta, delta)
-    for f_components in _enumerate_natural(frame.f, budget):
-        cert = _partner(DeltaMorphism._on(frame.f, f_components), frame, budget)
-        if cert is not None:
-            return cert
-    return None
-
-
-def interleaving_candidates(x: PersistentObject, y: PersistentObject) -> list[Fraction]:
-    """D = {0} union {b - a, (b - a)/2 : a <= b critical grades}, sorted. The
-    critical grades are scaled to integers over one common denominator d, so
-    every candidate is a whole number of 1/(2d) steps."""
-    d, ints = x.grid.merge(y.grid)._scaled[0]
-    diffs = {b - a for i, a in enumerate(ints) for b in ints[i:]}
-    steps = diffs | {2 * k for k in diffs}
-    return [Fraction(k, 2 * d) for k in sorted(steps)]

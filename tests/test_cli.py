@@ -97,6 +97,18 @@ def test_is_filtered_on_rips_output_exits_0_with_witness(runner, tmp_path):
     assert json.loads(r.output)["witness"]
 
 
+def test_is_filtered_writes_a_frozenset_vertex_in_its_wire_form(runner, tmp_path):
+    vertex = {"frozenset": ["a"]}
+    obj = write(tmp_path, "obj.json", {
+        "format": ser.FORMAT_OBJECT, "m": 1, "category": "Complex",
+        "integer_indexed": True, "axes": [["0"]], "objects": {"0": [[vertex]]},
+        "edge_maps": {},
+    })
+    r = invoke(runner, ["is-filtered", obj])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["witness"] == [[[vertex], ["0"]]]
+
+
 def test_interleave_check_valid_and_corrupted(runner, tmp_path):
     rng = random.Random(0)
     x = rand_finset_object(rng, lo=-2, hi=2)

@@ -18,10 +18,11 @@ from perscert import (
     self_interleaving,
     stability_audit,
 )
-from perscert.distances import _least_certified, _max_bipartite_matching
+from perscert.distances import _max_bipartite_matching
 from perscert.gf2 import GF2Matrix
-from perscert.persist import (Grid, PersistentObject, _Budget, _search_at_delta,
-                              check_interleaving, interleaving_candidates)
+from perscert.persist import Grid, PersistentObject, check_interleaving
+from perscert.search import (_Budget, _least_certified, _search_at_delta,
+                             interleaving_candidates)
 from perscert.invariants import barcode
 from perscert.randgen import (
     interleaved_pair,

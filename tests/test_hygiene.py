@@ -1,8 +1,11 @@
-"""Dead code in the package, found with the standard library's ``ast``: an
-import that its module never uses, and a private module-level function or
-class that no package module refers to."""
+"""Dead code and the import layering of the package, found with the standard
+library's ``ast``: an import that its module never uses, a private
+module-level function or class that no package module refers to, a cycle
+among the package's modules, and a library module that imports the
+searches."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,30 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private definitions nothing refers to: {orphans}"
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports from, by relative import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:  # from . import serialize
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+IMPORTS = {name.removesuffix(".py"): package_imports(tree) for name, tree in TREES.items()}
+
+
+def test_package_imports_form_no_cycle():
+    try:
+        tuple(graphlib.TopologicalSorter(IMPORTS).static_order())
+    except graphlib.CycleError as e:
+        pytest.fail(f"import cycle among package modules: {e.args[1]}")
+
+
+def test_only_the_cli_and_the_package_import_the_searches():
+    importers = {name for name, deps in IMPORTS.items() if "search" in deps}
+    assert importers <= {"cli", "__init__"}, f"library modules import search: {importers}"

@@ -42,11 +42,11 @@ from perscert import (
     shift_morphism,
     zigzag,
 )
-from perscert.distances import _least_certified, bottleneck
+from perscert.distances import bottleneck
 from perscert.errors import CategoryError, ValidationError
-from perscert.invariants import barcode, induces_interleaving_in_pi0, linearize
+from perscert.invariants import barcode, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
-from perscert.persist import _Frame, _positions, interleaving_candidates
+from perscert.persist import _Leg, _positions
 from perscert.randgen import (
     corrupt_certificate,
     interleaved_pair,
@@ -57,6 +57,8 @@ from perscert.randgen import (
     rand_finset_object,
     rand_real_object,
 )
+from perscert.search import (_Frame, _least_certified, induces_interleaving_in_pi0,
+                             interleaving_candidates)
 from perscert.serialize import encode_cert
 
 
@@ -409,7 +411,7 @@ def test_triangle_filter_rejects_exactly_the_partners_that_fail():
     for x, y in small_pairs(12):
         for delta in interleaving_candidates(x, y)[:4]:
             d = Grade([delta])
-            frame = _Frame(x, y, d, d)
+            frame = _Frame(_Leg(x, y, d), d)
             gs = list(reference_natural(y, x, d))
             for f in reference_natural(x, y, d):
                 accept = frame.triangle_filter(f)
