@@ -11,16 +11,20 @@ dimension 2 gets its H0 and H1 barcodes both by ``filtration_barcode`` and
 by ``barcode(homology(to_persistent(...)))``; the script exits with status 1
 when the two differ. ``degree_rips`` is built up to dimension 2 on seeded
 metrics of DEGREE_RIPS_POINTS points, and ``validate`` checks the Rips
-complexes of RIPS_POINTS points. Each line gives a deterministic checksum
+complexes of RIPS_POINTS points. The documents of those degree-Rips objects
+are then written both by ``json.dumps(sort_keys=True, indent=2)`` and by the
+CLI's writer, which encodes each repeated value once; the script exits with
+status 1 when the two texts differ. Each line gives a deterministic checksum
 (the number of bars, the distance d_B, the grid points and distinct objects
-of a degree-Rips object, the simplices of a complex) and the best time over
-repeated runs, so the same command run on two versions of the code gives
-their before and after numbers. The inputs are seeded from SEED and n, so
+of a degree-Rips object, the simplices of a complex, the bytes of a
+document) and the best time over repeated runs, so the same command run on
+two versions of the code gives their before and after numbers. The inputs are seeded from SEED and n, so
 the checksums are fixed.
 
     PYTHONPATH=src python scripts/persistence_scaling.py
 """
 
+import json
 import random
 import sys
 import time
@@ -28,6 +32,8 @@ from fractions import Fraction
 
 from perscert import (Bar, Barcode, barcode, bottleneck, degree_rips, filtration_barcode,
                       homology, to_persistent, validate, vietoris_rips)
+from perscert import serialize as ser
+from perscert.cli import _dumps
 from perscert.grades import rat_to_str
 from perscert.randgen import rand_f2vec_object, rand_metric
 
@@ -100,6 +106,16 @@ def main() -> None:
         f = vietoris_rips(rips_metric(n), 2)
         ms = best_ms(lambda: validate(f))
         print(f"validate    n={n:3d}  simplices={len(f.simplices):5d}  best_ms={ms:10.3f}")
+    for n in DEGREE_RIPS_POINTS:
+        doc = ser.encode_object(degree_rips(rips_metric(n), 2))
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        if _dumps(doc) != text:
+            print(f"emit n={n}: the writer's text differs from json.dumps")
+            disagree += 1
+        dumps_ms = best_ms(lambda: json.dumps(doc, sort_keys=True, indent=2))
+        writer_ms = best_ms(lambda: _dumps(doc))
+        print(f"emit        n={n:3d}  bytes={len(text):8d}  "
+              f"json_dumps_ms={dumps_ms:10.3f}  dumps_ms={writer_ms:10.3f}")
     if disagree:
         sys.exit(1)
 

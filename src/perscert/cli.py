@@ -1,9 +1,12 @@
 """Command-line interface.
 
-All interchange is JSON with exact rationals as strings; output is
-deterministic (sorted keys) so identical inputs give byte-identical output.
+All interchange is JSON with exact rationals as strings. Output is the text
+of ``json.dumps(data, sort_keys=True, indent=2)`` and a newline, so identical
+inputs give byte-identical output; a value that a document holds under
+several keys (the shared lists of a persistent object) is encoded once.
 
-Exit codes: 0 ok, 1 property violated, 2 schema error, 3 budget exceeded.
+Exit codes: 0 ok, 1 property violated, 2 schema error (an input that cannot
+be read, or an ``-o`` path that cannot be written, is one), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -55,13 +59,68 @@ def _load(path: str) -> dict:
         raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _repeats(value) -> bool:
+    """Whether value is a dict holding one list or dict object under two keys."""
+    if not isinstance(value, dict):
+        return False
+    held = [id(v) for v in value.values() if isinstance(v, (list, dict))]
+    return len(set(held)) < len(held)
+
+
+def _members(data: dict, pad: str, text) -> str:
+    """The non-empty dict data as json.dumps(sort_keys=True, indent=2) writes
+    it at the indentation pad ("\\n" and spaces), with text(value, inner pad)
+    as the text of each value."""
+    inner = pad + "  "
+    return "{" + ",".join(
+        inner + encode_basestring_ascii(key) + ": " + text(value, inner)
+        for key, value in sorted(data.items())
+    ) + pad + "}"
+
+
+def _dumps(data: dict) -> str:
+    """The text of json.dumps(data, sort_keys=True, indent=2), with each value
+    that a member dict of data holds under several keys encoded once.
+
+    Documents without such a member (all but persistent objects) go to the
+    encoder of json.dumps(sort_keys=True, indent=2) in one call. Otherwise
+    the top level and the repeating members are written here, and every
+    other value goes through that encoder; its text is re-indented by
+    replacing each newline, which is exact because JSON text holds no raw
+    newline. Only depth 1 is searched for repeats: splitting a document that
+    has none costs more than encoding it whole."""
+    if not any(map(_repeats, data.values())):
+        return _ENCODER.encode(data)
+
+    def member(value, pad):
+        if not _repeats(value):
+            return _ENCODER.encode(value).replace("\n", pad)
+        memo = {}
+
+        def once(v, inner):
+            if id(v) not in memo:
+                memo[id(v)] = _ENCODER.encode(v).replace("\n", inner)
+            return memo[id(v)]
+        return _members(value, pad, once)
+    return _members(data, "\n", member)
+
+
 def _emit(data: dict, output: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Write data as JSON to stdout, or to the file output ("-" is stdout).
+    A file that cannot be written is a schema error, as an unreadable input
+    is in _load."""
+    text = _dumps(data) + "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write JSON to {output}: {exc}") from exc
 
 
 def _fail(code: int, kind: str, message: str) -> None:

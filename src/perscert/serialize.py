@@ -193,10 +193,17 @@ def decode_edge_key(key: str) -> tuple[tuple[int, ...], int]:
 
 
 def encode_object(x: PersistentObject) -> dict:
-    encoded = {}  # each distinct object value is encoded once
+    """The wire form of x. Each distinct object value, and each map object
+    that several edges hold, is encoded once: the entries share one list (or
+    dict), so a writer can encode it once too."""
+    encoded = {}
     for obj in x.objects.values():
         if obj not in encoded:
             encoded[obj] = encode_cat_object(x.category_name, obj)
+    maps = {}
+    for f in x.edge_maps.values():
+        if id(f) not in maps:
+            maps[id(f)] = encode_cat_map(x.category_name, f)
     return {
         "format": FORMAT_OBJECT,
         "m": x.m,
@@ -207,7 +214,7 @@ def encode_object(x: PersistentObject) -> dict:
             ",".join(map(str, idx)): encoded[obj] for idx, obj in x.objects.items()
         },
         "edge_maps": {
-            ",".join(map(str, idx)) + "|" + str(a): encode_cat_map(x.category_name, f)
+            ",".join(map(str, idx)) + "|" + str(a): maps[id(f)]
             for (idx, a), f in x.edge_maps.items()
         },
     }

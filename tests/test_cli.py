@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscert import serialize as ser
-from perscert.cli import main
+from perscert.cli import _dumps, main
 from perscert.complexes import FilteredComplex, MetricInput, function_rips, vietoris_rips
 from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
@@ -76,6 +76,47 @@ def test_schema_error_exits_2(runner, tmp_path):
     assert r.exit_code == 2
     wrong = write(tmp_path, "wrong.json", {"format": "bogus"})
     assert invoke(runner, ["barcode", wrong]).exit_code == 2
+
+
+@pytest.mark.parametrize("output", [".", "missing/dir/x.json"],
+                         ids=["a-directory", "in-a-missing-directory"])
+def test_output_that_cannot_be_written_is_a_schema_error(runner, tmp_path, output):
+    metric = write(tmp_path, "metric.json", COLLINEAR)
+    r = invoke(runner, ["rips", metric, "-o", str(tmp_path / output)])
+    assert r.exit_code == 2
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "schema"
+    assert report["message"].startswith(f"cannot write JSON to {tmp_path / output}: ")
+
+
+# text of keys and strings: quotes, backslashes, newlines, non-ASCII
+TEXT = st.text(st.sampled_from('a"\\\n\t\u00e9\u2028\U0001f600 ') | st.characters(),
+               max_size=3)
+SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | TEXT
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(TEXT, inner, max_size=3), max_leaves=6)
+CONTAINERS = st.lists(VALUES, max_size=3) | st.dictionaries(TEXT, VALUES, max_size=3)
+
+
+@st.composite
+def repeating_documents(draw):
+    """A document with a member dict that holds one list or dict object under
+    two keys; shared objects may hold shared objects in turn."""
+    pool = [draw(CONTAINERS)]
+    for _ in range(draw(st.integers(0, 3))):
+        inner = draw(st.sampled_from(pool))
+        pool.append(draw(st.sampled_from([[inner, True, inner, 1], {"x": inner, "y": inner},
+                                          [], {}, draw(CONTAINERS)])))
+    held = st.dictionaries(TEXT, st.sampled_from(pool) | VALUES, max_size=4)
+    doc = draw(st.dictionaries(TEXT, st.sampled_from(pool) | VALUES | held, max_size=4))
+    repeating = {**draw(held), "\u00e9\"\\\n": pool[-1], "k": pool[-1]}
+    return {**doc, draw(TEXT): repeating}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(repeating_documents())
+def test_dumps_writes_the_text_of_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_is_filtered_on_degree_rips_output_exits_1_with_condition_2(runner, tmp_path):

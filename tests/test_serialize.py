@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from perscert import serialize as ser
-from perscert.complexes import vietoris_rips
+from perscert.complexes import degree_rips, vietoris_rips
 from perscert.errors import SchemaError
 from perscert.invariants import Bar, Barcode
 from perscert.persist import check_interleaving
@@ -76,6 +76,19 @@ def test_persistent_object_round_trip(maker):
         data = json_round(ser.encode_object(x))
         assert data["format"] == ser.FORMAT_OBJECT
         assert ser.decode_object(data) == x
+
+
+def test_encode_object_writes_each_held_map_once():
+    """Edges that hold one map object (degree-Rips shares an inclusion per
+    distinct subcomplex) hold one list in the document, and no other edge
+    holds it."""
+    x = degree_rips(rand_metric(random.Random(5), 7, max_dist=12), 2)
+    edge_maps = ser.encode_object(x)["edge_maps"]
+    pairs = {(id(f), id(edge_maps[",".join(map(str, idx)) + "|" + str(a)]))
+             for (idx, a), f in x.edge_maps.items()}
+    held = {id(f) for f in x.edge_maps.values()}
+    assert len(pairs) == len(held) == len({id(v) for v in edge_maps.values()})
+    assert len(held) < len(x.edge_maps)
 
 
 def test_certificate_round_trip_with_embedded_objects():
