@@ -14,12 +14,16 @@ metrics of DEGREE_RIPS_POINTS points, and ``validate`` checks the Rips
 complexes of RIPS_POINTS points. The documents of those degree-Rips objects
 are then written both by ``json.dumps(sort_keys=True, indent=2)`` and by the
 CLI's writer, which encodes each repeated value once; the script exits with
-status 1 when the two texts differ. Each line gives a deterministic checksum
-(the number of bars, the distance d_B, the grid points and distinct objects
-of a degree-Rips object, the simplices of a complex, the bytes of a
-document) and the best time over repeated runs, so the same command run on
-two versions of the code gives their before and after numbers. The inputs are seeded from SEED and n, so
-the checksums are fixed.
+status 1 when the two texts differ. Last, ``decode_filtered_complex`` reads
+the documents of the Rips complexes of RIPS_POINTS points. Each line gives a
+deterministic checksum (the number of bars, the distance d_B, the grid
+points and distinct objects of a degree-Rips object, the simplices of a
+complex, the bytes of a document) and the best time over repeated runs, so
+the same command run on two versions of the code gives their before and
+after numbers. The inputs are seeded from SEED and n, so the checksums are
+fixed. Metrics and complexes keep the ranks of their values once computed,
+so every run of the Rips, degree-Rips and ``validate`` rows gets a copy of
+its input made by the public constructor before the clock starts.
 
     PYTHONPATH=src python scripts/persistence_scaling.py
 """
@@ -30,8 +34,9 @@ import sys
 import time
 from fractions import Fraction
 
-from perscert import (Bar, Barcode, barcode, bottleneck, degree_rips, filtration_barcode,
-                      homology, to_persistent, validate, vietoris_rips)
+from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottleneck,
+                      degree_rips, filtration_barcode, homology, to_persistent, validate,
+                      vietoris_rips)
 from perscert import serialize as ser
 from perscert.cli import _dumps
 from perscert.grades import rat_to_str
@@ -43,7 +48,10 @@ DEGREE_RIPS_POINTS = (6, 7, 8, 9, 12)
 SEED = 1
 
 
-def best_ms(fn, budget_s: float = 0.5, max_runs: int = 50) -> float:
+MAX_RUNS = 50
+
+
+def best_ms(fn, budget_s: float = 0.5, max_runs: int = MAX_RUNS) -> float:
     """The least wall time of fn() in ms, over runs repeated until budget_s
     has passed (at least one run)."""
     best, spent, runs = float("inf"), 0.0, 0
@@ -53,6 +61,17 @@ def best_ms(fn, budget_s: float = 0.5, max_runs: int = 50) -> float:
         elapsed = time.perf_counter() - t0
         best, spent, runs = min(best, elapsed), spent + elapsed, runs + 1
     return best * 1000
+
+
+def best_ms_on_copies(fn, make) -> float:
+    """best_ms of fn(copy), with a new copy from make() for each run; the
+    copies are made before timing starts."""
+    copies = iter([make() for _ in range(MAX_RUNS)])
+    return best_ms(lambda: fn(next(copies)))
+
+
+def complex_copy(f: FilteredComplex):
+    return lambda: FilteredComplex(f.vertices, f.simplices, f.grade, f.m)
 
 
 def seeded_bars(rng: random.Random, n: int) -> Barcode:
@@ -91,20 +110,23 @@ def main() -> None:
             if bars != barcode(homology(to_persistent(f), dim)):
                 print(f"rips H{dim} n={n}: the two routes give different barcodes")
                 disagree += 1
-            module_ms = best_ms(lambda: barcode(homology(to_persistent(f), dim)))
-            filtration_ms = best_ms(lambda: filtration_barcode(f, dim))
+            module_ms = best_ms_on_copies(lambda g: barcode(homology(to_persistent(g), dim)),
+                                          complex_copy(f))
+            filtration_ms = best_ms_on_copies(lambda g: filtration_barcode(g, dim),
+                                              complex_copy(f))
             print(f"rips H{dim}     n={n:3d}  bars={len(bars.bars):4d}  "
                   f"module_ms={module_ms:10.3f}  filtration_ms={filtration_ms:10.3f}")
     for n in DEGREE_RIPS_POINTS:
         metric = rips_metric(n)
         x = degree_rips(metric, 2)
         points, distinct = len(x.objects), len(set(x.objects.values()))
-        ms = best_ms(lambda: degree_rips(metric, 2))
+        ms = best_ms_on_copies(lambda mi: degree_rips(mi, 2),
+                               lambda: MetricInput(metric.points, metric.dist))
         print(f"degree_rips n={n:3d}  grid_points={points:4d}  distinct={distinct:4d}  "
               f"best_ms={ms:10.3f}")
     for n in RIPS_POINTS:
         f = vietoris_rips(rips_metric(n), 2)
-        ms = best_ms(lambda: validate(f))
+        ms = best_ms_on_copies(validate, complex_copy(f))
         print(f"validate    n={n:3d}  simplices={len(f.simplices):5d}  best_ms={ms:10.3f}")
     for n in DEGREE_RIPS_POINTS:
         doc = ser.encode_object(degree_rips(rips_metric(n), 2))
@@ -116,6 +138,12 @@ def main() -> None:
         writer_ms = best_ms(lambda: _dumps(doc))
         print(f"emit        n={n:3d}  bytes={len(text):8d}  "
               f"json_dumps_ms={dumps_ms:10.3f}  dumps_ms={writer_ms:10.3f}")
+    for n in RIPS_POINTS:
+        text = json.dumps(ser.encode_filtered_complex(vietoris_rips(rips_metric(n), 2)),
+                          sort_keys=True, indent=2)
+        data = json.loads(text)
+        ms = best_ms(lambda: ser.decode_filtered_complex(data))
+        print(f"decode      n={n:3d}  bytes={len(text):8d}  best_ms={ms:10.3f}")
     if disagree:
         sys.exit(1)
 

@@ -5,20 +5,47 @@ function-Rips bifiltrations, degree-Rips, and the two-parameter square gadget.
 A total order on the vertices is fixed by each complex, so a complex here
 stands in for the simplicial set it generates; degenerate simplices carry no
 extra grade data.
+
+Exact values are sorted once and then compared as integers. A metric ranks
+its distinct dissimilarities, and the Rips builders grade by those ranks; a
+complex ranks the distinct coordinates of its grades on each axis, and
+``validate``, ``to_persistent`` and the filtration order of
+``invariants.filtration_barcode`` compare those ranks. Ranks compare as the
+``Fraction`` values they stand for, so every grade is as exact as before.
+
+The persistence module's validation rule holds here too: ``FilteredComplex``
+normalizes the simplices it receives, while builders whose simplices are
+already sorted tuples (the Rips builders, the decoder) build with
+``FilteredComplex._of``, as they build persistent objects with
+``PersistentObject._of``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .categories import COMPLEX, _is_inclusion, complex_vertices, simplex, total_order
-from .errors import CategoryError, SchemaError, ValidationError
+from .errors import CategoryError, DimensionError, SchemaError, ValidationError
 from .grades import Grade, rat
 from .persist import Grid, PersistentObject
+
+
+def _rank(values: list) -> tuple[tuple, list]:
+    """The distinct values of a list of Fractions in increasing order, and
+    the position of each value among them. The values are compared as the
+    integers v * d over their least common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (d // v.denominator) for v in values]
+    value = dict(zip(ints, values))
+    order = sorted(value)
+    where = {v: r for r, v in enumerate(order)}
+    return tuple(map(value.__getitem__, order)), list(map(where.__getitem__, ints))
 
 
 @dataclass
@@ -42,9 +69,20 @@ class FilteredComplex:
     m: int
 
     def __init__(self, vertices, simplices, grade, m: Optional[int] = None):
-        vertices = tuple(vertices)
-        simplices = frozenset(simplex(s) for s in simplices)
-        grade = {simplex(s): g for s, g in grade.items()}
+        self._place(tuple(vertices), frozenset(simplex(s) for s in simplices),
+                    {simplex(s): g for s, g in grade.items()}, m)
+
+    @classmethod
+    def _of(cls, vertices: tuple, simplices: frozenset, grade: dict,
+            m: Optional[int] = None) -> "FilteredComplex":
+        """The complex of simplices already normalized by ``simplex``, as
+        ``grade`` holds them, which it keeps without copying."""
+        f = cls.__new__(cls)
+        f._place(vertices, simplices, grade, m)
+        return f
+
+    def _place(self, vertices: tuple, simplices: frozenset, grade: dict,
+               m: Optional[int]) -> None:
         if m is None:
             some = next(iter(grade.values()), None)
             m = some.m if some is not None else 1
@@ -52,6 +90,18 @@ class FilteredComplex:
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "m", m)
+
+    @functools.cached_property
+    def _ranked(self) -> tuple[tuple, dict]:
+        """The grades as integers, for grades of one arity: per axis, the
+        distinct coordinates in increasing order, and each graded simplex ->
+        the positions of its coordinates on those axes. Positions compare as
+        the coordinates do. Each distinct grade object is placed once."""
+        grades = list({id(g): g for g in self.grade.values()}.values())
+        arity = grades[0].m if grades else self.m
+        ranked = [_rank([g.coords[a] for g in grades]) for a in range(arity)]
+        placed = dict(zip(map(id, grades), zip(*[ranks for _, ranks in ranked])))
+        return tuple(axis for axis, _ in ranked), {s: placed[id(g)] for s, g in self.grade.items()}
 
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex by convention."""
@@ -63,30 +113,32 @@ class FilteredComplex:
 def validate(f: FilteredComplex) -> ValidationReport:
     """Grades of one arity, face closure, and monotonicity of the entrance
     grades. Arity comes first, since grades of different arity do not
-    compare."""
-    graded = total_order(f.grade)
-    for sigma in graded:
-        if f.grade[sigma].m != f.grade[graded[0]].m:
-            return ValidationReport(
-                False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
-                f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
-            )
+    compare. Grades are compared by their ranks (``FilteredComplex._ranked``)."""
+    if len({len(g.coords) for g in f.grade.values()}) > 1:
+        graded = total_order(f.grade)
+        for sigma in graded:
+            if f.grade[sigma].m != f.grade[graded[0]].m:
+                return ValidationReport(
+                    False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
+                    f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
+                )
     # every grade now has one arity, so faces compare coordinate by coordinate
+    rank = f._ranked[1]
     vertices = set(f.vertices)
     for sigma in total_order(f.simplices):
         for v in sigma:
             if v not in vertices:
                 return ValidationReport(False, f"unknown vertex {v!r}", sigma)
-        if sigma not in f.grade:
+        if sigma not in rank:
             return ValidationReport(False, "simplex missing a grade", sigma)
-        coords = f.grade[sigma].coords
+        coords = rank[sigma]
         for i in range(len(sigma)):
             face = sigma[:i] + sigma[i + 1:]
             if not face:
                 continue
             if face not in f.simplices:
                 return ValidationReport(False, f"face {face!r} missing", sigma)
-            if not all(map(operator.le, f.grade[face].coords, coords)):
+            if not all(map(operator.le, rank[face], coords)):
                 return ValidationReport(
                     False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
                 )
@@ -110,11 +162,14 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
     m = f.m
     if not f.simplices:
         return _inclusions(Grid([[0]] * m), {(0,) * m: frozenset()})
-    axes = [sorted({g.coords[a] for g in f.grade.values()}) for a in range(m)]
+    # the grid holds every grade's coordinates, so a simplex is born at its ranks
+    axes, rank = f._ranked
+    if len(axes) != m:
+        raise DimensionError(f"grade arity {len(axes)} vs grid arity {m}")
     grid = Grid(axes)
     born: dict[tuple, list] = {}
     for s in f.simplices:
-        born.setdefault(grid.eval_index(f.grade[s]), []).append(s)
+        born.setdefault(rank[s], []).append(s)
     return _inclusions(grid, _grow(grid, born))
 
 
@@ -263,11 +318,14 @@ class MetricInput:
     def n(self) -> int:
         return len(self.points)
 
-    def diameter(self, subset: tuple) -> Fraction:
-        idx = [self.points.index(v) for v in subset]
-        if len(idx) == 1:
-            return Fraction(0)
-        return max(self.dist[i][j] for i, j in itertools.combinations(idx, 2))
+    @functools.cached_property
+    def _ranked(self) -> tuple[tuple, tuple]:
+        """The distinct dissimilarities in increasing order (``scales``, the
+        first of them 0), and the matrix of their ranks: dist[i][j] is
+        scales[rank[i][j]], and ranks compare as the dissimilarities do."""
+        n = self.n
+        scales, ranks = _rank([d for row in self.dist for d in row])
+        return scales, tuple(tuple(ranks[i * n:(i + 1) * n]) for i in range(n))
 
 
 def metric_from_coordinates(coords, norm: str = "linf") -> MetricInput:
@@ -286,16 +344,31 @@ def metric_from_coordinates(coords, norm: str = "linf") -> MetricInput:
     return MetricInput(range(n), dist)
 
 
-def vietoris_rips(metric: MetricInput, d_max: int) -> FilteredComplex:
-    """Simplices are the vertex subsets of size <= d_max + 1, graded by
-    diameter."""
+def _rips(metric: MetricInput, d_max: int) -> list[tuple[tuple, tuple, int]]:
+    """(simplex, positions in metric.points, rank of its diameter) for each
+    vertex subset of size 1 to d_max + 1, by size and then in the order of
+    ``itertools.combinations``. A subset's diameter rank is that of the
+    subset without its last point or of a pair with that point, whichever is
+    larger."""
     if d_max < 0:
         raise ValidationError("d_max must be >= 0")
-    simplices = {}
-    for k in range(1, min(d_max + 2, metric.n + 1)):
-        for subset in itertools.combinations(metric.points, k):
-            simplices[simplex(subset)] = Grade([metric.diameter(subset)])
-    return FilteredComplex(metric.points, simplices.keys(), simplices)
+    points, rank = metric.points, metric._ranked[1]
+    n = len(points)
+    ranks = layer = {(i,): 0 for i in range(n)}
+    for _ in range(min(d_max, n - 1)):
+        layer = {ids + (j,): max(r, *map(rank[j].__getitem__, ids))
+                 for ids, r in layer.items() for j in range(ids[-1] + 1, n)}
+        ranks = {**ranks, **layer}
+    return [(simplex(map(points.__getitem__, ids)), ids, r) for ids, r in ranks.items()]
+
+
+def vietoris_rips(metric: MetricInput, d_max: int) -> FilteredComplex:
+    """Simplices are the vertex subsets of size <= d_max + 1, graded by
+    diameter; the simplices of one diameter share one grade."""
+    simplices = _rips(metric, d_max)
+    grades = [Grade([r]) for r in metric._ranked[0]]
+    grade = {s: grades[r] for s, _, r in simplices}
+    return FilteredComplex._of(metric.points, frozenset(grade), grade, 1)
 
 
 def function_rips(metric: MetricInput, d_max: int) -> FilteredComplex:
@@ -308,40 +381,40 @@ def function_rips(metric: MetricInput, d_max: int) -> FilteredComplex:
         s: Grade([base.grade[s].coords[0], max(vals[v] for v in s)])
         for s in base.simplices
     }
-    return FilteredComplex(metric.points, base.simplices, grade, 2)
+    return FilteredComplex._of(metric.points, base.simplices, grade, 2)
 
 
 def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
     """Two-parameter degree-Rips. At (r, t) with t = -k, take the scale-r
     Rips complex restricted to vertices of r-neighborhood degree >= k. The
     second axis is negated so both axes increase; the output is generally
-    monic but not filtered."""
-    base = vietoris_rips(metric, d_max)
+    monic but not filtered. Scales are read by rank, so the degree table
+    counts ranks."""
+    simplices = _rips(metric, d_max)
     n = metric.n
     if n == 0:
         return _inclusions(Grid([[0], [0]]), {(0, 0): frozenset()})
-    dist = metric.dist
-    scales = sorted({d for row in dist for d in row})
+    scales, rank = metric._ranked
     grid = Grid([scales, [-k for k in range(n - 1, -1, -1)]])
-    # degree[r][i]: the number of other points within scales[r] of point i
-    degree = [
-        [sum(1 for j in range(n) if j != i and dist[i][j] <= r) for i in range(n)]
-        for r in scales
-    ]
-    scale_index = {r: i for i, r in enumerate(scales)}
-    position = {v: i for i, v in enumerate(metric.points)}
+    # degree[i][r]: the number of other points within scales[r] of point i,
+    # the running total of the points at each rank (the point itself at 0)
+    degree = []
+    for row in rank:
+        count = [0] * len(scales)
+        for r in row:
+            count[r] += 1
+        count[0] -= 1
+        degree.append(list(itertools.accumulate(count)))
     # a simplex is present at (r, t) from its diameter's scale on, once t
-    # reaches n - 1 minus its least vertex degree; it is born at each scale
-    # where that threshold drops
+    # reaches n - 1 minus its least vertex degree; it is born at its
+    # diameter's scale and at each later scale where that degree rises
     born: dict[tuple, list] = {}
-    for s in base.simplices:
-        ids = [position[v] for v in s]
-        least = n
-        for r in range(scale_index[base.grade[s].coords[0]], len(scales)):
-            t = n - 1 - min(degree[r][i] for i in ids)
-            if t < least:
-                born.setdefault((r, t), []).append(s)
-                least = t
+    for s, ids, diameter in simplices:
+        lows = list(map(min, zip(*[degree[i] for i in ids])))
+        rises = itertools.compress(range(diameter + 1, len(scales)),
+                                   map(operator.ne, lows[diameter + 1:], lows[diameter:]))
+        for r in itertools.chain((diameter,), rises):
+            born.setdefault((r, n - 1 - lows[r]), []).append(s)
     return _inclusions(grid, _grow(grid, born))
 
 

@@ -351,21 +351,17 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
     matrix in filtration order, with no persistent object built.
 
     Simplices of each dimension are ordered by grade, then by
-    ``total_order``. An n-simplex whose boundary column reduces to zero is
-    positive: it gives birth to a class. Each (n+1)-simplex tau whose
-    column does not reduce to zero kills the positive n-simplex sigma at
-    its pivot (the youngest face left), which is the bar [g(sigma), g(tau))
-    when the two grades differ. Positive simplices never killed give the
-    infinite bars."""
+    ``total_order``; grades are compared by their ranks. An n-simplex whose
+    boundary column reduces to zero is positive: it gives birth to a class.
+    Each (n+1)-simplex tau whose column does not reduce to zero kills the
+    positive n-simplex sigma at its pivot (the youngest face left), which is
+    the bar [g(sigma), g(tau)) when the two grades differ. Positive
+    simplices never killed give the infinite bars."""
     require_valid(f)
     _require_one_parameter(f.m)
     _require_degree(n)
-
-    def in_filtration_order(dim: int) -> list[tuple]:
-        # a stable sort keeps total_order among simplices of one grade
-        return sorted(_simplices_of_dim(f.simplices, dim), key=lambda s: f.grade[s].coords[0])
-
-    faces, simplices, cofaces = (in_filtration_order(d) for d in (n - 1, n, n + 1))
+    values, rank = f._ranked[0][0], f._ranked[1]
+    faces, simplices, cofaces = (_filtration_order(f, d) for d in (n - 1, n, n + 1))
     cycles = Echelon()
     positive = {i for i, col in enumerate(_boundary_columns(faces, simplices))
                 if not cycles.add(col)}
@@ -377,8 +373,16 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
             boundaries.add(col)
             i = col.bit_length() - 1
             positive.discard(i)
-            birth, death = f.grade[simplices[i]].coords[0], f.grade[tau].coords[0]
+            birth, death = rank[simplices[i]][0], rank[tau][0]
             if birth < death:
-                bars.append(Bar(birth, death))
-    bars.extend(Bar(f.grade[simplices[i]].coords[0], None) for i in positive)
+                bars.append(Bar(values[birth], values[death]))
+    bars.extend(Bar(values[rank[simplices[i]][0]], None) for i in positive)
     return Barcode(bars)
+
+
+def _filtration_order(f: FilteredComplex, dim: int) -> list[tuple]:
+    """The dim-simplices of a valid complex f by the first coordinate of
+    their grades, compared by rank, and then by ``total_order`` (the sort is
+    stable)."""
+    rank = f._ranked[1]
+    return sorted(_simplices_of_dim(f.simplices, dim), key=lambda s: rank[s][0])

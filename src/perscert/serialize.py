@@ -6,6 +6,7 @@ document carries a "format" field.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -112,10 +113,22 @@ def decode_element(x, levels: int = _MAX_NESTING):
     return frozenset(decode_element(v, levels - 1) for v in _field(x, "frozenset", list))
 
 
-def encode_cat_object(category: str, obj):
+def encode_cat_object(category: str, obj, seen: dict | None = None):
+    """An F2Vec dimension as it is; the elements of a set or complex in their
+    wire forms, sorted by the repr of those forms. ``seen`` (element -> its
+    repr and wire form) carries both from one object to the next, so that
+    each is computed once for all the objects of a document."""
     if category == "F2Vec":
         return obj
-    return sorted((encode_element(e) for e in obj), key=repr)
+    seen = {} if seen is None else seen
+    keyed = []
+    for e in obj:
+        if e not in seen:
+            wire = encode_element(e)
+            seen[e] = (repr(wire), wire)
+        keyed.append(seen[e])
+    keyed.sort(key=operator.itemgetter(0))
+    return [wire for _, wire in keyed]
 
 
 # the element types of a flat list; a JSON boolean has type bool, not int
@@ -195,11 +208,12 @@ def decode_edge_key(key: str) -> tuple[tuple[int, ...], int]:
 def encode_object(x: PersistentObject) -> dict:
     """The wire form of x. Each distinct object value, and each map object
     that several edges hold, is encoded once: the entries share one list (or
-    dict), so a writer can encode it once too."""
-    encoded = {}
+    dict), so a writer can encode it once too. Each element of the objects
+    is encoded once as well."""
+    encoded, seen = {}, {}
     for obj in x.objects.values():
         if obj not in encoded:
-            encoded[obj] = encode_cat_object(x.category_name, obj)
+            encoded[obj] = encode_cat_object(x.category_name, obj, seen)
     maps = {}
     for f in x.edge_maps.values():
         if id(f) not in maps:
@@ -321,12 +335,15 @@ def decode_cert(data: dict, x: PersistentObject | None = None,
 
 
 def encode_filtered_complex(f: FilteredComplex) -> dict:
+    """The wire form of f, with each grade object encoded once: the
+    simplices of one grade share its list."""
+    grades = {id(g): encode_grade(g) for g in {id(g): g for g in f.grade.values()}.values()}
     return {
         "format": FORMAT_COMPLEX,
         "m": f.m,
         "vertices": [encode_element(v) for v in f.vertices],
         "simplices": [
-            {"v": [encode_element(v) for v in s], "grade": encode_grade(f.grade[s])}
+            {"v": [encode_element(v) for v in s], "grade": grades[id(f.grade[s])]}
             for s in sorted(f.simplices, key=repr)
         ],
     }
@@ -338,22 +355,30 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
              "unexpected format {!r}", data.get("format"))
     vertices = [decode_element(v) for v in _field(data, "vertices", list, [])]
     _require(len(set(vertices)) == len(vertices), "vertices must be distinct")
-    simplices = []
     grade = {}
+    known = {}  # a wire grade of strings, as a tuple -> its Grade, decoded once
     for entry in _field(data, "simplices", list, []):
         _require(isinstance(entry, dict) and isinstance(entry.get("v"), list)
                  and "grade" in entry, "bad simplex entry {!r}", entry)
-        vs = [decode_element(v) for v in entry["v"]]
-        _require(len(set(vs)) == len(vs), "simplex {!r} repeats a vertex", vs)
+        vs = entry["v"]
+        if not _FLAT_SCALARS.issuperset(map(type, vs)):  # names that need decoding
+            vs = [decode_element(v) for v in vs]
         s = simplex(vs)
+        _require(len(s) == len(vs), "simplex {!r} repeats a vertex", vs)
         _require(s not in grade, "simplex {!r} is given twice", vs)
-        simplices.append(s)
-        grade[s] = decode_grade(entry["grade"])
+        wire = entry["grade"]
+        key = tuple(wire) if type(wire) is list else None
+        try:  # a key holding a list or dict is unhashable and never known
+            grade[s] = known[key]
+        except (KeyError, TypeError):
+            grade[s] = decode_grade(wire)
+            if all(type(c) is str for c in wire):
+                known[key] = grade[s]
     m = data.get("m")
     if "m" in data:
         _require(_is_int(m) and m > 0 and all(g.m == m for g in grade.values()),
                  "'m' is {!r}, not a positive arity of every grade", m)
-    return FilteredComplex(vertices, simplices, grade, m)
+    return FilteredComplex._of(tuple(vertices), frozenset(grade), grade, m)
 
 
 def decode_metric(data: dict) -> MetricInput:

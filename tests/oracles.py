@@ -11,17 +11,26 @@ possible with what it checks:
 - ``bottleneck_by_scan`` and ``bottleneck_bruteforce``: d_B by testing every
   threshold from 0 upward, and by enumerating every partial bijection;
 - ``encode_metric``: the wire form of a metric input, for round trips and
-  documents fed to the CLI.
+  documents fed to the CLI;
+- ``rips_by_diameters``, ``degree_rips_by_fractions``,
+  ``validate_by_fractions`` and ``filtration_order_by_fractions``: the Rips
+  builders, ``validate`` and the filtration order of ``filtration_barcode``
+  comparing ``Fraction`` values at every step, against the library's ranks.
 """
 
 import itertools
+import operator
 from collections import deque
 from fractions import Fraction
 from typing import Optional
 
+from perscert.categories import simplex, total_order
+from perscert.complexes import FilteredComplex, ValidationReport, _grow, _inclusions
 from perscert.distances import INFINITY, Matching
 from perscert.gf2 import GF2Matrix
+from perscert.grades import Grade
 from perscert.invariants import Bar, Barcode
+from perscert.persist import Grid
 from perscert.serialize import FORMAT_METRIC, encode_element, encode_rational
 
 
@@ -61,6 +70,93 @@ def encode_metric(mi) -> dict:
     if mi.values is not None:
         out["values"] = [encode_rational(v) for v in mi.values]
     return out
+
+
+def diameter(metric, subset: tuple) -> Fraction:
+    """The largest dissimilarity between two points of subset, 0 for one
+    point."""
+    idx = [metric.points.index(v) for v in subset]
+    if len(idx) == 1:
+        return Fraction(0)
+    return max(metric.dist[i][j] for i, j in itertools.combinations(idx, 2))
+
+
+def rips_by_diameters(metric, d_max: int) -> FilteredComplex:
+    """The Vietoris-Rips complex with each simplex graded by its diameter,
+    found among the Fractions of the matrix."""
+    simplices = {}
+    for k in range(1, min(d_max + 2, metric.n + 1)):
+        for subset in itertools.combinations(metric.points, k):
+            simplices[simplex(subset)] = Grade([diameter(metric, subset)])
+    return FilteredComplex(metric.points, simplices.keys(), simplices)
+
+
+def degree_rips_by_fractions(metric, d_max: int):
+    """Degree-Rips with a degree table that compares every dissimilarity
+    with every scale as Fractions, and births found scale by scale. It
+    shares only the growth of the subcomplexes (``_grow``, ``_inclusions``)
+    with the library."""
+    base = rips_by_diameters(metric, d_max)
+    n = metric.n
+    if n == 0:
+        return _inclusions(Grid([[0], [0]]), {(0, 0): frozenset()})
+    dist = metric.dist
+    scales = sorted({d for row in dist for d in row})
+    grid = Grid([scales, [-k for k in range(n - 1, -1, -1)]])
+    degree = [
+        [sum(1 for j in range(n) if j != i and dist[i][j] <= r) for i in range(n)]
+        for r in scales
+    ]
+    scale_index = {r: i for i, r in enumerate(scales)}
+    position = {v: i for i, v in enumerate(metric.points)}
+    born = {}
+    for s in base.simplices:
+        ids = [position[v] for v in s]
+        least = n
+        for r in range(scale_index[base.grade[s].coords[0]], len(scales)):
+            t = n - 1 - min(degree[r][i] for i in ids)
+            if t < least:
+                born.setdefault((r, t), []).append(s)
+                least = t
+    return _inclusions(grid, _grow(grid, born))
+
+
+def validate_by_fractions(f: FilteredComplex) -> ValidationReport:
+    """``validate`` with the grades of a face and its coface compared as
+    Fractions, coordinate by coordinate."""
+    graded = total_order(f.grade)
+    for sigma in graded:
+        if f.grade[sigma].m != f.grade[graded[0]].m:
+            return ValidationReport(
+                False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
+                f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
+            )
+    vertices = set(f.vertices)
+    for sigma in total_order(f.simplices):
+        for v in sigma:
+            if v not in vertices:
+                return ValidationReport(False, f"unknown vertex {v!r}", sigma)
+        if sigma not in f.grade:
+            return ValidationReport(False, "simplex missing a grade", sigma)
+        coords = f.grade[sigma].coords
+        for i in range(len(sigma)):
+            face = sigma[:i] + sigma[i + 1:]
+            if not face:
+                continue
+            if face not in f.simplices:
+                return ValidationReport(False, f"face {face!r} missing", sigma)
+            if not all(map(operator.le, f.grade[face].coords, coords)):
+                return ValidationReport(
+                    False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
+                )
+    return ValidationReport(True, "valid filtered complex")
+
+
+def filtration_order_by_fractions(f: FilteredComplex, dim: int) -> list[tuple]:
+    """The dim-simplices of f in ``total_order``, stably sorted by the first
+    coordinate of their grades as Fractions."""
+    return sorted(total_order([s for s in f.simplices if len(s) == dim + 1]),
+                  key=lambda s: f.grade[s].coords[0])
 
 
 def half_length(bar: Bar) -> Optional[Fraction]:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perscert import (
     FilteredComplex,
@@ -24,10 +26,16 @@ from perscert import (
     validate,
     vietoris_rips,
 )
-from perscert.categories import COMPLEX, complex_vertices
-from perscert.complexes import FilteredCheck
+from perscert.categories import COMPLEX, complex_vertices, simplex, total_order
+from perscert.complexes import FilteredCheck, ValidationReport
 from perscert.persist import Grid, PersistentObject, restrict_to_Z
 from perscert.randgen import rand_filtered_complex, rand_metric, rand_persistent_complex
+
+from oracles import (
+    degree_rips_by_fractions,
+    rips_by_diameters,
+    validate_by_fractions,
+)
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -334,3 +342,117 @@ def test_is_filtered_reads_relabeling_maps_at_the_top_corner():
     assert is_filtered(collapse).condition == 1
     for p in (relabeled_chain(), relabeled_gadget(), collapse, vertex_appearance_gadget()):
         assert is_filtered(p) == reference_is_filtered(p)
+
+
+# -- ranks against Fractions --------------------------------------------------
+
+
+# mixed denominators, with ties and 0 off the diagonal
+DISSIMILARITIES = [Fraction(0), Fraction(1, 3), Fraction(1, 6), Fraction(5, 2),
+                   Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+NAMES = list(range(13)) + ["a", "b", "c", "10", "9"]
+
+
+@st.composite
+def metrics(draw, max_points: int = 9):
+    """Metrics of 0 to max_points points. Their names are ints, strings or
+    both, in or out of order; the dissimilarities are drawn from a few
+    values, so they tie and may be 0 between distinct points."""
+    n = draw(st.integers(0, max_points))
+    kind = draw(st.sampled_from([NAMES[:13], NAMES[13:] + ["d", "e", "f", "g"], NAMES]))
+    points = draw(st.lists(st.sampled_from(kind), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        points = sorted(points, key=lambda v: (str(type(v)), v))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(st.sampled_from(DISSIMILARITIES))
+    values = [draw(st.sampled_from(DISSIMILARITIES)) for _ in range(n)]
+    return MetricInput(points, dist, values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(metrics(), st.integers(0, 3))
+def test_rips_builders_agree_with_the_fraction_oracles(metric, d_max):
+    assert vietoris_rips(metric, d_max) == rips_by_diameters(metric, d_max)
+    assert degree_rips(metric, d_max) == degree_rips_by_fractions(metric, d_max)
+
+
+def _outcome(check, f):
+    """check(f), or the type of the exception it raises."""
+    try:
+        return check(f)
+    except Exception as exc:  # compared with the oracle's, not handled
+        return type(exc)
+
+
+@st.composite
+def damaged_complexes(draw):
+    """A Rips or function-Rips complex of a drawn metric, with up to two
+    defects: a missing face, a face graded above a coface, a grade of
+    another arity, a simplex on an unknown vertex, or a simplex without a
+    grade."""
+    metric = draw(metrics(max_points=6))
+    d_max = draw(st.integers(1, 2))
+    f = draw(st.sampled_from([vietoris_rips, function_rips]))(metric, d_max)
+    simplices, grade = set(f.simplices), dict(f.grade)
+    for defect in draw(st.lists(st.sampled_from(
+            ["missing face", "face above", "arity", "unknown vertex", "no grade"]), max_size=2)):
+        cofaces = total_order(s for s in simplices if len(s) > 1)
+        if defect == "unknown vertex":
+            s = tuple(draw(st.sampled_from(total_order(simplices)))) if simplices else ()
+            new = simplex(s + ("unknown",)) if all(type(v) is str for v in s) else ("unknown",)
+            simplices.add(new)
+            grade[new] = Grade([Fraction(3)] * f.m)
+        elif defect == "arity" and grade:
+            s = draw(st.sampled_from(total_order(grade)))
+            grade[s] = Grade(grade[s].coords + (Fraction(1, 6),))
+        elif defect == "no grade" and grade:
+            del grade[draw(st.sampled_from(total_order(grade)))]
+        elif cofaces:
+            sigma = draw(st.sampled_from(cofaces))
+            i = draw(st.integers(0, len(sigma) - 1))
+            face = sigma[:i] + sigma[i + 1:]
+            if defect == "missing face":
+                simplices.discard(face)
+                if draw(st.booleans()):
+                    grade.pop(face, None)
+            elif face in grade and sigma in grade and grade[face].m == grade[sigma].m:
+                axis = draw(st.integers(0, f.m - 1))
+                coords = list(grade[face].coords)
+                coords[axis] = grade[sigma].coords[axis] + Fraction(1, 6)
+                grade[face] = Grade(coords)
+    return FilteredComplex(f.vertices, simplices, grade, f.m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(damaged_complexes())
+def test_validate_agrees_with_the_fraction_oracle(f):
+    """Same verdict, reason and offender (or the same exception), and on a
+    valid nonempty complex the same sublevel filtration as the per-point one
+    (or an exception of the same type, when its grades have another arity
+    than f.m)."""
+    report = _outcome(validate, f)
+    assert report == _outcome(validate_by_fractions, f)
+    if report == ValidationReport(True, "valid filtered complex") and f.simplices:
+        assert _outcome(to_persistent, f) == _outcome(reference_to_persistent, f)
+
+
+def test_validate_reports_each_injected_defect():
+    """Each defect of the property above is met, with the oracle's report."""
+    good = vietoris_rips(COLLINEAR, 2)
+    grades = dict(good.grade)
+    cases = {
+        "face (0,) missing": FilteredComplex(
+            good.vertices, good.simplices - {(0,)}, grades),
+        "grade of face (1, 3) exceeds grade of (0, 1, 3)": FilteredComplex(
+            good.vertices, good.simplices, {**grades, (1, 3): grade(4)}),
+        "grades of mixed arity: 1 for (0,), 2 for (1,)": FilteredComplex(
+            good.vertices, good.simplices, {**grades, (1,): grade(0, 0)}),
+        "unknown vertex 7": FilteredComplex(
+            good.vertices, good.simplices | {(7,)}, {**grades, (7,): grade(0)}),
+    }
+    for reason, f in cases.items():
+        report = validate(f)
+        assert not report.valid and report.reason == reason
+        assert report == validate_by_fractions(f)

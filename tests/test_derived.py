@@ -1,8 +1,9 @@
 """Library builders trust what they derive: they build their outputs with
-``PersistentObject._of`` and ``DeltaMorphism._on``, which check nothing.
-Here every such builder runs on seeded inputs, and each output is rebuilt
-through the validating constructors, which raise unless it is valid. This is
-the oracle that stands in for re-checking derived data at run time."""
+``PersistentObject._of``, ``DeltaMorphism._on`` and ``FilteredComplex._of``,
+which check nothing. Here every such builder runs on seeded inputs, and each
+output is rebuilt through the validating (or, for filtered complexes,
+normalizing) constructors, which raise unless it is valid. This is the
+oracle that stands in for re-checking derived data at run time."""
 
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from perscert import (
     even_odd_restrict,
     extend_floor,
     floor_roundtrip_cert,
+    function_rips,
     homology,
     homology_cert,
     pi0,
@@ -31,8 +33,10 @@ from perscert import (
     slice_axis,
     sq_gadget,
     to_persistent,
+    vietoris_rips,
     zigzag,
 )
+from perscert import serialize as ser
 from perscert.invariants import linearize
 from perscert.randgen import (
     interleaved_pair,
@@ -85,6 +89,36 @@ def test_filtrations_and_their_invariants_are_valid():
             values = d.grid.axes[axis]
             for value in (values[0] - 1, values[len(values) // 2], values[-1] + 1):
                 revalidated(homology(revalidated(slice_axis(d, axis, value)), 0))
+
+
+def renormalized(f: FilteredComplex) -> FilteredComplex:
+    """f rebuilt by the constructor, which normalizes every simplex; the
+    rebuilt complex equals f, so f's simplices were already sorted tuples."""
+    g = FilteredComplex(f.vertices, f.simplices, f.grade, f.m)
+    assert g == f
+    return g
+
+
+def test_rips_builders_and_the_decoder_give_normalized_complexes():
+    """FilteredComplex._of (vietoris_rips, function_rips and
+    decode_filtered_complex), on vertex names in and out of order and of
+    mixed kinds."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        metric = rand_metric(rng, rng.randint(0, 6))
+        names = [[3, 1, 0, 2, 5, 4], ["b", "a", "c", "e", "d", "f"],
+                 [0, "a", 2, "b", 10, 9]][seed % 3][:metric.n]
+        for points in (metric.points, names):
+            values = [rng.randint(0, 3) for _ in points]
+            mi = MetricInput(points, metric.dist, values)
+            for f in (vietoris_rips(mi, 2), function_rips(mi, 2)):
+                renormalized(f)
+                doc = ser.encode_filtered_complex(f)
+                assert renormalized(ser.decode_filtered_complex(doc)) == f
+                for entry in doc["simplices"]:  # the decoder sorts each simplex
+                    entry["v"].reverse()
+                assert renormalized(ser.decode_filtered_complex(doc)) == f
+    renormalized(ser.decode_filtered_complex({"format": ser.FORMAT_COMPLEX, "m": 2}))
 
 
 def test_empty_complexes_are_valid():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,7 +53,7 @@ from perscert.randgen import (
     rand_real_object,
 )
 
-from oracles import barcode_by_ranks, bfs_component_count
+from oracles import barcode_by_ranks, bfs_component_count, filtration_order_by_fractions
 
 COLLINEAR = MetricInput([0, 1, 3], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -249,6 +250,28 @@ def test_filtration_barcode_equals_the_barcode_of_persistent_homology():
             if bars.bars:
                 degrees_with_bars.add(n)
     assert degrees_with_bars == {0, 1, 2}
+
+
+def test_filtration_order_agrees_with_the_fraction_oracle():
+    """Rips complexes of up to 9 points whose dissimilarities have mixed
+    denominators, tie and may be 0 between distinct points, and random
+    filtrations: the order by rank is the order by Fraction, and the bars
+    are those of persistent homology."""
+    values = [Fraction(0), Fraction(1, 3), Fraction(1, 6), Fraction(5, 2), Fraction(1, 2)]
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(0, 9)
+        dist = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            dist[i][j] = dist[j][i] = rng.choice(values)
+        for f in (vietoris_rips(MetricInput(range(n), dist), 3),
+                  rand_filtered_complex(rng, rng.randint(1, 6))):
+            for dim in range(4):
+                assert invariants._filtration_order(f, dim) == \
+                    filtration_order_by_fractions(f, dim)
+            if n <= 6:
+                for dim in (0, 1):
+                    assert filtration_barcode(f, dim) == barcode(homology(to_persistent(f), dim))
 
 
 def _missing_face(m):

@@ -10,7 +10,8 @@ from perscert import serialize as ser
 from perscert.complexes import degree_rips, vietoris_rips
 from perscert.errors import SchemaError
 from perscert.invariants import Bar, Barcode
-from perscert.persist import check_interleaving
+from perscert.grades import Grade
+from perscert.persist import Grid, PersistentObject, check_interleaving
 from perscert.randgen import (
     interleaved_pair,
     rand_barcode,
@@ -112,6 +113,35 @@ def test_filtered_complex_round_trip():
                rand_filtered_complex(random.Random(1))]:
         data = json_round(ser.encode_filtered_complex(fc))
         assert ser.decode_filtered_complex(data) == fc
+
+
+def test_decoded_complexes_share_each_wire_grade_and_refuse_bad_ones_after_good():
+    """A wire grade of strings is decoded once, so simplices of one grade
+    share one Grade; a bad grade is refused wherever it comes, also after a
+    good grade it equals in Python (``true`` after ``1``, ``1.0`` after
+    ``1``, a string's characters after their list)."""
+    def doc(*grades):
+        return {"format": ser.FORMAT_COMPLEX, "vertices": list(range(len(grades))),
+                "simplices": [{"v": [i], "grade": g} for i, g in enumerate(grades)]}
+
+    f = ser.decode_filtered_complex(doc(["1/2"], ["1/2"], [1], [1], ["2/4"]))
+    assert f.grade[(0,)] is f.grade[(1,)] and f.grade[(0,)] == f.grade[(4,)]
+    assert f.grade[(2,)] == f.grade[(3,)] == Grade([1])
+    for bad in ([True], [1.0], "12", {"1": 0}, [["1"]], []):
+        with pytest.raises(SchemaError, match="bad"):
+            ser.decode_filtered_complex(doc([1], ["1"], ["1", "2"], list("12"), bad))
+
+
+def test_encoded_objects_sort_each_element_by_the_repr_of_its_wire_form():
+    """Element wire forms kept from one object to the next give the lists
+    of a fresh encode_cat_object, for tuple, frozenset and mixed elements
+    shared between objects."""
+    a, b = frozenset({"x", 10}), frozenset({("y", 2), frozenset({1})})
+    x = PersistentObject(Grid([[0, 1, 2]]), "FinSet", {(0,): a, (1,): a | b, (2,): b | a},
+                         {((0,), 0): {e: e for e in a}, ((1,), 0): {e: e for e in a | b}})
+    data = ser.encode_object(x)
+    for idx, obj in x.objects.items():
+        assert data["objects"][",".join(map(str, idx))] == ser.encode_cat_object("FinSet", obj)
 
 
 def test_metric_round_trip_including_values():
