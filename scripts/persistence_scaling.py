@@ -14,16 +14,21 @@ metrics of DEGREE_RIPS_POINTS points, and ``validate`` checks the Rips
 complexes of RIPS_POINTS points. The documents of those degree-Rips objects
 are then written both by ``json.dumps(sort_keys=True, indent=2)`` and by the
 CLI's writer, which encodes each repeated value once; the script exits with
-status 1 when the two texts differ. Last, ``decode_filtered_complex`` reads
-the documents of the Rips complexes of RIPS_POINTS points. Each line gives a
-deterministic checksum (the number of bars, the distance d_B, the grid
-points and distinct objects of a degree-Rips object, the simplices of a
-complex, the bytes of a document) and the best time over repeated runs, so
-the same command run on two versions of the code gives their before and
-after numbers. The inputs are seeded from SEED and n, so the checksums are
+status 1 when the two texts differ. Then ``decode_filtered_complex`` reads
+the documents of the Rips complexes of RIPS_POINTS points. Last,
+``decode_object`` reads the degree-Rips documents of DEGREE_RIPS_POINTS
+points and ``is_filtered`` checks what it read; the script exits with status
+1 when that verdict (filtered or not, the condition failed, the witness)
+differs from the verdict on the object before it was written. Each line
+gives a deterministic checksum (the number of bars, the distance d_B, the
+grid points and distinct objects of a degree-Rips object, the simplices of a
+complex, the bytes of a document, the verdict of ``is_filtered``) and the
+best time over repeated runs, so the same command run on two versions of the
+code gives their before and after numbers. The inputs are seeded from SEED and n, so the checksums are
 fixed. Metrics and complexes keep the ranks of their values once computed,
 so every run of the Rips, degree-Rips and ``validate`` rows gets a copy of
-its input made by the public constructor before the clock starts.
+its input made by the public constructor before the clock starts, and every
+run of the ``is_filtered`` rows a fresh decode of its document.
 
     PYTHONPATH=src python scripts/persistence_scaling.py
 """
@@ -35,8 +40,8 @@ import time
 from fractions import Fraction
 
 from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottleneck,
-                      degree_rips, filtration_barcode, homology, to_persistent, validate,
-                      vietoris_rips)
+                      degree_rips, filtration_barcode, homology, is_filtered, to_persistent,
+                      validate, vietoris_rips)
 from perscert import serialize as ser
 from perscert.cli import _dumps
 from perscert.grades import rat_to_str
@@ -144,6 +149,21 @@ def main() -> None:
         data = json.loads(text)
         ms = best_ms(lambda: ser.decode_filtered_complex(data))
         print(f"decode      n={n:3d}  bytes={len(text):8d}  best_ms={ms:10.3f}")
+    for n in DEGREE_RIPS_POINTS:
+        x = degree_rips(rips_metric(n), 2)
+        text = json.dumps(ser.encode_object(x), sort_keys=True, indent=2)
+        data = json.loads(text)
+        check, before = is_filtered(ser.decode_object(data)), is_filtered(x)
+        # the offender named on failure is the first simplex met, which
+        # depends on how each set of simplices was built
+        if (check.filtered, check.condition, check.witness) != (
+                before.filtered, before.condition, before.witness):
+            print(f"is_filtered n={n}: the decoded object gets another verdict")
+            disagree += 1
+        decode_ms = best_ms(lambda: ser.decode_object(data))
+        check_ms = best_ms_on_copies(is_filtered, lambda: ser.decode_object(data))
+        print(f"is_filtered n={n:3d}  bytes={len(text):8d}  filtered={check.filtered!s:5}  "
+              f"decode_ms={decode_ms:10.3f}  is_filtered_ms={check_ms:10.3f}")
     if disagree:
         sys.exit(1)
 

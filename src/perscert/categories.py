@@ -15,7 +15,7 @@ Representations:
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from .errors import CategoryError
 from .gf2 import Echelon, GF2Matrix, _transpose, all_matrices, kernel_bits
@@ -39,13 +39,13 @@ def simplex(vertices) -> tuple:
 
 
 def complex_vertices(obj: frozenset) -> set:
-    return {v for sigma in obj for v in sigma}
+    return set(chain.from_iterable(obj))
 
 
 def _is_inclusion(f: dict) -> bool:
     """Whether a vertex map is the identity on its vertices: an inclusion of
     complexes, which sends every simplex to itself."""
-    return all(v == w for v, w in f.items())
+    return list(f) == list(f.values())
 
 
 class FinSetCategory:
@@ -167,9 +167,24 @@ class F2VecCategory:
 class ComplexCategory:
     name = "Complex"
 
-    def check_object(self, obj):
+    def check_object(self, obj, faces: dict | None = None):
+        """A frozenset of nonempty sorted, duplicate-free vertex tuples,
+        closed under taking faces. ``faces`` (simplex -> its nonempty faces)
+        carries the simplices that passed from one object to the next, so
+        that each distinct simplex of a document is sorted once and each
+        object's closure is one subset test; on any failure every simplex is
+        checked in turn, so the error names the first one met."""
         if not isinstance(obj, frozenset):
             raise CategoryError("Complex object must be a frozenset of simplices")
+        if faces is not None:
+            for sigma in obj.difference(faces):
+                if not isinstance(sigma, tuple) or not sigma or sigma != simplex(sigma):
+                    break
+                faces[sigma] = ([sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
+                                if len(sigma) > 1 else ())
+            else:
+                if obj.issuperset(chain.from_iterable(map(faces.__getitem__, obj))):
+                    return
         for sigma in obj:
             if not isinstance(sigma, tuple) or not sigma:
                 raise CategoryError(f"bad simplex {sigma!r}")
@@ -193,8 +208,7 @@ class ComplexCategory:
         return tuple(total_order({f[v] for v in sigma}))
 
     def is_map(self, f, src, tgt) -> bool:
-        verts = complex_vertices(src)
-        if set(f.keys()) != verts:
+        if f.keys() != complex_vertices(src):
             return False
         if _is_inclusion(f):
             return src <= tgt

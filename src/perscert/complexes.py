@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .categories import COMPLEX, _is_inclusion, complex_vertices, simplex, total_order
-from .errors import CategoryError, DimensionError, SchemaError, ValidationError
+from .errors import CategoryError, SchemaError, ValidationError
 from .grades import Grade, rat
 from .persist import Grid, PersistentObject
 
@@ -111,18 +111,23 @@ class FilteredComplex:
 
 
 def validate(f: FilteredComplex) -> ValidationReport:
-    """Grades of one arity, face closure, and monotonicity of the entrance
+    """Grades of arity m, face closure, and monotonicity of the entrance
     grades. Arity comes first, since grades of different arity do not
     compare. Grades are compared by their ranks (``FilteredComplex._ranked``)."""
-    if len({len(g.coords) for g in f.grade.values()}) > 1:
+    arities = {len(g.coords) for g in f.grade.values()}
+    if arities and arities != {f.m}:
         graded = total_order(f.grade)
+        first = f.grade[graded[0]].m
         for sigma in graded:
-            if f.grade[sigma].m != f.grade[graded[0]].m:
+            if f.grade[sigma].m != first:
                 return ValidationReport(
-                    False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
+                    False, f"grades of mixed arity: {first} for "
                     f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
                 )
-    # every grade now has one arity, so faces compare coordinate by coordinate
+        return ValidationReport(
+            False, f"grades of arity {first}, but the complex has m = {f.m}", graded[0]
+        )
+    # every grade now has arity m, so faces compare coordinate by coordinate
     rank = f._ranked[1]
     vertices = set(f.vertices)
     for sigma in total_order(f.simplices):
@@ -138,6 +143,8 @@ def validate(f: FilteredComplex) -> ValidationReport:
                 continue
             if face not in f.simplices:
                 return ValidationReport(False, f"face {face!r} missing", sigma)
+            if face not in rank:
+                return ValidationReport(False, "simplex missing a grade", face)
             if not all(map(operator.le, rank[face], coords)):
                 return ValidationReport(
                     False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
@@ -164,8 +171,6 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
         return _inclusions(Grid([[0]] * m), {(0,) * m: frozenset()})
     # the grid holds every grade's coordinates, so a simplex is born at its ranks
     axes, rank = f._ranked
-    if len(axes) != m:
-        raise DimensionError(f"grade arity {len(axes)} vs grid arity {m}")
     grid = Grid(axes)
     born: dict[tuple, list] = {}
     for s in f.simplices:
@@ -220,17 +225,20 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
     if p.category_name != "Complex":
         raise CategoryError("is_filtered expects a persistent complex")
     cat = COMPLEX
-    # condition 1: injectivity of every edge map on simplices
-    for idx, a, _ in p.grid.edges():
-        f = p.edge_maps[(idx, a)]
-        if not cat.is_injective(f, p.objects[idx]):
-            return FilteredCheck(
-                False, condition=1, offender=idx,
-                reason=f"structure map at {idx} along axis {a} is not a monomorphism",
-            )
+    inclusions = all(map(_is_inclusion, p.edge_maps.values()))
+    # condition 1: injectivity of every edge map on simplices, which holds
+    # for inclusions
+    if not inclusions:
+        for idx, a, _ in p.grid.edges():
+            f = p.edge_maps[(idx, a)]
+            if not cat.is_injective(f, p.objects[idx]):
+                return FilteredCheck(
+                    False, condition=1, offender=idx,
+                    reason=f"structure map at {idx} along axis {a} is not a monomorphism",
+                )
     # condition 2: identify each simplex with its image at the top corner and
     # ask whether its appearance set has a coordinatewise minimum grid point
-    if all(_is_inclusion(f) for f in p.edge_maps.values()):
+    if inclusions:
         images = p.objects  # every map to the top corner fixes its vertices
     else:
         top = tuple(s - 1 for s in p.grid.shape())
@@ -247,12 +255,17 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
         low = corners.get(images[idx])
         corners[images[idx]] = idx if low is None else tuple(map(min, low, idx))
     # the least corner of each appearance set, which is its minimum if it
-    # belongs to the set
-    lows: dict[tuple, tuple] = {}
-    for image, corner in corners.items():
-        for tau in image:
-            low = lows.get(tau)
-            lows[tau] = corner if low is None else tuple(map(min, low, corner))
+    # belongs to the set. On each axis, a simplex's coordinate is the least
+    # of the corners of the images holding it: the images are met from the
+    # greatest coordinate down, and each sets the coordinate of all it holds
+    met = dict.fromkeys(itertools.chain.from_iterable(corners))  # first met first
+    least = []
+    for a in range(p.grid.m):
+        on_axis: dict = {}
+        for image in sorted(corners, key=lambda image: corners[image][a], reverse=True):
+            on_axis.update(dict.fromkeys(image, corners[image][a]))
+        least.append(map(on_axis.__getitem__, met))
+    lows = dict(zip(met, zip(*least)))
     witness = {}
     for tau, low in lows.items():
         if tau not in images[low]:

@@ -1,6 +1,15 @@
 """Lossless JSON wire formats. Rationals travel as strings like "3/2"
 (denominator omitted when 1); no floats anywhere on the wire. Every top-level
 document carries a "format" field.
+
+Decoders read a document in one pass. The object and edge keys of a
+persistent object, and the "at" coordinates of a certificate, are placed by
+tables of the strings the grid itself is written with; any other string is
+parsed by its pattern, so a non-canonical key still decodes and a bad one
+fails with its own message. Lists of simplices and maps between vertex
+names are read by one C call each when every entry is a plain name, and
+otherwise entry by entry. The objects then check each distinct simplex once
+(``ComplexCategory.check_object``); every check still runs.
 """
 
 from __future__ import annotations
@@ -133,6 +142,8 @@ def encode_cat_object(category: str, obj, seen: dict | None = None):
 
 # the element types of a flat list; a JSON boolean has type bool, not int
 _FLAT_SCALARS = frozenset({str, int})
+_INT, _STR, _LIST = frozenset({int}), frozenset({str}), frozenset({list})
+_PAIR, _BITS = frozenset({2}), frozenset({0, 1})
 
 
 def decode_cat_object(category: str, data):
@@ -140,7 +151,7 @@ def decode_cat_object(category: str, data):
         _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
     _require(isinstance(data, list), "bad object {!r}", data)
-    if (all(type(e) is list for e in data)
+    if (_LIST.issuperset(map(type, data))
             and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
         # simplices of vertex names: decode_element would give the same tuples
         elements = frozenset(map(tuple, data))
@@ -171,10 +182,19 @@ def decode_cat_map(category: str, data):
         _require(isinstance(rows, list) and len(rows) == nr
                  and all(isinstance(r, list) and len(r) == nc for r in rows),
                  "matrix rows do not match shape {!r}", shape)
-        _require(all(_is_int(x) and x in (0, 1) for r in rows for x in r),
+        _require(_INT.issuperset(map(type, itertools.chain.from_iterable(rows)))
+                 and _BITS.issuperset(itertools.chain.from_iterable(rows)),
                  "matrix entries must be 0 or 1")
         return GF2Matrix(rows, nr, nc)
     _require(isinstance(data, list), "bad map {!r}", data)
+    if (_LIST.issuperset(map(type, data)) and _PAIR.issuperset(map(len, data))
+            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
+        # pairs of vertex names: decode_element would give the same keys and
+        # values. A key given twice makes the dict shorter; the loop below
+        # then finds it and names it.
+        out = dict(data)
+        if len(out) == len(data):
+            return out
     out = {}
     for entry in data:
         _require(isinstance(entry, list) and len(entry) == 2, "bad map entry {!r}", entry)
@@ -247,12 +267,22 @@ def decode_object(data: dict) -> PersistentObject:
     _require(_is_int(m) and m == len(axes), "'m' is {!r}, but the object has {} axes",
              m, len(axes))
     grid = Grid([[decode_rational(v) for v in axis] for axis in axes])
-    objects = {}
-    for key, obj in _field(data, "objects", dict, {}).items():
-        objects[decode_index(key)] = decode_cat_object(category, obj)
-    edges = {}
-    for key, f in _field(data, "edge_maps", dict, {}).items():
-        edges[decode_edge_key(key)] = decode_cat_map(category, f)
+    # each table holds the key a grid point or edge is written under -> that
+    # point or edge, for as many points or edges as the document has keys;
+    # any other key is read by its pattern, and the object's checks refuse it
+    # when it lies off the grid
+    objects, entries = {}, _field(data, "objects", dict, {})
+    points = {",".join(map(str, idx)): idx
+              for idx in itertools.islice(grid.indices(), len(entries))}
+    for key, obj in entries.items():
+        idx = points.get(key)
+        objects[decode_index(key) if idx is None else idx] = decode_cat_object(category, obj)
+    edges, entries = {}, _field(data, "edge_maps", dict, {})
+    steps = {",".join(map(str, idx)) + "|" + str(a): (idx, a)
+             for idx, a, _ in itertools.islice(grid.edges(), len(entries))}
+    for key, f in entries.items():
+        edge = steps.get(key)
+        edges[decode_edge_key(key) if edge is None else edge] = decode_cat_map(category, f)
     integer_indexed = data.get("integer_indexed", False)
     _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
     return PersistentObject(grid, category, objects, edges, integer_indexed=integer_indexed)
@@ -273,26 +303,33 @@ def encode_components(f: DeltaMorphism) -> list[dict]:
 
 def decode_morphism(source: PersistentObject, target: PersistentObject,
                     shift_data, components_data) -> DeltaMorphism:
-    """Each "at" grade must be a point of the merged grid, given once; it is
-    placed by one value -> position table per axis."""
+    """Each "at" grade must be a point of the merged grid, given once. It is
+    placed by one wire string -> position table per axis, and, when a
+    coordinate is not written as ``encode_rational`` writes it, by one
+    value -> position table per axis."""
     shift = decode_grade(shift_data)
     _require(shift.m == source.m, "shift {} has arity {}, the objects have m = {}",
              shift, shift.m, source.m)
     _require(isinstance(components_data, list), "components must be a list")
     leg = _Leg(source, target, shift)
     positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
+    wire = [{rat_to_str(v): i for v, i in table.items()} for table in positions]
     components = {}
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
                  "bad component entry {!r}", entry)
         at = entry["at"]
         _require(isinstance(at, list) and at, "bad grade {!r}", at)
-        coords = [decode_rational(c) for c in at]
-        idx = tuple(table.get(c) for table, c in zip(positions, coords))
-        if len(coords) != len(positions) or None in idx:
-            raise SchemaError(f"component at {Grade(coords)} is not a point of the merged grid")
+        idx = (tuple(map(dict.get, wire, at))
+               if len(at) == len(wire) and _STR.issuperset(map(type, at)) else (None,))
+        if None in idx:
+            coords = [decode_rational(c) for c in at]
+            idx = tuple(table.get(c) for table, c in zip(positions, coords))
+            if len(coords) != len(positions) or None in idx:
+                raise SchemaError(
+                    f"component at {Grade(coords)} is not a point of the merged grid")
         if idx in components:
-            raise SchemaError(f"component at {Grade(coords)} is given twice")
+            raise SchemaError(f"component at {leg.grid.grade_at(idx)} is given twice")
         components[idx] = decode_cat_map(source.category_name, entry["map"])
     f = DeltaMorphism._on(leg, components)
     f._validate_components()

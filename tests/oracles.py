@@ -15,7 +15,13 @@ possible with what it checks:
 - ``rips_by_diameters``, ``degree_rips_by_fractions``,
   ``validate_by_fractions`` and ``filtration_order_by_fractions``: the Rips
   builders, ``validate`` and the filtration order of ``filtration_barcode``
-  comparing ``Fraction`` values at every step, against the library's ranks.
+  comparing ``Fraction`` values at every step, against the library's ranks;
+- ``decode_cat_map_by_entries``, ``decode_object_by_keys``,
+  ``decode_cert_by_values``, ``check_complex_by_simplices`` and
+  ``audit_squares_by_composition``: documents read entry by entry, every key
+  and "at" coordinate parsed, every simplex of every object checked in full
+  and every square composed, against the library's grid tables, flat reads,
+  shared simplex checks and inclusion squares.
 """
 
 import itertools
@@ -24,14 +30,17 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional
 
-from perscert.categories import simplex, total_order
+from perscert.categories import ComplexCategory, get_category, simplex, total_order
 from perscert.complexes import FilteredComplex, ValidationReport, _grow, _inclusions
 from perscert.distances import INFINITY, Matching
+from perscert.errors import CategoryError, SchemaError, ValidationError
 from perscert.gf2 import GF2Matrix
 from perscert.grades import Grade
 from perscert.invariants import Bar, Barcode
-from perscert.persist import Grid
-from perscert.serialize import FORMAT_METRIC, encode_element, encode_rational
+from perscert.persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
+from perscert.serialize import (FORMAT_CERT, FORMAT_METRIC, FORMAT_OBJECT, decode_cat_object,
+                                decode_edge_key, decode_element, decode_grade, decode_index,
+                                decode_rational, encode_element, encode_rational)
 
 
 def bfs_component_count(k: frozenset) -> int:
@@ -131,6 +140,11 @@ def validate_by_fractions(f: FilteredComplex) -> ValidationReport:
                 False, f"grades of mixed arity: {f.grade[graded[0]].m} for "
                 f"{graded[0]!r}, {f.grade[sigma].m} for {sigma!r}", sigma
             )
+    if graded and f.grade[graded[0]].m != f.m:
+        return ValidationReport(
+            False, f"grades of arity {f.grade[graded[0]].m}, but the complex has m = {f.m}",
+            graded[0]
+        )
     vertices = set(f.vertices)
     for sigma in total_order(f.simplices):
         for v in sigma:
@@ -145,11 +159,159 @@ def validate_by_fractions(f: FilteredComplex) -> ValidationReport:
                 continue
             if face not in f.simplices:
                 return ValidationReport(False, f"face {face!r} missing", sigma)
+            if face not in f.grade:
+                return ValidationReport(False, "simplex missing a grade", face)
             if not all(map(operator.le, f.grade[face].coords, coords)):
                 return ValidationReport(
                     False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
                 )
     return ValidationReport(True, "valid filtered complex")
+
+
+def _require(cond, message: str) -> None:
+    if not cond:
+        raise SchemaError(message)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def decode_cat_map_by_entries(category: str, data):
+    """A map read entry by entry: each matrix entry tested on its own, each
+    key and value of a set or complex map through ``decode_element``."""
+    if category == "F2Vec":
+        _require(isinstance(data, dict) and "rows" in data and "shape" in data,
+                 f"bad matrix {data!r}")
+        shape, rows = data["shape"], data["rows"]
+        _require(isinstance(shape, list) and len(shape) == 2
+                 and all(_is_int(n) and n >= 0 for n in shape),
+                 f"bad matrix shape {shape!r}: expected two non-negative ints")
+        nr, nc = shape
+        _require(isinstance(rows, list) and len(rows) == nr
+                 and all(isinstance(r, list) and len(r) == nc for r in rows),
+                 f"matrix rows do not match shape {shape!r}")
+        _require(all(_is_int(x) and x in (0, 1) for r in rows for x in r),
+                 "matrix entries must be 0 or 1")
+        return GF2Matrix(rows, nr, nc)
+    _require(isinstance(data, list), f"bad map {data!r}")
+    out = {}
+    for entry in data:
+        _require(isinstance(entry, list) and len(entry) == 2, f"bad map entry {entry!r}")
+        key = decode_element(entry[0])
+        if key in out:
+            raise SchemaError(f"map lists {entry[0]!r} twice")
+        out[key] = decode_element(entry[1])
+    return out
+
+
+def check_complex_by_simplices(obj) -> None:
+    """``ComplexCategory.check_object`` with every simplex sorted and each of
+    its faces looked up in turn."""
+    if not isinstance(obj, frozenset):
+        raise CategoryError("Complex object must be a frozenset of simplices")
+    for sigma in obj:
+        if not isinstance(sigma, tuple) or not sigma:
+            raise CategoryError(f"bad simplex {sigma!r}")
+        if sigma != tuple(total_order(set(sigma))):
+            raise CategoryError(f"simplex {sigma!r} is not sorted and duplicate-free")
+        for i in range(len(sigma)):
+            face = sigma[:i] + sigma[i + 1:]
+            if face and face not in obj:
+                raise CategoryError(f"face {face!r} of {sigma!r} missing: not closed")
+
+
+class _ComplexBySimplices(ComplexCategory):
+    """The complex category whose object check shares nothing between
+    objects."""
+
+    def check_object(self, obj, faces=None):
+        check_complex_by_simplices(obj)
+
+
+def audit_squares_by_composition(x: PersistentObject) -> None:
+    """``PersistentObject._audit_squares`` composing both paths around every
+    unit square, inclusions or not."""
+    cat = x.category
+    for idx, steps in itertools.groupby(x.grid.edges(), key=lambda e: e[0]):
+        for (_, a, idx_a), (_, b, idx_b) in itertools.combinations(steps, 2):
+            via_a = cat.compose(x.edge_maps[(idx_a, b)], x.edge_maps[(idx, a)])
+            via_b = cat.compose(x.edge_maps[(idx_b, a)], x.edge_maps[(idx, b)])
+            if via_a != via_b:
+                raise ValidationError(f"non-commuting square at {idx}, axes ({a},{b})")
+
+
+def decode_object_by_keys(data: dict) -> PersistentObject:
+    """``decode_object`` with every object and edge key parsed by its
+    pattern, every map read by ``decode_cat_map_by_entries``, and the
+    object validated with every simplex of every distinct complex checked
+    in full."""
+    _require(isinstance(data, dict), "persistent object must be a JSON object")
+    _require(data.get("format") == FORMAT_OBJECT, f"unexpected format {data.get('format')!r}")
+    category = data.get("category")
+    _require(category in ("FinSet", "F2Vec", "Complex"), f"bad category {category!r}")
+    axes = data.get("axes")
+    _require(isinstance(axes, list) and axes, "missing axes")
+    _require(all(isinstance(axis, list) for axis in axes), "each axis must be a JSON array")
+    m = data.get("m", len(axes))
+    _require(_is_int(m) and m == len(axes), f"'m' is {m!r}, but the object has {len(axes)} axes")
+    grid = Grid([[decode_rational(v) for v in axis] for axis in axes])
+    objects, edges = data.get("objects", {}), data.get("edge_maps", {})
+    _require(isinstance(objects, dict), "'objects' must be a JSON object")
+    objects = {decode_index(key): decode_cat_object(category, obj)
+               for key, obj in objects.items()}
+    _require(isinstance(edges, dict), "'edge_maps' must be a JSON object")
+    edges = {decode_edge_key(key): decode_cat_map_by_entries(category, f)
+             for key, f in edges.items()}
+    integer_indexed = data.get("integer_indexed", False)
+    _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
+    x = PersistentObject._of(grid, category, objects, edges, integer_indexed)
+    if category == "Complex":
+        x.category = _ComplexBySimplices()
+    x._validate()
+    x.category = get_category(category)
+    return x
+
+
+def _morphism_by_values(source, target, shift_data, components_data) -> DeltaMorphism:
+    """``serialize.decode_morphism`` with every "at" coordinate decoded and
+    placed by its value."""
+    shift = decode_grade(shift_data)
+    _require(shift.m == source.m,
+             f"shift {shift} has arity {shift.m}, the objects have m = {source.m}")
+    _require(isinstance(components_data, list), "components must be a list")
+    leg = _Leg(source, target, shift)
+    positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
+    components = {}
+    for entry in components_data:
+        _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
+                 f"bad component entry {entry!r}")
+        at = entry["at"]
+        _require(isinstance(at, list) and at, f"bad grade {at!r}")
+        coords = [decode_rational(c) for c in at]
+        idx = tuple(table.get(c) for table, c in zip(positions, coords))
+        if len(coords) != len(positions) or None in idx:
+            raise SchemaError(f"component at {Grade(coords)} is not a point of the merged grid")
+        if idx in components:
+            raise SchemaError(f"component at {Grade(coords)} is given twice")
+        components[idx] = decode_cat_map_by_entries(source.category_name, entry["map"])
+    return DeltaMorphism(source, target, shift, components)
+
+
+def decode_cert_by_values(data: dict) -> InterleavingCert:
+    """``decode_cert`` of a certificate with embedded objects, read by
+    ``decode_object_by_keys`` and ``_morphism_by_values``."""
+    _require(isinstance(data, dict), "certificate must be a JSON object")
+    _require(data.get("format") == FORMAT_CERT, f"unexpected format {data.get('format')!r}")
+    _require("x" in data, "certificate lacks embedded objects")
+    x = decode_object_by_keys(data["x"])
+    _require("y" in data, "certificate lacks embedded objects")
+    y = decode_object_by_keys(data["y"])
+    for key in ("epsilon", "delta", "f_components", "g_components"):
+        _require(key in data, f"certificate lacks {key!r}")
+    f = _morphism_by_values(x, y, data["epsilon"], data["f_components"])
+    g = _morphism_by_values(y, x, data["delta"], data["g_components"])
+    return InterleavingCert(f, g)
 
 
 def filtration_order_by_fractions(f: FilteredComplex, dim: int) -> list[tuple]:

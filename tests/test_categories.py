@@ -4,6 +4,8 @@ finite simplicial complexes with vertex maps."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perscert.categories import (
     COMPLEX,
@@ -12,9 +14,14 @@ from perscert.categories import (
     complex_vertices,
     get_category,
     simplex,
+    total_order,
 )
+from perscert.complexes import degree_rips
 from perscert.errors import CategoryError
 from perscert.gf2 import GF2Matrix
+from perscert.randgen import rand_metric
+
+from oracles import check_complex_by_simplices
 
 
 def test_get_category_names():
@@ -189,3 +196,57 @@ def test_a_vertex_map_missing_a_vertex_is_no_map():
     assert not COMPLEX.is_map({"a": "a"}, EDGE, EDGE)
     assert not COMPLEX.is_map({"a": "a", "b": "b", "c": "c"}, EDGE, EDGE)
     assert not COMPLEX.is_map({"a": "b"}, EDGE, EDGE)
+
+
+@st.composite
+def damaged_complex_objects(draw):
+    """The distinct objects of a seeded degree-Rips complex in grid order,
+    each left as it is or damaged once: a simplex written in reverse, one
+    with a repeated vertex, a simplex without one of its faces, an empty
+    simplex, or an element that is no tuple."""
+    metric = rand_metric(random.Random(draw(st.integers(0, 99))), draw(st.integers(1, 6)),
+                         max_dist=draw(st.integers(1, 6)))
+    x = degree_rips(metric, draw(st.integers(0, 2)))
+    objects = []
+    for obj in dict.fromkeys(x.objects[idx] for idx in x.grid.indices()):
+        simplices = total_order(obj)
+        defect = draw(st.sampled_from([None, None, "reversed", "repeated vertex",
+                                       "missing face", "empty", "not a tuple"]))
+        cofaces = [s for s in simplices if len(s) > 1]
+        if defect == "reversed" and cofaces:
+            s = draw(st.sampled_from(cofaces))
+            obj = obj - {s} | {s[::-1]}
+        elif defect == "repeated vertex" and simplices:
+            s = draw(st.sampled_from(simplices))
+            obj = obj | {s + s[-1:]}
+        elif defect == "missing face" and cofaces:
+            s = draw(st.sampled_from(cofaces))
+            i = draw(st.integers(0, len(s) - 1))
+            obj = obj - {s[:i] + s[i + 1:]}
+        elif defect == "empty":
+            obj = obj | {()}
+        elif defect == "not a tuple":
+            obj = obj | {draw(st.sampled_from(["a", 0, frozenset({0})]))}
+        objects.append(obj)
+    return objects
+
+
+def _raised(check, obj):
+    """None when check(obj) passes, else the type and message of its error."""
+    try:
+        check(obj)
+    except Exception as exc:  # compared with the oracle's, not handled
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(damaged_complex_objects())
+def test_complex_checks_sharing_simplices_raise_what_the_full_check_raises(objects):
+    """One faces table carried through the objects of a document, as
+    validation carries it, passes the objects the full check passes and
+    raises its error on the others, also after objects that failed."""
+    faces = {}
+    for obj in objects:
+        assert (_raised(lambda o: COMPLEX.check_object(o, faces), obj)
+                == _raised(check_complex_by_simplices, obj))

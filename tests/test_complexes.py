@@ -14,9 +14,12 @@ from perscert import (
     MetricInput,
     SquareDiagram,
     ValidationError,
+    barcode,
     degree_rips,
+    filtration_barcode,
     function_rips,
     grade,
+    homology,
     is_filtered,
     is_n_skeletal,
     metric_from_coordinates,
@@ -436,6 +439,23 @@ def test_validate_agrees_with_the_fraction_oracle(f):
     assert report == _outcome(validate_by_fractions, f)
     if report == ValidationReport(True, "valid filtered complex") and f.simplices:
         assert _outcome(to_persistent, f) == _outcome(reference_to_persistent, f)
+
+
+def test_validate_reports_an_ungraded_face_and_grades_of_another_arity():
+    """A face without a grade that sorts after its coface is reported, not
+    looked up; grades of an arity other than m are refused by both barcode
+    routes with validate's reason."""
+    f = FilteredComplex([0, 1], [(0,), (1,), (0, 1)], {(0,): grade(0), (0, 1): grade(1)})
+    assert validate(f) == ValidationReport(False, "simplex missing a grade", (1,))
+    assert validate_by_fractions(f) == validate(f)
+    f = FilteredComplex([0], [(0,)], {(0,): grade(0, 1)}, 1)
+    reason = "grades of arity 2, but the complex has m = 1"
+    assert validate(f) == ValidationReport(False, reason, (0,))
+    assert validate_by_fractions(f) == validate(f)
+    for route in (lambda: filtration_barcode(f, 0),
+                  lambda: barcode(homology(to_persistent(f), 0))):
+        with pytest.raises(ValidationError, match=reason):
+            route()
 
 
 def test_validate_reports_each_injected_defect():

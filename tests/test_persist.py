@@ -42,6 +42,8 @@ from perscert import (
     shift_morphism,
     zigzag,
 )
+from perscert.categories import complex_vertices, total_order
+from perscert.complexes import degree_rips
 from perscert.distances import bottleneck
 from perscert.errors import CategoryError, ValidationError
 from perscert.invariants import barcode, linearize
@@ -55,11 +57,62 @@ from perscert.randgen import (
     rand_complex_interleaving,
     rand_f2vec_object,
     rand_finset_object,
+    rand_metric,
     rand_real_object,
 )
 from perscert.search import (_Frame, _least_certified, induces_interleaving_in_pi0,
                              interleaving_candidates)
 from perscert.serialize import encode_cert
+
+from oracles import audit_squares_by_composition
+
+
+# -- commuting squares ---------------------------------------------------------
+
+
+@st.composite
+def one_edge_moved(draw):
+    """A seeded degree-Rips complex, or the set of its vertices at each
+    point, whose edge maps are inclusions but one: that one sends every
+    vertex of its source to one vertex of its target. It is a map, and it
+    commutes with its squares only where their first corner has no other
+    vertex."""
+    metric = rand_metric(random.Random(draw(st.integers(0, 99))), draw(st.integers(2, 5)),
+                         max_dist=draw(st.integers(1, 6)))
+    x = degree_rips(metric, 2)
+    category = draw(st.sampled_from(["Complex", "FinSet"]))
+    objects = x.objects if category == "Complex" else {
+        idx: frozenset(complex_vertices(obj)) for idx, obj in x.objects.items()}
+    idx, a, nxt = draw(st.sampled_from([e for e in x.grid.edges() if x.objects[e[2]]]))
+    w = draw(st.sampled_from(total_order(complex_vertices(x.objects[nxt]))))
+    moved = complex_vertices(x.objects[idx])
+    edges = {**x.edge_maps, (idx, a): {v: w for v in moved}}
+    return x.grid, category, objects, edges, idx, 1 - a, moved - {w}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(one_edge_moved())
+def test_one_map_that_is_no_inclusion_is_audited_square_by_square(case):
+    """The squares of inclusions need no composing; one edge map that is no
+    inclusion makes validation compose every square, and it reports the
+    square that composing every square reports."""
+    grid, category, objects, edges, idx, other, movers = case
+    x = PersistentObject._of(grid, category, objects, edges)
+
+    def raised(check):
+        try:
+            check()
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    expected = raised(lambda: audit_squares_by_composition(x))
+    assert raised(x._audit_squares) == expected
+    assert raised(lambda: PersistentObject(grid, category, objects, edges)) == expected
+    # the square from idx along the other axis, when there is one, breaks
+    # whenever idx holds a vertex that is moved
+    if idx[other] + 1 < grid.shape()[other] and movers:
+        assert expected is not None
 
 
 # -- evaluation semantics -----------------------------------------------------

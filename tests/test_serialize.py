@@ -1,10 +1,13 @@
 """Lossless JSON wire formats: round trips and schema rejection."""
 
+import copy
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perscert import serialize as ser
 from perscert.complexes import degree_rips, vietoris_rips
@@ -22,7 +25,7 @@ from perscert.randgen import (
     rand_persistent_complex,
 )
 
-from oracles import encode_metric
+from oracles import decode_cert_by_values, decode_object_by_keys, encode_metric
 
 
 def json_round(data):
@@ -195,3 +198,131 @@ def test_seeded_finset_objects_do_not_depend_on_the_hash_seed():
                              capture_output=True, text=True, check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1
+
+
+# -- grid tables and flat reads against documents read entry by entry ---------
+
+
+def _wire_documents():
+    """A degree-Rips complex, a set and a vector-space object, and two
+    certificates with embedded objects, each through JSON text."""
+    x = rand_finset_object(random.Random(3), lo=-1, hi=1, max_size=2)
+    v = rand_f2vec_object(random.Random(3), lo=0, hi=2, max_dim=2)
+    docs = [
+        ser.encode_object(degree_rips(rand_metric(random.Random(5), 5, max_dist=6), 2)),
+        ser.encode_object(rand_finset_object(random.Random(2), lo=-1, hi=2, max_size=3)),
+        ser.encode_object(v),
+        ser.encode_cert(interleaved_pair(random.Random(4), x, 1)[1]),
+        ser.encode_cert(interleaved_pair(random.Random(6), v, 1)[1]),
+    ]
+    return [json_round(doc) for doc in docs]
+
+
+WIRE_DOCUMENTS = _wire_documents()
+MUTATIONS = ["duplicate key", "bool or float", "nested vertex", "entry of three",
+             "padded key", "off-grid key", "off-grid at", "non-canonical at",
+             "unsorted simplex", "face-less simplex"]
+
+
+def _parts(doc) -> list:
+    """The persistent-object documents in doc: itself, or a certificate's x and y."""
+    return [doc] if doc["format"] == ser.FORMAT_OBJECT else [doc["x"], doc["y"]]
+
+
+def _maps(doc) -> list:
+    """Every map of doc: the edge maps of its objects and the component maps
+    of a certificate."""
+    maps = [f for part in _parts(doc) for f in part["edge_maps"].values()]
+    if doc["format"] == ser.FORMAT_CERT:
+        maps += [c["map"] for key in ("f_components", "g_components") for c in doc[key]]
+    return maps
+
+
+@st.composite
+def mutated_wire_documents(draw):
+    """A document of WIRE_DOCUMENTS with one mutation, where the document has
+    a place for it (else unchanged): a map key given twice, a boolean, float
+    or 2 as a map or matrix entry, a vertex nested in a list, a map entry of three, an index
+    key padded with a 0, a key off the grid, an "at" coordinate off the grid
+    or written another way ("4/2", a JSON integer), a simplex written in
+    reverse, or a simplex without one of its faces."""
+    doc = copy.deepcopy(draw(st.sampled_from(WIRE_DOCUMENTS)))
+    kind = draw(st.sampled_from(MUTATIONS))
+
+    def pick(items):
+        return draw(st.sampled_from(items)) if items else None
+
+    pairs = [e for f in _maps(doc) if isinstance(f, list) for e in f]
+    bits = [r for f in _maps(doc) if isinstance(f, dict) for r in f["rows"] if r]
+    lists = [obj for part in _parts(doc) for obj in part["objects"].values()
+             if isinstance(obj, list)]
+    simplices = [obj for obj in lists if any(isinstance(s, list) and len(s) > 1 for s in obj)]
+    places = [c["at"] for key in ("f_components", "g_components") for c in doc.get(key, [])]
+    if kind == "duplicate key" and pairs:
+        f = pick([f for f in _maps(doc) if isinstance(f, list) and f])
+        f.append([pick(f)[0], pick(f)[1]])
+    elif kind == "bool or float" and (pairs or bits):
+        row = pick(pairs + bits)
+        row[draw(st.integers(0, len(row) - 1))] = pick([True, False, 1.0, 0.0, 2])
+    elif kind == "nested vertex" and (pairs or lists):
+        row = pick(pairs + [obj for obj in lists if obj])
+        i = draw(st.integers(0, len(row) - 1))
+        row[i] = [row[i]]
+    elif kind == "entry of three" and pairs:
+        entry = pick(pairs)
+        entry.append(entry[1])
+    elif kind in ("padded key", "off-grid key"):
+        part = pick(_parts(doc))
+        table = part[pick(["objects", "edge_maps"])]
+        key = pick(sorted(table))
+        if key is not None and kind == "padded key":
+            i = draw(st.integers(0, len(key) - 1))
+            table[key[:i] + "0" + key[i:] if key[i].isdigit() else key] = table.pop(key)
+        elif key is not None:
+            far = ",".join(["9"] * len(part["axes"]))
+            table[far + key[key.index("|"):] if "|" in key else far] = table[key]
+    elif kind in ("off-grid at", "non-canonical at") and places:
+        at = pick(places)
+        i = draw(st.integers(0, len(at) - 1))
+        if kind == "off-grid at":
+            at[i] = pick(["1000", "-1000", "1/1000"])
+        else:
+            p, _, q = at[i].partition("/")
+            at[i] = pick([f"{2 * int(p)}/{2 * int(q or 1)}", int(p) if not q else at[i],
+                          f"{p}/1" if not q else at[i]])
+    elif kind == "unsorted simplex" and simplices:
+        s = pick([s for s in pick(simplices) if isinstance(s, list) and len(s) > 1])
+        s.reverse()
+    elif kind == "face-less simplex" and simplices:
+        obj = pick(simplices)
+        s = pick([s for s in obj if isinstance(s, list) and len(s) > 1])
+        face = s[:draw(st.integers(0, len(s) - 1))]
+        if face in obj:
+            obj.remove(face)
+    return kind, doc
+
+
+def _decoded(decode, doc):
+    """decode(doc), or the type and message of the error it raises."""
+    try:
+        return decode(doc)
+    except Exception as exc:  # compared with the oracle's, not handled
+        return type(exc), str(exc)
+
+
+def _cert_parts(cert):
+    return [(f.source, f.target, f.shift, f.components) for f in (cert.f, cert.g)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_wire_documents())
+def test_mutated_documents_decode_as_read_entry_by_entry(case):
+    """The grid tables and the flat reads of maps and objects give what
+    parsing every key and decoding every entry gives: the same value, or the
+    same error type and message."""
+    _, doc = case
+    if doc["format"] == ser.FORMAT_OBJECT:
+        assert _decoded(ser.decode_object, doc) == _decoded(decode_object_by_keys, doc)
+    else:
+        assert (_decoded(lambda d: _cert_parts(ser.decode_cert(d)), doc)
+                == _decoded(lambda d: _cert_parts(decode_cert_by_values(d)), doc))
