@@ -188,7 +188,7 @@ class ComplexCategory:
         for sigma in obj:
             if not isinstance(sigma, tuple) or not sigma:
                 raise CategoryError(f"bad simplex {sigma!r}")
-            if sigma != tuple(total_order(set(sigma))):
+            if sigma != simplex(sigma):
                 raise CategoryError(f"simplex {sigma!r} is not sorted and duplicate-free")
             for i in range(len(sigma)):
                 face = sigma[:i] + sigma[i + 1:]

@@ -6,12 +6,13 @@ A total order on the vertices is fixed by each complex, so a complex here
 stands in for the simplicial set it generates; degenerate simplices carry no
 extra grade data.
 
-Exact values are sorted once and then compared as integers. A metric ranks
-its distinct dissimilarities, and the Rips builders grade by those ranks; a
-complex ranks the distinct coordinates of its grades on each axis, and
-``validate``, ``to_persistent`` and the filtration order of
-``invariants.filtration_barcode`` compare those ranks. Ranks compare as the
-``Fraction`` values they stand for, so every grade is as exact as before.
+Exact values become grid indices in one place, ``persist.Grid.placing``. A
+metric places its dissimilarities on a one-axis grid, and the Rips builders
+grade by their indices; a complex places its grades on the grid of their
+distinct coordinates, which ``to_persistent`` filters over, and
+``validate`` and the filtration order of ``invariants.filtration_barcode``
+compare their indices. Indices compare as the ``Fraction`` values they
+stand for, so every grade is as exact as before.
 
 The persistence module's validation rule holds here too: ``FilteredComplex``
 normalizes the simplices it receives, while builders whose simplices are
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .categories import COMPLEX, _is_inclusion, complex_vertices, simplex, total_order
 from .errors import CategoryError, SchemaError, ValidationError
@@ -36,16 +36,11 @@ from .grades import Grade, rat
 from .persist import Grid, PersistentObject
 
 
-def _rank(values: list) -> tuple[tuple, list]:
-    """The distinct values of a list of Fractions in increasing order, and
-    the position of each value among them. The values are compared as the
-    integers v * d over their least common denominator d."""
-    d = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (d // v.denominator) for v in values]
-    value = dict(zip(ints, values))
-    order = sorted(value)
-    where = {v: r for r, v in enumerate(order)}
-    return tuple(map(value.__getitem__, order)), list(map(where.__getitem__, ints))
+class _Placement(NamedTuple):
+    """Exact values placed by ``Grid.placing``."""
+
+    grid: Grid  # the grid of the distinct values
+    at: object  # where each value sits on it: a dict or matrix of grid indices
 
 
 @dataclass
@@ -92,16 +87,15 @@ class FilteredComplex:
         object.__setattr__(self, "m", m)
 
     @functools.cached_property
-    def _ranked(self) -> tuple[tuple, dict]:
-        """The grades as integers, for grades of one arity: per axis, the
-        distinct coordinates in increasing order, and each graded simplex ->
-        the positions of its coordinates on those axes. Positions compare as
-        the coordinates do. Each distinct grade object is placed once."""
+    def _placement(self) -> _Placement:
+        """For grades of one arity: the grid of the distinct coordinates of
+        the grades on each axis, and each graded simplex -> the index of its
+        grade on that grid. Each distinct grade object is placed once."""
         grades = list({id(g): g for g in self.grade.values()}.values())
         arity = grades[0].m if grades else self.m
-        ranked = [_rank([g.coords[a] for g in grades]) for a in range(arity)]
-        placed = dict(zip(map(id, grades), zip(*[ranks for _, ranks in ranked])))
-        return tuple(axis for axis, _ in ranked), {s: placed[id(g)] for s, g in self.grade.items()}
+        grid, rows = Grid.placing([[g.coords[a] for g in grades] for a in range(arity)])
+        by_id = dict(zip(map(id, grades), rows))
+        return _Placement(grid, {s: by_id[id(g)] for s, g in self.grade.items()})
 
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex by convention."""
@@ -113,7 +107,7 @@ class FilteredComplex:
 def validate(f: FilteredComplex) -> ValidationReport:
     """Grades of arity m, face closure, and monotonicity of the entrance
     grades. Arity comes first, since grades of different arity do not
-    compare. Grades are compared by their ranks (``FilteredComplex._ranked``)."""
+    compare. Grades compare by grid index (``FilteredComplex._placement``)."""
     arities = {len(g.coords) for g in f.grade.values()}
     if arities and arities != {f.m}:
         graded = total_order(f.grade)
@@ -128,24 +122,24 @@ def validate(f: FilteredComplex) -> ValidationReport:
             False, f"grades of arity {first}, but the complex has m = {f.m}", graded[0]
         )
     # every grade now has arity m, so faces compare coordinate by coordinate
-    rank = f._ranked[1]
+    at = f._placement.at
     vertices = set(f.vertices)
     for sigma in total_order(f.simplices):
         for v in sigma:
             if v not in vertices:
                 return ValidationReport(False, f"unknown vertex {v!r}", sigma)
-        if sigma not in rank:
+        if sigma not in at:
             return ValidationReport(False, "simplex missing a grade", sigma)
-        coords = rank[sigma]
+        coords = at[sigma]
         for i in range(len(sigma)):
             face = sigma[:i] + sigma[i + 1:]
             if not face:
                 continue
             if face not in f.simplices:
                 return ValidationReport(False, f"face {face!r} missing", sigma)
-            if face not in rank:
+            if face not in at:
                 return ValidationReport(False, "simplex missing a grade", face)
-            if not all(map(operator.le, rank[face], coords)):
+            if not all(map(operator.le, at[face], coords)):
                 return ValidationReport(
                     False, f"grade of face {face!r} exceeds grade of {sigma!r}", sigma
                 )
@@ -169,12 +163,11 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
     m = f.m
     if not f.simplices:
         return _inclusions(Grid([[0]] * m), {(0,) * m: frozenset()})
-    # the grid holds every grade's coordinates, so a simplex is born at its ranks
-    axes, rank = f._ranked
-    grid = Grid(axes)
+    # the grid holds every grade, so a simplex is born at its grade's index
+    grid, at = f._placement
     born: dict[tuple, list] = {}
     for s in f.simplices:
-        born.setdefault(rank[s], []).append(s)
+        born.setdefault(at[s], []).append(s)
     return _inclusions(grid, _grow(grid, born))
 
 
@@ -332,13 +325,14 @@ class MetricInput:
         return len(self.points)
 
     @functools.cached_property
-    def _ranked(self) -> tuple[tuple, tuple]:
-        """The distinct dissimilarities in increasing order (``scales``, the
-        first of them 0), and the matrix of their ranks: dist[i][j] is
-        scales[rank[i][j]], and ranks compare as the dissimilarities do."""
+    def _placement(self) -> _Placement:
+        """The one-axis grid of the distinct dissimilarities (the scales, the
+        first of them 0), and the matrix of their indices on it: dist[i][j]
+        is scales[at[i][j]], and indices compare as the dissimilarities do."""
         n = self.n
-        scales, ranks = _rank([d for row in self.dist for d in row])
-        return scales, tuple(tuple(ranks[i * n:(i + 1) * n]) for i in range(n))
+        grid, rows = Grid.placing([[d for row in self.dist for d in row]])
+        flat = [k for (k,) in rows]
+        return _Placement(grid, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def metric_from_coordinates(coords, norm: str = "linf") -> MetricInput:
@@ -358,28 +352,28 @@ def metric_from_coordinates(coords, norm: str = "linf") -> MetricInput:
 
 
 def _rips(metric: MetricInput, d_max: int) -> list[tuple[tuple, tuple, int]]:
-    """(simplex, positions in metric.points, rank of its diameter) for each
-    vertex subset of size 1 to d_max + 1, by size and then in the order of
-    ``itertools.combinations``. A subset's diameter rank is that of the
+    """(simplex, positions in metric.points, scale index of its diameter) for
+    each vertex subset of size 1 to d_max + 1, by size and then in the order
+    of ``itertools.combinations``. A subset's diameter index is that of the
     subset without its last point or of a pair with that point, whichever is
     larger."""
     if d_max < 0:
         raise ValidationError("d_max must be >= 0")
-    points, rank = metric.points, metric._ranked[1]
+    points, at = metric.points, metric._placement.at
     n = len(points)
-    ranks = layer = {(i,): 0 for i in range(n)}
+    diameter = layer = {(i,): 0 for i in range(n)}
     for _ in range(min(d_max, n - 1)):
-        layer = {ids + (j,): max(r, *map(rank[j].__getitem__, ids))
+        layer = {ids + (j,): max(r, *map(at[j].__getitem__, ids))
                  for ids, r in layer.items() for j in range(ids[-1] + 1, n)}
-        ranks = {**ranks, **layer}
-    return [(simplex(map(points.__getitem__, ids)), ids, r) for ids, r in ranks.items()]
+        diameter = {**diameter, **layer}
+    return [(simplex(map(points.__getitem__, ids)), ids, r) for ids, r in diameter.items()]
 
 
 def vietoris_rips(metric: MetricInput, d_max: int) -> FilteredComplex:
     """Simplices are the vertex subsets of size <= d_max + 1, graded by
     diameter; the simplices of one diameter share one grade."""
     simplices = _rips(metric, d_max)
-    grades = [Grade([r]) for r in metric._ranked[0]]
+    grades = [Grade([r]) for r in metric._placement.grid.axes[0]]
     grade = {s: grades[r] for s, _, r in simplices}
     return FilteredComplex._of(metric.points, frozenset(grade), grade, 1)
 
@@ -401,18 +395,18 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
     """Two-parameter degree-Rips. At (r, t) with t = -k, take the scale-r
     Rips complex restricted to vertices of r-neighborhood degree >= k. The
     second axis is negated so both axes increase; the output is generally
-    monic but not filtered. Scales are read by rank, so the degree table
-    counts ranks."""
+    monic but not filtered. Scales are read by grid index, so the degree
+    table counts indices."""
     simplices = _rips(metric, d_max)
     n = metric.n
     if n == 0:
         return _inclusions(Grid([[0], [0]]), {(0, 0): frozenset()})
-    scales, rank = metric._ranked
-    grid = Grid([scales, [-k for k in range(n - 1, -1, -1)]])
+    scales, at = metric._placement.grid.axes[0], metric._placement.at
+    grid = Grid([scales, range(1 - n, 1)])
     # degree[i][r]: the number of other points within scales[r] of point i,
-    # the running total of the points at each rank (the point itself at 0)
+    # the running total of the points at each index (the point itself at 0)
     degree = []
-    for row in rank:
+    for row in at:
         count = [0] * len(scales)
         for r in row:
             count[r] += 1
@@ -470,35 +464,26 @@ class SquareDiagram:
 def sq_gadget(diagram: SquareDiagram) -> PersistentObject:
     """Embed a commuting square into a two-parameter persistent complex:
     empty on negative coordinates, the square on [0,2)^2 via floors, and a
-    single point once some coordinate reaches 2."""
+    single point once some coordinate reaches 2. The grid has the points
+    -1, ..., 3 on each axis, so index i is the point i - 1."""
     diagram.check()
-    cat = COMPLEX
-    grid = Grid([[-1, 0, 1, 2, 3], [-1, 0, 1, 2, 3]])
+    grid = Grid([range(-1, 4)] * 2)
 
-    def value(r, s):
-        if r < 0 or s < 0:
-            return cat.initial()
-        if r < 2 and s < 2:
-            return diagram.corners[(int(r), int(s))]
+    def value(i, j):
+        if not (i and j):
+            return COMPLEX.initial()
+        if i < 3 and j < 3:
+            return diagram.corners[(i - 1, j - 1)]
         return POINT_COMPLEX
 
-    objects = {}
-    for idx in grid.indices():
-        r, s = grid.grade_at(idx).coords
-        objects[idx] = value(r, s)
-
-    def edge(r, s, axis):
-        r2, s2 = (r + 1, s) if axis == 0 else (r, s + 1)
-        src = value(r, s)
-        tgt = value(r2, s2)
-        if not src:
-            return {}
-        if tgt == POINT_COMPLEX:
-            return {v: POINT_VERTEX for v in complex_vertices(src)}
-        return diagram.maps[((int(r), int(s)), axis)]
-
+    objects = {idx: value(*idx) for idx in grid.indices()}
     edges = {}
-    for idx, a, _ in grid.edges():
-        r, s = grid.grade_at(idx).coords
-        edges[(idx, a)] = edge(r, s, a)
+    for idx, a, nxt in grid.edges():
+        src = objects[idx]
+        if not src:
+            edges[(idx, a)] = {}
+        elif objects[nxt] == POINT_COMPLEX:
+            edges[(idx, a)] = {v: POINT_VERTEX for v in complex_vertices(src)}
+        else:
+            edges[(idx, a)] = diagram.maps[((idx[0] - 1, idx[1] - 1), a)]
     return PersistentObject._of(grid, "Complex", objects, edges)

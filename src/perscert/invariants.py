@@ -351,7 +351,7 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
     matrix in filtration order, with no persistent object built.
 
     Simplices of each dimension are ordered by grade, then by
-    ``total_order``; grades are compared by their ranks. An n-simplex whose
+    ``total_order``; grades compare by grid index. An n-simplex whose
     boundary column reduces to zero is positive: it gives birth to a class.
     Each (n+1)-simplex tau whose column does not reduce to zero kills the
     positive n-simplex sigma at its pivot (the youngest face left), which is
@@ -360,7 +360,7 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
     require_valid(f)
     _require_one_parameter(f.m)
     _require_degree(n)
-    values, rank = f._ranked[0][0], f._ranked[1]
+    values, at = f._placement.grid.axes[0], f._placement.at
     faces, simplices, cofaces = (_filtration_order(f, d) for d in (n - 1, n, n + 1))
     cycles = Echelon()
     positive = {i for i, col in enumerate(_boundary_columns(faces, simplices))
@@ -373,16 +373,16 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
             boundaries.add(col)
             i = col.bit_length() - 1
             positive.discard(i)
-            birth, death = rank[simplices[i]][0], rank[tau][0]
+            birth, death = at[simplices[i]][0], at[tau][0]
             if birth < death:
                 bars.append(Bar(values[birth], values[death]))
-    bars.extend(Bar(values[rank[simplices[i]][0]], None) for i in positive)
+    bars.extend(Bar(values[at[simplices[i]][0]], None) for i in positive)
     return Barcode(bars)
 
 
 def _filtration_order(f: FilteredComplex, dim: int) -> list[tuple]:
     """The dim-simplices of a valid complex f by the first coordinate of
-    their grades, compared by rank, and then by ``total_order`` (the sort is
-    stable)."""
-    rank = f._ranked[1]
-    return sorted(_simplices_of_dim(f.simplices, dim), key=lambda s: rank[s][0])
+    their grades, compared by grid index, and then by ``total_order`` (the
+    sort is stable)."""
+    at = f._placement.at
+    return sorted(_simplices_of_dim(f.simplices, dim), key=lambda s: at[s][0])

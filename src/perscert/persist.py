@@ -38,29 +38,29 @@ from .errors import (
 from .grades import Grade, floor_int, rat, zero_grade
 
 
-def _scale(axis) -> tuple[int, tuple[int, ...]]:
-    """A sorted axis of ints or Fractions as (d, ints): its least common
-    denominator d and the integers v * d."""
-    d = math.lcm(*(v.denominator for v in axis))
-    return d, tuple(v.numerator * (d // v.denominator) for v in axis)
+def _scale(values) -> tuple[int, tuple[int, ...]]:
+    """Ints or Fractions, in any order, as (d, ints): their least common
+    denominator d and the integers v * d, in the same order."""
+    d = math.lcm(*[v.denominator for v in values])
+    return d, tuple([v.numerator * (d // v.denominator) for v in values])
 
 
 class Grid:
     """Product of m finite, strictly increasing rational axes. Each axis is
     held as (d, ints), its least common denominator d and the integers
-    v * d; merging, translating, locating and comparing grids work on those
-    integers, and ``axes`` gives the values as Fractions."""
+    v * d; placing values, merging, translating, locating and comparing
+    grids work on those integers, and ``axes`` gives the Fractions."""
 
     def __init__(self, axes):
         axes = tuple(tuple(rat(v) for v in axis) for axis in axes)
         if not axes:
             raise DimensionError("a grid needs at least one axis")
-        for axis in axes:
-            if not axis:
+        self._scaled = tuple(map(_scale, axes))
+        for _, ints in self._scaled:
+            if not ints:
                 raise ValidationError("grid axes must be nonempty")
-            if any(a >= b for a, b in zip(axis, axis[1:])):
+            if any(a >= b for a, b in zip(ints, ints[1:])):
                 raise ValidationError("grid axes must be strictly increasing")
-        self._scaled = tuple(_scale(axis) for axis in axes)
         self.axes = axes  # the Fraction view, at hand here
 
     @classmethod
@@ -71,6 +71,25 @@ class Grid:
         grid = object.__new__(cls)
         grid._scaled = scaled
         return grid
+
+    @classmethod
+    def placing(cls, columns) -> tuple["Grid", list]:
+        """The grid of the distinct values of each column (ints or Fractions
+        in any order; the columns of one length), and for each row k its
+        index on that grid, the index of the point (columns[0][k],
+        columns[1][k], ...). Indices compare as the values do. This is the
+        one place where exact values become grid indices."""
+        scaled, axes, places = [], [], []
+        for column in columns:
+            d, ints = _scale(column)
+            value = dict(zip(ints, column))  # each distinct value, by its integer
+            axis = sorted(value)
+            scaled.append((d, tuple(axis)))
+            axes.append(tuple([rat(value[v]) for v in axis]))
+            places.append(map({v: i for i, v in enumerate(axis)}.__getitem__, ints))
+        grid = cls._of(tuple(scaled))
+        grid.axes = tuple(axes)  # the Fraction view, at hand here
+        return grid, list(zip(*places))
 
     @functools.cached_property
     def axes(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -114,22 +133,15 @@ class Grid:
                     yield idx, a, idx[:a] + (idx[a] + 1,) + idx[a + 1:]
 
     def eval_index(self, r: Grade) -> Optional[tuple[int, ...]]:
-        """Index of the largest grid point <= r (coordinatewise, clamped
-        above); None when some coordinate falls below its axis minimum."""
-        if r.m != self.m:
-            raise DimensionError(f"grade arity {r.m} vs grid arity {self.m}")
-        idx = []
-        for (d, ints), c in zip(self._scaled, r.coords):
-            # v / d <= c exactly when the integer v <= floor(c * d)
-            i = bisect.bisect_right(ints, c.numerator * d // c.denominator) - 1
-            if i < 0:
-                return None
-            idx.append(i)
-        return tuple(idx)
+        """Index of the largest grid point <= r (None when r is below the
+        grid): ``locate`` of the one-point grid at the origin, shifted by r."""
+        origin = Grid._of(((1, (0,)),) * r.m)
+        return self.locate(origin, r)[(0,) * r.m]
 
     def locate(self, other: "Grid", shift: Grade) -> dict:
-        """Index of other -> index in this grid of that point plus shift (None
-        when below the grid, as in ``eval_index``), by one bisect per axis
+        """Index of other -> index in this grid of the largest grid point <=
+        that point plus shift (coordinatewise, clamped above; None when some
+        coordinate falls below its axis minimum), by one bisect per axis
         value on integers scaled to one common denominator per axis."""
         if other.m != self.m or shift.m != self.m:
             raise DimensionError(f"cannot locate arity {other.m} in arity {self.m}")
@@ -639,11 +651,11 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
 
 def _positions(grid: Grid, values: list) -> dict:
     """value -> index in grid (m = 1) of the largest point <= value (None
-    when below the grid, as in ``eval_index``), by one ``locate`` over the
-    distinct values."""
-    distinct = sorted(set(values))
-    table = grid.locate(Grid._of((_scale(distinct),)), zero_grade(1))
-    return {v: table[(k,)] for k, v in enumerate(distinct)}
+    when below the grid, as in ``eval_index``), by one ``locate`` of the
+    grid of the distinct values."""
+    points, rows = Grid.placing([values])
+    table = grid.locate(points, zero_grade(1))
+    return dict(zip(values, map(table.__getitem__, rows)))
 
 
 def _sample(x: PersistentObject, fn, lo: int, hi: int) -> PersistentObject:

@@ -4,6 +4,8 @@ possible with what it checks:
 
 - ``bfs_component_count``: components of a complex by breadth-first search,
   against union-find ``pi0``;
+- ``index_by_floor_bisect``: the grid index of a grade by one bisect per
+  coordinate, against ``Grid.locate`` and ``Grid.eval_index``;
 - ``barcode_by_ranks``: bars by rank inclusion-exclusion, against the
   elder-rule ``barcode``;
 - ``half_length``, ``match_cost`` and ``matching_cost``: the cost of a
@@ -15,7 +17,8 @@ possible with what it checks:
 - ``rips_by_diameters``, ``degree_rips_by_fractions``,
   ``validate_by_fractions`` and ``filtration_order_by_fractions``: the Rips
   builders, ``validate`` and the filtration order of ``filtration_barcode``
-  comparing ``Fraction`` values at every step, against the library's ranks;
+  comparing ``Fraction`` values at every step, against the library's grid
+  indices;
 - ``decode_cat_map_by_entries``, ``decode_object_by_keys``,
   ``decode_cert_by_values``, ``check_complex_by_simplices`` and
   ``audit_squares_by_composition``: documents read entry by entry, every key
@@ -24,6 +27,7 @@ possible with what it checks:
   shared simplex checks and inclusion squares.
 """
 
+import bisect
 import itertools
 import operator
 from collections import deque
@@ -67,6 +71,19 @@ def bfs_component_count(k: frozenset) -> int:
                     seen.add(w)
                     queue.append(w)
     return count
+
+
+def index_by_floor_bisect(grid: Grid, r: Grade) -> Optional[tuple[int, ...]]:
+    """The index of the largest point of grid <= r, None when some
+    coordinate of r falls below its axis: on each axis of integers v over d,
+    v / d <= c exactly when v <= floor(c * d), which one bisect finds."""
+    idx = []
+    for (d, ints), c in zip(grid._scaled, r.coords):
+        i = bisect.bisect_right(ints, c.numerator * d // c.denominator) - 1
+        if i < 0:
+            return None
+        idx.append(i)
+    return tuple(idx)
 
 
 def encode_metric(mi) -> dict:

@@ -347,7 +347,7 @@ def test_is_filtered_reads_relabeling_maps_at_the_top_corner():
         assert is_filtered(p) == reference_is_filtered(p)
 
 
-# -- ranks against Fractions --------------------------------------------------
+# -- grid indices against Fractions -------------------------------------------
 
 
 # mixed denominators, with ties and 0 off the diagonal

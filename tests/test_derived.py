@@ -13,6 +13,7 @@ import pytest
 from perscert import (
     DeltaMorphism,
     FilteredComplex,
+    Grid,
     MetricInput,
     PersistentObject,
     SquareDiagram,
@@ -52,9 +53,13 @@ from perscert.randgen import (
 
 
 def revalidated(x: PersistentObject) -> PersistentObject:
-    """x rebuilt by the validating constructor, which raises unless x is
-    valid; the rebuilt object equals x."""
-    y = PersistentObject(x.grid, x.category_name, x.objects, x.edge_maps, x.integer_indexed)
+    """x rebuilt by the validating constructors, which raise unless x is
+    valid; the rebuilt object equals x. Its grid, rebuilt from the Fraction
+    axes, equals it, so each axis of a builder's grid increases strictly
+    over its least common denominator."""
+    grid = Grid(x.grid.axes)
+    assert grid == x.grid
+    y = PersistentObject(grid, x.category_name, x.objects, x.edge_maps, x.integer_indexed)
     assert y == x
     return y
 

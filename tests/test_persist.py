@@ -64,7 +64,7 @@ from perscert.search import (_Frame, _least_certified, induces_interleaving_in_p
                              interleaving_candidates)
 from perscert.serialize import encode_cert
 
-from oracles import audit_squares_by_composition
+from oracles import audit_squares_by_composition, index_by_floor_bisect
 
 
 # -- commuting squares ---------------------------------------------------------
@@ -541,7 +541,9 @@ def test_locate_merge_and_translate_agree_with_plain_grids(case):
         p = b.grade_at(idx) + shift
         # the largest point <= p by a bisect over the Fraction axes
         below = tuple(bisect.bisect_right(axis, c) - 1 for axis, c in zip(a.axes, p.coords))
-        assert located[idx] == a.eval_index(p) == (None if -1 in below else below)
+        expected = None if -1 in below else below
+        assert located[idx] == index_by_floor_bisect(a, p) == expected
+        assert a.eval_index(p) == expected
     merged = a.merge(b)
     plain = Grid([sorted(set(u) | set(v)) for u, v in zip(a.axes, b.axes)])
     assert merged == plain and hash(merged) == hash(plain)
@@ -564,7 +566,35 @@ def test_positions_agree_with_eval_index(grid, data):
     values.sort()
     at = _positions(grid, values)
     for v in values:
-        assert at[v] == grid.eval_index(Grade([v]))
+        assert at[v] == index_by_floor_bisect(grid, Grade([v]))
+
+
+@st.composite
+def placing_columns(draw):
+    """1-3 Fraction columns of one length (1-8 rows), with ties, mixed
+    denominators and negative values."""
+    rows = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.lists(rationals, min_size=1, max_size=rows))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(placing_columns())
+@example([[Fraction(3, 4)]])  # a single value
+@example([[Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2)],
+          [Fraction(2), Fraction(0), Fraction(-5, 6)]])
+def test_placing_indexes_each_row_on_the_grid_of_distinct_values(columns):
+    grid, rows = Grid.placing(columns)
+    assert grid == Grid([sorted(set(c)) for c in columns])
+    assert len(rows) == len(columns[0])
+    for k, idx in enumerate(rows):
+        assert tuple(axis[i] for axis, i in zip(grid.axes, idx)) == tuple(c[k] for c in columns)
+    for a, column in enumerate(columns):
+        for (u, i), (v, j) in itertools.product(zip(column, (idx[a] for idx in rows)), repeat=2):
+            assert (i < j) == (u < v) and (i == j) == (u == v)
 
 
 # -- structure-map legs ----------------------------------------------------------
