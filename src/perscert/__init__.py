@@ -52,7 +52,6 @@ from .persist import (
 from .complexes import (
     FilteredComplex,
     MetricInput,
-    SquareDiagram,
     degree_rips,
     function_rips,
     is_filtered,

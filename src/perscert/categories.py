@@ -11,6 +11,11 @@ Representations:
   F2Vec   -- object: nonnegative int (dimension); map: GF2Matrix (tgt x src)
   Complex -- object: frozenset of simplices (sorted vertex tuples);
              map: dict on vertices inducing a simplicial map
+
+A simplicial map is a FinSet map on vertices, so ``ComplexCategory``
+subclasses ``FinSetCategory`` and states only what differs: its objects, the
+image of a simplex, which vertex maps are simplicial and injective, and that
+it has no fiber products.
 """
 
 from __future__ import annotations
@@ -164,7 +169,12 @@ class F2VecCategory:
         return a_obj, proj_x, proj_b, pair
 
 
-class ComplexCategory:
+class ComplexCategory(FinSetCategory):
+    """A simplicial map is a FinSet map on vertices that sends simplices to
+    simplices. So the initial object, the initial map and composition are
+    FinSet's, and identity, enumeration and the map count are FinSet's on
+    the vertex sets, enumeration keeping the simplicial maps."""
+
     name = "Complex"
 
     def check_object(self, obj, faces: dict | None = None):
@@ -195,14 +205,8 @@ class ComplexCategory:
                 if face and face not in obj:
                     raise CategoryError(f"face {face!r} of {sigma!r} missing: not closed")
 
-    def initial(self):
-        return frozenset()
-
     def identity(self, obj):
-        return {v: v for v in complex_vertices(obj)}
-
-    def initial_map(self, tgt):
-        return {}
+        return super().identity(complex_vertices(obj))
 
     def apply_simplex(self, f, sigma):
         return tuple(total_order({f[v] for v in sigma}))
@@ -214,27 +218,13 @@ class ComplexCategory:
             return src <= tgt
         return all(self.apply_simplex(f, sigma) in tgt for sigma in src)
 
-    def compose(self, g, f):
-        return {v: g[w] for v, w in f.items()}
-
     def enumerate_maps(self, src, tgt):
-        src_verts = total_order(complex_vertices(src))
-        if not src_verts:
-            yield {}
-            return
-        tgt_verts = total_order(complex_vertices(tgt))
-        if not tgt_verts:
-            return
-        for values in product(tgt_verts, repeat=len(src_verts)):
-            f = dict(zip(src_verts, values))
+        for f in super().enumerate_maps(complex_vertices(src), complex_vertices(tgt)):
             if self.is_map(f, src, tgt):
                 yield f
 
     def count_maps(self, src, tgt) -> int:
-        nv = len(complex_vertices(src))
-        if nv == 0:
-            return 1
-        return len(complex_vertices(tgt)) ** nv
+        return super().count_maps(complex_vertices(src), complex_vertices(tgt))
 
     def is_injective(self, f, src) -> bool:
         if _is_inclusion(f):

@@ -20,8 +20,8 @@ import click
 
 from . import serialize as ser
 from .complexes import (
+    SQUARE_GRID,
     FilteredComplex,
-    SquareDiagram,
     degree_rips,
     function_rips,
     is_filtered,
@@ -35,7 +35,7 @@ from .distances import bottleneck, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
 from .grades import rat_to_str
 from .invariants import barcode, filtration_barcode, homology, pi0
-from .persist import check_interleaving, floor_roundtrip_cert
+from .persist import PersistentObject, check_interleaving, floor_roundtrip_cert
 from .rectify import zigzag
 from .search import DEFAULT_BUDGET, interleaving_distance_search
 
@@ -414,7 +414,9 @@ def stability_audit_cmd(cert_path, dim, output):
 @_reports
 def sq_gadget_cmd(square_path, output):
     """Embed a commuting square of complexes into a two-parameter persistent
-    complex (empty on negative grades, collapsing to a point at 2)."""
+    complex (empty on negative grades, collapsing to a point at 2). The
+    square is validated as a persistent complex on the grid {0,1}^2, so a
+    corner or map keyed outside it is refused."""
     data = _load(square_path)
     if not (isinstance(data, dict) and isinstance(data.get("corners"), dict)
             and isinstance(data.get("maps"), dict)):
@@ -427,7 +429,8 @@ def sq_gadget_cmd(square_path, output):
         ser.decode_edge_key(key): ser.decode_cat_map("Complex", table)
         for key, table in data["maps"].items()
     }
-    _emit(ser.encode_object(sq_gadget(SquareDiagram(corners, maps))), output)
+    square = PersistentObject(SQUARE_GRID, "Complex", corners, maps)
+    _emit(ser.encode_object(sq_gadget(square)), output)
 
 
 if __name__ == "__main__":

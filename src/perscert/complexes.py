@@ -1,6 +1,9 @@
 """Filtered simplicial complexes with R^m entrance grades, the filtered /
 cofibrant characterization, and the example filtrations: Vietoris-Rips,
-function-Rips bifiltrations, degree-Rips, and the two-parameter square gadget.
+function-Rips bifiltrations, degree-Rips, and the two-parameter square
+gadget. A commuting square of complexes is a persistent complex on the grid
+{0,1}^2 (``SQUARE_GRID``), which the gadget takes, so the square is
+validated as every persistent object is.
 
 A total order on the vertices is fixed by each complex, so a complex here
 stands in for the simplicial set it generates; degenerate simplices carry no
@@ -195,7 +198,7 @@ def _inclusions(grid: Grid, objects: dict) -> PersistentObject:
     for idx, a, _ in grid.edges():
         obj = objects[idx]
         if obj not in identities:
-            identities[obj] = {v: v for v in complex_vertices(obj)}
+            identities[obj] = COMPLEX.identity(obj)
         edges[(idx, a)] = identities[obj]
     return PersistentObject._of(grid, "Complex", objects, edges)
 
@@ -430,60 +433,33 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
 
 POINT_VERTEX = "*"
 POINT_COMPLEX = frozenset({(POINT_VERTEX,)})
+SQUARE_GRID = Grid([[0, 1], [0, 1]])
 
 
-@dataclass(frozen=True)
-class SquareDiagram:
-    """A commuting square of complexes: corners indexed by (0,0), (1,0),
-    (0,1), (1,1) with maps along the two edges out of each lower corner."""
-
-    corners: dict   # (i,j) -> complex object
-    maps: dict      # ((i,j), axis) -> vertex map
-
-    def check(self) -> None:
-        cat = COMPLEX
-        for key in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            if key not in self.corners:
-                raise ValidationError(f"square diagram missing corner {key}")
-            cat.check_object(self.corners[key])
-        for (src, axis), tgt in (
-            (((0, 0), 0), (1, 0)),
-            (((0, 0), 1), (0, 1)),
-            (((1, 0), 1), (1, 1)),
-            (((0, 1), 0), (1, 1)),
-        ):
-            f = self.maps.get((src, axis))
-            if f is None or not cat.is_map(f, self.corners[src], self.corners[tgt]):
-                raise ValidationError(f"square diagram missing or invalid map at {(src, axis)}")
-        upper = cat.compose(self.maps[((1, 0), 1)], self.maps[((0, 0), 0)])
-        lower = cat.compose(self.maps[((0, 1), 0)], self.maps[((0, 0), 1)])
-        if upper != lower:
-            raise ValidationError("square does not commute")
-
-
-def sq_gadget(diagram: SquareDiagram) -> PersistentObject:
-    """Embed a commuting square into a two-parameter persistent complex:
-    empty on negative coordinates, the square on [0,2)^2 via floors, and a
-    single point once some coordinate reaches 2. The grid has the points
-    -1, ..., 3 on each axis, so index i is the point i - 1."""
-    diagram.check()
+def sq_gadget(square: PersistentObject) -> PersistentObject:
+    """Embed a commuting square of complexes, a persistent complex on the
+    grid {0,1}^2, into a two-parameter persistent complex: empty on negative
+    coordinates, the square on [0,2)^2 via floors, and a single point once
+    some coordinate reaches 2. The grid has the points -1, ..., 3 on each
+    axis, so index i is the point i - 1."""
+    if square.category_name != "Complex" or square.grid != SQUARE_GRID:
+        raise ValidationError("sq_gadget expects a persistent complex on the grid {0,1}^2")
     grid = Grid([range(-1, 4)] * 2)
 
     def value(i, j):
         if not (i and j):
             return COMPLEX.initial()
         if i < 3 and j < 3:
-            return diagram.corners[(i - 1, j - 1)]
+            return square.objects[(i - 1, j - 1)]
         return POINT_COMPLEX
 
     objects = {idx: value(*idx) for idx in grid.indices()}
     edges = {}
     for idx, a, nxt in grid.edges():
-        src = objects[idx]
-        if not src:
+        if not all(idx):  # out of the empty complex
             edges[(idx, a)] = {}
-        elif objects[nxt] == POINT_COMPLEX:
-            edges[(idx, a)] = {v: POINT_VERTEX for v in complex_vertices(src)}
-        else:
-            edges[(idx, a)] = diagram.maps[((idx[0] - 1, idx[1] - 1), a)]
+        elif max(nxt) < 3:  # inside the square
+            edges[(idx, a)] = square.edge_maps[((idx[0] - 1, idx[1] - 1), a)]
+        else:  # onto the point
+            edges[(idx, a)] = {v: POINT_VERTEX for v in complex_vertices(objects[idx])}
     return PersistentObject._of(grid, "Complex", objects, edges)

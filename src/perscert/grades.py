@@ -59,12 +59,6 @@ class Grade:
         self._check_arity(other)
         return all(a <= b for a, b in zip(self.coords, other.coords))
 
-    def __le__(self, other: "Grade") -> bool:
-        return self.leq(other)
-
-    def __ge__(self, other: "Grade") -> bool:
-        return other.leq(self)
-
     def __add__(self, other: "Grade") -> "Grade":
         self._check_arity(other)
         return Grade(a + b for a, b in zip(self.coords, other.coords))

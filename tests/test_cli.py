@@ -2,6 +2,7 @@
 (0 ok, 1 property violated, 2 schema error, 3 budget exceeded)."""
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -10,12 +11,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perscert import cli
 from perscert import serialize as ser
 from perscert.cli import _dumps, main
 from perscert.complexes import FilteredComplex, MetricInput, function_rips, vietoris_rips
 from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
-from perscert.persist import integer_object, self_interleaving
+from perscert.persist import InterleavingReport, integer_object, self_interleaving
 from perscert.randgen import (
     interleaved_pair,
     rand_finset_object,
@@ -23,6 +25,7 @@ from perscert.randgen import (
     rand_filtered_complex,
     rand_metric,
     rand_persistent_complex,
+    rand_real_object,
 )
 
 COLLINEAR = {
@@ -217,8 +220,6 @@ def test_rectify_emits_the_composite_with_shifts_2_2(runner, tmp_path):
 
 
 def test_roundtrip_floor_command(runner, tmp_path):
-    from perscert.randgen import rand_real_object
-
     x = rand_real_object(random.Random(4), "FinSet")
     p = write(tmp_path, "x.json", ser.encode_object(x))
     r = invoke(runner, ["roundtrip-floor", p])
@@ -235,6 +236,31 @@ def test_stability_audit_command(runner, tmp_path):
     assert r.exit_code == 0
     out = json.loads(r.output)
     assert out["ok"] is True and out["module_certificate_valid"] is True
+
+
+def _interleaved_cert(seed, build):
+    rng = random.Random(seed)
+    return ser.encode_cert(interleaved_pair(rng, build(rng), 1)[1])
+
+
+@pytest.mark.parametrize("command, doc, fmt", [
+    ("rectify", _interleaved_cert(3, rand_finset_object), ser.FORMAT_ZIGZAG),
+    ("roundtrip-floor", ser.encode_object(rand_real_object(random.Random(4), "FinSet")),
+     ser.FORMAT_CERT),
+    ("stability-audit", _interleaved_cert(5, rand_persistent_complex), ser.FORMAT_REPORT),
+])
+def test_failed_replay_writes_the_document_then_exits_1(
+        runner, tmp_path, monkeypatch, command, doc, fmt):
+    """Each command replays what it built after writing it; here the replay
+    (the certificate check, or the stability inequality) is made to fail."""
+    audit = cli.stability_audit
+    monkeypatch.setattr(cli, "check_interleaving",
+                        lambda cert: InterleavingReport(False, "refused"))
+    monkeypatch.setattr(cli, "stability_audit",
+                        lambda cert, n: dataclasses.replace(audit(cert, n), holds=False))
+    r = invoke(runner, [command, write(tmp_path, "doc.json", doc)])
+    assert r.exit_code == 1
+    assert json.loads(r.output)["format"] == fmt
 
 
 def test_bottleneck_command(runner, tmp_path):
@@ -274,17 +300,47 @@ def test_skeleton_command(runner, tmp_path):
     assert all(len(s["v"]) <= 2 for s in out["simplices"])
 
 
+def square_document(vertices=("*",), corners=(), maps=()):
+    """An sq-gadget document: the square of four copies of the discrete
+    complex on vertices with identity maps, with the given corners and maps
+    put in (or dropped, where given None)."""
+    corner = [[v] for v in vertices]
+    ident = [[v, v] for v in vertices]
+    doc = {"corners": dict.fromkeys(["0,0", "1,0", "0,1", "1,1"], corner),
+           "maps": dict.fromkeys(["0,0|0", "0,0|1", "1,0|1", "0,1|0"], ident)}
+    for part, change in (("corners", dict(corners)), ("maps", dict(maps))):
+        for key, value in change.items():
+            if value is None:
+                del doc[part][key]
+            else:
+                doc[part][key] = value
+    return doc
+
+
 def test_sq_gadget_command(runner, tmp_path):
-    point = [["*"]]
-    ident = [["*", "*"]]
-    square = {
-        "corners": {"0,0": point, "1,0": point, "0,1": point, "1,1": point},
-        "maps": {"0,0|0": ident, "0,0|1": ident, "1,0|1": ident, "0,1|0": ident},
-    }
-    p = write(tmp_path, "square.json", square)
+    p = write(tmp_path, "square.json", square_document())
     r = invoke(runner, ["sq-gadget", p])
     assert r.exit_code == 0
     assert json.loads(r.output)["m"] == 2
+
+
+@pytest.mark.parametrize("doc, message", [
+    (square_document(corners={"2,0": [["*"]]}), "keys outside the grid"),
+    (square_document(maps={"1,1|0": [["*", "zz"]]}), "keys outside the grid"),
+    (square_document(corners={"1,1": None}), "missing object at grid index (1, 1)"),
+    (square_document(maps={"0,0|0": [["*", "zz"]]}),
+     "edge map at ((0, 0), 0) is not a valid map"),
+    (square_document(corners={"0,0": []}), "edge map at ((0, 0), 0) is not a valid map"),
+    (square_document(("a", "b"), maps={"0,0|0": [["a", "b"], ["b", "a"]]}),
+     "non-commuting square at (0, 0), axes (0,1)"),
+], ids=["stray-corner", "stray-map", "missing-corner", "map-off-target",
+        "map-out-of-empty-corner", "non-commuting"])
+def test_square_is_validated_as_a_persistent_complex(runner, tmp_path, doc, message):
+    r = invoke(runner, ["sq-gadget", write(tmp_path, "square.json", doc)])
+    assert r.exit_code == 1
+    report = json.loads(r.output)
+    assert report["ok"] is False and report["error"] == "property"
+    assert message in report["message"]
 
 
 def f2vec_object(edge_map):
@@ -417,12 +473,19 @@ IDENTITY_2 = {"rows": [[1, 0], [0, 1]], "shape": [2, 2]}
     ("interleave-check", without(self_cert_document(), "g_components")),
     ("rips", {**COLLINEAR, "points": 3}),
     ("rips", {**COLLINEAR, "matrix": 5}),
+    ("rips", {**COLLINEAR, "points": [0, 1], "matrix": [["0", "1/0"], ["1/0", "0"]]}),
+    ("rips", {**COLLINEAR, "points": [0, 1],
+              "matrix": [["0", "1" * 5000], ["1" * 5000, "0"]]}),
     ("validate", {"format": ser.FORMAT_COMPLEX, "vertices": 5, "simplices": []}),
     ("bottleneck", {"format": ser.FORMAT_BARCODE, "intervals": 5}),
+    ("sq-gadget", without(square_document(), "corners")),
+    ("sq-gadget", without(square_document(), "maps")),
+    ("sq-gadget", []),
 ], ids=["objects-not-an-object", "edge-maps-not-an-object", "axis-a-string",
         "cert-without-epsilon", "cert-without-delta", "cert-without-f", "cert-without-g",
-        "points-not-a-list", "matrix-not-a-list", "vertices-not-a-list",
-        "intervals-not-a-list"])
+        "points-not-a-list", "matrix-not-a-list", "rational-over-0",
+        "numerator-of-5000-digits", "vertices-not-a-list", "intervals-not-a-list",
+        "square-without-corners", "square-without-maps", "square-not-an-object"])
 def test_hostile_document_is_a_schema_error(runner, tmp_path, command, doc):
     p = write(tmp_path, "doc.json", doc)
     args = [command, p, p] if command == "bottleneck" else [command, p]

@@ -12,7 +12,6 @@ from perscert import (
     FilteredComplex,
     Grade,
     MetricInput,
-    SquareDiagram,
     ValidationError,
     barcode,
     degree_rips,
@@ -30,8 +29,8 @@ from perscert import (
     vietoris_rips,
 )
 from perscert.categories import COMPLEX, complex_vertices, simplex, total_order
-from perscert.complexes import FilteredCheck, ValidationReport
-from perscert.persist import Grid, PersistentObject, restrict_to_Z
+from perscert.complexes import SQUARE_GRID, FilteredCheck, ValidationReport
+from perscert.persist import Grid, PersistentObject, constant_object, restrict_to_Z
 from perscert.randgen import rand_filtered_complex, rand_metric, rand_persistent_complex
 
 from oracles import (
@@ -168,7 +167,7 @@ def two_corner_square():
         ((1, 0), 1): ident,
         ((0, 1), 0): ident,
     }
-    return SquareDiagram(corners, maps)
+    return PersistentObject(SQUARE_GRID, "Complex", corners, maps)
 
 
 def test_sq_gadget_boundary_semantics():
@@ -189,10 +188,23 @@ def test_sq_gadget_boundary_semantics():
 
 
 def test_sq_gadget_rejects_non_commuting_squares():
+    """A square is a persistent complex on {0,1}^2, so its constructor
+    refuses one that does not commute before the gadget sees it."""
     sq = two_corner_square()
-    broken = SquareDiagram(sq.corners, {**sq.maps, ((0, 0), 0): {"a": "b", "b": "a"}})
-    with pytest.raises(ValidationError):
-        sq_gadget(broken)
+    with pytest.raises(ValidationError, match="non-commuting square"):
+        PersistentObject(SQUARE_GRID, "Complex", sq.objects,
+                         {**sq.edge_maps, ((0, 0), 0): {"a": "b", "b": "a"}})
+
+
+def test_sq_gadget_takes_only_squares_of_complexes():
+    sq = two_corner_square()
+    finset = constant_object("FinSet", frozenset({"a"}), SQUARE_GRID)
+    line = constant_object("Complex", sq.objects[(0, 0)], Grid([[0, 1]]))
+    # the same corners and maps on another grid of four points
+    stretched = PersistentObject(Grid([[0, 1], [0, 2]]), "Complex", sq.objects, sq.edge_maps)
+    for other in (finset, line, stretched):
+        with pytest.raises(ValidationError, match=r"grid \{0,1\}\^2"):
+            sq_gadget(other)
 
 
 def test_metric_input_requires_symmetry_and_zero_diagonal():

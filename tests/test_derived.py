@@ -16,7 +16,6 @@ from perscert import (
     Grid,
     MetricInput,
     PersistentObject,
-    SquareDiagram,
     check_interleaving,
     degree_rips,
     even_odd_restrict,
@@ -38,6 +37,7 @@ from perscert import (
     zigzag,
 )
 from perscert import serialize as ser
+from perscert.complexes import SQUARE_GRID
 from perscert.invariants import linearize
 from perscert.randgen import (
     interleaved_pair,
@@ -134,7 +134,8 @@ def test_empty_complexes_are_valid():
 def test_sq_gadget_of_a_commuting_square_is_valid():
     edge = frozenset({("a",), ("b",), ("a", "b")})
     point = frozenset({("c",)})
-    square = SquareDiagram(
+    square = PersistentObject(
+        SQUARE_GRID, "Complex",
         {(0, 0): frozenset({("a",), ("b",)}), (1, 0): edge, (0, 1): point, (1, 1): point},
         {((0, 0), 0): {"a": "a", "b": "b"}, ((0, 0), 1): {"a": "c", "b": "c"},
          ((1, 0), 1): {"a": "c", "b": "c"}, ((0, 1), 0): {"c": "c"}},

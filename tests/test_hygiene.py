@@ -1,8 +1,8 @@
 """Dead code and the import layering of the package, found with the standard
 library's ``ast``: an import that its module never uses, a private
-module-level function or class that no package module refers to, a cycle
-among the package's modules, and a library module that imports the
-searches."""
+module-level function or class that no package module refers to, an export
+of the package that nothing refers to, a cycle among the package's modules,
+and a library module that imports the searches."""
 
 import ast
 import graphlib
@@ -78,6 +78,18 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private definitions nothing refers to: {orphans}"
+
+
+def test_every_export_is_used():
+    """Each name the package exports is referenced by a package module (its
+    own, or another), a test or a script; the export itself does not count."""
+    tests = Path(__file__).resolve().parent
+    users = [tree for name, tree in TREES.items() if name != "__init__.py"]
+    users += [ast.parse(path.read_text(), str(path))
+              for path in [*tests.glob("*.py"), *tests.parent.glob("scripts/*.py")]]
+    referenced = set().union(*map(referenced_names, users))
+    unused = sorted(set(imported_names(TREES["__init__.py"])).difference(referenced))
+    assert not unused, f"exports nothing refers to: {unused}"
 
 
 def package_imports(tree: ast.Module) -> set:
