@@ -211,8 +211,17 @@ class ComplexCategory(FinSetCategory):
     def apply_simplex(self, f, sigma):
         return tuple(total_order({f[v] for v in sigma}))
 
-    def is_map(self, f, src, tgt) -> bool:
-        if f.keys() != complex_vertices(src):
+    def is_map(self, f, src, tgt, vertices: dict | None = None) -> bool:
+        """``vertices`` (object -> its vertex set) carries the vertex sets
+        already built, so that a caller checking many maps builds each
+        distinct source's once."""
+        if vertices is None:
+            keys = complex_vertices(src)
+        else:
+            keys = vertices.get(src)
+            if keys is None:
+                keys = vertices[src] = complex_vertices(src)
+        if f.keys() != keys:
             return False
         if _is_inclusion(f):
             return src <= tgt

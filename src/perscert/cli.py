@@ -7,16 +7,19 @@ several keys (the shared lists of a persistent object) is encoded once.
 
 Exit codes: 0 ok, 1 property violated, 2 schema error (an input that cannot
 be read, or an ``-o`` path that cannot be written, is one), 3 budget exceeded.
+A usage error (unknown subcommand or option, missing argument, an option
+value that is not an integer, an abbreviated option) exits 2 too, with the
+usage text on stderr and nothing on stdout. ``perscert --help`` lists the
+subcommands, and ``perscert COMMAND --help`` documents each.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-
-import click
 
 from . import serialize as ser
 from .complexes import (
@@ -163,29 +166,82 @@ def _load_persistent_complex(path: str):
     return to_persistent(doc) if isinstance(doc, FilteredComplex) else doc
 
 
-@click.group()
-def main() -> None:
-    """Exact persistence toolkit: filtration builders, interleaving
-    certificates, invariants, and barcode distances."""
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option and whose one help option
+    is ``--help``; the subcommands' parsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
 
-@main.command()
-@click.argument("metric", type=str)
-@click.option("--dmax", type=int, default=2, show_default=True,
-              help="Maximum simplex dimension.")
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+_PARSER = _Parser(prog="perscert", description="Exact persistence toolkit: filtration "
+                 "builders, interleaving certificates, invariants, and barcode distances.")
+_COMMANDS = _PARSER.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _arg(*flags, show_default: bool = False, **options) -> tuple:
+    """The flags and ArgumentParser.add_argument options of one argument;
+    show_default appends the default to its help."""
+    if show_default:
+        options["help"] = options.get("help", "") + " [default: %(default)s]"
+    return flags, options
+
+
+_DMAX = _arg("--dmax", type=int, default=2, show_default=True,
+             help="Maximum simplex dimension.")
+_DIM = _arg("--dim", type=int, default=0, show_default=True, help="Homology degree n.")
+_OUTPUT = _arg("-o", "--output", help="Write the document to this file (- is stdout).")
+
+
+def _command(name: str, *arguments):
+    """Register the decorated function as the subcommand name, taking the
+    arguments (each from _arg, its dest a parameter of the function) and run
+    through _reports. The function's docstring is the subcommand's help."""
+    def register(command):
+        doc = " ".join((command.__doc__ or "").split())  # None under -OO
+        first, stop, _ = doc.partition(". ")
+        sub = _COMMANDS.add_parser(name, help=first + stop.strip(), description=doc)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(run=_reports(command))
+        return command
+    return register
+
+
+class _Main:
+    """The entry point. ``main()`` (the ``perscert`` console script) parses
+    sys.argv; ``main.main(args=[...])`` parses args. prog_name and
+    standalone_mode are taken for the call form of click's ``Command.main``,
+    which test runners use, and change nothing. A subcommand that ends with
+    exit code 0 returns, and any other exit raises SystemExit: 2 for a usage
+    error, whose usage text goes to stderr and nothing to stdout."""
+
+    name = "perscert"
+
+    def main(self, args=None, prog_name=None, standalone_mode=None) -> None:
+        try:
+            parsed = vars(_PARSER.parse_args(args))
+        except SystemExit as exc:
+            if exc.code:
+                raise
+            return  # --help
+        parsed.pop("run")(**parsed)
+
+    __call__ = main
+
+
+main = _Main()
+
+
+@_command("rips", _arg("metric"), _DMAX, _OUTPUT)
 def rips(metric, dmax, output):
     """Vietoris-Rips filtered complex from a dissimilarity matrix."""
     mi = ser.decode_metric(_load(metric))
     _emit(ser.encode_filtered_complex(vietoris_rips(mi, dmax)), output)
 
 
-@main.command()
-@click.argument("metric", type=str)
-@click.option("--dmax", type=int, default=2, show_default=True)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("frips", _arg("metric"), _DMAX, _OUTPUT)
 def frips(metric, dmax, output):
     """Bifiltration by (diameter, max vertex value); the metric document
     must carry a "values" array."""
@@ -193,11 +249,7 @@ def frips(metric, dmax, output):
     _emit(ser.encode_filtered_complex(function_rips(mi, dmax)), output)
 
 
-@main.command("degree-rips")
-@click.argument("metric", type=str)
-@click.option("--dmax", type=int, default=2, show_default=True)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("degree-rips", _arg("metric"), _DMAX, _OUTPUT)
 def degree_rips_cmd(metric, dmax, output):
     """Two-parameter degree-Rips persistent complex (second axis is the
     negated degree threshold)."""
@@ -205,9 +257,7 @@ def degree_rips_cmd(metric, dmax, output):
     _emit(ser.encode_object(degree_rips(mi, dmax)), output)
 
 
-@main.command("validate")
-@click.argument("complex_path", type=str)
-@_reports
+@_command("validate", _arg("complex_path"))
 def validate_cmd(complex_path):
     """Check face closure and grade monotonicity of a filtered complex."""
     fc = ser.decode_filtered_complex(_load(complex_path))
@@ -220,9 +270,7 @@ def validate_cmd(complex_path):
         sys.exit(EXIT_PROPERTY)
 
 
-@main.command("is-filtered")
-@click.argument("object_path", type=str)
-@_reports
+@_command("is-filtered", _arg("object_path"))
 def is_filtered_cmd(object_path):
     """Decide whether a persistent complex is a sublevel filtration: all
     structure maps monomorphisms and every appearance set has a minimum."""
@@ -243,45 +291,31 @@ def is_filtered_cmd(object_path):
         sys.exit(EXIT_PROPERTY)
 
 
-@main.command("skeleton")
-@click.argument("complex_path", type=str)
-@click.option("-n", "--dim", "n", type=int, required=True,
-              help="Truncate to simplices of dimension <= n.")
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("skeleton", _arg("complex_path"),
+          _arg("-n", "--dim", dest="n", type=int, required=True,
+               help="Truncate to simplices of dimension <= n."), _OUTPUT)
 def skeleton_cmd(complex_path, n, output):
     """n-skeleton of a filtered complex."""
     fc = ser.decode_filtered_complex(_load(complex_path))
     _emit(ser.encode_filtered_complex(skeleton(fc, n)), output)
 
 
-@main.command("pi0")
-@click.argument("object_path", type=str)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("pi0", _arg("object_path"), _OUTPUT)
 def pi0_cmd(object_path, output):
     """Persistent set of connected components of a persistent complex."""
     _emit(ser.encode_object(pi0(_load_persistent_complex(object_path))), output)
 
 
-@main.command("homology")
-@click.argument("object_path", type=str)
-@click.option("--dim", type=int, default=0, show_default=True,
-              help="Homology degree n.")
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("homology", _arg("object_path"), _DIM, _OUTPUT)
 def homology_cmd(object_path, dim, output):
     """Degree-n persistent GF(2) homology of a 1-parameter complex."""
     _emit(ser.encode_object(homology(_load_persistent_complex(object_path), dim)),
           output)
 
 
-@main.command("barcode")
-@click.argument("input_path", type=str)
-@click.option("--dim", type=int, default=0, show_default=True,
-              help="Homology degree when the input is a complex.")
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("barcode", _arg("input_path"),
+          _arg("--dim", type=int, default=0, show_default=True,
+               help="Homology degree when the input is a complex."), _OUTPUT)
 def barcode_cmd(input_path, dim, output):
     """Barcode of a persistence module, or of the degree-dim homology of a
     complex. A filtered complex is reduced in filtration order, without
@@ -295,11 +329,7 @@ def barcode_cmd(input_path, dim, output):
     _emit(ser.encode_barcode(bars), output)
 
 
-@main.command("bottleneck")
-@click.argument("barcode1", type=str)
-@click.argument("barcode2", type=str)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("bottleneck", _arg("barcode1"), _arg("barcode2"), _OUTPUT)
 def bottleneck_cmd(barcode1, barcode2, output):
     """Exact bottleneck distance with an optimal matching."""
     b1 = ser.decode_barcode(_load(barcode1))
@@ -308,9 +338,7 @@ def bottleneck_cmd(barcode1, barcode2, output):
     _emit(ser.encode_matching(matching, d), output)
 
 
-@main.command("interleave-check")
-@click.argument("cert_path", type=str)
-@_reports
+@_command("interleave-check", _arg("cert_path"))
 def interleave_check_cmd(cert_path):
     """Verify an interleaving certificate (naturality of both legs plus both
     triangle identities)."""
@@ -324,13 +352,9 @@ def interleave_check_cmd(cert_path):
         sys.exit(EXIT_PROPERTY)
 
 
-@main.command("interleave-dist")
-@click.argument("x_path", type=str)
-@click.argument("y_path", type=str)
-@click.option("--max-enum", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="Budget on enumerated component maps.")
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("interleave-dist", _arg("x_path"), _arg("y_path"),
+          _arg("--max-enum", type=int, default=DEFAULT_BUDGET, show_default=True,
+               help="Budget on enumerated component maps."), _OUTPUT)
 def interleave_dist_cmd(x_path, y_path, max_enum, output):
     """Least candidate delta admitting a certified delta-interleaving
     (a certified upper bound on the interleaving distance; m = 1,
@@ -352,12 +376,9 @@ def interleave_dist_cmd(x_path, y_path, max_enum, output):
     _emit(out, output)
 
 
-@main.command("rectify")
-@click.argument("cert_path", type=str)
-@click.option("--block", "m", type=int, default=1, show_default=True,
-              help="Block size m of the input m-interleaving.")
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("rectify", _arg("cert_path"),
+          _arg("--block", dest="m", type=int, default=1, show_default=True,
+               help="Block size m of the input m-interleaving."), _OUTPUT)
 def rectify_cmd(cert_path, m, output):
     """Zig-zag rectification of an m-interleaving of Z-indexed objects; emits
     the diagonal object, equality witnesses, piece certificates, and the
@@ -370,10 +391,7 @@ def rectify_cmd(cert_path, m, output):
         sys.exit(EXIT_PROPERTY)
 
 
-@main.command("roundtrip-floor")
-@click.argument("object_path", type=str)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("roundtrip-floor", _arg("object_path"), _OUTPUT)
 def roundtrip_floor_cmd(object_path, output):
     """Certificate that a 1-parameter object is 1-interleaved with the
     floor-extension of its integer restriction."""
@@ -384,11 +402,7 @@ def roundtrip_floor_cmd(object_path, output):
         sys.exit(EXIT_PROPERTY)
 
 
-@main.command("stability-audit")
-@click.argument("cert_path", type=str)
-@click.option("--dim", type=int, default=0, show_default=True)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("stability-audit", _arg("cert_path"), _DIM, _OUTPUT)
 def stability_audit_cmd(cert_path, dim, output):
     """Push a complex-level interleaving through degree-dim homology and
     check the stability inequality d_B <= max(eps, delta) on the barcodes."""
@@ -408,10 +422,7 @@ def stability_audit_cmd(cert_path, dim, output):
         sys.exit(EXIT_PROPERTY)
 
 
-@main.command("sq-gadget")
-@click.argument("square_path", type=str)
-@click.option("-o", "--output", type=str, default=None)
-@_reports
+@_command("sq-gadget", _arg("square_path"), _OUTPUT)
 def sq_gadget_cmd(square_path, output):
     """Embed a commuting square of complexes into a two-parameter persistent
     complex (empty on negative grades, collapsing to a point at 2). The

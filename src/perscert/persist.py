@@ -232,9 +232,10 @@ class PersistentObject:
         if stray:
             raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
         checked = set()  # each distinct object value is checked once
-        check = cat.check_object
-        if self.category_name == "Complex":  # and each distinct simplex once
+        check, is_map = cat.check_object, cat.is_map
+        if self.category_name == "Complex":  # and each distinct simplex and vertex set once
             check = functools.partial(check, faces={})
+            is_map = functools.partial(is_map, vertices={})
         for idx in self.grid.indices():
             if idx not in self.objects:
                 raise ValidationError(f"missing object at grid index {idx}")
@@ -251,7 +252,7 @@ class PersistentObject:
             if key not in self.edge_maps:
                 raise ValidationError(f"missing edge map at {key}")
             f = self.edge_maps[key]
-            if not cat.is_map(f, self.objects[idx], self.objects[nxt]):
+            if not is_map(f, self.objects[idx], self.objects[nxt]):
                 raise ValidationError(f"edge map at {key} is not a valid map")
         if self.grid.m >= 2:
             self._audit_squares()

@@ -4,7 +4,11 @@
 import copy
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -19,6 +23,7 @@ from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
 from perscert.persist import InterleavingReport, integer_object, self_interleaving
 from perscert.randgen import (
+    corrupt_certificate,
     interleaved_pair,
     rand_finset_object,
     rand_f2vec_object,
@@ -929,3 +934,102 @@ def test_mutated_documents_get_a_report_and_no_traceback(tmp_path_factory, case)
     out = json.loads(r.stdout)
     if r.exit_code in (2, 3):
         assert out["format"] == ser.FORMAT_REPORT and out["ok"] is False
+
+
+# -- usage errors and help: the parser's own exits, before any command runs --
+
+# each subcommand's options, short and long
+OPTIONS = {
+    "rips": ["--dmax", "-o", "--output"],
+    "frips": ["--dmax", "-o", "--output"],
+    "degree-rips": ["--dmax", "-o", "--output"],
+    "validate": [],
+    "is-filtered": [],
+    "skeleton": ["-n", "--dim", "-o", "--output"],
+    "pi0": ["-o", "--output"],
+    "homology": ["--dim", "-o", "--output"],
+    "barcode": ["--dim", "-o", "--output"],
+    "bottleneck": ["-o", "--output"],
+    "interleave-check": [],
+    "interleave-dist": ["--max-enum", "-o", "--output"],
+    "rectify": ["--block", "-o", "--output"],
+    "roundtrip-floor": ["-o", "--output"],
+    "stability-audit": ["--dim", "-o", "--output"],
+    "sq-gadget": ["-o", "--output"],
+}
+
+# the subcommands with an option whose --help shows its default
+SHOW_DEFAULT = {"rips", "frips", "degree-rips", "homology", "barcode", "interleave-dist",
+                "rectify", "stability-audit"}
+
+
+def test_every_subcommand_has_help_naming_its_options(runner):
+    top = invoke(runner, ["--help"])
+    assert top.exit_code == 0
+    listed = top.stdout
+    for command, options in OPTIONS.items():
+        assert command in listed
+        r = invoke(runner, [command, "--help"])
+        assert r.exit_code == 0, command
+        text = " ".join(r.stdout.split())
+        for option in [*options, "--help"]:
+            assert f"{option} " in text or f"{option}," in text, (command, option)
+        if command in SHOW_DEFAULT:
+            assert "[default: " in text, command
+
+
+@pytest.mark.parametrize("args", [
+    ["no-such-command", "metric.json"],
+    ["rips", "metric.json", "--no-such-option"],
+    ["bottleneck", "x.json"],
+    ["barcode", "x.json", "--dim", "x"],
+    ["interleave-dist", "x.json", "x.json", "--max", "5"],
+], ids=["unknown-subcommand", "unknown-option", "missing-positional", "dim-not-an-integer",
+        "abbreviated-option"])
+def test_usage_error_exits_2_with_usage_on_stderr_only(runner, tmp_path, monkeypatch, args):
+    # valid inputs, so that a command that ran would write a report to stdout
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "metric.json", COLLINEAR)
+    write(tmp_path, "x.json",
+          ser.encode_object(rand_finset_object(random.Random(1), lo=0, hi=2, max_size=2)))
+    r = invoke(runner, args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "usage" in r.stderr.lower()
+
+
+# -- the two entry points: main() and main.main(args=...) --
+
+
+def test_in_process_entry_returns_on_0_and_raises_on_1_2_3(tmp_path, capsys):
+    metric = write(tmp_path, "metric.json", COLLINEAR)
+    assert main.main(args=["rips", metric], prog_name="perscert", standalone_mode=False) is None
+    assert json.loads(capsys.readouterr().out)["format"] == ser.FORMAT_COMPLEX
+    rng = random.Random(1)  # a seed whose corrupted certificate fails its replay
+    _, cert = interleaved_pair(rng, rand_finset_object(rng, lo=-2, hi=2), 1)
+    bad = write(tmp_path, "bad.json", ser.encode_cert(corrupt_certificate(random.Random(0), cert)))
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text("{not json")
+    x = write(tmp_path, "x.json",
+              ser.encode_object(rand_finset_object(random.Random(1), lo=0, hi=2, max_size=2)))
+    for args, code in [(["interleave-check", bad], 1), (["rips", str(unreadable)], 2),
+                       (["interleave-dist", x, x, "--max-enum", "0"], 3)]:
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=args, prog_name="perscert", standalone_mode=False)
+        assert exc.value.code == code, args
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_console_script_reads_sys_argv_and_needs_no_click(tmp_path):
+    metric = write(tmp_path, "metric.json", COLLINEAR)
+    script = ("import sys\n"
+              "sys.modules['click'] = None  # any import of click fails\n"
+              "from perscert.cli import main\n"
+              "sys.argv = ['perscert', 'rips', sys.argv[1]]\n"
+              "main()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", script, metric], capture_output=True, text=True,
+                       env=env, check=False)
+    assert r.returncode == 0, r.stderr
+    golden = (Path(__file__).parent / "golden" / "readme-rips.txt").read_text()
+    assert r.stdout == golden.split("\n", 1)[1]

@@ -302,6 +302,17 @@ def test_degree_rips_equals_the_per_point_construction():
             assert is_filtered(dr) == reference_is_filtered(dr)
 
 
+def test_validation_builds_each_distinct_vertex_set_once(monkeypatch):
+    from perscert import categories
+
+    dr = degree_rips(rand_metric(random.Random(5), 6), 2)
+    calls = []
+    monkeypatch.setattr(categories, "complex_vertices",
+                        lambda obj: calls.append(obj) or complex_vertices(obj))
+    assert PersistentObject(dr.grid, "Complex", dict(dr.objects), dict(dr.edge_maps)) == dr
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_to_persistent_equals_the_per_point_construction():
     for seed in range(20):
         rng = random.Random(seed)
