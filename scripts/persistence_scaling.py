@@ -19,10 +19,16 @@ the documents of the Rips complexes of RIPS_POINTS points. Last,
 ``decode_object`` reads the degree-Rips documents of DEGREE_RIPS_POINTS
 points and ``is_filtered`` checks what it read; the script exits with status
 1 when that verdict (filtered or not, the condition failed, the witness)
-differs from the verdict on the object before it was written. Each line
+differs from the verdict on the object before it was written. Then
+``check_interleaving`` replays, for FinSet and F2Vec objects on windows of
+CHECK_GRADES grades, a seeded genuine 1-interleaving (``interleaved_pair``),
+its zig-zag composite, and a copy of each with one component replaced; the
+script exits with status 1 when a genuine certificate or a composite is
+reported invalid. Each line
 gives a deterministic checksum (the number of bars, the distance d_B, the
 grid points and distinct objects of a degree-Rips object, the simplices of a
-complex, the bytes of a document, the verdict of ``is_filtered``) and the
+complex, the bytes of a document, the verdict of ``is_filtered``, the valid
+certificates and the identities that fail) and the
 best time over repeated runs, so the same command run on two versions of the
 code gives their before and after numbers. The inputs are seeded from SEED and n, so the checksums are
 fixed. Metrics and complexes keep the ranks of their values once computed,
@@ -40,16 +46,18 @@ import time
 from fractions import Fraction
 
 from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottleneck,
-                      degree_rips, filtration_barcode, homology, is_filtered, to_persistent,
-                      validate, vietoris_rips)
+                      check_interleaving, degree_rips, filtration_barcode, homology,
+                      is_filtered, to_persistent, validate, vietoris_rips, zigzag)
 from perscert import serialize as ser
 from perscert.cli import _dumps
 from perscert.grades import rat_to_str
-from perscert.randgen import rand_f2vec_object, rand_metric
+from perscert.randgen import (corrupt_certificate, interleaved_pair, rand_f2vec_object,
+                              rand_finset_object, rand_metric)
 
 SIZES = (8, 16, 32, 64, 128)
 RIPS_POINTS = (8, 12, 16, 20, 24)
 DEGREE_RIPS_POINTS = (6, 7, 8, 9, 12)
+CHECK_GRADES = (41, 81)
 SEED = 1
 
 
@@ -164,6 +172,23 @@ def main() -> None:
         check_ms = best_ms_on_copies(is_filtered, lambda: ser.decode_object(data))
         print(f"is_filtered n={n:3d}  bytes={len(text):8d}  filtered={check.filtered!s:5}  "
               f"decode_ms={decode_ms:10.3f}  is_filtered_ms={check_ms:10.3f}")
+    for category in ("FinSet", "F2Vec"):
+        for n in CHECK_GRADES:
+            rng = random.Random(SEED * 1000 + n)
+            x = (rand_finset_object(rng, lo=0, hi=n - 1, max_size=5) if category == "FinSet"
+                 else rand_f2vec_object(rng, lo=0, hi=n - 1, max_dim=3))
+            y, cert = interleaved_pair(rng, x, 1)
+            genuine = [cert, zigzag(x, y, cert, 1).composite]
+            certs = genuine + [corrupt_certificate(rng, c) for c in genuine]
+            reports = [check_interleaving(c) for c in certs]
+            if not all(r.valid for r in reports[:len(genuine)]):
+                print(f"check_interleaving {category} n={n}: a genuine certificate is invalid")
+                disagree += 1
+            failing = ",".join(r.identity for r in reports if not r.valid) or "-"
+            ms = best_ms(lambda: [check_interleaving(c) for c in certs])
+            print(f"check_interleaving {category:6} n={n:3d}  "
+                  f"valid={sum(r.valid for r in reports)}/{len(certs)}  failing={failing}  "
+                  f"best_ms={ms:10.3f}")
     if disagree:
         sys.exit(1)
 

@@ -23,7 +23,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import serialize as ser
 from .complexes import (
-    SQUARE_GRID,
     FilteredComplex,
     degree_rips,
     function_rips,
@@ -38,7 +37,7 @@ from .distances import bottleneck, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
 from .grades import rat_to_str
 from .invariants import barcode, filtration_barcode, homology, pi0
-from .persist import PersistentObject, check_interleaving, floor_roundtrip_cert
+from .persist import check_interleaving, floor_roundtrip_cert
 from .rectify import zigzag
 from .search import DEFAULT_BUDGET, interleaving_distance_search
 
@@ -432,15 +431,10 @@ def sq_gadget_cmd(square_path, output):
     if not (isinstance(data, dict) and isinstance(data.get("corners"), dict)
             and isinstance(data.get("maps"), dict)):
         raise SchemaError("square document needs 'corners' and 'maps' objects")
-    corners = {
-        ser.decode_index(key): ser.decode_cat_object("Complex", simplices)
-        for key, simplices in data["corners"].items()
-    }
-    maps = {
-        ser.decode_edge_key(key): ser.decode_cat_map("Complex", table)
-        for key, table in data["maps"].items()
-    }
-    square = PersistentObject(SQUARE_GRID, "Complex", corners, maps)
+    square = ser.decode_object({
+        "format": ser.FORMAT_OBJECT, "category": "Complex", "axes": [[0, 1], [0, 1]],
+        "objects": data["corners"], "edge_maps": data["maps"],
+    })
     _emit(ser.encode_object(sq_gadget(square)), output)
 
 

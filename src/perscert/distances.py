@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ValidationError
 from .invariants import Barcode, barcode, homology_cert
-from .persist import InterleavingCert, check_interleaving
+from .persist import InterleavingCert, _require_valid, check_interleaving
 
 
 INFINITY = None  # sentinel for infinite distances / deaths
@@ -170,9 +169,7 @@ class StabilityReport:
 def stability_audit(cert: InterleavingCert, n: int) -> StabilityReport:
     """Push a complex-level interleaving through degree-n homology and check
     the algebraic stability inequality d_B <= delta on the barcodes."""
-    report = check_interleaving(cert)
-    if not report.valid:
-        raise ValidationError(f"input certificate invalid: {report.reason}")
+    _require_valid(cert)
     mod_cert = homology_cert(cert, n)
     mod_report = check_interleaving(mod_cert)
     bx = barcode(mod_cert.f.source)

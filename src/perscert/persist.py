@@ -13,7 +13,12 @@ constructors (``PersistentObject``, ``DeltaMorphism``, ``DeltaMorphism.from_fn``
 builders, whose outputs are valid because their inputs are, build them with
 ``PersistentObject._of`` and ``DeltaMorphism._on``, which check nothing. A
 builder whose output needs more than valid inputs (a natural h, a valid
-certificate) checks that first.
+certificate) checks that first; a certificate by ``_require_valid``.
+
+Interleaving identities, stated once: naturality of a leg is laid out by its
+``_Leg`` (``DeltaMorphism.check_natural``), and the two triangle identities
+by ``_triangles``, which ``check_interleaving`` and the partner search both
+read.
 """
 
 from __future__ import annotations
@@ -474,16 +479,6 @@ class DeltaMorphism:
                 and self.target == other.target and self.components == other.components)
 
 
-def _composites(f: DeltaMorphism, g: DeltaMorphism, grid: Grid):
-    """(index, g after f) at each point p of grid: f at p, then g at
-    p + f.shift."""
-    cat = f.category
-    at_f = f.grid.locate(grid, zero_grade(grid.m))
-    at_g = g.grid.locate(grid, f.shift)
-    for idx in grid.indices():
-        yield idx, cat.compose(g.at(at_g[idx]), f.at(at_f[idx]))
-
-
 def identity_shift(x: PersistentObject, delta: Grade) -> DeltaMorphism:
     """S_{0,delta}(id_X): components are the structure maps phi_{r, r+delta}."""
     leg = _Leg(x, x, delta)
@@ -503,7 +498,11 @@ def compose(f: DeltaMorphism, g: DeltaMorphism) -> DeltaMorphism:
     if f.target != g.source:
         raise CategoryError("composition mismatch: target of f is not source of g")
     leg = _Leg(f.source, g.target, f.shift + g.shift)
-    return DeltaMorphism._on(leg, dict(_composites(f, g, leg.grid)))
+    at_f = f.grid.locate(leg.grid, zero_grade(leg.grid.m))
+    at_g = g.grid.locate(leg.grid, f.shift)
+    cat = f.category
+    return DeltaMorphism._on(leg, {idx: cat.compose(g.at(at_g[idx]), f.at(at_f[idx]))
+                                   for idx in leg.points})
 
 
 # -- interleaving certificates ---------------------------------------------
@@ -535,28 +534,55 @@ class InterleavingReport:
     identity: Optional[str] = None
 
 
+def _triangles(f: _Leg, g: _Leg):
+    """The two triangle identities of legs f: X ->_eps Y and g: Y ->_delta
+    X, X's first, as (side, grid, index, f index, g index, structure map)
+    at each point p of the grid of ``identity_shift`` of that side's object
+    at eps + delta, in grid order. Side 0 is X's triangle, g(p + eps) . f(p)
+    = X(p -> p + eps + delta); side 1 is Y's, f(p + delta) . g(p) = Y(p ->
+    p + eps + delta). This is the only place the triangle grids are built."""
+    total = f.shift + g.shift
+    zero = zero_grade(total.m)
+    for side, z, f_shift, g_shift in ((0, f.source, zero, f.shift),
+                                      (1, f.target, g.shift, zero)):
+        direct = identity_shift(z, total)
+        at_f = f.grid.locate(direct.grid, f_shift)
+        at_g = g.grid.locate(direct.grid, g_shift)
+        for idx, structure in direct.components.items():
+            yield side, direct.grid, idx, at_f[idx], at_g[idx], structure
+
+
 def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
-    """Checks naturality of both legs and the two triangle identities on the
-    merged grids; reports the first violating grade."""
-    for name, leg in (("f", cert.f), ("g", cert.g)):
+    """Checks naturality of both legs and the two triangle identities
+    (``_triangles``); reports the first violating grade."""
+    f, g = cert.f, cert.g
+    for name, leg in (("f", f), ("g", g)):
         violation = leg.check_natural()
         if violation is not None:
             p, axis = violation
             return InterleavingReport(
                 False, f"{name} is not natural at {p} along axis {axis}", p, f"naturality({name})"
             )
-    total = cert.epsilon + cert.delta
-    for name, path, first, second in (("X", "g^eps . f", cert.f, cert.g),
-                                      ("Y", "f^delta . g", cert.g, cert.f)):
-        direct = identity_shift(first.source, total)
-        for idx, via in _composites(first, second, direct.grid):
-            if via != direct.components[idx]:
-                p = direct.grid.grade_at(idx)
-                return InterleavingReport(
-                    False, f"{path} differs from the structure-map shift of {name} at {p}",
-                    p, f"triangle({name})"
-                )
+    cat = f.category
+    for side, grid, idx, fi, gj, structure in _triangles(f._leg, g._leg):
+        via = (cat.compose(g.at(gj), f.at(fi)) if side == 0
+               else cat.compose(f.at(fi), g.at(gj)))
+        if via != structure:
+            name, path = ("X", "g^eps . f") if side == 0 else ("Y", "f^delta . g")
+            p = grid.grade_at(idx)
+            return InterleavingReport(
+                False, f"{path} differs from the structure-map shift of {name} at {p}",
+                p, f"triangle({name})"
+            )
     return InterleavingReport(True, "valid interleaving")
+
+
+def _require_valid(cert: InterleavingCert) -> None:
+    """The precondition of every builder that takes a certificate: it
+    replays under ``check_interleaving``."""
+    report = check_interleaving(cert)
+    if not report.valid:
+        raise ValidationError(f"input certificate invalid: {report.reason}")
 
 
 def self_interleaving(x: PersistentObject, delta: Grade) -> InterleavingCert:
@@ -593,9 +619,7 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
         raise ShiftError("h must be a plain (0-shift) morphism")
     if h.target != y:
         raise CategoryError("h must land in the target of the interleaving")
-    report = check_interleaving(cert)
-    if not report.valid:
-        raise ValidationError(f"input certificate invalid: {report.reason}")
+    _require_valid(cert)
     violation = h.check_natural()
     if violation is not None:
         raise ValidationError(f"h is not natural at {violation[0]} along axis {violation[1]}")

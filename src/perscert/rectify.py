@@ -27,9 +27,9 @@ from .persist import (
     PersistentObject,
     _integer_of,
     _positions,
+    _require_valid,
     _sample,
     _structure_morphism,
-    check_interleaving,
     compose_interleavings,
     extend_floor,
 )
@@ -108,9 +108,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     the interleaving legs."""
     if m < 1:
         raise InvalidScaleError("block size must be >= 1")
-    report = check_interleaving(cert)
-    if not report.valid:
-        raise ValidationError(f"input certificate invalid: {report.reason}")
+    _require_valid(cert)
     if cert.epsilon != Grade([m]) or cert.delta != Grade([m]):
         raise ValidationError("certificate shifts must equal the block size m")
     lo, hi = _window(a)
@@ -162,9 +160,7 @@ def three_halves_check(x: PersistentObject, y: PersistentObject,
     r = rat(r)
     if not 0 <= r < rat("3/2"):
         raise ValidationError(f"requires 0 <= r < 3/2, got {r}")
-    report = check_interleaving(cert)
-    if not report.valid:
-        raise ValidationError(f"input certificate invalid: {report.reason}")
+    _require_valid(cert)
     if cert.epsilon != Grade([r]) or cert.delta != Grade([r]):
         raise ValidationError("certificate shifts must equal r")
     if cert.f.source != extend_floor(x) or cert.f.target != extend_floor(y):

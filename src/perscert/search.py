@@ -12,11 +12,11 @@ from typing import Callable, Optional
 
 from .distances import INFINITY, bottleneck
 from .errors import BudgetExceededError, CategoryError, DimensionError, ValidationError
-from .grades import Grade, zero_grade
+from .grades import Grade
 from . import persist
 from .invariants import barcode, linearize, pi0_induced
-from .persist import (DeltaMorphism, InterleavingCert, PersistentObject, _Leg,
-                      check_interleaving, identity_shift)
+from .persist import (DeltaMorphism, InterleavingCert, PersistentObject, _Leg, _triangles,
+                      check_interleaving)
 
 DEFAULT_BUDGET = 200_000  # candidate components one search may visit
 
@@ -43,11 +43,11 @@ class _Budget:
 class _Frame:
     """The geometry of an (eps, delta) partner search, built once around the
     leg f: x ->_eps y that every f searched shares: g's leg y ->_delta x and
-    the two triangle identities of ``check_interleaving``, located in the
-    legs' grids. Given f, the triangles constrain g one merged-grid component
-    at a time (``triangle_filter``). g's leg and the triangles are built when
-    the first f looks for a partner, so a candidate delta that admits no
-    natural f never builds them."""
+    the table of the two triangle identities that ``check_interleaving``
+    reads (``persist._triangles``). Given f, the triangles constrain g one
+    merged-grid component at a time (``triangle_filter``). g's leg and the
+    table are built when the first f looks for a partner, so a candidate
+    delta that admits no natural f never builds them."""
 
     def __init__(self, f: _Leg, delta: Grade):
         self.f, self.delta = f, delta
@@ -58,21 +58,7 @@ class _Frame:
 
     @functools.cached_property
     def triangles(self) -> list:
-        """(side, g index, f index, structure-map shift) at each point of the
-        two triangle grids: side 0 is X's triangle, g(p + eps) . f(p) =
-        x(p -> p + eps + delta), side 1 is Y's, f(q + delta) . g(q) =
-        y(q -> q + eps + delta)."""
-        f, total = self.f, self.f.shift + self.delta
-        zero = zero_grade(total.m)
-        out = []
-        for side, z, g_shift, f_shift in ((0, f.source, f.shift, zero),
-                                          (1, f.target, zero, self.delta)):
-            direct = identity_shift(z, total)
-            out += [(side, gj, fi, d) for gj, fi, d in zip(
-                self.g.grid.locate(direct.grid, g_shift).values(),
-                f.grid.locate(direct.grid, f_shift).values(),
-                direct.components.values())]
-        return out
+        return list(_triangles(self.f, self.g))
 
     def triangle_filter(self, f: DeltaMorphism) -> Optional[Callable[[tuple, object], bool]]:
         """accept(j, cand): whether cand, as g's component at merged index j,
@@ -84,7 +70,7 @@ class _Frame:
         below = cat.initial_map(cat.initial())
         before = {j: [] for j in self.g.points}  # (a, b) with g . a = b
         after = {j: [] for j in self.g.points}   # (a, b) with a . g = b
-        for side, gj, fi, direct in self.triangles:
+        for side, _, _, fi, gj, direct in self.triangles:
             fm = f.at(fi)
             if gj is not None:
                 (before, after)[side][gj].append((fm, direct))

@@ -56,6 +56,13 @@ def _field(data: dict, key: str, kind: type, default=None):
     return value
 
 
+def _document(data, fmt: str, what: str) -> None:
+    """The envelope of every top-level document: a JSON object (what names
+    the document in the message) whose "format" is fmt."""
+    _require(isinstance(data, dict), "{} must be a JSON object", what)
+    _require(data.get("format") == fmt, "unexpected format {!r}", data.get("format"))
+
+
 # -- scalars and grades -------------------------------------------------------
 
 
@@ -255,9 +262,7 @@ def encode_object(x: PersistentObject) -> dict:
 
 
 def decode_object(data: dict) -> PersistentObject:
-    _require(isinstance(data, dict), "persistent object must be a JSON object")
-    _require(data.get("format") == FORMAT_OBJECT,
-             "unexpected format {!r}", data.get("format"))
+    _document(data, FORMAT_OBJECT, "persistent object")
     category = data.get("category")
     _require(category in ("FinSet", "F2Vec", "Complex"), "bad category {!r}", category)
     axes = data.get("axes")
@@ -352,9 +357,7 @@ def encode_cert(cert: InterleavingCert, include_objects: bool = True) -> dict:
 
 def decode_cert(data: dict, x: PersistentObject | None = None,
                 y: PersistentObject | None = None) -> InterleavingCert:
-    _require(isinstance(data, dict), "certificate must be a JSON object")
-    _require(data.get("format") == FORMAT_CERT,
-             "unexpected format {!r}", data.get("format"))
+    _document(data, FORMAT_CERT, "certificate")
     if x is None:
         _require("x" in data, "certificate lacks embedded objects")
         x = decode_object(data["x"])
@@ -387,9 +390,7 @@ def encode_filtered_complex(f: FilteredComplex) -> dict:
 
 
 def decode_filtered_complex(data: dict) -> FilteredComplex:
-    _require(isinstance(data, dict), "filtered complex must be a JSON object")
-    _require(data.get("format") == FORMAT_COMPLEX,
-             "unexpected format {!r}", data.get("format"))
+    _document(data, FORMAT_COMPLEX, "filtered complex")
     vertices = [decode_element(v) for v in _field(data, "vertices", list, [])]
     _require(len(set(vertices)) == len(vertices), "vertices must be distinct")
     grade = {}
@@ -419,9 +420,7 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
 
 
 def decode_metric(data: dict) -> MetricInput:
-    _require(isinstance(data, dict), "metric must be a JSON object")
-    _require(data.get("format") == FORMAT_METRIC,
-             "unexpected format {!r}", data.get("format"))
+    _document(data, FORMAT_METRIC, "metric")
     points = [decode_element(p) for p in _field(data, "points", list)]
     matrix = _field(data, "matrix", list)
     _require(all(isinstance(row, list) for row in matrix), "matrix rows must be JSON arrays")
@@ -449,9 +448,7 @@ def encode_barcode(b: Barcode) -> dict:
 
 
 def decode_barcode(data: dict) -> Barcode:
-    _require(isinstance(data, dict), "barcode must be a JSON object")
-    _require(data.get("format") == FORMAT_BARCODE,
-             "unexpected format {!r}", data.get("format"))
+    _document(data, FORMAT_BARCODE, "barcode")
     bars = []
     for entry in _field(data, "intervals", list, []):
         _require(isinstance(entry, dict) and "birth" in entry and "death" in entry,

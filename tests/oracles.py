@@ -19,6 +19,9 @@ possible with what it checks:
   builders, ``validate`` and the filtration order of ``filtration_barcode``
   comparing ``Fraction`` values at every step, against the library's grid
   indices;
+- ``check_interleaving_by_composites``: both triangle identities composed
+  point by point on the grid of each side's structure-map shift, each leg
+  evaluated at a grade, against the library's one triangle table;
 - ``decode_cat_map_by_entries``, ``decode_object_by_keys``,
   ``decode_cert_by_values``, ``check_complex_by_simplices`` and
   ``audit_squares_by_composition``: documents read entry by entry, every key
@@ -41,7 +44,8 @@ from perscert.errors import CategoryError, SchemaError, ValidationError
 from perscert.gf2 import GF2Matrix
 from perscert.grades import Grade
 from perscert.invariants import Bar, Barcode
-from perscert.persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
+from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, InterleavingReport,
+                              PersistentObject, _Leg, identity_shift)
 from perscert.serialize import (FORMAT_CERT, FORMAT_METRIC, FORMAT_OBJECT, decode_cat_object,
                                 decode_edge_key, decode_element, decode_grade, decode_index,
                                 decode_rational, encode_element, encode_rational)
@@ -329,6 +333,33 @@ def decode_cert_by_values(data: dict) -> InterleavingCert:
     f = _morphism_by_values(x, y, data["epsilon"], data["f_components"])
     g = _morphism_by_values(y, x, data["delta"], data["g_components"])
     return InterleavingCert(f, g)
+
+
+def check_interleaving_by_composites(cert: InterleavingCert) -> InterleavingReport:
+    """``check_interleaving`` with each triangle written out on its own:
+    after naturality of both legs, the structure-map shift of X (then of Y)
+    at eps + delta, by ``identity_shift``, against the composite of the legs
+    at each point p of its grid, each leg evaluated at the grade where it
+    acts (the first at p, the second at p plus the first's shift)."""
+    for name, leg in (("f", cert.f), ("g", cert.g)):
+        violation = leg.check_natural()
+        if violation is not None:
+            p, axis = violation
+            return InterleavingReport(
+                False, f"{name} is not natural at {p} along axis {axis}", p, f"naturality({name})")
+    total = cert.epsilon + cert.delta
+    for name, path, first, second in (("X", "g^eps . f", cert.f, cert.g),
+                                      ("Y", "f^delta . g", cert.g, cert.f)):
+        direct = identity_shift(first.source, total)
+        for idx in direct.grid.indices():
+            p = direct.grid.grade_at(idx)
+            via = first.category.compose(second.component_at(p + first.shift),
+                                         first.component_at(p))
+            if via != direct.components[idx]:
+                return InterleavingReport(
+                    False, f"{path} differs from the structure-map shift of {name} at {p}",
+                    p, f"triangle({name})")
+    return InterleavingReport(True, "valid interleaving")
 
 
 def filtration_order_by_fractions(f: FilteredComplex, dim: int) -> list[tuple]:

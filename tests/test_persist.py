@@ -64,7 +64,8 @@ from perscert.search import (_Frame, _least_certified, induces_interleaving_in_p
                              interleaving_candidates)
 from perscert.serialize import encode_cert
 
-from oracles import audit_squares_by_composition, index_by_floor_bisect
+from oracles import (audit_squares_by_composition, check_interleaving_by_composites,
+                     index_by_floor_bisect)
 
 
 # -- commuting squares ---------------------------------------------------------
@@ -459,22 +460,64 @@ def test_distance_search_matches_the_reference_search():
     assert certified >= 30 and unbounded >= 20
 
 
-def test_triangle_filter_rejects_exactly_the_partners_that_fail():
-    checked = rejected = 0
+def drawn_legs():
+    """(frame, f, gs) for each natural f at the first four candidate deltas
+    of small_pairs(12): the search frame of f's delta, f, and every natural
+    g at that delta."""
     for x, y in small_pairs(12):
         for delta in interleaving_candidates(x, y)[:4]:
             d = Grade([delta])
             frame = _Frame(_Leg(x, y, d), d)
             gs = list(reference_natural(y, x, d))
             for f in reference_natural(x, y, d):
-                accept = frame.triangle_filter(f)
-                for g in gs:
-                    admitted = accept is not None and all(
-                        accept(j, g.components[j]) for j in frame.g.points)
-                    assert admitted == check_interleaving(InterleavingCert(f, g)).valid
-                    checked += 1
-                    rejected += not admitted
+                yield frame, f, gs
+
+
+def test_triangle_filter_rejects_exactly_the_partners_that_fail():
+    checked = rejected = 0
+    for frame, f, gs in drawn_legs():
+        accept = frame.triangle_filter(f)
+        for g in gs:
+            admitted = accept is not None and all(
+                accept(j, g.components[j]) for j in frame.g.points)
+            assert admitted == check_interleaving(InterleavingCert(f, g)).valid
+            checked += 1
+            rejected += not admitted
     assert rejected > 0 and checked > rejected
+
+
+def replayed_certificates():
+    """Genuine certificates of FinSet, F2Vec and complex objects, zig-zag
+    composites and floor round trips, each with copies whose f, or whose g
+    (through the swapped certificate), has one component replaced."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        x = (rand_finset_object(rng, lo=-2, hi=4, max_size=3) if seed % 2 == 0
+             else rand_f2vec_object(rng, lo=-2, hi=4, max_dim=2))
+        m = 1 + seed // 4
+        y, cert = interleaved_pair(rng, x, m)
+        _, _, complex_cert = rand_complex_interleaving(rng, 4, m)
+        for c in (cert, complex_cert, zigzag(x, y, cert, m).composite,
+                  floor_roundtrip_cert(rand_real_object(rng, x.category_name))):
+            yield c
+            yield corrupt_certificate(rng, c)
+            swapped = corrupt_certificate(rng, InterleavingCert(c.g, c.f))
+            yield swapped
+            yield InterleavingCert(swapped.g, swapped.f)
+
+
+def test_check_interleaving_matches_the_composite_oracle():
+    """The verdict read from the one triangle table is the verdict of the
+    triangles composed point by point, on genuine and corrupted
+    certificates and on every natural pair the triangle-filter test draws;
+    every identity fails somewhere."""
+    failed = set()
+    pairs = (InterleavingCert(f, g) for _, f, gs in drawn_legs() for g in gs)
+    for cert in itertools.chain(replayed_certificates(), pairs):
+        report = check_interleaving(cert)
+        assert report == check_interleaving_by_composites(cert)
+        failed.add(report.identity)
+    assert {"naturality(f)", "naturality(g)", "triangle(X)", "triangle(Y)"} <= failed
 
 
 # -- grid geometry -------------------------------------------------------------------
