@@ -24,11 +24,17 @@ differs from the verdict on the object before it was written. Then
 CHECK_GRADES grades, a seeded genuine 1-interleaving (``interleaved_pair``),
 its zig-zag composite, and a copy of each with one component replaced; the
 script exits with status 1 when a genuine certificate or a composite is
-reported invalid. Each line
+reported invalid. Last, for the same seeded objects at m = 1 and 2, the
+``rectify`` document of the pair (``encode_zigzag`` of its zig-zag) and the
+``roundtrip-floor`` document of the partner (``encode_cert`` of its floor
+round trip) are encoded and written as the CLI writes them, and by the
+encoders of ``tests/oracles.py``, which encode each value where it occurs;
+the script exits with status 1 when the two texts differ. Each line
 gives a deterministic checksum (the number of bars, the distance d_B, the
 grid points and distinct objects of a degree-Rips object, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
-certificates and the identities that fail) and the
+certificates and the identities that fail, the length and a sha256 prefix
+of a written document) and the
 best time over repeated runs, so the same command run on two versions of the
 code gives their before and after numbers. The inputs are seeded from SEED and n, so the checksums are
 fixed. Metrics and complexes keep the ranks of their values once computed,
@@ -39,11 +45,13 @@ run of the ``is_filtered`` rows a fresh decode of its document.
     PYTHONPATH=src python scripts/persistence_scaling.py
 """
 
+import hashlib
 import json
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottleneck,
                       check_interleaving, degree_rips, filtration_barcode, homology,
@@ -51,8 +59,12 @@ from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottl
 from perscert import serialize as ser
 from perscert.cli import _dumps
 from perscert.grades import rat_to_str
+from perscert.persist import floor_roundtrip_cert
 from perscert.randgen import (corrupt_certificate, interleaved_pair, rand_f2vec_object,
                               rand_finset_object, rand_metric)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import encode_cert_by_occurrence, encode_zigzag_by_occurrence  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128)
 RIPS_POINTS = (8, 12, 16, 20, 24)
@@ -100,6 +112,12 @@ def rips_metric(n: int):
     """A seeded metric on n points with half-integer distances up to n^2/2,
     so most of them are distinct."""
     return rand_metric(random.Random(SEED * 1000 + n), n, max_dist=n * n // 4)
+
+
+def checked_object(category: str, rng: random.Random, n: int):
+    """A seeded Z-indexed FinSet or F2Vec object on the window [0, n - 1]."""
+    return (rand_finset_object(rng, lo=0, hi=n - 1, max_size=5) if category == "FinSet"
+            else rand_f2vec_object(rng, lo=0, hi=n - 1, max_dim=3))
 
 
 def main() -> None:
@@ -175,8 +193,7 @@ def main() -> None:
     for category in ("FinSet", "F2Vec"):
         for n in CHECK_GRADES:
             rng = random.Random(SEED * 1000 + n)
-            x = (rand_finset_object(rng, lo=0, hi=n - 1, max_size=5) if category == "FinSet"
-                 else rand_f2vec_object(rng, lo=0, hi=n - 1, max_dim=3))
+            x = checked_object(category, rng, n)
             y, cert = interleaved_pair(rng, x, 1)
             genuine = [cert, zigzag(x, y, cert, 1).composite]
             certs = genuine + [corrupt_certificate(rng, c) for c in genuine]
@@ -189,6 +206,27 @@ def main() -> None:
             print(f"check_interleaving {category:6} n={n:3d}  "
                   f"valid={sum(r.valid for r in reports)}/{len(certs)}  failing={failing}  "
                   f"best_ms={ms:10.3f}")
+    for category in ("FinSet", "F2Vec"):
+        for n in CHECK_GRADES:
+            for m in (1, 2):
+                x = checked_object(category, random.Random(SEED * 1000 + n), n)
+                y, cert = interleaved_pair(random.Random(SEED * 1000 + n + m), x, m)
+                result, back = zigzag(x, y, cert, m), floor_roundtrip_cert(y)
+                for kind, encode, oracle in (
+                        ("rectify", lambda: ser.encode_zigzag(result),
+                         lambda: encode_zigzag_by_occurrence(result)),
+                        ("roundtrip", lambda: ser.encode_cert(back),
+                         lambda: encode_cert_by_occurrence(back))):
+                    text = _dumps(encode())
+                    if text != _dumps(oracle()):
+                        print(f"encode {kind} {category} n={n} m={m}: the text differs "
+                              "from the oracle encoders' text")
+                        disagree += 1
+                    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+                    oracle_ms = best_ms(lambda: _dumps(oracle()))
+                    ms = best_ms(lambda: _dumps(encode()))
+                    print(f"encode {kind:9} {category:6} n={n:3d} m={m}  bytes={len(text):8d}  "
+                          f"sha256={digest}  oracle_ms={oracle_ms:10.3f}  best_ms={ms:10.3f}")
     if disagree:
         sys.exit(1)
 

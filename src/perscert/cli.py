@@ -2,8 +2,10 @@
 
 All interchange is JSON with exact rationals as strings. Output is the text
 of ``json.dumps(data, sort_keys=True, indent=2)`` and a newline, so identical
-inputs give byte-identical output; a value that a document holds under
-several keys (the shared lists of a persistent object) is encoded once.
+inputs give byte-identical output. The encoders of ``serialize`` build each
+distinct value of a document once and share it wherever it occurs; the
+writer encodes the text of a value that a member dict holds under several
+keys (the lists of a persistent object's objects and edge maps) once.
 
 Exit codes: 0 ok, 1 property violated, 2 schema error (an input that cannot
 be read, or an ``-o`` path that cannot be written, is one), 3 budget exceeded.
@@ -85,7 +87,11 @@ def _members(data: dict, pad: str, text) -> str:
 
 def _dumps(data: dict) -> str:
     """The text of json.dumps(data, sort_keys=True, indent=2), with each value
-    that a member dict of data holds under several keys encoded once.
+    that a member dict of data holds under several keys encoded once: the
+    object lists and edge maps of a persistent-object document, which the
+    encoders share between equal values. Shared values deeper down (the
+    component maps and embedded objects of certificates) are written at
+    each place.
 
     Documents without such a member (all but persistent objects) go to the
     encoder of json.dumps(sort_keys=True, indent=2) in one call. Otherwise

@@ -47,7 +47,8 @@ class _Frame:
     reads (``persist._triangles``). Given f, the triangles constrain g one
     merged-grid component at a time (``triangle_filter``). g's leg and the
     table are built when the first f looks for a partner, so a candidate
-    delta that admits no natural f never builds them."""
+    delta that admits no natural f never builds them; the table is kept on
+    f's leg, where ``check_interleaving`` finds it."""
 
     def __init__(self, f: _Leg, delta: Grade):
         self.f, self.delta = f, delta
@@ -58,7 +59,8 @@ class _Frame:
 
     @functools.cached_property
     def triangles(self) -> list:
-        return list(_triangles(self.f, self.g))
+        table = self.f.triangle_tables[self.g] = list(_triangles(self.f, self.g))
+        return table
 
     def triangle_filter(self, f: DeltaMorphism) -> Optional[Callable[[tuple, object], bool]]:
         """accept(j, cand): whether cand, as g's component at merged index j,

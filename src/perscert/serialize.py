@@ -2,6 +2,12 @@
 (denominator omitted when 1); no floats anywhere on the wire. Every top-level
 document carries a "format" field.
 
+Encoders fill one value table per document (``_Values``): each distinct map,
+persistent object, grid axis, category object and element is encoded once,
+and every place the document holds an equal value holds that one wire
+object. A writer may therefore meet one list or dict at many places; it
+must not change them.
+
 Decoders read a document in one pass. The object and edge keys of a
 persistent object, and the "at" coordinates of a certificate, are placed by
 tables of the strings the grid itself is written with; any other string is
@@ -15,6 +21,7 @@ otherwise entry by entry. The objects then check each distinct simplex once
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -212,6 +219,90 @@ def decode_cat_map(category: str, data):
     return out
 
 
+# -- the value table of one document --------------------------------------------
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d (d > 0) as ``encode_rational`` writes it, with no Fraction built."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+class _Values:
+    """The wire forms of one document's values, each encoded once: every
+    place the document holds an equal value holds one shared wire object.
+    ``encode_object``, ``encode_cert`` and ``encode_zigzag`` each start one.
+    The tables are keyed on everything a wire form reads:
+
+    - maps, by value: a ``GF2Matrix`` is its own key and a vertex map is
+      filed under the sum of the hashes of its items (a FinSet and a
+      Complex map of one value have one wire form);
+    - persistent objects, by the object (category, grid, objects and edge
+      maps) and ``integer_indexed``, which ``PersistentObject.__eq__``
+      ignores: A and ``extend_floor(A)`` are written differently;
+    - grid axes, by their scaled form (equal axes are equal there);
+    - the objects of a category, and their elements, by value.
+
+    Maps and persistent objects are looked up by id first, so a value held
+    many times is hashed once; ``kept`` holds each of them while the table
+    lives, so no id is reused."""
+
+    def __init__(self):
+        self.held = {}         # id of a map or persistent object -> its wire form
+        self.kept = []
+        self.maps = {}         # map key -> [(map, wire form)] of the maps filed there
+        self.objects = {}      # (persistent object, integer_indexed) -> wire form
+        self.scaled_axes = {}  # (d, ints) of an axis -> its wire strings
+        self.cat_objects = {}  # object of a category -> wire form
+        self.elements = {}     # element -> (repr of its wire form, wire form)
+
+    def map(self, category: str, f):
+        wire = self.held.get(id(f))
+        if wire is None:
+            # a vertex map is filed under the sum of the hashes of its items,
+            # which builds nothing per item; the maps filed there are
+            # compared in full
+            key = f if isinstance(f, GF2Matrix) else sum(map(hash, f.items()))
+            bucket = self.maps.setdefault(key, [])
+            for g, wire in bucket:
+                if g == f:
+                    break
+            else:
+                wire = encode_cat_map(category, f)
+                bucket.append((f, wire))
+            self.held[id(f)] = wire
+            self.kept.append(f)
+        return wire
+
+    def object(self, x: PersistentObject) -> dict:
+        wire = self.held.get(id(x))
+        if wire is None:
+            key = (x, x.integer_indexed)
+            wire = self.objects.get(key)
+            if wire is None:
+                wire = self.objects[key] = _encode_object(x, self)
+            self.held[id(x)] = wire
+            self.kept.append(x)
+        return wire
+
+    def axes(self, grid: Grid) -> list[list[str]]:
+        """The wire strings of each axis of grid."""
+        out = []
+        for axis in grid._scaled:
+            wire = self.scaled_axes.get(axis)
+            if wire is None:
+                d, ints = axis
+                wire = self.scaled_axes[axis] = [_ratio_str(n, d) for n in ints]
+            out.append(wire)
+        return out
+
+    def cat_object(self, category: str, obj):
+        wire = self.cat_objects.get(obj)
+        if wire is None:
+            wire = self.cat_objects[obj] = encode_cat_object(category, obj, self.elements)
+        return wire
+
+
 # -- persistent objects --------------------------------------------------------
 
 
@@ -233,29 +324,24 @@ def decode_edge_key(key: str) -> tuple[tuple[int, ...], int]:
 
 
 def encode_object(x: PersistentObject) -> dict:
-    """The wire form of x. Each distinct object value, and each map object
-    that several edges hold, is encoded once: the entries share one list (or
-    dict), so a writer can encode it once too. Each element of the objects
-    is encoded once as well."""
-    encoded, seen = {}, {}
-    for obj in x.objects.values():
-        if obj not in encoded:
-            encoded[obj] = encode_cat_object(x.category_name, obj, seen)
-    maps = {}
-    for f in x.edge_maps.values():
-        if id(f) not in maps:
-            maps[id(f)] = encode_cat_map(x.category_name, f)
+    """The wire form of x, on a value table of its own (``_Values``)."""
+    return _Values().object(x)
+
+
+def _encode_object(x: PersistentObject, values: _Values) -> dict:
+    cat = x.category_name
     return {
         "format": FORMAT_OBJECT,
         "m": x.m,
-        "category": x.category_name,
+        "category": cat,
         "integer_indexed": x.integer_indexed,
-        "axes": [[encode_rational(v) for v in axis] for axis in x.grid.axes],
+        "axes": values.axes(x.grid),
         "objects": {
-            ",".join(map(str, idx)): encoded[obj] for idx, obj in x.objects.items()
+            ",".join(map(str, idx)): values.cat_object(cat, obj)
+            for idx, obj in x.objects.items()
         },
         "edge_maps": {
-            ",".join(map(str, idx)) + "|" + str(a): maps[id(f)]
+            ",".join(map(str, idx)) + "|" + str(a): values.map(cat, f)
             for (idx, a), f in x.edge_maps.items()
         },
     }
@@ -297,11 +383,14 @@ def decode_object(data: dict) -> PersistentObject:
 
 
 def encode_components(f: DeltaMorphism) -> list[dict]:
-    """One entry per merged-grid point, each axis value encoded once."""
-    axes = [[encode_rational(v) for v in axis] for axis in f.grid.axes]
+    """One entry per merged-grid point, on a value table of its own."""
+    return _encode_components(f, _Values())
+
+
+def _encode_components(f: DeltaMorphism, values: _Values) -> list[dict]:
+    axes, cat, components = values.axes(f.grid), f.source.category_name, f.components
     return [
-        {"at": [axis[i] for axis, i in zip(axes, idx)],
-         "map": encode_cat_map(f.source.category_name, f.components[idx])}
+        {"at": [axis[i] for axis, i in zip(axes, idx)], "map": values.map(cat, components[idx])}
         for idx in f.grid.indices()
     ]
 
@@ -342,16 +431,20 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
 
 
 def encode_cert(cert: InterleavingCert, include_objects: bool = True) -> dict:
+    return _encode_cert(cert, include_objects, _Values())
+
+
+def _encode_cert(cert: InterleavingCert, include_objects: bool, values: _Values) -> dict:
     out = {
         "format": FORMAT_CERT,
         "epsilon": encode_grade(cert.epsilon),
         "delta": encode_grade(cert.delta),
-        "f_components": encode_components(cert.f),
-        "g_components": encode_components(cert.g),
+        "f_components": _encode_components(cert.f, values),
+        "g_components": _encode_components(cert.g, values),
     }
     if include_objects:
-        out["x"] = encode_object(cert.f.source)
-        out["y"] = encode_object(cert.f.target)
+        out["x"] = values.object(cert.f.source)
+        out["y"] = values.object(cert.f.target)
     return out
 
 
@@ -472,16 +565,17 @@ def encode_matching(matching, cost) -> dict:
 
 
 def encode_zigzag(result) -> dict:
+    values = _Values()
     return {
         "format": FORMAT_ZIGZAG,
-        "c": encode_object(result.c),
+        "c": values.object(result.c),
         "even_restriction_equal": result.even_equal,
         "odd_restriction_equal": result.odd_equal,
         "pieces": {
-            "a_to_even": encode_cert(result.piece_a),
-            "even_to_odd": encode_cert(result.piece_mid),
-            "odd_to_b": encode_cert(result.piece_b),
+            "a_to_even": _encode_cert(result.piece_a, True, values),
+            "even_to_odd": _encode_cert(result.piece_mid, True, values),
+            "odd_to_b": _encode_cert(result.piece_b, True, values),
         },
-        "composite": encode_cert(result.composite),
+        "composite": _encode_cert(result.composite, True, values),
         "total_shifts": [encode_grade(s) for s in result.total_shifts],
     }

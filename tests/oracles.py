@@ -22,6 +22,10 @@ possible with what it checks:
 - ``check_interleaving_by_composites``: both triangle identities composed
   point by point on the grid of each side's structure-map shift, each leg
   evaluated at a grade, against the library's one triangle table;
+- ``encode_object_by_occurrence``, ``encode_cert_by_occurrence`` and
+  ``encode_zigzag_by_occurrence``: documents with each map, persistent
+  object and axis value encoded where it occurs, sharing only within one
+  object, against the library's one value table per document;
 - ``decode_cat_map_by_entries``, ``decode_object_by_keys``,
   ``decode_cert_by_values``, ``check_complex_by_simplices`` and
   ``audit_squares_by_composition``: documents read entry by entry, every key
@@ -46,9 +50,11 @@ from perscert.grades import Grade
 from perscert.invariants import Bar, Barcode
 from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, InterleavingReport,
                               PersistentObject, _Leg, identity_shift)
-from perscert.serialize import (FORMAT_CERT, FORMAT_METRIC, FORMAT_OBJECT, decode_cat_object,
-                                decode_edge_key, decode_element, decode_grade, decode_index,
-                                decode_rational, encode_element, encode_rational)
+from perscert.serialize import (FORMAT_CERT, FORMAT_METRIC, FORMAT_OBJECT, FORMAT_ZIGZAG,
+                                decode_cat_object, decode_edge_key, decode_element,
+                                decode_grade, decode_index, decode_rational, encode_cat_map,
+                                encode_cat_object, encode_element, encode_grade,
+                                encode_rational)
 
 
 def bfs_component_count(k: frozenset) -> int:
@@ -333,6 +339,75 @@ def decode_cert_by_values(data: dict) -> InterleavingCert:
     f = _morphism_by_values(x, y, data["epsilon"], data["f_components"])
     g = _morphism_by_values(y, x, data["delta"], data["g_components"])
     return InterleavingCert(f, g)
+
+
+def encode_object_by_occurrence(x: PersistentObject) -> dict:
+    """``encode_object`` without a document table: each distinct object
+    value, each map object several edges hold, and each element are encoded
+    once for x alone."""
+    encoded, seen = {}, {}
+    for obj in x.objects.values():
+        if obj not in encoded:
+            encoded[obj] = encode_cat_object(x.category_name, obj, seen)
+    maps = {}
+    for f in x.edge_maps.values():
+        if id(f) not in maps:
+            maps[id(f)] = encode_cat_map(x.category_name, f)
+    return {
+        "format": FORMAT_OBJECT,
+        "m": x.m,
+        "category": x.category_name,
+        "integer_indexed": x.integer_indexed,
+        "axes": [[encode_rational(v) for v in axis] for axis in x.grid.axes],
+        "objects": {
+            ",".join(map(str, idx)): encoded[obj] for idx, obj in x.objects.items()
+        },
+        "edge_maps": {
+            ",".join(map(str, idx)) + "|" + str(a): maps[id(f)]
+            for (idx, a), f in x.edge_maps.items()
+        },
+    }
+
+
+def _components_by_occurrence(f: DeltaMorphism) -> list[dict]:
+    """One entry per merged-grid point, each axis value encoded once for f
+    and each map where it occurs."""
+    axes = [[encode_rational(v) for v in axis] for axis in f.grid.axes]
+    return [
+        {"at": [axis[i] for axis, i in zip(axes, idx)],
+         "map": encode_cat_map(f.source.category_name, f.components[idx])}
+        for idx in f.grid.indices()
+    ]
+
+
+def encode_cert_by_occurrence(cert: InterleavingCert, include_objects: bool = True) -> dict:
+    out = {
+        "format": FORMAT_CERT,
+        "epsilon": encode_grade(cert.epsilon),
+        "delta": encode_grade(cert.delta),
+        "f_components": _components_by_occurrence(cert.f),
+        "g_components": _components_by_occurrence(cert.g),
+    }
+    if include_objects:
+        out["x"] = encode_object_by_occurrence(cert.f.source)
+        out["y"] = encode_object_by_occurrence(cert.f.target)
+    return out
+
+
+def encode_zigzag_by_occurrence(result) -> dict:
+    return {
+        "format": FORMAT_ZIGZAG,
+        "c": encode_object_by_occurrence(result.c),
+        "even_restriction_equal": result.even_equal,
+        "odd_restriction_equal": result.odd_equal,
+        "pieces": {
+            "a_to_even": encode_cert_by_occurrence(result.piece_a),
+            "even_to_odd": encode_cert_by_occurrence(result.piece_mid),
+            "odd_to_b": encode_cert_by_occurrence(result.piece_b),
+        },
+        "composite": encode_cert_by_occurrence(result.composite),
+        "total_shifts": [encode_grade(s) for s in result.total_shifts],
+    }
 
 
 def check_interleaving_by_composites(cert: InterleavingCert) -> InterleavingReport:

@@ -48,6 +48,7 @@ from perscert.distances import bottleneck
 from perscert.errors import CategoryError, ValidationError
 from perscert.invariants import barcode, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
+from perscert import persist, search
 from perscert.persist import _Leg, _positions
 from perscert.randgen import (
     corrupt_certificate,
@@ -458,6 +459,21 @@ def test_distance_search_matches_the_reference_search():
                     == json.dumps(encode_cert(plain.certificate))
                     == json.dumps(encode_cert(expected_cert)))
     assert certified >= 30 and unbounded >= 20
+
+
+def test_a_search_builds_the_triangle_table_of_each_pair_of_legs_once(monkeypatch):
+    """The re-check of a partner the search found reads the triangle table
+    its frame built: two ``identity_shift`` per pair of legs, not four."""
+    tables, shifts = [], []
+    build, shift = persist._triangles, persist.identity_shift
+    monkeypatch.setattr(search, "_triangles", lambda f, g: tables.append(g) or build(f, g))
+    monkeypatch.setattr(persist, "identity_shift", lambda x, d: shifts.append(d) or shift(x, d))
+    certified = 0
+    for x, y in small_pairs(12):
+        result = interleaving_distance_search(x, y)
+        certified += result.certificate is not None
+    assert certified > 0 and tables
+    assert len(shifts) == 2 * len(tables)
 
 
 def drawn_legs():

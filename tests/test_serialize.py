@@ -1,6 +1,7 @@
 """Lossless JSON wire formats: round trips and schema rejection."""
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perscert import serialize as ser
+from perscert.cli import _dumps
 from perscert.complexes import degree_rips, vietoris_rips
 from perscert.errors import SchemaError
 from perscert.invariants import Bar, Barcode
 from perscert.grades import Grade
-from perscert.persist import Grid, PersistentObject, check_interleaving
+from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, PersistentObject,
+                              check_interleaving, extend_floor, floor_roundtrip_cert,
+                              integer_object)
 from perscert.randgen import (
     interleaved_pair,
     rand_barcode,
@@ -23,9 +27,12 @@ from perscert.randgen import (
     rand_finset_object,
     rand_metric,
     rand_persistent_complex,
+    rand_real_object,
 )
+from perscert.rectify import zigzag
 
-from oracles import decode_cert_by_values, decode_object_by_keys, encode_metric
+from oracles import (decode_cert_by_values, decode_object_by_keys, encode_cert_by_occurrence,
+                     encode_metric, encode_object_by_occurrence, encode_zigzag_by_occurrence)
 
 
 def json_round(data):
@@ -83,16 +90,141 @@ def test_persistent_object_round_trip(maker):
 
 
 def test_encode_object_writes_each_held_map_once():
-    """Edges that hold one map object (degree-Rips shares an inclusion per
-    distinct subcomplex) hold one list in the document, and no other edge
-    holds it."""
+    """Each edge holds the wire form of its map, and two edges hold one list
+    exactly when their maps are equal: degree-Rips shares an inclusion per
+    distinct subcomplex, and equal inclusions held as distinct objects
+    share one list too."""
     x = degree_rips(rand_metric(random.Random(5), 7, max_dist=12), 2)
     edge_maps = ser.encode_object(x)["edge_maps"]
-    pairs = {(id(f), id(edge_maps[",".join(map(str, idx)) + "|" + str(a)]))
-             for (idx, a), f in x.edge_maps.items()}
-    held = {id(f) for f in x.edge_maps.values()}
-    assert len(pairs) == len(held) == len({id(v) for v in edge_maps.values()})
-    assert len(held) < len(x.edge_maps)
+    wire = {(idx, a): edge_maps[",".join(map(str, idx)) + "|" + str(a)]
+            for idx, a in x.edge_maps}
+    for edge, f in x.edge_maps.items():
+        assert wire[edge] == ser.encode_cat_map("Complex", f)
+    for e1, e2 in itertools.combinations(x.edge_maps, 2):
+        assert (wire[e1] is wire[e2]) == (x.edge_maps[e1] == x.edge_maps[e2])
+    lists = {id(v) for v in wire.values()}
+    assert len(lists) < len({id(f) for f in x.edge_maps.values()}) < len(x.edge_maps)
+
+
+def test_a_document_holds_one_dict_per_embedded_object_value():
+    """The equal embedded objects of a zig-zag document are one dict; A and
+    extend_floor(A), equal as objects but written with another
+    ``integer_indexed``, stay two."""
+    rng = random.Random(2)
+    x = rand_finset_object(rng, lo=-2, hi=3)
+    y, cert = interleaved_pair(rng, x, 1)
+    doc = ser.encode_zigzag(zigzag(x, y, cert, 1))
+    pieces = doc["pieces"]
+    assert doc["composite"]["x"] is pieces["a_to_even"]["x"]
+    assert doc["composite"]["y"] is pieces["odd_to_b"]["y"]
+    assert pieces["a_to_even"]["y"] is pieces["even_to_odd"]["x"]  # e*(A) = e*(C)
+    doc = ser.encode_cert(_floor_pair(x))
+    assert doc["x"] is not doc["y"] and doc["x"]["objects"] == doc["y"]["objects"]
+    assert (doc["x"]["integer_indexed"], doc["y"]["integer_indexed"]) == (True, False)
+
+
+def _floor_pair(a: PersistentObject) -> InterleavingCert:
+    """The 0-interleaving of a Z-indexed A and extend_floor(A) by identities."""
+    e = extend_floor(a)
+    ident = a.category.identity
+    f = DeltaMorphism.from_fn(a, e, Grade([0]), lambda r: ident(a.evaluate(r)))
+    g = DeltaMorphism.from_fn(e, a, Grade([0]), lambda r: ident(a.evaluate(r)))
+    return InterleavingCert(f, g)
+
+
+# -- the value table against documents encoded where each value occurs --------
+
+
+def assert_same_document(ours, oracle):
+    """Equal documents, and the text the CLI writes of ours is the text of
+    json.dumps of the oracle's."""
+    assert ours == oracle
+    assert _dumps(ours) == json.dumps(oracle, sort_keys=True, indent=2)
+
+
+def _named(names) -> PersistentObject:
+    """A Z-indexed FinSet object whose elements are the given tuples and
+    frozensets, with maps between equal sets that are not identities."""
+    a, b = frozenset(names[:2]), frozenset(names)
+    swap = dict(zip(names[:2], reversed(names[:2])))
+    return integer_object("FinSet", [a, a, b, b],
+                          [swap, {e: e for e in a}, {**swap, **{e: e for e in names[2:]}}], 0)
+
+
+def _seeded_documents():
+    """(name, document, oracle document) for seeded certificates of the three
+    categories, zig-zags at m = 1 and 2, floor round trips, degree-Rips
+    objects, objects named by tuples and frozensets, and a certificate
+    between A and extend_floor(A)."""
+    out = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        for x in (rand_finset_object(rng, lo=-2, hi=3), rand_f2vec_object(rng, lo=-2, hi=3),
+                  rand_persistent_complex(rng)):
+            for m in (1, 2):
+                y, cert = interleaved_pair(rng, x, m)
+                name = f"{x.category_name} seed {seed} m={m}"
+                out.append((f"cert {name}", ser.encode_cert(cert),
+                            encode_cert_by_occurrence(cert)))
+                out.append((f"slim cert {name}", ser.encode_cert(cert, False),
+                            encode_cert_by_occurrence(cert, False)))
+                result = zigzag(x, y, cert, m)
+                out.append((f"zigzag {name}", ser.encode_zigzag(result),
+                            encode_zigzag_by_occurrence(result)))
+            out.append((f"floor pair {x.category_name} seed {seed}",
+                        ser.encode_cert(_floor_pair(x)),
+                        encode_cert_by_occurrence(_floor_pair(x))))
+        for category in ("FinSet", "F2Vec"):
+            cert = floor_roundtrip_cert(rand_real_object(rng, category))
+            out.append((f"roundtrip {category} seed {seed}", ser.encode_cert(cert),
+                        encode_cert_by_occurrence(cert)))
+        x = degree_rips(rand_metric(rng, 6, max_dist=8), 2)
+        out.append((f"degree-rips seed {seed}", ser.encode_object(x),
+                    encode_object_by_occurrence(x)))
+    for names in ([("a", 1), ("b",), ("a", ("b", 2))],
+                  [frozenset({"a"}), frozenset({"b", 1}), frozenset({frozenset({"c"})})]):
+        x = _named(names)
+        y, cert = interleaved_pair(random.Random(0), x, 1)
+        out.append((f"names {type(names[0]).__name__}", ser.encode_cert(cert),
+                    encode_cert_by_occurrence(cert)))
+    return out
+
+
+@pytest.mark.parametrize("ours, oracle", [pytest.param(ours, oracle, id=name)
+                                           for name, ours, oracle in _seeded_documents()])
+def test_documents_match_the_encoders_without_a_table(ours, oracle):
+    assert_same_document(ours, oracle)
+
+
+def test_vertex_maps_filed_under_one_key_are_told_apart(monkeypatch):
+    """With every vertex map filed under one key, the table still shares a
+    wire form only between equal maps."""
+    monkeypatch.setattr(ser, "hash", lambda item: 0, raising=False)
+    for ours, oracle in [(ours, oracle) for _, ours, oracle in _seeded_documents()]:
+        assert_same_document(ours, oracle)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["FinSet", "F2Vec", "Complex"]),
+       st.integers(1, 2))
+def test_random_documents_match_the_encoders_without_a_table(seed, category, m):
+    """Seeded objects, their interleaved partners, the zig-zag of the pair and
+    the floor round trip of an object on a rational axis, each encoded with
+    one table and without."""
+    rng = random.Random(seed)
+    if category == "Complex":
+        x = rand_persistent_complex(rng)
+    else:
+        make = rand_finset_object if category == "FinSet" else rand_f2vec_object
+        x = make(rng, lo=-rng.randint(0, 3), hi=rng.randint(0, 3))
+    y, cert = interleaved_pair(rng, x, m)
+    assert_same_document(ser.encode_object(y), encode_object_by_occurrence(y))
+    assert_same_document(ser.encode_cert(cert), encode_cert_by_occurrence(cert))
+    result = zigzag(x, y, cert, m)
+    assert_same_document(ser.encode_zigzag(result), encode_zigzag_by_occurrence(result))
+    if category != "Complex":
+        cert = floor_roundtrip_cert(rand_real_object(rng, category))
+        assert_same_document(ser.encode_cert(cert), encode_cert_by_occurrence(cert))
 
 
 def test_certificate_round_trip_with_embedded_objects():
