@@ -11,11 +11,13 @@ dimension 2 gets its H0 and H1 barcodes both by ``filtration_barcode`` and
 by ``barcode(homology(to_persistent(...)))``; the script exits with status 1
 when the two differ. ``degree_rips`` is built up to dimension 2 on seeded
 metrics of DEGREE_RIPS_POINTS points, and ``validate`` checks the Rips
-complexes of RIPS_POINTS points. The documents of those degree-Rips objects
-are then written both by ``json.dumps(sort_keys=True, indent=2)`` and by the
-CLI's writer, which encodes each repeated value once; the script exits with
-status 1 when the two texts differ. Then ``decode_filtered_complex`` reads
-the documents of the Rips complexes of RIPS_POINTS points. Last,
+complexes of RIPS_POINTS points. The documents of those degree-Rips objects,
+and then of their ``pi0`` (components named by frozensets), are written
+both by ``json.dumps(sort_keys=True, indent=2)`` and by the CLI's writer,
+which encodes each repeated value, and each item that object lists share,
+once; the script exits with status 1 when the two texts differ. Then
+``decode_filtered_complex`` reads the documents of the Rips complexes of
+RIPS_POINTS points. Last,
 ``decode_object`` reads the degree-Rips documents of DEGREE_RIPS_POINTS
 points and ``is_filtered`` checks what it read; the script exits with status
 1 when that verdict (filtered or not, the condition failed, the witness)
@@ -55,7 +57,7 @@ from pathlib import Path
 
 from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottleneck,
                       check_interleaving, degree_rips, filtration_barcode, homology,
-                      is_filtered, to_persistent, validate, vietoris_rips, zigzag)
+                      is_filtered, pi0, to_persistent, validate, vietoris_rips, zigzag)
 from perscert import serialize as ser
 from perscert.cli import _dumps
 from perscert.grades import rat_to_str
@@ -159,16 +161,18 @@ def main() -> None:
         f = vietoris_rips(rips_metric(n), 2)
         ms = best_ms_on_copies(validate, complex_copy(f))
         print(f"validate    n={n:3d}  simplices={len(f.simplices):5d}  best_ms={ms:10.3f}")
-    for n in DEGREE_RIPS_POINTS:
-        doc = ser.encode_object(degree_rips(rips_metric(n), 2))
-        text = json.dumps(doc, sort_keys=True, indent=2)
-        if _dumps(doc) != text:
-            print(f"emit n={n}: the writer's text differs from json.dumps")
-            disagree += 1
-        dumps_ms = best_ms(lambda: json.dumps(doc, sort_keys=True, indent=2))
-        writer_ms = best_ms(lambda: _dumps(doc))
-        print(f"emit        n={n:3d}  bytes={len(text):8d}  "
-              f"json_dumps_ms={dumps_ms:10.3f}  dumps_ms={writer_ms:10.3f}")
+    for kind in ("emit", "emit pi0"):
+        for n in DEGREE_RIPS_POINTS:
+            x = degree_rips(rips_metric(n), 2)
+            doc = ser.encode_object(x if kind == "emit" else pi0(x))
+            text = json.dumps(doc, sort_keys=True, indent=2)
+            if _dumps(doc) != text:
+                print(f"{kind} n={n}: the writer's text differs from json.dumps")
+                disagree += 1
+            dumps_ms = best_ms(lambda: json.dumps(doc, sort_keys=True, indent=2))
+            writer_ms = best_ms(lambda: _dumps(doc))
+            print(f"{kind:11} n={n:3d}  bytes={len(text):8d}  "
+                  f"json_dumps_ms={dumps_ms:10.3f}  dumps_ms={writer_ms:10.3f}")
     for n in RIPS_POINTS:
         text = json.dumps(ser.encode_filtered_complex(vietoris_rips(rips_metric(n), 2)),
                           sort_keys=True, indent=2)

@@ -5,7 +5,8 @@ of ``json.dumps(data, sort_keys=True, indent=2)`` and a newline, so identical
 inputs give byte-identical output. The encoders of ``serialize`` build each
 distinct value of a document once and share it wherever it occurs; the
 writer encodes the text of a value that a member dict holds under several
-keys (the lists of a persistent object's objects and edge maps) once.
+keys (the lists of a persistent object's objects and edge maps), and of
+each item such lists share (a simplex of nested complexes), once.
 
 Exit codes: 0 ok, 1 property violated, 2 schema error (an input that cannot
 be read, or an ``-o`` path that cannot be written, is one), 3 budget exceeded.
@@ -89,9 +90,13 @@ def _dumps(data: dict) -> str:
     """The text of json.dumps(data, sort_keys=True, indent=2), with each value
     that a member dict of data holds under several keys encoded once: the
     object lists and edge maps of a persistent-object document, which the
-    encoders share between equal values. Shared values deeper down (the
-    component maps and embedded objects of certificates) are written at
-    each place.
+    encoders share between equal values. A list of containers whose first
+    item the member has met before shares items with earlier lists (as the
+    simplex lists of nested complexes do) and is joined from the text of its
+    items, each encoded once; one whose first item is new (the fresh pairs
+    of a vertex map) costs less encoded whole. Shared values deeper down
+    (the component maps and embedded objects of certificates) are written
+    at each place.
 
     Documents without such a member (all but persistent objects) go to the
     encoder of json.dumps(sort_keys=True, indent=2) in one call. Otherwise
@@ -106,12 +111,26 @@ def _dumps(data: dict) -> str:
     def member(value, pad):
         if not _repeats(value):
             return _ENCODER.encode(value).replace("\n", pad)
-        memo = {}
+        held, items = {}, {}  # id -> text of a value, of an item (None: met, not written)
+
+        def item(x, pad):
+            items[id(x)] = text = _ENCODER.encode(x).replace("\n", pad)
+            return text
 
         def once(v, inner):
-            if id(v) not in memo:
-                memo[id(v)] = _ENCODER.encode(v).replace("\n", inner)
-            return memo[id(v)]
+            text = held.get(id(v))
+            if text is None:
+                if isinstance(v, list) and v and isinstance(v[0], (list, dict)):
+                    if id(v[0]) in items:
+                        pad = inner + "  "
+                        text = "[" + pad + ("," + pad).join(
+                            [items.get(id(x)) or item(x, pad) for x in v]) + inner + "]"
+                    else:
+                        items[id(v[0])] = None
+                if text is None:
+                    text = _ENCODER.encode(v).replace("\n", inner)
+                held[id(v)] = text
+            return text
         return _members(value, pad, once)
     return _members(data, "\n", member)
 

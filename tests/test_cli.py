@@ -106,18 +106,31 @@ VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
 CONTAINERS = st.lists(VALUES, max_size=3) | st.dictionaries(TEXT, VALUES, max_size=3)
 
 
+# non-empty containers, whose text spans lines
+LINED = st.lists(VALUES, min_size=1, max_size=3) | st.dictionaries(TEXT, VALUES, min_size=1,
+                                                                   max_size=3)
+
+
 @st.composite
 def repeating_documents(draw):
     """A document with a member dict that holds one list or dict object under
-    two keys; shared objects may hold shared objects in turn."""
+    two keys; shared objects may hold shared objects in turn. The member
+    also holds two lists that start with one item, a shared container or a
+    scalar, and share another; their other items are shared containers,
+    scalars and empty containers."""
     pool = [draw(CONTAINERS)]
     for _ in range(draw(st.integers(0, 3))):
         inner = draw(st.sampled_from(pool))
         pool.append(draw(st.sampled_from([[inner, True, inner, 1], {"x": inner, "y": inner},
                                           [], {}, draw(CONTAINERS)])))
-    held = st.dictionaries(TEXT, st.sampled_from(pool) | VALUES, max_size=4)
+    shared = st.sampled_from([draw(LINED), draw(LINED), *pool])
+    first, common = draw(shared | SCALARS), draw(shared)
+    entries = st.lists(shared | SCALARS | st.builds(list) | st.builds(dict), max_size=3)
+    lists = [[first, *draw(entries), common, *draw(entries)] for _ in range(2)]
+    held = st.dictionaries(TEXT, st.sampled_from(pool + lists) | VALUES, max_size=4)
     doc = draw(st.dictionaries(TEXT, st.sampled_from(pool) | VALUES | held, max_size=4))
-    repeating = {**draw(held), "\u00e9\"\\\n": pool[-1], "k": pool[-1]}
+    repeating = {**draw(held), "\u00e9\"\\\n": pool[-1], "k": pool[-1],
+                 "l0": lists[0], "l1": lists[1]}
     return {**doc, draw(TEXT): repeating}
 
 

@@ -2,10 +2,13 @@
 library's ``ast``: an import that its module never uses, a private
 module-level function or class that no package module refers to, an export
 of the package that nothing refers to, a cycle among the package's modules,
-and a library module that imports the searches."""
+a library module that imports the searches, and an import from outside the
+standard library."""
 
 import ast
 import graphlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,26 @@ def test_package_imports_form_no_cycle():
         tuple(graphlib.TopologicalSorter(IMPORTS).static_order())
     except graphlib.CycleError as e:
         pytest.fail(f"import cycle among package modules: {e.args[1]}")
+
+
+def test_the_package_imports_the_standard_library_only():
+    """Every import of a package module names ``__future__``, the package, or
+    a standard-library module, and the project declares no dependency: the
+    writer, the CLI and the linear algebra use no third-party code."""
+    outside = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{name}:{node.lineno} {module}" for module in modules
+                        if module.split(".")[0] not in {"perscert", *sys.stdlib_module_names}]
+    assert not outside, f"imports outside the standard library: {outside}"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r"^\[project\]$[^[]*^dependencies = \[\]$", pyproject, re.M)
 
 
 def test_only_the_cli_and_the_package_import_the_searches():

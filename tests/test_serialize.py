@@ -1,5 +1,6 @@
 """Lossless JSON wire formats: round trips and schema rejection."""
 
+import collections
 import copy
 import itertools
 import json
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perscert import cli
 from perscert import serialize as ser
 from perscert.cli import _dumps
-from perscert.complexes import degree_rips, vietoris_rips
+from perscert.complexes import (SQUARE_GRID, MetricInput, degree_rips, sq_gadget,
+                                vietoris_rips)
 from perscert.errors import SchemaError
-from perscert.invariants import Bar, Barcode
+from perscert.invariants import Bar, Barcode, pi0
 from perscert.grades import Grade
 from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, PersistentObject,
                               check_interleaving, extend_floor, floor_roundtrip_cert,
@@ -225,6 +228,75 @@ def test_random_documents_match_the_encoders_without_a_table(seed, category, m):
     if category != "Complex":
         cert = floor_roundtrip_cert(rand_real_object(rng, category))
         assert_same_document(ser.encode_cert(cert), encode_cert_by_occurrence(cert))
+
+
+# -- object lists that share simplices, as the writer writes them -------------
+
+
+def _square() -> PersistentObject:
+    """A commuting square of complexes: an edge and a point over two points."""
+    edge, point = frozenset({("a",), ("b",), ("a", "b")}), frozenset({("c",)})
+    return PersistentObject(
+        SQUARE_GRID, "Complex",
+        {(0, 0): frozenset({("a",), ("b",)}), (1, 0): edge, (0, 1): point, (1, 1): point},
+        {((0, 0), 0): {"a": "a", "b": "b"}, ((0, 0), 1): {"a": "c", "b": "c"},
+         ((1, 0), 1): {"a": "c", "b": "c"}, ((0, 1), 0): {"c": "c"}})
+
+
+def _shared_simplex_objects():
+    """(name, persistent object) for degree-Rips objects of 6-12 seeded
+    points and their pi0 (components named by frozensets), the sq_gadget of
+    a square, and degree-Rips objects on vertices named by strings, tuples
+    and frozensets."""
+    out = []
+    for n in range(6, 13):
+        x = degree_rips(rand_metric(random.Random(n), n, max_dist=n * n // 4), 2)
+        out += [(f"degree-rips n={n}", x), (f"pi0 of degree-rips n={n}", pi0(x))]
+    out.append(("sq_gadget", sq_gadget(_square())))
+    for names in (["a", "b", "c", "d", "e", "f"],
+                  [("a", 1), ("b",), ("a", ("b", 2)), ("c", 3), ("d",), ("e", "f")],
+                  [frozenset({"a"}), frozenset({"b", 1}), frozenset({frozenset({"c"})}),
+                   frozenset({"d"}), frozenset({("e", 2)}), frozenset({"f", "g"})]):
+        metric = MetricInput(names, rand_metric(random.Random(1), len(names), max_dist=6).dist)
+        out.append((f"degree-rips on {type(names[0]).__name__} names", degree_rips(metric, 2)))
+    return out
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=name)
+                               for name, x in _shared_simplex_objects()])
+def test_objects_that_share_simplices_are_written_as_json_dumps_writes_them(x):
+    assert_same_document(ser.encode_object(x), encode_object_by_occurrence(x))
+
+
+def _degree_rips_document() -> dict:
+    return ser.encode_object(degree_rips(rand_metric(random.Random(9), 9, max_dist=20), 2))
+
+
+def test_equal_simplices_of_different_objects_are_one_list():
+    """What the writer relies on: each distinct simplex of an object document
+    is one wire list, held by every object list that holds the simplex."""
+    lists = list(_degree_rips_document()["objects"].values())
+    first = {}
+    for obj in lists:
+        for s in obj:
+            assert first.setdefault(tuple(s), s) is s
+    assert sum(map(len, lists)) > 2 * len(first)
+
+
+def test_the_writer_encodes_each_shared_simplex_once(monkeypatch):
+    """The writer joins object lists from the text of their simplices: some
+    simplices go to the encoder alone, and none goes twice."""
+    doc, encoder, calls = _degree_rips_document(), cli._ENCODER, collections.Counter()
+
+    class Counting:
+        def encode(self, value):
+            calls[id(value)] += 1
+            return encoder.encode(value)
+
+    monkeypatch.setattr(cli, "_ENCODER", Counting())
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    alone = [calls[id(s)] for obj in doc["objects"].values() for s in obj if id(s) in calls]
+    assert alone and max(alone) == 1
 
 
 def test_certificate_round_trip_with_embedded_objects():
