@@ -17,11 +17,15 @@ both by ``json.dumps(sort_keys=True, indent=2)`` and by the CLI's writer,
 which encodes each repeated value, and each item that object lists share,
 once; the script exits with status 1 when the two texts differ. Then
 ``decode_filtered_complex`` reads the documents of the Rips complexes of
-RIPS_POINTS points. Last,
+RIPS_POINTS points, and
 ``decode_object`` reads the degree-Rips documents of DEGREE_RIPS_POINTS
 points and ``is_filtered`` checks what it read; the script exits with status
 1 when that verdict (filtered or not, the condition failed, the witness)
-differs from the verdict on the object before it was written. Then
+differs from the verdict on the object before it was written. The
+degree-Rips documents of DECODE_POINTS points, as the CLI writes them, are
+read by ``decode_object``, with the memory the decoded object holds and the
+peak of the decode (tracemalloc); the script exits with status 1 when the
+decoded object is written to another text. Then
 ``check_interleaving`` replays, for FinSet and F2Vec objects on windows of
 CHECK_GRADES grades, a seeded genuine 1-interleaving (``interleaved_pair``),
 its zig-zag composite, and a copy of each with one component replaced; the
@@ -52,6 +56,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +76,7 @@ from oracles import encode_cert_by_occurrence, encode_zigzag_by_occurrence  # no
 SIZES = (8, 16, 32, 64, 128)
 RIPS_POINTS = (8, 12, 16, 20, 24)
 DEGREE_RIPS_POINTS = (6, 7, 8, 9, 12)
+DECODE_POINTS = (6, 9, 12)
 CHECK_GRADES = (41, 81)
 SEED = 1
 
@@ -95,6 +101,18 @@ def best_ms_on_copies(fn, make) -> float:
     copies are made before timing starts."""
     copies = iter([make() for _ in range(MAX_RUNS)])
     return best_ms(lambda: fn(next(copies)))
+
+
+def traced_kb(make) -> tuple[float, float]:
+    """The size in KB of what make() returns, as tracemalloc counts the
+    memory still held after the call, and the peak during the call."""
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    value = make()
+    live, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del value
+    return (live - before) / 1024, (peak - before) / 1024
 
 
 def complex_copy(f: FilteredComplex):
@@ -194,6 +212,17 @@ def main() -> None:
         check_ms = best_ms_on_copies(is_filtered, lambda: ser.decode_object(data))
         print(f"is_filtered n={n:3d}  bytes={len(text):8d}  filtered={check.filtered!s:5}  "
               f"decode_ms={decode_ms:10.3f}  is_filtered_ms={check_ms:10.3f}")
+    for n in DECODE_POINTS:
+        text = _dumps(ser.encode_object(degree_rips(rips_metric(n), 2)))
+        data = json.loads(text)
+        if _dumps(ser.encode_object(ser.decode_object(data))) != text:
+            print(f"decode dr n={n}: the decoded object is written another way")
+            disagree += 1
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+        live_kb, peak_kb = traced_kb(lambda: ser.decode_object(data))
+        ms = best_ms(lambda: ser.decode_object(data))
+        print(f"decode dr   n={n:3d}  bytes={len(text):8d}  sha256={digest}  "
+              f"live_kb={live_kb:8.1f}  peak_kb={peak_kb:8.1f}  best_ms={ms:10.3f}")
     for category in ("FinSet", "F2Vec"):
         for n in CHECK_GRADES:
             rng = random.Random(SEED * 1000 + n)

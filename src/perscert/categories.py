@@ -223,8 +223,8 @@ class ComplexCategory(FinSetCategory):
                 keys = vertices[src] = complex_vertices(src)
         if f.keys() != keys:
             return False
-        if _is_inclusion(f):
-            return src <= tgt
+        if _is_inclusion(f):  # a decoded object shares equal subcomplexes
+            return src is tgt or src <= tgt
         return all(self.apply_simplex(f, sigma) in tgt for sigma in src)
 
     def enumerate_maps(self, src, tgt):

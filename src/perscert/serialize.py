@@ -14,7 +14,11 @@ tables of the strings the grid itself is written with; any other string is
 parsed by its pattern, so a non-canonical key still decodes and a bad one
 fails with its own message. Lists of simplices and maps between vertex
 names are read by one C call each when every entry is a plain name, and
-otherwise entry by entry. The objects then check each distinct simplex once
+otherwise entry by entry. Within one persistent object's document, such a
+list or map that equals one of the last four decoded in its table takes
+that one's value (``decode_object``), so a decoded object holds each run of
+equal subcomplexes and inclusions once, and one frozenset or dict may sit
+at many grid points. The objects then check each distinct simplex once
 (``ComplexCategory.check_object``); every check still runs.
 """
 
@@ -164,15 +168,29 @@ def decode_cat_object(category: str, data):
     if category == "F2Vec":
         _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
-    _require(isinstance(data, list), "bad object {!r}", data)
-    if (_LIST.issuperset(map(type, data))
-            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
-        # simplices of vertex names: decode_element would give the same tuples
+    return _set_object(data)
+
+
+def _set_object(data, recent: list | None = None) -> frozenset:
+    """The set or complex object of data. ``recent``, when given, holds the
+    last four flat raw objects decoded in data's table, each with its value
+    (see ``decode_object``)."""
+    flat = (type(data) is list and _LIST.issuperset(map(type, data))
+            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
+    if flat:  # simplices of vertex names: decode_element would give the same tuples
+        for raw, elements in recent or ():
+            if raw == data:
+                return elements
         elements = frozenset(map(tuple, data))
     else:
+        _require(isinstance(data, list), "bad object {!r}", data)
         elements = frozenset(map(decode_element, data))
     if len(elements) != len(data):  # the message is built only on failure
         raise SchemaError(f"object {data!r} lists an element twice")
+    if flat and recent is not None:
+        recent.append((data, elements))
+        if len(recent) > 4:
+            del recent[0]
     return elements
 
 
@@ -200,15 +218,31 @@ def decode_cat_map(category: str, data):
                  and _BITS.issuperset(itertools.chain.from_iterable(rows)),
                  "matrix entries must be 0 or 1")
         return GF2Matrix(rows, nr, nc)
-    _require(isinstance(data, list), "bad map {!r}", data)
-    if (_LIST.issuperset(map(type, data)) and _PAIR.issuperset(map(len, data))
-            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
+    return _vertex_map(data)
+
+
+def _vertex_map(data, recent: list | None = None) -> dict:
+    """The set or complex map of data. ``recent``, when given, holds the
+    last four flat raw maps decoded in data's table, each with its value
+    (see ``decode_object``)."""
+    flat = (type(data) is list and _LIST.issuperset(map(type, data))
+            and _PAIR.issuperset(map(len, data))
+            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
+    if flat:
+        for raw, out in recent or ():
+            if raw == data:
+                return out
         # pairs of vertex names: decode_element would give the same keys and
         # values. A key given twice makes the dict shorter; the loop below
         # then finds it and names it.
         out = dict(data)
         if len(out) == len(data):
+            if recent is not None:
+                recent.append((data, out))
+                if len(recent) > 4:
+                    del recent[0]
             return out
+    _require(isinstance(data, list), "bad map {!r}", data)
     out = {}
     for entry in data:
         _require(isinstance(entry, list) and len(entry) == 2, "bad map entry {!r}", entry)
@@ -348,6 +382,15 @@ def _encode_object(x: PersistentObject, values: _Values) -> dict:
 
 
 def decode_object(data: dict) -> PersistentObject:
+    """The persistent object of a document, validated. A set or complex
+    object list, or a vertex map, that passes the exact-type check of the
+    flat path (a list of lists of str or int names) is compared (``==``)
+    with the last four such values decoded in its table, and takes the value
+    decoded from an equal one: a sublevel filtration holds one subcomplex,
+    and one inclusion, over whole regions of its grid. The type check comes
+    first and runs once, so a ``true`` or ``1.0`` never takes the value of
+    an equal-looking ``1``. Other lists, dimensions and matrices are decoded
+    one by one."""
     _document(data, FORMAT_OBJECT, "persistent object")
     category = data.get("category")
     _require(category in ("FinSet", "F2Vec", "Complex"), "bad category {!r}", category)
@@ -362,18 +405,21 @@ def decode_object(data: dict) -> PersistentObject:
     # point or edge, for as many points or edges as the document has keys;
     # any other key is read by its pattern, and the object's checks refuse it
     # when it lies off the grid
+    sets, recent = category != "F2Vec", []  # the last flat raw values of a table
     objects, entries = {}, _field(data, "objects", dict, {})
     points = {",".join(map(str, idx)): idx
               for idx in itertools.islice(grid.indices(), len(entries))}
     for key, obj in entries.items():
         idx = points.get(key)
-        objects[decode_index(key) if idx is None else idx] = decode_cat_object(category, obj)
-    edges, entries = {}, _field(data, "edge_maps", dict, {})
+        objects[decode_index(key) if idx is None else idx] = (
+            _set_object(obj, recent) if sets else decode_cat_object(category, obj))
+    edges, entries, recent = {}, _field(data, "edge_maps", dict, {}), []
     steps = {",".join(map(str, idx)) + "|" + str(a): (idx, a)
              for idx, a, _ in itertools.islice(grid.edges(), len(entries))}
     for key, f in entries.items():
         edge = steps.get(key)
-        edges[decode_edge_key(key) if edge is None else edge] = decode_cat_map(category, f)
+        edges[decode_edge_key(key) if edge is None else edge] = (
+            _vertex_map(f, recent) if sets else decode_cat_map(category, f))
     integer_indexed = data.get("integer_indexed", False)
     _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
     return PersistentObject(grid, category, objects, edges, integer_indexed=integer_indexed)
@@ -382,12 +428,8 @@ def decode_object(data: dict) -> PersistentObject:
 # -- morphisms and certificates -------------------------------------------------
 
 
-def encode_components(f: DeltaMorphism) -> list[dict]:
-    """One entry per merged-grid point, on a value table of its own."""
-    return _encode_components(f, _Values())
-
-
 def _encode_components(f: DeltaMorphism, values: _Values) -> list[dict]:
+    """One entry per merged-grid point."""
     axes, cat, components = values.axes(f.grid), f.source.category_name, f.components
     return [
         {"at": [axis[i] for axis, i in zip(axes, idx)], "map": values.map(cat, components[idx])}

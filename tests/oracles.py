@@ -29,8 +29,9 @@ possible with what it checks:
 - ``decode_cat_map_by_entries``, ``decode_object_by_keys``,
   ``decode_cert_by_values``, ``check_complex_by_simplices`` and
   ``audit_squares_by_composition``: documents read entry by entry, every key
-  and "at" coordinate parsed, every simplex of every object checked in full
-  and every square composed, against the library's grid tables, flat reads,
+  and "at" coordinate parsed, every object list and map decoded on its own,
+  every simplex of every object checked in full and every square composed,
+  against the library's grid tables, flat reads, shared decoded values,
   shared simplex checks and inclusion squares.
 """
 
@@ -270,7 +271,8 @@ def audit_squares_by_composition(x: PersistentObject) -> None:
 
 def decode_object_by_keys(data: dict) -> PersistentObject:
     """``decode_object`` with every object and edge key parsed by its
-    pattern, every map read by ``decode_cat_map_by_entries``, and the
+    pattern, every object list decoded on its own (no two places share a
+    value), every map read by ``decode_cat_map_by_entries``, and the
     object validated with every simplex of every distinct complex checked
     in full."""
     _require(isinstance(data, dict), "persistent object must be a JSON object")

@@ -1,9 +1,9 @@
 """Dead code and the import layering of the package, found with the standard
 library's ``ast``: an import that its module never uses, a private
-module-level function or class that no package module refers to, an export
-of the package that nothing refers to, a cycle among the package's modules,
-a library module that imports the searches, and an import from outside the
-standard library."""
+module-level function or class that no package module refers to, a public
+one or an export of the package that nothing refers to, a cycle among the
+package's modules, a library module that imports the searches, and an import
+from outside the standard library."""
 
 import ast
 import graphlib
@@ -83,16 +83,42 @@ def test_every_private_function_and_class_is_referenced():
     assert not orphans, f"private definitions nothing refers to: {orphans}"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# the package's modules but __init__.py (an export does not count as a use),
+# the tests and the scripts
+USERS = [tree for name, tree in TREES.items() if name != "__init__.py"] + [
+    ast.parse(path.read_text(), str(path))
+    for folder in ("tests", "scripts") for path in ROOT.glob(f"{folder}/*.py")]
+USED = set().union(*map(referenced_names, USERS))
+
+
 def test_every_export_is_used():
     """Each name the package exports is referenced by a package module (its
-    own, or another), a test or a script; the export itself does not count."""
-    tests = Path(__file__).resolve().parent
-    users = [tree for name, tree in TREES.items() if name != "__init__.py"]
-    users += [ast.parse(path.read_text(), str(path))
-              for path in [*tests.glob("*.py"), *tests.parent.glob("scripts/*.py")]]
-    referenced = set().union(*map(referenced_names, users))
-    unused = sorted(set(imported_names(TREES["__init__.py"])).difference(referenced))
+    own, or another), a test or a script."""
+    unused = sorted(set(imported_names(TREES["__init__.py"])).difference(USED))
     assert not unused, f"exports nothing refers to: {unused}"
+
+
+def registered_command(node) -> bool:
+    """Whether a definition is decorated by the CLI's ``_command``, which
+    registers it under its command name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "_command" for d in node.decorator_list)
+
+
+def test_every_public_function_and_class_is_referenced():
+    """Each public module-level function or class of a package module is
+    referenced by a package module, a test or a script; the CLI's commands
+    are reached through their names."""
+    orphans = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in USED
+        and not registered_command(node)
+    ]
+    assert not orphans, f"public definitions nothing refers to: {orphans}"
 
 
 def package_imports(tree: ast.Module) -> set:

@@ -5,9 +5,11 @@ import copy
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from perscert import serialize as ser
 from perscert.cli import _dumps
 from perscert.complexes import (SQUARE_GRID, MetricInput, degree_rips, sq_gadget,
                                 vietoris_rips)
-from perscert.errors import SchemaError
+from perscert.errors import SchemaError, ValidationError
 from perscert.invariants import Bar, Barcode, pi0
 from perscert.grades import Grade
 from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, PersistentObject,
@@ -268,6 +270,67 @@ def test_objects_that_share_simplices_are_written_as_json_dumps_writes_them(x):
     assert_same_document(ser.encode_object(x), encode_object_by_occurrence(x))
 
 
+@pytest.mark.parametrize("x", [pytest.param(x, id=name)
+                               for name, x in _shared_simplex_objects()
+                               if "frozenset" not in name])
+def test_decoded_objects_that_share_values_equal_the_objects_read_entry_by_entry(x):
+    """Decoding with the last values of each table kept gives what decoding
+    every entry on its own gives, and the decoded object holds fewer
+    distinct complexes than grid points wherever the document repeats one
+    list next to itself. (Simplices over frozenset vertex names are left
+    out: ``total_order`` is not total on frozensets, so under some hash
+    seeds their objects are refused as unsorted, by both decoders.)"""
+    data = json_round(ser.encode_object(x))
+    y, oracle = ser.decode_object(data), decode_object_by_keys(data)
+    assert y == oracle == x and y.integer_indexed == oracle.integer_indexed
+    lists = list(data["objects"].values())
+    if any(a == b and _flat(a) for a, b in zip(lists, lists[1:])):
+        assert len(set(map(id, y.objects.values()))) < len(y.objects)
+
+
+def _flat(obj) -> bool:
+    """Whether an object list holds simplices of plain vertex names."""
+    return all(type(s) is list and all(type(v) in (str, int) for v in s) for s in obj)
+
+
+def test_is_filtered_reads_the_same_on_both_decodes_under_each_hash_seed():
+    """is_filtered names the same verdict, condition, offender and witness
+    on a decoded object that shares values and on one read entry by entry,
+    in processes with hash seeds 0-5, on degree-Rips objects of 6-12 seeded
+    points named by integers and by strings."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    here = Path(__file__).resolve().parent
+    code = (
+        "import json, random\n"
+        "from perscert import serialize as ser\n"
+        "from perscert.complexes import MetricInput, degree_rips, is_filtered\n"
+        "from perscert.randgen import rand_metric\n"
+        "from oracles import decode_object_by_keys\n"
+        "def verdict(decode, data):\n"
+        "    r = is_filtered(decode(data))\n"
+        "    return r.filtered, r.condition, r.offender, r.witness\n"
+        "out = []\n"
+        "for n in range(6, 13):\n"
+        "    metric = rand_metric(random.Random(n), n, max_dist=n * n // 4)\n"
+        "    for points in (metric.points, [f'v{i}' for i in range(n)]):\n"
+        "        data = json.loads(json.dumps(ser.encode_object(\n"
+        "            degree_rips(MetricInput(points, metric.dist), 2))))\n"
+        "        out.append(verdict(ser.decode_object, data)\n"
+        "                   == verdict(decode_object_by_keys, data))\n"
+        "print(json.dumps(out))\n"
+    )
+    for hash_seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+               "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(run.stdout) == [True] * 14
+
+
 def _degree_rips_document() -> dict:
     return ser.encode_object(degree_rips(rand_metric(random.Random(9), 9, max_dist=20), 2))
 
@@ -337,6 +400,63 @@ def test_decoded_complexes_share_each_wire_grade_and_refuse_bad_ones_after_good(
     for bad in ([True], [1.0], "12", {"1": 0}, [["1"]], []):
         with pytest.raises(SchemaError, match="bad"):
             ser.decode_filtered_complex(doc([1], ["1"], ["1", "2"], list("12"), bad))
+
+
+def _line_object(category: str, objects: list, maps: list) -> dict:
+    """The document of a persistent object on the grid 0 < 1 < ...: objects
+    at its points and maps on its steps, in grid order."""
+    return {"format": ser.FORMAT_OBJECT, "m": 1, "category": category,
+            "axes": [[str(i) for i in range(len(objects))]],
+            "objects": {str(i): obj for i, obj in enumerate(objects)},
+            "edge_maps": {f"{i}|0": f for i, f in enumerate(maps)}}
+
+
+def test_decoded_objects_share_equal_lists_and_maps_and_refuse_bad_ones_after_good(tmp_path):
+    """An object list or vertex map equal to one decoded before it in its
+    table is decoded once; an unequal one, also one that lists the same set
+    in another order, is decoded on its own. A bad list or map is refused
+    wherever it comes, also after a good one it equals in Python (``true``
+    after ``1``, ``1.0`` after ``1``), with exit 2 through the CLI."""
+    x = ser.decode_object(_line_object(
+        "Complex", [[[1]], [[1]], [[1], [2]], [[2], [1]]],
+        [[[1, 1]], [[1, 1]], [[1, 1], [2, 2]]]))
+    objects, maps = x.objects, x.edge_maps
+    assert objects[(0,)] is objects[(1,)] and objects[(1,)] is not objects[(2,)]
+    assert objects[(2,)] == objects[(3,)] and objects[(2,)] is not objects[(3,)]
+    assert maps[((0,), 0)] is maps[((1,), 0)] and maps[((1,), 0)] is not maps[((2,), 0)]
+    f = ser.decode_object(_line_object("FinSet", [["a"]] * 3, [[["a", "a"]], [["a", "a"]]]))
+    assert f.edge_maps[((0,), 0)] is f.edge_maps[((1,), 0)]
+    runner = CliRunner()
+    for bad in (True, 1.0):
+        assert [[bad]] == [[1]] and [[bad, 1]] == [[1, 1]] == [[1, bad]]
+        docs = [_line_object("Complex", [[[1]], [[1]], [[bad]]], [[[1, 1]], [[1, 1]]])]
+        docs += [_line_object(category, [obj, obj, obj], [[[1, 1]], pair])
+                 for category, obj in (("Complex", [[1]]), ("FinSet", [1]))
+                 for pair in ([[bad, 1]], [[1, bad]])]
+        for doc in docs:
+            with pytest.raises(SchemaError, match=f"^bad element {bad}$"):
+                ser.decode_object(doc)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            r = runner.invoke(cli.main, ["is-filtered", str(path)])
+            assert r.exit_code == 2 and f"bad element {bad}" in r.output
+
+
+def test_a_map_shared_by_two_edges_is_checked_on_each():
+    """One vertex map value on two edges is checked against each edge's own
+    source and target, and refused at the second edge when it is valid for
+    the first only: by its vertices, or by a simplex the target lacks."""
+    with pytest.raises(ValidationError, match=re.escape("edge map at ((1,), 0)")):
+        ser.decode_object(_line_object("Complex", [[[1]], [[1], [2]], [[1], [2]]],
+                                       [[[1, 1]], [[1, 1]]]))
+    with pytest.raises(ValidationError, match=re.escape("edge map at ((1,), 0)")):
+        ser.decode_object(_line_object(
+            "Complex", [[[1], [2]], [[1], [2], [1, 2]], [[1], [2]]],
+            [[[1, 1], [2, 2]], [[1, 1], [2, 2]]]))
+    x = ser.decode_object(_line_object(
+        "Complex", [[[1], [2]], [[1], [2], [1, 2]], [[1], [2], [1, 2]]],
+        [[[1, 1], [2, 2]], [[1, 1], [2, 2]]]))
+    assert x.edge_maps[((0,), 0)] is x.edge_maps[((1,), 0)] and x.objects[(1,)] is x.objects[(2,)]
 
 
 def test_encoded_objects_sort_each_element_by_the_repr_of_its_wire_form():
