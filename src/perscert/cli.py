@@ -1,19 +1,22 @@
 """Command-line interface.
 
-All interchange is JSON with exact rationals as strings. Output is the text
-of ``json.dumps(data, sort_keys=True, indent=2)`` and a newline, so identical
+All interchange is JSON with exact rationals as strings. A command returns
+its document, and one runner (``_reports``) writes it, to ``-o`` when given
+and else to stdout, and sets the exit code. Output is the text of
+``json.dumps(data, sort_keys=True, indent=2)`` and a newline, so identical
 inputs give byte-identical output. The encoders of ``serialize`` build each
 distinct value of a document once and share it wherever it occurs; the
 writer encodes the text of a value that a member dict holds under several
 keys (the lists of a persistent object's objects and edge maps), and of
 each item such lists share (a simplex of nested complexes), once.
 
-Exit codes: 0 ok, 1 property violated, 2 schema error (an input that cannot
-be read, or an ``-o`` path that cannot be written, is one), 3 budget exceeded.
-A usage error (unknown subcommand or option, missing argument, an option
-value that is not an integer, an abbreviated option) exits 2 too, with the
-usage text on stderr and nothing on stdout. ``perscert --help`` lists the
-subcommands, and ``perscert COMMAND --help`` documents each.
+Exit codes: 0 ok, 1 property violated (after the document is written),
+2 schema error (an input that cannot be read, or an ``-o`` path that cannot
+be written, is one), 3 budget exceeded. A usage error (unknown subcommand or
+option, missing argument, an option value that is not an integer, an
+abbreviated option) exits 2 too, with the usage text on stderr and nothing
+on stdout. ``perscert --help`` lists the subcommands, and
+``perscert COMMAND --help`` documents each.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .complexes import (
 )
 from .distances import bottleneck, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
-from .grades import rat_to_str
 from .invariants import barcode, filtration_barcode, homology, pi0
 from .persist import check_interleaving, floor_roundtrip_cert
 from .rectify import zigzag
@@ -150,18 +152,30 @@ def _emit(data: dict, output: str | None) -> None:
         raise SchemaError(f"cannot write JSON to {output}: {exc}") from exc
 
 
+def _report(ok: bool, **fields) -> dict:
+    """A report document: its envelope and fields."""
+    return {"format": ser.FORMAT_REPORT, "ok": ok, **fields}
+
+
 def _fail(code: int, kind: str, message: str) -> None:
-    _emit({"format": ser.FORMAT_REPORT, "ok": False, "error": kind,
-           "message": message}, None)
+    _emit(_report(False, error=kind, message=message), None)
     sys.exit(code)
 
 
 def _reports(command):
-    """Map a perscert error raised by a command to its JSON report and exit code."""
+    """Run a command and write the document it returns (to the -o file
+    output, else stdout). A verdict command returns the document and whether
+    its property holds, and exits 1 once it is written if that fails. A
+    perscert error instead writes its report to stdout and exits 2 (schema),
+    3 (budget) or 1."""
     @functools.wraps(command)
-    def run(*args, **kwargs):
+    def run(output=None, **arguments):
         try:
-            command(*args, **kwargs)
+            result = command(**arguments)
+            data, ok = result if type(result) is tuple else (result, True)
+            _emit(data, output)
+            if not ok:
+                sys.exit(EXIT_PROPERTY)
         except SchemaError as exc:
             _fail(EXIT_SCHEMA, "schema", str(exc))
         except BudgetExceededError as exc:
@@ -220,8 +234,9 @@ _OUTPUT = _arg("-o", "--output", help="Write the document to this file (- is std
 
 def _command(name: str, *arguments):
     """Register the decorated function as the subcommand name, taking the
-    arguments (each from _arg, its dest a parameter of the function) and run
-    through _reports. The function's docstring is the subcommand's help."""
+    arguments (each from _arg, its dest a parameter of the function or, for
+    _OUTPUT, of _reports) and run through _reports. The function's docstring
+    is the subcommand's help."""
     def register(command):
         doc = " ".join((command.__doc__ or "").split())  # None under -OO
         first, stop, _ = doc.partition(". ")
@@ -259,26 +274,26 @@ main = _Main()
 
 
 @_command("rips", _arg("metric"), _DMAX, _OUTPUT)
-def rips(metric, dmax, output):
+def rips(metric, dmax):
     """Vietoris-Rips filtered complex from a dissimilarity matrix."""
     mi = ser.decode_metric(_load(metric))
-    _emit(ser.encode_filtered_complex(vietoris_rips(mi, dmax)), output)
+    return ser.encode_filtered_complex(vietoris_rips(mi, dmax))
 
 
 @_command("frips", _arg("metric"), _DMAX, _OUTPUT)
-def frips(metric, dmax, output):
+def frips(metric, dmax):
     """Bifiltration by (diameter, max vertex value); the metric document
     must carry a "values" array."""
     mi = ser.decode_metric(_load(metric))
-    _emit(ser.encode_filtered_complex(function_rips(mi, dmax)), output)
+    return ser.encode_filtered_complex(function_rips(mi, dmax))
 
 
 @_command("degree-rips", _arg("metric"), _DMAX, _OUTPUT)
-def degree_rips_cmd(metric, dmax, output):
+def degree_rips_cmd(metric, dmax):
     """Two-parameter degree-Rips persistent complex (second axis is the
     negated degree threshold)."""
     mi = ser.decode_metric(_load(metric))
-    _emit(ser.encode_object(degree_rips(mi, dmax)), output)
+    return ser.encode_object(degree_rips(mi, dmax))
 
 
 @_command("validate", _arg("complex_path"))
@@ -286,12 +301,9 @@ def validate_cmd(complex_path):
     """Check face closure and grade monotonicity of a filtered complex."""
     fc = ser.decode_filtered_complex(_load(complex_path))
     report = validate(fc)
-    _emit({"format": ser.FORMAT_REPORT, "ok": report.valid,
-           "reason": report.reason,
-           "offender": ser.encode_element(report.offender)
-           if report.offender else None}, None)
-    if not report.valid:
-        sys.exit(EXIT_PROPERTY)
+    return _report(report.valid, reason=report.reason,
+                   offender=ser.encode_element(report.offender)
+                   if report.offender else None), report.valid
 
 
 @_command("is-filtered", _arg("object_path"))
@@ -300,47 +312,41 @@ def is_filtered_cmd(object_path):
     structure maps monomorphisms and every appearance set has a minimum."""
     p = _load_persistent_complex(object_path)
     chk = is_filtered(p)
-    out = {"format": ser.FORMAT_REPORT, "ok": chk.filtered}
-    if chk.filtered:
-        # sorted on the decoded simplices, which fixes the order of tuple vertices
-        # as before, then written in wire form, which frozenset vertices need
-        witness = sorted(([list(s), ser.encode_grade(g)] for s, g in chk.witness.items()),
-                         key=repr)
-        out["witness"] = [[[ser.encode_element(v) for v in s], g] for s, g in witness]
-    else:
-        out["condition"] = chk.condition
-        out["reason"] = chk.reason
-    _emit(out, None)
     if not chk.filtered:
-        sys.exit(EXIT_PROPERTY)
+        return _report(False, condition=chk.condition, reason=chk.reason), False
+    # sorted on the decoded simplices, which fixes the order of tuple vertices
+    # as before, then written in wire form, which frozenset vertices need
+    witness = sorted(([list(s), ser.encode_grade(g)] for s, g in chk.witness.items()),
+                     key=repr)
+    return _report(True, witness=[[[ser.encode_element(v) for v in s], g]
+                                  for s, g in witness]), True
 
 
 @_command("skeleton", _arg("complex_path"),
           _arg("-n", "--dim", dest="n", type=int, required=True,
                help="Truncate to simplices of dimension <= n."), _OUTPUT)
-def skeleton_cmd(complex_path, n, output):
+def skeleton_cmd(complex_path, n):
     """n-skeleton of a filtered complex."""
     fc = ser.decode_filtered_complex(_load(complex_path))
-    _emit(ser.encode_filtered_complex(skeleton(fc, n)), output)
+    return ser.encode_filtered_complex(skeleton(fc, n))
 
 
 @_command("pi0", _arg("object_path"), _OUTPUT)
-def pi0_cmd(object_path, output):
+def pi0_cmd(object_path):
     """Persistent set of connected components of a persistent complex."""
-    _emit(ser.encode_object(pi0(_load_persistent_complex(object_path))), output)
+    return ser.encode_object(pi0(_load_persistent_complex(object_path)))
 
 
 @_command("homology", _arg("object_path"), _DIM, _OUTPUT)
-def homology_cmd(object_path, dim, output):
+def homology_cmd(object_path, dim):
     """Degree-n persistent GF(2) homology of a 1-parameter complex."""
-    _emit(ser.encode_object(homology(_load_persistent_complex(object_path), dim)),
-          output)
+    return ser.encode_object(homology(_load_persistent_complex(object_path), dim))
 
 
 @_command("barcode", _arg("input_path"),
           _arg("--dim", type=int, default=0, show_default=True,
                help="Homology degree when the input is a complex."), _OUTPUT)
-def barcode_cmd(input_path, dim, output):
+def barcode_cmd(input_path, dim):
     """Barcode of a persistence module, or of the degree-dim homology of a
     complex. A filtered complex is reduced in filtration order, without
     building its persistent homology; a persistent complex goes through
@@ -350,16 +356,16 @@ def barcode_cmd(input_path, dim, output):
         bars = filtration_barcode(doc, dim)
     else:
         bars = barcode(doc if doc.category_name == "F2Vec" else homology(doc, dim))
-    _emit(ser.encode_barcode(bars), output)
+    return ser.encode_barcode(bars)
 
 
 @_command("bottleneck", _arg("barcode1"), _arg("barcode2"), _OUTPUT)
-def bottleneck_cmd(barcode1, barcode2, output):
+def bottleneck_cmd(barcode1, barcode2):
     """Exact bottleneck distance with an optimal matching."""
     b1 = ser.decode_barcode(_load(barcode1))
     b2 = ser.decode_barcode(_load(barcode2))
     d, matching = bottleneck(b1, b2)
-    _emit(ser.encode_matching(matching, d), output)
+    return ser.encode_matching(matching, d)
 
 
 @_command("interleave-check", _arg("cert_path"))
@@ -368,86 +374,72 @@ def interleave_check_cmd(cert_path):
     triangle identities)."""
     cert = ser.decode_cert(_load(cert_path))
     report = check_interleaving(cert)
-    _emit({"format": ser.FORMAT_REPORT, "ok": report.valid,
-           "reason": report.reason,
-           "grade": ser.encode_grade(report.grade) if report.grade else None,
-           "identity": report.identity}, None)
-    if not report.valid:
-        sys.exit(EXIT_PROPERTY)
+    return _report(report.valid, reason=report.reason,
+                   grade=ser.encode_grade(report.grade) if report.grade else None,
+                   identity=report.identity), report.valid
 
 
 @_command("interleave-dist", _arg("x_path"), _arg("y_path"),
           _arg("--max-enum", type=int, default=DEFAULT_BUDGET, show_default=True,
                help="Budget on enumerated component maps."), _OUTPUT)
-def interleave_dist_cmd(x_path, y_path, max_enum, output):
+def interleave_dist_cmd(x_path, y_path, max_enum):
     """Least candidate delta admitting a certified delta-interleaving
     (a certified upper bound on the interleaving distance; m = 1,
     FinSet or F2Vec)."""
     x = ser.decode_object(_load(x_path))
     y = ser.decode_object(_load(y_path))
     result = interleaving_distance_search(x, y, budget=max_enum)
-    out = {
-        "format": ser.FORMAT_REPORT,
-        "ok": True,
-        "distance": "inf" if result.distance is None
-        else rat_to_str(result.distance),
-        "reason": result.reason,
-        "candidates": [rat_to_str(c) for c in result.candidates],
-    }
+    out = _report(True, distance=ser.encode_rational(result.distance),
+                  reason=result.reason,
+                  candidates=[ser.encode_rational(c) for c in result.candidates])
     if result.certificate is not None:
         out["certificate"] = ser.encode_cert(result.certificate,
                                              include_objects=False)
-    _emit(out, output)
+    return out
 
 
 @_command("rectify", _arg("cert_path"),
           _arg("--block", dest="m", type=int, default=1, show_default=True,
                help="Block size m of the input m-interleaving."), _OUTPUT)
-def rectify_cmd(cert_path, m, output):
+def rectify_cmd(cert_path, m):
     """Zig-zag rectification of an m-interleaving of Z-indexed objects; emits
     the diagonal object, equality witnesses, piece certificates, and the
     certified composite."""
     cert = ser.decode_cert(_load(cert_path))
     result = zigzag(cert.f.source, cert.f.target, cert, m)
-    _emit(ser.encode_zigzag(result), output)
-    if not (result.even_equal and result.odd_equal
-            and check_interleaving(result.composite).valid):
-        sys.exit(EXIT_PROPERTY)
+    valid = (result.even_equal and result.odd_equal
+             and check_interleaving(result.composite).valid)
+    return ser.encode_zigzag(result), valid
 
 
 @_command("roundtrip-floor", _arg("object_path"), _OUTPUT)
-def roundtrip_floor_cmd(object_path, output):
+def roundtrip_floor_cmd(object_path):
     """Certificate that a 1-parameter object is 1-interleaved with the
     floor-extension of its integer restriction."""
     x = ser.decode_object(_load(object_path))
     cert = floor_roundtrip_cert(x)
-    _emit(ser.encode_cert(cert), output)
-    if not check_interleaving(cert).valid:
-        sys.exit(EXIT_PROPERTY)
+    return ser.encode_cert(cert), check_interleaving(cert).valid
 
 
 @_command("stability-audit", _arg("cert_path"), _DIM, _OUTPUT)
-def stability_audit_cmd(cert_path, dim, output):
+def stability_audit_cmd(cert_path, dim):
     """Push a complex-level interleaving through degree-dim homology and
     check the stability inequality d_B <= max(eps, delta) on the barcodes."""
     cert = ser.decode_cert(_load(cert_path))
     rep = stability_audit(cert, dim)
-    _emit({
-        "format": ser.FORMAT_REPORT,
-        "ok": rep.holds,
-        "bound": rat_to_str(rep.bound),
-        "distance": "inf" if rep.distance is None else rat_to_str(rep.distance),
-        "module_certificate_valid": rep.module_cert_valid,
-        "barcode_x": ser.encode_barcode(rep.barcode_x),
-        "barcode_y": ser.encode_barcode(rep.barcode_y),
-        "matching": ser.encode_matching(rep.matching, rep.distance),
-    }, output)
-    if not rep.holds:
-        sys.exit(EXIT_PROPERTY)
+    return _report(
+        rep.holds,
+        bound=ser.encode_rational(rep.bound),
+        distance=ser.encode_rational(rep.distance),
+        module_certificate_valid=rep.module_cert_valid,
+        barcode_x=ser.encode_barcode(rep.barcode_x),
+        barcode_y=ser.encode_barcode(rep.barcode_y),
+        matching=ser.encode_matching(rep.matching, rep.distance),
+    ), rep.holds
 
 
 @_command("sq-gadget", _arg("square_path"), _OUTPUT)
-def sq_gadget_cmd(square_path, output):
+def sq_gadget_cmd(square_path):
     """Embed a commuting square of complexes into a two-parameter persistent
     complex (empty on negative grades, collapsing to a point at 2). The
     square is validated as a persistent complex on the grid {0,1}^2, so a
@@ -460,7 +452,7 @@ def sq_gadget_cmd(square_path, output):
         "format": ser.FORMAT_OBJECT, "category": "Complex", "axes": [[0, 1], [0, 1]],
         "objects": data["corners"], "edge_maps": data["maps"],
     })
-    _emit(ser.encode_object(sq_gadget(square)), output)
+    return ser.encode_object(sq_gadget(square))
 
 
 if __name__ == "__main__":

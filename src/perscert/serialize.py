@@ -34,7 +34,7 @@ from .categories import simplex
 from .complexes import FilteredComplex, MetricInput
 from .errors import SchemaError
 from .gf2 import GF2Matrix
-from .grades import Grade, rat, rat_to_str
+from .grades import Grade, rat_to_str
 from .invariants import Bar, Barcode
 from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
 
@@ -78,7 +78,9 @@ def _document(data, fmt: str, what: str) -> None:
 
 
 def encode_rational(x) -> str:
-    return rat_to_str(rat(x))
+    """The wire form of a rational, "p" or "p/q"; None, the infinite end of a
+    bar or an infinite distance, is "inf"."""
+    return "inf" if x is None else rat_to_str(x)
 
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -449,7 +451,7 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     _require(isinstance(components_data, list), "components must be a list")
     leg = _Leg(source, target, shift)
     positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
-    wire = [{rat_to_str(v): i for v, i in table.items()} for table in positions]
+    wire = [{encode_rational(v): i for v, i in table.items()} for table in positions]
     components = {}
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
@@ -534,6 +536,7 @@ def decode_filtered_complex(data: dict) -> FilteredComplex:
         _require(isinstance(entry, dict) and isinstance(entry.get("v"), list)
                  and "grade" in entry, "bad simplex entry {!r}", entry)
         vs = entry["v"]
+        _require(vs, "simplex entry {!r} has no vertex", entry)
         if not _FLAT_SCALARS.issuperset(map(type, vs)):  # names that need decoding
             vs = [decode_element(v) for v in vs]
         s = simplex(vs)
@@ -575,7 +578,7 @@ def encode_barcode(b: Barcode) -> dict:
         "intervals": [
             {
                 "birth": encode_rational(bar.birth),
-                "death": "inf" if bar.death is None else encode_rational(bar.death),
+                "death": encode_rational(bar.death),
             }
             for bar in b.bars
         ],
@@ -599,7 +602,7 @@ def decode_barcode(data: dict) -> Barcode:
 def encode_matching(matching, cost) -> dict:
     return {
         "format": FORMAT_MATCHING,
-        "cost": "inf" if cost is None else encode_rational(cost),
+        "cost": encode_rational(cost),
         "pairs": [list(p) for p in matching.pairs] if matching else [],
         "deleted_left": list(matching.deleted_left) if matching else [],
         "deleted_right": list(matching.deleted_right) if matching else [],

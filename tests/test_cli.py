@@ -269,16 +269,22 @@ def _interleaved_cert(seed, build):
 ])
 def test_failed_replay_writes_the_document_then_exits_1(
         runner, tmp_path, monkeypatch, command, doc, fmt):
-    """Each command replays what it built after writing it; here the replay
-    (the certificate check, or the stability inequality) is made to fail."""
+    """Each command replays what it built, and the document is written, to
+    the -o file when given, before the exit; here the replay (the
+    certificate check, or the stability inequality) is made to fail."""
     audit = cli.stability_audit
     monkeypatch.setattr(cli, "check_interleaving",
                         lambda cert: InterleavingReport(False, "refused"))
     monkeypatch.setattr(cli, "stability_audit",
                         lambda cert, n: dataclasses.replace(audit(cert, n), holds=False))
-    r = invoke(runner, [command, write(tmp_path, "doc.json", doc)])
+    path = write(tmp_path, "doc.json", doc)
+    r = invoke(runner, [command, path])
     assert r.exit_code == 1
     assert json.loads(r.output)["format"] == fmt
+    out = tmp_path / "out.json"
+    r = invoke(runner, [command, path, "-o", str(out)])
+    assert r.exit_code == 1 and r.output == ""
+    assert json.loads(out.read_text())["format"] == fmt
 
 
 def test_bottleneck_command(runner, tmp_path):
@@ -495,6 +501,8 @@ IDENTITY_2 = {"rows": [[1, 0], [0, 1]], "shape": [2, 2]}
     ("rips", {**COLLINEAR, "points": [0, 1],
               "matrix": [["0", "1" * 5000], ["1" * 5000, "0"]]}),
     ("validate", {"format": ser.FORMAT_COMPLEX, "vertices": 5, "simplices": []}),
+    ("validate", {"format": ser.FORMAT_COMPLEX, "vertices": [0],
+                  "simplices": [{"v": [], "grade": ["0"]}]}),
     ("bottleneck", {"format": ser.FORMAT_BARCODE, "intervals": 5}),
     ("sq-gadget", without(square_document(), "corners")),
     ("sq-gadget", without(square_document(), "maps")),
@@ -502,7 +510,8 @@ IDENTITY_2 = {"rows": [[1, 0], [0, 1]], "shape": [2, 2]}
 ], ids=["objects-not-an-object", "edge-maps-not-an-object", "axis-a-string",
         "cert-without-epsilon", "cert-without-delta", "cert-without-f", "cert-without-g",
         "points-not-a-list", "matrix-not-a-list", "rational-over-0",
-        "numerator-of-5000-digits", "vertices-not-a-list", "intervals-not-a-list",
+        "numerator-of-5000-digits", "vertices-not-a-list", "empty-simplex",
+        "intervals-not-a-list",
         "square-without-corners", "square-without-maps", "square-not-an-object"])
 def test_hostile_document_is_a_schema_error(runner, tmp_path, command, doc):
     p = write(tmp_path, "doc.json", doc)

@@ -1,8 +1,10 @@
 """Golden CLI outputs: the whole stdout and the exit code of the README
 commands and of the certificate-level subcommands, on fixed documents and on
 seeded ``randgen`` inputs, compared byte for byte with ``tests/golden/``.
-The ``scripts/`` programs are compared the same way, each run in a fresh
-interpreter (``script-<name>.txt``).
+Each case whose command takes ``-o`` runs again with ``-o FILE``: FILE
+must hold the golden's stdout, and stdout stay empty. The ``scripts/`` programs
+are compared the same way, each run in a fresh interpreter
+(``script-<name>.txt``).
 
 Each golden file is ``exit: <code>`` on its first line followed by the exact
 stdout. After a deliberate output change, regenerate them with
@@ -209,6 +211,24 @@ def inputs(tmp_path_factory):
 def test_cli_output_matches_golden(inputs, name):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert run_case(inputs, CASES[name]) == expected
+
+
+# the commands without -o: each writes its verdict report to stdout
+NO_OUTPUT_OPTION = {"validate", "is-filtered", "interleave-check"}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in CASES.items()
+                                        if args[0] not in NO_OUTPUT_OPTION))
+def test_output_option_writes_the_golden_document(inputs, tmp_path, name):
+    """With ``-o FILE`` the document goes to FILE, byte for byte as the
+    golden's stdout, stdout stays empty and the exit code is the golden's."""
+    code, document = (GOLDEN / f"{name}.txt").read_text().split("\n", 1)
+    out = tmp_path / "out.json"
+    args = [str(inputs / a) if a.endswith(".json") else a for a in CASES[name]]
+    result = CliRunner().invoke(main, [*args, "-o", str(out)], catch_exceptions=False)
+    assert result.stdout == ""
+    assert out.read_text() == document
+    assert f"exit: {result.exit_code}" == code
 
 
 @pytest.mark.parametrize("name", SCRIPTS)

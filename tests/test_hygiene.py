@@ -2,8 +2,9 @@
 library's ``ast``: an import that its module never uses, a private
 module-level function or class that no package module refers to, a public
 one or an export of the package that nothing refers to, a cycle among the
-package's modules, a library module that imports the searches, and an import
-from outside the standard library."""
+package's modules, a library module that imports the searches, an import
+from outside the standard library, and a CLI command that writes its
+document or exits itself."""
 
 import ast
 import graphlib
@@ -104,6 +105,29 @@ def registered_command(node) -> bool:
     registers it under its command name."""
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
                and d.func.id == "_command" for d in node.decorator_list)
+
+
+def writes_or_exits(call: ast.Call) -> bool:
+    """Whether a call is to the CLI's writers ``_emit`` or ``_fail``, or to
+    ``sys.exit`` (or the builtin ``exit``)."""
+    func = call.func
+    return (isinstance(func, ast.Name) and func.id in {"_emit", "_fail", "exit"}
+            or isinstance(func, ast.Attribute) and func.attr == "exit"
+            and isinstance(func.value, ast.Name) and func.value.id == "sys")
+
+
+def test_commands_leave_output_and_exit_to_the_runner():
+    """No CLI command writes its document or exits itself: each returns its
+    document (and a verdict command whether its property holds), and the
+    runner ``_reports`` writes it and sets the exit code."""
+    offenders = [
+        f"cli.py:{call.lineno} {node.name}"
+        for node in TREES["cli.py"].body
+        if isinstance(node, ast.FunctionDef) and registered_command(node)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and writes_or_exits(call)
+    ]
+    assert not offenders, f"commands that write or exit themselves: {offenders}"
 
 
 def test_every_public_function_and_class_is_referenced():
