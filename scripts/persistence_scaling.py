@@ -35,7 +35,11 @@ reported invalid. Last, for the same seeded objects at m = 1 and 2, the
 ``roundtrip-floor`` document of the partner (``encode_cert`` of its floor
 round trip) are encoded and written as the CLI writes them, and by the
 encoders of ``tests/oracles.py``, which encode each value where it occurs;
-the script exits with status 1 when the two texts differ. Each line
+the script exits with status 1 when the two texts differ. Then
+``decode_cert`` reads the documents, as the CLI writes them, of the genuine
+FinSet and F2Vec certificates of the ``check_interleaving`` rows; the
+script exits with status 1 when the decoded certificate is written to
+another text. Each line
 gives a deterministic checksum (the number of bars, the distance d_B, the
 grid points and distinct objects of a degree-Rips object, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
@@ -260,6 +264,20 @@ def main() -> None:
                     ms = best_ms(lambda: _dumps(encode()))
                     print(f"encode {kind:9} {category:6} n={n:3d} m={m}  bytes={len(text):8d}  "
                           f"sha256={digest}  oracle_ms={oracle_ms:10.3f}  best_ms={ms:10.3f}")
+    for category in ("FinSet", "F2Vec"):
+        for n in CHECK_GRADES:
+            rng = random.Random(SEED * 1000 + n)
+            x = checked_object(category, rng, n)
+            text = _dumps(ser.encode_cert(interleaved_pair(rng, x, 1)[1]))
+            data = json.loads(text)
+            if _dumps(ser.encode_cert(ser.decode_cert(data))) != text:
+                print(f"decode cert {category} n={n}: the decoded certificate is written "
+                      "another way")
+                disagree += 1
+            digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+            ms = best_ms(lambda: ser.decode_cert(data))
+            print(f"decode cert {category:6} n={n:3d}  bytes={len(text):8d}  sha256={digest}  "
+                  f"best_ms={ms:10.3f}")
     if disagree:
         sys.exit(1)
 

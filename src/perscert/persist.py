@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 from .categories import _is_inclusion, get_category
 from .errors import (
+    BudgetExceededError,
     CategoryError,
     DimensionError,
     InvalidScaleError,
@@ -725,13 +726,24 @@ def _structure_morphism(x: PersistentObject, source: PersistentObject,
     return DeltaMorphism._on(leg, {(k,): f for k, f in enumerate(maps)})
 
 
+# the most integers restrict_to_Z samples: its window follows the values of
+# the axis ends, not the size of the object
+MAX_WINDOW = 100_000
+
+
 def restrict_to_Z(x: PersistentObject) -> PersistentObject:
     """Sample a 1-parameter object at the integers of a window covering its
-    grid."""
+    grid; a window of more than MAX_WINDOW integers is refused before any
+    sample is taken."""
     if x.m != 1:
         raise DimensionError("restrict_to_Z needs m = 1")
     axis = x.grid.axes[0]
-    return _sample(x, lambda n: n, floor_int(axis[0]), floor_int(axis[-1]) + 1)
+    lo, hi = floor_int(axis[0]), floor_int(axis[-1]) + 1
+    if hi - lo + 1 > MAX_WINDOW:
+        raise BudgetExceededError(
+            f"restrict_to_Z window [{lo}, {hi}] holds {hi - lo + 1} integers, "
+            f"more than the limit of {MAX_WINDOW}")
+    return _sample(x, lambda n: n, lo, hi)
 
 
 def extend_floor(a: PersistentObject) -> PersistentObject:

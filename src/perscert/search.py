@@ -131,13 +131,13 @@ def _partner(f: DeltaMorphism, frame: _Frame, budget: _Budget
     return None
 
 
-def find_partner(f: DeltaMorphism, delta: Grade, budget_limit: int = DEFAULT_BUDGET
+def find_partner(f: DeltaMorphism, delta: Grade, budget: int = DEFAULT_BUDGET
                  ) -> Optional[InterleavingCert]:
     """Exhaustively search a partner g making (f, g) a valid
     (f.shift, delta)-interleaving. m = 1 only."""
     if f.source.m != 1:
         raise DimensionError("partner search supports m = 1 only")
-    return _partner(f, _Frame(f._leg, delta), _Budget(budget_limit))
+    return _partner(f, _Frame(f._leg, delta), _Budget(budget))
 
 
 def induces_interleaving_in_pi0(f: DeltaMorphism, delta: Grade,
@@ -146,7 +146,7 @@ def induces_interleaving_in_pi0(f: DeltaMorphism, delta: Grade,
     """Whether pi0(f), with its own shift as epsilon, is one leg of an
     (epsilon, delta)-interleaving of persistent sets; found by exhausting
     partner maps."""
-    cert = find_partner(pi0_induced(f), delta, budget_limit=budget)
+    cert = find_partner(pi0_induced(f), delta, budget=budget)
     return (cert is not None), cert
 
 

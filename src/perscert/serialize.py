@@ -14,12 +14,20 @@ tables of the strings the grid itself is written with; any other string is
 parsed by its pattern, so a non-canonical key still decodes and a bad one
 fails with its own message. Lists of simplices and maps between vertex
 names are read by one C call each when every entry is a plain name, and
-otherwise entry by entry. Within one persistent object's document, such a
-list or map that equals one of the last four decoded in its table takes
-that one's value (``decode_object``), so a decoded object holds each run of
-equal subcomplexes and inclusions once, and one frozenset or dict may sit
-at many grid points. The objects then check each distinct simplex once
-(``ComplexCategory.check_object``); every check still runs.
+otherwise entry by entry.
+
+``decode_cat_object`` and ``decode_cat_map`` are the only decoders of
+category values, and one rule holds wherever they read a set or complex
+value. Each table keeps the last four flat lists it decoded, each with its
+value: the objects of a persistent object, its edge maps, and each of a
+certificate's two component lists. A list of lists of plain names (str or
+int, never a bool or float: the exact-type check runs first) that equals
+(``==``) a kept one takes that one's value. A decoded object then holds
+each run of equal subcomplexes and inclusions once, a certificate each run
+of equal component maps, and one frozenset or dict may sit at many places.
+The objects check each distinct simplex once
+(``ComplexCategory.check_object``); every check still runs. F2Vec
+dimensions and matrices are decoded one by one.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import itertools
 import math
 import operator
 import re
+from collections import deque
 from fractions import Fraction
 
 from .categories import simplex
@@ -166,21 +175,17 @@ _INT, _STR, _LIST = frozenset({int}), frozenset({str}), frozenset({list})
 _PAIR, _BITS = frozenset({2}), frozenset({0, 1})
 
 
-def decode_cat_object(category: str, data):
+def decode_cat_object(category: str, data, kept: deque | None = None):
+    """The F2Vec dimension, or the set or complex object, of data. ``kept``,
+    when given, is its table's last flat raw object lists, each with its
+    value (see the module docstring)."""
     if category == "F2Vec":
         _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
-    return _set_object(data)
-
-
-def _set_object(data, recent: list | None = None) -> frozenset:
-    """The set or complex object of data. ``recent``, when given, holds the
-    last four flat raw objects decoded in data's table, each with its value
-    (see ``decode_object``)."""
     flat = (type(data) is list and _LIST.issuperset(map(type, data))
             and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
     if flat:  # simplices of vertex names: decode_element would give the same tuples
-        for raw, elements in recent or ():
+        for raw, elements in kept or ():
             if raw == data:
                 return elements
         elements = frozenset(map(tuple, data))
@@ -189,10 +194,8 @@ def _set_object(data, recent: list | None = None) -> frozenset:
         elements = frozenset(map(decode_element, data))
     if len(elements) != len(data):  # the message is built only on failure
         raise SchemaError(f"object {data!r} lists an element twice")
-    if flat and recent is not None:
-        recent.append((data, elements))
-        if len(recent) > 4:
-            del recent[0]
+    if flat and kept is not None:
+        kept.append((data, elements))
     return elements
 
 
@@ -204,7 +207,10 @@ def encode_cat_map(category: str, f):
     )
 
 
-def decode_cat_map(category: str, data):
+def decode_cat_map(category: str, data, kept: deque | None = None):
+    """The F2Vec matrix, or the set or complex map, of data. ``kept``, when
+    given, is its table's last flat raw vertex maps, each with its value
+    (see the module docstring)."""
     if category == "F2Vec":
         _require(isinstance(data, dict) and "rows" in data and "shape" in data,
                  "bad matrix {!r}", data)
@@ -220,18 +226,10 @@ def decode_cat_map(category: str, data):
                  and _BITS.issuperset(itertools.chain.from_iterable(rows)),
                  "matrix entries must be 0 or 1")
         return GF2Matrix(rows, nr, nc)
-    return _vertex_map(data)
-
-
-def _vertex_map(data, recent: list | None = None) -> dict:
-    """The set or complex map of data. ``recent``, when given, holds the
-    last four flat raw maps decoded in data's table, each with its value
-    (see ``decode_object``)."""
-    flat = (type(data) is list and _LIST.issuperset(map(type, data))
+    if (type(data) is list and _LIST.issuperset(map(type, data))
             and _PAIR.issuperset(map(len, data))
-            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
-    if flat:
-        for raw, out in recent or ():
+            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
+        for raw, out in kept or ():
             if raw == data:
                 return out
         # pairs of vertex names: decode_element would give the same keys and
@@ -239,10 +237,8 @@ def _vertex_map(data, recent: list | None = None) -> dict:
         # then finds it and names it.
         out = dict(data)
         if len(out) == len(data):
-            if recent is not None:
-                recent.append((data, out))
-                if len(recent) > 4:
-                    del recent[0]
+            if kept is not None:
+                kept.append((data, out))
             return out
     _require(isinstance(data, list), "bad map {!r}", data)
     out = {}
@@ -280,12 +276,11 @@ class _Values:
     - the objects of a category, and their elements, by value.
 
     Maps and persistent objects are looked up by id first, so a value held
-    many times is hashed once; ``kept`` holds each of them while the table
-    lives, so no id is reused."""
+    many times is hashed once; ``held`` keeps each of them beside its wire
+    form while the table lives, so no id is reused."""
 
     def __init__(self):
-        self.held = {}         # id of a map or persistent object -> its wire form
-        self.kept = []
+        self.held = {}         # id of a map or persistent object -> (it, its wire form)
         self.maps = {}         # map key -> [(map, wire form)] of the maps filed there
         self.objects = {}      # (persistent object, integer_indexed) -> wire form
         self.scaled_axes = {}  # (d, ints) of an axis -> its wire strings
@@ -293,32 +288,32 @@ class _Values:
         self.elements = {}     # element -> (repr of its wire form, wire form)
 
     def map(self, category: str, f):
-        wire = self.held.get(id(f))
-        if wire is None:
-            # a vertex map is filed under the sum of the hashes of its items,
-            # which builds nothing per item; the maps filed there are
-            # compared in full
-            key = f if isinstance(f, GF2Matrix) else sum(map(hash, f.items()))
-            bucket = self.maps.setdefault(key, [])
-            for g, wire in bucket:
-                if g == f:
-                    break
-            else:
-                wire = encode_cat_map(category, f)
-                bucket.append((f, wire))
-            self.held[id(f)] = wire
-            self.kept.append(f)
+        held = self.held.get(id(f))
+        if held is not None:
+            return held[1]
+        # a vertex map is filed under the sum of the hashes of its items,
+        # which builds nothing per item; the maps filed there are compared
+        # in full
+        key = f if isinstance(f, GF2Matrix) else sum(map(hash, f.items()))
+        bucket = self.maps.setdefault(key, [])
+        for g, wire in bucket:
+            if g == f:
+                break
+        else:
+            wire = encode_cat_map(category, f)
+            bucket.append((f, wire))
+        self.held[id(f)] = f, wire
         return wire
 
     def object(self, x: PersistentObject) -> dict:
-        wire = self.held.get(id(x))
+        held = self.held.get(id(x))
+        if held is not None:
+            return held[1]
+        key = (x, x.integer_indexed)
+        wire = self.objects.get(key)
         if wire is None:
-            key = (x, x.integer_indexed)
-            wire = self.objects.get(key)
-            if wire is None:
-                wire = self.objects[key] = _encode_object(x, self)
-            self.held[id(x)] = wire
-            self.kept.append(x)
+            wire = self.objects[key] = _encode_object(x, self)
+        self.held[id(x)] = x, wire
         return wire
 
     def axes(self, grid: Grid) -> list[list[str]]:
@@ -384,15 +379,11 @@ def _encode_object(x: PersistentObject, values: _Values) -> dict:
 
 
 def decode_object(data: dict) -> PersistentObject:
-    """The persistent object of a document, validated. A set or complex
-    object list, or a vertex map, that passes the exact-type check of the
-    flat path (a list of lists of str or int names) is compared (``==``)
-    with the last four such values decoded in its table, and takes the value
-    decoded from an equal one: a sublevel filtration holds one subcomplex,
-    and one inclusion, over whole regions of its grid. The type check comes
-    first and runs once, so a ``true`` or ``1.0`` never takes the value of
-    an equal-looking ``1``. Other lists, dimensions and matrices are decoded
-    one by one."""
+    """The persistent object of a document, validated. Its objects and its
+    edge maps are two tables of the module docstring's rule: a flat set or
+    complex list, or vertex map, equal to one of the last four in its table
+    takes that one's value, so a sublevel filtration holds one subcomplex,
+    and one inclusion, over whole regions of its grid."""
     _document(data, FORMAT_OBJECT, "persistent object")
     category = data.get("category")
     _require(category in ("FinSet", "F2Vec", "Complex"), "bad category {!r}", category)
@@ -407,21 +398,20 @@ def decode_object(data: dict) -> PersistentObject:
     # point or edge, for as many points or edges as the document has keys;
     # any other key is read by its pattern, and the object's checks refuse it
     # when it lies off the grid
-    sets, recent = category != "F2Vec", []  # the last flat raw values of a table
-    objects, entries = {}, _field(data, "objects", dict, {})
+    objects, entries, kept = {}, _field(data, "objects", dict, {}), deque(maxlen=4)
     points = {",".join(map(str, idx)): idx
               for idx in itertools.islice(grid.indices(), len(entries))}
     for key, obj in entries.items():
         idx = points.get(key)
-        objects[decode_index(key) if idx is None else idx] = (
-            _set_object(obj, recent) if sets else decode_cat_object(category, obj))
-    edges, entries, recent = {}, _field(data, "edge_maps", dict, {}), []
+        objects[decode_index(key) if idx is None else idx] = decode_cat_object(
+            category, obj, kept)
+    edges, entries, kept = {}, _field(data, "edge_maps", dict, {}), deque(maxlen=4)
     steps = {",".join(map(str, idx)) + "|" + str(a): (idx, a)
              for idx, a, _ in itertools.islice(grid.edges(), len(entries))}
     for key, f in entries.items():
         edge = steps.get(key)
-        edges[decode_edge_key(key) if edge is None else edge] = (
-            _vertex_map(f, recent) if sets else decode_cat_map(category, f))
+        edges[decode_edge_key(key) if edge is None else edge] = decode_cat_map(
+            category, f, kept)
     integer_indexed = data.get("integer_indexed", False)
     _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
     return PersistentObject(grid, category, objects, edges, integer_indexed=integer_indexed)
@@ -444,7 +434,9 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     """Each "at" grade must be a point of the merged grid, given once. It is
     placed by one wire string -> position table per axis, and, when a
     coordinate is not written as ``encode_rational`` writes it, by one
-    value -> position table per axis."""
+    value -> position table per axis. The component maps are one table of
+    the module docstring's rule, read as ``decode_object`` reads edge maps:
+    a flat vertex map equal to one of the last four takes that one's value."""
     shift = decode_grade(shift_data)
     _require(shift.m == source.m, "shift {} has arity {}, the objects have m = {}",
              shift, shift.m, source.m)
@@ -452,7 +444,7 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     leg = _Leg(source, target, shift)
     positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
     wire = [{encode_rational(v): i for v, i in table.items()} for table in positions]
-    components = {}
+    category, components, kept = source.category_name, {}, deque(maxlen=4)
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
                  "bad component entry {!r}", entry)
@@ -468,7 +460,7 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
                     f"component at {Grade(coords)} is not a point of the merged grid")
         if idx in components:
             raise SchemaError(f"component at {leg.grid.grade_at(idx)} is given twice")
-        components[idx] = decode_cat_map(source.category_name, entry["map"])
+        components[idx] = decode_cat_map(category, entry["map"], kept)
     f = DeltaMorphism._on(leg, components)
     f._validate_components()
     return f

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,22 @@ def test_roundtrip_floor_command(runner, tmp_path):
     r = invoke(runner, ["roundtrip-floor", p])
     assert r.exit_code == 0
     assert json.loads(r.output)["epsilon"] == ["1"]
+
+
+def test_roundtrip_floor_refuses_a_wide_window_up_front(runner, tmp_path):
+    """Two grades of F2Vec on the axis 0 < 1000000: sampling every integer
+    between them is over the budget, reported with exit 3 before it starts."""
+    x = {"format": ser.FORMAT_OBJECT, "m": 1, "category": "F2Vec",
+         "axes": [["0", "1000000"]], "objects": {"0": 1, "1": 1},
+         "edge_maps": {"0|0": {"rows": [[1]], "shape": [1, 1]}}}
+    start = time.perf_counter()
+    r = invoke(runner, ["roundtrip-floor", write(tmp_path, "x.json", x)])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 3
+    report = json.loads(r.output)
+    assert (report["ok"], report["error"]) == (False, "budget")
+    assert report["message"] == ("restrict_to_Z window [0, 1000001] holds 1000002 integers, "
+                                 "more than the limit of 100000")
 
 
 def test_stability_audit_command(runner, tmp_path):

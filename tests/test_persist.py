@@ -6,6 +6,7 @@ import bisect
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -35,6 +36,7 @@ from perscert import (
     interleaving_distance_search,
     module_distance_crosscheck,
     pullback_interleaving,
+    reindex,
     rescale,
     rescale_cert,
     restrict_to_Z,
@@ -45,7 +47,7 @@ from perscert import (
 from perscert.categories import complex_vertices, total_order
 from perscert.complexes import degree_rips
 from perscert.distances import bottleneck
-from perscert.errors import CategoryError, ValidationError
+from perscert.errors import BudgetExceededError, CategoryError, ValidationError
 from perscert.invariants import barcode, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
 from perscert import persist, search
@@ -292,6 +294,26 @@ def test_restrict_then_extend_is_floor_sampling():
         assert e.evaluate(Grade([Fraction(2 * n + 1, 2)])) == x.evaluate(grade(n))
 
 
+def test_restrict_to_Z_bounds_its_window_before_sampling(monkeypatch):
+    """The window [floor of the first axis value, floor of the last + 1] is
+    sampled when it holds MAX_WINDOW integers and refused, naming the window
+    and the limit, when it holds one more. ``reindex`` and ``zigzag`` sample
+    windows of their input's size, which no such limit bounds."""
+    monkeypatch.setattr(persist, "MAX_WINDOW", 4)
+
+    def line(top):
+        return PersistentObject(Grid([[0, top]]), "FinSet",
+                                {(0,): frozenset("a"), (1,): frozenset("a")},
+                                {((0,), 0): {"a": "a"}})
+
+    assert restrict_to_Z(line(Fraction(5, 2))).grid.axes[0] == tuple(map(Fraction, range(4)))
+    with pytest.raises(BudgetExceededError,
+                       match=re.escape("window [0, 4] holds 5 integers, more than the limit of 4")):
+        restrict_to_Z(line(3))
+    z = integer_object("FinSet", [frozenset("a")] * 10, [{"a": "a"}] * 9, 0)
+    assert reindex(z, lambda n: n) == z
+
+
 def test_floor_roundtrip_certificate_validates():
     for seed in range(10):
         x = rand_real_object(random.Random(seed), "FinSet")
@@ -331,7 +353,7 @@ def test_every_search_refuses_a_negative_budget_before_searching():
     module = rand_f2vec_object(random.Random(0), lo=0, hi=2, max_dim=1)
     _, _, complex_cert = rand_complex_interleaving(random.Random(0))
     searches = [
-        lambda: find_partner(cert.f, grade(1), budget_limit=-1),
+        lambda: find_partner(cert.f, grade(1), budget=-1),
         lambda: interleaving_distance_search(x, x, budget=-1),
         lambda: module_distance_crosscheck(module, module, budget=-1),
         lambda: induces_interleaving_in_pi0(complex_cert.f, complex_cert.delta, budget=-1),

@@ -25,8 +25,10 @@ from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, PersistentO
                               check_interleaving, extend_floor, floor_roundtrip_cert,
                               integer_object)
 from perscert.randgen import (
+    corrupt_certificate,
     interleaved_pair,
     rand_barcode,
+    rand_complex_interleaving,
     rand_f2vec_object,
     rand_filtered_complex,
     rand_finset_object,
@@ -440,6 +442,70 @@ def test_decoded_objects_share_equal_lists_and_maps_and_refuse_bad_ones_after_go
             path.write_text(json.dumps(doc))
             r = runner.invoke(cli.main, ["is-filtered", str(path)])
             assert r.exit_code == 2 and f"bad element {bad}" in r.output
+
+
+def _line_cert(category: str, objects: list, maps: list, components: list) -> dict:
+    """The document of a 0-interleaving of _line_object(category, objects,
+    maps) with itself, both legs with the given components in grid order,
+    through JSON text."""
+    x = _line_object(category, objects, maps)
+    legs = [{"at": [str(i)], "map": f} for i, f in enumerate(components)]
+    return json_round({"format": ser.FORMAT_CERT, "epsilon": ["0"], "delta": ["0"],
+                       "f_components": legs, "g_components": legs, "x": x, "y": x})
+
+
+def test_decoded_certificates_share_equal_component_maps_and_refuse_bad_ones_after_good(
+        tmp_path):
+    """Each component list of a certificate is read as an object's edge
+    maps: a vertex map equal to one decoded before it in its list is decoded
+    once, an unequal or reordered one on its own. A bad map is refused
+    wherever it comes, also after a good one it equals in Python (``true``
+    after ``1``, ``1.0`` after ``1``), with exit 2 through the CLI."""
+    identities = [[[1, 1]], [[1, 1]], [[1, 1], [2, 2]], [[2, 2], [1, 1]]]
+    for category, objects in (("Complex", [[[1]], [[1]], [[1], [2]], [[2], [1]]]),
+                              ("FinSet", [[1], [1], [1, 2], [2, 1]])):
+        cert = ser.decode_cert(_line_cert(category, objects, identities[:3], identities))
+        assert check_interleaving(cert).valid
+        for leg in (cert.f, cert.g):
+            maps = leg.components
+            assert maps[(0,)] is maps[(1,)] and maps[(1,)] is not maps[(2,)]
+            assert maps[(2,)] == maps[(3,)] and maps[(2,)] is not maps[(3,)]
+    runner = CliRunner()
+    for bad in (True, 1.0):
+        for pair in ([bad, 1], [1, bad]):
+            doc = _line_cert("Complex", [[[1]]] * 3, [[[1, 1]]] * 2,
+                             [[[1, 1]], [[1, 1]], [pair]])
+            with pytest.raises(SchemaError, match=f"^bad element {bad}$"):
+                ser.decode_cert(doc)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            r = runner.invoke(cli.main, ["interleave-check", str(path)])
+            assert r.exit_code == 2 and f"bad element {bad}" in r.output
+
+
+def _seeded_certificates():
+    """Seeded genuine 1-interleavings of FinSet, F2Vec and Complex objects,
+    and a corrupted copy of each."""
+    certs = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        for x in (rand_finset_object(rng, lo=0, hi=12, max_size=3),
+                  rand_f2vec_object(rng, lo=0, hi=12, max_dim=2)):
+            certs.append(interleaved_pair(rng, x, 1)[1])
+        certs.append(rand_complex_interleaving(rng)[2])
+    return certs + [corrupt_certificate(random.Random(i), c) for i, c in enumerate(certs)]
+
+
+@pytest.mark.parametrize("cert", _seeded_certificates())
+def test_decoded_certificates_equal_and_replay_as_the_certificates_read_entry_by_entry(cert):
+    """A certificate read through the component tables is the certificate
+    read map by map, and its replay gives the same verdict, grade and
+    identity."""
+    doc = json_round(ser.encode_cert(cert))
+    ours, oracle = ser.decode_cert(doc), decode_cert_by_values(doc)
+    assert _cert_parts(ours) == _cert_parts(oracle) == _cert_parts(cert)
+    reports = [check_interleaving(c) for c in (ours, oracle)]
+    assert len({(r.valid, r.grade, r.identity) for r in reports}) == 1
 
 
 def test_a_map_shared_by_two_edges_is_checked_on_each():
