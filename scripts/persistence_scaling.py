@@ -24,8 +24,9 @@ points and ``is_filtered`` checks what it read; the script exits with status
 differs from the verdict on the object before it was written. The
 degree-Rips documents of DECODE_POINTS points, as the CLI writes them, are
 read by ``decode_object``, with the memory the decoded object holds and the
-peak of the decode (tracemalloc); the script exits with status 1 when the
-decoded object is written to another text. Then
+peak of the decode (tracemalloc, the least over three decodes made after
+the one that checks the round trip); the script exits with status 1 when
+the decoded object is written to another text. Then
 ``check_interleaving`` replays, for FinSet and F2Vec objects on windows of
 CHECK_GRADES grades, a seeded genuine 1-interleaving (``interleaved_pair``),
 its zig-zag composite, and a copy of each with one component replaced; the
@@ -39,12 +40,15 @@ the script exits with status 1 when the two texts differ. Then
 ``decode_cert`` reads the documents, as the CLI writes them, of the genuine
 FinSet and F2Vec certificates of the ``check_interleaving`` rows; the
 script exits with status 1 when the decoded certificate is written to
-another text. Each line
+another text. Last, the CLI reads the argument lists of PARSED_REQUESTS, the
+shapes perfbench sends, both by its one-pass reader and by argparse; the
+script exits with status 1 when the reader does not take one or gives
+another answer than argparse. Each line
 gives a deterministic checksum (the number of bars, the distance d_B, the
 grid points and distinct objects of a degree-Rips object, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
 certificates and the identities that fail, the length and a sha256 prefix
-of a written document) and the
+of a written document, the number of arguments) and the
 best time over repeated runs, so the same command run on two versions of the
 code gives their before and after numbers. The inputs are seeded from SEED and n, so the checksums are
 fixed. Metrics and complexes keep the ranks of their values once computed,
@@ -68,7 +72,7 @@ from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottl
                       check_interleaving, degree_rips, filtration_barcode, homology,
                       is_filtered, pi0, to_persistent, validate, vietoris_rips, zigzag)
 from perscert import serialize as ser
-from perscert.cli import _dumps
+from perscert.cli import _PARSER, _dumps, _read
 from perscert.grades import rat_to_str
 from perscert.persist import floor_roundtrip_cert
 from perscert.randgen import (corrupt_certificate, interleaved_pair, rand_f2vec_object,
@@ -83,6 +87,17 @@ DEGREE_RIPS_POINTS = (6, 7, 8, 9, 12)
 DECODE_POINTS = (6, 9, 12)
 CHECK_GRADES = (41, 81)
 SEED = 1
+# the argument lists perfbench sends, by command
+PARSED_REQUESTS = {
+    "barcode": ["barcode", "x.json", "-o", "bx.json"],
+    "bottleneck": ["bottleneck", "bx.json", "by.json", "-o", "bn.json"],
+    "interleave-dist": ["interleave-dist", "x.json", "y.json", "--max-enum", "2000000",
+                        "-o", "d.json"],
+    "rectify": ["rectify", "cert.json", "--block", "1", "-o", "z.json"],
+    "degree-rips": ["degree-rips", "metric.json", "--dmax", "2", "-o", "dr.json"],
+}
+# calls per timed run of the cli parse rows, which take microseconds each
+PARSE_BATCH = 100
 
 
 MAX_RUNS = 50
@@ -109,14 +124,20 @@ def best_ms_on_copies(fn, make) -> float:
 
 def traced_kb(make) -> tuple[float, float]:
     """The size in KB of what make() returns, as tracemalloc counts the
-    memory still held after the call, and the peak during the call."""
-    tracemalloc.start()
-    before = tracemalloc.get_traced_memory()[0]
-    value = make()
-    live, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del value
-    return (live - before) / 1024, (peak - before) / 1024
+    memory still held after the call, and the peak during the call; each
+    the least over three calls, so that one call's reading of what earlier
+    code left behind does not count."""
+    lives, peaks = [], []
+    for _ in range(3):
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        value = make()
+        live, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        del value
+        lives.append(live - before)
+        peaks.append(peak - before)
+    return min(lives) / 1024, min(peaks) / 1024
 
 
 def complex_copy(f: FilteredComplex):
@@ -278,6 +299,16 @@ def main() -> None:
             ms = best_ms(lambda: ser.decode_cert(data))
             print(f"decode cert {category:6} n={n:3d}  bytes={len(text):8d}  sha256={digest}  "
                   f"best_ms={ms:10.3f}")
+    for command, argv in PARSED_REQUESTS.items():
+        read, parsed = _read(argv), vars(_PARSER.parse_args(argv))
+        if read != parsed:
+            print(f"cli parse {command}: the reader does not give argparse's answer")
+            disagree += 1
+        reader_us = best_ms(lambda: [_read(argv) for _ in range(PARSE_BATCH)]) * 1000 / PARSE_BATCH
+        argparse_us = best_ms(lambda: [_PARSER.parse_args(argv) for _ in range(PARSE_BATCH)]
+                              ) * 1000 / PARSE_BATCH
+        print(f"cli parse   {command:15}  args={len(argv):2d}  reader_us={reader_us:8.2f}  "
+              f"argparse_us={argparse_us:8.2f}")
     if disagree:
         sys.exit(1)
 

@@ -17,6 +17,11 @@ option, missing argument, an option value that is not an integer, an
 abbreviated option) exits 2 too, with the usage text on stderr and nothing
 on stdout. ``perscert --help`` lists the subcommands, and
 ``perscert COMMAND --help`` documents each.
+
+argparse defines the grammar: each subcommand's arguments are declared once,
+on its parser. A well-formed request is read in one pass over the actions
+those declarations return (``_read``); argparse parses every other request
+and writes help and every usage error, so their output is argparse's own.
 """
 
 from __future__ import annotations
@@ -232,39 +237,101 @@ _DIM = _arg("--dim", type=int, default=0, show_default=True, help="Homology degr
 _OUTPUT = _arg("-o", "--output", help="Write the document to this file (- is stdout).")
 
 
+# subcommand -> (its positional actions in order, option string -> action,
+# the values argparse fills in for what is not given: each optional option's
+# default and run, the dests of its required options); _command files each
+# subcommand whose arguments are all plain stores of one value
+_FORMS: dict[str, tuple[list, dict, dict, frozenset]] = {}
+
+
+def _plain(action: argparse.Action) -> bool:
+    """Whether an action stores one value, unchecked against choices."""
+    return (type(action) is argparse._StoreAction and action.nargs is None
+            and action.choices is None)
+
+
 def _command(name: str, *arguments):
     """Register the decorated function as the subcommand name, taking the
     arguments (each from _arg, its dest a parameter of the function or, for
     _OUTPUT, of _reports) and run through _reports. The function's docstring
-    is the subcommand's help."""
+    is the subcommand's help. The actions argparse returns for the arguments
+    are filed in _FORMS, for _read."""
     def register(command):
         doc = " ".join((command.__doc__ or "").split())  # None under -OO
         first, stop, _ = doc.partition(". ")
         sub = _COMMANDS.add_parser(name, help=first + stop.strip(), description=doc)
-        for flags, options in arguments:
-            sub.add_argument(*flags, **options)
-        sub.set_defaults(run=_reports(command))
+        actions = [sub.add_argument(*flags, **options) for flags, options in arguments]
+        run = _reports(command)
+        sub.set_defaults(run=run)
+        if all(map(_plain, actions)):
+            by_flag = {flag: a for a in actions for flag in a.option_strings}
+            _FORMS[name] = (
+                [a for a in actions if not a.option_strings], by_flag,
+                {a.dest: a.default for a in by_flag.values() if not a.required} | {"run": run},
+                frozenset(a.dest for a in by_flag.values() if a.required))
         return command
     return register
 
 
+def _read(args) -> dict | None:
+    """What vars(_PARSER.parse_args(args)) gives for a well-formed request,
+    read in one pass, or None for any other request. Well-formed: a filed
+    subcommand, then its positionals and options in any order, every
+    positional and required option given and no other; each option string
+    exactly as declared (no --opt=v, no -ov) and followed by one value; no
+    value or positional that starts with "-", but "-" itself; each value
+    converted by its action's type without a ValueError. A repeated option
+    keeps its last value, as in argparse."""
+    form = _FORMS.get(args[0]) if args else None
+    if form is None:
+        return None
+    positionals, options, defaults, required = form
+    parsed, rest, positional = dict(defaults), iter(args[1:]), iter(positionals)
+    for arg in rest:
+        action = options.get(arg)
+        if action is None:
+            action, text = next(positional, None), arg
+        else:
+            text = next(rest, None)
+        if action is None or text is None or text.startswith("-") and text != "-":
+            return None
+        try:
+            parsed[action.dest] = text if action.type is None else action.type(text)
+        except ValueError:
+            return None
+    if next(positional, None) is not None or not required <= parsed.keys():
+        return None
+    return parsed
+
+
 class _Main:
     """The entry point. ``main()`` (the ``perscert`` console script) parses
-    sys.argv; ``main.main(args=[...])`` parses args. prog_name and
+    sys.argv[1:]; ``main.main(args=[...])`` parses args. prog_name and
     standalone_mode are taken for the call form of click's ``Command.main``,
     which test runners use, and change nothing. A subcommand that ends with
     exit code 0 returns, and any other exit raises SystemExit: 2 for a usage
-    error, whose usage text goes to stderr and nothing to stdout."""
+    error, whose usage text goes to stderr and nothing to stdout.
+
+    A well-formed request (see ``_read``: declared option strings, each with
+    one value, and positionals, none starting with "-" but "-" itself) is
+    read in one pass. Any other request goes to ``_PARSER.parse_args`` as it
+    is: ``--help``, every usage error, ``--``, a negative value and the
+    ``--opt=v`` and ``-ov`` forms, so that argparse parses them and writes
+    their help or usage text itself."""
 
     name = "perscert"
 
     def main(self, args=None, prog_name=None, standalone_mode=None) -> None:
-        try:
-            parsed = vars(_PARSER.parse_args(args))
-        except SystemExit as exc:
-            if exc.code:
-                raise
-            return  # --help
+        if args is None:
+            args = sys.argv[1:]
+        parsed = _read(args)
+        if parsed is None:
+            try:
+                parsed = vars(_PARSER.parse_args(args))
+            except SystemExit as exc:
+                if exc.code:
+                    raise
+                return  # --help
         parsed.pop("run")(**parsed)
 
     __call__ = main

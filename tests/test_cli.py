@@ -1,8 +1,11 @@
 """CLI: pipeline composition, deterministic output, and exit codes
 (0 ok, 1 property violated, 2 schema error, 3 budget exceeded)."""
 
+import contextlib
 import copy
 import dataclasses
+import io
+import itertools
 import json
 import os
 import random
@@ -33,6 +36,8 @@ from perscert.randgen import (
     rand_persistent_complex,
     rand_real_object,
 )
+
+from test_cli_golden import CASES, NO_OUTPUT_OPTION
 
 COLLINEAR = {
     "format": ser.FORMAT_METRIC,
@@ -1035,6 +1040,101 @@ def test_usage_error_exits_2_with_usage_on_stderr_only(runner, tmp_path, monkeyp
     assert r.exit_code == 2
     assert r.stdout == ""
     assert "usage" in r.stderr.lower()
+    # byte for byte what _PARSER.parse_args writes: a parse sent straight to
+    # the subcommand's parser would word an unknown option's error otherwise
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit):
+        cli._PARSER.parse_args(args)
+    assert r.stderr == stderr.getvalue()
+
+
+# -- the one-pass reader: argparse's answer for a well-formed request, and
+# argparse itself for any other --
+
+
+def parse_or_exit(argv):
+    """vars(_PARSER.parse_args(argv)), or None where argparse exits (help or
+    a usage error); what it writes is dropped."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def assert_read_as_argparse(argv):
+    """The reader takes argv and gives what argparse gives, run the same
+    function."""
+    read, parsed = cli._read(argv), parse_or_exit(argv)
+    assert read is not None and parsed is not None, argv
+    assert read.pop("run") is parsed.pop("run")
+    assert read == parsed, argv
+
+
+ODD_TOKENS = ["-", "", "-1", "--", "--dmax=3", "-ovr.json", "--help", "--max"]
+VALUES = st.sampled_from(["0", "3", "1_0", "x", "x.json", *ODD_TOKENS])
+
+
+@st.composite
+def reader_argvs(draw):
+    """A subcommand of the reader's table, about as many positionals as it
+    declares and some of its option strings, each with a valid or invalid
+    value, in any order, and now and then an odd token anywhere."""
+    command = draw(st.sampled_from(sorted(cli._FORMS)))
+    positionals, options, _, _ = cli._FORMS[command]
+    count = len(positionals) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    items = [["x.json"]] * count
+    if options:
+        pair = st.tuples(st.sampled_from(sorted(options)), VALUES).map(list)
+        items += draw(st.lists(pair, max_size=3))
+    items += draw(st.lists(st.sampled_from(ODD_TOKENS).map(lambda t: [t]), max_size=1))
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(items)))]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(reader_argvs())
+def test_reader_gives_argparse_answer_or_leaves_the_request_to_it(argv):
+    if cli._read(argv) is not None:
+        assert_read_as_argparse(argv)
+
+
+def test_reader_files_every_subcommand_with_its_options():
+    assert {command: sorted(form[1]) for command, form in cli._FORMS.items()} == {
+        command: sorted(options) for command, options in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reader_takes_every_golden_request(name):
+    args = CASES[name]
+    assert_read_as_argparse(args)
+    if args[0] not in NO_OUTPUT_OPTION:
+        assert_read_as_argparse([*args, "-o", "out.json"])
+
+
+def test_requests_left_to_argparse_run_as_before(runner, tmp_path, monkeypatch):
+    """--opt=v, -ov, a negative value and -- go to argparse, and run as
+    their spaced forms do."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "metric.json", COLLINEAR)
+    for args in (["rips", "metric.json", "--dmax=1"], ["rips", "metric.json", "-ovr.json"],
+                 ["barcode", "vr.json", "--dim", "-1"], ["rips", "--", "metric.json"]):
+        assert cli._read(args) is None, args
+    spaced = invoke(runner, ["rips", "metric.json", "--dmax", "1"])
+    attached = invoke(runner, ["rips", "metric.json", "--dmax=1"])
+    assert attached.exit_code == spaced.exit_code == 0
+    assert attached.stdout == spaced.stdout
+    assert invoke(runner, ["rips", "metric.json", "-o", "spaced.json"]).exit_code == 0
+    r = invoke(runner, ["rips", "metric.json", "-ovr.json"])
+    assert r.exit_code == 0 and r.stdout == ""
+    assert (tmp_path / "vr.json").read_text() == (tmp_path / "spaced.json").read_text()
+    r = invoke(runner, ["barcode", "vr.json", "--dim", "-1"])
+    assert r.exit_code == 1
+    report = json.loads(r.stdout)
+    assert report["error"] == "property"
+    assert report["message"] == "homology degree needs n >= 0, got -1"
+    r = invoke(runner, ["rips", "--", "metric.json"])
+    assert r.exit_code == 0
+    assert r.stdout == invoke(runner, ["rips", "metric.json"]).stdout
 
 
 # -- the two entry points: main() and main.main(args=...) --
