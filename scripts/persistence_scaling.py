@@ -40,10 +40,15 @@ the script exits with status 1 when the two texts differ. Then
 ``decode_cert`` reads the documents, as the CLI writes them, of the genuine
 FinSet and F2Vec certificates of the ``check_interleaving`` rows; the
 script exits with status 1 when the decoded certificate is written to
-another text. Last, the CLI reads the argument lists of PARSED_REQUESTS, the
+another text. Then the CLI reads the argument lists of PARSED_REQUESTS, the
 shapes perfbench sends, both by its one-pass reader and by argparse; the
 script exits with status 1 when the reader does not take one or gives
-another answer than argparse. Each line
+another answer than argparse. Last, the launch rows time LAUNCHES fresh
+interpreters that import ``perscert.cli`` from a copy of the package, each
+row the median: with bytecode writes off, so that every launch compiles the
+package, as a fresh checkout does under PYTHONDONTWRITEBYTECODE=1, and with
+a PYTHONPYCACHEPREFIX directory warmed by one launch, which reads it; the
+difference is the compile share of a launch. Each other line
 gives a deterministic checksum (the number of bars, the distance d_B, the
 grid points and distinct objects of a degree-Rips object, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
@@ -61,8 +66,13 @@ run of the ``is_filtered`` rows a fresh decode of its document.
 
 import hashlib
 import json
+import os
 import random
+import shutil
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -98,6 +108,8 @@ PARSED_REQUESTS = {
 }
 # calls per timed run of the cli parse rows, which take microseconds each
 PARSE_BATCH = 100
+# fresh interpreters per launch row
+LAUNCHES = 9
 
 
 MAX_RUNS = 50
@@ -138,6 +150,33 @@ def traced_kb(make) -> tuple[float, float]:
         lives.append(live - before)
         peaks.append(peak - before)
     return min(lives) / 1024, min(peaks) / 1024
+
+
+def launch_ms(env: dict) -> float:
+    """Wall time in ms of a fresh interpreter that imports perscert.cli."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import perscert.cli"], env=env, check=True)
+    return (time.perf_counter() - t0) * 1000
+
+
+def launch_rows() -> None:
+    """The median launch, over LAUNCHES launches of each kind taken in turn,
+    with bytecode writes off and with a warmed bytecode cache."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(Path(ser.__file__).parent, Path(tmp, "src", "perscert"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        env["PYTHONPATH"] = str(Path(tmp, "src"))
+        prefix = str(Path(tmp, "pycache"))
+        off = {**env, "PYTHONDONTWRITEBYTECODE": "1"}
+        cached = {**off, "PYTHONPYCACHEPREFIX": prefix}
+        launch_ms({**env, "PYTHONPYCACHEPREFIX": prefix})  # writes the cache
+        times = [(launch_ms(off), launch_ms(cached)) for _ in range(LAUNCHES)]
+    off_ms, cached_ms = (statistics.median(row) for row in zip(*times))
+    print(f"launch      writes_off  median_ms={off_ms:10.3f}")
+    print(f"launch      cached      median_ms={cached_ms:10.3f}  "
+          f"compile_ms={off_ms - cached_ms:10.3f}")
 
 
 def complex_copy(f: FilteredComplex):
@@ -309,6 +348,7 @@ def main() -> None:
                               ) * 1000 / PARSE_BATCH
         print(f"cli parse   {command:15}  args={len(argv):2d}  reader_us={reader_us:8.2f}  "
               f"argparse_us={argparse_us:8.2f}")
+    launch_rows()
     if disagree:
         sys.exit(1)
 

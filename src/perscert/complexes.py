@@ -29,12 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .categories import COMPLEX, _is_inclusion, complex_vertices, simplex, total_order
-from .errors import CategoryError, SchemaError, ValidationError
+from .errors import CategoryError, Frozen, SchemaError, ValidationError
 from .grades import Grade, rat
 from .persist import Grid, PersistentObject
 
@@ -46,25 +45,21 @@ class _Placement(NamedTuple):
     at: object  # where each value sits on it: a dict or matrix of grid indices
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     reason: str = ""
     offender: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(Frozen):
     """Simplices with entrance grades; faces enter no later than cofaces.
+    ``grade`` maps each simplex to its Grade.
 
     ``m`` is the arity of the grades. When not given it is read off a grade,
     and a complex without grades has m = 1; a complex with no simplices
     keeps the arity it is given."""
 
-    vertices: tuple
-    simplices: frozenset
-    grade: dict  # simplex -> Grade
-    m: int
+    _fields = ("vertices", "simplices", "grade", "m")
 
     def __init__(self, vertices, simplices, grade, m: Optional[int] = None):
         self._place(tuple(vertices), frozenset(simplex(s) for s in simplices),
@@ -203,8 +198,7 @@ def _inclusions(grid: Grid, objects: dict) -> PersistentObject:
     return PersistentObject._of(grid, "Complex", objects, edges)
 
 
-@dataclass
-class FilteredCheck:
+class FilteredCheck(NamedTuple):
     filtered: bool
     witness: Optional[dict] = None  # simplex (in the top complex) -> Grade
     condition: Optional[int] = None
@@ -290,14 +284,12 @@ def skeleton(f: FilteredComplex, n: int) -> FilteredComplex:
 # -- metric inputs and the example filtrations -------------------------------
 
 
-@dataclass(frozen=True)
-class MetricInput:
+class MetricInput(Frozen):
     """A finite symmetric nonnegative rational dissimilarity matrix; the
-    triangle inequality is deliberately not required."""
+    triangle inequality is deliberately not required. ``dist`` is a tuple
+    of tuples of Fractions, and ``values`` an optional vertex function."""
 
-    points: tuple
-    dist: tuple  # tuple of tuples of Fractions
-    values: Optional[tuple] = None  # optional vertex function
+    _fields = ("points", "dist", "values")
 
     def __init__(self, points, dist, values=None):
         points = tuple(points)

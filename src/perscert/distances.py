@@ -9,9 +9,8 @@ no floating point is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .invariants import Barcode, barcode, homology_cert
 from .persist import InterleavingCert, _require_valid, check_interleaving
@@ -20,8 +19,7 @@ from .persist import InterleavingCert, _require_valid, check_interleaving
 INFINITY = None  # sentinel for infinite distances / deaths
 
 
-@dataclass
-class Matching:
+class Matching(NamedTuple):
     """A partial bijection between two barcodes; unmatched bars are deleted
     to the diagonal at half their length."""
 
@@ -155,8 +153,7 @@ def bottleneck(b1: Barcode, b2: Barcode) -> tuple[Optional[Fraction], Optional[M
 # -- stability cross-checks ---------------------------------------------------
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     holds: bool
     bound: Optional[Fraction]      # the interleaving bound (max of the shifts)
     distance: Optional[Fraction]   # d_B of the degree-n barcodes

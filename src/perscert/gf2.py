@@ -16,8 +16,9 @@ form's kernel vector for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from .errors import Frozen
 
 
 def _pack(entries: Sequence[int]) -> int:
@@ -105,11 +106,11 @@ def kernel_bits(columns: Iterable[int]) -> list[int]:
     return kernel
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    bits: tuple[int, ...]  # row i as a bitset: bit j is entry (i, j)
-    nrows: int
-    ncols: int
+class GF2Matrix(Frozen):
+    """An immutable nrows x ncols matrix; ``bits`` holds row i as a bitset,
+    bit j of it entry (i, j)."""
+
+    _fields = ("bits", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[int] | int], nrows: int | None = None,
                  ncols: int | None = None):
@@ -134,6 +135,16 @@ class GF2Matrix:
         object.__setattr__(self, "bits", tuple(bits))
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
+
+    # equality and hashing sit on the search and check hot paths, so they
+    # read the fields directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bits, self.nrows, self.ncols) == (other.bits, other.nrows, other.ncols)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bits, self.nrows, self.ncols))
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

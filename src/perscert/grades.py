@@ -8,11 +8,10 @@ in the core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DimensionError, InvalidScaleError
+from .errors import DimensionError, Frozen, InvalidScaleError
 
 
 def rat(value) -> Fraction:
@@ -35,17 +34,26 @@ def rat_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Grade:
+class Grade(Frozen):
     """An exact point of R^m. Immutable, with structural equality."""
 
-    coords: tuple[Fraction, ...]
+    _fields = ("coords",)
 
     def __init__(self, coords: Iterable):
         coords = tuple(rat(c) for c in coords)
         if not coords:
             raise DimensionError("a grade needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
+
+    # equality and hashing sit on the search and check hot paths, so they
+    # read the one field directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def m(self) -> int:

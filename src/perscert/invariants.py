@@ -14,13 +14,12 @@ list, so recomputing the basis of the same complex always agrees.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .categories import COMPLEX, complex_vertices, total_order
 from .complexes import FilteredComplex, require_valid
-from .errors import CategoryError, DimensionError, ValidationError
+from .errors import CategoryError, DimensionError, Frozen, ValidationError
 from .gf2 import Echelon, GF2Matrix, _combination, _transpose, kernel_bits
 from .grades import rat, zero_grade
 from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
@@ -256,22 +255,27 @@ def homology_cert(cert: InterleavingCert, n: int) -> InterleavingCert:
 # -- barcodes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bar:
-    birth: Fraction
-    death: Optional[Fraction]  # None = infinite
+class Bar(Frozen):
+    """The interval [birth, death) of exact rationals; a death of None is
+    infinite."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "birth", rat(self.birth))
-        if self.death is not None:
-            object.__setattr__(self, "death", rat(self.death))
-            if not self.birth < self.death:
+    _fields = ("birth", "death")
+
+    def __init__(self, birth, death: Optional[Fraction]):
+        birth = rat(birth)
+        if death is not None:
+            death = rat(death)
+            if not birth < death:
                 raise ValidationError("bars must be nonempty intervals")
+        object.__setattr__(self, "birth", birth)
+        object.__setattr__(self, "death", death)
 
 
-@dataclass(frozen=True)
-class Barcode:
-    bars: tuple[Bar, ...]
+class Barcode(Frozen):
+    """Bars sorted by birth, and at one birth the infinite bar first and
+    the others by death."""
+
+    _fields = ("bars",)
 
     def __init__(self, bars):
         object.__setattr__(self, "bars", tuple(sorted(

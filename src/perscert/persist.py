@@ -28,9 +28,8 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .categories import _is_inclusion, get_category
 from .errors import (
@@ -514,14 +513,13 @@ def compose(f: DeltaMorphism, g: DeltaMorphism) -> DeltaMorphism:
 # -- interleaving certificates ---------------------------------------------
 
 
-@dataclass
 class InterleavingCert:
-    f: DeltaMorphism  # X ->_eps Y
-    g: DeltaMorphism  # Y ->_delta X
+    """The legs f: X ->_eps Y and g: Y ->_delta X of an interleaving."""
 
-    def __post_init__(self):
-        if self.f.source != self.g.target or self.f.target != self.g.source:
+    def __init__(self, f: DeltaMorphism, g: DeltaMorphism):
+        if f.source != g.target or f.target != g.source:
             raise CategoryError("certificate morphisms do not pair up")
+        self.f, self.g = f, g
 
     @property
     def epsilon(self) -> Grade:
@@ -532,8 +530,7 @@ class InterleavingCert:
         return self.g.shift
 
 
-@dataclass
-class InterleavingReport:
+class InterleavingReport(NamedTuple):
     valid: bool
     reason: str = ""
     grade: Optional[Grade] = None
@@ -609,8 +606,7 @@ def compose_interleavings(c1: InterleavingCert, c2: InterleavingCert) -> Interle
 # -- pullback of an interleaving -------------------------------------------
 
 
-@dataclass
-class PullbackResult:
+class PullbackResult(NamedTuple):
     pullback: PersistentObject  # A
     cert: InterleavingCert      # A ~(eps,delta)~ B
     projection: DeltaMorphism   # A ->_0 X
@@ -726,8 +722,9 @@ def _structure_morphism(x: PersistentObject, source: PersistentObject,
     return DeltaMorphism._on(leg, {(k,): f for k, f in enumerate(maps)})
 
 
-# the most integers restrict_to_Z samples: its window follows the values of
-# the axis ends, not the size of the object
+# the most integers restrict_to_Z samples, and the most integers of a
+# rectify block window times its block size: both windows follow the values
+# of the axis ends and of m, not the size of the input
 MAX_WINDOW = 100_000
 
 

@@ -17,10 +17,11 @@ which is what makes the certificates below literally valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
-from .errors import InvalidScaleError, ValidationError
+from . import persist
+from .errors import BudgetExceededError, InvalidScaleError, ValidationError
 from .grades import Grade, even_reindex, floor_int, odd_reindex, rat
 from .persist import (
     InterleavingCert,
@@ -42,12 +43,20 @@ def _window(x: PersistentObject) -> tuple[int, int]:
     return int(axis[0]), int(axis[-1])
 
 
-def _block_end(hi: int, m: int, parity: int) -> int:
-    """Smallest q*m >= hi with q % 2 == parity (0: even, 1: odd)."""
+def _block_end(lo: int, hi: int, m: int, parity: int) -> int:
+    """Smallest q*m >= hi with q % 2 == parity (0: even, 1: odd). The
+    window [lo, q*m] is sampled, and each sample may compose up to m
+    structure maps, so a window whose integers times m exceed
+    ``persist.MAX_WINDOW`` is refused before any sample is taken."""
     q = -(-hi // m)
     if q % 2 != parity:
         q += 1
-    return q * m
+    end = q * m
+    if (end - lo + 1) * m > persist.MAX_WINDOW:
+        raise BudgetExceededError(
+            f"rectify window [{lo}, {end}] holds {end - lo + 1} integers, which at "
+            f"block {m} is more than the limit of {persist.MAX_WINDOW}")
+    return end
 
 
 def reindex(x: PersistentObject, fn, lo: int | None = None,
@@ -71,8 +80,8 @@ def _even_odd(x: PersistentObject, m: int, lo: int, hi: int
     """``even_odd_restrict`` for the window [lo, hi], which may be narrower
     than the window of x."""
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
-    ex = reindex(x, even, lo, _block_end(hi, m, 0))
-    ox = reindex(x, odd, lo, _block_end(hi, m, 1))
+    ex = reindex(x, even, lo, _block_end(lo, hi, m, 0))
+    ox = reindex(x, odd, lo, _block_end(lo, hi, m, 1))
     shift = Grade([m])
     f = _structure_morphism(x, ex, ox, shift, even, lambda v: odd(v + m))
     g = _structure_morphism(x, ox, ex, shift, odd, lambda v: even(v + m))
@@ -89,8 +98,7 @@ def _outer_cert(x: PersistentObject, rx: PersistentObject, fn, m: int
     return InterleavingCert(f, g)
 
 
-@dataclass
-class ZigzagResult:
+class ZigzagResult(NamedTuple):
     c: PersistentObject
     even_equal: bool   # e_m^*(C) == e_m^*(A) literally on the window
     odd_equal: bool    # o_m^*(C) == o_m^*(B)
@@ -116,7 +124,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
         raise ValidationError("objects must share the same window")
 
     f, g = cert.f, cert.g
-    he, ho = _block_end(hi, m, 0), _block_end(hi, m, 1)
+    he, ho = _block_end(lo, hi, m, 0), _block_end(lo, hi, m, 1)
     hi_c = max(he, ho) + m
 
     # C(n) is A (block index n // m even) or B (odd) at the start of n's

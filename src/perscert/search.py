@@ -6,9 +6,8 @@ the bottleneck floor (``interleaving_distance_search``)."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .distances import INFINITY, bottleneck
 from .errors import BudgetExceededError, CategoryError, DimensionError, ValidationError
@@ -173,8 +172,7 @@ def interleaving_candidates(x: PersistentObject, y: PersistentObject) -> list[Fr
     return [Fraction(k, 2 * d) for k in sorted(steps)]
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     distance: Optional[Fraction]  # None means +infinity
     certificate: Optional[InterleavingCert]
     candidates: list
@@ -259,8 +257,7 @@ def _least_certified(x: PersistentObject, y: PersistentObject,
     return SearchResult(None, None, candidates, "no candidate delta admits a certificate")
 
 
-@dataclass
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     holds: bool
     bottleneck_distance: Optional[Fraction]
     certified_delta: Optional[Fraction]

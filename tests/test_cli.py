@@ -3,7 +3,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import itertools
 import json
@@ -298,7 +297,7 @@ def test_failed_replay_writes_the_document_then_exits_1(
     monkeypatch.setattr(cli, "check_interleaving",
                         lambda cert: InterleavingReport(False, "refused"))
     monkeypatch.setattr(cli, "stability_audit",
-                        lambda cert, n: dataclasses.replace(audit(cert, n), holds=False))
+                        lambda cert, n: audit(cert, n)._replace(holds=False))
     path = write(tmp_path, "doc.json", doc)
     r = invoke(runner, [command, path])
     assert r.exit_code == 1
@@ -745,6 +744,21 @@ def test_rectify_rejects_block_size_0(runner, tmp_path):
     assert r.exit_code == 1
     report = json.loads(r.output)
     assert report["error"] == "property" and report["message"] == "block size must be >= 1"
+
+
+def test_rectify_refuses_a_large_block_before_sampling(runner, tmp_path):
+    """A two-grade self-interleaving of shift 10000 is a document of some
+    770 bytes, but its block window [0, 20000] at block 10000 is far over
+    the limit: budget exceeded (exit 3) before any sample is taken."""
+    x = integer_object("FinSet", [frozenset({"a"})] * 2, [{"a": "a"}], 0)
+    p = write(tmp_path, "cert.json", ser.encode_cert(self_interleaving(x, grade(10000))))
+    start = time.perf_counter()
+    r = invoke(runner, ["rectify", p, "--block", "10000"])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 3
+    report = json.loads(r.output)
+    assert report["error"] == "budget"
+    assert report["message"].startswith("rectify window [0, 20000] holds 20001 integers")
 
 
 def test_degree_rips_of_an_empty_metric_is_the_empty_complex(runner, tmp_path):

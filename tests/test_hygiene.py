@@ -4,11 +4,13 @@ module-level function or class that no package module refers to, a public
 one or an export of the package that nothing refers to, a cycle among the
 package's modules, a library module that imports the searches, an import
 from outside the standard library, and a CLI command that writes its
-document or exits itself."""
+document or exits itself. Last, the modules a launch of the CLI loads."""
 
 import ast
 import graphlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -190,3 +192,18 @@ def test_the_package_imports_the_standard_library_only():
 def test_only_the_cli_and_the_package_import_the_searches():
     importers = {name for name, deps in IMPORTS.items() if "search" in deps}
     assert importers <= {"cli", "__init__"}, f"library modules import search: {importers}"
+
+
+def test_launching_the_cli_imports_neither_dataclasses_nor_inspect():
+    """A fresh interpreter's ``import perscert.cli`` adds neither
+    ``dataclasses`` nor ``inspect`` (which loads ``ast``, ``dis`` and
+    ``tokenize``) to the modules the bare interpreter had loaded: every
+    command runs in a fresh interpreter, and they would cost each launch
+    some 14 ms."""
+    code = ("import sys; bare = set(sys.modules); import perscert.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "perscert.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added), added

@@ -297,8 +297,8 @@ def test_restrict_then_extend_is_floor_sampling():
 def test_restrict_to_Z_bounds_its_window_before_sampling(monkeypatch):
     """The window [floor of the first axis value, floor of the last + 1] is
     sampled when it holds MAX_WINDOW integers and refused, naming the window
-    and the limit, when it holds one more. ``reindex`` and ``zigzag`` sample
-    windows of their input's size, which no such limit bounds."""
+    and the limit, when it holds one more. ``reindex`` samples windows of
+    its input's size, which no such limit bounds."""
     monkeypatch.setattr(persist, "MAX_WINDOW", 4)
 
     def line(top):

@@ -3,11 +3,13 @@ certified composite constants, and the extraction of integer certificates
 from real ones."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from perscert import (
+    BudgetExceededError,
     DeltaMorphism,
     Grade,
     ValidationError,
@@ -15,6 +17,8 @@ from perscert import (
     even_odd_restrict,
     floor_int,
     grade,
+    integer_object,
+    persist,
     reindex,
     self_interleaving,
     three_halves_check,
@@ -54,6 +58,27 @@ def test_even_odd_restriction_certificate_valid_for_blocks():
 def test_reindex_with_identity_is_identity():
     x = rand_finset_object(random.Random(1), lo=-2, hi=2)
     assert reindex(x, lambda n: n) == x
+
+
+def test_block_windows_are_bounded_before_sampling(monkeypatch):
+    """zigzag and even_odd_restrict sample the window [lo, block end], and a
+    sample may compose up to m structure maps: a window whose integers times
+    the block m exceed MAX_WINDOW is refused, naming the window, the block
+    and the limit, and one at the limit is sampled. ``reindex`` has no such
+    limit."""
+    x = integer_object("FinSet", [frozenset("a")] * 2, [{"a": "a"}], 0)
+    cert = self_interleaving(x, grade(2))
+    # the even block end of the window [0, 1] at m = 2 is 4: 5 integers, times 2
+    monkeypatch.setattr(persist, "MAX_WINDOW", 10)
+    assert zigzag(x, x, cert, 2).even_equal
+    assert even_odd_restrict(x, 2)[0].grid.axes[0] == tuple(map(Fraction, range(5)))
+    monkeypatch.setattr(persist, "MAX_WINDOW", 9)
+    message = re.escape("rectify window [0, 4] holds 5 integers, which at block 2 is more "
+                        "than the limit of 9")
+    for build in (lambda: zigzag(x, x, cert, 2), lambda: even_odd_restrict(x, 2)):
+        with pytest.raises(BudgetExceededError, match=message):
+            build()
+    assert len(reindex(x, lambda n: n, 0, 20).grid.axes[0]) == 21
 
 
 def test_zigzag_of_a_self_interleaving():
