@@ -10,8 +10,10 @@ of them infinite. For each number of points n, a seeded Rips complex up to
 dimension 2 gets its H0 and H1 barcodes both by ``filtration_barcode`` and
 by ``barcode(homology(to_persistent(...)))``; the script exits with status 1
 when the two differ. ``degree_rips`` is built up to dimension 2 on seeded
-metrics of DEGREE_RIPS_POINTS points, and ``validate`` checks the Rips
-complexes of RIPS_POINTS points. The documents of those degree-Rips objects,
+metrics of DEGREE_RIPS_POINTS points, ``homology`` in degrees 0 and 1 takes
+those of DECODE_POINTS points to two-parameter modules, and ``validate``
+checks the Rips complexes of RIPS_POINTS points. The documents of the
+degree-Rips objects,
 and then of their ``pi0`` (components named by frozensets), are written
 both by ``json.dumps(sort_keys=True, indent=2)`` and by the CLI's writer,
 which encodes each repeated value, and each item that object lists share,
@@ -50,7 +52,8 @@ package, as a fresh checkout does under PYTHONDONTWRITEBYTECODE=1, and with
 a PYTHONPYCACHEPREFIX directory warmed by one launch, which reads it; the
 difference is the compile share of a launch. Each other line
 gives a deterministic checksum (the number of bars, the distance d_B, the
-grid points and distinct objects of a degree-Rips object, the simplices of a
+grid points and distinct objects of a degree-Rips object, the grid shape
+and the sum of the dimensions of a two-parameter module, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
 certificates and the identities that fail, the length and a sha256 prefix
 of a written document, the number of arguments) and the
@@ -239,6 +242,14 @@ def main() -> None:
                                lambda: MetricInput(metric.points, metric.dist))
         print(f"degree_rips n={n:3d}  grid_points={points:4d}  distinct={distinct:4d}  "
               f"best_ms={ms:10.3f}")
+    for n in DECODE_POINTS:
+        x = degree_rips(rips_metric(n), 2)
+        for dim in (0, 1):
+            dims = sum(homology(x, dim).objects.values())
+            ms = best_ms(lambda: homology(x, dim))
+            shape = "x".join(map(str, x.grid.shape()))
+            print(f"homology m=2 H{dim} n={n:3d}  grid={shape:>6}  dims={dims:5d}  "
+                  f"best_ms={ms:10.3f}")
     for n in RIPS_POINTS:
         f = vietoris_rips(rips_metric(n), 2)
         ms = best_ms_on_copies(validate, complex_copy(f))

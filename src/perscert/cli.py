@@ -406,7 +406,7 @@ def pi0_cmd(object_path):
 
 @_command("homology", _arg("object_path"), _DIM, _OUTPUT)
 def homology_cmd(object_path, dim):
-    """Degree-n persistent GF(2) homology of a 1-parameter complex."""
+    """Degree-n persistent GF(2) homology of a persistent complex, at any m."""
     return ser.encode_object(homology(_load_persistent_complex(object_path), dim))
 
 
@@ -414,8 +414,8 @@ def homology_cmd(object_path, dim):
           _arg("--dim", type=int, default=0, show_default=True,
                help="Homology degree when the input is a complex."), _OUTPUT)
 def barcode_cmd(input_path, dim):
-    """Barcode of a persistence module, or of the degree-dim homology of a
-    complex. A filtered complex is reduced in filtration order, without
+    """Barcode of a one-parameter persistence module, or of the degree-dim
+    homology of a one-parameter complex. A filtered complex is reduced in filtration order, without
     building its persistent homology; a persistent complex goes through
     degree-dim homology first."""
     doc = _load_complex_or_object(input_path)

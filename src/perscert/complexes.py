@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .categories import COMPLEX, _is_inclusion, complex_vertices, simplex, total_order
-from .errors import CategoryError, Frozen, SchemaError, ValidationError
+from .errors import BudgetExceededError, CategoryError, Frozen, SchemaError, ValidationError
 from .grades import Grade, rat
 from .persist import Grid, PersistentObject
 
@@ -346,16 +347,30 @@ def metric_from_coordinates(coords, norm: str = "linf") -> MetricInput:
     return MetricInput(range(n), dist)
 
 
+# The most simplices a Rips builder makes, and the most grid points of a
+# degree-Rips object: both are counted before anything is built.
+MAX_SIMPLICES = 100_000
+
+
+def _require_within(count: int, what: str, unit: str) -> None:
+    if count > MAX_SIMPLICES:
+        raise BudgetExceededError(
+            f"{what} has {count} {unit}, more than the limit of {MAX_SIMPLICES}")
+
+
 def _rips(metric: MetricInput, d_max: int) -> list[tuple[tuple, tuple, int]]:
     """(simplex, positions in metric.points, scale index of its diameter) for
     each vertex subset of size 1 to d_max + 1, by size and then in the order
     of ``itertools.combinations``. A subset's diameter index is that of the
     subset without its last point or of a pair with that point, whichever is
-    larger."""
+    larger. More than MAX_SIMPLICES subsets are refused before any is
+    built."""
     if d_max < 0:
         raise ValidationError("d_max must be >= 0")
     points, at = metric.points, metric._placement.at
     n = len(points)
+    _require_within(sum(math.comb(n, k + 1) for k in range(min(d_max, n - 1) + 1)),
+                    f"a Rips complex of {n} points up to dimension {d_max}", "simplices")
     diameter = layer = {(i,): 0 for i in range(n)}
     for _ in range(min(d_max, n - 1)):
         layer = {ids + (j,): max(r, *map(at[j].__getitem__, ids))
@@ -397,6 +412,8 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
     if n == 0:
         return _inclusions(Grid([[0], [0]]), {(0, 0): frozenset()})
     scales, at = metric._placement.grid.axes[0], metric._placement.at
+    _require_within(len(scales) * n,
+                    f"a degree-Rips grid of {len(scales)} scales by {n} degrees", "points")
     grid = Grid([scales, range(1 - n, 1)])
     # degree[i][r]: the number of other points within scales[r] of point i,
     # the running total of the points at each index (the point itself at 0)

@@ -39,7 +39,7 @@ class SchemaError(PerscertError):
 
 
 class BudgetExceededError(PerscertError):
-    """An exhaustive search ran out of budget."""
+    """A search or a construction would exceed its budget."""
 
 
 class Frozen:

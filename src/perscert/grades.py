@@ -91,7 +91,7 @@ def zero_grade(m: int) -> Grade:
 
 
 def scale(r: Grade, c) -> Grade:
-    """Multiply a 1-dimensional grade by a positive rational."""
+    """Multiply every coordinate of a grade by a positive rational."""
     c = rat(c)
     if c <= 0:
         raise InvalidScaleError(f"scale factor must be positive, got {rat_to_str(c)}")

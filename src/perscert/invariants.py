@@ -172,8 +172,9 @@ def _require_degree(n: int) -> None:
 
 
 def _require_one_parameter(m: int) -> None:
+    """The barcode routes read one axis; homology itself works at any m."""
     if m != 1:
-        raise DimensionError("homology is restricted to m = 1; slice first")
+        raise DimensionError("barcodes need m = 1; slice first")
 
 
 def homology_basis(k: frozenset, n: int) -> HomologyBasis:
@@ -217,17 +218,15 @@ def induced_h_map(k: frozenset, l: frozenset, vmap: dict, n: int) -> GF2Matrix:
 
 
 def _homology_functor(x: PersistentObject, n: int) -> _Functor:
-    """H_n over GF(2), once x is known to be a 1-parameter persistent
-    complex."""
+    """H_n over GF(2), once x is known to be a persistent complex."""
     if x.category_name != "Complex":
         raise CategoryError("homology expects a persistent complex")
-    _require_one_parameter(x.m)
     return _Functor("F2Vec", lambda k: homology_basis(k, n), lambda b: len(b.reps), _induced)
 
 
 def homology(x: PersistentObject, n: int) -> PersistentObject:
-    """Persistent GF(2) homology in degree n of a 1-parameter persistent
-    complex."""
+    """Persistent GF(2) homology in degree n of a persistent complex at any
+    m: H_n at each grid point, and the induced map on each edge."""
     return _apply(_homology_functor(x, n), x, {})
 
 
@@ -325,8 +324,7 @@ def barcode(f: PersistentObject) -> Barcode:
     of the rank inclusion-exclusion."""
     if f.category_name != "F2Vec":
         raise CategoryError("barcode expects a persistent module")
-    if f.m != 1:
-        raise DimensionError("barcode expects m = 1")
+    _require_one_parameter(f.m)
     axis = f.grid.axes[0]
     live = [(1 << k, 0) for k in range(f.objects[(0,)])]  # (vector, birth index)
     bars = []
@@ -362,8 +360,8 @@ def filtration_barcode(f: FilteredComplex, n: int) -> Barcode:
     the bar [g(sigma), g(tau)) when the two grades differ. Positive
     simplices never killed give the infinite bars."""
     require_valid(f)
-    _require_one_parameter(f.m)
     _require_degree(n)
+    _require_one_parameter(f.m)
     values, at = f._placement.grid.axes[0], f._placement.at
     faces, simplices, cofaces = (_filtration_order(f, d) for d in (n - 1, n, n + 1))
     cycles = Echelon()

@@ -41,7 +41,7 @@ from .errors import (
     ShiftError,
     ValidationError,
 )
-from .grades import Grade, floor_int, rat, zero_grade
+from .grades import Grade, floor_int, rat, scale, zero_grade
 
 
 def _scale(values) -> tuple[int, tuple[int, ...]]:
@@ -762,24 +762,22 @@ def floor_roundtrip_cert(x: PersistentObject) -> InterleavingCert:
 
 
 def rescale(x: PersistentObject, c) -> PersistentObject:
-    """(M_c)^*(X) with M_c(r) = c * r: the grid axis is divided by c."""
+    """(M_c)^*(X) with M_c(r) = c * r: every grid axis is divided by c."""
     c = rat(c)
-    if x.m != 1:
-        raise DimensionError("rescale needs m = 1")
     if c <= 0:
         raise InvalidScaleError("rescale factor must be positive")
-    grid = Grid([tuple(v / c for v in x.grid.axes[0])])
+    grid = Grid([tuple(v / c for v in axis) for axis in x.grid.axes])
     return PersistentObject._of(grid, x.category_name, x.objects, x.edge_maps)
 
 
 def rescale_morphism(f: DeltaMorphism, c) -> DeltaMorphism:
-    """The morphism between the rescaled objects; dividing every axis by c
-    keeps the merged grid's indices, so the components carry over."""
+    """The morphism between the rescaled objects, with every shift
+    coordinate divided by c; dividing every axis by c keeps the merged
+    grid's indices, so the components carry over."""
     c = rat(c)
     src = rescale(f.source, c)
     tgt = rescale(f.target, c)
-    shift = Grade([f.shift.coords[0] / c])
-    return DeltaMorphism._on(_Leg(src, tgt, shift), f.components)
+    return DeltaMorphism._on(_Leg(src, tgt, scale(f.shift, 1 / c)), f.components)
 
 
 def rescale_cert(cert: InterleavingCert, c) -> InterleavingCert:

@@ -761,6 +761,25 @@ def test_rectify_refuses_a_large_block_before_sampling(runner, tmp_path):
     assert report["message"].startswith("rectify window [0, 20000] holds 20001 integers")
 
 
+@pytest.mark.parametrize("command", ["rips", "frips", "degree-rips"])
+def test_rips_builders_refuse_a_large_output_before_building(runner, tmp_path, command):
+    """The metric |i - j| on 18 points is a document of under 2 KB, but its
+    Rips complex up to dimension 17 has all 2^18 - 1 vertex subsets: budget
+    exceeded (exit 3) before any simplex is built."""
+    n = 18
+    metric = write(tmp_path, "m.json", {
+        "format": ser.FORMAT_METRIC, "points": list(range(n)), "values": ["0"] * n,
+        "matrix": [[str(abs(i - j)) for j in range(n)] for i in range(n)]})
+    start = time.perf_counter()
+    r = invoke(runner, [command, metric, "--dmax", "17"])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 3
+    report = json.loads(r.output)
+    assert report["error"] == "budget"
+    assert report["message"] == ("a Rips complex of 18 points up to dimension 17 has 262143 "
+                                 "simplices, more than the limit of 100000")
+
+
 def test_degree_rips_of_an_empty_metric_is_the_empty_complex(runner, tmp_path):
     empty = write(tmp_path, "empty.json", {**COLLINEAR, "points": [], "matrix": []})
     r = invoke(runner, ["degree-rips", empty])
@@ -814,7 +833,7 @@ def test_a_complex_without_simplices_keeps_its_arity(runner, tmp_path):
     assert r.exit_code == 0 and json.loads(r.output) == EMPTY_TWO_PARAMETER_COMPLEX
     r = invoke(runner, ["barcode", p])
     assert r.exit_code == 1
-    assert json.loads(r.output)["message"] == "homology is restricted to m = 1; slice first"
+    assert json.loads(r.output)["message"] == "barcodes need m = 1; slice first"
 
 
 def _route_complexes():
@@ -844,17 +863,31 @@ def test_barcode_of_a_complex_equals_barcode_of_its_homology(runner, tmp_path):
 
 @pytest.mark.parametrize("doc, dim", [
     (ONE_PARAMETER_COMPLEX, "-1"),
-    (ser.encode_filtered_complex(function_rips(
-        MetricInput([0, 1], [[0, 1], [1, 0]], values=[0, 1]), 1)), "0"),
     (EMPTY_TWO_PARAMETER_COMPLEX, "-1"),
     ({**ONE_PARAMETER_COMPLEX, "simplices": ONE_PARAMETER_COMPLEX["simplices"][1:]}, "-1"),
-], ids=["negative-degree", "m-2", "empty-m-2", "missing-face"])
+], ids=["negative-degree", "empty-m-2", "missing-face"])
 def test_barcode_of_a_complex_reports_as_homology_does(runner, tmp_path, doc, dim):
     p = write(tmp_path, "c.json", doc)
     direct = invoke(runner, ["barcode", p, "--dim", dim])
     through = invoke(runner, ["homology", p, "--dim", dim])
     assert direct.exit_code == through.exit_code == 1
     assert direct.output == through.output
+
+
+def test_homology_of_a_two_parameter_complex_is_a_module_without_a_barcode(runner, tmp_path):
+    """``homology`` takes a bifiltration to its m = 2 module; both barcode
+    routes, from the complex and from that module, refuse it with one
+    message."""
+    p = write(tmp_path, "c.json", ser.encode_filtered_complex(function_rips(
+        MetricInput([0, 1], [[0, 1], [1, 0]], values=[0, 1]), 1)))
+    h = str(tmp_path / "h.json")
+    assert invoke(runner, ["homology", p, "--dim", "0", "-o", h]).exit_code == 0
+    module = json.loads(Path(h).read_text())
+    assert (module["m"], module["category"]) == (2, "F2Vec")
+    for doc in (p, h):
+        r = invoke(runner, ["barcode", doc, "--dim", "0"])
+        assert r.exit_code == 1
+        assert json.loads(r.output)["message"] == "barcodes need m = 1; slice first"
 
 
 def _complex_cert_path(tmp_path):

@@ -172,6 +172,7 @@ CASES = {
     "skeleton-1": ["skeleton", "fc.json", "-n", "1"],
     "validate": ["validate", "fc.json"],
     "homology-dim1": ["homology", "fc.json", "--dim", "1"],
+    "homology-degree-rips": ["homology", "dr.json", "--dim", "0"],
     "is-filtered-degree-rips": ["is-filtered", "rand_dr.json"],
 }
 

@@ -2,6 +2,7 @@
 characterization, and the two-parameter square gadget."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,8 +29,10 @@ from perscert import (
     validate,
     vietoris_rips,
 )
+from perscert import complexes
 from perscert.categories import COMPLEX, complex_vertices, simplex, total_order
 from perscert.complexes import SQUARE_GRID, FilteredCheck, ValidationReport
+from perscert.errors import BudgetExceededError
 from perscert.persist import Grid, PersistentObject, constant_object, restrict_to_Z
 from perscert.randgen import rand_filtered_complex, rand_metric, rand_persistent_complex
 
@@ -402,6 +405,38 @@ def metrics(draw, max_points: int = 9):
 def test_rips_builders_agree_with_the_fraction_oracles(metric, d_max):
     assert vietoris_rips(metric, d_max) == rips_by_diameters(metric, d_max)
     assert degree_rips(metric, d_max) == degree_rips_by_fractions(metric, d_max)
+
+
+LINE = MetricInput(range(4), [[abs(i - j) for j in range(4)] for i in range(4)],
+                   values=[0, 1, 2, 3])
+
+
+def test_rips_builders_bound_their_simplices_before_building(monkeypatch):
+    """The 4 points of LINE have 14 vertex subsets of at most 3 points and 15
+    in all: each Rips builder builds them at a limit of that many simplices
+    and refuses, naming the count and the limit, one below it."""
+    for d_max, count in ((2, 14), (3, 15), (10**9, 15)):
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", count)
+        assert len(vietoris_rips(LINE, d_max).simplices) == count
+        assert len(function_rips(LINE, d_max).simplices) == count
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", count - 1)
+        message = (f"a Rips complex of 4 points up to dimension {d_max} has {count} "
+                   f"simplices, more than the limit of {count - 1}")
+        for build in (vietoris_rips, function_rips):
+            with pytest.raises(BudgetExceededError, match=re.escape(message)):
+                build(LINE, d_max)
+
+
+def test_degree_rips_bounds_its_grid_before_building(monkeypatch):
+    """LINE's degree-Rips grid is 4 scales by 4 degrees: built at a limit of
+    16 points and refused at 15, though its 14 simplices are within it."""
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 16)
+    assert degree_rips(LINE, 2).grid.shape() == (4, 4)
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 15)
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "a degree-Rips grid of 4 scales by 4 degrees has 16 points, "
+            "more than the limit of 15")):
+        degree_rips(LINE, 2)
 
 
 def _outcome(check, f):

@@ -30,6 +30,7 @@ from perscert import (
     rescale,
     rescale_cert,
     restrict_to_Z,
+    self_interleaving,
     slice_axis,
     sq_gadget,
     to_persistent,
@@ -38,8 +39,10 @@ from perscert import (
 )
 from perscert import serialize as ser
 from perscert.complexes import SQUARE_GRID
+from perscert.grades import grade, scale
 from perscert.invariants import linearize
 from perscert.randgen import (
+    corrupt_certificate,
     interleaved_pair,
     lift_cert_to_real,
     natural_map_into,
@@ -188,3 +191,71 @@ def test_rescaled_and_floor_extended_real_objects_are_valid():
         x = rand_real_object(rng, "F2Vec" if seed % 2 else "FinSet")
         revalidated(rescale(x, Fraction(2, 3)))
         revalidated_cert(floor_roundtrip_cert(x))
+
+
+# -- homology at m = 2 ----------------------------------------------------------
+
+
+def hollow_triangle_square() -> PersistentObject:
+    """A commuting square of complexes whose (1, 0) corner is a hollow
+    triangle, so H_1 of its gadget is nonzero."""
+    path = frozenset({("a",), ("b",), ("c",), ("a", "b"), ("b", "c")})
+    point = frozenset({("c",)})
+    to_c = {"a": "c", "b": "c", "c": "c"}
+    return PersistentObject(
+        SQUARE_GRID, "Complex",
+        {(0, 0): path, (1, 0): path | {("a", "c")}, (0, 1): point, (1, 1): point},
+        {((0, 0), 0): {"a": "a", "b": "b", "c": "c"}, ((0, 0), 1): to_c,
+         ((1, 0), 1): to_c, ((0, 1), 0): {"c": "c"}},
+    )
+
+
+def two_parameter_complexes():
+    """Degree-Rips objects of seeded 5-12 point metrics, sublevel filtrations
+    of function-Rips bifiltrations, and the gadget of a commuting square."""
+    for seed, n in enumerate((5, 8, 12)):
+        rng = random.Random(seed)
+        metric = rand_metric(rng, n)
+        yield degree_rips(metric, 2)
+        if n < 12:
+            values = [rng.randint(0, 3) for _ in range(n)]
+            yield to_persistent(function_rips(MetricInput(metric.points, metric.dist, values), 2))
+    yield sq_gadget(hollow_triangle_square())
+
+
+def small_enough_to_corrupt(cert) -> bool:
+    """``corrupt_certificate`` lists every map at a point; keep that list
+    short."""
+    f = cert.f
+    return all(f.category.count_maps(f.source.at(f.at_source[p]), f.target.at(f.at_target[p]))
+               <= 2 ** 12 for p in f.grid.indices())
+
+
+def test_homology_of_two_parameter_complexes_is_valid_and_commutes_with_slices():
+    """H_0 and H_1 at m = 2: each is valid, commuting squares included;
+    each axis slice of H_n(x) is H_n of that slice of x; the image of a
+    self-interleaving replays; and rescaling a certificate, genuine or
+    corrupted, keeps its verdict and identity and divides its grade."""
+    refuted = 0
+    for x in two_parameter_complexes():
+        assert x.m == 2
+        for n in (0, 1):
+            h = revalidated(homology(x, n))
+            for axis in (0, 1):
+                values = x.grid.axes[axis]
+                for value in (values[0] - 1, *values, values[-1] + 1):
+                    assert slice_axis(h, axis, value) == homology(slice_axis(x, axis, value), n)
+            cert = homology_cert(self_interleaving(x, grade(1, 1)), n)
+            revalidated_cert(cert)
+            certs = [cert]
+            if small_enough_to_corrupt(cert):
+                certs.append(corrupt_certificate(random.Random(n), cert))
+            for k in certs:
+                before = check_interleaving(k)
+                refuted += not before.valid
+                for c in (2, Fraction(1, 3)):
+                    after = check_interleaving(rescale_cert(k, c))
+                    assert (after.valid, after.identity) == (before.valid, before.identity)
+                    assert after.grade == (None if before.grade is None
+                                           else scale(before.grade, Fraction(1) / c))
+    assert refuted
