@@ -179,18 +179,28 @@ class GF2Matrix(Frozen):
         return len(echelon)
 
 
+def _nth_matrix(n: int, nrows: int, ncols: int) -> GF2Matrix:
+    """Matrix n of ``all_matrices(nrows, ncols)``, 0 <= n < 2^(nrows*ncols):
+    the binary digits of n, most significant first, are its row-major
+    entries."""
+    size = nrows * ncols
+    if size == 0:
+        return GF2Matrix([0] * nrows, nrows, ncols)
+    entries = format(n, f"0{size}b")
+    return GF2Matrix(
+        [int(entries[i * ncols:(i + 1) * ncols][::-1], 2) for i in range(nrows)],
+        nrows, ncols,
+    )
+
+
+def _matrix_index(a: GF2Matrix) -> int:
+    """The n with ``_nth_matrix(n, a.nrows, a.ncols) == a``."""
+    return int("".join(format(r, f"0{a.ncols}b")[::-1] for r in a.bits) or "0", 2)
+
+
 def all_matrices(nrows: int, ncols: int) -> Iterator[GF2Matrix]:
     """Every GF(2) matrix of the given shape, 2^(nrows*ncols) of them, in the
     order of ``itertools.product((0, 1), repeat=nrows * ncols)`` over the
-    row-major entries."""
-    size = nrows * ncols
-    if size == 0:
-        yield GF2Matrix([0] * nrows, nrows, ncols)
-        return
-    for n in range(1 << size):
-        # the binary digits of n, most significant first, are the entries
-        entries = format(n, f"0{size}b")
-        yield GF2Matrix(
-            [int(entries[i * ncols:(i + 1) * ncols][::-1], 2) for i in range(nrows)],
-            nrows, ncols,
-        )
+    row-major entries (``_nth_matrix``)."""
+    for n in range(1 << (nrows * ncols)):
+        yield _nth_matrix(n, nrows, ncols)

@@ -17,9 +17,8 @@ certificate) checks that first; a certificate by ``_require_valid``.
 
 Interleaving identities, stated once: naturality of a leg is laid out by its
 ``_Leg`` (``DeltaMorphism.check_natural``), and the two triangle identities
-by ``_triangles``, which ``check_interleaving`` and the partner search both
-read; a table the search builds is kept on its f leg, so the re-check of a
-partner it found reads that one table.
+by ``_triangles``; ``_check`` reads both, over a fresh table in
+``check_interleaving`` and over the table a partner search pruned g with.
 """
 
 from __future__ import annotations
@@ -379,10 +378,7 @@ class _Leg:
     canonical merged grid, its locate tables ``at_source`` and ``at_target``
     (each merged index to the source-grid index of its point and to the
     target-grid index of its point plus shift), and, built on first use, the
-    structure maps of source and target along each merged-grid edge.
-    ``triangle_tables`` holds, by the leg g of a partner, the ``_triangles``
-    table of the pair that a search built, which ``check_interleaving`` then
-    reads instead of building it again."""
+    structure maps of source and target along each merged-grid edge."""
 
     def __init__(self, source: PersistentObject, target: PersistentObject, shift: Grade):
         self.source, self.target, self.shift = source, target, shift
@@ -390,7 +386,6 @@ class _Leg:
         self.at_source = source.grid.locate(self.grid, zero_grade(shift.m))
         self.at_target = target.grid.locate(self.grid, shift)
         self.points = list(self.grid.indices())
-        self.triangle_tables = {}
 
     def _steps(self, x: PersistentObject, at: dict) -> dict:
         return {(idx, a): x.map_between(at[idx], at[nxt]) for idx, a, nxt in self.grid.edges()}
@@ -555,11 +550,10 @@ def _triangles(f: _Leg, g: _Leg):
             yield side, direct.grid, idx, at_f[idx], at_g[idx], structure
 
 
-def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
-    """Checks naturality of both legs and the two triangle identities
-    (``_triangles``, or the table of the two legs kept on f's); reports the
-    first violating grade."""
-    f, g = cert.f, cert.g
+def _check(f: DeltaMorphism, g: DeltaMorphism, triangles) -> InterleavingReport:
+    """Naturality of both legs, then the two triangle identities at the rows
+    of triangles, a ``_triangles`` table of their legs; reports the first
+    violating grade."""
     for name, leg in (("f", f), ("g", g)):
         violation = leg.check_natural()
         if violation is not None:
@@ -568,9 +562,7 @@ def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
                 False, f"{name} is not natural at {p} along axis {axis}", p, f"naturality({name})"
             )
     cat = f.category
-    table = f._leg.triangle_tables.get(g._leg)
-    for side, grid, idx, fi, gj, structure in (
-            _triangles(f._leg, g._leg) if table is None else table):
+    for side, grid, idx, fi, gj, structure in triangles:
         via = (cat.compose(g.at(gj), f.at(fi)) if side == 0
                else cat.compose(f.at(fi), g.at(gj)))
         if via != structure:
@@ -581,6 +573,12 @@ def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
                 p, f"triangle({name})"
             )
     return InterleavingReport(True, "valid interleaving")
+
+
+def check_interleaving(cert: InterleavingCert) -> InterleavingReport:
+    """Checks naturality of both legs and the two triangle identities
+    (``_triangles``); reports the first violating grade."""
+    return _check(cert.f, cert.g, _triangles(cert.f._leg, cert.g._leg))
 
 
 def _require_valid(cert: InterleavingCert) -> None:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .complexes import FilteredComplex, MetricInput, to_persistent
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, _matrix_index, _nth_matrix
 from .grades import Grade, rat
 from .invariants import Bar, Barcode
 from .persist import (
@@ -165,7 +165,10 @@ def lift_cert_to_real(x: PersistentObject, y: PersistentObject,
 def corrupt_certificate(rng: random.Random, cert: InterleavingCert
                         ) -> InterleavingCert:
     """Replace one f-component with a different map of the same type when
-    possible; returns a (usually invalid) certificate for negative tests."""
+    possible; returns a (usually invalid) certificate for negative tests.
+    The new map is drawn uniformly from the others in ``enumerate_maps``
+    order; an F2Vec one by its position in that order, so the 2^(a*b)
+    matrices a -> b are not listed."""
     f = cert.f
     cat = f.category
     points = list(f.grid.indices())
@@ -174,11 +177,22 @@ def corrupt_certificate(rng: random.Random, cert: InterleavingCert
         src = f.source.at(f.at_source[p])
         tgt = f.target.at(f.at_target[p])
         current = f.components[p]
-        others = [m for m in cat.enumerate_maps(src, tgt) if m != current]
-        if others:
-            components = dict(f.components)
-            components[p] = rng.choice(others)
-            return InterleavingCert(DeltaMorphism._on(f._leg, components), cert.g)
+        if f.source.category_name == "F2Vec":
+            others = cat.count_maps(src, tgt) - 1
+            if not others:
+                continue
+            # the draw of rng.choice from a list of the others, so that a
+            # seed picks the same map as from that list
+            k = rng.randrange(others)
+            new = _nth_matrix(k + (k >= _matrix_index(current)), tgt, src)
+        else:
+            others = [m for m in cat.enumerate_maps(src, tgt) if m != current]
+            if not others:
+                continue
+            new = rng.choice(others)
+        components = dict(f.components)
+        components[p] = new
+        return InterleavingCert(DeltaMorphism._on(f._leg, components), cert.g)
     return cert  # nothing corruptible (e.g. everything empty)
 
 

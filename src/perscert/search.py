@@ -5,7 +5,6 @@ the bottleneck floor (``interleaving_distance_search``)."""
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -14,8 +13,7 @@ from .errors import BudgetExceededError, CategoryError, DimensionError, Validati
 from .grades import Grade
 from . import persist
 from .invariants import barcode, linearize, pi0_induced
-from .persist import (DeltaMorphism, InterleavingCert, PersistentObject, _Leg, _triangles,
-                      check_interleaving)
+from .persist import DeltaMorphism, InterleavingCert, PersistentObject, _Leg, _check, _triangles
 
 DEFAULT_BUDGET = 200_000  # candidate components one search may visit
 
@@ -37,52 +35,6 @@ class _Budget:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceededError(f"search budget of {self.limit} exhausted")
-
-
-class _Frame:
-    """The geometry of an (eps, delta) partner search, built once around the
-    leg f: x ->_eps y that every f searched shares: g's leg y ->_delta x and
-    the table of the two triangle identities that ``check_interleaving``
-    reads (``persist._triangles``). Given f, the triangles constrain g one
-    merged-grid component at a time (``triangle_filter``). g's leg and the
-    table are built when the first f looks for a partner, so a candidate
-    delta that admits no natural f never builds them; the table is kept on
-    f's leg, where ``check_interleaving`` finds it."""
-
-    def __init__(self, f: _Leg, delta: Grade):
-        self.f, self.delta = f, delta
-
-    @functools.cached_property
-    def g(self) -> _Leg:
-        return _Leg(self.f.target, self.f.source, self.delta)
-
-    @functools.cached_property
-    def triangles(self) -> list:
-        table = self.f.triangle_tables[self.g] = list(_triangles(self.f, self.g))
-        return table
-
-    def triangle_filter(self, f: DeltaMorphism) -> Optional[Callable[[tuple, object], bool]]:
-        """accept(j, cand): whether cand, as g's component at merged index j,
-        meets every triangle identity at the points whose g component is
-        the one at j, given f. The points below g's grid involve f alone and
-        are checked here, once; None when one of them fails, so no g will
-        do."""
-        cat = f.category
-        below = cat.initial_map(cat.initial())
-        before = {j: [] for j in self.g.points}  # (a, b) with g . a = b
-        after = {j: [] for j in self.g.points}   # (a, b) with a . g = b
-        for side, _, _, fi, gj, direct in self.triangles:
-            fm = f.at(fi)
-            if gj is not None:
-                (before, after)[side][gj].append((fm, direct))
-            elif (cat.compose(below, fm) if side == 0 else cat.compose(fm, below)) != direct:
-                return None
-
-        def accept(j, cand) -> bool:
-            return (all(cat.compose(cand, a) == b for a, b in before[j])
-                    and all(cat.compose(a, cand) == b for a, b in after[j]))
-
-        return accept
 
 
 def _enumerate_natural(leg: _Leg, budget: _Budget,
@@ -115,28 +67,58 @@ def _enumerate_natural(leg: _Leg, budget: _Budget,
     yield from backtrack(0, {})
 
 
-def _partner(f: DeltaMorphism, frame: _Frame, budget: _Budget
+def _triangle_filter(f: DeltaMorphism, g_leg: _Leg, triangles: list
+                     ) -> Optional[Callable[[tuple, object], bool]]:
+    """accept(j, cand): whether cand, as g's component at merged index j of
+    g_leg, meets every triangle identity at the points whose g component is
+    the one at j, given f and triangles, the ``_triangles`` table of f's leg
+    and g_leg. The points below g's grid involve f alone and are checked
+    here, once; None when one of them fails, so no g will do."""
+    cat = f.category
+    below = cat.initial_map(cat.initial())
+    before = {j: [] for j in g_leg.points}  # (a, b) with g . a = b
+    after = {j: [] for j in g_leg.points}   # (a, b) with a . g = b
+    for side, _, _, fi, gj, direct in triangles:
+        fm = f.at(fi)
+        if gj is not None:
+            (before, after)[side][gj].append((fm, direct))
+        elif (cat.compose(below, fm) if side == 0 else cat.compose(fm, below)) != direct:
+            return None
+
+    def accept(j, cand) -> bool:
+        return (all(cat.compose(cand, a) == b for a, b in before[j])
+                and all(cat.compose(a, cand) == b for a, b in after[j]))
+
+    return accept
+
+
+def _partner(f: DeltaMorphism, g_leg: _Leg, triangles: list, budget: _Budget
              ) -> Optional[InterleavingCert]:
-    """The first natural g, in enumeration order, making (f, g) an
-    interleaving: candidates the triangles rule out are dropped inside the
-    backtracking, and a g that survives is re-checked by check_interleaving."""
-    accept = frame.triangle_filter(f)
+    """The first natural g on g_leg, in enumeration order, making (f, g) an
+    interleaving, for a natural f: candidates the triangles rule out are
+    dropped inside the backtracking, and a g that survives is re-checked by
+    ``persist._check`` on the same table."""
+    accept = _triangle_filter(f, g_leg, triangles)
     if accept is None:
         return None
-    for g_components in _enumerate_natural(frame.g, budget, accept):
-        cert = InterleavingCert(f, DeltaMorphism._on(frame.g, g_components))
-        if check_interleaving(cert).valid:
-            return cert
+    for g_components in _enumerate_natural(g_leg, budget, accept):
+        g = DeltaMorphism._on(g_leg, g_components)
+        if _check(f, g, triangles).valid:
+            return InterleavingCert(f, g)
     return None
 
 
 def find_partner(f: DeltaMorphism, delta: Grade, budget: int = DEFAULT_BUDGET
                  ) -> Optional[InterleavingCert]:
     """Exhaustively search a partner g making (f, g) a valid
-    (f.shift, delta)-interleaving. m = 1 only."""
+    (f.shift, delta)-interleaving; None before any g is tried when f is not
+    natural. m = 1 only."""
     if f.source.m != 1:
         raise DimensionError("partner search supports m = 1 only")
-    return _partner(f, _Frame(f._leg, delta), _Budget(budget))
+    limit, g_leg = _Budget(budget), _Leg(f.target, f.source, delta)
+    if not f.is_natural():
+        return None
+    return _partner(f, g_leg, list(_triangles(f._leg, g_leg)), limit)
 
 
 def induces_interleaving_in_pi0(f: DeltaMorphism, delta: Grade,
@@ -154,9 +136,12 @@ def induces_interleaving_in_pi0(f: DeltaMorphism, delta: Grade,
 
 def _search_at_delta(x: PersistentObject, y: PersistentObject, delta: Grade,
                      budget: _Budget) -> Optional[InterleavingCert]:
-    frame = _Frame(_Leg(x, y, delta), delta)
-    for f_components in _enumerate_natural(frame.f, budget):
-        cert = _partner(DeltaMorphism._on(frame.f, f_components), frame, budget)
+    f_leg, g_leg, triangles = _Leg(x, y, delta), None, None
+    for f_components in _enumerate_natural(f_leg, budget):
+        if triangles is None:  # once a natural f needs a partner, not before
+            g_leg = _Leg(y, x, delta)
+            triangles = list(_triangles(f_leg, g_leg))
+        cert = _partner(DeltaMorphism._on(f_leg, f_components), g_leg, triangles, budget)
         if cert is not None:
             return cert
     return None
@@ -198,8 +183,9 @@ def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
     by naturality and by the two triangle identities, which given f
     constrain g one component at a time. The budget counts every candidate
     component visited, for f and g alike, so pruned branches cost nothing
-    further. A g that survives is re-checked by ``check_interleaving``
-    before its certificate is returned.
+    further. A g that survives is re-checked, by the checker of
+    ``check_interleaving`` on the triangle table it was pruned with, before
+    its certificate is returned.
 
     The candidate set is complete, so the answer is the interleaving
     distance itself, attained at a candidate. Whether a delta-interleaving

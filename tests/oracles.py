@@ -22,6 +22,9 @@ possible with what it checks:
 - ``check_interleaving_by_composites``: both triangle identities composed
   point by point on the grid of each side's structure-map shift, each leg
   evaluated at a grade, against the library's one triangle table;
+- ``corrupt_certificate_by_listing``: one f-component replaced by a map
+  chosen from the list of every other map at its point, against the
+  library's draw of an F2Vec map by its position;
 - ``encode_object_by_occurrence``, ``encode_cert_by_occurrence`` and
   ``encode_zigzag_by_occurrence``: documents with each map, persistent
   object and axis value encoded where it occurs, sharing only within one
@@ -437,6 +440,22 @@ def check_interleaving_by_composites(cert: InterleavingCert) -> InterleavingRepo
                     False, f"{path} differs from the structure-map shift of {name} at {p}",
                     p, f"triangle({name})")
     return InterleavingReport(True, "valid interleaving")
+
+
+def corrupt_certificate_by_listing(rng, cert: InterleavingCert) -> InterleavingCert:
+    """``corrupt_certificate`` choosing the new map from the list of every
+    other map of the same type at the point, in ``enumerate_maps`` order."""
+    f = cert.f
+    points = list(f.grid.indices())
+    rng.shuffle(points)
+    for p in points:
+        src, tgt = f.source.at(f.at_source[p]), f.target.at(f.at_target[p])
+        others = [m for m in f.category.enumerate_maps(src, tgt) if m != f.components[p]]
+        if others:
+            components = dict(f.components)
+            components[p] = rng.choice(others)
+            return InterleavingCert(DeltaMorphism._on(f._leg, components), cert.g)
+    return cert
 
 
 def filtration_order_by_fractions(f: FilteredComplex, dim: int) -> list[tuple]:

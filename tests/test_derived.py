@@ -224,11 +224,12 @@ def two_parameter_complexes():
 
 
 def small_enough_to_corrupt(cert) -> bool:
-    """``corrupt_certificate`` lists every map at a point; keep that list
-    short."""
+    """``corrupt_certificate`` lists every map at a point, except for F2Vec,
+    whose map it draws by its position; keep that list short."""
     f = cert.f
-    return all(f.category.count_maps(f.source.at(f.at_source[p]), f.target.at(f.at_target[p]))
-               <= 2 ** 12 for p in f.grid.indices())
+    return f.source.category_name == "F2Vec" or all(
+        f.category.count_maps(f.source.at(f.at_source[p]), f.target.at(f.at_target[p]))
+        <= 2 ** 12 for p in f.grid.indices())
 
 
 def test_homology_of_two_parameter_complexes_is_valid_and_commutes_with_slices():

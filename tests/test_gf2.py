@@ -8,7 +8,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscert.gf2 import Echelon, GF2Matrix, all_matrices, kernel_bits
+from perscert.gf2 import Echelon, GF2Matrix, _matrix_index, all_matrices, kernel_bits
 
 
 def rand_matrix(rng, nrows, ncols):
@@ -220,3 +220,4 @@ def test_all_matrices_follows_itertools_product_order(nrows, ncols):
         for bits in itertools.product((0, 1), repeat=nrows * ncols)
     ]
     assert list(all_matrices(nrows, ncols)) == expected
+    assert [_matrix_index(a) for a in expected] == list(range(len(expected)))

@@ -7,8 +7,12 @@ import itertools
 import json
 import random
 import re
+import runpy
+import time
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,12 +67,12 @@ from perscert.randgen import (
     rand_metric,
     rand_real_object,
 )
-from perscert.search import (_Frame, _least_certified, induces_interleaving_in_pi0,
+from perscert.search import (_least_certified, _triangle_filter, induces_interleaving_in_pi0,
                              interleaving_candidates)
-from perscert.serialize import encode_cert
+from perscert.serialize import decode_cert, encode_cert
 
 from oracles import (audit_squares_by_composition, check_interleaving_by_composites,
-                     index_by_floor_bisect)
+                     corrupt_certificate_by_listing, index_by_floor_bisect)
 
 
 # -- commuting squares ---------------------------------------------------------
@@ -219,6 +223,33 @@ def test_checker_reports_a_violation_for_most_corrupted_certificates():
     assert invalid >= 5
 
 
+def test_corrupting_an_f2vec_certificate_draws_what_the_list_gives():
+    """The F2Vec draw by position picks the map that choosing from the list
+    of every other map picks, for the same seed."""
+    changed = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        x = rand_f2vec_object(rng, lo=-2, hi=3, max_dim=3)
+        _, cert = interleaved_pair(rng, x, 1 + seed % 2)
+        for c in (cert, InterleavingCert(cert.g, cert.f)):
+            drawn = corrupt_certificate(random.Random(seed), c)
+            listed = corrupt_certificate_by_listing(random.Random(seed), c)
+            assert drawn.f.components == listed.f.components and drawn.g is c.g
+            changed += drawn is not c
+    assert changed >= 250
+
+
+def test_corrupting_a_certificate_does_not_list_every_map():
+    # 2^49 maps at every point of the self-interleaving of a 7-dimensional
+    # constant module
+    x = constant_object("F2Vec", 7, Grid([[0, 1, 2]]))
+    cert = self_interleaving(x, grade(1))
+    start = time.perf_counter()
+    bad = corrupt_certificate(random.Random(0), cert)
+    assert time.perf_counter() - start < 1
+    assert not check_interleaving(bad).valid
+
+
 def test_self_interleaving_is_valid_at_every_shift():
     x = rand_f2vec_object(random.Random(6), lo=-2, hi=2)
     for d in [0, 1, 3]:
@@ -344,6 +375,21 @@ def test_find_partner_recovers_a_partner_for_a_genuine_leg():
     found = find_partner(cert.f, grade(1))
     assert found is not None
     assert check_interleaving(found).valid
+
+
+def test_find_partner_of_a_leg_that_is_not_natural_tries_no_partner():
+    """A corrupted leg that is not natural has no partner, and its search
+    says so before it spends any of the budget."""
+    unnatural = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        x = rand_f2vec_object(rng, lo=0, hi=3, max_dim=2)
+        _, cert = interleaved_pair(rng, x)
+        f = corrupt_certificate(rng, cert).f
+        if not f.is_natural():
+            unnatural += 1
+            assert find_partner(f, cert.delta, budget=0) is None
+    assert unnatural >= 50
 
 
 def test_every_search_refuses_a_negative_budget_before_searching():
@@ -483,6 +529,30 @@ def test_distance_search_matches_the_reference_search():
     assert certified >= 30 and unbounded >= 20
 
 
+def test_certificates_a_search_finds_replay_the_same_from_their_documents():
+    """The certificates that ``scripts/search_tails.py``'s seeded searches
+    find within a budget of 2,000 (each settles the same at 20,000, as the
+    script runs them in CI), F2Vec of up to 2^16 maps at a point and FinSet,
+    and a corrupted copy of each: read back from the document
+    ``encode_cert`` writes, each gets the report it gets itself."""
+    tails = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "search_tails.py"))
+    replayed = refuted = 0
+    for _, x, y in tails["tail_pairs"]():
+        try:
+            cert = interleaving_distance_search(x, y, budget=2_000).certificate
+        except BudgetExceededError:
+            continue
+        if cert is None:
+            continue
+        assert check_interleaving(cert).valid
+        bad = corrupt_certificate(random.Random(replayed), cert)
+        for c in (cert, bad):
+            assert check_interleaving(decode_cert(encode_cert(c))) == check_interleaving(c)
+        replayed += 1
+        refuted += not check_interleaving(bad).valid
+    assert replayed >= 20 and refuted >= 15
+
+
 def test_a_search_builds_the_triangle_table_of_each_pair_of_legs_once(monkeypatch):
     """The re-check of a partner the search found reads the triangle table
     its frame built: two ``identity_shift`` per pair of legs, not four."""
@@ -500,12 +570,16 @@ def test_a_search_builds_the_triangle_table_of_each_pair_of_legs_once(monkeypatc
 
 def drawn_legs():
     """(frame, f, gs) for each natural f at the first four candidate deltas
-    of small_pairs(12): the search frame of f's delta, f, and every natural
-    g at that delta."""
+    of small_pairs(12): the search's g leg and its triangle filter at f's
+    delta, as ``frame.g`` and ``frame.triangle_filter(f)``, f, and every
+    natural g at that delta."""
     for x, y in small_pairs(12):
         for delta in interleaving_candidates(x, y)[:4]:
             d = Grade([delta])
-            frame = _Frame(_Leg(x, y, d), d)
+            g_leg = _Leg(y, x, d)
+            table = list(persist._triangles(_Leg(x, y, d), g_leg))
+            frame = SimpleNamespace(g=g_leg, triangle_filter=partial(
+                _triangle_filter, g_leg=g_leg, triangles=table))
             gs = list(reference_natural(y, x, d))
             for f in reference_natural(x, y, d):
                 yield frame, f, gs
