@@ -44,14 +44,12 @@ def _window(x: PersistentObject) -> tuple[int, int]:
 
 
 def _block_end(lo: int, hi: int, m: int, parity: int) -> int:
-    """Smallest q*m >= hi with q % 2 == parity (0: even, 1: odd). The
-    window [lo, q*m] is sampled, and each sample may compose up to m
-    structure maps, so a window whose integers times m exceed
-    ``persist.MAX_WINDOW`` is refused before any sample is taken."""
-    q = -(-hi // m)
-    if q % 2 != parity:
-        q += 1
-    end = q * m
+    """Smallest q*m >= hi with q % 2 == parity (0: even, 1: odd), the even
+    or odd block floor of hi + 2m - 1. The window [lo, q*m] is sampled,
+    and each sample may compose up to m structure maps, so a window whose
+    integers times m exceed ``persist.MAX_WINDOW`` is refused before any
+    sample is taken."""
+    end = (even_reindex, odd_reindex)[parity](hi + 2 * m - 1, m)
     if (end - lo + 1) * m > persist.MAX_WINDOW:
         raise BudgetExceededError(
             f"rectify window [{lo}, {end}] holds {end - lo + 1} integers, which at "

@@ -16,6 +16,7 @@ from .invariants import barcode, linearize, pi0_induced
 from .persist import DeltaMorphism, InterleavingCert, PersistentObject, _Leg, _check, _triangles
 
 DEFAULT_BUDGET = 200_000  # candidate components one search may visit
+_DONE = object()  # what next() gives for an exhausted candidate generator
 
 
 # -- partner search -----------------------------------------------------------
@@ -40,50 +41,53 @@ class _Budget:
 def _enumerate_natural(leg: _Leg, budget: _Budget,
                        accept: Optional[Callable[[tuple, object], bool]] = None):
     """Yield the components, by merged index, of every natural delta-morphism
-    along leg by backtracking over its merged grid (m = 1), pruning with the
-    edge naturality condition and then with accept(index, candidate)."""
+    along leg: one walk of its merged grid in index order on a stack of
+    candidate generators, one per point, each candidate checked for
+    naturality along every unit step into its point (from a point chosen
+    earlier) and then with accept(index, candidate)."""
     x, y, at_x, at_y = leg.source, leg.target, leg.at_source, leg.at_target
     points, x_steps, y_steps = leg.points, leg.source_steps, leg.target_steps
-    cat = x.category
+    cat, chosen = x.category, {}
 
-    def backtrack(i: int, chosen: dict):
-        if i == len(points):
-            yield dict(chosen)
-            return
-        p = points[i]
-        if i > 0:
-            step = (points[i - 1], 0)
-            upper = cat.compose(y_steps[step], chosen[points[i - 1]])
+    def candidates(p):
+        steps = [(p[:a] + (c - 1,) + p[a + 1:], a) for a, c in enumerate(p) if c]
+        squares = [(cat.compose(y_steps[s], chosen[s[0]]), x_steps[s]) for s in steps]
         for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
             budget.spend()
-            if i > 0 and upper != cat.compose(cand, x_steps[step]):
-                continue
-            if accept is not None and not accept(p, cand):
-                continue
-            chosen[p] = cand
-            yield from backtrack(i + 1, chosen)
-            del chosen[p]
+            for upper, x_step in squares:
+                if upper != cat.compose(cand, x_step):
+                    break
+            else:
+                if accept is None or accept(p, cand):
+                    yield cand
 
-    yield from backtrack(0, {})
+    stack = [candidates(points[0])]
+    while stack:
+        cand = next(stack[-1], _DONE)
+        if cand is _DONE:
+            stack.pop()
+            continue
+        chosen[points[len(stack) - 1]] = cand
+        if len(stack) == len(points):
+            yield dict(chosen)
+        else:
+            stack.append(candidates(points[len(stack)]))
 
 
 def _triangle_filter(f: DeltaMorphism, g_leg: _Leg, triangles: list
-                     ) -> Optional[Callable[[tuple, object], bool]]:
+                     ) -> Callable[[tuple, object], bool]:
     """accept(j, cand): whether cand, as g's component at merged index j of
     g_leg, meets every triangle identity at the points whose g component is
     the one at j, given f and triangles, the ``_triangles`` table of f's leg
-    and g_leg. The points below g's grid involve f alone and are checked
-    here, once; None when one of them fails, so no g will do."""
+    and g_leg. A row below g's grid (g index None) compares two maps out of
+    the initial object, whatever f is: p + eps below g's grid puts p + eps +
+    delta below X's grid, and p below it makes Y(p) initial."""
     cat = f.category
-    below = cat.initial_map(cat.initial())
     before = {j: [] for j in g_leg.points}  # (a, b) with g . a = b
     after = {j: [] for j in g_leg.points}   # (a, b) with a . g = b
     for side, _, _, fi, gj, direct in triangles:
-        fm = f.at(fi)
         if gj is not None:
-            (before, after)[side][gj].append((fm, direct))
-        elif (cat.compose(below, fm) if side == 0 else cat.compose(fm, below)) != direct:
-            return None
+            (before, after)[side][gj].append((f.at(fi), direct))
 
     def accept(j, cand) -> bool:
         return (all(cat.compose(cand, a) == b for a, b in before[j])
@@ -96,11 +100,9 @@ def _partner(f: DeltaMorphism, g_leg: _Leg, triangles: list, budget: _Budget
              ) -> Optional[InterleavingCert]:
     """The first natural g on g_leg, in enumeration order, making (f, g) an
     interleaving, for a natural f: candidates the triangles rule out are
-    dropped inside the backtracking, and a g that survives is re-checked by
+    dropped inside the walk, and a g that survives is re-checked by
     ``persist._check`` on the same table."""
     accept = _triangle_filter(f, g_leg, triangles)
-    if accept is None:
-        return None
     for g_components in _enumerate_natural(g_leg, budget, accept):
         g = DeltaMorphism._on(g_leg, g_components)
         if _check(f, g, triangles).valid:
@@ -111,10 +113,8 @@ def _partner(f: DeltaMorphism, g_leg: _Leg, triangles: list, budget: _Budget
 def find_partner(f: DeltaMorphism, delta: Grade, budget: int = DEFAULT_BUDGET
                  ) -> Optional[InterleavingCert]:
     """Exhaustively search a partner g making (f, g) a valid
-    (f.shift, delta)-interleaving; None before any g is tried when f is not
-    natural. m = 1 only."""
-    if f.source.m != 1:
-        raise DimensionError("partner search supports m = 1 only")
+    (f.shift, delta)-interleaving, at any m; None before any g is tried
+    when f is not natural."""
     limit, g_leg = _Budget(budget), _Leg(f.target, f.source, delta)
     if not f.is_natural():
         return None
@@ -179,7 +179,7 @@ def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
     delta. So every skipped candidate is provably refuted, and when d_B is
     infinite the answer is infinite without a search.
 
-    For each natural f, candidates for g are pruned inside the backtracking
+    For each natural f, candidates for g are pruned inside the walk
     by naturality and by the two triangle identities, which given f
     constrain g one component at a time. The budget counts every candidate
     component visited, for f and g alike, so pruned branches cost nothing

@@ -198,6 +198,33 @@ def test_interleave_dist_reports_exact_rationals(runner, tmp_path):
     assert json.loads(r.output)["distance"] == "0"
 
 
+def test_interleave_dist_settles_an_object_past_the_recursion_limit(runner, tmp_path):
+    """A one-element constant object on three times as many integer grades
+    as the recursion limit is at distance 0 from itself."""
+    n = 3 * sys.getrecursionlimit()
+    x = integer_object("FinSet", [frozenset({"*"})] * n, [{"*": "*"}] * (n - 1), 0)
+    p = write(tmp_path, "x.json", ser.encode_object(x))
+    r = invoke(runner, ["interleave-dist", p, p])
+    assert r.exit_code == 0
+    assert json.loads(r.output)["distance"] == "0"
+
+
+def test_dash_reads_the_document_from_stdin(runner, tmp_path):
+    """``-`` reads the input document from stdin, with the output and exit
+    code of the file form, for a metric, a complex and a certificate."""
+    complex_doc = invoke(runner, ["rips", write(tmp_path, "m.json", COLLINEAR)]).output
+    cases = [(["rips"], json.dumps(COLLINEAR)), (["barcode", "--dim", "0"], complex_doc),
+             (["interleave-check"], json.dumps(self_cert_document()))]
+    for (command, *options), text in cases:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        by_file = invoke(runner, [command, str(path), *options])
+        by_stdin = runner.invoke(main, [command, "-", *options], input=text,
+                                 catch_exceptions=False)
+        assert by_file.exit_code == 0
+        assert (by_stdin.exit_code, by_stdin.output) == (by_file.exit_code, by_file.output)
+
+
 def test_interleave_dist_budget_exceeded_exits_3(runner, tmp_path):
     rng = random.Random(2)
     x = rand_finset_object(rng, lo=-2, hi=2, max_size=4)

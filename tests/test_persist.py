@@ -8,6 +8,7 @@ import json
 import random
 import re
 import runpy
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -48,11 +49,11 @@ from perscert import (
     shift_morphism,
     zigzag,
 )
-from perscert.categories import complex_vertices, total_order
+from perscert.categories import complex_vertices, get_category, total_order
 from perscert.complexes import degree_rips
 from perscert.distances import bottleneck
 from perscert.errors import BudgetExceededError, CategoryError, ValidationError
-from perscert.invariants import barcode, linearize
+from perscert.invariants import barcode, homology_cert, linearize
 from perscert.grades import even_reindex, floor_int, odd_reindex
 from perscert import persist, search
 from perscert.persist import _Leg, _positions
@@ -67,12 +68,14 @@ from perscert.randgen import (
     rand_metric,
     rand_real_object,
 )
-from perscert.search import (_least_certified, _triangle_filter, induces_interleaving_in_pi0,
+from perscert.search import (DEFAULT_BUDGET, _Budget, _enumerate_natural, _least_certified,
+                             _triangle_filter, induces_interleaving_in_pi0,
                              interleaving_candidates)
 from perscert.serialize import decode_cert, encode_cert
 
 from oracles import (audit_squares_by_composition, check_interleaving_by_composites,
-                     corrupt_certificate_by_listing, index_by_floor_bisect)
+                     corrupt_certificate_by_listing, index_by_floor_bisect,
+                     natural_legs_by_recursion)
 
 
 # -- commuting squares ---------------------------------------------------------
@@ -590,8 +593,7 @@ def test_triangle_filter_rejects_exactly_the_partners_that_fail():
     for frame, f, gs in drawn_legs():
         accept = frame.triangle_filter(f)
         for g in gs:
-            admitted = accept is not None and all(
-                accept(j, g.components[j]) for j in frame.g.points)
+            admitted = all(accept(j, g.components[j]) for j in frame.g.points)
             assert admitted == check_interleaving(InterleavingCert(f, g)).valid
             checked += 1
             rejected += not admitted
@@ -630,6 +632,119 @@ def test_check_interleaving_matches_the_composite_oracle():
         assert report == check_interleaving_by_composites(cert)
         failed.add(report.identity)
     assert {"naturality(f)", "naturality(g)", "triangle(X)", "triangle(Y)"} <= failed
+
+
+def test_the_walk_yields_what_the_recursive_enumeration_yields_at_m_1():
+    """On seeded one-parameter legs, bare and with the triangle filter of
+    each natural f, the walk yields the legs of the recursive enumeration in
+    its order and spends the same budget."""
+    runs = 0
+    for x, y in small_pairs(12):
+        for delta in interleaving_candidates(x, y)[:4]:
+            d = Grade([delta])
+            f_leg, g_leg = _Leg(x, y, d), _Leg(y, x, d)
+            table = list(persist._triangles(f_leg, g_leg))
+            filters = [(f_leg, None)] + [(g_leg, _triangle_filter(f, g_leg, table))
+                                         for f in reference_natural(x, y, d)]
+            for leg, accept in filters:
+                walk, recursion = _Budget(DEFAULT_BUDGET), _Budget(DEFAULT_BUDGET)
+                assert (list(_enumerate_natural(leg, walk, accept))
+                        == list(natural_legs_by_recursion(leg, recursion, accept)))
+                assert walk.used == recursion.used
+                runs += accept is not None
+    assert runs > 0
+
+
+def test_a_search_past_the_recursion_limit_settles_at_distance_zero():
+    """A one-element FinSet object, constant on three times as many integer
+    grades as the interpreter's recursion limit, against itself."""
+    n = 3 * sys.getrecursionlimit()
+    x = integer_object("FinSet", [frozenset({"*"})] * n, [{"*": "*"}] * (n - 1), 0)
+    result = interleaving_distance_search(x, x)
+    assert result.distance == 0
+    assert check_interleaving(result.certificate).valid
+
+
+def rand_finset_object_2d(rng):
+    """A seeded two-parameter FinSet object on a grid of at most 2 x 2 of
+    the points 0 and 1, with sets of at most 2 elements: random sets and
+    edge maps on a random grid, drawn again until every square commutes."""
+    cat = get_category("FinSet")
+    grid = Grid([rng.choice([[0], [1], [0, 1], [0, 1], [0, 1]]) for _ in range(2)])
+    while True:
+        sets = {idx: frozenset(f"x{k}" for k in range(rng.randint(0, 2)))
+                for idx in grid.indices()}
+        try:
+            edges = {(idx, a): rng.choice(list(cat.enumerate_maps(sets[idx], sets[nxt])))
+                     for idx, a, nxt in grid.edges()}
+            return PersistentObject(grid, "FinSet", sets, edges)
+        except (IndexError, ValidationError):  # an edge with no map, or a square that fails
+            continue
+
+
+def two_parameter_legs(n):
+    """(x, y, delta, fs) for seeded two-parameter FinSet objects x and y
+    (y = x for every third seed), shifts eps and delta of coordinates 0 and
+    1, and the first five natural x ->_eps y."""
+    for seed in range(n):
+        rng = random.Random(seed)
+        x = rand_finset_object_2d(rng)
+        y = x if seed % 3 == 0 else rand_finset_object_2d(rng)
+        eps, delta = (Grade([rng.randint(0, 1), rng.randint(0, 1)]) for _ in range(2))
+        yield x, y, delta, list(itertools.islice(reference_natural(x, y, eps), 5))
+
+
+def test_find_partner_at_m_2_finds_the_first_partner_a_brute_force_finds():
+    """At m = 2, find_partner returns a certificate exactly when some
+    natural g in enumeration order makes one, and the first such g; each
+    certificate replays through the checker and the composite oracle."""
+    found = missed = 0
+    for x, y, delta, fs in two_parameter_legs(60):
+        gs = list(reference_natural(y, x, delta))
+        for f in fs:
+            cert = find_partner(f, delta)
+            first = next((g for g in gs if check_interleaving(InterleavingCert(f, g)).valid),
+                         None)
+            assert (cert is None) == (first is None)
+            if cert is None:
+                missed += 1
+                continue
+            found += 1
+            assert cert.g.components == first.components
+            assert check_interleaving(cert).valid
+            assert check_interleaving_by_composites(cert).valid
+    assert found > 0 and missed > 0
+
+
+def test_pi0_and_h0_of_a_degree_rips_self_interleaving_have_partners_at_m_2():
+    for seed in range(6):
+        rng = random.Random(seed)
+        x = degree_rips(rand_metric(rng, 4 + seed % 3), 1)
+        cert = self_interleaving(x, Grade([1, 1]))
+        holds, pi0_cert = induces_interleaving_in_pi0(cert.f, cert.delta)
+        assert holds and check_interleaving(pi0_cert).valid
+        h0_cert = find_partner(homology_cert(cert, 0).f, cert.delta)
+        assert h0_cert is not None and check_interleaving(h0_cert).valid
+
+
+def test_triangle_rows_below_the_partner_grid_always_hold():
+    """The rows of a triangle table with no g index compare two maps out of
+    the initial object, so they hold whatever f is; the partner search
+    relies on it and skips them."""
+    legs = [(x, y, Grade([delta]), list(reference_natural(x, y, Grade([delta]))))
+            for x, y in small_pairs(12) for delta in interleaving_candidates(x, y)[:4]]
+    below = 0
+    for x, y, delta, fs in itertools.chain(legs, two_parameter_legs(60)):
+        g_leg, cat = _Leg(y, x, delta), x.category
+        empty = cat.initial_map(cat.initial())
+        for f in fs:
+            for side, _, _, fi, gj, direct in persist._triangles(f._leg, g_leg):
+                if gj is None:
+                    below += 1
+                    via = (cat.compose(empty, f.at(fi)) if side == 0
+                           else cat.compose(f.at(fi), empty))
+                    assert via == direct
+    assert below > 0
 
 
 # -- grid geometry -------------------------------------------------------------------

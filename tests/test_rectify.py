@@ -31,6 +31,7 @@ from perscert.randgen import (
     rand_f2vec_object,
     rand_finset_object,
 )
+from perscert.rectify import _block_end
 
 
 def test_even_restriction_values_at_m_equals_1():
@@ -53,6 +54,14 @@ def test_even_odd_restriction_certificate_valid_for_blocks():
             ex, ox, cert = even_odd_restrict(x, m)
             assert (cert.epsilon, cert.delta) == (grade(m), grade(m))
             assert check_interleaving(cert).valid
+
+
+def test_block_end_is_the_least_block_multiple_of_its_parity_at_or_above_hi():
+    for m in range(1, 7):
+        for hi in range(-30, 31):
+            for parity in (0, 1):
+                q = next(q for q in range(-(-hi // m), -(-hi // m) + 2) if q % 2 == parity)
+                assert _block_end(hi - 5, hi, m, parity) == q * m
 
 
 def test_reindex_with_identity_is_identity():
