@@ -85,7 +85,7 @@ from perscert import (Bar, Barcode, FilteredComplex, MetricInput, barcode, bottl
                       check_interleaving, degree_rips, filtration_barcode, homology,
                       is_filtered, pi0, to_persistent, validate, vietoris_rips, zigzag)
 from perscert import serialize as ser
-from perscert.cli import _PARSER, _dumps, _read
+from perscert.cli import _PARSER, _pieces, _read
 from perscert.grades import rat_to_str
 from perscert.persist import floor_roundtrip_cert
 from perscert.randgen import (corrupt_certificate, interleaved_pair, rand_f2vec_object,
@@ -259,11 +259,11 @@ def main() -> None:
             x = degree_rips(rips_metric(n), 2)
             doc = ser.encode_object(x if kind == "emit" else pi0(x))
             text = json.dumps(doc, sort_keys=True, indent=2)
-            if _dumps(doc) != text:
+            if "".join(_pieces(doc)) != text:
                 print(f"{kind} n={n}: the writer's text differs from json.dumps")
                 disagree += 1
             dumps_ms = best_ms(lambda: json.dumps(doc, sort_keys=True, indent=2))
-            writer_ms = best_ms(lambda: _dumps(doc))
+            writer_ms = best_ms(lambda: "".join(_pieces(doc)))
             print(f"{kind:11} n={n:3d}  bytes={len(text):8d}  "
                   f"json_dumps_ms={dumps_ms:10.3f}  dumps_ms={writer_ms:10.3f}")
     for n in RIPS_POINTS:
@@ -288,9 +288,9 @@ def main() -> None:
         print(f"is_filtered n={n:3d}  bytes={len(text):8d}  filtered={check.filtered!s:5}  "
               f"decode_ms={decode_ms:10.3f}  is_filtered_ms={check_ms:10.3f}")
     for n in DECODE_POINTS:
-        text = _dumps(ser.encode_object(degree_rips(rips_metric(n), 2)))
+        text = "".join(_pieces(ser.encode_object(degree_rips(rips_metric(n), 2))))
         data = json.loads(text)
-        if _dumps(ser.encode_object(ser.decode_object(data))) != text:
+        if "".join(_pieces(ser.encode_object(ser.decode_object(data)))) != text:
             print(f"decode dr n={n}: the decoded object is written another way")
             disagree += 1
         digest = hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -325,23 +325,23 @@ def main() -> None:
                          lambda: encode_zigzag_by_occurrence(result)),
                         ("roundtrip", lambda: ser.encode_cert(back),
                          lambda: encode_cert_by_occurrence(back))):
-                    text = _dumps(encode())
-                    if text != _dumps(oracle()):
+                    text = "".join(_pieces(encode()))
+                    if text != "".join(_pieces(oracle())):
                         print(f"encode {kind} {category} n={n} m={m}: the text differs "
                               "from the oracle encoders' text")
                         disagree += 1
                     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-                    oracle_ms = best_ms(lambda: _dumps(oracle()))
-                    ms = best_ms(lambda: _dumps(encode()))
+                    oracle_ms = best_ms(lambda: "".join(_pieces(oracle())))
+                    ms = best_ms(lambda: "".join(_pieces(encode())))
                     print(f"encode {kind:9} {category:6} n={n:3d} m={m}  bytes={len(text):8d}  "
                           f"sha256={digest}  oracle_ms={oracle_ms:10.3f}  best_ms={ms:10.3f}")
     for category in ("FinSet", "F2Vec"):
         for n in CHECK_GRADES:
             rng = random.Random(SEED * 1000 + n)
             x = checked_object(category, rng, n)
-            text = _dumps(ser.encode_cert(interleaved_pair(rng, x, 1)[1]))
+            text = "".join(_pieces(ser.encode_cert(interleaved_pair(rng, x, 1)[1])))
             data = json.loads(text)
-            if _dumps(ser.encode_cert(ser.decode_cert(data))) != text:
+            if "".join(_pieces(ser.encode_cert(ser.decode_cert(data)))) != text:
                 print(f"decode cert {category} n={n}: the decoded certificate is written "
                       "another way")
                 disagree += 1

@@ -8,7 +8,9 @@ inputs give byte-identical output. The encoders of ``serialize`` build each
 distinct value of a document once and share it wherever it occurs; the
 writer encodes the text of a value that a member dict holds under several
 keys (the lists of a persistent object's objects and edge maps), and of
-each item such lists share (a simplex of nested complexes), once.
+each item such lists share (a simplex of nested complexes), once. The
+document is written as it is encoded, a batch of pieces of its text at a
+time, so no whole-document text is built.
 
 Exit codes: 0 ok, 1 property violated (after the document is written),
 2 schema error (an input that cannot be read, or an ``-o`` path that cannot
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -47,7 +51,7 @@ from .complexes import (
 from .distances import bottleneck, stability_audit
 from .errors import BudgetExceededError, PerscertError, SchemaError
 from .invariants import barcode, filtration_barcode, homology, pi0
-from .persist import check_interleaving, floor_roundtrip_cert
+from .persist import check_interleaving, floor_roundtrip_cert, require_entries
 from .rectify import zigzag
 from .search import DEFAULT_BUDGET, interleaving_distance_search
 
@@ -82,42 +86,47 @@ def _repeats(value) -> bool:
     return len(set(held)) < len(held)
 
 
-def _members(data: dict, pad: str, text) -> str:
-    """The non-empty dict data as json.dumps(sort_keys=True, indent=2) writes
-    it at the indentation pad ("\\n" and spaces), with text(value, inner pad)
-    as the text of each value."""
+def _members(data: dict, pad: str, pieces):
+    """The pieces of the text of the non-empty dict data as
+    json.dumps(sort_keys=True, indent=2) writes it at the indentation pad
+    ("\\n" and spaces): each key's prefix, then the pieces that
+    pieces(value, inner pad) yields for its value."""
     inner = pad + "  "
-    return "{" + ",".join(
-        inner + encode_basestring_ascii(key) + ": " + text(value, inner)
-        for key, value in sorted(data.items())
-    ) + pad + "}"
+    opening = "{"
+    for key, value in sorted(data.items()):
+        yield opening + inner + encode_basestring_ascii(key) + ": "
+        yield from pieces(value, inner)
+        opening = ","
+    yield pad + "}"
 
 
-def _dumps(data: dict) -> str:
-    """The text of json.dumps(data, sort_keys=True, indent=2), with each value
-    that a member dict of data holds under several keys encoded once: the
-    object lists and edge maps of a persistent-object document, which the
-    encoders share between equal values. A list of containers whose first
-    item the member has met before shares items with earlier lists (as the
-    simplex lists of nested complexes do) and is joined from the text of its
-    items, each encoded once; one whose first item is new (the fresh pairs
-    of a vertex map) costs less encoded whole. Shared values deeper down
-    (the component maps and embedded objects of certificates) are written
-    at each place.
+def _pieces(data: dict):
+    """The text of json.dumps(data, sort_keys=True, indent=2), in pieces,
+    with each value that a member dict of data holds under several keys
+    encoded once: the object lists and edge maps of a persistent-object
+    document, which the encoders share between equal values. A list of
+    containers whose first item the member has met before shares items with
+    earlier lists (as the simplex lists of nested complexes do) and is
+    joined from the text of its items, each encoded once; one whose first
+    item is new (the fresh pairs of a vertex map) costs less encoded whole.
+    Shared values deeper down (the component maps and embedded objects of
+    certificates) are written at each place.
 
-    Documents without such a member (all but persistent objects) go to the
-    encoder of json.dumps(sort_keys=True, indent=2) in one call. Otherwise
-    the top level and the repeating members are written here, and every
-    other value goes through that encoder; its text is re-indented by
-    replacing each newline, which is exact because JSON text holds no raw
-    newline. Only depth 1 is searched for repeats: splitting a document that
-    has none costs more than encoding it whole."""
+    Documents without such a member (all but persistent objects) are the
+    pieces of the encoder of json.dumps(sort_keys=True, indent=2), from the
+    call that json.dumps joins: the chunks of the Python encoder, or the one
+    text of the C encoder where it indents (3.13). Otherwise the top level
+    and the repeating members are written here, and every other value goes
+    through that encoder whole; its text is re-indented by replacing each
+    newline, which is exact because JSON text holds no raw newline.
+    Only depth 1 is searched for repeats: splitting a document that has
+    none costs more than encoding it whole."""
     if not any(map(_repeats, data.values())):
-        return _ENCODER.encode(data)
+        return _ENCODER.iterencode(data, _one_shot=True)
 
     def member(value, pad):
         if not _repeats(value):
-            return _ENCODER.encode(value).replace("\n", pad)
+            return (_ENCODER.encode(value).replace("\n", pad),)
         held, items = {}, {}  # id -> text of a value, of an item (None: met, not written)
 
         def item(x, pad):
@@ -137,22 +146,46 @@ def _dumps(data: dict) -> str:
                 if text is None:
                     text = _ENCODER.encode(v).replace("\n", inner)
                 held[id(v)] = text
-            return text
+            return (text,)
         return _members(value, pad, once)
     return _members(data, "\n", member)
 
 
+# pieces joined per write. A piece is a chunk of the encoder (about 8
+# characters on 3.10-3.12) or the text of a value a persistent object
+# repeats (50 to 560 on average), so a batch is a few KB, or up to a tenth
+# of a large degree-Rips document. A write per piece costs more, and the
+# text of a whole document costs several times its size in memory.
+_BATCH = 256
+
+
+def _write(fh, data: dict) -> None:
+    """Write the text of data and a newline to the text file fh, a batch of
+    _BATCH pieces at a time."""
+    pieces = iter(_pieces(data))  # the C encoder gives a tuple
+    batch = list(itertools.islice(pieces, _BATCH))
+    while batch:
+        fh.write("".join(batch))
+        batch = list(itertools.islice(pieces, _BATCH))
+    fh.write("\n")
+
+
 def _emit(data: dict, output: str | None) -> None:
-    """Write data as JSON to stdout, or to the file output ("-" is stdout).
-    A file that cannot be written is a schema error, as an unreadable input
-    is in _load."""
-    text = _dumps(data) + "\n"
+    """Write data as JSON to stdout, or to the file output ("-" is stdout),
+    as it is encoded. A file that cannot be written is a schema error, as an
+    unreadable input is in _load."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        try:
+            _write(sys.stdout, data)
+        except BrokenPipeError:
+            # the reader closed the pipe (as `| head` does): the rest is
+            # dropped, as a single write of the whole text drops it, and
+            # stdout goes to the null device, so no flush fails at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(output, "w") as fh:
-            fh.write(text)
+            _write(fh, data)
     except OSError as exc:
         raise SchemaError(f"cannot write JSON to {output}: {exc}") from exc
 
@@ -406,8 +439,16 @@ def pi0_cmd(object_path):
 
 @_command("homology", _arg("object_path"), _DIM, _OUTPUT)
 def homology_cmd(object_path, dim):
-    """Degree-n persistent GF(2) homology of a persistent complex, at any m."""
-    return ser.encode_object(homology(_load_persistent_complex(object_path), dim))
+    """Degree-n persistent GF(2) homology of a persistent complex, at any m.
+    Induced maps of more than persist.MAX_ENTRIES matrix entries in all are
+    refused (exit 3)."""
+    h = homology(_load_persistent_complex(object_path), dim)
+    # counted from the built maps, which hold an entry in a bit, before the
+    # document, which writes it in a few bytes; barcode, stability-audit and
+    # interleave-dist read such maps and write none, so they are not bounded
+    require_entries(sum(f.nrows * f.ncols for f in h.edge_maps.values()),
+                    "the induced maps would hold")
+    return ser.encode_object(h)
 
 
 @_command("barcode", _arg("input_path"),

@@ -726,10 +726,23 @@ def _structure_morphism(x: PersistentObject, source: PersistentObject,
 MAX_WINDOW = 100_000
 
 
-def restrict_to_Z(x: PersistentObject) -> PersistentObject:
-    """Sample a 1-parameter object at the integers of a window covering its
-    grid; a window of more than MAX_WINDOW integers is refused before any
-    sample is taken."""
+# the most GF(2) matrix entries a command writes, summed over the maps of
+# its document: an F2Vec object states each dimension in a few bytes, and a
+# map between spaces of dimensions a and b has a * b entries
+MAX_ENTRIES = 1_000_000
+
+
+def require_entries(count: int, what: str) -> None:
+    """Refuse count matrix entries above MAX_ENTRIES; what, as in "the
+    induced maps would hold", begins the message."""
+    if count > MAX_ENTRIES:
+        raise BudgetExceededError(
+            f"{what} {count} matrix entries, more than the limit of {MAX_ENTRIES}")
+
+
+def _window(x: PersistentObject) -> tuple[int, int]:
+    """The integer window [lo, hi] that restrict_to_Z samples; more than
+    MAX_WINDOW integers are refused."""
     if x.m != 1:
         raise DimensionError("restrict_to_Z needs m = 1")
     axis = x.grid.axes[0]
@@ -738,7 +751,14 @@ def restrict_to_Z(x: PersistentObject) -> PersistentObject:
         raise BudgetExceededError(
             f"restrict_to_Z window [{lo}, {hi}] holds {hi - lo + 1} integers, "
             f"more than the limit of {MAX_WINDOW}")
-    return _sample(x, lambda n: n, lo, hi)
+    return lo, hi
+
+
+def restrict_to_Z(x: PersistentObject) -> PersistentObject:
+    """Sample a 1-parameter object at the integers of a window covering its
+    grid; a window of more than MAX_WINDOW integers is refused before any
+    sample is taken."""
+    return _sample(x, lambda n: n, *_window(x))
 
 
 def extend_floor(a: PersistentObject) -> PersistentObject:
@@ -749,9 +769,26 @@ def extend_floor(a: PersistentObject) -> PersistentObject:
     return PersistentObject._of(a.grid, a.category_name, a.objects, a.edge_maps)
 
 
+def _roundtrip_entries(x: PersistentObject) -> int:
+    """A bound on the matrix entries of floor_roundtrip_cert(x), for an
+    F2Vec object x, from its dimensions and its integer window alone: the
+    entries of x's edge maps, and d^2 for each other map, d the largest
+    dimension of x. Those maps are A's edges, one fewer than the window's
+    integers, and the components of f and g, each at most one per value of
+    x's grid and one per integer of the window."""
+    lo, hi = _window(x)
+    d = max(x.objects.values())
+    maps = (hi - lo) + 2 * (len(x.grid.axes[0]) + hi - lo + 1)
+    return sum(f.nrows * f.ncols for f in x.edge_maps.values()) + d * d * maps
+
+
 def floor_roundtrip_cert(x: PersistentObject) -> InterleavingCert:
     """The 1-interleaving between X and the floor-extension of its integer
-    restriction."""
+    restriction. For an F2Vec object whose certificate could hold more than
+    MAX_ENTRIES matrix entries (``_roundtrip_entries``), it is refused
+    before any map is built."""
+    if x.category_name == "F2Vec":
+        require_entries(_roundtrip_entries(x), "the floor round-trip certificate could hold")
     a = extend_floor(restrict_to_Z(x))
     one = Grade([1])
     f = _structure_morphism(x, x, a, one, lambda v: v, lambda v: floor_int(v + 1))

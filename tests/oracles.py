@@ -38,7 +38,11 @@ possible with what it checks:
   and "at" coordinate parsed, every object list and map decoded on its own,
   every simplex of every object checked in full and every square composed,
   against the library's grid tables, flat reads, shared decoded values,
-  shared simplex checks and inclusion squares.
+  shared simplex checks and inclusion squares;
+- ``matrix_entries``: the entries of the matrices of a document, read off
+  its wire matrices at every place, against the bound that
+  ``floor_roundtrip_cert`` takes from dimensions before it builds any map
+  and the count of the ``homology`` command's built maps.
 """
 
 import bisect
@@ -654,3 +658,14 @@ def bottleneck_bruteforce(b1: Barcode, b2: Barcode):
                 if best is INFINITY or c < best:
                     best = c
     return best
+
+
+def matrix_entries(doc) -> int:
+    """The entries of the F2Vec matrices a document holds, at every place."""
+    if isinstance(doc, dict):
+        if doc.keys() == {"rows", "shape"}:
+            return doc["shape"][0] * doc["shape"][1]
+        return sum(map(matrix_entries, doc.values()))
+    if isinstance(doc, list):
+        return sum(map(matrix_entries, doc))
+    return 0

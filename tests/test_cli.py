@@ -10,21 +10,26 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscert import cli
+from perscert import cli, persist
 from perscert import serialize as ser
-from perscert.cli import _dumps, main
-from perscert.complexes import FilteredComplex, MetricInput, function_rips, vietoris_rips
+from perscert.cli import _pieces, main
+from perscert.complexes import (FilteredComplex, MetricInput, function_rips, to_persistent,
+                                vietoris_rips)
 from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
-from perscert.persist import InterleavingReport, integer_object, self_interleaving
+from perscert.persist import (InterleavingReport, floor_roundtrip_cert, integer_object,
+                              self_interleaving)
 from perscert.randgen import (
     corrupt_certificate,
     interleaved_pair,
@@ -36,6 +41,7 @@ from perscert.randgen import (
     rand_real_object,
 )
 
+from oracles import matrix_entries
 from test_cli_golden import CASES, NO_OUTPUT_OPTION
 
 COLLINEAR = {
@@ -142,7 +148,77 @@ def repeating_documents(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(repeating_documents())
 def test_dumps_writes_the_text_of_json_dumps(doc):
-    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert "".join(_pieces(doc)) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def emitted(doc, path) -> tuple[str, str]:
+    """The text _emit writes of doc to stdout, and to the file path."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(doc, None)
+    cli._emit(doc, str(path))
+    return out.getvalue(), path.read_text()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(repeating_documents() | st.dictionaries(TEXT, VALUES, max_size=4), st.integers(1, 4))
+def test_emit_writes_the_text_of_json_dumps(doc, batch):
+    """Whatever the number of pieces per batch, _emit writes the text of
+    json.dumps and a newline, to stdout and to a file."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(cli, "_BATCH", batch):
+        assert emitted(doc, Path(folder) / "doc.json") == (text, text)
+
+
+LONG = {"plain": {"n": list(range(3 * cli._BATCH))},
+        "repeating": {"m": dict.fromkeys(map(str, range(cli._BATCH)), [0, 1])}}
+
+
+@pytest.mark.parametrize("kind", LONG)
+def test_emit_writes_a_document_of_several_batches(tmp_path, kind):
+    """A document of more pieces than one batch holds (on every encoder, a
+    member dict that holds one list under each of its keys) is written as
+    json.dumps writes it, to stdout and to a file."""
+    doc = LONG[kind]
+    if kind == "repeating":
+        assert len(list(_pieces(doc))) > 2 * cli._BATCH
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert emitted(doc, tmp_path / "doc.json") == (text, text)
+
+
+class Bounded(io.StringIO):
+    """A text file that fails a write past 100 characters."""
+
+    def write(self, text):
+        assert self.tell() + len(text) <= 100, "the writer repeats its pieces"
+        return super().write(text)
+
+
+def test_write_takes_the_pieces_of_a_sequence_once(monkeypatch):
+    """The C encoder of 3.13 gives a document as a tuple, not an iterator:
+    its pieces are written once."""
+    monkeypatch.setattr(cli, "_pieces", lambda data: ("{", "}"))
+    out = Bounded()
+    cli._write(out, {})
+    assert out.getvalue() == "{}\n"
+
+
+def test_emit_holds_no_whole_document_text(tmp_path):
+    """Writing the roundtrip-floor certificate of a dimension-200 F2Vec
+    object (2.4 MB of text) to a file peaks under tracemalloc below half the
+    text's length: it is written in batches as it is encoded. The C encoder
+    of 3.13 gives the whole text as one piece, which the file's encoding
+    copies once, so there the peak is about twice the text."""
+    doc = ser.encode_cert(floor_roundtrip_cert(integer_object("F2Vec", [200], [], 0)))
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        cli._emit(doc, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    whole = type(cli._ENCODER.iterencode(doc, _one_shot=True)) is tuple
+    assert size > 2_000_000 and peak < (2.1 * size if whole else size / 2)
 
 
 def test_is_filtered_on_degree_rips_output_exits_1_with_condition_2(runner, tmp_path):
@@ -245,6 +321,21 @@ def test_interleave_dist_rejects_a_set_against_a_module(runner, tmp_path):
     r = invoke(runner, ["interleave-dist", px, py])
     assert r.exit_code == 1
     assert json.loads(r.output)["message"] == "source and target live in different categories"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format": ser.FORMAT_OBJECT, "m": 2, "category": "FinSet", "axes": [["0"], ["0"]],
+      "objects": {"0,0": ["a"]}, "edge_maps": {}}, "distance search supports m = 1 only"),
+    ({"format": ser.FORMAT_OBJECT, "m": 1, "category": "Complex", "axes": [["0"]],
+      "objects": {"0": [[0]]}, "edge_maps": {}},
+     "distance search supports FinSet and F2Vec only"),
+], ids=["two-parameter", "complexes"])
+def test_interleave_dist_refuses_objects_it_does_not_search(runner, tmp_path, doc, message):
+    p = write(tmp_path, "x.json", doc)
+    r = invoke(runner, ["interleave-dist", p, p])
+    assert r.exit_code == 1
+    assert json.loads(r.output) == {"format": ser.FORMAT_REPORT, "ok": False,
+                                     "error": "property", "message": message}
 
 
 def test_interleave_dist_infinite_bottleneck_needs_no_budget(runner, tmp_path):
@@ -786,6 +877,93 @@ def test_rectify_refuses_a_large_block_before_sampling(runner, tmp_path):
     report = json.loads(r.output)
     assert report["error"] == "budget"
     assert report["message"].startswith("rectify window [0, 20000] holds 20001 integers")
+
+
+def f2vec_point(dim: int) -> dict:
+    """A one-grade F2Vec object of dimension dim: its floor round trip is a
+    certificate of 4 * dim^2 matrix entries, which the command bounds by
+    7 * dim^2 (two integers in the window, so one edge of A and at most
+    three components of each leg)."""
+    return {"format": ser.FORMAT_OBJECT, "m": 1, "category": "F2Vec", "axes": [["0"]],
+            "objects": {"0": dim}, "edge_maps": {}}
+
+
+def isolated_vertices(n: int) -> dict:
+    """n vertices at grade 0 and an edge at grade 1: H_0 of dimension n,
+    then n - 1, so one induced map of n * (n - 1) entries."""
+    return {"format": ser.FORMAT_COMPLEX, "m": 1, "vertices": list(range(n)),
+            "simplices": [{"v": [v], "grade": ["0"]} for v in range(n)]
+            + [{"v": [0, 1], "grade": ["1"]}]}
+
+
+@pytest.mark.parametrize("command, doc, count, written, what", [
+    ("roundtrip-floor", f2vec_point(3), 63, 36, "the floor round-trip certificate could hold"),
+    ("homology", isolated_vertices(5), 20, 20, "the induced maps would hold"),
+], ids=["roundtrip-floor", "homology"])
+def test_commands_bound_the_matrix_entries_they_write(runner, tmp_path, monkeypatch,
+                                                      command, doc, count, written, what):
+    """A command writes a document of written matrix entries at a limit of
+    count, its bound on them, and refuses it one below, naming the count
+    and the limit."""
+    p = write(tmp_path, "in.json", doc)
+    monkeypatch.setattr(persist, "MAX_ENTRIES", count)
+    r = invoke(runner, [command, p])
+    assert r.exit_code == 0 and matrix_entries(json.loads(r.output)) == written
+    monkeypatch.setattr(persist, "MAX_ENTRIES", count - 1)
+    r = invoke(runner, [command, p])
+    assert r.exit_code == 3
+    assert json.loads(r.output)["message"] == (
+        f"{what} {count} matrix entries, more than the limit of {count - 1}")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("barcode", ser.encode_object(to_persistent(ser.decode_filtered_complex(
+        isolated_vertices(5))))),
+    ("stability-audit", _interleaved_cert(5, rand_persistent_complex)),
+    ("interleave-dist", ser.encode_object(integer_object(
+        "FinSet", [frozenset({0, 1}), frozenset({0})], [{0: 0, 1: 0}], 0))),
+], ids=["barcode", "stability-audit", "interleave-dist"])
+def test_commands_that_write_no_matrix_meet_no_entry_limit(runner, tmp_path, monkeypatch,
+                                                           command, doc):
+    """Commands that build F2Vec maps (the homology of a persistent complex,
+    of a certificate of complexes, the linearization of FinSet objects) but
+    write only a barcode or a report give the same output with the entry
+    limit at 0."""
+    p = write(tmp_path, "in.json", doc)
+    expected = invoke(runner, [command] + [p] * (2 if command == "interleave-dist" else 1))
+    assert expected.exit_code == 0
+    monkeypatch.setattr(persist, "MAX_ENTRIES", 0)
+    r = invoke(runner, [command] + [p] * (2 if command == "interleave-dist" else 1))
+    assert (r.exit_code, r.output) == (0, expected.output)
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(tmp_path):
+    """A reader that stops after 10 bytes (as `| head -c 10` does) of a
+    certificate of some 600 KB, written in many batches: the rest is
+    dropped with the command's exit code and nothing on stderr, as when the
+    whole text went in one write."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "perscert.cli", "roundtrip-floor",
+         write(tmp_path, "x.json", f2vec_point(100))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "delta'
+    proc.stdout.close()
+    assert (proc.stderr.read(), proc.wait()) == (b"", 0)
+    proc.stderr.close()
+
+
+def test_roundtrip_floor_refuses_a_large_dimension_before_building(runner, tmp_path):
+    """A one-grade F2Vec object of dimension 8,000 is a document of some 130
+    bytes, but its certificate would hold 4 * 8000^2 matrix entries, bounded
+    by 7 * 8000^2: budget exceeded (exit 3) before any map is built."""
+    start = time.perf_counter()
+    r = invoke(runner, ["roundtrip-floor", write(tmp_path, "x.json", f2vec_point(8000))])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 3
+    assert json.loads(r.output)["message"] == (
+        "the floor round-trip certificate could hold 448000000 matrix entries, "
+        f"more than the limit of {persist.MAX_ENTRIES}")
 
 
 @pytest.mark.parametrize("command", ["rips", "frips", "degree-rips"])

@@ -75,7 +75,7 @@ from perscert.serialize import decode_cert, encode_cert
 
 from oracles import (audit_squares_by_composition, check_interleaving_by_composites,
                      corrupt_certificate_by_listing, index_by_floor_bisect,
-                     natural_legs_by_recursion)
+                     matrix_entries, natural_legs_by_recursion)
 
 
 # -- commuting squares ---------------------------------------------------------
@@ -326,6 +326,29 @@ def test_restrict_then_extend_is_floor_sampling():
     for n in range(-3, 6):
         assert e.evaluate(grade(n)) == x.evaluate(grade(n))
         assert e.evaluate(Grade([Fraction(2 * n + 1, 2)])) == x.evaluate(grade(n))
+
+
+def test_floor_roundtrip_cert_bounds_its_matrix_entries_before_building(monkeypatch):
+    """For seeded F2Vec objects on integer and on rational grades, the
+    bound on the certificate's matrix entries is at least what it holds;
+    the certificate is built at a limit of that bound, and refused one
+    below, naming the bound and the limit. FinSet objects write no
+    matrices and meet no such limit."""
+    objects = [rand_f2vec_object(random.Random(seed), lo=-3, hi=3) for seed in range(6)]
+    objects += [rand_real_object(random.Random(seed), "F2Vec") for seed in range(6)]
+    for x in objects:
+        count = persist._roundtrip_entries(x)
+        assert count >= matrix_entries(encode_cert(floor_roundtrip_cert(x)))
+        with monkeypatch.context() as patch:
+            patch.setattr(persist, "MAX_ENTRIES", count)
+            floor_roundtrip_cert(x)
+            patch.setattr(persist, "MAX_ENTRIES", count - 1)
+            with pytest.raises(BudgetExceededError, match=(
+                    f"the floor round-trip certificate could hold {count} matrix entries, "
+                    f"more than the limit of {count - 1}$")):
+                floor_roundtrip_cert(x)
+    monkeypatch.setattr(persist, "MAX_ENTRIES", 0)
+    floor_roundtrip_cert(rand_finset_object(random.Random(0)))
 
 
 def test_restrict_to_Z_bounds_its_window_before_sampling(monkeypatch):

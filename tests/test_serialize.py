@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from perscert import cli
 from perscert import serialize as ser
-from perscert.cli import _dumps
+from perscert.cli import _pieces
 from perscert.complexes import (SQUARE_GRID, MetricInput, degree_rips, sq_gadget,
                                 vietoris_rips)
 from perscert.errors import SchemaError, ValidationError
@@ -146,7 +146,7 @@ def assert_same_document(ours, oracle):
     """Equal documents, and the text the CLI writes of ours is the text of
     json.dumps of the oracle's."""
     assert ours == oracle
-    assert _dumps(ours) == json.dumps(oracle, sort_keys=True, indent=2)
+    assert "".join(_pieces(ours)) == json.dumps(oracle, sort_keys=True, indent=2)
 
 
 def _named(names) -> PersistentObject:
@@ -359,7 +359,7 @@ def test_the_writer_encodes_each_shared_simplex_once(monkeypatch):
             return encoder.encode(value)
 
     monkeypatch.setattr(cli, "_ENCODER", Counting())
-    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert "".join(_pieces(doc)) == json.dumps(doc, sort_keys=True, indent=2)
     alone = [calls[id(s)] for obj in doc["objects"].values() for s in obj if id(s) in calls]
     assert alone and max(alone) == 1
 
