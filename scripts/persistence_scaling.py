@@ -303,7 +303,7 @@ def main() -> None:
             rng = random.Random(SEED * 1000 + n)
             x = checked_object(category, rng, n)
             y, cert = interleaved_pair(rng, x, 1)
-            genuine = [cert, zigzag(x, y, cert, 1).composite]
+            genuine = [cert, zigzag(cert, 1).composite]
             certs = genuine + [corrupt_certificate(rng, c) for c in genuine]
             reports = [check_interleaving(c) for c in certs]
             if not all(r.valid for r in reports[:len(genuine)]):
@@ -319,7 +319,7 @@ def main() -> None:
             for m in (1, 2):
                 x = checked_object(category, random.Random(SEED * 1000 + n), n)
                 y, cert = interleaved_pair(random.Random(SEED * 1000 + n + m), x, m)
-                result, back = zigzag(x, y, cert, m), floor_roundtrip_cert(y)
+                result, back = zigzag(cert, m), floor_roundtrip_cert(y)
                 for kind, encode, oracle in (
                         ("rectify", lambda: ser.encode_zigzag(result),
                          lambda: encode_zigzag_by_occurrence(result)),

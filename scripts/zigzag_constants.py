@@ -55,7 +55,7 @@ def main():
             rng = random.Random(seed)
             x = rand_finset_object(rng, lo=-4, hi=4, max_size=4)
             y, cert = interleaved_pair(rng, x, m)
-            result = zigzag(x, y, cert, m)
+            result = zigzag(cert, m)
             assert result.even_equal and result.odd_equal
             assert check_interleaving(result.composite).valid
             shifts = tuple(int(s.coords[0]) for s in result.total_shifts)

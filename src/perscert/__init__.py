@@ -55,7 +55,6 @@ from .complexes import (
     degree_rips,
     function_rips,
     is_filtered,
-    is_n_skeletal,
     metric_from_coordinates,
     skeleton,
     sq_gadget,

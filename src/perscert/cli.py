@@ -151,21 +151,28 @@ def _pieces(data: dict):
     return _members(data, "\n", member)
 
 
-# pieces joined per write. A piece is a chunk of the encoder (about 8
+# pieces joined per batch. A piece is a chunk of the encoder (about 8
 # characters on 3.10-3.12) or the text of a value a persistent object
 # repeats (50 to 560 on average), so a batch is a few KB, or up to a tenth
 # of a large degree-Rips document. A write per piece costs more, and the
 # text of a whole document costs several times its size in memory.
 _BATCH = 256
 
+# characters per write: a longer batch, such as the one text of the C
+# encoder on 3.13, is written in slices, so the file's encoding never holds
+# the bytes of a whole document; a shorter one is written with no copy
+_SLICE = 1 << 16
+
 
 def _write(fh, data: dict) -> None:
     """Write the text of data and a newline to the text file fh, a batch of
-    _BATCH pieces at a time."""
+    _BATCH pieces at a time, in slices of _SLICE characters."""
     pieces = iter(_pieces(data))  # the C encoder gives a tuple
     batch = list(itertools.islice(pieces, _BATCH))
     while batch:
-        fh.write("".join(batch))
+        text = "".join(batch)
+        for start in range(0, len(text), _SLICE):
+            fh.write(text[start:start + _SLICE])
         batch = list(itertools.islice(pieces, _BATCH))
     fh.write("\n")
 
@@ -514,7 +521,7 @@ def rectify_cmd(cert_path, m):
     the diagonal object, equality witnesses, piece certificates, and the
     certified composite."""
     cert = ser.decode_cert(_load(cert_path))
-    result = zigzag(cert.f.source, cert.f.target, cert, m)
+    result = zigzag(cert, m)
     valid = (result.even_equal and result.odd_equal
              and check_interleaving(result.composite).valid)
     return ser.encode_zigzag(result), valid

@@ -271,10 +271,6 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
 # -- skeleta ------------------------------------------------------------------
 
 
-def is_n_skeletal(f: FilteredComplex, n: int) -> bool:
-    return f.dimension() <= n
-
-
 def skeleton(f: FilteredComplex, n: int) -> FilteredComplex:
     if n < 0:
         raise ValidationError("skeleton truncation needs n >= 0")

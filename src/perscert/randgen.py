@@ -29,7 +29,7 @@ from .persist import (
     restrict_to_Z,
     shift_morphism,
 )
-from .rectify import reindex
+from .rectify import _window, reindex
 
 
 # -- scalars ------------------------------------------------------------------
@@ -119,8 +119,7 @@ def interleaved_pair(rng: random.Random, x: PersistentObject, m: int = 1
                      ) -> tuple[PersistentObject, InterleavingCert]:
     """A partner y = x . tau together with a genuine (m, m)-interleaving whose
     legs are structure maps of x."""
-    axis = x.grid.axes[0]
-    lo, hi = int(axis[0]), int(axis[-1])
+    lo, hi = _window(x)
     tau = monotone_tau(rng, lo, hi, m)
     y = reindex(x, tau)
     shift = Grade([m])
@@ -136,8 +135,7 @@ def natural_map_into(rng: random.Random, y: PersistentObject
                      ) -> tuple[PersistentObject, DeltaMorphism]:
     """A random plain (0-shift) natural map h: b -> y, where b = y . tau' for
     a monotone tau' <= id and h is given by structure maps of y."""
-    axis = y.grid.axes[0]
-    lo, hi = int(axis[0]), int(axis[-1])
+    lo, hi = _window(y)
     tau = monotone_tau(rng, lo, hi, 1)
 
     def tau_id_capped(n):
@@ -149,13 +147,12 @@ def natural_map_into(rng: random.Random, y: PersistentObject
     return b, h
 
 
-def lift_cert_to_real(x: PersistentObject, y: PersistentObject,
-                      cert: InterleavingCert, r) -> InterleavingCert:
+def lift_cert_to_real(cert: InterleavingCert, r) -> InterleavingCert:
     """View a 1-interleaving of Z-indexed objects as an (r, r)-interleaving
     of their floor-extensions, for rational r >= 1. ``extend_floor`` keeps
     the grids, so the components carry over."""
     r = rat(r)
-    ex, ey = extend_floor(x), extend_floor(y)
+    ex, ey = extend_floor(cert.f.source), extend_floor(cert.f.target)
     f = DeltaMorphism._on(_Leg(ex, ey, cert.f.shift), cert.f.components)
     g = DeltaMorphism._on(_Leg(ey, ex, cert.g.shift), cert.g.components)
     return InterleavingCert(shift_morphism(f, Grade([r])),

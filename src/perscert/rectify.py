@@ -32,7 +32,6 @@ from .persist import (
     _sample,
     _structure_morphism,
     compose_interleavings,
-    extend_floor,
 )
 
 
@@ -70,16 +69,17 @@ def even_odd_restrict(x: PersistentObject, m: int = 1
                       ) -> tuple[PersistentObject, PersistentObject, InterleavingCert]:
     """(e_m^*(X), o_m^*(X)) together with the m-interleaving between them
     given by structure maps of X."""
-    return _even_odd(x, m, *_window(x))
+    lo, hi = _window(x)
+    return _even_odd(x, m, lo, _block_end(lo, hi, m, 0), _block_end(lo, hi, m, 1))
 
 
-def _even_odd(x: PersistentObject, m: int, lo: int, hi: int
+def _even_odd(x: PersistentObject, m: int, lo: int, he: int, ho: int
               ) -> tuple[PersistentObject, PersistentObject, InterleavingCert]:
-    """``even_odd_restrict`` for the window [lo, hi], which may be narrower
-    than the window of x."""
+    """``even_odd_restrict`` presented on [lo, he] (even) and [lo, ho]
+    (odd), the block ends of a window that may be narrower than x's."""
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
-    ex = reindex(x, even, lo, _block_end(lo, hi, m, 0))
-    ox = reindex(x, odd, lo, _block_end(lo, hi, m, 1))
+    ex = reindex(x, even, lo, he)
+    ox = reindex(x, odd, lo, ho)
     shift = Grade([m])
     f = _structure_morphism(x, ex, ox, shift, even, lambda v: odd(v + m))
     g = _structure_morphism(x, ox, ex, shift, odd, lambda v: even(v + m))
@@ -107,21 +107,20 @@ class ZigzagResult(NamedTuple):
     total_shifts: tuple[Grade, Grade]
 
 
-def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
-           m: int = 1) -> ZigzagResult:
-    """Diagonal object of an m-interleaving (f, g): C alternates between the
-    even blocks of A and the odd blocks of B, connected by structure maps and
-    the interleaving legs."""
+def zigzag(cert: InterleavingCert, m: int = 1) -> ZigzagResult:
+    """Diagonal object of an m-interleaving (f, g) of A = f's source and
+    B = f's target: C alternates between the even blocks of A and the odd
+    blocks of B, connected by structure maps and the interleaving legs."""
     if m < 1:
         raise InvalidScaleError("block size must be >= 1")
     _require_valid(cert)
     if cert.epsilon != Grade([m]) or cert.delta != Grade([m]):
         raise ValidationError("certificate shifts must equal the block size m")
+    a, b = cert.f.source, cert.f.target
     lo, hi = _window(a)
     if _window(b) != (lo, hi):
         raise ValidationError("objects must share the same window")
 
-    f, g = cert.f, cert.g
     he, ho = _block_end(lo, hi, m, 0), _block_end(lo, hi, m, 1)
     hi_c = max(he, ho) + m
 
@@ -130,7 +129,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     # block is the f leg (even) or the g leg (odd) at the block start
     starts = [n // m * m for n in range(lo, hi_c + 1)]
     sides = [(z, leg, _positions(z.grid, starts), _positions(leg.grid, starts))
-             for z, leg in ((a, f), (b, g))]
+             for z, leg in ((a, cert.f), (b, cert.g))]
     side = [sides[s // m % 2] for s in starts]
     values = [z.at(at_z[s]) for s, (z, _, at_z, _) in zip(starts, side)]
     maps = [z.map_between(at_z[s], at_z[s]) if s == s2 else leg.at(at_leg[s])
@@ -138,7 +137,7 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     c = _integer_of(a.category_name, values, maps, lo)
 
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
-    ec, oc, piece_mid = _even_odd(c, m, lo, hi)
+    ec, oc, piece_mid = _even_odd(c, m, lo, he, ho)
     ea = reindex(a, even, lo, he)
     ob = reindex(b, odd, lo, ho)
     even_equal = ec == ea
@@ -159,18 +158,19 @@ def zigzag(a: PersistentObject, b: PersistentObject, cert: InterleavingCert,
     )
 
 
-def three_halves_check(x: PersistentObject, y: PersistentObject,
-                       r, cert: InterleavingCert) -> InterleavingCert:
-    """From an r-interleaving of floor-extensions with 0 <= r < 3/2, extract
-    a 1-interleaving of the underlying Z-indexed objects."""
-    r = rat(r)
+def three_halves_check(cert: InterleavingCert) -> InterleavingCert:
+    """From an (r, r)-interleaving of floor-extensions with 0 <= r < 3/2,
+    extract a 1-interleaving of its objects read as Z-indexed, which refuses
+    an axis that is not consecutive integers."""
+    if cert.epsilon != cert.delta:
+        raise ValidationError(
+            f"certificate shifts must be equal, got {cert.epsilon} and {cert.delta}")
+    x, y = (PersistentObject(z.grid, z.category_name, z.objects, z.edge_maps,
+                             integer_indexed=True) for z in (cert.f.source, cert.f.target))
+    r = cert.epsilon.coords[0]
     if not 0 <= r < rat("3/2"):
         raise ValidationError(f"requires 0 <= r < 3/2, got {r}")
     _require_valid(cert)
-    if cert.epsilon != Grade([r]) or cert.delta != Grade([r]):
-        raise ValidationError("certificate shifts must equal r")
-    if cert.f.source != extend_floor(x) or cert.f.target != extend_floor(y):
-        raise ValidationError("certificate is not between the floor-extensions of x and y")
     # cert's legs at an integer n land at floor(n + r), which is <= n + 1
     # because r < 3/2; a structure map of the target carries them on to n + 1
     one = Grade([1])

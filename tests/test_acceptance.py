@@ -64,7 +64,7 @@ def test_criterion_01_zigzag_constant_m1(record_criterion):
         rng = random.Random(seed)
         x = rand_finset_object(rng, lo=-4, hi=4, max_size=5)
         y, cert = interleaved_pair(rng, x, 1)
-        result = zigzag(x, y, cert, 1)
+        result = zigzag(cert, 1)
         ok = ok and result.even_equal and result.odd_equal
         ok = ok and result.total_shifts == (grade(2), grade(2))
         ok = ok and check_interleaving(result.composite).valid
@@ -138,18 +138,18 @@ def test_criterion_05_three_halves_extraction(record_criterion):
         maker = rand_finset_object if category == "FinSet" else rand_f2vec_object
         x = maker(rng, lo=-3, hi=3)
         y, cert = interleaved_pair(rng, x, 1)
-        lifted = lift_cert_to_real(x, y, cert, Fraction(5, 4))
+        lifted = lift_cert_to_real(cert, Fraction(5, 4))
         ok = ok and check_interleaving(lifted).valid
-        out = three_halves_check(x, y, Fraction(5, 4), lifted)
+        out = three_halves_check(lifted)
         ok = ok and (out.epsilon, out.delta) == (grade(1), grade(1))
         ok = ok and check_interleaving(out).valid
     rng = random.Random(0)
     x = rand_finset_object(rng, lo=-2, hi=2)
     y, cert = interleaved_pair(rng, x, 1)
-    at_threshold = lift_cert_to_real(x, y, cert, Fraction(3, 2))
+    at_threshold = lift_cert_to_real(cert, Fraction(3, 2))
     rejected = False
     try:
-        three_halves_check(x, y, Fraction(3, 2), at_threshold)
+        three_halves_check(at_threshold)
     except ValidationError:
         rejected = True
     ok = ok and rejected

@@ -1,12 +1,16 @@
 """Hostile input through the CLI: seeded mutations of the golden cases'
-documents. Each mutation replaces, deletes, duplicates or wraps one node of
-one input document; the command must still exit 0, 1, 2 or 3 with no
-exception escaping the runner, and finish within ``ALARM_SECONDS``."""
+documents, and the golden cases scaled by ``SCALE``. Each mutation replaces,
+deletes, duplicates or wraps one node of one input document; a scaled case
+multiplies every rational string of its documents and its integer flags.
+Either way the command must still exit 0, 1, 2 or 3 with no exception
+escaping the runner, and finish within ``ALARM_SECONDS``."""
 
 import copy
 import json
 import random
+import re
 import signal
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +25,12 @@ ALARM_SECONDS = 5
 # values a node is replaced by: wrong types, out-of-range numbers, malformed
 # rationals and a very long digit string
 HOSTILE = [None, True, -1, 0, 10**6, 1.5, "", "x", "1/0", "-1", "9" * 5000, [], {}, [[[]]]]
+
+# the factor of the scaled cases, the flags it multiplies, and the strings
+# of a document it multiplies: grades, axis values and distances
+SCALE = 10**3
+SCALED_FLAGS = {"--block", "--dmax", "--dim", "-n"}
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class RanPastAlarm(BaseException):
@@ -62,6 +72,18 @@ def mutated(rng: random.Random, doc):
     return doc
 
 
+def scaled(node):
+    """A copy of the JSON document node with each rational string value (not
+    key) multiplied by SCALE."""
+    if isinstance(node, dict):
+        return {key: scaled(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [scaled(value) for value in node]
+    if isinstance(node, str) and RATIONAL.fullmatch(node):
+        return str(Fraction(node) * SCALE)
+    return node
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fuzz_inputs")
@@ -96,3 +118,23 @@ def test_mutated_inputs_exit_with_a_documented_code(inputs, tmp_path, alarm, nam
         result = CliRunner().invoke(main, run, catch_exceptions=False)
         alarm(0)
         assert result.exit_code in (0, 1, 2, 3), (run, result.output)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_inputs_scaled_by_a_thousand_exit_with_a_documented_code(inputs, tmp_path, alarm, name):
+    """Work that follows the values of an input, not its size (a window, a
+    block, a dimension), is bounded before it starts."""
+    args = CASES[name]
+    run = []
+    for i, arg in enumerate(args):
+        if arg.endswith(".json"):
+            doc = scaled(json.loads((inputs / arg).read_text()))
+            (tmp_path / arg).write_text(json.dumps(doc))
+            arg = str(tmp_path / arg)
+        elif i and args[i - 1] in SCALED_FLAGS:
+            arg = str(int(arg) * SCALE)
+        run.append(arg)
+    alarm(ALARM_SECONDS)
+    result = CliRunner().invoke(main, run, catch_exceptions=False)
+    alarm(0)
+    assert result.exit_code in (0, 1, 2, 3), (run, result.output)

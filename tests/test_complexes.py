@@ -21,7 +21,6 @@ from perscert import (
     grade,
     homology,
     is_filtered,
-    is_n_skeletal,
     metric_from_coordinates,
     skeleton,
     sq_gadget,
@@ -104,7 +103,6 @@ def test_skeleton_is_idempotent_and_dimension_correct():
         sk = skeleton(vr, n)
         assert sk.dimension() == min(n, vr.dimension())
         assert skeleton(sk, n) == sk
-        assert is_n_skeletal(sk, n)
 
 
 def test_vr_of_n_plus_1_points_is_at_most_n_dimensional():

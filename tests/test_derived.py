@@ -164,14 +164,14 @@ def test_interleaving_builders_give_valid_outputs(kind, m):
         revalidated(y)
         revalidated_cert(cert)
         revalidated_cert(even_odd_restrict(x, m)[2])
-        result = zigzag(x, y, cert, m)
+        result = zigzag(cert, m)
         revalidated(result.c)
         for piece in (result.piece_a, result.piece_mid, result.piece_b, result.composite):
             revalidated_cert(piece)
         revalidated(extend_floor(x))
         revalidated_cert(rescale_cert(cert, Fraction(3, 2)))
         if m == 1:
-            revalidated_cert(lift_cert_to_real(x, y, cert, Fraction(5, 4)))
+            revalidated_cert(lift_cert_to_real(cert, Fraction(5, 4)))
         if kind == "Complex":  # Complex has no fiber products, so no pullback
             revalidated(pi0(x))
             revalidated_morphism(pi0_induced(cert.f))

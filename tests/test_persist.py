@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -595,28 +594,25 @@ def test_a_search_builds_the_triangle_table_of_each_pair_of_legs_once(monkeypatc
 
 
 def drawn_legs():
-    """(frame, f, gs) for each natural f at the first four candidate deltas
-    of small_pairs(12): the search's g leg and its triangle filter at f's
-    delta, as ``frame.g`` and ``frame.triangle_filter(f)``, f, and every
-    natural g at that delta."""
+    """(g_leg, table, f, gs) for each natural f at the first four candidate
+    deltas of small_pairs(12): the search's g leg and triangle table at f's
+    delta, f, and every natural g at that delta."""
     for x, y in small_pairs(12):
         for delta in interleaving_candidates(x, y)[:4]:
             d = Grade([delta])
             g_leg = _Leg(y, x, d)
             table = list(persist._triangles(_Leg(x, y, d), g_leg))
-            frame = SimpleNamespace(g=g_leg, triangle_filter=partial(
-                _triangle_filter, g_leg=g_leg, triangles=table))
             gs = list(reference_natural(y, x, d))
             for f in reference_natural(x, y, d):
-                yield frame, f, gs
+                yield g_leg, table, f, gs
 
 
 def test_triangle_filter_rejects_exactly_the_partners_that_fail():
     checked = rejected = 0
-    for frame, f, gs in drawn_legs():
-        accept = frame.triangle_filter(f)
+    for g_leg, table, f, gs in drawn_legs():
+        accept = _triangle_filter(f, g_leg, table)
         for g in gs:
-            admitted = all(accept(j, g.components[j]) for j in frame.g.points)
+            admitted = all(accept(j, g.components[j]) for j in g_leg.points)
             assert admitted == check_interleaving(InterleavingCert(f, g)).valid
             checked += 1
             rejected += not admitted
@@ -634,7 +630,7 @@ def replayed_certificates():
         m = 1 + seed // 4
         y, cert = interleaved_pair(rng, x, m)
         _, _, complex_cert = rand_complex_interleaving(rng, 4, m)
-        for c in (cert, complex_cert, zigzag(x, y, cert, m).composite,
+        for c in (cert, complex_cert, zigzag(cert, m).composite,
                   floor_roundtrip_cert(rand_real_object(rng, x.category_name))):
             yield c
             yield corrupt_certificate(rng, c)
@@ -649,7 +645,7 @@ def test_check_interleaving_matches_the_composite_oracle():
     certificates and on every natural pair the triangle-filter test draws;
     every identity fails somewhere."""
     failed = set()
-    pairs = (InterleavingCert(f, g) for _, f, gs in drawn_legs() for g in gs)
+    pairs = (InterleavingCert(f, g) for _, _, f, gs in drawn_legs() for g in gs)
     for cert in itertools.chain(replayed_certificates(), pairs):
         report = check_interleaving(cert)
         assert report == check_interleaving_by_composites(cert)
@@ -946,7 +942,7 @@ def test_even_odd_and_outer_legs_equal_the_closure_form(m):
         assert pair.g.equals(reference_leg(
             x, y, x, shift, lambda n: n if n < lo else tau(min(n, hi)), lambda n: n + m))
 
-        result = zigzag(x, y, pair, m)
+        result = zigzag(pair, m)
         window = result.c.grid.axes[0]
         assert result.c == reference_diagonal(x, y, pair, m, int(window[0]), int(window[-1]))
         s = 2 * m - 1

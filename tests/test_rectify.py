@@ -12,15 +12,20 @@ from perscert import (
     BudgetExceededError,
     DeltaMorphism,
     Grade,
+    InterleavingCert,
     ValidationError,
     check_interleaving,
     even_odd_restrict,
+    extend_floor,
     floor_int,
+    floor_roundtrip_cert,
     grade,
     integer_object,
     persist,
     reindex,
+    rescale,
     self_interleaving,
+    shift_morphism,
     three_halves_check,
     zigzag,
 )
@@ -79,12 +84,12 @@ def test_block_windows_are_bounded_before_sampling(monkeypatch):
     cert = self_interleaving(x, grade(2))
     # the even block end of the window [0, 1] at m = 2 is 4: 5 integers, times 2
     monkeypatch.setattr(persist, "MAX_WINDOW", 10)
-    assert zigzag(x, x, cert, 2).even_equal
+    assert zigzag(cert, 2).even_equal
     assert even_odd_restrict(x, 2)[0].grid.axes[0] == tuple(map(Fraction, range(5)))
     monkeypatch.setattr(persist, "MAX_WINDOW", 9)
     message = re.escape("rectify window [0, 4] holds 5 integers, which at block 2 is more "
                         "than the limit of 9")
-    for build in (lambda: zigzag(x, x, cert, 2), lambda: even_odd_restrict(x, 2)):
+    for build in (lambda: zigzag(cert, 2), lambda: even_odd_restrict(x, 2)):
         with pytest.raises(BudgetExceededError, match=message):
             build()
     assert len(reindex(x, lambda n: n, 0, 20).grid.axes[0]) == 21
@@ -93,7 +98,7 @@ def test_block_windows_are_bounded_before_sampling(monkeypatch):
 def test_zigzag_of_a_self_interleaving():
     x = rand_finset_object(random.Random(2), lo=-4, hi=4)
     cert = self_interleaving(x, grade(1))
-    result = zigzag(x, x, cert, 1)
+    result = zigzag(cert, 1)
     assert result.even_equal and result.odd_equal
     assert result.total_shifts == (grade(2), grade(2))
     assert check_interleaving(result.composite).valid
@@ -104,7 +109,7 @@ def test_zigzag_m1_constants_and_witnesses():
         rng = random.Random(seed)
         x = rand_finset_object(rng, lo=-4, hi=4)
         y, cert = interleaved_pair(rng, x, 1)
-        result = zigzag(x, y, cert, 1)
+        result = zigzag(cert, 1)
         assert result.even_equal and result.odd_equal
         # piece shifts (1,0), (1,1), (0,1); composite exactly (2,2)
         assert (result.piece_a.epsilon, result.piece_a.delta) == (grade(1), grade(0))
@@ -122,7 +127,7 @@ def test_zigzag_general_m_composite_within_3m_minus_1(m):
         rng = random.Random(seed)
         x = rand_finset_object(rng, lo=-4, hi=4, max_size=4)
         y, cert = interleaved_pair(rng, x, m)
-        result = zigzag(x, y, cert, m)
+        result = zigzag(cert, m)
         assert result.even_equal and result.odd_equal
         assert check_interleaving(result.composite).valid
         bound = grade(3 * m - 1)
@@ -137,10 +142,10 @@ def test_zigzag_rejects_invalid_certificates():
     bad = corrupt_certificate(rng, cert)
     if bad is not cert and not check_interleaving(bad).valid:
         with pytest.raises(ValidationError):
-            zigzag(x, y, bad, 1)
+            zigzag(bad, 1)
     # shift mismatch is also rejected
     with pytest.raises(ValidationError):
-        zigzag(x, x, self_interleaving(x, grade(2)), 1)
+        zigzag(self_interleaving(x, grade(2)), 1)
 
 
 def test_three_halves_extracts_an_integer_certificate():
@@ -148,9 +153,9 @@ def test_three_halves_extracts_an_integer_certificate():
         rng = random.Random(seed)
         x = rand_finset_object(rng, lo=-3, hi=3, max_size=4)
         y, cert = interleaved_pair(rng, x, 1)
-        lifted = lift_cert_to_real(x, y, cert, Fraction(5, 4))
+        lifted = lift_cert_to_real(cert, Fraction(5, 4))
         assert check_interleaving(lifted).valid
-        out = three_halves_check(x, y, Fraction(5, 4), lifted)
+        out = three_halves_check(lifted)
         assert (out.epsilon, out.delta) == (grade(1), grade(1))
         assert check_interleaving(out).valid
 
@@ -159,8 +164,8 @@ def test_three_halves_works_for_f2vec_too():
     rng = random.Random(9)
     x = rand_f2vec_object(rng, lo=-2, hi=2, max_dim=2)
     y, cert = interleaved_pair(rng, x, 1)
-    lifted = lift_cert_to_real(x, y, cert, Fraction(5, 4))
-    out = three_halves_check(x, y, Fraction(5, 4), lifted)
+    lifted = lift_cert_to_real(cert, Fraction(5, 4))
+    out = three_halves_check(lifted)
     assert check_interleaving(out).valid
 
 
@@ -168,26 +173,27 @@ def test_three_halves_rejects_r_at_or_above_the_threshold():
     rng = random.Random(4)
     x = rand_finset_object(rng, lo=-2, hi=2)
     y, cert = interleaved_pair(rng, x, 1)
-    lifted = lift_cert_to_real(x, y, cert, Fraction(3, 2))
+    lifted = lift_cert_to_real(cert, Fraction(3, 2))
     with pytest.raises(ValidationError):
-        three_halves_check(x, y, Fraction(3, 2), lifted)
+        three_halves_check(lifted)
     with pytest.raises(ValidationError):
-        three_halves_check(x, y, Fraction(2), lifted)
+        three_halves_check(lift_cert_to_real(cert, Fraction(2)))
 
 
-def test_three_halves_rejects_a_certificate_that_does_not_match_its_arguments():
-    rng = random.Random(7)  # a seed whose x and y differ
+def test_three_halves_rejects_unequal_shifts_and_objects_off_the_integers():
+    """r is read from the certificate's shifts, so they must be equal; and
+    its objects are read as Z-indexed, so their axes must be consecutive
+    integers. Both certificates below are valid interleavings."""
+    rng = random.Random(7)
     x = rand_finset_object(rng, lo=-2, hi=2)
     y, cert = interleaved_pair(rng, x, 1)
-    with pytest.raises(ValidationError, match="shifts must equal r"):
-        three_halves_check(x, y, 0, lift_cert_to_real(x, y, cert, 1))
-    assert x != y
-    with pytest.raises(ValidationError, match="floor-extensions"):
-        three_halves_check(y, x, 1, lift_cert_to_real(x, y, cert, 1))
-    z = rand_finset_object(random.Random(6), lo=-3, hi=3)
-    w, other = interleaved_pair(random.Random(7), z, 1)
-    with pytest.raises(ValidationError, match="floor-extensions"):
-        three_halves_check(x, y, 1, lift_cert_to_real(z, w, other, 1))
+    lifted = lift_cert_to_real(cert, 1)
+    uneven = InterleavingCert(lifted.f, shift_morphism(lifted.g, grade(2)))
+    real = floor_roundtrip_cert(rescale(extend_floor(x), 2))
+    for valid, message in ((uneven, "shifts must be equal"), (real, "consecutive integers")):
+        assert check_interleaving(valid).valid
+        with pytest.raises(ValidationError, match=message):
+            three_halves_check(valid)
 
 
 def closure_leg(source, target, z, raw, r):
@@ -209,7 +215,7 @@ def test_three_halves_legs_equal_the_closure_form(r):
         x = (rand_finset_object(rng, lo=-3, hi=3, max_size=4) if seed % 2
              else rand_f2vec_object(rng, lo=-3, hi=3, max_dim=2))
         y, cert = interleaved_pair(rng, x, 1)
-        lifted = lift_cert_to_real(x, y, cert, r)
-        out = three_halves_check(x, y, r, lifted)
+        lifted = lift_cert_to_real(cert, r)
+        out = three_halves_check(lifted)
         assert out.f.equals(closure_leg(x, y, y, lifted.f, r))
         assert out.g.equals(closure_leg(y, x, x, lifted.g, r))

@@ -120,7 +120,7 @@ def test_a_document_holds_one_dict_per_embedded_object_value():
     rng = random.Random(2)
     x = rand_finset_object(rng, lo=-2, hi=3)
     y, cert = interleaved_pair(rng, x, 1)
-    doc = ser.encode_zigzag(zigzag(x, y, cert, 1))
+    doc = ser.encode_zigzag(zigzag(cert, 1))
     pieces = doc["pieces"]
     assert doc["composite"]["x"] is pieces["a_to_even"]["x"]
     assert doc["composite"]["y"] is pieces["odd_to_b"]["y"]
@@ -175,7 +175,7 @@ def _seeded_documents():
                             encode_cert_by_occurrence(cert)))
                 out.append((f"slim cert {name}", ser.encode_cert(cert, False),
                             encode_cert_by_occurrence(cert, False)))
-                result = zigzag(x, y, cert, m)
+                result = zigzag(cert, m)
                 out.append((f"zigzag {name}", ser.encode_zigzag(result),
                             encode_zigzag_by_occurrence(result)))
             out.append((f"floor pair {x.category_name} seed {seed}",
@@ -227,7 +227,7 @@ def test_random_documents_match_the_encoders_without_a_table(seed, category, m):
     y, cert = interleaved_pair(rng, x, m)
     assert_same_document(ser.encode_object(y), encode_object_by_occurrence(y))
     assert_same_document(ser.encode_cert(cert), encode_cert_by_occurrence(cert))
-    result = zigzag(x, y, cert, m)
+    result = zigzag(cert, m)
     assert_same_document(ser.encode_zigzag(result), encode_zigzag_by_occurrence(result))
     if category != "Complex":
         cert = floor_roundtrip_cert(rand_real_object(rng, category))
