@@ -33,7 +33,9 @@ the decoded object is written to another text. Then
 CHECK_GRADES grades, a seeded genuine 1-interleaving (``interleaved_pair``),
 its zig-zag composite, and a copy of each with one component replaced; the
 script exits with status 1 when a genuine certificate or a composite is
-reported invalid. Last, for the same seeded objects at m = 1 and 2, the
+reported invalid. ``zigzag`` then rectifies, for the same seeded objects
+at m = 1 and 2, a seeded genuine m-interleaving, with the shifts of its
+composite. Last, for the same certificates, the
 ``rectify`` document of the pair (``encode_zigzag`` of its zig-zag) and the
 ``roundtrip-floor`` document of the partner (``encode_cert`` of its floor
 round trip) are encoded and written as the CLI writes them, and by the
@@ -55,14 +57,20 @@ gives a deterministic checksum (the number of bars, the distance d_B, the
 grid points and distinct objects of a degree-Rips object, the grid shape
 and the sum of the dimensions of a two-parameter module, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
-certificates and the identities that fail, the length and a sha256 prefix
+certificates and the identities that fail, the shifts of a zig-zag
+composite, the length and a sha256 prefix
 of a written document, the number of arguments) and the
 best time over repeated runs, so the same command run on two versions of the
 code gives their before and after numbers. The inputs are seeded from SEED and n, so the checksums are
 fixed. Metrics and complexes keep the ranks of their values once computed,
 so every run of the Rips, degree-Rips and ``validate`` rows gets a copy of
 its input made by the public constructor before the clock starts, and every
-run of the ``is_filtered`` rows a fresh decode of its document.
+run of the ``is_filtered`` rows a fresh decode of its document. The output
+with every timing and memory field stripped,
+
+    sed -E 's/ ([a-z_0-9]+_(ms|us|kb))= *[0-9.]+//g'
+
+is ``tests/golden/persistence-scaling.txt``, which CI diffs against.
 
     PYTHONPATH=src python scripts/persistence_scaling.py
 """
@@ -314,6 +322,15 @@ def main() -> None:
             print(f"check_interleaving {category:6} n={n:3d}  "
                   f"valid={sum(r.valid for r in reports)}/{len(certs)}  failing={failing}  "
                   f"best_ms={ms:10.3f}")
+    for category in ("FinSet", "F2Vec"):
+        for n in CHECK_GRADES:
+            for m in (1, 2):
+                x = checked_object(category, random.Random(SEED * 1000 + n), n)
+                cert = interleaved_pair(random.Random(SEED * 1000 + n + m), x, m)[1]
+                eps, delta = (rat_to_str(g.coords[0]) for g in zigzag(cert, m).total_shifts)
+                ms = best_ms(lambda: zigzag(cert, m))
+                print(f"zigzag      {category:6} n={n:3d} m={m}  composite=({eps},{delta})  "
+                      f"best_ms={ms:10.3f}")
     for category in ("FinSet", "F2Vec"):
         for n in CHECK_GRADES:
             for m in (1, 2):

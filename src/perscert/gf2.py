@@ -5,6 +5,11 @@ vectors is one ``^``. A ``GF2Matrix`` keeps each row packed this way (bit j
 of row i is entry (i, j)). GF(2) maps are bitsets everywhere in the package:
 0/1 rows exist only where they enter, ``GF2Matrix(rows)``, and where they
 leave, ``rows``, which unpacks them for the wire format and for readers.
+``GF2Matrix(rows)`` checks the shape and range of what enters from outside
+(decoders, generators, tests); products, identities, zeros and the
+matrices ``all_matrices`` yields have rows in range by construction and are
+built by ``GF2Matrix._of``, which checks nothing, under the package's one
+validation rule (``persist``).
 
 Every rank, kernel, solve and span question is answered by one incremental
 elimination, ``Echelon``: it keeps one reduced vector per pivot (the
@@ -136,6 +141,16 @@ class GF2Matrix(Frozen):
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
 
+    @classmethod
+    def _of(cls, bits: tuple[int, ...], nrows: int, ncols: int) -> "GF2Matrix":
+        """The matrix of nrows bitset rows already known to lie in
+        [0, 2^ncols), which it keeps without a check."""
+        a = cls.__new__(cls)
+        object.__setattr__(a, "bits", bits)
+        object.__setattr__(a, "nrows", nrows)
+        object.__setattr__(a, "ncols", ncols)
+        return a
+
     # equality and hashing sit on the search and check hot paths, so they
     # read the fields directly
     def __eq__(self, other):
@@ -152,11 +167,11 @@ class GF2Matrix(Frozen):
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "GF2Matrix":
-        return GF2Matrix([0] * nrows, nrows, ncols)
+        return GF2Matrix._of((0,) * nrows, nrows, ncols)
 
     @staticmethod
     def identity(n: int) -> "GF2Matrix":
-        return GF2Matrix([1 << i for i in range(n)], n, n)
+        return GF2Matrix._of(tuple([1 << i for i in range(n)]), n, n)
 
     @staticmethod
     def from_columns(cols: Sequence[int], nrows: int) -> "GF2Matrix":
@@ -167,7 +182,8 @@ class GF2Matrix(Frozen):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         right = other.bits
-        return GF2Matrix([_combination(r, right) for r in self.bits], self.nrows, other.ncols)
+        return GF2Matrix._of(tuple([_combination(r, right) for r in self.bits]),
+                             self.nrows, other.ncols)
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         return self.matmul(other)
@@ -185,10 +201,10 @@ def _nth_matrix(n: int, nrows: int, ncols: int) -> GF2Matrix:
     entries."""
     size = nrows * ncols
     if size == 0:
-        return GF2Matrix([0] * nrows, nrows, ncols)
+        return GF2Matrix.zeros(nrows, ncols)
     entries = format(n, f"0{size}b")
-    return GF2Matrix(
-        [int(entries[i * ncols:(i + 1) * ncols][::-1], 2) for i in range(nrows)],
+    return GF2Matrix._of(
+        tuple([int(entries[i * ncols:(i + 1) * ncols][::-1], 2) for i in range(nrows)]),
         nrows, ncols,
     )
 

@@ -11,7 +11,8 @@ Validation rule, also fixed once for the whole package: decoders and public
 constructors (``PersistentObject``, ``DeltaMorphism``, ``DeltaMorphism.from_fn``,
 ``integer_object``, ``constant_object``) validate what they receive; library
 builders, whose outputs are valid because their inputs are, build them with
-``PersistentObject._of`` and ``DeltaMorphism._on``, which check nothing. A
+``PersistentObject._of`` and ``DeltaMorphism._on`` (and GF(2) products with
+``gf2.GF2Matrix._of``), which check nothing. A
 builder whose output needs more than valid inputs (a natural h, a valid
 certificate) checks that first; a certificate by ``_require_valid``.
 
@@ -50,11 +51,20 @@ def _scale(values) -> tuple[int, tuple[int, ...]]:
     return d, tuple([v.numerator * (d // v.denominator) for v in values])
 
 
+def _below(ints, values) -> list[int]:
+    """For each integer of values, the index of the largest of the
+    increasing integers ints that is <= it, -1 when it is below them all:
+    the package's one ``bisect`` call, one per value."""
+    right = bisect.bisect_right
+    return [right(ints, v) - 1 for v in values]
+
+
 class Grid:
     """Product of m finite, strictly increasing rational axes. Each axis is
     held as (d, ints), its least common denominator d and the integers
     v * d; placing values, merging, translating, locating and comparing
-    grids work on those integers, and ``axes`` gives the Fractions."""
+    grids work on those integers (as does ``_positions``, which places
+    one-parameter values on an axis), and ``axes`` gives the Fractions."""
 
     def __init__(self, axes):
         axes = tuple(tuple(rat(v) for v in axis) for axis in axes)
@@ -83,7 +93,8 @@ class Grid:
         in any order; the columns of one length), and for each row k its
         index on that grid, the index of the point (columns[0][k],
         columns[1][k], ...). Indices compare as the values do. This is the
-        one place where exact values become grid indices."""
+        one place where exact values become the indices of a grid built of
+        them; ``_positions`` places values on an axis that exists."""
         scaled, axes, places = [], [], []
         for column in columns:
             d, ints = _scale(column)
@@ -156,7 +167,7 @@ class Grid:
             if common != d:
                 ints = [v * (common // d) for v in ints]
             k, t = common // e, s.numerator * (common // s.denominator)
-            per_axis.append([bisect.bisect_right(ints, v * k + t) - 1 for v in other_ints])
+            per_axis.append(_below(ints, [v * k + t for v in other_ints]))
         return {
             idx: None if -1 in pos else pos
             for idx, pos in zip(other.indices(), itertools.product(*per_axis))
@@ -678,12 +689,14 @@ def pullback_interleaving(cert: InterleavingCert, h: DeltaMorphism) -> PullbackR
 
 
 def _positions(grid: Grid, values: list) -> dict:
-    """value -> index in grid (m = 1) of the largest point <= value (None
-    when below the grid, as in ``eval_index``), by one ``locate`` of the
-    grid of the distinct values."""
-    points, rows = Grid.placing([values])
-    table = grid.locate(points, zero_grade(1))
-    return dict(zip(values, map(table.__getitem__, rows)))
+    """value (an int or a Fraction) -> index in grid (m = 1) of the largest
+    point <= value (None when below the grid, as in ``eval_index``), by one
+    bisect of the axis's scaled integers per distinct value: a point p/d of
+    an axis over d is <= v exactly when p <= floor(v * d)."""
+    d, ints = grid._scaled[0]
+    distinct = set(values)
+    return {v: None if i < 0 else (i,) for v, i in zip(
+        distinct, _below(ints, [v.numerator * d // v.denominator for v in distinct]))}
 
 
 def _sample(x: PersistentObject, fn, lo: int, hi: int) -> PersistentObject:

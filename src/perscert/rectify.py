@@ -21,7 +21,7 @@ from functools import partial
 from typing import NamedTuple
 
 from . import persist
-from .errors import BudgetExceededError, InvalidScaleError, ValidationError
+from .errors import BudgetExceededError, CategoryError, InvalidScaleError, ValidationError
 from .grades import Grade, even_reindex, floor_int, odd_reindex, rat
 from .persist import (
     InterleavingCert,
@@ -99,7 +99,7 @@ def _outer_cert(x: PersistentObject, rx: PersistentObject, fn, m: int
 class ZigzagResult(NamedTuple):
     c: PersistentObject
     even_equal: bool   # e_m^*(C) == e_m^*(A) literally on the window
-    odd_equal: bool    # o_m^*(C) == o_m^*(B)
+    odd_equal: bool    # o_m^*(C) == o_m^*(B); zigzag refuses when either fails
     piece_a: InterleavingCert      # A ~ e_m^*(A)
     piece_mid: InterleavingCert    # e_m^*(C) ~ o_m^*(C)
     piece_b: InterleavingCert      # o_m^*(B) ~ B
@@ -138,22 +138,23 @@ def zigzag(cert: InterleavingCert, m: int = 1) -> ZigzagResult:
 
     even, odd = partial(even_reindex, m=m), partial(odd_reindex, m=m)
     ec, oc, piece_mid = _even_odd(c, m, lo, he, ho)
-    ea = reindex(a, even, lo, he)
-    ob = reindex(b, odd, lo, ho)
-    even_equal = ec == ea
-    odd_equal = oc == ob
+    # the pieces meet at e_m^*(C) = e_m^*(A) and o_m^*(C) = o_m^*(B), each
+    # decided once here; the outer pieces are built on ec and oc, so the
+    # compositions below find their middle objects identical
+    if ec != reindex(a, even, lo, he) or oc != reindex(b, odd, lo, ho):
+        raise CategoryError("middle objects of the two certificates differ")
 
-    piece_a = _outer_cert(a, ea, even, m)
+    piece_a = _outer_cert(a, ec, even, m)
 
     # orient the b-piece as o_m^*(B) ~(0, 2m-1)~ B
-    raw_b = _outer_cert(b, ob, odd, m)
+    raw_b = _outer_cert(b, oc, odd, m)
     piece_b = InterleavingCert(raw_b.g, raw_b.f)
 
     composite = compose_interleavings(
         compose_interleavings(piece_a, piece_mid), piece_b
     )
     return ZigzagResult(
-        c, even_equal, odd_equal, piece_a, piece_mid, piece_b, composite,
+        c, True, True, piece_a, piece_mid, piece_b, composite,
         (composite.epsilon, composite.delta),
     )
 

@@ -147,12 +147,29 @@ def _search_at_delta(x: PersistentObject, y: PersistentObject, delta: Grade,
     return None
 
 
+# the widest span of the scaled critical grades, per grade, whose
+# differences are found as bits: n shifts of a span-wide integer cost less
+# than the n(n+1)/2 pairs up to about this ratio
+_SPAN_PER_GRADE = 64
+
+
 def interleaving_candidates(x: PersistentObject, y: PersistentObject) -> list[Fraction]:
     """D = {0} union {b - a, (b - a)/2 : a <= b critical grades}, sorted. The
     critical grades are scaled to integers over one common denominator d, so
-    every candidate is a whole number of 1/(2d) steps."""
+    every candidate is a whole number of 1/(2d) steps. With bit v - lo of B
+    set for each scaled grade v (lo the least), the differences b - a >= 0
+    are the set bits of the OR over grades a of B >> (a - lo); a span wider
+    than _SPAN_PER_GRADE per grade (a rational axis) takes the pairs."""
     d, ints = x.grid.merge(y.grid)._scaled[0]
-    diffs = {b - a for i, a in enumerate(ints) for b in ints[i:]}
+    lo = ints[0]
+    if ints[-1] - lo <= _SPAN_PER_GRADE * len(ints):
+        grades = sum(1 << (v - lo) for v in ints)
+        bits = 0
+        for a in ints:
+            bits |= grades >> (a - lo)
+        diffs = {k for k, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"}
+    else:
+        diffs = {b - a for i, a in enumerate(ints) for b in ints[i:]}
     steps = diffs | {2 * k for k in diffs}
     return [Fraction(k, 2 * d) for k in sorted(steps)]
 

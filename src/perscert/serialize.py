@@ -432,18 +432,20 @@ def _encode_components(f: DeltaMorphism, values: _Values) -> list[dict]:
 def decode_morphism(source: PersistentObject, target: PersistentObject,
                     shift_data, components_data) -> DeltaMorphism:
     """Each "at" grade must be a point of the merged grid, given once. It is
-    placed by one wire string -> position table per axis, and, when a
-    coordinate is not written as ``encode_rational`` writes it, by one
-    value -> position table per axis. The component maps are one table of
-    the module docstring's rule, read as ``decode_object`` reads edge maps:
-    a flat vertex map equal to one of the last four takes that one's value."""
+    placed by one wire string -> position table per axis, written from the
+    merged grid's scaled integers by the encoder's own formatter, and, when
+    a coordinate is not written as ``encode_rational`` writes it, by one
+    value -> position table per axis, built on the first such coordinate.
+    The component maps are one table of the module docstring's rule, read
+    as ``decode_object`` reads edge maps: a flat vertex map equal to one of
+    the last four takes that one's value."""
     shift = decode_grade(shift_data)
     _require(shift.m == source.m, "shift {} has arity {}, the objects have m = {}",
              shift, shift.m, source.m)
     _require(isinstance(components_data, list), "components must be a list")
     leg = _Leg(source, target, shift)
-    positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
-    wire = [{encode_rational(v): i for v, i in table.items()} for table in positions]
+    wire = [{_ratio_str(n, d): i for i, n in enumerate(ints)} for d, ints in leg.grid._scaled]
+    positions = None
     category, components, kept = source.category_name, {}, deque(maxlen=4)
     for entry in components_data:
         _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
@@ -454,6 +456,8 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
                if len(at) == len(wire) and _STR.issuperset(map(type, at)) else (None,))
         if None in idx:
             coords = [decode_rational(c) for c in at]
+            if positions is None:
+                positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
             idx = tuple(table.get(c) for table, c in zip(positions, coords))
             if len(coords) != len(positions) or None in idx:
                 raise SchemaError(

@@ -221,3 +221,25 @@ def test_all_matrices_follows_itertools_product_order(nrows, ncols):
     ]
     assert list(all_matrices(nrows, ncols)) == expected
     assert [_matrix_index(a) for a in expected] == list(range(len(expected)))
+
+
+def checked(a: GF2Matrix) -> GF2Matrix:
+    """a rebuilt from its 0/1 rows by the checking constructor."""
+    return GF2Matrix([list(r) for r in a.rows], a.nrows, a.ncols)
+
+
+def test_unchecked_matrices_equal_their_checked_rows():
+    """Products, identities, zeros and every matrix ``all_matrices`` yields up
+    to 3x3 are built by ``GF2Matrix._of`` without a check; each equals (and
+    hashes as) the matrix ``GF2Matrix(rows)`` builds from its rows, with
+    its rows in range and a tuple of bits."""
+    rng = random.Random(38)
+    built = [GF2Matrix.identity(n) for n in range(5)]
+    built += [GF2Matrix.zeros(r, c) for r in range(4) for c in range(4)]
+    built += [a for r in range(4) for c in range(4) for a in all_matrices(r, c)]
+    for _ in range(100):
+        r, k, c = (rng.randint(0, 6) for _ in range(3))
+        built.append(rand_matrix(rng, r, k) @ rand_matrix(rng, k, c))
+    for a in built:
+        assert type(a.bits) is tuple and all(0 <= v < 1 << a.ncols for v in a.bits)
+        assert a == checked(a) and hash(a) == hash(checked(a))

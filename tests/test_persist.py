@@ -803,6 +803,25 @@ def test_integer_candidates_match_the_fraction_definition(a, b, data):
     assert interleaving_candidates(x, y) == reference_candidates(x, y)
 
 
+def test_candidates_by_bits_and_by_pairs_match_the_definition():
+    """The differences are found as bits when the scaled critical grades span
+    at most ``search._SPAN_PER_GRADE`` per grade, and by pairs otherwise;
+    on seeded integer and rational grids on both sides of that bound, the
+    list equals the definition."""
+    rng, branches = random.Random(38), set()
+    for _ in range(60):
+        n, den = rng.randint(1, 24), rng.choice([1, 1, 2, 3, 12, 997])
+        width = rng.choice([n, 8 * n, 400 * n])
+        a, b = (Grid([sorted({Fraction(rng.randint(-width, width), rng.randint(1, den))
+                              for _ in range(n)})]) for _ in range(2))
+        x = constant_object("FinSet", frozenset(), a)
+        y = constant_object("FinSet", frozenset(), b)
+        ints = a.merge(b)._scaled[0][1]
+        branches.add(ints[-1] - ints[0] <= search._SPAN_PER_GRADE * len(ints))
+        assert interleaving_candidates(x, y) == reference_candidates(x, y)
+    assert branches == {True, False}
+
+
 @st.composite
 def grid_pairs(draw):
     """Two grids of one arity m and a shift of arity m."""
@@ -846,16 +865,20 @@ def test_locate_merge_and_translate_agree_with_plain_grids(case):
 
 @settings(max_examples=100, deadline=None)
 @given(grids(1), st.data())
+@example(Grid([[-2, 0, 1, 5]]), None)  # an integer axis
 def test_positions_agree_with_eval_index(grid, data):
-    # values below, between, on and above the axis, with repeats and mixed
-    # denominators, in non-decreasing order
-    off_grid = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-    values = sorted(data.draw(st.lists(off_grid | st.sampled_from(grid.axes[0]), max_size=12)))
-    values += data.draw(st.lists(st.sampled_from(values), max_size=4)) if values else []
-    values.sort()
+    # ints and Fractions below, between, on and above the axis, with repeats
+    # and mixed denominators, in any order
+    values = [-7, -2, Fraction(-3, 2), 0, Fraction(1, 3), 2, Fraction(11, 2), 9]
+    if data is not None:
+        off_grid = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        values = data.draw(st.lists(off_grid | st.integers(-9, 9) | st.sampled_from(grid.axes[0]),
+                                    max_size=12))
+        values += data.draw(st.lists(st.sampled_from(values), max_size=4)) if values else []
     at = _positions(grid, values)
+    assert set(at) == set(values)
     for v in values:
-        assert at[v] == index_by_floor_bisect(grid, Grade([v]))
+        assert at[v] == grid.eval_index(Grade([v])) == index_by_floor_bisect(grid, Grade([v]))
 
 
 @st.composite

@@ -5,11 +5,13 @@ from real ones."""
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from perscert import (
     BudgetExceededError,
+    CategoryError,
     DeltaMorphism,
     Grade,
     InterleavingCert,
@@ -22,6 +24,7 @@ from perscert import (
     grade,
     integer_object,
     persist,
+    rectify,
     reindex,
     rescale,
     self_interleaving,
@@ -36,6 +39,7 @@ from perscert.randgen import (
     rand_f2vec_object,
     rand_finset_object,
 )
+from perscert.grades import even_reindex, odd_reindex
 from perscert.rectify import _block_end
 
 
@@ -119,6 +123,36 @@ def test_zigzag_m1_constants_and_witnesses():
             assert check_interleaving(piece).valid
         assert result.total_shifts == (grade(2), grade(2))
         assert check_interleaving(result.composite).valid
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_zigzag_pieces_meet_at_the_restrictions_of_a_and_b(m):
+    """e_m^*(C) = e_m^*(A) and o_m^*(C) = o_m^*(B) on the block windows, and
+    the outer pieces are built on the middle piece's objects themselves."""
+    for seed in range(4):
+        rng = random.Random(seed)
+        x = (rand_finset_object(rng, lo=-4, hi=4, max_size=3) if seed % 2
+             else rand_f2vec_object(rng, lo=-4, hi=4, max_dim=2))
+        y, cert = interleaved_pair(rng, x, m)
+        result = zigzag(cert, m)
+        ec, oc = result.piece_mid.f.source, result.piece_mid.f.target
+        lo, he, ho = int(ec.grid.axes[0][0]), int(ec.grid.axes[0][-1]), int(oc.grid.axes[0][-1])
+        assert ec == reindex(x, partial(even_reindex, m=m), lo, he)
+        assert oc == reindex(y, partial(odd_reindex, m=m), lo, ho)
+        assert result.piece_a.f.target is ec and result.piece_b.f.source is oc
+
+
+def test_zigzag_refuses_middle_objects_that_differ(monkeypatch):
+    """zigzag decides e_m^*(C) = e_m^*(A) and o_m^*(C) = o_m^*(B) itself, with
+    the message composition gives; a restriction of A or B that differs
+    (here replaced by a reindexing that does not block) is refused."""
+    rng = random.Random(5)
+    x = rand_finset_object(rng, lo=-3, hi=3, max_size=3)
+    y, cert = interleaved_pair(rng, x, 1)
+    assert zigzag(cert, 1).even_equal
+    monkeypatch.setattr(rectify, "reindex", lambda z, fn, lo, hi: reindex(z, lambda n: n, lo, hi))
+    with pytest.raises(CategoryError, match="middle objects of the two certificates differ"):
+        zigzag(cert, 1)
 
 
 @pytest.mark.parametrize("m", [2, 3])

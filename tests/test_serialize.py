@@ -716,3 +716,40 @@ def test_mutated_documents_decode_as_read_entry_by_entry(case):
     else:
         assert (_decoded(lambda d: _cert_parts(ser.decode_cert(d)), doc)
                 == _decoded(lambda d: _cert_parts(decode_cert_by_values(d)), doc))
+
+
+def _rewritten(s: str, k: int) -> str:
+    """The wire coordinate s ("p" or "p/q") written another way, the k-th of
+    three: p/q with both doubled ("2/2" for 1), a zero-padded numerator
+    ("07", "-07", "01/2") or "-0" for "0", and the doubled form again."""
+    p, _, q = s.partition("/")
+    if k % 3 == 1:
+        if p == "0":
+            return "-0"
+        sign, digits = ("-", p[1:]) if p.startswith("-") else ("", p)
+        return f"{sign}0{digits}" + (f"/{q}" if q else "")
+    return f"{2 * int(p)}/{2 * int(q or 1)}"
+
+
+def test_non_canonical_at_coordinates_decode_to_the_same_certificate():
+    """Every "at" coordinate of a certificate on integer axes and of one on
+    rational axes, rewritten non-canonically, decodes to a certificate
+    written to the same text; an "at" off the merged grid is refused."""
+    rng = random.Random(38)
+    x = rand_finset_object(rng, lo=-2, hi=3, max_size=3)
+    certs = [interleaved_pair(rng, x, 1)[1],
+             floor_roundtrip_cert(rand_real_object(random.Random(5), "F2Vec"))]
+    for cert in certs:
+        doc = json_round(ser.encode_cert(cert))
+        text = json.dumps(doc, sort_keys=True)
+        rewritten = copy.deepcopy(doc)
+        places = [c["at"] for key in ("f_components", "g_components") for c in rewritten[key]]
+        for k, at in enumerate(places):
+            at[:] = [_rewritten(s, k + i) for i, s in enumerate(at)]
+        written = [s for at in places for s in at]
+        assert {"-0", "2/2"} <= set(written) and any(s.startswith("0") for s in written)
+        assert json.dumps(ser.encode_cert(ser.decode_cert(rewritten)), sort_keys=True) == text
+        places[0][0] = "1000"
+        with pytest.raises(SchemaError, match="component at Grade.1000. is not a point of the "
+                                              "merged grid"):
+            ser.decode_cert(rewritten)
