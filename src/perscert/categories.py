@@ -78,18 +78,10 @@ class FinSetCategory:
 
     def enumerate_maps(self, src, tgt):
         src = total_order(src)
-        if not src:
-            yield {}
-            return
-        if not tgt:
-            return  # no maps into the empty set from a nonempty one
-        tgt = total_order(tgt)
-        for values in product(tgt, repeat=len(src)):
+        for values in product(total_order(tgt), repeat=len(src)):
             yield dict(zip(src, values))
 
     def count_maps(self, src, tgt) -> int:
-        if not src:
-            return 1
         return len(tgt) ** len(src)
 
     def fiber_product(self, f, h, x_obj, b_obj):

@@ -20,6 +20,9 @@ Interleaving identities, stated once: naturality of a leg is laid out by its
 ``_Leg`` (``DeltaMorphism.check_natural``), and the two triangle identities
 by ``_triangles``; ``_check`` reads both, over a fresh table in
 ``check_interleaving`` and over the table a partner search pruned g with.
+That search reads each row of the table as one equation on g's component at
+the row's g index, c . a = b for X's triangle and a . c = b for Y's, the
+forms of a naturality square too.
 """
 
 from __future__ import annotations

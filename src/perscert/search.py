@@ -6,7 +6,7 @@ the bottleneck floor (``interleaving_distance_search``)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .distances import INFINITY, bottleneck
 from .errors import BudgetExceededError, CategoryError, DimensionError, ValidationError
@@ -38,27 +38,33 @@ class _Budget:
             raise BudgetExceededError(f"search budget of {self.limit} exhausted")
 
 
-def _enumerate_natural(leg: _Leg, budget: _Budget,
-                       accept: Optional[Callable[[tuple, object], bool]] = None):
+def _enumerate_natural(leg: _Leg, budget: _Budget, equations: Optional[dict] = None):
     """Yield the components, by merged index, of every natural delta-morphism
-    along leg: one walk of its merged grid in index order on a stack of
-    candidate generators, one per point, each candidate checked for
-    naturality along every unit step into its point (from a point chosen
-    earlier) and then with accept(index, candidate)."""
+    along leg that meets equations: one walk of its merged grid in index
+    order on a stack of candidate generators, one per point. equations maps
+    each merged index to (pre, post), lists of pairs (a, b) that a candidate
+    c at that index must meet as c . a = b and as a . c = b. Each candidate
+    is checked first for naturality, c . a = b along every unit step into
+    its point (a the source's step, b the target's step after the component
+    chosen earlier), then against pre, then against post."""
     x, y, at_x, at_y = leg.source, leg.target, leg.at_source, leg.at_target
     points, x_steps, y_steps = leg.points, leg.source_steps, leg.target_steps
     cat, chosen = x.category, {}
 
     def candidates(p):
         steps = [(p[:a] + (c - 1,) + p[a + 1:], a) for a, c in enumerate(p) if c]
-        squares = [(cat.compose(y_steps[s], chosen[s[0]]), x_steps[s]) for s in steps]
+        pre, post = ([], []) if equations is None else equations[p]
+        pre = [(x_steps[s], cat.compose(y_steps[s], chosen[s[0]])) for s in steps] + pre
         for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
             budget.spend()
-            for upper, x_step in squares:
-                if upper != cat.compose(cand, x_step):
+            for a, b in pre:
+                if cat.compose(cand, a) != b:
                     break
             else:
-                if accept is None or accept(p, cand):
+                for a, b in post:
+                    if cat.compose(a, cand) != b:
+                        break
+                else:
                     yield cand
 
     stack = [candidates(points[0])]
@@ -74,36 +80,22 @@ def _enumerate_natural(leg: _Leg, budget: _Budget,
             stack.append(candidates(points[len(stack)]))
 
 
-def _triangle_filter(f: DeltaMorphism, g_leg: _Leg, triangles: list
-                     ) -> Callable[[tuple, object], bool]:
-    """accept(j, cand): whether cand, as g's component at merged index j of
-    g_leg, meets every triangle identity at the points whose g component is
-    the one at j, given f and triangles, the ``_triangles`` table of f's leg
-    and g_leg. A row below g's grid (g index None) compares two maps out of
-    the initial object, whatever f is: p + eps below g's grid puts p + eps +
-    delta below X's grid, and p below it makes Y(p) initial."""
-    cat = f.category
-    before = {j: [] for j in g_leg.points}  # (a, b) with g . a = b
-    after = {j: [] for j in g_leg.points}   # (a, b) with a . g = b
-    for side, _, _, fi, gj, direct in triangles:
-        if gj is not None:
-            (before, after)[side][gj].append((f.at(fi), direct))
-
-    def accept(j, cand) -> bool:
-        return (all(cat.compose(cand, a) == b for a, b in before[j])
-                and all(cat.compose(a, cand) == b for a, b in after[j]))
-
-    return accept
-
-
 def _partner(f: DeltaMorphism, g_leg: _Leg, triangles: list, budget: _Budget
              ) -> Optional[InterleavingCert]:
     """The first natural g on g_leg, in enumeration order, making (f, g) an
-    interleaving, for a natural f: candidates the triangles rule out are
-    dropped inside the walk, and a g that survives is re-checked by
-    ``persist._check`` on the same table."""
-    accept = _triangle_filter(f, g_leg, triangles)
-    for g_components in _enumerate_natural(g_leg, budget, accept):
+    interleaving, for a natural f. Each row of triangles, the ``_triangles``
+    table of f's leg and g_leg, is filed under its g index as an equation on
+    g's component there: X's triangle as pre, Y's as post. A row below g's
+    grid (g index None) compares two maps out of the initial object,
+    whatever f is: p + eps below g's grid puts p + eps + delta below X's
+    grid, and p below it makes Y(p) initial; it is dropped. A g that
+    survives the walk is re-checked by ``persist._check`` on the same
+    table."""
+    equations = {j: ([], []) for j in g_leg.points}
+    for side, _, _, fi, gj, direct in triangles:
+        if gj is not None:
+            equations[gj][side].append((f.at(fi), direct))
+    for g_components in _enumerate_natural(g_leg, budget, equations):
         g = DeltaMorphism._on(g_leg, g_components)
         if _check(f, g, triangles).valid:
             return InterleavingCert(f, g)
@@ -196,11 +188,12 @@ def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
     delta. So every skipped candidate is provably refuted, and when d_B is
     infinite the answer is infinite without a search.
 
-    For each natural f, candidates for g are pruned inside the walk
-    by naturality and by the two triangle identities, which given f
-    constrain g one component at a time. The budget counts every candidate
-    component visited, for f and g alike, so pruned branches cost nothing
-    further. A g that survives is re-checked, by the checker of
+    For each natural f, candidates for g are pruned inside the walk by
+    equations on one component c at a time: its naturality squares and,
+    given f, X's triangle as c . a = b and Y's as a . c = b, each row of
+    the triangle table filed under g's index. The budget counts every
+    candidate component visited, for f and g alike, so pruned branches cost
+    nothing further. A g that survives is re-checked, by the checker of
     ``check_interleaving`` on the triangle table it was pruned with, before
     its certificate is returned.
 

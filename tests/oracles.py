@@ -22,9 +22,10 @@ possible with what it checks:
 - ``check_interleaving_by_composites``: both triangle identities composed
   point by point on the grid of each side's structure-map shift, each leg
   evaluated at a grade, against the library's one triangle table;
-- ``natural_legs_by_recursion``: the natural legs of a one-parameter leg by
-  recursive backtracking, each point's naturality read against the point
-  before it, against the library's walk over every unit step;
+- ``natural_legs_by_recursion``: the natural legs of a one-parameter leg
+  that meet given equations, by recursive backtracking, each point's
+  naturality read against the point before it, against the library's walk
+  over every unit step;
 - ``corrupt_certificate_by_listing``: one f-component replaced by a map
   chosen from the list of every other map at its point, against the
   library's draw of an F2Vec map by its position;
@@ -449,11 +450,12 @@ def check_interleaving_by_composites(cert: InterleavingCert) -> InterleavingRepo
     return InterleavingReport(True, "valid interleaving")
 
 
-def natural_legs_by_recursion(leg: _Leg, budget, accept=None):
-    """The components of every natural leg along a one-parameter leg, by a
-    backtracking generator that recurses once per merged-grid point and
-    checks naturality along the step from the point before; budget.spend()
-    once per candidate, and accept(index, candidate) after naturality. Its
+def natural_legs_by_recursion(leg: _Leg, budget, equations=None):
+    """The components of every natural leg along a one-parameter leg that
+    meets equations (merged index -> (pre, post), pairs (a, b) with c . a =
+    b and a . c = b), by a backtracking generator that recurses once per
+    merged-grid point and checks naturality along the step from the point
+    before, then pre, then post; budget.spend() once per candidate. Its
     depth is bounded by the interpreter's recursion limit."""
     x, y, at_x, at_y = leg.source, leg.target, leg.at_source, leg.at_target
     points, x_steps, y_steps = leg.points, leg.source_steps, leg.target_steps
@@ -467,11 +469,14 @@ def natural_legs_by_recursion(leg: _Leg, budget, accept=None):
         if i > 0:
             step = (points[i - 1], 0)
             upper = cat.compose(y_steps[step], chosen[points[i - 1]])
+        pre, post = ([], []) if equations is None else equations[p]
         for cand in cat.enumerate_maps(x.at(at_x[p]), y.at(at_y[p])):
             budget.spend()
             if i > 0 and upper != cat.compose(cand, x_steps[step]):
                 continue
-            if accept is not None and not accept(p, cand):
+            if not all(cat.compose(cand, a) == b for a, b in pre):
+                continue
+            if not all(cat.compose(a, cand) == b for a, b in post):
                 continue
             chosen[p] = cand
             yield from backtrack(i + 1, chosen)

@@ -33,7 +33,6 @@ def test_get_category_names():
 
 
 def test_finset_identity_and_composition_laws():
-    rng = random.Random(3)
     a = frozenset({"x", "y"})
     b = frozenset({"u", "v", "w"})
     for f in FINSET.enumerate_maps(a, b):
@@ -45,7 +44,18 @@ def test_finset_identity_and_composition_laws():
     # initial object: exactly one map out, none in from nonempty
     assert FINSET.count_maps(FINSET.initial(), b) == 1
     assert FINSET.count_maps(b, FINSET.initial()) == 0
-    del rng
+
+
+@pytest.mark.parametrize("cat, b", [(FINSET, frozenset({"u", "v"})),
+                                    (COMPLEX, frozenset({("u",), ("v",), ("u", "v")}))])
+def test_the_maps_out_of_and_into_the_empty_object(cat, b):
+    # one empty map out of the empty object, into anything; none from a
+    # nonempty object into it
+    empty = cat.initial()
+    for src, tgt, expected in ((empty, b, [{}]), (empty, empty, [{}]), (b, empty, [])):
+        maps = list(cat.enumerate_maps(src, tgt))
+        assert maps == expected
+        assert len(maps) == cat.count_maps(src, tgt)
 
 
 def test_finset_fiber_product_is_the_equalizing_pair_set():

@@ -1,7 +1,8 @@
 """Dead code and the import layering of the package, found with the standard
 library's ``ast``: an import that its module never uses, a private
 module-level function or class that no package module refers to, a public
-one or an export of the package that nothing refers to, a cycle among the
+one or an export of the package that nothing refers to, a default argument
+evaluated once into a value that calls could share, a cycle among the
 package's modules, a library module that imports the searches, an import
 from outside the standard library, and a CLI command that writes its
 document or exits itself. Last, the modules a launch of the CLI loads."""
@@ -84,6 +85,23 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"private definitions nothing refers to: {orphans}"
+
+
+def test_no_function_has_a_mutable_default_argument():
+    """No default of a package function is a list, dict or set display or
+    a call: a default is built once, when its function is defined, and every
+    call that omits the argument shares it. A table-valued parameter
+    defaults to None."""
+    shared = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp, ast.Call)
+    offenders = [
+        f"{name}:{default.lineno} {getattr(node, 'name', 'lambda')}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in node.args.defaults + node.args.kw_defaults
+        if isinstance(default, shared)
+    ]
+    assert not offenders, f"mutable default arguments: {offenders}"
 
 
 ROOT = Path(__file__).resolve().parents[1]

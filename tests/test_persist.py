@@ -68,7 +68,7 @@ from perscert.randgen import (
     rand_real_object,
 )
 from perscert.search import (DEFAULT_BUDGET, _Budget, _enumerate_natural, _least_certified,
-                             _triangle_filter, induces_interleaving_in_pi0,
+                             induces_interleaving_in_pi0,
                              interleaving_candidates)
 from perscert.serialize import decode_cert, encode_cert
 
@@ -607,16 +607,39 @@ def drawn_legs():
                 yield g_leg, table, f, gs
 
 
-def test_triangle_filter_rejects_exactly_the_partners_that_fail():
-    checked = rejected = 0
-    for g_leg, table, f, gs in drawn_legs():
-        accept = _triangle_filter(f, g_leg, table)
-        for g in gs:
-            admitted = all(accept(j, g.components[j]) for j in g_leg.points)
-            assert admitted == check_interleaving(InterleavingCert(f, g)).valid
-            checked += 1
-            rejected += not admitted
-    assert rejected > 0 and checked > rejected
+def triangle_equations(f, g_leg, table):
+    """The equations the triangle rows of table put on g's component at
+    each index of g_leg, given f: X's as pre (g . f(p) = X's structure
+    map), Y's as post (f(p + delta) . g = Y's); rows with no g index hold
+    whatever g is."""
+    equations = {j: ([], []) for j in g_leg.points}
+    for side, _, _, fi, gj, direct in table:
+        if gj is not None:
+            equations[gj][side].append((f.at(fi), direct))
+    return equations
+
+
+def test_the_walk_under_the_triangle_equations_yields_exactly_the_partners():
+    """Bare, the walk yields every natural g in order; given the triangle
+    equations of a natural f, exactly the natural g that replay with f. On
+    the legs of drawn_legs and on the two-parameter FinSet legs of the m = 2
+    partner test, where a point has two naturality squares."""
+    def at_m_2():
+        for x, y, delta, fs in two_parameter_legs(60):
+            g_leg, gs = _Leg(y, x, delta), list(reference_natural(y, x, delta))
+            for f in fs:
+                yield g_leg, list(persist._triangles(f._leg, g_leg)), f, gs
+
+    partners = refuted = 0
+    for g_leg, table, f, gs in itertools.chain(drawn_legs(), at_m_2()):
+        budget = _Budget(10 ** 9)
+        assert list(_enumerate_natural(g_leg, budget)) == [g.components for g in gs]
+        walked = list(_enumerate_natural(g_leg, budget, triangle_equations(f, g_leg, table)))
+        valid = [g.components for g in gs if check_interleaving(InterleavingCert(f, g)).valid]
+        assert walked == valid
+        partners += len(valid)
+        refuted += len(gs) - len(valid)
+    assert partners > 0 and refuted > 0
 
 
 def replayed_certificates():
@@ -642,7 +665,7 @@ def replayed_certificates():
 def test_check_interleaving_matches_the_composite_oracle():
     """The verdict read from the one triangle table is the verdict of the
     triangles composed point by point, on genuine and corrupted
-    certificates and on every natural pair the triangle-filter test draws;
+    certificates and on every natural pair of drawn_legs;
     every identity fails somewhere."""
     failed = set()
     pairs = (InterleavingCert(f, g) for _, _, f, gs in drawn_legs() for g in gs)
@@ -654,7 +677,7 @@ def test_check_interleaving_matches_the_composite_oracle():
 
 
 def test_the_walk_yields_what_the_recursive_enumeration_yields_at_m_1():
-    """On seeded one-parameter legs, bare and with the triangle filter of
+    """On seeded one-parameter legs, bare and with the triangle equations of
     each natural f, the walk yields the legs of the recursive enumeration in
     its order and spends the same budget."""
     runs = 0
@@ -663,14 +686,14 @@ def test_the_walk_yields_what_the_recursive_enumeration_yields_at_m_1():
             d = Grade([delta])
             f_leg, g_leg = _Leg(x, y, d), _Leg(y, x, d)
             table = list(persist._triangles(f_leg, g_leg))
-            filters = [(f_leg, None)] + [(g_leg, _triangle_filter(f, g_leg, table))
-                                         for f in reference_natural(x, y, d)]
-            for leg, accept in filters:
+            walks = [(f_leg, None)] + [(g_leg, triangle_equations(f, g_leg, table))
+                                       for f in reference_natural(x, y, d)]
+            for leg, equations in walks:
                 walk, recursion = _Budget(DEFAULT_BUDGET), _Budget(DEFAULT_BUDGET)
-                assert (list(_enumerate_natural(leg, walk, accept))
-                        == list(natural_legs_by_recursion(leg, recursion, accept)))
+                assert (list(_enumerate_natural(leg, walk, equations))
+                        == list(natural_legs_by_recursion(leg, recursion, equations)))
                 assert walk.used == recursion.used
-                runs += accept is not None
+                runs += equations is not None
     assert runs > 0
 
 
