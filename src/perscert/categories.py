@@ -141,8 +141,8 @@ class F2VecCategory:
         kernel = kernel_bits(_transpose(f.bits, x_obj) + _transpose(h.bits, b_obj))
         a_obj = len(kernel)
         kmat = GF2Matrix.from_columns(kernel, x_obj + b_obj)
-        proj_x = GF2Matrix(kmat.bits[:x_obj], x_obj, a_obj)
-        proj_b = GF2Matrix(kmat.bits[x_obj:], b_obj, a_obj)
+        proj_x = GF2Matrix._of(kmat.bits[:x_obj], x_obj, a_obj)
+        proj_b = GF2Matrix._of(kmat.bits[x_obj:], b_obj, a_obj)
         # tag 1 << j on kernel vector j: a column in their span reduces to
         # zero with the coordinates of the one solution in its tag
         span = Echelon()

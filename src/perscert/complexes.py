@@ -19,9 +19,9 @@ stand for, so every grade is as exact as before.
 
 The persistence module's validation rule holds here too: ``FilteredComplex``
 normalizes the simplices it receives, while builders whose simplices are
-already sorted tuples (the Rips builders, the decoder) build with
-``FilteredComplex._of``, as they build persistent objects with
-``PersistentObject._of``.
+already sorted tuples (the Rips builders, ``skeleton``, the decoder) build
+with ``FilteredComplex._of``, as they build persistent objects with
+``PersistentObject._of`` and their grids with ``Grid._of``.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def to_persistent(f: FilteredComplex) -> PersistentObject:
     require_valid(f)
     m = f.m
     if not f.simplices:
-        return _inclusions(Grid([[0]] * m), {(0,) * m: frozenset()})
+        return _inclusions(Grid._of(((1, (0,)),) * m), {(0,) * m: frozenset()})
     # the grid holds every grade, so a simplex is born at its grade's index
     grid, at = f._placement
     born: dict[tuple, list] = {}
@@ -274,8 +274,8 @@ def is_filtered(p: PersistentObject) -> FilteredCheck:
 def skeleton(f: FilteredComplex, n: int) -> FilteredComplex:
     if n < 0:
         raise ValidationError("skeleton truncation needs n >= 0")
-    keep = {s for s in f.simplices if len(s) <= n + 1}
-    return FilteredComplex(f.vertices, keep, {s: f.grade[s] for s in keep}, f.m)
+    keep = frozenset(s for s in f.simplices if len(s) <= n + 1)
+    return FilteredComplex._of(f.vertices, keep, {s: f.grade[s] for s in keep}, f.m)
 
 
 # -- metric inputs and the example filtrations -------------------------------
@@ -406,11 +406,11 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
     simplices = _rips(metric, d_max)
     n = metric.n
     if n == 0:
-        return _inclusions(Grid([[0], [0]]), {(0, 0): frozenset()})
+        return _inclusions(Grid._of(((1, (0,)),) * 2), {(0, 0): frozenset()})
     scales, at = metric._placement.grid.axes[0], metric._placement.at
     _require_within(len(scales) * n,
                     f"a degree-Rips grid of {len(scales)} scales by {n} degrees", "points")
-    grid = Grid([scales, range(1 - n, 1)])
+    grid = Grid._of((metric._placement.grid._scaled[0], (1, tuple(range(1 - n, 1)))))
     # degree[i][r]: the number of other points within scales[r] of point i,
     # the running total of the points at each index (the point itself at 0)
     degree = []
@@ -438,7 +438,7 @@ def degree_rips(metric: MetricInput, d_max: int) -> PersistentObject:
 
 POINT_VERTEX = "*"
 POINT_COMPLEX = frozenset({(POINT_VERTEX,)})
-SQUARE_GRID = Grid([[0, 1], [0, 1]])
+SQUARE_GRID = Grid._of(((1, (0, 1)),) * 2)
 
 
 def sq_gadget(square: PersistentObject) -> PersistentObject:
@@ -449,7 +449,7 @@ def sq_gadget(square: PersistentObject) -> PersistentObject:
     axis, so index i is the point i - 1."""
     if square.category_name != "Complex" or square.grid != SQUARE_GRID:
         raise ValidationError("sq_gadget expects a persistent complex on the grid {0,1}^2")
-    grid = Grid([range(-1, 4)] * 2)
+    grid = Grid._of(((1, tuple(range(-1, 4))),) * 2)
 
     def value(i, j):
         if not (i and j):

@@ -12,11 +12,16 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .errors import BudgetExceededError
 from .invariants import Barcode, barcode, homology_cert
 from .persist import InterleavingCert, _require_valid, check_interleaving
 
 
 INFINITY = None  # sentinel for infinite distances / deaths
+
+# the most bars two barcodes may hold together: each matching test runs
+# Kuhn's search on a dense graph over their bars, in time cubic in that count
+MAX_BARS = 400
 
 
 class Matching(NamedTuple):
@@ -110,11 +115,17 @@ def bottleneck(b1: Barcode, b2: Barcode) -> tuple[Optional[Fraction], Optional[M
     The answer is the least threshold, among 0, the finite pair costs and the
     half-lengths, at which a perfect matching exists. Feasibility is
     monotone in the threshold and holds at the largest one, so the sorted
-    thresholds are bisected; the matching is the one found at the answer."""
+    thresholds are bisected; the matching is the one found at the answer.
+    Barcodes of more than MAX_BARS bars together are refused before any
+    cost is computed, once their counts of infinite bars agree."""
     inf1 = sum(1 for b in b1.bars if b.death is None)
     inf2 = sum(1 for b in b2.bars if b.death is None)
     if inf1 != inf2:
         return INFINITY, None
+    count = len(b1.bars) + len(b2.bars)
+    if count > MAX_BARS:
+        raise BudgetExceededError(
+            f"the two barcodes hold {count} bars, more than the limit of {MAX_BARS}")
     # endpoints as integers over twice their least common denominator, so
     # that every cost and half-length is an integer too
     scale = 2 * math.lcm(*(v.denominator for bar in b1.bars + b2.bars

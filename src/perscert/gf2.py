@@ -5,11 +5,11 @@ vectors is one ``^``. A ``GF2Matrix`` keeps each row packed this way (bit j
 of row i is entry (i, j)). GF(2) maps are bitsets everywhere in the package:
 0/1 rows exist only where they enter, ``GF2Matrix(rows)``, and where they
 leave, ``rows``, which unpacks them for the wire format and for readers.
-``GF2Matrix(rows)`` checks the shape and range of what enters from outside
-(decoders, generators, tests); products, identities, zeros and the
-matrices ``all_matrices`` yields have rows in range by construction and are
-built by ``GF2Matrix._of``, which checks nothing, under the package's one
-validation rule (``persist``).
+``GF2Matrix(rows)`` takes 0/1 rows only and checks the shape of what enters
+from outside (decoders, generators, tests). Bitset rows enter through
+``GF2Matrix._of`` only, which checks nothing, under the package's one
+validation rule (``persist``): products, identities, zeros, ``from_columns``
+and the matrices ``all_matrices`` yields have rows in range by construction.
 
 Every rank, kernel, solve and span question is answered by one incremental
 elimination, ``Echelon``: it keeps one reduced vector per pivot (the
@@ -117,27 +117,17 @@ class GF2Matrix(Frozen):
 
     _fields = ("bits", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence[int] | int], nrows: int | None = None,
+    def __init__(self, rows: Sequence[Sequence[int]], nrows: int | None = None,
                  ncols: int | None = None):
-        """Each row is a sequence of 0/1 entries (read mod 2) or an int
-        bitset; ncols is required when the first row is an int."""
+        """Each row is a sequence of 0/1 entries (read mod 2)."""
         rows = tuple(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if nrows is None:
             nrows = len(rows)
-        bits = []
-        for r in rows:
-            if type(r) is not int:
-                if len(r) != ncols:
-                    raise ValueError("inconsistent matrix shape")
-                r = _pack(r)
-            elif r < 0 or r >> ncols:
-                raise ValueError("inconsistent matrix shape")
-            bits.append(r)
-        if len(bits) != nrows:
+        if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError("inconsistent matrix shape")
-        object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "bits", tuple(map(_pack, rows)))
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
 
@@ -176,7 +166,7 @@ class GF2Matrix(Frozen):
     @staticmethod
     def from_columns(cols: Sequence[int], nrows: int) -> "GF2Matrix":
         """Columns given as int bitsets over the rows."""
-        return GF2Matrix(_transpose(cols, nrows), nrows, len(cols))
+        return GF2Matrix._of(tuple(_transpose(cols, nrows)), nrows, len(cols))
 
     def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.nrows:

@@ -27,11 +27,16 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """n/d (d > 0) in lowest terms, as "p" or "p/q", with no Fraction
+    built."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def rat_to_str(value: Fraction) -> str:
     value = rat(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio_str(value.numerator, value.denominator)
 
 
 class Grade(Frozen):

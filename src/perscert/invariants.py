@@ -242,7 +242,8 @@ def slice_axis(x: PersistentObject, axis: int, value) -> PersistentObject:
     idxs = list(x.grid.locate(Grid(axes), zero_grade(2)).values())  # along the line
     objects = {(i,): x.at(j) for i, j in enumerate(idxs)}
     edges = {((i,), 0): x.map_between(j, k) for i, (j, k) in enumerate(zip(idxs, idxs[1:]))}
-    return PersistentObject._of(Grid([axes[1 - axis]]), x.category_name, objects, edges)
+    return PersistentObject._of(Grid._of((x.grid._scaled[1 - axis],)), x.category_name,
+                                objects, edges)
 
 
 def homology_cert(cert: InterleavingCert, n: int) -> InterleavingCert:

@@ -11,10 +11,11 @@ Validation rule, also fixed once for the whole package: decoders and public
 constructors (``PersistentObject``, ``DeltaMorphism``, ``DeltaMorphism.from_fn``,
 ``integer_object``, ``constant_object``) validate what they receive; library
 builders, whose outputs are valid because their inputs are, build them with
-``PersistentObject._of`` and ``DeltaMorphism._on`` (and GF(2) products with
-``gf2.GF2Matrix._of``), which check nothing. A
+``PersistentObject._of``, ``DeltaMorphism._on`` and ``Grid._of`` (and GF(2)
+matrices with ``gf2.GF2Matrix._of``), which check nothing. A
 builder whose output needs more than valid inputs (a natural h, a valid
 certificate) checks that first; a certificate by ``_require_valid``.
+``tests/test_hygiene.py`` lists every call of a checking constructor.
 
 Interleaving identities, stated once: naturality of a leg is laid out by its
 ``_Leg`` (``DeltaMorphism.check_natural``), and the two triangle identities
@@ -817,7 +818,7 @@ def rescale(x: PersistentObject, c) -> PersistentObject:
     c = rat(c)
     if c <= 0:
         raise InvalidScaleError("rescale factor must be positive")
-    grid = Grid([tuple(v / c for v in axis) for axis in x.grid.axes])
+    grid = Grid._of(tuple(_scale([v / c for v in axis]) for axis in x.grid.axes))
     return PersistentObject._of(grid, x.category_name, x.objects, x.edge_maps)
 
 

@@ -32,8 +32,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1):
-        self.used += amount
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(f"search budget of {self.limit} exhausted")
 

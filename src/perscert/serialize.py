@@ -33,7 +33,6 @@ dimensions and matrices are decoded one by one.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 from collections import deque
@@ -43,7 +42,7 @@ from .categories import simplex
 from .complexes import FilteredComplex, MetricInput
 from .errors import SchemaError
 from .gf2 import GF2Matrix
-from .grades import Grade, rat_to_str
+from .grades import Grade, _ratio_str, rat_to_str
 from .invariants import Bar, Barcode
 from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
 
@@ -252,12 +251,6 @@ def decode_cat_map(category: str, data, kept: deque | None = None):
 
 
 # -- the value table of one document --------------------------------------------
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """n/d (d > 0) as ``encode_rational`` writes it, with no Fraction built."""
-    g = math.gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class _Values:

@@ -106,7 +106,7 @@ def rand_map(rng, cat, src, tgt):
     """A seeded map src -> tgt in FinSet or F2Vec; tgt is nonempty in FinSet
     unless src is empty."""
     if cat is F2VEC:
-        return GF2Matrix([rng.getrandbits(src) for _ in range(tgt)], tgt, src)
+        return GF2Matrix._of(tuple([rng.getrandbits(src) for _ in range(tgt)]), tgt, src)
     return {s: rng.choice(sorted(tgt)) for s in src}
 
 

@@ -26,8 +26,10 @@ from perscert import serialize as ser
 from perscert.cli import _pieces, main
 from perscert.complexes import (FilteredComplex, MetricInput, function_rips, to_persistent,
                                 vietoris_rips)
+from perscert.distances import MAX_BARS
 from perscert.gf2 import GF2Matrix
 from perscert.grades import grade
+from perscert.invariants import Bar, Barcode
 from perscert.persist import (InterleavingReport, floor_roundtrip_cert, integer_object,
                               self_interleaving)
 from perscert.randgen import (
@@ -967,6 +969,45 @@ def test_roundtrip_floor_refuses_a_large_dimension_before_building(runner, tmp_p
     assert json.loads(r.output)["message"] == (
         "the floor round-trip certificate could hold 448000000 matrix entries, "
         f"more than the limit of {persist.MAX_ENTRIES}")
+
+
+def test_bottleneck_and_interleave_dist_bound_the_bars_they_match(runner, tmp_path):
+    """``bottleneck`` matches two barcodes of MAX_BARS bars together and
+    refuses one bar more (exit 3), naming the count and the limit; so does
+    the bottleneck floor of ``interleave-dist``, on the barcodes of its
+    objects: MAX_BARS / 2 infinite bars each at the limit, where the search
+    then spends its budget of 0, and one finite bar more past it."""
+    half = MAX_BARS // 2
+    refused = f"the two barcodes hold {MAX_BARS + 1} bars, more than the limit of {MAX_BARS}"
+    left = write(tmp_path, "left.json", ser.encode_barcode(Barcode([Bar(0, 2)] * half)))
+    for n, code, field, value in ((half, 0, "cost", "1"), (half + 1, 3, "message", refused)):
+        right = write(tmp_path, "right.json", ser.encode_barcode(Barcode([Bar(1, 3)] * n)))
+        r = invoke(runner, ["bottleneck", left, right])
+        assert (r.exit_code, json.loads(r.output)[field]) == (code, value)
+    x = write(tmp_path, "x.json", ser.encode_object(integer_object("F2Vec", [half], [], 0)))
+    projection = GF2Matrix([[int(i == j) for j in range(half + 1)] for i in range(half)])
+    for y, message in ((integer_object("F2Vec", [half], [], 1),
+                        "search budget of 0 exhausted before settling all candidates"),
+                       (integer_object("F2Vec", [half + 1, half], [projection], 1), refused)):
+        r = invoke(runner, ["interleave-dist", "--max-enum", "0", x,
+                            write(tmp_path, "y.json", ser.encode_object(y))])
+        assert r.exit_code == 3
+        assert json.loads(r.output)["message"] == message
+
+
+def test_interleave_dist_refuses_large_barcodes_before_matching(runner, tmp_path):
+    """Two one-grade F2Vec objects of dimension 2,000, at grades 0 and 1,
+    are documents of some 150 bytes each, but their barcodes hold 2,000
+    infinite bars each: budget exceeded (exit 3) before the bottleneck floor
+    builds a cost matrix."""
+    x, y = (write(tmp_path, f"{name}.json", {**f2vec_point(2000), "axes": [[at]]})
+            for name, at in (("x", "0"), ("y", "1")))
+    start = time.perf_counter()
+    r = invoke(runner, ["interleave-dist", "--max-enum", "0", x, y])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 3
+    assert json.loads(r.output)["message"] == (
+        f"the two barcodes hold 4000 bars, more than the limit of {MAX_BARS}")
 
 
 @pytest.mark.parametrize("command", ["rips", "frips", "degree-rips"])

@@ -1,6 +1,6 @@
 """Library builders trust what they derive: they build their outputs with
-``PersistentObject._of``, ``DeltaMorphism._on`` and ``FilteredComplex._of``,
-which check nothing. Here every such builder runs on seeded inputs, and each
+``PersistentObject._of``, ``DeltaMorphism._on``, ``FilteredComplex._of``
+and ``Grid._of``, which check nothing. Here every such builder runs on seeded inputs, and each
 output is rebuilt through the validating (or, for filtered complexes,
 normalizing) constructors, which raise unless it is valid. This is the
 oracle that stands in for re-checking derived data at run time."""
@@ -31,6 +31,7 @@ from perscert import (
     rescale_cert,
     restrict_to_Z,
     self_interleaving,
+    skeleton,
     slice_axis,
     sq_gadget,
     to_persistent,
@@ -101,7 +102,9 @@ def test_filtrations_and_their_invariants_are_valid():
 
 def renormalized(f: FilteredComplex) -> FilteredComplex:
     """f rebuilt by the constructor, which normalizes every simplex; the
-    rebuilt complex equals f, so f's simplices were already sorted tuples."""
+    rebuilt complex equals f, so f's simplices were already sorted tuples,
+    held in a frozenset as the constructor holds them."""
+    assert type(f.simplices) is frozenset
     g = FilteredComplex(f.vertices, f.simplices, f.grade, f.m)
     assert g == f
     return g
@@ -129,6 +132,20 @@ def test_rips_builders_and_the_decoder_give_normalized_complexes():
     renormalized(ser.decode_filtered_complex({"format": ser.FORMAT_COMPLEX, "m": 2}))
 
 
+def test_skeleta_are_normalized_complexes():
+    """FilteredComplex._of (skeleton) at n = 0 to 2, on seeded complexes and
+    on Rips complexes of vertex names in and out of order."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        metric = rand_metric(rng, rng.randint(0, 6))
+        names = ["b", "a", "c", "e", "d", "f"][:metric.n]
+        complexes = [rand_filtered_complex(rng, n_vertices=5),
+                     vietoris_rips(MetricInput(names, metric.dist), 3)]
+        for f in complexes:
+            for n in range(3):
+                renormalized(skeleton(f, n))
+
+
 def test_empty_complexes_are_valid():
     revalidated(to_persistent(FilteredComplex([], [], {}, 2)))
     revalidated(degree_rips(MetricInput([], []), 2))
@@ -143,6 +160,7 @@ def test_sq_gadget_of_a_commuting_square_is_valid():
         {((0, 0), 0): {"a": "a", "b": "b"}, ((0, 0), 1): {"a": "c", "b": "c"},
          ((1, 0), 1): {"a": "c", "b": "c"}, ((0, 1), 0): {"c": "c"}},
     )
+    revalidated(square)
     x = revalidated(sq_gadget(square))
     revalidated(pi0(x))
 

@@ -2,6 +2,7 @@
 oracles, and the stability cross-checks."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from perscert import (
     Bar,
     Barcode,
+    BudgetExceededError,
     Grade,
     ValidationError,
     bottleneck,
@@ -18,7 +20,8 @@ from perscert import (
     self_interleaving,
     stability_audit,
 )
-from perscert.distances import _max_bipartite_matching
+from perscert import distances
+from perscert.distances import MAX_BARS, _max_bipartite_matching
 from perscert.gf2 import GF2Matrix
 from perscert.persist import Grid, PersistentObject, check_interleaving
 from perscert.search import (_Budget, _least_certified, _search_at_delta,
@@ -112,6 +115,21 @@ def test_matching_follows_augmenting_paths_past_the_recursion_limit():
     n = 3 * sys.getrecursionlimit()
     adj = [[i, i + 1] for i in range(n)] + [[0]]
     assert _max_bipartite_matching(n + 1, n + 1, adj) == list(range(1, n + 1)) + [0]
+
+
+def test_bottleneck_bounds_its_bars_before_building_costs(monkeypatch):
+    """Two barcodes of MAX_BARS bars together are matched; one bar more is
+    refused before any pair cost is computed, naming the count and the
+    limit. Unequal counts of infinite bars answer infinity at any size."""
+    half = MAX_BARS // 2
+    left = Barcode([Bar(0, 2)] * half)
+    assert bottleneck(left, Barcode([Bar(1, 3)] * (MAX_BARS - half)))[0] == 1
+    wider = Barcode([Bar(1, 3)] * (MAX_BARS - half + 1))
+    monkeypatch.setattr(distances, "_cost", None)  # a cost matrix would call it
+    message = f"the two barcodes hold {MAX_BARS + 1} bars, more than the limit of {MAX_BARS}"
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        bottleneck(left, wider)
+    assert bottleneck(Barcode([Bar(0, None)] * (MAX_BARS + 1)), Barcode([])) == (None, None)
 
 
 def test_bottleneck_is_a_pseudometric():

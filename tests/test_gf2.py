@@ -5,9 +5,11 @@ reference written here. Kernels are ``kernel_bits`` and solutions a tagged
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perscert.categories import F2VEC
 from perscert.gf2 import Echelon, GF2Matrix, _matrix_index, all_matrices, kernel_bits
 
 
@@ -229,9 +231,10 @@ def checked(a: GF2Matrix) -> GF2Matrix:
 
 
 def test_unchecked_matrices_equal_their_checked_rows():
-    """Products, identities, zeros and every matrix ``all_matrices`` yields up
-    to 3x3 are built by ``GF2Matrix._of`` without a check; each equals (and
-    hashes as) the matrix ``GF2Matrix(rows)`` builds from its rows, with
+    """Products, identities, zeros, ``from_columns`` matrices, both
+    projections of a fiber product and every matrix ``all_matrices`` yields
+    up to 3x3 are built by ``GF2Matrix._of`` without a check; each equals
+    (and hashes as) the matrix ``GF2Matrix(rows)`` builds from its rows, with
     its rows in range and a tuple of bits."""
     rng = random.Random(38)
     built = [GF2Matrix.identity(n) for n in range(5)]
@@ -240,6 +243,22 @@ def test_unchecked_matrices_equal_their_checked_rows():
     for _ in range(100):
         r, k, c = (rng.randint(0, 6) for _ in range(3))
         built.append(rand_matrix(rng, r, k) @ rand_matrix(rng, k, c))
+        built.append(GF2Matrix.from_columns([rng.getrandbits(r) for _ in range(c)], r))
+        x, b = rng.randint(0, 4), rng.randint(0, 4)
+        _, proj_x, proj_b, _ = F2VEC.fiber_product(rand_matrix(rng, k, x), rand_matrix(rng, k, b),
+                                                   x, b)
+        built += [proj_x, proj_b]
     for a in built:
         assert type(a.bits) is tuple and all(0 <= v < 1 << a.ncols for v in a.bits)
         assert a == checked(a) and hash(a) == hash(checked(a))
+
+
+def test_rows_enter_as_entries_only():
+    """``GF2Matrix(rows)`` takes sequences of 0/1 entries, of one length;
+    bitset rows enter through ``GF2Matrix._of`` alone."""
+    assert GF2Matrix([[0, 1]]) == GF2Matrix._of((2,), 1, 2)
+    with pytest.raises(TypeError):
+        GF2Matrix([2], 1, 2)
+    for rows, nrows, ncols in [([[0, 1], [1]], None, None), ([[0, 1]], 2, 2), ([[0, 1]], 1, 3)]:
+        with pytest.raises(ValueError):
+            GF2Matrix(rows, nrows, ncols)

@@ -4,8 +4,9 @@ module-level function or class that no package module refers to, a public
 one or an export of the package that nothing refers to, a default argument
 evaluated once into a value that calls could share, a cycle among the
 package's modules, a library module that imports the searches, an import
-from outside the standard library, and a CLI command that writes its
-document or exits itself. Last, the modules a launch of the CLI loads."""
+from outside the standard library, a CLI command that writes its document
+or exits itself, and a checking constructor called where no check is
+due. Last, the modules a launch of the CLI loads."""
 
 import ast
 import graphlib
@@ -210,6 +211,63 @@ def test_the_package_imports_the_standard_library_only():
 def test_only_the_cli_and_the_package_import_the_searches():
     importers = {name for name, deps in IMPORTS.items() if "search" in deps}
     assert importers <= {"cli", "__init__"}, f"library modules import search: {importers}"
+
+
+# The constructors that check (or, for FilteredComplex, normalize) what they
+# receive, and each package function that calls one, with why it checks.
+# Under the package's one validation rule (``persist``), every other builder
+# derives values that are valid by construction and builds them with
+# ``_of`` or ``_on``, which check nothing.
+CHECKING = {"GF2Matrix", "Grid", "PersistentObject", "FilteredComplex", "DeltaMorphism",
+            "MetricInput"}
+CHECKED_CALLS = {
+    ("serialize", "decode_cat_map"): "a decoder: matrix rows of a document",
+    ("serialize", "decode_object"): "a decoder: the axes, objects and edge maps of a document",
+    ("serialize", "decode_metric"): "a decoder: the dissimilarities of a document",
+    ("persist", "constant_object"): "a public constructor: the caller's value and grid",
+    ("complexes", "metric_from_coordinates"): "a public constructor: the caller's coordinates",
+    ("invariants", "slice_axis"): "the line's grid holds the caller's value",
+    ("rectify", "three_halves_check"): "checks the new claim that its axes are consecutive "
+                                       "integers",
+    ("randgen", "_rand_f2vec_chain"): "a generator: drawn 0/1 rows",
+    ("randgen", "rand_real_object"): "a generator: a drawn axis and chain",
+    ("randgen", "rand_metric"): "a generator: drawn dissimilarities",
+    ("randgen", "rand_filtered_complex"): "a generator: drawn simplices and grades",
+}
+
+
+def checked_calls():
+    """(module, function, line, name) of each call of a checking constructor
+    by its name, bare or as a module attribute; function is the qualified
+    name of the definition around the call, None at module level."""
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in CHECKING:
+                yield module, scope, node.lineno, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, module, scope)
+
+    for name, tree in TREES.items():
+        yield from visit(tree, name.removesuffix(".py"), None)
+
+
+def test_checking_constructors_run_only_where_a_check_is_due():
+    """Every package call of a checking constructor is on CHECKED_CALLS, and
+    every entry there still makes one: decoders, public constructors and
+    generators check what arrives, and builders build what they derive
+    unchecked."""
+    calls = list(checked_calls())
+    stray = [f"{module}.py:{line} {name} in {function}"
+             for module, function, line, name in calls
+             if (module, function) not in CHECKED_CALLS]
+    assert not stray, f"checking constructors called by builders: {stray}"
+    stale = set(CHECKED_CALLS).difference((module, function) for module, function, _, _ in calls)
+    assert not stale, f"allowed callers that call no checking constructor: {stale}"
 
 
 def test_launching_the_cli_imports_neither_dataclasses_nor_inspect():

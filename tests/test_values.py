@@ -87,7 +87,7 @@ def test_a_value_keeps_its_repr(name):
 
 def test_values_with_other_fields_differ():
     assert Grade([1]) != Grade([2]) and Grade([1]) != Grade([1, 0])
-    assert GF2Matrix([0], 1, 2) != GF2Matrix([0], 1, 3)
+    assert GF2Matrix([[0, 0]]) != GF2Matrix([[0, 0, 0]])
     assert Bar(0, 1) != Bar(0, None)
     assert Barcode([Bar(0, 1)]) != Barcode([])
     assert MetricInput([0], [[0]]) != MetricInput([0], [[0]], [1])
