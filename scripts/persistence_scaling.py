@@ -44,7 +44,11 @@ the script exits with status 1 when the two texts differ. Then
 ``decode_cert`` reads the documents, as the CLI writes them, of the genuine
 FinSet and F2Vec certificates of the ``check_interleaving`` rows; the
 script exits with status 1 when the decoded certificate is written to
-another text. Then the CLI reads the argument lists of PARSED_REQUESTS, the
+another text. Then ``decode_object`` reads SMALL_DOCUMENTS seeded 3-grade
+FinSet and F2Vec documents on rational axes (``rand_real_object``), as the
+CLI writes them, the small documents of an ``interleave-dist`` request;
+the script exits with status 1 when a decoded object is written to another
+text. Then the CLI reads the argument lists of PARSED_REQUESTS, the
 shapes perfbench sends, both by its one-pass reader and by argparse; the
 script exits with status 1 when the reader does not take one or gives
 another answer than argparse. Last, the launch rows time LAUNCHES fresh
@@ -97,7 +101,7 @@ from perscert.cli import _PARSER, _pieces, _read
 from perscert.grades import rat_to_str
 from perscert.persist import floor_roundtrip_cert
 from perscert.randgen import (corrupt_certificate, interleaved_pair, rand_f2vec_object,
-                              rand_finset_object, rand_metric)
+                              rand_finset_object, rand_metric, rand_real_object)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import encode_cert_by_occurrence, encode_zigzag_by_occurrence  # noqa: E402
@@ -107,6 +111,8 @@ RIPS_POINTS = (8, 12, 16, 20, 24)
 DEGREE_RIPS_POINTS = (6, 7, 8, 9, 12)
 DECODE_POINTS = (6, 9, 12)
 CHECK_GRADES = (41, 81)
+# the 3-grade documents of each decode small row
+SMALL_DOCUMENTS = 200
 SEED = 1
 # the argument lists perfbench sends, by command
 PARSED_REQUESTS = {
@@ -366,6 +372,19 @@ def main() -> None:
             ms = best_ms(lambda: ser.decode_cert(data))
             print(f"decode cert {category:6} n={n:3d}  bytes={len(text):8d}  sha256={digest}  "
                   f"best_ms={ms:10.3f}")
+    for category in ("FinSet", "F2Vec"):
+        rng = random.Random(SEED * 1000 + 3)
+        texts = ["".join(_pieces(ser.encode_object(rand_real_object(rng, category, 3, 2))))
+                 for _ in range(SMALL_DOCUMENTS)]
+        docs = [json.loads(text) for text in texts]
+        if ["".join(_pieces(ser.encode_object(ser.decode_object(d)))) for d in docs] != texts:
+            print(f"decode small {category}: a decoded object is written another way")
+            disagree += 1
+        joined = "\n".join(texts).encode()
+        digest = hashlib.sha256(joined).hexdigest()[:12]
+        ms = best_ms(lambda: [ser.decode_object(d) for d in docs])
+        print(f"decode small {category:6} n={SMALL_DOCUMENTS:3d}  bytes={len(joined):8d}  "
+              f"sha256={digest}  best_ms={ms:10.3f}")
     for command, argv in PARSED_REQUESTS.items():
         read, parsed = _read(argv), vars(_PARSER.parse_args(argv))
         if read != parsed:

@@ -44,11 +44,14 @@ def _cost(birth1, death1, birth2, death2):
     return max(abs(birth1 - birth2), abs(death1 - death2))
 
 
-def _max_bipartite_matching(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]:
+def _max_bipartite_matching(n_left: int, n_right: int,
+                            adj: list[list[int]]) -> Optional[list[int]]:
     """Augmenting-path matching, each left node in turn trying its adjacency
     in order (Kuhn's depth-first search, with an explicit stack so that a
     path may be longer than the interpreter's recursion limit); returns
-    match_left (-1 when free)."""
+    match_left, which matches every left node, or None as soon as one left
+    node has no augmenting path. Kuhn's search never matches that node
+    later, so no matching covers every left node."""
     match_right = [-1] * n_right
     match_left = [-1] * n_left
     for root in range(n_left):
@@ -74,6 +77,8 @@ def _max_bipartite_matching(n_left: int, n_right: int, adj: list[list[int]]) -> 
                     match_left[u] = w
                 break
             stack.append((u, iter(adj[u])))
+        else:  # no augmenting path from root
+            return None
     return match_left
 
 
@@ -99,7 +104,7 @@ def _feasible(cost: list[list[int]], half1: list[int], half2: list[int],
         adj.append(row)
 
     match_left = _max_bipartite_matching(n1 + n2, n2 + n1, adj)
-    if any(v == -1 for v in match_left):
+    if match_left is None:
         return None
     pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
     deleted_left = [i for i in range(n1) if match_left[i] >= n2]

@@ -3,13 +3,15 @@
 A vector is a Python ``int`` whose bit i is coordinate i, so adding two
 vectors is one ``^``. A ``GF2Matrix`` keeps each row packed this way (bit j
 of row i is entry (i, j)). GF(2) maps are bitsets everywhere in the package:
-0/1 rows exist only where they enter, ``GF2Matrix(rows)``, and where they
-leave, ``rows``, which unpacks them for the wire format and for readers.
-``GF2Matrix(rows)`` takes 0/1 rows only and checks the shape of what enters
-from outside (decoders, generators, tests). Bitset rows enter through
-``GF2Matrix._of`` only, which checks nothing, under the package's one
-validation rule (``persist``): products, identities, zeros, ``from_columns``
-and the matrices ``all_matrices`` yields have rows in range by construction.
+0/1 rows exist only where they enter, packed by ``_pack`` with one
+``int(..., 2)`` per row, and where they leave, ``rows``, which unpacks them
+for the wire format and for readers. ``GF2Matrix(rows)`` takes 0/1 rows
+only and checks the shape of what enters from generators and tests; the
+matrix decoder checks shape and entries itself and packs its rows. Bitset
+rows enter through ``GF2Matrix._of`` only, which checks nothing, under the
+package's one validation rule (``persist``): products, identities, zeros,
+``from_columns``, the matrices ``all_matrices`` yields and decoded rows are
+in range by construction or by check.
 
 Every rank, kernel, solve and span question is answered by one incremental
 elimination, ``Echelon``: it keeps one reduced vector per pivot (the
@@ -26,9 +28,16 @@ from typing import Iterable, Iterator, Sequence
 from .errors import Frozen
 
 
+# the digit of each 0/1 entry as bytes(entries) holds it, and "x", which
+# int() refuses, for any other byte
+_DIGITS = b"01" + b"x" * 254
+
+
 def _pack(entries: Sequence[int]) -> int:
-    """0/1 entries (read mod 2) as a bitset, entry i at bit i."""
-    return sum(1 << i for i, x in enumerate(entries) if int(x) % 2)
+    """0/1 entries as a bitset, entry i at bit i: one ``int(..., 2)`` of
+    their digits, the last entry first. Another int entry raises ValueError,
+    and an entry that is no int TypeError."""
+    return int(bytes(entries[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 def _unpack(bits: int, length: int) -> tuple[int, ...]:
@@ -119,7 +128,7 @@ class GF2Matrix(Frozen):
 
     def __init__(self, rows: Sequence[Sequence[int]], nrows: int | None = None,
                  ncols: int | None = None):
-        """Each row is a sequence of 0/1 entries (read mod 2)."""
+        """Each row is a sequence of 0/1 entries."""
         rows = tuple(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0

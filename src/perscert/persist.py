@@ -8,14 +8,25 @@ some coordinate lies below the axis minimum, and is constant above each axis
 maximum.
 
 Validation rule, also fixed once for the whole package: decoders and public
-constructors (``PersistentObject``, ``DeltaMorphism``, ``DeltaMorphism.from_fn``,
-``integer_object``, ``constant_object``) validate what they receive; library
-builders, whose outputs are valid because their inputs are, build them with
-``PersistentObject._of``, ``DeltaMorphism._on`` and ``Grid._of`` (and GF(2)
-matrices with ``gf2.GF2Matrix._of``), which check nothing. A
-builder whose output needs more than valid inputs (a natural h, a valid
-certificate) checks that first; a certificate by ``_require_valid``.
-``tests/test_hygiene.py`` lists every call of a checking constructor.
+constructors (``Grid``, ``PersistentObject``, ``DeltaMorphism``,
+``DeltaMorphism.from_fn``, ``integer_object``, ``constant_object``) validate
+what they receive; library builders, whose outputs are valid because their
+inputs are, build them with ``PersistentObject._of``, ``DeltaMorphism._on``
+and ``Grid._of`` (and GF(2) matrices with ``gf2.GF2Matrix._of``), which
+check nothing. Three checks run once on a value built unchecked:
+``_check_axes`` on a grid's scaled axes (``Grid`` and the object decoder),
+``PersistentObject._validate`` (its constructor, ``integer_object`` and the
+object decoder) and ``DeltaMorphism._validate_components`` (its
+constructor, ``from_fn`` and the morphism decoder). The last two list their
+grid's points and edges once, build the sets of keys off the grid only
+when the counts or a missing place show one (``_refuse_strays``), and
+report the error the one-by-one check reports first; a set or complex map
+is checked once for each distinct (map, source, target) by identity
+(``_unseen``). A builder whose output needs more than valid inputs (a
+natural h, a valid certificate) checks that first; a certificate by
+``_require_valid``.
+``tests/test_hygiene.py`` lists every call of a checking constructor or
+check.
 
 Interleaving identities, stated once: naturality of a leg is laid out by its
 ``_Leg`` (``DeltaMorphism.check_natural``), and the two triangle identities
@@ -32,6 +43,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -63,6 +75,18 @@ def _below(ints, values) -> list[int]:
     return [right(ints, v) - 1 for v in values]
 
 
+def _check_axes(scaled):
+    """scaled, per-axis (d, ints), once every axis is known to be nonempty
+    and strictly increasing: the one check of a grid's axes, for ``Grid``
+    and for a decoded grid."""
+    for _, ints in scaled:
+        if not ints:
+            raise ValidationError("grid axes must be nonempty")
+        if any(map(operator.ge, ints, ints[1:])):
+            raise ValidationError("grid axes must be strictly increasing")
+    return scaled
+
+
 class Grid:
     """Product of m finite, strictly increasing rational axes. Each axis is
     held as (d, ints), its least common denominator d and the integers
@@ -74,12 +98,7 @@ class Grid:
         axes = tuple(tuple(rat(v) for v in axis) for axis in axes)
         if not axes:
             raise DimensionError("a grid needs at least one axis")
-        self._scaled = tuple(map(_scale, axes))
-        for _, ints in self._scaled:
-            if not ints:
-                raise ValidationError("grid axes must be nonempty")
-            if any(a >= b for a, b in zip(ints, ints[1:])):
-                raise ValidationError("grid axes must be strictly increasing")
+        self._scaled = _check_axes(tuple(map(_scale, axes)))
         self.axes = axes  # the Fraction view, at hand here
 
     @classmethod
@@ -209,6 +228,37 @@ class Grid:
         return Grid._of(tuple(out))
 
 
+def _refuse_strays(*tables) -> None:
+    """Refuse any key of a (dict, places) table that is not one of its
+    places, the grid's points or steps in order, naming every such key of
+    all tables. A dict holds a key off its places exactly when it holds
+    more keys than there are places, or as many and misses a place; only
+    then are the key sets built."""
+    for keys, places in tables:
+        if len(keys) != len(places) or not all(map(keys.__contains__, places)):
+            break
+    else:
+        return
+    stray = set().union(*[set(keys).difference(places) for keys, places in tables])
+    if stray:
+        raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
+
+
+def _unseen(seen: set, f, src, tgt) -> bool:
+    """Whether the set or complex map f is due a check as a map src -> tgt:
+    not when this very map was checked between these very objects before.
+    seen, the (map, source, target) id triples met so far, is updated; the
+    ids stay valid while the value being validated holds all three.
+    Decoded objects and certificates hold each run of equal maps, and of
+    equal objects, as one Python object, so each distinct triple is
+    checked once."""
+    key = (id(f), id(src), id(tgt))
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
+
+
 class PersistentObject:
     """A functor from R^m (or Z, when integer_indexed) to a concrete category,
     presented on a finite grid. Immutable after construction."""
@@ -246,20 +296,19 @@ class PersistentObject:
             # ints increase strictly, so they are consecutive when they span len - 1
             if d != 1 or ints[-1] - ints[0] != len(ints) - 1:
                 raise ValidationError("integer-indexed axis must be consecutive integers")
-        cat = self.category
-        stray = (set(self.objects).difference(self.grid.indices())
-                 | set(self.edge_maps).difference((i, a) for i, a, _ in self.grid.edges()))
-        if stray:
-            raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
+        cat, objects, edge_maps = self.category, self.objects, self.edge_maps
+        points = list(self.grid.indices())
+        steps = [(idx, a) for idx, a, _ in self.grid.edges()]
+        _refuse_strays((objects, points), (edge_maps, steps))
         checked = set()  # each distinct object value is checked once
         check, is_map = cat.check_object, cat.is_map
         if self.category_name == "Complex":  # and each distinct simplex and vertex set once
             check = functools.partial(check, faces={})
             is_map = functools.partial(is_map, vertices={})
-        for idx in self.grid.indices():
-            if idx not in self.objects:
+        for idx in points:
+            if idx not in objects:
                 raise ValidationError(f"missing object at grid index {idx}")
-            obj = self.objects[idx]
+            obj = objects[idx]
             try:
                 fresh = obj not in checked
             except TypeError:  # unhashable, so no valid object: check_object says why
@@ -267,13 +316,16 @@ class PersistentObject:
             if fresh:
                 check(obj)
                 checked.add(obj)
-        for idx, a, nxt in self.grid.edges():
-            key = (idx, a)
-            if key not in self.edge_maps:
+        seen = None if self.category_name == "F2Vec" else set()
+        for key in steps:
+            if key not in edge_maps:
                 raise ValidationError(f"missing edge map at {key}")
-            f = self.edge_maps[key]
-            if not is_map(f, self.objects[idx], self.objects[nxt]):
-                raise ValidationError(f"edge map at {key} is not a valid map")
+            idx, a = key
+            nxt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+            f, src, tgt = edge_maps[key], objects[idx], objects[nxt]
+            if seen is None or _unseen(seen, f, src, tgt):
+                if not is_map(f, src, tgt):
+                    raise ValidationError(f"edge map at {key} is not a valid map")
         if self.grid.m >= 2:
             self._audit_squares()
 
@@ -424,13 +476,14 @@ class DeltaMorphism:
 
     def __init__(self, source: PersistentObject, target: PersistentObject,
                  shift: Grade, components: dict):
-        self._place(_Leg(source, target, shift), components)
+        self._place(_Leg(source, target, shift), dict(components))
         self._validate_components()
 
     @classmethod
     def _on(cls, leg: _Leg, components: dict) -> "DeltaMorphism":
         """A morphism on leg, which it shares with every other morphism built
-        on it, of components already known to be maps of the right type."""
+        on it, of components already known to be maps of the right type,
+        which it keeps without copying."""
         f = cls.__new__(cls)
         f._place(leg, components)
         return f
@@ -440,7 +493,7 @@ class DeltaMorphism:
         self.grid, self.shift = leg.grid, leg.shift
         self.source, self.target = leg.source, leg.target
         self.at_source, self.at_target = leg.at_source, leg.at_target
-        self.components = dict(components)
+        self.components = components
         self.category = leg.source.category
 
     @classmethod
@@ -451,16 +504,19 @@ class DeltaMorphism:
         return f
 
     def _validate_components(self) -> None:
-        cat = self.category
-        stray = set(self.components).difference(self.grid.indices())
-        if stray:
-            raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
-        for idx in self.grid.indices():
-            if idx not in self.components:
+        components, points = self.components, self._leg.points
+        _refuse_strays((components, points))
+        source, target = self.source, self.target
+        at_source, at_target = self.at_source, self.at_target
+        is_map = self.category.is_map
+        if source.category_name == "Complex":  # each distinct vertex set is built once
+            is_map = functools.partial(is_map, vertices={})
+        seen = None if source.category_name == "F2Vec" else set()
+        for idx in points:
+            if idx not in components:
                 raise ValidationError(f"missing component at {self.grid.grade_at(idx)}")
-            src = self.source.at(self.at_source[idx])
-            tgt = self.target.at(self.at_target[idx])
-            if not cat.is_map(self.components[idx], src, tgt):
+            f, src, tgt = components[idx], source.at(at_source[idx]), target.at(at_target[idx])
+            if (seen is None or _unseen(seen, f, src, tgt)) and not is_map(f, src, tgt):
                 raise ValidationError(
                     f"component at {self.grid.grade_at(idx)} is not a map {src!r} -> {tgt!r}"
                 )

@@ -8,31 +8,44 @@ and every place the document holds an equal value holds that one wire
 object. A writer may therefore meet one list or dict at many places; it
 must not change them.
 
-Decoders read a document in one pass. The object and edge keys of a
-persistent object, and the "at" coordinates of a certificate, are placed by
-tables of the strings the grid itself is written with; any other string is
-parsed by its pattern, so a non-canonical key still decodes and a bad one
-fails with its own message. Lists of simplices and maps between vertex
+Decoders read a document in one pass. Every wire rational ("p", "p/q" or
+a JSON integer) is read by one parser, ``_ratio``, to a reduced (p, q); a
+grid's axes go from there straight to the scaled integers the grid holds
+(``Grid._scaled``), and an axis of integer strings is matched and read in
+two C calls, so a decoded grid builds no ``Fraction`` until something
+reads ``Grid.axes``. The object and edge keys of a persistent object, and
+the "at" coordinates of a certificate, are placed by tables of the strings
+the grid itself is written with; any other string is parsed by its
+pattern, so a non-canonical key still decodes and a bad one fails with its
+own message. Lists of names, lists of simplices and maps between vertex
 names are read by one C call each when every entry is a plain name, and
-otherwise entry by entry.
+otherwise entry by entry. A decoded object or morphism is built unchecked
+from the tables it read, without a copy, and then validated in one pass
+over its grid (``PersistentObject._validate``,
+``DeltaMorphism._validate_components``).
 
 ``decode_cat_object`` and ``decode_cat_map`` are the only decoders of
-category values, and one rule holds wherever they read a set or complex
-value. Each table keeps the last four flat lists it decoded, each with its
-value: the objects of a persistent object, its edge maps, and each of a
-certificate's two component lists. A list of lists of plain names (str or
-int, never a bool or float: the exact-type check runs first) that equals
-(``==``) a kept one takes that one's value. A decoded object then holds
-each run of equal subcomplexes and inclusions once, a certificate each run
-of equal component maps, and one frozenset or dict may sit at many places.
-The objects check each distinct simplex once
-(``ComplexCategory.check_object``); every check still runs. F2Vec
-dimensions and matrices are decoded one by one.
+category values, and one rule holds wherever they read one. Each table
+keeps the last four values it decoded from flat lists or matrices, each
+with its raw form: the objects of a persistent object, its edge maps, and
+each of a certificate's two component lists. A list of plain names (str or
+int, never a bool or float: the exact-type check runs first), a list of
+lists of them, or a matrix (after its exact-type and 0/1 checks) that
+equals (``==``) a kept one takes that one's value; nothing is hashed per
+value. A decoded object then holds each run of equal sets, subcomplexes,
+inclusions and matrices once, a certificate each run of equal component
+maps, and one frozenset, dict or matrix may sit at many places. The
+checks read that sharing: each distinct object value is checked once (and
+each distinct simplex, ``ComplexCategory.check_object``), and a set or
+complex map once for each distinct source and target objects it is held
+with (``persist._unseen``); every other check runs on every edge map,
+square and component. F2Vec dimensions are decoded one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from collections import deque
@@ -41,10 +54,10 @@ from fractions import Fraction
 from .categories import simplex
 from .complexes import FilteredComplex, MetricInput
 from .errors import SchemaError
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, _pack
 from .grades import Grade, _ratio_str, rat_to_str
 from .invariants import Bar, Barcode
-from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _Leg
+from .persist import DeltaMorphism, Grid, InterleavingCert, PersistentObject, _check_axes, _Leg
 
 FORMAT_OBJECT = "perscert/persistent-object/1"
 FORMAT_CERT = "perscert/interleaving/1"
@@ -94,20 +107,51 @@ def encode_rational(x) -> str:
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def decode_rational(s) -> Fraction:
-    """A JSON integer, or a string of ASCII digits "p" or "p/q" (q > 0)."""
+def _ratio(s) -> tuple[int, int]:
+    """The value of a JSON integer, or of a string of ASCII digits "p" or
+    "p/q" (q > 0), as (p, q) in lowest terms with q > 0: the one parser of
+    wire rationals."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise SchemaError(f"bad rational {s!r}")
     if isinstance(s, int):
-        return Fraction(s)
+        return s, 1
     match = _RATIONAL_RE.fullmatch(s)
     if match is None:
         raise SchemaError(f"bad rational {s!r}: expected an integer or 'p/q'")
     p, q = match.groups()
     try:  # int() refuses strings of more digits than sys.get_int_max_str_digits()
-        return Fraction(int(p), 1 if q is None else int(q))
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(p), 1 if q is None else int(q)
+    except ValueError as exc:
         raise SchemaError(f"bad rational {s!r}") from exc
+    if q == 1:
+        return p, 1
+    if q == 0:
+        raise SchemaError(f"bad rational {s!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def decode_rational(s) -> Fraction:
+    """A JSON integer, or a string of ASCII digits "p" or "p/q" (q > 0)."""
+    return Fraction(*_ratio(s))
+
+
+_INTEGERS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _scaled_axis(axis: list) -> tuple[int, tuple[int, ...]]:
+    """The values of a wire axis as (d, ints), their least common
+    denominator d and the integers v * d, in order (``Grid._scaled``). An
+    axis of integer strings is matched and read in two C calls; any other
+    is read value by value, so its first bad value names itself."""
+    if axis and _STR.issuperset(map(type, axis)) and _INTEGERS_RE.fullmatch(",".join(axis)):
+        try:
+            return 1, tuple(map(int, axis))
+        except ValueError:  # a value of more digits than int() reads: refused below
+            pass
+    ratios = [_ratio(v) for v in axis]
+    d = math.lcm(*[q for _, q in ratios])
+    return d, tuple([p * (d // q) for p, q in ratios])
 
 
 def encode_grade(g: Grade) -> list[str]:
@@ -181,13 +225,16 @@ def decode_cat_object(category: str, data, kept: deque | None = None):
     if category == "F2Vec":
         _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
-    flat = (type(data) is list and _LIST.issuperset(map(type, data))
-            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
-    if flat:  # simplices of vertex names: decode_element would give the same tuples
+    # element names, or simplices of vertex names: decode_element would give
+    # the same names and tuples
+    names = type(data) is list and _FLAT_SCALARS.issuperset(map(type, data))
+    flat = names or (type(data) is list and _LIST.issuperset(map(type, data)) and
+                     _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
+    if flat:
         for raw, elements in kept or ():
             if raw == data:
                 return elements
-        elements = frozenset(map(tuple, data))
+        elements = frozenset(data if names else map(tuple, data))
     else:
         _require(isinstance(data, list), "bad object {!r}", data)
         elements = frozenset(map(decode_element, data))
@@ -208,23 +255,29 @@ def encode_cat_map(category: str, f):
 
 def decode_cat_map(category: str, data, kept: deque | None = None):
     """The F2Vec matrix, or the set or complex map, of data. ``kept``, when
-    given, is its table's last flat raw vertex maps, each with its value
-    (see the module docstring)."""
-    if category == "F2Vec":
-        _require(isinstance(data, dict) and "rows" in data and "shape" in data,
-                 "bad matrix {!r}", data)
+    given, is its table's last raw matrices or flat raw vertex maps, each
+    with its value (see the module docstring)."""
+    if category == "F2Vec":  # the checks run once per matrix, so _require is inlined
+        if not (isinstance(data, dict) and "rows" in data and "shape" in data):
+            raise SchemaError(f"bad matrix {data!r}")
         shape, rows = data["shape"], data["rows"]
-        _require(isinstance(shape, list) and len(shape) == 2
-                 and all(_is_int(n) and n >= 0 for n in shape),
-                 "bad matrix shape {!r}: expected two non-negative ints", shape)
-        nr, nc = shape
-        _require(isinstance(rows, list) and len(rows) == nr
-                 and all(isinstance(r, list) and len(r) == nc for r in rows),
-                 "matrix rows do not match shape {!r}", shape)
-        _require(_INT.issuperset(map(type, itertools.chain.from_iterable(rows)))
-                 and _BITS.issuperset(itertools.chain.from_iterable(rows)),
-                 "matrix entries must be 0 or 1")
-        return GF2Matrix(rows, nr, nc)
+        nr, nc = shape if isinstance(shape, list) and len(shape) == 2 else (None, None)
+        if not (type(nr) is int and type(nc) is int and nr >= 0 and nc >= 0):
+            raise SchemaError(f"bad matrix shape {shape!r}: expected two non-negative ints")
+        if not (isinstance(rows, list) and len(rows) == nr
+                and _LIST.issuperset(map(type, rows)) and {nc}.issuperset(map(len, rows))):
+            raise SchemaError(f"matrix rows do not match shape {shape!r}")
+        entries = list(itertools.chain.from_iterable(rows))
+        if not (_INT.issuperset(map(type, entries)) and _BITS.issuperset(entries)):
+            raise SchemaError("matrix entries must be 0 or 1")
+        # after the exact-type check: true or 1.0 never equals 1 here
+        for held_shape, held_rows, out in kept or ():
+            if held_rows == rows and held_shape == shape:
+                return out
+        out = GF2Matrix._of(tuple(map(_pack, rows)), nr, nc)
+        if kept is not None:
+            kept.append((shape, rows, out))
+        return out
     if (type(data) is list and _LIST.issuperset(map(type, data))
             and _PAIR.issuperset(map(len, data))
             and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
@@ -371,6 +424,24 @@ def _encode_object(x: PersistentObject, values: _Values) -> dict:
     }
 
 
+def _point_keys(grid: Grid):
+    """The key each point of grid is written under, "i,j,...", in grid
+    order."""
+    return map(",".join, itertools.product(*[[str(i) for i in range(len(ints))]
+                                             for _, ints in grid._scaled]))
+
+
+def _step_keys(grid: Grid):
+    """(key, (index, axis)) of each edge of grid, the key "i,j,...|axis"
+    written as the edge is, in the order of ``Grid.edges``."""
+    shape = grid.shape()
+    bars = [f"|{a}" for a in range(len(shape))]
+    for key, idx in zip(_point_keys(grid), grid.indices()):
+        for a, size in enumerate(shape):
+            if idx[a] + 1 < size:
+                yield key + bars[a], (idx, a)
+
+
 def decode_object(data: dict) -> PersistentObject:
     """The persistent object of a document, validated. Its objects and its
     edge maps are two tables of the module docstring's rule: a flat set or
@@ -386,28 +457,29 @@ def decode_object(data: dict) -> PersistentObject:
     m = data.get("m", len(axes))
     _require(_is_int(m) and m == len(axes), "'m' is {!r}, but the object has {} axes",
              m, len(axes))
-    grid = Grid([[decode_rational(v) for v in axis] for axis in axes])
+    # every axis value is read before any axis is checked
+    grid = Grid._of(_check_axes(tuple(map(_scaled_axis, axes))))
     # each table holds the key a grid point or edge is written under -> that
     # point or edge, for as many points or edges as the document has keys;
     # any other key is read by its pattern, and the object's checks refuse it
     # when it lies off the grid
     objects, entries, kept = {}, _field(data, "objects", dict, {}), deque(maxlen=4)
-    points = {",".join(map(str, idx)): idx
-              for idx in itertools.islice(grid.indices(), len(entries))}
+    points = dict(zip(itertools.islice(_point_keys(grid), len(entries)), grid.indices()))
     for key, obj in entries.items():
         idx = points.get(key)
         objects[decode_index(key) if idx is None else idx] = decode_cat_object(
             category, obj, kept)
     edges, entries, kept = {}, _field(data, "edge_maps", dict, {}), deque(maxlen=4)
-    steps = {",".join(map(str, idx)) + "|" + str(a): (idx, a)
-             for idx, a, _ in itertools.islice(grid.edges(), len(entries))}
+    steps = dict(itertools.islice(_step_keys(grid), len(entries)))
     for key, f in entries.items():
         edge = steps.get(key)
         edges[decode_edge_key(key) if edge is None else edge] = decode_cat_map(
             category, f, kept)
     integer_indexed = data.get("integer_indexed", False)
     _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
-    return PersistentObject(grid, category, objects, edges, integer_indexed=integer_indexed)
+    x = PersistentObject._of(grid, category, objects, edges, integer_indexed)
+    x._validate()
+    return x
 
 
 # -- morphisms and certificates -------------------------------------------------
@@ -428,10 +500,10 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     placed by one wire string -> position table per axis, written from the
     merged grid's scaled integers by the encoder's own formatter, and, when
     a coordinate is not written as ``encode_rational`` writes it, by one
-    value -> position table per axis, built on the first such coordinate.
-    The component maps are one table of the module docstring's rule, read
-    as ``decode_object`` reads edge maps: a flat vertex map equal to one of
-    the last four takes that one's value."""
+    scaled integer -> position table per axis, built on the first such
+    coordinate. The component maps are one table of the module docstring's
+    rule, read as ``decode_object`` reads edge maps: a matrix or flat vertex
+    map equal to one of the last four takes that one's value."""
     shift = decode_grade(shift_data)
     _require(shift.m == source.m, "shift {} has arity {}, the objects have m = {}",
              shift, shift.m, source.m)
@@ -440,21 +512,25 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     wire = [{_ratio_str(n, d): i for i, n in enumerate(ints)} for d, ints in leg.grid._scaled]
     positions = None
     category, components, kept = source.category_name, {}, deque(maxlen=4)
-    for entry in components_data:
-        _require(isinstance(entry, dict) and "at" in entry and "map" in entry,
-                 "bad component entry {!r}", entry)
+    for entry in components_data:  # _require is inlined: this runs once per component
+        if not (isinstance(entry, dict) and "at" in entry and "map" in entry):
+            raise SchemaError(f"bad component entry {entry!r}")
         at = entry["at"]
-        _require(isinstance(at, list) and at, "bad grade {!r}", at)
+        if not (isinstance(at, list) and at):
+            raise SchemaError(f"bad grade {at!r}")
         idx = (tuple(map(dict.get, wire, at))
                if len(at) == len(wire) and _STR.issuperset(map(type, at)) else (None,))
         if None in idx:
-            coords = [decode_rational(c) for c in at]
+            ratios = [_ratio(c) for c in at]
             if positions is None:
-                positions = [{v: i for i, v in enumerate(axis)} for axis in leg.grid.axes]
-            idx = tuple(table.get(c) for table, c in zip(positions, coords))
-            if len(coords) != len(positions) or None in idx:
-                raise SchemaError(
-                    f"component at {Grade(coords)} is not a point of the merged grid")
+                positions = [(d, {n: i for i, n in enumerate(ints)})
+                             for d, ints in leg.grid._scaled]
+            # p/q lies on an axis over d when p * d / q is one of its integers
+            idx = tuple(table.get(p * d // q) if p * d % q == 0 else None
+                        for (d, table), (p, q) in zip(positions, ratios))
+            if len(ratios) != len(positions) or None in idx:
+                raise SchemaError(f"component at {Grade(Fraction(*r) for r in ratios)} "
+                                  "is not a point of the merged grid")
         if idx in components:
             raise SchemaError(f"component at {leg.grid.grade_at(idx)} is given twice")
         components[idx] = decode_cat_map(category, entry["map"], kept)

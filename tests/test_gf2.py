@@ -254,11 +254,15 @@ def test_unchecked_matrices_equal_their_checked_rows():
 
 
 def test_rows_enter_as_entries_only():
-    """``GF2Matrix(rows)`` takes sequences of 0/1 entries, of one length;
-    bitset rows enter through ``GF2Matrix._of`` alone."""
+    """``GF2Matrix(rows)`` takes sequences of 0/1 entries, of one length,
+    and refuses any other entry (48 and 49 among them, the bytes of the
+    digits "0" and "1"); bitset rows enter through ``GF2Matrix._of`` alone."""
     assert GF2Matrix([[0, 1]]) == GF2Matrix._of((2,), 1, 2)
-    with pytest.raises(TypeError):
-        GF2Matrix([2], 1, 2)
-    for rows, nrows, ncols in [([[0, 1], [1]], None, None), ([[0, 1]], 2, 2), ([[0, 1]], 1, 3)]:
+    for rows in ([2], [["1", 0]], [[1.0, 0]]):
+        with pytest.raises(TypeError):
+            GF2Matrix(rows, 1, 2)
+    for rows, nrows, ncols in [([[0, 1], [1]], None, None), ([[0, 1]], 2, 2), ([[0, 1]], 1, 3),
+                               ([[0, 2]], 1, 2), ([[48, 1]], 1, 2), ([[49, 0]], 1, 2),
+                               ([[1, -1]], 1, 2)]:
         with pytest.raises(ValueError):
             GF2Matrix(rows, nrows, ncols)

@@ -5,8 +5,8 @@ one or an export of the package that nothing refers to, a default argument
 evaluated once into a value that calls could share, a cycle among the
 package's modules, a library module that imports the searches, an import
 from outside the standard library, a CLI command that writes its document
-or exits itself, and a checking constructor called where no check is
-due. Last, the modules a launch of the CLI loads."""
+or exits itself, and a checking constructor or check called where no
+check is due. Last, the modules a launch of the CLI loads."""
 
 import ast
 import graphlib
@@ -214,16 +214,25 @@ def test_only_the_cli_and_the_package_import_the_searches():
 
 
 # The constructors that check (or, for FilteredComplex, normalize) what they
-# receive, and each package function that calls one, with why it checks.
-# Under the package's one validation rule (``persist``), every other builder
-# derives values that are valid by construction and builds them with
-# ``_of`` or ``_on``, which check nothing.
+# receive, the checks that run on a value built unchecked (``_validate`` of
+# an object, ``_validate_components`` of a morphism, ``_check_axes`` of a
+# grid's scaled axes), and each package function that calls one, with why
+# it checks. Under the package's one validation rule (``persist``), every
+# other builder derives values that are valid by construction and builds
+# them with ``_of`` or ``_on``, which check nothing.
 CHECKING = {"GF2Matrix", "Grid", "PersistentObject", "FilteredComplex", "DeltaMorphism",
-            "MetricInput"}
+            "MetricInput", "_validate", "_validate_components", "_check_axes"}
 CHECKED_CALLS = {
-    ("serialize", "decode_cat_map"): "a decoder: matrix rows of a document",
     ("serialize", "decode_object"): "a decoder: the axes, objects and edge maps of a document",
+    ("serialize", "decode_morphism"): "a decoder: the component maps of a document",
     ("serialize", "decode_metric"): "a decoder: the dissimilarities of a document",
+    ("persist", "Grid.__init__"): "a public constructor: the caller's axes",
+    ("persist", "PersistentObject.__init__"): "a public constructor: the caller's grid, "
+                                              "objects and edge maps",
+    ("persist", "DeltaMorphism.__init__"): "a public constructor: the caller's components",
+    ("persist", "DeltaMorphism.from_fn"): "a public constructor: the maps the caller's "
+                                          "function gives",
+    ("persist", "integer_object"): "a public constructor: the caller's chain",
     ("persist", "constant_object"): "a public constructor: the caller's value and grid",
     ("complexes", "metric_from_coordinates"): "a public constructor: the caller's coordinates",
     ("invariants", "slice_axis"): "the line's grid holds the caller's value",
@@ -238,7 +247,7 @@ CHECKED_CALLS = {
 
 def checked_calls():
     """(module, function, line, name) of each call of a checking constructor
-    by its name, bare or as a module attribute; function is the qualified
+    or check by its name, bare or as an attribute; function is the qualified
     name of the definition around the call, None at module level."""
 
     def visit(node, module, scope):
@@ -257,10 +266,10 @@ def checked_calls():
 
 
 def test_checking_constructors_run_only_where_a_check_is_due():
-    """Every package call of a checking constructor is on CHECKED_CALLS, and
-    every entry there still makes one: decoders, public constructors and
-    generators check what arrives, and builders build what they derive
-    unchecked."""
+    """Every package call of a checking constructor or check is on
+    CHECKED_CALLS, and every entry there still makes one: decoders, public
+    constructors and generators check what arrives, and builders build what
+    they derive unchecked."""
     calls = list(checked_calls())
     stray = [f"{module}.py:{line} {name} in {function}"
              for module, function, line, name in calls

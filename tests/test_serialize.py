@@ -18,7 +18,7 @@ from perscert import serialize as ser
 from perscert.cli import _pieces
 from perscert.complexes import (SQUARE_GRID, MetricInput, degree_rips, sq_gadget,
                                 vietoris_rips)
-from perscert.errors import SchemaError, ValidationError
+from perscert.errors import CategoryError, PerscertError, SchemaError, ValidationError
 from perscert.invariants import Bar, Barcode, pi0
 from perscert.grades import Grade
 from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, PersistentObject,
@@ -506,6 +506,152 @@ def test_decoded_certificates_equal_and_replay_as_the_certificates_read_entry_by
     assert _cert_parts(ours) == _cert_parts(oracle) == _cert_parts(cert)
     reports = [check_interleaving(c) for c in (ours, oracle)]
     assert len({(r.valid, r.grade, r.identity) for r in reports}) == 1
+
+
+def _edited(doc: dict, **fields) -> dict:
+    """A deep copy of doc with the given top-level fields replaced."""
+    return {**copy.deepcopy(doc), **fields}
+
+
+_SETS = _line_object("FinSet", [["a"], ["a"], ["a"]], [[["a", "a"]], [["a", "a"]]])
+_VECTORS = _line_object("F2Vec", [1, 1, 1], [{"rows": [[1]], "shape": [1, 1]}] * 2)
+_TRIANGLES = _line_object("Complex", [[[1]], [[1], [2]], [[1], [2]]],
+                          [[[1, 1]], [[1, 1], [2, 2]]])
+_IDENTITY = {"rows": [[1]], "shape": [1, 1]}
+
+OBJECT_ERRORS = {
+    "off-grid key, equal counts": (
+        _edited(_SETS, objects={"0": ["a"], "1": ["a"], "5": ["a"]}),
+        ValidationError, "keys outside the grid: [(5,)]"),
+    "missing point": (
+        _edited(_SETS, objects={"0": ["a"], "1": ["a"]}),
+        ValidationError, "missing object at grid index (2,)"),
+    "missing edge": (
+        _edited(_SETS, edge_maps={"0|0": [["a", "a"]]}),
+        ValidationError, "missing edge map at ((1,), 0)"),
+    "extra edge": (
+        _edited(_SETS, edge_maps={**_SETS["edge_maps"], "2|0": [["a", "a"]]}),
+        ValidationError, "keys outside the grid: [((2,), 0)]"),
+    "off-grid edge, equal counts": (
+        _edited(_SETS, edge_maps={"0|0": [["a", "a"]], "2|0": [["a", "a"]]}),
+        ValidationError, "keys outside the grid: [((2,), 0)]"),
+    "zero denominator": (
+        _edited(_SETS, axes=[["0", "1/0", "2"]]), SchemaError, "bad rational '1/0'"),
+    "decimal": (
+        _edited(_SETS, axes=[["0", "1.5", "2"]]), SchemaError,
+        "bad rational '1.5': expected an integer or 'p/q'"),
+    "boolean": (_edited(_SETS, axes=[["0", True, "2"]]), SchemaError, "bad rational True"),
+    "float": (_edited(_SETS, axes=[["0", 2.0, "3"]]), SchemaError, "bad rational 2.0"),
+    "list": (_edited(_SETS, axes=[["0", [], "2"]]), SchemaError, "bad rational []"),
+    "empty axis": (_edited(_SETS, axes=[[]]), ValidationError, "grid axes must be nonempty"),
+    "non-increasing axis": (
+        _edited(_SETS, axes=[["0", "1", "1"]]), ValidationError,
+        "grid axes must be strictly increasing"),
+    "bad rational after an empty axis": (
+        _edited(_SETS, m=2, axes=[[], ["x"]]), SchemaError,
+        "bad rational 'x': expected an integer or 'p/q'"),
+    "bad map after a bad object": (
+        _edited(_SETS, objects={**_SETS["objects"], "1": "x"},
+                edge_maps={**_SETS["edge_maps"], "1|0": "y"}),
+        SchemaError, "bad object 'x'"),
+    "invalid map after an invalid object": (
+        _edited(_TRIANGLES, objects={**_TRIANGLES["objects"], "1": [[2], [1], [2, 1]]},
+                edge_maps={"0|0": [[1, 2]], "1|0": [[1, 1]]}),
+        CategoryError, "simplex (2, 1) is not sorted and duplicate-free"),
+    "off-grid key after an invalid object": (
+        _edited(_TRIANGLES, objects={"0": [[1]], "1": [[2, 1]], "7": [[1]]}),
+        ValidationError, "keys outside the grid: [(7,)]"),
+    "invalid map before a missing one": (
+        _edited(_SETS, edge_maps={"0|0": [["a", "b"]]}),
+        ValidationError, "edge map at ((0,), 0) is not a valid map"),
+    "wrong matrix shape": (
+        _edited(_VECTORS, edge_maps={**_VECTORS["edge_maps"],
+                                     "1|0": {"rows": [[1, 0]], "shape": [1, 2]}}),
+        ValidationError, "edge map at ((1,), 0) is not a valid map"),
+}
+
+CERT_ERRORS = {
+    "stray component": (
+        _line_cert("FinSet", [["a"]] * 3, [[["a", "a"]]] * 2, [[["a", "a"]]] * 3),
+        lambda legs: legs.append({"at": ["5"], "map": [["a", "a"]]}),
+        SchemaError, "component at Grade(5) is not a point of the merged grid"),
+    "missing component": (
+        _line_cert("FinSet", [["a"]] * 3, [[["a", "a"]]] * 2, [[["a", "a"]]] * 3),
+        lambda legs: legs.pop(),
+        ValidationError, "missing component at Grade(2)"),
+    "duplicated at": (
+        _line_cert("FinSet", [["a"]] * 3, [[["a", "a"]]] * 2, [[["a", "a"]]] * 3),
+        lambda legs: legs.insert(1, copy.deepcopy(legs[1])),
+        SchemaError, "component at Grade(1) is given twice"),
+    "shared component map invalid at a later point": (
+        _line_cert("FinSet", [["a"], ["a"], ["b"]], [[["a", "a"]], [["a", "b"]]],
+                   [[["a", "a"]]] * 3),
+        lambda legs: None,
+        ValidationError, "component at Grade(2) is not a map frozenset({'b'}) -> "
+                         "frozenset({'b'})"),
+    "component of the wrong shape": (
+        _line_cert("F2Vec", [1, 1, 1], [_IDENTITY] * 2, [_IDENTITY] * 3),
+        lambda legs: legs[0].update(map={"rows": [[1, 0]], "shape": [1, 2]}),
+        ValidationError, "component at Grade(0) is not a map 1 -> 1"),
+}
+
+
+@pytest.mark.parametrize("doc, error, message",
+                         [pytest.param(*case, id=name) for name, case in OBJECT_ERRORS.items()])
+def test_malformed_objects_raise_their_first_error(doc, error, message):
+    """Each malformed object document raises the error of its first fault,
+    by the exact type and message: axis values and axes before the tables,
+    keys off the grid before any missing, invalid object or map, and the
+    points and steps in grid order."""
+    with pytest.raises(PerscertError) as info:
+        ser.decode_object(json_round(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("doc, edit, error, message",
+                         [pytest.param(*case, id=name) for name, case in CERT_ERRORS.items()])
+def test_malformed_certificates_raise_their_first_error(doc, edit, error, message):
+    """A certificate with one leg's component list edited raises the error
+    of that edit, by the exact type and message."""
+    doc = copy.deepcopy(doc)
+    edit(doc["f_components"])
+    with pytest.raises(PerscertError) as info:
+        ser.decode_cert(doc)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_non_canonical_axis_values_give_the_canonical_grid():
+    """Axis values written another way ("2/4", "-0", a JSON integer) decode
+    to the object, and the scaled grid, of their canonical document."""
+    doc = _edited(_SETS, axes=[["-1/2", "0", "3"]])
+    canonical = ser.decode_object(json_round(doc))
+    for axis in (["-2/4", "-0", 3], ["-1/2", 0, "6/2"], ["-3/6", "0/5", "03"]):
+        x = ser.decode_object(json_round(_edited(doc, axes=[axis])))
+        assert x == canonical and x.grid._scaled == canonical.grid._scaled == ((2, (-1, 0, 6)),)
+
+
+def test_decoded_matrices_share_equal_rows_and_shapes_and_refuse_bad_ones_after_good():
+    """A matrix equal to one decoded before it in its table, by rows and
+    shape, is decoded once; one with equal rows and another shape is
+    decoded on its own. A matrix with a ``true`` or ``1.0`` entry is refused
+    after a good one it equals in Python."""
+    one, empty = {"rows": [[1]], "shape": [1, 1]}, {"rows": [], "shape": [0, 1]}
+    x = ser.decode_object(json_round(_line_object("F2Vec", [1, 1, 1, 0], [one, one, empty])))
+    maps = x.edge_maps
+    assert maps[((0,), 0)] is maps[((1,), 0)] and maps[((2,), 0)].ncols == 1
+    cert = ser.decode_cert(_line_cert("F2Vec", [0, 0, 0], [{"rows": [], "shape": [0, 0]}] * 2,
+                                      [{"rows": [], "shape": [0, 0]}] * 3))
+    assert check_interleaving(cert).valid
+    components = cert.f.components
+    assert components[(0,)] is components[(1,)] is components[(2,)]
+    kept = collections.deque(maxlen=4)
+    f = ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, 2]}, kept)
+    assert ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, 3]}, kept).ncols == 3
+    assert ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, 2]}, kept) is f
+    for bad in (True, 1.0):
+        doc = _line_object("F2Vec", [1, 1, 1], [one, {"rows": [[bad]], "shape": [1, 1]}])
+        with pytest.raises(SchemaError, match="^matrix entries must be 0 or 1$"):
+            ser.decode_object(json_round(doc))
 
 
 def test_a_map_shared_by_two_edges_is_checked_on_each():
