@@ -17,9 +17,10 @@ check nothing. Three checks run once on a value built unchecked:
 ``_check_axes`` on a grid's scaled axes (``Grid`` and the object decoder),
 ``PersistentObject._validate`` (its constructor, ``integer_object`` and the
 object decoder) and ``DeltaMorphism._validate_components`` (its
-constructor, ``from_fn`` and the morphism decoder). The last two list their
-grid's points and edges once, build the sets of keys off the grid only
-when the counts or a missing place show one (``_refuse_strays``), and
+constructor, ``from_fn`` and the morphism decoder). The last two build
+the sets of keys off the grid only when the counts or a missing place
+show one (``_refuse_strays``), list a grid only when it has as many
+points and steps as the tables hold keys, and
 report the error the one-by-one check reports first; a set or complex map
 is checked once for each distinct (map, source, target) by identity
 (``_unseen``). A builder whose output needs more than valid inputs (a
@@ -228,18 +229,17 @@ class Grid:
         return Grid._of(tuple(out))
 
 
+# the step (idx, axis) of an edge (idx, axis, next_idx) of ``Grid.edges``
+_STEP = operator.itemgetter(0, 1)
+
+
 def _refuse_strays(*tables) -> None:
-    """Refuse any key of a (dict, places) table that is not one of its
-    places, the grid's points or steps in order, naming every such key of
-    all tables. A dict holds a key off its places exactly when it holds
-    more keys than there are places, or as many and misses a place; only
-    then are the key sets built."""
-    for keys, places in tables:
-        if len(keys) != len(places) or not all(map(keys.__contains__, places)):
-            break
-    else:
-        return
-    stray = set().union(*[set(keys).difference(places) for keys, places in tables])
+    """Refuse any key of a (dict, places) table that is not one of the
+    grid points or steps places() walks, naming every such key of all
+    tables. A dict holds a key off its places exactly when it holds more
+    keys than there are places, or as many and misses a place, so callers
+    come here only then."""
+    stray = set().union(*[set(keys).difference(places()) for keys, places in tables])
     if stray:
         raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
 
@@ -248,8 +248,11 @@ def _unseen(seen: set, f, src, tgt) -> bool:
     """Whether the set or complex map f is due a check as a map src -> tgt:
     not when this very map was checked between these very objects before.
     seen, the (map, source, target) id triples met so far, is updated; the
-    ids stay valid while the value being validated holds all three.
-    Decoded objects and certificates hold each run of equal maps, and of
+    ids stay valid while the value being validated holds all three. The one
+    exception is the initial object, which ``at(None)`` may build afresh
+    for each component: a fresh one may take the id of an earlier one, and
+    the skip is sound only because every initial object is the same empty
+    set. Decoded objects and certificates hold each run of equal maps, and of
     equal objects, as one Python object, so each distinct triple is
     checked once."""
     key = (id(f), id(src), id(tgt))
@@ -296,10 +299,20 @@ class PersistentObject:
             # ints increase strictly, so they are consecutive when they span len - 1
             if d != 1 or ints[-1] - ints[0] != len(ints) - 1:
                 raise ValidationError("integer-indexed axis must be consecutive integers")
-        cat, objects, edge_maps = self.category, self.objects, self.edge_maps
-        points = list(self.grid.indices())
-        steps = [(idx, a) for idx, a, _ in self.grid.edges()]
-        _refuse_strays((objects, points), (edge_maps, steps))
+        cat, objects, edge_maps, grid = self.category, self.objects, self.edge_maps, self.grid
+        shape = grid.shape()
+        npoints = math.prod(shape)
+        # an axis of n values has n - 1 steps on each of its npoints / n lines
+        nsteps = sum(npoints - npoints // n for n in shape)
+        if len(objects) == npoints and len(edge_maps) == nsteps:
+            # listed once for every check below, and no longer than the tables
+            points, edges = list(grid.indices()), list(grid.edges())
+            complete = (all(map(objects.__contains__, points))
+                        and all(map(edge_maps.__contains__, map(_STEP, edges))))
+        else:  # walked, so a document that states a large grid in a few bytes lists none
+            points, edges, complete = grid.indices(), grid.edges(), False
+        if not complete:
+            _refuse_strays((objects, grid.indices), (edge_maps, lambda: map(_STEP, grid.edges())))
         checked = set()  # each distinct object value is checked once
         check, is_map = cat.check_object, cat.is_map
         if self.category_name == "Complex":  # and each distinct simplex and vertex set once
@@ -317,11 +330,10 @@ class PersistentObject:
                 check(obj)
                 checked.add(obj)
         seen = None if self.category_name == "F2Vec" else set()
-        for key in steps:
+        for idx, a, nxt in edges:
+            key = (idx, a)
             if key not in edge_maps:
                 raise ValidationError(f"missing edge map at {key}")
-            idx, a = key
-            nxt = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
             f, src, tgt = edge_maps[key], objects[idx], objects[nxt]
             if seen is None or _unseen(seen, f, src, tgt):
                 if not is_map(f, src, tgt):
@@ -505,7 +517,8 @@ class DeltaMorphism:
 
     def _validate_components(self) -> None:
         components, points = self.components, self._leg.points
-        _refuse_strays((components, points))
+        if len(components) != len(points) or not all(map(components.__contains__, points)):
+            _refuse_strays((components, points.__iter__))
         source, target = self.source, self.target
         at_source, at_target = self.at_source, self.at_target
         is_map = self.category.is_map

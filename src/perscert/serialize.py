@@ -11,30 +11,28 @@ must not change them.
 Decoders read a document in one pass. Every wire rational ("p", "p/q" or
 a JSON integer) is read by one parser, ``_ratio``, to a reduced (p, q); a
 grid's axes go from there straight to the scaled integers the grid holds
-(``Grid._scaled``), and an axis of integer strings is matched and read in
-two C calls, so a decoded grid builds no ``Fraction`` until something
-reads ``Grid.axes``. The object and edge keys of a persistent object, and
-the "at" coordinates of a certificate, are placed by tables of the strings
-the grid itself is written with; any other string is parsed by its
-pattern, so a non-canonical key still decodes and a bad one fails with its
-own message. Lists of names, lists of simplices and maps between vertex
-names are read by one C call each when every entry is a plain name, and
-otherwise entry by entry. A decoded object or morphism is built unchecked
-from the tables it read, without a copy, and then validated in one pass
-over its grid (``PersistentObject._validate``,
-``DeltaMorphism._validate_components``).
+(``Grid._scaled``), so a decoded grid builds no ``Fraction`` until
+something reads ``Grid.axes``. The object and edge keys of a persistent
+object, and the "at" coordinates of a certificate, are placed by tables of
+the strings the grid itself is written with; any other string is parsed by
+its pattern, so a non-canonical key still decodes and a bad one fails with
+its own message. Lists of simplices and maps between vertex names are read
+by one C call each when every entry is a plain name, and otherwise entry
+by entry. A decoded object or morphism is built unchecked from the tables
+it read, without a copy, and then validated in one pass over its grid
+(``PersistentObject._validate``, ``DeltaMorphism._validate_components``).
 
 ``decode_cat_object`` and ``decode_cat_map`` are the only decoders of
 category values, and one rule holds wherever they read one. Each table
 keeps the last four values it decoded from flat lists or matrices, each
 with its raw form: the objects of a persistent object, its edge maps, and
-each of a certificate's two component lists. A list of plain names (str or
-int, never a bool or float: the exact-type check runs first), a list of
-lists of them, or a matrix (after its exact-type and 0/1 checks) that
-equals (``==``) a kept one takes that one's value; nothing is hashed per
-value. A decoded object then holds each run of equal sets, subcomplexes,
-inclusions and matrices once, a certificate each run of equal component
-maps, and one frozenset, dict or matrix may sit at many places. The
+each of a certificate's two component lists. A list of lists of plain
+names (str or int, never a bool or float: the exact-type check runs
+first), or a matrix (after its exact-type and 0/1 checks), that equals
+(``==``) a kept one takes that one's value; nothing is hashed per value.
+A decoded object then holds each run of equal subcomplexes, inclusions
+and matrices once, a certificate each run of equal component maps, and
+one frozenset, dict or matrix may sit at many places. The
 checks read that sharing: each distinct object value is checked once (and
 each distinct simplex, ``ComplexCategory.check_object``), and a set or
 complex map once for each distinct source and target objects it is held
@@ -136,19 +134,10 @@ def decode_rational(s) -> Fraction:
     return Fraction(*_ratio(s))
 
 
-_INTEGERS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
-
-
 def _scaled_axis(axis: list) -> tuple[int, tuple[int, ...]]:
     """The values of a wire axis as (d, ints), their least common
-    denominator d and the integers v * d, in order (``Grid._scaled``). An
-    axis of integer strings is matched and read in two C calls; any other
-    is read value by value, so its first bad value names itself."""
-    if axis and _STR.issuperset(map(type, axis)) and _INTEGERS_RE.fullmatch(",".join(axis)):
-        try:
-            return 1, tuple(map(int, axis))
-        except ValueError:  # a value of more digits than int() reads: refused below
-            pass
+    denominator d and the integers v * d, in order (``Grid._scaled``), read
+    value by value, so the first bad value names itself."""
     ratios = [_ratio(v) for v in axis]
     d = math.lcm(*[q for _, q in ratios])
     return d, tuple([p * (d // q) for p, q in ratios])
@@ -225,16 +214,13 @@ def decode_cat_object(category: str, data, kept: deque | None = None):
     if category == "F2Vec":
         _require(_is_int(data) and data >= 0, "bad dimension {!r}", data)
         return data
-    # element names, or simplices of vertex names: decode_element would give
-    # the same names and tuples
-    names = type(data) is list and _FLAT_SCALARS.issuperset(map(type, data))
-    flat = names or (type(data) is list and _LIST.issuperset(map(type, data)) and
-                     _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
-    if flat:
+    flat = (type(data) is list and _LIST.issuperset(map(type, data))
+            and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data))))
+    if flat:  # simplices of vertex names: decode_element would give the same tuples
         for raw, elements in kept or ():
             if raw == data:
                 return elements
-        elements = frozenset(data if names else map(tuple, data))
+        elements = frozenset(map(tuple, data))
     else:
         _require(isinstance(data, list), "bad object {!r}", data)
         elements = frozenset(map(decode_element, data))
@@ -427,19 +413,20 @@ def _encode_object(x: PersistentObject, values: _Values) -> dict:
 def _point_keys(grid: Grid):
     """The key each point of grid is written under, "i,j,...", in grid
     order."""
-    return map(",".join, itertools.product(*[[str(i) for i in range(len(ints))]
-                                             for _, ints in grid._scaled]))
+    return map(",".join, itertools.product(*[[str(i) for i in range(n)]
+                                             for n in grid.shape()]))
 
 
 def _step_keys(grid: Grid):
     """(key, (index, axis)) of each edge of grid, the key "i,j,...|axis"
     written as the edge is, in the order of ``Grid.edges``."""
-    shape = grid.shape()
-    bars = [f"|{a}" for a in range(len(shape))]
-    for key, idx in zip(_point_keys(grid), grid.indices()):
-        for a, size in enumerate(shape):
-            if idx[a] + 1 < size:
-                yield key + bars[a], (idx, a)
+    points = zip(grid.indices(), _point_keys(grid))
+    bars = [f"|{a}" for a in range(grid.m)]
+    idx = key = None
+    for at, a, _ in grid.edges():
+        if at != idx:  # the edges leave the points in order, every point but the last
+            idx, key = next(points)
+        yield key + bars[a], (idx, a)
 
 
 def decode_object(data: dict) -> PersistentObject:

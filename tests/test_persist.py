@@ -10,6 +10,7 @@ import re
 import runpy
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -1018,3 +1019,20 @@ def test_floor_roundtrip_legs_equal_the_closure_form():
         assert cert.f.equals(reference_leg(x, x, a, grade(1), lambda v: v,
                                            lambda v: floor_int(v + 1)))
         assert cert.g.equals(reference_leg(x, a, x, grade(1), floor_int, lambda v: v + 1))
+
+
+def test_a_large_grid_with_few_keys_is_refused_without_listing_it():
+    """A grid stated in a few bytes may have many points; validating
+    tables that hold fewer keys walks it and lists none of its points or
+    edges, and still reports the error the one-by-one check reports."""
+    axes = [list(range(30))] * 3  # 27,000 points, 78,300 edges
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"missing object at grid index \(0, 0, 0\)"):
+            PersistentObject(Grid(axes), "FinSet", {}, {})
+        with pytest.raises(ValidationError, match=r"keys outside the grid: \[\(30, 0, 0\)\]"):
+            PersistentObject(Grid(axes), "FinSet", {(30, 0, 0): frozenset()}, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
