@@ -6,10 +6,12 @@ complexes.
 For each size n, ``barcode`` runs on a seeded persistence module with n
 grades and random GF(2) structure maps (so zero maps and zero-dimensional
 spaces occur), and ``bottleneck`` on two seeded barcodes of n bars each, two
-of them infinite. For each number of points n, a seeded Rips complex up to
-dimension 2 gets its H0 and H1 barcodes both by ``filtration_barcode`` and
-by ``barcode(homology(to_persistent(...)))``; the script exits with status 1
-when the two differ. ``degree_rips`` is built up to dimension 2 on seeded
+of them infinite, and then on three shapes of 400 bars together, the most it
+matches (``limit_shapes``), each row with the number of matched pairs and a
+sha256 prefix of the matching's repr. For each number of points n, a seeded
+Rips complex up to dimension 2 gets its H0 and H1 barcodes both by
+``filtration_barcode`` and by ``barcode(homology(to_persistent(...)))``;
+the script exits with status 1 when the two differ. ``degree_rips`` is built up to dimension 2 on seeded
 metrics of DEGREE_RIPS_POINTS points, ``homology`` in degrees 0 and 1 takes
 those of DECODE_POINTS points to two-parameter modules, and ``validate``
 checks the Rips complexes of RIPS_POINTS points. The documents of the
@@ -57,9 +59,9 @@ row the median: with bytecode writes off, so that every launch compiles the
 package, as a fresh checkout does under PYTHONDONTWRITEBYTECODE=1, and with
 a PYTHONPYCACHEPREFIX directory warmed by one launch, which reads it; the
 difference is the compile share of a launch. Each other line
-gives a deterministic checksum (the number of bars, the distance d_B, the
-grid points and distinct objects of a degree-Rips object, the grid shape
-and the sum of the dimensions of a two-parameter module, the simplices of a
+gives a deterministic checksum (the number of bars, the distance d_B and
+the matched pairs, the grid points and distinct objects of a degree-Rips
+object, the grid shape and the sum of the dimensions of a two-parameter module, the simplices of a
 complex, the bytes of a document, the verdict of ``is_filtered``, the valid
 certificates and the identities that fail, the shifts of a zig-zag
 composite, the length and a sha256 prefix
@@ -209,6 +211,24 @@ def seeded_bars(rng: random.Random, n: int) -> Barcode:
     return Barcode(bars)
 
 
+def limit_shapes() -> dict:
+    """Three pairs of barcodes of 400 bars together, the most ``bottleneck``
+    matches: 267 bars of distinct lengths against 133; 399 bars of distinct
+    half-lengths, every one deleted to the diagonal, against one; and two
+    seeded 200-bar barcodes."""
+    return {
+        "lengths 267/133": (
+            Barcode([Bar(Fraction(i, 7), Fraction(i, 7) + 1 + Fraction(i, 3))
+                     for i in range(267)]),
+            Barcode([Bar(Fraction(i, 5), Fraction(i, 5) + 2 + Fraction(i, 11))
+                     for i in range(133)])),
+        "halves 399/1": (Barcode([Bar(0, 1 + Fraction(i, 3)) for i in range(399)]),
+                         Barcode([Bar(0, 1)])),
+        "random 200/200": (seeded_bars(random.Random(SEED * 1000 + 400), 200),
+                           seeded_bars(random.Random(SEED * 1000 + 401), 200)),
+    }
+
+
 def rips_metric(n: int):
     """A seeded metric on n points with half-integer distances up to n^2/2,
     so most of them are distinct."""
@@ -234,6 +254,13 @@ def main() -> None:
         d = bottleneck(b1, b2)[0]
         ms = best_ms(lambda: bottleneck(b1, b2))
         print(f"bottleneck  n={n:3d}  d_B={rat_to_str(d):>6}  best_ms={ms:10.3f}")
+    for shape, (b1, b2) in limit_shapes().items():
+        d, matching = bottleneck(b1, b2)
+        digest = hashlib.sha256(repr(matching).encode()).hexdigest()[:12]
+        ms = best_ms(lambda: bottleneck(b1, b2))
+        print(f"bottleneck  n={len(b1.bars) + len(b2.bars):3d}  {shape:15}  "
+              f"d_B={rat_to_str(d):>6}  pairs={len(matching.pairs):3d}  sha256={digest}  "
+              f"best_ms={ms:10.3f}")
     disagree = 0
     for n in RIPS_POINTS:
         f = vietoris_rips(rips_metric(n), 2)

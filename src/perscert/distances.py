@@ -24,6 +24,13 @@ INFINITY = None  # sentinel for infinite distances / deaths
 MAX_BARS = 400
 
 
+def _require_bars(count: int) -> None:
+    """Refuse to match two barcodes of count bars together past MAX_BARS."""
+    if count > MAX_BARS:
+        raise BudgetExceededError(
+            f"the two barcodes hold {count} bars, more than the limit of {MAX_BARS}")
+
+
 class Matching(NamedTuple):
     """A partial bijection between two barcodes; unmatched bars are deleted
     to the diagonal at half their length."""
@@ -44,39 +51,38 @@ def _cost(birth1, death1, birth2, death2):
     return max(abs(birth1 - birth2), abs(death1 - death2))
 
 
-def _max_bipartite_matching(n_left: int, n_right: int,
-                            adj: list[list[int]]) -> Optional[list[int]]:
-    """Augmenting-path matching, each left node in turn trying its adjacency
-    in order (Kuhn's depth-first search, with an explicit stack so that a
-    path may be longer than the interpreter's recursion limit); returns
-    match_left, which matches every left node, or None as soon as one left
-    node has no augmenting path. Kuhn's search never matches that node
-    later, so no matching covers every left node."""
-    match_right = [-1] * n_right
+def _max_bipartite_matching(n_left: int, adj: list[int]) -> Optional[list[int]]:
+    """Augmenting-path matching over neighbour sets held as ints, bit v of
+    adj[u] set when left node u may take right node v. Each left node in
+    turn tries its neighbours lowest first (Kuhn's depth-first search, with
+    an explicit stack so that a path may be longer than the interpreter's
+    recursion limit); returns match_left, which matches every left node, or
+    None as soon as one left node has no augmenting path. Kuhn's search
+    never matches that node later, so no matching covers every left node."""
+    match_right: dict[int, int] = {}
     match_left = [-1] * n_left
     for root in range(n_left):
-        seen = [False] * n_right
-        # the path so far: each left node on it with an iterator over the
-        # rest of its adjacency, and the right nodes joining them
-        stack, joins = [(root, iter(adj[root]))], []
+        seen = 0
+        # the path so far: the left nodes on it, and the right nodes joining them
+        stack, joins = [root], []
         while stack:
-            for v in stack[-1][1]:
-                if not seen[v]:
-                    seen[v] = True
-                    break
-            else:  # no augmenting path through this left node
+            untried = adj[stack[-1]] & ~seen
+            if not untried:  # no augmenting path through this left node
                 stack.pop()
                 if joins:
                     joins.pop()
                 continue
+            low = untried & -untried
+            seen |= low
+            v = low.bit_length() - 1
             joins.append(v)
-            u = match_right[v]
-            if u == -1:  # v is free: flip the path
-                for (u, _), w in zip(stack, joins):
+            u = match_right.get(v)
+            if u is None:  # v is free: flip the path
+                for u, w in zip(stack, joins):
                     match_right[w] = u
                     match_left[u] = w
                 break
-            stack.append((u, iter(adj[u])))
+            stack.append(u)
         else:  # no augmenting path from root
             return None
     return match_left
@@ -90,20 +96,16 @@ def _feasible(cost: list[list[int]], half1: list[int], half2: list[int],
     n1, n2 = len(half1), len(half2)
     # left nodes: bars of b1, then n2 diagonal slots (one per right bar);
     # right nodes: bars of b2, then n1 diagonal slots. Diagonal-to-diagonal
-    # is always allowed at zero cost.
-    diagonal = range(n2, n2 + n1)
-    adj: list[list[int]] = []
-    for i, row_cost in enumerate(cost):
-        row = [j for j, c in enumerate(row_cost) if c <= k]
-        if half1[i] <= k:
-            row.extend(diagonal)
-        adj.append(row)
-    for j, h in enumerate(half2):
-        row = [j] if h <= k else []
-        row.extend(diagonal)
-        adj.append(row)
+    # is always allowed at zero cost. Each neighbour set is an int over the
+    # right nodes.
+    diagonal = ((1 << n1) - 1) << n2
+    adj = []
+    for row, h in zip(cost, half1):
+        bars = sum(1 << j for j, c in enumerate(row) if c <= k)
+        adj.append(bars | diagonal if h <= k else bars)
+    adj.extend((1 << j if h <= k else 0) | diagonal for j, h in enumerate(half2))
 
-    match_left = _max_bipartite_matching(n1 + n2, n2 + n1, adj)
+    match_left = _max_bipartite_matching(n1 + n2, adj)
     if match_left is None:
         return None
     pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
@@ -127,10 +129,7 @@ def bottleneck(b1: Barcode, b2: Barcode) -> tuple[Optional[Fraction], Optional[M
     inf2 = sum(1 for b in b2.bars if b.death is None)
     if inf1 != inf2:
         return INFINITY, None
-    count = len(b1.bars) + len(b2.bars)
-    if count > MAX_BARS:
-        raise BudgetExceededError(
-            f"the two barcodes hold {count} bars, more than the limit of {MAX_BARS}")
+    _require_bars(len(b1.bars) + len(b2.bars))
     # endpoints as integers over twice their least common denominator, so
     # that every cost and half-length is an integer too
     scale = 2 * math.lcm(*(v.denominator for bar in b1.bars + b2.bars

@@ -322,14 +322,18 @@ def barcode(f: PersistentObject) -> Barcode:
     the unit vectors that still grow the span are born at the next index.
     What is alive at the end gives the infinite bars. The vectors born at or
     before index i span the image of the space at i, so these are the bars
-    of the rank inclusion-exclusion."""
+    of the rank inclusion-exclusion. Nothing is pushed on from the last
+    index, so only the number of vectors born there is counted: its
+    dimension less the number of images that reach it."""
     if f.category_name != "F2Vec":
         raise CategoryError("barcode expects a persistent module")
     _require_one_parameter(f.m)
     axis = f.grid.axes[0]
-    live = [(1 << k, 0) for k in range(f.objects[(0,)])]  # (vector, birth index)
+    last = len(axis) - 1
+    # (vector, birth index)
+    live = [(1 << k, 0) for k in range(f.objects[(0,)])] if last else []
     bars = []
-    for j in range(len(axis) - 1):
+    for j in range(last):
         columns = _transpose(f.edge_maps[((j,), 0)].bits, f.objects[(j,)])
         span = Echelon()
         survivors = []
@@ -339,10 +343,12 @@ def barcode(f: PersistentObject) -> Barcode:
                 survivors.append((image, birth))
             else:
                 bars.append(Bar(axis[birth], axis[j + 1]))
-        survivors.extend((1 << k, j + 1) for k in range(f.objects[(j + 1,)])
-                         if span.add(1 << k))
+        if j + 1 < last:
+            survivors.extend((1 << k, j + 1) for k in range(f.objects[(j + 1,)])
+                             if span.add(1 << k))
         live = survivors
     bars.extend(Bar(axis[birth], None) for _, birth in live)
+    bars.extend([Bar(axis[last], None)] * (f.objects[(last,)] - len(live)))
     return Barcode(bars)
 
 

@@ -19,8 +19,9 @@ check nothing. Three checks run once on a value built unchecked:
 object decoder) and ``DeltaMorphism._validate_components`` (its
 constructor, ``from_fn`` and the morphism decoder). The last two build
 the sets of keys off the grid only when the counts or a missing place
-show one (``_refuse_strays``), list a grid only when it has as many
-points and steps as the tables hold keys, and
+show one (``_refuse_strays``, which tests each key against the grid's
+index ranges), list a grid only when it has as many points and steps as
+the tables hold keys, and
 report the error the one-by-one check reports first; a set or complex map
 is checked once for each distinct (map, source, target) by identity
 (``_unseen``). A builder whose output needs more than valid inputs (a
@@ -233,13 +234,30 @@ class Grid:
 _STEP = operator.itemgetter(0, 1)
 
 
-def _refuse_strays(*tables) -> None:
-    """Refuse any key of a (dict, places) table that is not one of the
-    grid points or steps places() walks, naming every such key of all
-    tables. A dict holds a key off its places exactly when it holds more
-    keys than there are places, or as many and misses a place, so callers
-    come here only then."""
-    stray = set().union(*[set(keys).difference(places()) for keys, places in tables])
+def _is_point(key, shape: tuple[int, ...]) -> bool:
+    """Whether key equals the index of a point of a grid of this shape."""
+    return (isinstance(key, tuple) and len(key) == len(shape)
+            and all(i in range(n) for i, n in zip(key, shape)))
+
+
+def _is_step(key, shape: tuple[int, ...]) -> bool:
+    """Whether key equals the (index, axis) of a step of ``Grid.edges`` on a
+    grid of this shape."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return False
+    idx, a = key  # a may be any number equal to an axis, hence int(a)
+    return (_is_point(idx, shape) and a in range(len(shape))
+            and idx[int(a)] + 1 < shape[int(a)])
+
+
+def _refuse_strays(shape: tuple[int, ...], points: dict, steps: dict) -> None:
+    """Refuse any key of points that is no grid point, and of steps that is
+    no grid step, on a grid of this shape, naming every such key of both;
+    each key is tested alone, so the grid is never walked. A dict holds a
+    key off its places exactly when it holds more keys than there are
+    places, or as many and misses a place, so callers come here only then."""
+    stray = {key for key in points if not _is_point(key, shape)}
+    stray.update(key for key in steps if not _is_step(key, shape))
     if stray:
         raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
 
@@ -312,7 +330,7 @@ class PersistentObject:
         else:  # walked, so a document that states a large grid in a few bytes lists none
             points, edges, complete = grid.indices(), grid.edges(), False
         if not complete:
-            _refuse_strays((objects, grid.indices), (edge_maps, lambda: map(_STEP, grid.edges())))
+            _refuse_strays(shape, objects, edge_maps)
         checked = set()  # each distinct object value is checked once
         check, is_map = cat.check_object, cat.is_map
         if self.category_name == "Complex":  # and each distinct simplex and vertex set once
@@ -518,7 +536,7 @@ class DeltaMorphism:
     def _validate_components(self) -> None:
         components, points = self.components, self._leg.points
         if len(components) != len(points) or not all(map(components.__contains__, points)):
-            _refuse_strays((components, points.__iter__))
+            _refuse_strays(self.grid.shape(), components, {})
         source, target = self.source, self.target
         at_source, at_target = self.at_source, self.at_target
         is_map = self.category.is_map

@@ -8,8 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .distances import INFINITY, bottleneck
+from .distances import INFINITY, MAX_BARS, _require_bars, bottleneck
 from .errors import BudgetExceededError, CategoryError, DimensionError, ValidationError
+from .gf2 import GF2Matrix
 from .grades import Grade
 from . import persist
 from .invariants import barcode, linearize, pi0_induced
@@ -228,8 +229,38 @@ def interleaving_distance_search(x: PersistentObject, y: PersistentObject,
         raise CategoryError("distance search supports FinSet and F2Vec only")
     if x.category_name != y.category_name:
         raise CategoryError("source and target live in different categories")
-    floor, _ = bottleneck(barcode(linearize(x)), barcode(linearize(y)))
-    return _least_certified(x, y, floor, budget)
+    return _least_certified(x, y, _floor(x, y), budget)
+
+
+def _linear_dims(x: PersistentObject) -> list[int]:
+    """The dimension of F2[X] at each grid index of a one-parameter x."""
+    size = len if x.category_name == "FinSet" else int
+    return [size(x.objects[(i,)]) for i in range(x.grid.shape()[0])]
+
+
+def _bar_count(x: PersistentObject, dims: list[int]) -> int:
+    """The number of bars of barcode(linearize(x)), dims its ``_linear_dims``:
+    one for each vector born, dim X(0) at the first index and dim X(j + 1)
+    less the rank of the j-th map at the next. The rank of a set map's
+    linearization is the size of its image."""
+    rank = (lambda f: len(set(f.values()))) if x.category_name == "FinSet" else GF2Matrix.rank
+    return dims[0] + sum(dims[j + 1] - rank(x.edge_maps[((j,), 0)])
+                         for j in range(len(dims) - 1))
+
+
+def _floor(x: PersistentObject, y: PersistentObject) -> Optional[Fraction]:
+    """d_B(F2 X, F2 Y) with ``bottleneck``'s answers, in its order, the
+    first two read from the objects before any barcode is built: infinite
+    when the counts of infinite bars (the dimensions at the last index)
+    differ, and refused past MAX_BARS bars together. An object has at least
+    its largest dimension in bars, so the bars are counted only when those
+    exceed the limit together."""
+    dims_x, dims_y = _linear_dims(x), _linear_dims(y)
+    if dims_x[-1] != dims_y[-1]:
+        return INFINITY
+    if max(dims_x) + max(dims_y) > MAX_BARS:
+        _require_bars(_bar_count(x, dims_x) + _bar_count(y, dims_y))
+    return bottleneck(barcode(linearize(x)), barcode(linearize(y)))[0]
 
 
 def _least_certified(x: PersistentObject, y: PersistentObject,

@@ -21,7 +21,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perscert import cli, persist
+from perscert import cli, persist, search
 from perscert import serialize as ser
 from perscert.cli import _pieces, main
 from perscert.complexes import (FilteredComplex, MetricInput, function_rips, to_persistent,
@@ -1008,6 +1008,22 @@ def test_interleave_dist_refuses_large_barcodes_before_matching(runner, tmp_path
     assert r.exit_code == 3
     assert json.loads(r.output)["message"] == (
         f"the two barcodes hold 4000 bars, more than the limit of {MAX_BARS}")
+
+
+def test_interleave_dist_refuses_from_the_stated_dimensions(runner, tmp_path, monkeypatch):
+    """Two one-grade F2Vec objects of dimension 80,000 have 160,000 bars
+    together, read from their dimensions: budget exceeded (exit 3) with
+    neither object linearized nor given a barcode."""
+    def unbuilt(x):
+        raise AssertionError("the floor built a module or a barcode")
+
+    monkeypatch.setattr(search, "linearize", unbuilt)
+    monkeypatch.setattr(search, "barcode", unbuilt)
+    x = write(tmp_path, "x.json", f2vec_point(80000))
+    r = invoke(runner, ["interleave-dist", "--max-enum", "0", x, x])
+    assert r.exit_code == 3
+    assert json.loads(r.output)["message"] == (
+        f"the two barcodes hold 160000 bars, more than the limit of {MAX_BARS}")
 
 
 @pytest.mark.parametrize("command", ["rips", "frips", "degree-rips"])

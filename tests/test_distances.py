@@ -107,18 +107,20 @@ def test_matching_is_the_recursive_search_one():
     for seed in range(200):
         rng = random.Random(seed)
         n_left, n_right = rng.randint(0, 12), rng.randint(0, 12)
-        adj = [rng.sample(range(n_right), rng.randint(0, n_right)) for _ in range(n_left)]
-        oracle = matching_by_recursion(n_left, n_right, adj)
+        neighbours = [sorted(rng.sample(range(n_right), rng.randint(0, n_right)))
+                      for _ in range(n_left)]
+        oracle = matching_by_recursion(n_left, n_right, neighbours)
         expected = None if -1 in oracle else oracle
-        assert _max_bipartite_matching(n_left, n_right, adj) == expected
+        adj = [sum(1 << v for v in vs) for vs in neighbours]
+        assert _max_bipartite_matching(n_left, adj) == expected
 
 
 def test_matching_follows_augmenting_paths_past_the_recursion_limit():
     # left i < n takes right i; left n then needs the path that shifts every
     # left i to right i + 1, one step per left node
     n = 3 * sys.getrecursionlimit()
-    adj = [[i, i + 1] for i in range(n)] + [[0]]
-    assert _max_bipartite_matching(n + 1, n + 1, adj) == list(range(1, n + 1)) + [0]
+    adj = [1 << i | 1 << i + 1 for i in range(n)] + [1]
+    assert _max_bipartite_matching(n + 1, adj) == list(range(1, n + 1)) + [0]
 
 
 def test_bottleneck_bounds_its_bars_before_building_costs(monkeypatch):

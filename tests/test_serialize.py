@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -606,6 +607,24 @@ def test_malformed_objects_raise_their_first_error(doc, error, message):
     with pytest.raises(PerscertError) as info:
         ser.decode_object(json_round(doc))
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_grid_of_a_billion_points_is_refused_from_its_keys():
+    """Three axes of 1,000 values state 10^9 grid points in a few KB. With
+    no keys, or with a point and a step off the grid, the document gets the
+    error the one-by-one check reports first, in under 2 s: each key is
+    tested against the axes' index ranges, and the grid is never walked."""
+    doc = {"format": ser.FORMAT_OBJECT, "m": 3, "category": "FinSet",
+           "axes": [list(range(1000))] * 3, "objects": {}, "edge_maps": {}}
+    for objects, edge_maps, message in (
+            ({}, {}, "missing object at grid index (0, 0, 0)"),
+            ({"1000,0,0": []}, {"0,0,0|0": [], "999,0,0|0": []},
+             "keys outside the grid: [((999, 0, 0), 0), (1000, 0, 0)]")):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as info:
+            ser.decode_object(_edited(doc, objects=objects, edge_maps=edge_maps))
+        assert time.perf_counter() - start < 2
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("doc, edit, error, message",
