@@ -70,7 +70,7 @@ class FinSetCategory:
         return {}
 
     def is_map(self, f, src, tgt) -> bool:
-        return set(f.keys()) == set(src) and all(v in tgt for v in f.values())
+        return f.keys() == src and tgt.issuperset(f.values())
 
     def compose(self, g, f):
         """g after f."""

@@ -20,13 +20,13 @@ object decoder) and ``DeltaMorphism._validate_components`` (its
 constructor, ``from_fn`` and the morphism decoder). The last two build
 the sets of keys off the grid only when the counts or a missing place
 show one (``_refuse_strays``, which tests each key against the grid's
-index ranges), list a grid only when it has as many points and steps as
-the tables hold keys, and
-report the error the one-by-one check reports first; a set or complex map
-is checked once for each distinct (map, source, target) by identity
-(``_unseen``). A builder whose output needs more than valid inputs (a
-natural h, a valid certificate) checks that first; a certificate by
-``_require_valid``.
+index ranges), walk the grid without listing it, and report the error the
+one-by-one check reports first. They read values only: every edge map,
+component and square is checked against its own source and target,
+whichever Python objects a decoder shared; an equal object value is checked
+once (and, in a complex, an equal simplex or vertex set is built once). A
+builder whose output needs more than valid inputs (a natural h, a valid
+certificate) checks that first; a certificate by ``_require_valid``.
 ``tests/test_hygiene.py`` lists every call of a checking constructor or
 check.
 
@@ -262,24 +262,6 @@ def _refuse_strays(shape: tuple[int, ...], points: dict, steps: dict) -> None:
         raise ValidationError(f"keys outside the grid: {sorted(stray, key=repr)}")
 
 
-def _unseen(seen: set, f, src, tgt) -> bool:
-    """Whether the set or complex map f is due a check as a map src -> tgt:
-    not when this very map was checked between these very objects before.
-    seen, the (map, source, target) id triples met so far, is updated; the
-    ids stay valid while the value being validated holds all three. The one
-    exception is the initial object, which ``at(None)`` may build afresh
-    for each component: a fresh one may take the id of an earlier one, and
-    the skip is sound only because every initial object is the same empty
-    set. Decoded objects and certificates hold each run of equal maps, and of
-    equal objects, as one Python object, so each distinct triple is
-    checked once."""
-    key = (id(f), id(src), id(tgt))
-    if key in seen:
-        return False
-    seen.add(key)
-    return True
-
-
 class PersistentObject:
     """A functor from R^m (or Z, when integer_indexed) to a concrete category,
     presented on a finite grid. Immutable after construction."""
@@ -322,21 +304,18 @@ class PersistentObject:
         npoints = math.prod(shape)
         # an axis of n values has n - 1 steps on each of its npoints / n lines
         nsteps = sum(npoints - npoints // n for n in shape)
-        if len(objects) == npoints and len(edge_maps) == nsteps:
-            # listed once for every check below, and no longer than the tables
-            points, edges = list(grid.indices()), list(grid.edges())
-            complete = (all(map(objects.__contains__, points))
-                        and all(map(edge_maps.__contains__, map(_STEP, edges))))
-        else:  # walked, so a document that states a large grid in a few bytes lists none
-            points, edges, complete = grid.indices(), grid.edges(), False
-        if not complete:
+        # the counts come first: a document that states a large grid in a few
+        # bytes is refused from its keys, before any walk
+        if not (len(objects) == npoints and len(edge_maps) == nsteps
+                and all(map(objects.__contains__, grid.indices()))
+                and all(map(edge_maps.__contains__, map(_STEP, grid.edges())))):
             _refuse_strays(shape, objects, edge_maps)
         checked = set()  # each distinct object value is checked once
         check, is_map = cat.check_object, cat.is_map
         if self.category_name == "Complex":  # and each distinct simplex and vertex set once
             check = functools.partial(check, faces={})
             is_map = functools.partial(is_map, vertices={})
-        for idx in points:
+        for idx in grid.indices():
             if idx not in objects:
                 raise ValidationError(f"missing object at grid index {idx}")
             obj = objects[idx]
@@ -347,15 +326,12 @@ class PersistentObject:
             if fresh:
                 check(obj)
                 checked.add(obj)
-        seen = None if self.category_name == "F2Vec" else set()
-        for idx, a, nxt in edges:
+        for idx, a, nxt in grid.edges():
             key = (idx, a)
             if key not in edge_maps:
                 raise ValidationError(f"missing edge map at {key}")
-            f, src, tgt = edge_maps[key], objects[idx], objects[nxt]
-            if seen is None or _unseen(seen, f, src, tgt):
-                if not is_map(f, src, tgt):
-                    raise ValidationError(f"edge map at {key} is not a valid map")
+            if not is_map(edge_maps[key], objects[idx], objects[nxt]):
+                raise ValidationError(f"edge map at {key} is not a valid map")
         if self.grid.m >= 2:
             self._audit_squares()
 
@@ -542,12 +518,11 @@ class DeltaMorphism:
         is_map = self.category.is_map
         if source.category_name == "Complex":  # each distinct vertex set is built once
             is_map = functools.partial(is_map, vertices={})
-        seen = None if source.category_name == "F2Vec" else set()
         for idx in points:
             if idx not in components:
                 raise ValidationError(f"missing component at {self.grid.grade_at(idx)}")
             f, src, tgt = components[idx], source.at(at_source[idx]), target.at(at_target[idx])
-            if (seen is None or _unseen(seen, f, src, tgt)) and not is_map(f, src, tgt):
+            if not is_map(f, src, tgt):
                 raise ValidationError(
                     f"component at {self.grid.grade_at(idx)} is not a map {src!r} -> {tgt!r}"
                 )

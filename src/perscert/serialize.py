@@ -23,21 +23,20 @@ it read, without a copy, and then validated in one pass over its grid
 (``PersistentObject._validate``, ``DeltaMorphism._validate_components``).
 
 ``decode_cat_object`` and ``decode_cat_map`` are the only decoders of
-category values, and one rule holds wherever they read one. Each table
-keeps the last four values it decoded from flat lists or matrices, each
-with its raw form: the objects of a persistent object, its edge maps, and
-each of a certificate's two component lists. A list of lists of plain
-names (str or int, never a bool or float: the exact-type check runs
-first), or a matrix (after its exact-type and 0/1 checks), that equals
-(``==``) a kept one takes that one's value; nothing is hashed per value.
-A decoded object then holds each run of equal subcomplexes, inclusions
-and matrices once, a certificate each run of equal component maps, and
-one frozenset, dict or matrix may sit at many places. The
-checks read that sharing: each distinct object value is checked once (and
-each distinct simplex, ``ComplexCategory.check_object``), and a set or
-complex map once for each distinct source and target objects it is held
-with (``persist._unseen``); every other check runs on every edge map,
-square and component. F2Vec dimensions are decoded one by one.
+category values, and one rule holds wherever they read a set or complex
+object list or a vertex map. Each table keeps the last four values it
+decoded from flat lists, each with its raw form: the objects of a
+persistent object, its edge maps, and each of a certificate's two
+component lists. A list of lists of plain names (str or int, never a bool
+or float: the exact-type check runs first) that equals (``==``) a kept one
+takes that one's value; nothing is hashed per value. A decoded object then
+holds each run of equal subcomplexes and inclusions once, a certificate
+each run of equal vertex maps, and one frozenset or dict may sit at many
+places. F2Vec dimensions and matrices are decoded where they stand.
+Sharing saves decoding time and memory but never a check: the checks read
+values, so every edge map, component and square is checked against its own
+source and target, and only an equal object value (and an equal simplex,
+``ComplexCategory.check_object``) is checked once.
 """
 
 from __future__ import annotations
@@ -241,8 +240,9 @@ def encode_cat_map(category: str, f):
 
 def decode_cat_map(category: str, data, kept: deque | None = None):
     """The F2Vec matrix, or the set or complex map, of data. ``kept``, when
-    given, is its table's last raw matrices or flat raw vertex maps, each
-    with its value (see the module docstring)."""
+    given, is its table's last flat raw vertex maps, each with its value
+    (see the module docstring); a matrix is decoded where it stands. The
+    caller checks the map against its source and target at every place."""
     if category == "F2Vec":  # the checks run once per matrix, so _require is inlined
         if not (isinstance(data, dict) and "rows" in data and "shape" in data):
             raise SchemaError(f"bad matrix {data!r}")
@@ -256,14 +256,7 @@ def decode_cat_map(category: str, data, kept: deque | None = None):
         entries = list(itertools.chain.from_iterable(rows))
         if not (_INT.issuperset(map(type, entries)) and _BITS.issuperset(entries)):
             raise SchemaError("matrix entries must be 0 or 1")
-        # after the exact-type check: true or 1.0 never equals 1 here
-        for held_shape, held_rows, out in kept or ():
-            if held_rows == rows and held_shape == shape:
-                return out
-        out = GF2Matrix._of(tuple(map(_pack, rows)), nr, nc)
-        if kept is not None:
-            kept.append((shape, rows, out))
-        return out
+        return GF2Matrix._of(tuple(map(_pack, rows)), nr, nc)
     if (type(data) is list and _LIST.issuperset(map(type, data))
             and _PAIR.issuperset(map(len, data))
             and _FLAT_SCALARS.issuperset(map(type, itertools.chain.from_iterable(data)))):
@@ -376,14 +369,30 @@ _EDGE_RE = re.compile(r"([0-9,]*)\|([0-9]+)")
 def decode_index(key: str) -> tuple[int, ...]:
     """A grid index written "i,j,..." with non-negative integers."""
     _require(isinstance(key, str) and _INDEX_RE.fullmatch(key), "bad index key {!r}", key)
-    return tuple(int(p) for p in key.split(","))
+    try:  # int() refuses strings of more digits than sys.get_int_max_str_digits()
+        return tuple(int(p) for p in key.split(","))
+    except ValueError as exc:
+        raise SchemaError(f"bad index key {key!r}") from exc
 
 
 def decode_edge_key(key: str) -> tuple[tuple[int, ...], int]:
     """An edge key "i,j,...|axis": the grid index and the axis of the step."""
     match = _EDGE_RE.fullmatch(key) if isinstance(key, str) else None
     _require(match is not None, "bad edge key {!r}", key)
-    return decode_index(match.group(1)), int(match.group(2))
+    try:
+        return decode_index(match.group(1)), int(match.group(2))
+    except ValueError as exc:  # the axis has more digits than int() reads
+        raise SchemaError(f"bad edge key {key!r}") from exc
+
+
+def _refuse_repeats(places, what: str) -> None:
+    """Refuse the first of places met before, naming what sits there: two
+    keys of one table that name one grid point or step ("0" and "00")."""
+    met = set()
+    for place in places:
+        if place in met:
+            raise SchemaError(f"{what} {place} is given twice")
+        met.add(place)
 
 
 def encode_object(x: PersistentObject) -> dict:
@@ -434,7 +443,8 @@ def decode_object(data: dict) -> PersistentObject:
     edge maps are two tables of the module docstring's rule: a flat set or
     complex list, or vertex map, equal to one of the last four in its table
     takes that one's value, so a sublevel filtration holds one subcomplex,
-    and one inclusion, over whole regions of its grid."""
+    and one inclusion, over whole regions of its grid. Two keys that name
+    one grid point or step ("0" and "00") are refused."""
     _document(data, FORMAT_OBJECT, "persistent object")
     category = data.get("category")
     _require(category in ("FinSet", "F2Vec", "Complex"), "bad category {!r}", category)
@@ -456,12 +466,17 @@ def decode_object(data: dict) -> PersistentObject:
         idx = points.get(key)
         objects[decode_index(key) if idx is None else idx] = decode_cat_object(
             category, obj, kept)
+    if len(objects) < len(entries):
+        _refuse_repeats((points.get(k) or decode_index(k) for k in entries),
+                        "object at grid index")
     edges, entries, kept = {}, _field(data, "edge_maps", dict, {}), deque(maxlen=4)
     steps = dict(itertools.islice(_step_keys(grid), len(entries)))
     for key, f in entries.items():
         edge = steps.get(key)
         edges[decode_edge_key(key) if edge is None else edge] = decode_cat_map(
             category, f, kept)
+    if len(edges) < len(entries):
+        _refuse_repeats((steps.get(k) or decode_edge_key(k) for k in entries), "edge map at")
     integer_indexed = data.get("integer_indexed", False)
     _require(isinstance(integer_indexed, bool), "'integer_indexed' must be a JSON boolean")
     x = PersistentObject._of(grid, category, objects, edges, integer_indexed)
@@ -489,8 +504,9 @@ def decode_morphism(source: PersistentObject, target: PersistentObject,
     a coordinate is not written as ``encode_rational`` writes it, by one
     scaled integer -> position table per axis, built on the first such
     coordinate. The component maps are one table of the module docstring's
-    rule, read as ``decode_object`` reads edge maps: a matrix or flat vertex
-    map equal to one of the last four takes that one's value."""
+    rule, read as ``decode_object`` reads edge maps: a flat vertex map equal
+    to one of the last four takes that one's value, and a matrix is decoded
+    where it stands."""
     shift = decode_grade(shift_data)
     _require(shift.m == source.m, "shift {} has arity {}, the objects have m = {}",
              shift, shift.m, source.m)

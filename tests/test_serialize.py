@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -22,9 +23,9 @@ from perscert.complexes import (SQUARE_GRID, MetricInput, degree_rips, sq_gadget
 from perscert.errors import CategoryError, PerscertError, SchemaError, ValidationError
 from perscert.invariants import Bar, Barcode, pi0
 from perscert.grades import Grade
-from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, PersistentObject,
-                              check_interleaving, extend_floor, floor_roundtrip_cert,
-                              integer_object)
+from perscert.persist import (DeltaMorphism, Grid, InterleavingCert, InterleavingReport,
+                              PersistentObject, check_interleaving, extend_floor,
+                              floor_roundtrip_cert, integer_object)
 from perscert.randgen import (
     corrupt_certificate,
     interleaved_pair,
@@ -650,23 +651,18 @@ def test_non_canonical_axis_values_give_the_canonical_grid():
 
 
 def test_decoded_matrices_share_equal_rows_and_shapes_and_refuse_bad_ones_after_good():
-    """A matrix equal to one decoded before it in its table, by rows and
-    shape, is decoded once; one with equal rows and another shape is
-    decoded on its own. A matrix with a ``true`` or ``1.0`` entry is refused
-    after a good one it equals in Python."""
+    """Equal matrices decode to equal values, and matrices of equal rows and
+    other shapes to their own shapes. A matrix with a ``true`` or ``1.0``
+    entry is refused after a good one it equals in Python."""
     one, empty = {"rows": [[1]], "shape": [1, 1]}, {"rows": [], "shape": [0, 1]}
     x = ser.decode_object(json_round(_line_object("F2Vec", [1, 1, 1, 0], [one, one, empty])))
     maps = x.edge_maps
-    assert maps[((0,), 0)] is maps[((1,), 0)] and maps[((2,), 0)].ncols == 1
+    assert maps[((0,), 0)] == maps[((1,), 0)] and maps[((2,), 0)].ncols == 1
     cert = ser.decode_cert(_line_cert("F2Vec", [0, 0, 0], [{"rows": [], "shape": [0, 0]}] * 2,
                                       [{"rows": [], "shape": [0, 0]}] * 3))
     assert check_interleaving(cert).valid
-    components = cert.f.components
-    assert components[(0,)] is components[(1,)] is components[(2,)]
-    kept = collections.deque(maxlen=4)
-    f = ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, 2]}, kept)
-    assert ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, 3]}, kept).ncols == 3
-    assert ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, 2]}, kept) is f
+    for n in (2, 3, 2):
+        assert ser.decode_cat_map("F2Vec", {"rows": [], "shape": [0, n]}).ncols == n
     for bad in (True, 1.0):
         doc = _line_object("F2Vec", [1, 1, 1], [one, {"rows": [[bad]], "shape": [1, 1]}])
         with pytest.raises(SchemaError, match="^matrix entries must be 0 or 1$"):
@@ -688,6 +684,145 @@ def test_a_map_shared_by_two_edges_is_checked_on_each():
         "Complex", [[[1], [2]], [[1], [2], [1, 2]], [[1], [2], [1, 2]]],
         [[[1, 1], [2, 2]], [[1, 1], [2, 2]]]))
     assert x.edge_maps[((0,), 0)] is x.edge_maps[((1,), 0)] and x.objects[(1,)] is x.objects[(2,)]
+
+
+def _verdict(build):
+    """What build() returns, or the type and message of the error it
+    raises."""
+    try:
+        return build()
+    except PerscertError as exc:
+        return type(exc), str(exc)
+
+
+def _unshared_object(doc: dict) -> PersistentObject:
+    """The object of doc rebuilt through ``PersistentObject``, with each
+    value decoded on its own, so that no two places hold one Python object.
+    (A deep copy of a frozenset may iterate in another order, which a
+    component's error message would show.)"""
+    cat = doc["category"]
+    return PersistentObject(
+        Grid([[ser.decode_rational(v) for v in axis] for axis in doc["axes"]]), cat,
+        {ser.decode_index(k): ser.decode_cat_object(cat, v) for k, v in doc["objects"].items()},
+        {ser.decode_edge_key(k): ser.decode_cat_map(cat, f)
+         for k, f in doc["edge_maps"].items()},
+        doc["integer_indexed"])
+
+
+def _nearby_move(rng: random.Random, maps: dict):
+    """(key, other): a key of maps and a key at most two places from it
+    whose map differs from its map, or None when there is no such pair."""
+    keys = list(maps)
+    pairs = [(k, o) for i, k in enumerate(keys) for o in keys[max(0, i - 2):i + 3]
+             if maps[o] != maps[k]]
+    return rng.choice(pairs) if pairs else None
+
+
+def test_object_verdicts_do_not_depend_on_shared_values():
+    """One edge map of a seeded FinSet or Complex object replaced by the map
+    of a nearby edge, which is valid there: the decoded document, whose
+    decoder shares equal values between places, and the object rebuilt
+    through ``PersistentObject`` with nothing shared give the same object
+    or the same first error."""
+    verdicts = collections.Counter()
+    for seed in range(20):
+        rng = random.Random(seed)
+        for x in (rand_finset_object(rng), rand_persistent_complex(rng),
+                  degree_rips(rand_metric(rng, 5, max_dist=6), 2)):
+            move = _nearby_move(rng, x.edge_maps)
+            if move is None:
+                continue
+            (idx, a), (jdx, b) = move
+            doc = json_round(ser.encode_object(x))
+            wire = doc["edge_maps"]
+            wire[f"{','.join(map(str, idx))}|{a}"] = wire[f"{','.join(map(str, jdx))}|{b}"]
+            decoded = _verdict(lambda: ser.decode_object(doc))
+            assert decoded == _verdict(lambda: _unshared_object(doc))
+            verdicts["valid" if isinstance(decoded, PersistentObject) else decoded[0]] += 1
+    assert verdicts["valid"] and verdicts[ValidationError]
+
+
+def test_certificate_verdicts_do_not_depend_on_shared_values():
+    """One f component of a seeded FinSet or Complex certificate replaced
+    by the component at a nearby point, which is valid there: the decoded
+    document, whose decoder shares equal values between places, and the
+    certificate rebuilt through ``PersistentObject`` and ``DeltaMorphism``
+    with nothing shared give the same report or the same first error."""
+    verdicts = collections.Counter()
+    for seed in range(20):
+        rng = random.Random(seed)
+        for cert in (interleaved_pair(rng, rand_finset_object(rng))[1],
+                     rand_complex_interleaving(rng)[2]):
+            f, g = cert.f, cert.g
+            move = _nearby_move(rng, f.components)
+            if move is None:
+                continue
+            p, q = move
+            doc = json_round(ser.encode_cert(cert))
+            points = list(f.grid.indices())
+            entries = doc["f_components"]
+            entries[points.index(p)]["map"] = entries[points.index(q)]["map"]
+
+            def rebuilt():
+                x, y = _unshared_object(doc["x"]), _unshared_object(doc["y"])
+                legs = [DeltaMorphism(source, target, leg.shift, {
+                    idx: ser.decode_cat_map(x.category_name, entry["map"])
+                    for idx, entry in zip(leg.grid.indices(), doc[key])})
+                    for source, target, leg, key in ((x, y, f, "f_components"),
+                                                     (y, x, g, "g_components"))]
+                return check_interleaving(InterleavingCert(*legs))
+
+            decoded = _verdict(lambda: check_interleaving(ser.decode_cert(doc)))
+            assert decoded == _verdict(rebuilt)
+            verdicts[decoded.valid if isinstance(decoded, InterleavingReport) else decoded[0]] += 1
+    assert verdicts[False] and verdicts[ValidationError]
+
+
+_TWO_GRADES = {"format": ser.FORMAT_OBJECT, "m": 1, "category": "F2Vec", "axes": [["0", "1"]],
+               "objects": {"0": 1, "1": 1}, "edge_maps": {"0|0": _IDENTITY}}
+
+
+@pytest.mark.parametrize("table, entries, message", [
+    ("objects", {"0": 1, "1": 1, "00": 0}, "object at grid index (0,) is given twice"),
+    ("edge_maps", {"0|0": _IDENTITY, "0|00": {"rows": [[0]], "shape": [1, 1]}},
+     "edge map at ((0,), 0) is given twice"),
+])
+def test_two_keys_of_one_place_are_refused_in_either_order(tmp_path, table, entries, message):
+    """Two keys that name one grid point or step ("0" and "00", "0|0" and
+    "0|00") are a schema error naming the place, in either key order,
+    through the library and with exit 2 through the CLI."""
+    for ordered in (entries, dict(reversed(entries.items()))):
+        doc = _edited(_TWO_GRADES, **{table: ordered})
+        with pytest.raises(SchemaError) as info:
+            ser.decode_object(doc)
+        assert str(info.value) == message
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        r = CliRunner().invoke(cli.main, ["barcode", str(path)])
+        assert r.exit_code == 2 and message in r.output
+
+
+def test_keys_of_more_digits_than_int_reads_are_schema_errors(tmp_path):
+    """An object key, or the axis of an edge key, of as many digits as
+    ``int()`` reads decodes and is then refused as off the grid (exit 1);
+    one more digit is a schema error (exit 2), with no traceback."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    for digits, error, code in ((limit, ValidationError, 1), (limit + 1, SchemaError, 2)):
+        key = "1" * digits
+        for doc, message in (
+                (_edited(_TWO_GRADES, objects={key: 1}), "bad index key"),
+                (_edited(_TWO_GRADES, edge_maps={f"0|{key}": _IDENTITY}), "bad edge key")):
+            with pytest.raises(error) as info:
+                ser.decode_object(doc)
+            text = str(info.value)
+            assert text.startswith("keys outside the grid" if code == 1 else message)
+            path = tmp_path / "digits.json"
+            path.write_text(json.dumps(doc))
+            r = CliRunner().invoke(cli.main, ["barcode", str(path)])
+            assert r.exit_code == code and isinstance(r.exception, (SystemExit, type(None)))
+            assert text[:40] in r.output
 
 
 def test_encoded_objects_sort_each_element_by_the_repr_of_its_wire_form():
